@@ -84,6 +84,7 @@ from .pde import (
     SweepResult,
     cfl_gradient_range,
     cfl_number,
+    diffusion_lu,
     evolve,
     godunov_flux,
     homogenize_sweep,

@@ -14,7 +14,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,16 @@ from .environment import (
 )
 from .errors import CertificateError, ConfigError, HillError, ScientificError
 from .hamiltonian import GrowthCertificate, branch_inverse, make_G, validate_growth
-from .pde import SchemeConfig, SweepResult, homogenize_sweep, residual_probe, save_sweep, stable_dt
+from .pde import (
+    SchemeConfig,
+    SweepResult,
+    cfl_gradient_range,
+    cfl_number,
+    homogenize_sweep,
+    residual_probe,
+    save_sweep,
+    stable_dt,
+)
 
 COMMANDS = ("gen-env", "corrector", "theta-curve", "effective", "homogenize",
             "hill-check", "probe")
@@ -63,7 +72,11 @@ def _maybe_number(text: str):
 
 @dataclass
 class RunConfig:
-    """Validated run description; commands read only from here."""
+    """Validated run description; commands read only from here.
+
+    ``stats`` collects the run counters a command reports; the sidecar
+    writes them out.
+    """
 
     command: str
     env_kind: str
@@ -78,6 +91,7 @@ class RunConfig:
     out_dir: Path
     workers: int
     echo: dict
+    stats: dict = field(default_factory=dict)
 
     def make_env(self, window=None):
         return generate_env(self.env_kind, self.env_seed,
@@ -289,7 +303,7 @@ def _sweep_task(args):
     (env, G, beta, theta, eps, scheme, ref) = args
     res = homogenize_sweep(env, G, beta, theta, [eps], scheme, reference=ref)
     return (eps, float(res.values[0]), float(res.domain_sensitivity[0]),
-            bool(res.grad_excursion))
+            bool(res.grad_excursion), res.steps)
 
 
 def cmd_homogenize(cfg: RunConfig) -> list[Path]:
@@ -336,9 +350,14 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
                          values=np.array([r[1] for r in rows]),
                          reference=float(ref),
                          domain_sensitivity=np.array([r[2] for r in rows]),
-                         grad_excursion=any(r[3] for r in rows))
+                         grad_excursion=any(r[3] for r in rows),
+                         steps=sum(r[4] for r in rows))
     out = cfg.out_dir / "sweep.csv"
     save_sweep(result, str(out))
+    kappa = cfg.G.lipschitz_on(cfl_gradient_range(cfg.G, cfg.beta, theta))
+    cfg.stats.update(dt=dt, cfl=cfl_number(scheme, kappa),
+                     evolve_steps=result.steps,
+                     grad_excursion=result.grad_excursion)
     return [out]
 
 
@@ -475,6 +494,7 @@ def _sidecar(cfg: RunConfig, args, outputs: list[Path], wall: float) -> Path:
             "hjlab": __version__,
         },
         "wall_time_s": wall,
+        "stats": cfg.stats,
         "outputs": [o.name for o in outputs],
     }
     path = outputs[0].parent / (outputs[0].stem + ".meta.json")

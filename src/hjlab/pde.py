@@ -1,11 +1,20 @@
 """Monotone finite-difference solver for the viscous HJ equation.
 
-Discretizes ``du/dt = a(x) d2u/dx2 + G(du/dx) + beta V(x)`` with explicit
-Euler in time, a central second difference for diffusion, and an upwind
-(Godunov) flux for the quasiconvex Hamiltonian.  Monotonicity of the
-one-step update under the CFL bound is what makes the scheme converge to
-the viscosity solution, so everything here favours plainness over order:
-no implicit stages, no limiters.
+Discretizes ``du/dt = a(x) d2u/dx2 + G(du/dx) + beta V(x)`` with a
+semi-implicit Euler step: the upwind (Godunov) flux of the quasiconvex
+Hamiltonian and the source are explicit, the central second difference
+of the diffusion is implicit.  Each step is
+
+    w = u + h (godunov_flux(G, D-u, D+u) + beta V)
+    (I - h diag(a) D2) u_new = w + boundary term
+
+The explicit stage is monotone under the hyperbolic CFL bound
+``dt kappa / dx <= 0.9`` (kappa a Lipschitz constant of G on the
+reachable slopes); the implicit stage is monotone at every step size,
+because ``I - h diag(a) D2`` is an M-matrix and its inverse is entrywise
+nonnegative.  Diffusion therefore puts no limit on dt.  Monotonicity is
+what makes the scheme converge to the viscosity solution, so everything
+here favours plainness over order: first order in time, no limiters.
 
 Also holds the epsilon-sweep driver that empirically verifies the
 homogenized limit, and the perturbed-profile residual probes for the
@@ -19,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .corrector import CorrectorProfile, GluedProfile
 from .environment import EnvRealization, sample_many
@@ -35,6 +45,7 @@ __all__ = [
     "cfl_gradient_range",
     "cfl_number",
     "stable_dt",
+    "diffusion_lu",
     "evolve",
     "profile_antiderivative",
     "homogenize_sweep",
@@ -69,8 +80,9 @@ class SchemeConfig:
     def __post_init__(self):
         for name in ("dx", "dt", "M", "T"):
             val = getattr(self, name)
-            if not (isinstance(val, (int, float)) and math.isfinite(val)
-                    and val > 0):
+            if not (isinstance(val, (int, float))
+                    and not isinstance(val, bool)
+                    and math.isfinite(val) and val > 0):
                 raise ConfigError(f"{name} must be a positive number, got {val}")
         if self.boundary not in ("linear", "clamp"):
             raise ConfigError(
@@ -96,38 +108,54 @@ def cfl_gradient_range(G, beta: float, theta: float) -> tuple[float, float]:
     return p_lo, p_hi
 
 
-def cfl_number(scheme: SchemeConfig, a_max: float, kappa_grad: float) -> float:
-    return scheme.dt * (2.0 * a_max / scheme.dx ** 2 + kappa_grad / scheme.dx)
+def cfl_number(scheme: SchemeConfig, kappa_grad: float) -> float:
+    """Hyperbolic CFL number ``dt kappa / dx`` of the explicit flux stage.
+
+    ``kappa_grad`` is a Lipschitz constant of G on the slope range the
+    run can reach.  Diffusion is implicit and adds no term.
+    """
+    return scheme.dt * kappa_grad / scheme.dx
 
 
 def stable_dt(env: EnvRealization, G, beta: float, theta: float,
               dx: float, target: float = 0.9) -> float:
-    """Largest dt satisfying the CFL bound with margin ``target``."""
-    a_max = float(env.a_vals.max())
+    """Largest dt with ``cfl_number <= target``, i.e. ``target dx / kappa``.
+
+    kappa is the Lipschitz constant of G on ``cfl_gradient_range``.  The
+    bound reads nothing of the medium: a(x) enters only the implicit
+    stage, and V only the source.  ``env`` is kept so that every caller
+    can ask for the step of the run it is about to make.
+    """
     kappa = G.lipschitz_on(cfl_gradient_range(G, beta, theta))
-    return target / (2.0 * a_max / dx ** 2 + kappa / dx)
+    return target * dx / kappa
 
 
 # ============================================================
 # Flux and one-step update
 # ============================================================
 
-def godunov_flux(G, p_minus, p_plus):
+def godunov_flux(G, p_minus, p_plus, out=None):
     """Upwind flux for u_t = G(u_x), G quasiconvex with minimum at 0.
 
     max(G1(min(p-, 0)), G2(max(p+, 0))): each side contributes only the
     slope pointing into its characteristic direction, so the assembled
-    scheme is nondecreasing in both neighbor values.
+    scheme is nondecreasing in both neighbor values.  ``out`` is an
+    optional array buffer for the result.
     """
     down = G(np.minimum(p_minus, 0.0))
     up = G(np.maximum(p_plus, 0.0))
-    out = np.maximum(down, up)
+    out = np.maximum(down, up, out=out)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def scheme_update(G, beta: float, u_left, u_center, u_right, a, v,
                   dx: float, dt: float):
-    """One explicit-Euler step of the three-point monotone scheme."""
+    """One explicit-Euler step of the three-point monotone scheme.
+
+    Monotone when ``dt (2 a / dx**2 + kappa / dx) <= 1``.  With ``a = 0``
+    it is the explicit stage of ``evolve``, monotone when
+    ``dt kappa / dx <= 1``.
+    """
     lap = (u_right - 2.0 * u_center + u_left) / dx ** 2
     flux = godunov_flux(G, (u_center - u_left) / dx, (u_right - u_center) / dx)
     return u_center + dt * (a * lap + flux + beta * v)
@@ -162,6 +190,35 @@ class EvolveResult:
         self.u.setflags(write=False)
 
 
+def diffusion_lu(a, h: float, dx: float, boundary: str):
+    """LU factors (``dgttrf``) of ``I - h diag(a) D2`` on the run grid.
+
+    D2 is the central second difference, closed by the ghost rule of
+    ``boundary``.  "linear" ghosts ``u[0] - theta dx`` and
+    ``u[n] + theta dx`` are affine: their theta part moves to the
+    right-hand side (``-/+ h a theta / dx`` at the two ends), leaving
+    rows ``(1 + r) u[0] - r u[1]`` with ``r = h a / dx**2``.  "clamp"
+    ghosts extrapolate linearly, so the boundary Laplacian vanishes and
+    the boundary rows are identity rows.  Either way the matrix is a
+    diagonally dominant M-matrix with an entrywise nonnegative inverse.
+    Solve with ``dgttrs(*lu, rhs)``.
+    """
+    r = h * np.asarray(a, dtype=np.float64) / dx ** 2
+    diag = 1.0 + 2.0 * r
+    lower = -r[1:]
+    upper = -r[:-1]
+    if boundary == "linear":
+        diag[0] = 1.0 + r[0]
+        diag[-1] = 1.0 + r[-1]
+    else:
+        diag[0] = diag[-1] = 1.0
+        upper[0] = lower[-1] = 0.0
+    *lu, info = dgttrf(lower, diag, upper)
+    if info != 0:
+        raise StabilityError(f"diffusion matrix is singular (dgttrf info {info})")
+    return lu
+
+
 def evolve(env: EnvRealization, G, beta: float, initial_data,
            scheme: SchemeConfig, *, trace_x: float | None = None,
            trace_stride: int = 1) -> EvolveResult:
@@ -169,8 +226,8 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
 
     ``initial_data`` is a callable evaluated on the grid or an array of
     matching length.  Ghost values follow ``scheme.boundary``.  Raises
-    on CFL violation and on non-finite values (which, under a valid
-    CFL, indicate a bug rather than instability).
+    on a violation of the hyperbolic CFL bound and on non-finite values
+    (which, under a valid CFL, indicate a bug rather than instability).
     """
     beta = float(beta)
     dx, dt = scheme.dx, scheme.dt
@@ -179,10 +236,11 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     a, v = sample_many(env, xs)
     p_lo, p_hi = cfl_gradient_range(G, beta, scheme.theta)
     kappa = G.lipschitz_on((p_lo, p_hi))
-    cfl = cfl_number(scheme, float(a.max()), kappa)
+    cfl = cfl_number(scheme, kappa)
     if cfl > 0.9 + 1e-12:
         raise StabilityError(
-            f"CFL number {cfl:.3f} exceeds 0.9; shrink dt below "
+            f"CFL number {cfl:.3f} exceeds the hyperbolic bound "
+            f"dt kappa / dx <= 0.9 (kappa = {kappa:.3g}); shrink dt below "
             f"{stable_dt(env, G, beta, scheme.theta, dx):.3e}")
 
     u = np.asarray(initial_data(xs) if callable(initial_data)
@@ -202,6 +260,11 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     src = beta * v
     theta_dx = scheme.theta * dx
     linear = scheme.boundary == "linear"
+    # one factorization per distinct step size, with its boundary terms
+    implicit = {h: (diffusion_lu(a, h, dx, scheme.boundary),
+                    h * a[0] * scheme.theta / dx,
+                    h * a[-1] * scheme.theta / dx)
+                for h in {dt, dt_tail} if h > 0.0}
     seen_lo, seen_hi = np.inf, -np.inf
     trace_t, trace_u = ([], []) if trace_x is not None else (None, None)
     if trace_x is not None:
@@ -209,12 +272,15 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
         if not 0 <= i_tr <= n:
             raise ConfigError(f"trace_x = {trace_x} outside [-M, M]")
 
-    ue = np.empty(u.size + 2, dtype=np.float64)
+    ue = np.empty(n + 3, dtype=np.float64)
+    d = np.empty(n + 2, dtype=np.float64)
+    flux = np.empty(n + 1, dtype=np.float64)
     t = 0.0
     step = 0
     total = n_steps + (1 if dt_tail > 0.0 else 0)
     while step < total:
         h = dt if step < n_steps else dt_tail
+        lu, bc_lo, bc_hi = implicit[h]
         ue[1:-1] = u
         if linear:
             ue[0] = u[0] - theta_dx
@@ -222,24 +288,33 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
         else:
             ue[0] = 2.0 * u[0] - u[1]
             ue[-1] = 2.0 * u[-1] - u[-2]
-        dm = (ue[1:-1] - ue[:-2]) / dx
-        dp = (ue[2:] - ue[1:-1]) / dx
-        lo = float(min(dm.min(), dp.min()))
-        hi = float(max(dm.max(), dp.max()))
+        # d[i] is D-u at node i and D+u at node i - 1
+        np.subtract(ue[1:], ue[:-1], out=d)
+        d /= dx
+        lo, hi = float(d.min()), float(d.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            break  # a NaN or inf in u reaches both reductions
         seen_lo = min(seen_lo, lo)
         seen_hi = max(seen_hi, hi)
-        lap = (ue[2:] - 2.0 * ue[1:-1] + ue[:-2]) / dx ** 2
-        flux = np.maximum(G(np.minimum(dm, 0.0)), G(np.maximum(dp, 0.0)))
-        u = u + h * (a * lap + flux + src)
-        if not np.all(np.isfinite(u)):
-            raise StabilityError(
-                f"non-finite values at t = {t + h:.6g} despite CFL "
-                f"{cfl:.3f}: this is a bug, not instability")
+        # explicit stage, written into u (ue keeps the old values)
+        godunov_flux(G, d[:-1], d[1:], out=flux)
+        flux += src
+        flux *= h
+        u += flux
+        if linear:
+            u[0] -= bc_lo
+            u[-1] += bc_hi
+        # implicit stage
+        u, _ = dgttrs(*lu, u, overwrite_b=1)
         t += h
         step += 1
         if trace_t is not None and step % max(trace_stride, 1) == 0:
             trace_t.append(t)
             trace_u.append(float(u[i_tr]))
+    if step < total or not np.all(np.isfinite(u)):
+        raise StabilityError(
+            f"non-finite values at t = {t:.6g} despite CFL "
+            f"{cfl:.3f}: this is a bug, not instability")
 
     return EvolveResult(
         xs=xs, u=u, t=t, steps=step, cfl=cfl,
@@ -276,7 +351,8 @@ class SweepResult:
 
     ``values[i]`` is eps * u_theta(1/eps, 0) on the base domain;
     ``domain_sensitivity[i]`` is its change when the domain half-width
-    doubles -- the honest surrogate for boundary error.
+    doubles -- the honest surrogate for boundary error.  ``steps`` is
+    the total number of evolve steps of all runs.
     """
 
     theta: float
@@ -285,6 +361,7 @@ class SweepResult:
     reference: float
     domain_sensitivity: np.ndarray
     grad_excursion: bool = False
+    steps: int = 0
 
     def __post_init__(self):
         if self.epsilons.size != self.values.size or \
@@ -336,6 +413,7 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     values = np.empty(eps_arr.size)
     sens = np.empty(eps_arr.size)
     excursion = False
+    steps = 0
     for k, eps in enumerate(eps_arr):
         t_final = 1.0 / eps
         n_half = math.ceil(scheme.M / (eps * scheme.dx) - 1e-9)
@@ -348,11 +426,13 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
             i0 = int(round(m_run / scheme.dx))
             pair.append(eps * float(res.u[i0]))
             excursion = excursion or res.grad_excursion
+            steps += res.steps
         values[k] = pair[0]
         sens[k] = abs(pair[1] - pair[0])
     return SweepResult(theta=theta, epsilons=eps_arr, values=values,
                        reference=float(reference),
-                       domain_sensitivity=sens, grad_excursion=excursion)
+                       domain_sensitivity=sens, grad_excursion=excursion,
+                       steps=steps)
 
 
 # ============================================================

@@ -191,6 +191,23 @@ def test_homogenize_flat_reference_is_beta(tmp_path):
         assert 0.0 < float(r[2]) < 2.0
 
 
+def test_homogenize_worker_merge_and_run_stats(tmp_path):
+    cfg = _write(tmp_path, HOMOG_IID)
+    d1, d2 = tmp_path / "w1", tmp_path / "w2"
+    assert main(["homogenize", "--config", cfg, "--out", str(d1)]) == 0
+    assert main(["homogenize", "--config", cfg, "--out", str(d2),
+                 "--workers", "2"]) == 0
+    assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
+    stats = json.loads((d1 / "sweep.meta.json").read_text())["stats"]
+    assert stats == json.loads((d2 / "sweep.meta.json").read_text())["stats"]
+    assert set(stats) == {"dt", "cfl", "evolve_steps", "grad_excursion"}
+    assert 0.0 < stats["cfl"] <= 0.9 + 1e-12
+    assert stats["dt"] > 0.0
+    # two runs (base and doubled domain) per epsilon, T = 1/eps each
+    assert stats["evolve_steps"] >= 2 * math.ceil((4.0 + 8.0) / stats["dt"])
+    assert stats["grad_excursion"] is False
+
+
 def test_homogenize_requires_growth_certificate(tmp_path):
     text = "\n".join(ln for ln in HOMOG_IID.splitlines()
                      if not ln.startswith("growth_"))

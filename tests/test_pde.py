@@ -10,14 +10,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrs
 
 from hjlab.corrector import GluedProfile, build_glued_profile, corrector_profile
-from hjlab.environment import HillWitness, generate_env
+from hjlab.environment import HillWitness, generate_env, sample_many
 from hjlab.errors import ConfigError, SignError, StabilityError, WindowError
 from hjlab.hamiltonian import PowerG
 from hjlab.pde import (
     SchemeConfig,
     cfl_gradient_range,
+    diffusion_lu,
     evolve,
     godunov_flux,
     homogenize_sweep,
@@ -83,6 +85,94 @@ def test_scheme_monotone_exhaustive_lattice():
     assert np.all(np.diff(s, axis=0) >= -1e-12)  # in u_{j-1}
     assert np.all(np.diff(s, axis=1) >= -1e-12)  # in u_j
     assert np.all(np.diff(s, axis=2) >= -1e-12)  # in u_{j+1}
+
+
+def test_explicit_stage_monotone_exhaustive_lattice():
+    # the explicit stage of evolve is scheme_update without diffusion; it
+    # must be nondecreasing in each argument under the hyperbolic CFL alone
+    dx = 0.5
+    vals = np.linspace(-1.0, 1.0, 21)
+    kappa = G.lipschitz_on((-5.0, 5.0))  # slopes reach (2 - (-2)) / 0.5
+    dt = 0.9 * dx / kappa
+    ul, uc, ur = np.meshgrid(vals, vals, vals, indexing="ij")
+    s = scheme_update(G, BETA, ul, uc, ur, 0.0, 0.3, dx, dt)
+    assert np.all(np.diff(s, axis=0) >= -1e-12)  # in u_{j-1}
+    assert np.all(np.diff(s, axis=1) >= -1e-12)  # in u_j
+    assert np.all(np.diff(s, axis=2) >= -1e-12)  # in u_{j+1}
+
+
+@pytest.mark.parametrize("boundary", ["linear", "clamp"])
+def test_diffusion_inverse_nonnegative(env_periodic, boundary):
+    # (I - h diag(a) D2)^-1 from the factors evolve uses: entrywise
+    # nonnegative, and the inverse of the matrix the ghost rule defines
+    dx, n = 0.1, 12
+    xs = 0.37 + dx * np.arange(n)
+    a, _ = sample_many(env_periodic, xs)
+    for h in (1e-3, 0.05, 10.0):
+        inv, info = dgttrs(*diffusion_lu(a, h, dx, boundary), np.eye(n))
+        assert info == 0
+        assert inv.min() >= -1e-14  # exact zeros come out as roundoff
+        # dense operator u -> u - h a D2 u, ghosts at theta = 0
+        A = np.empty((n, n))
+        for j, e in enumerate(np.eye(n)):
+            if boundary == "linear":
+                ue = np.concatenate(([e[0]], e, [e[-1]]))
+            else:
+                ue = np.concatenate(([2 * e[0] - e[1]], e,
+                                     [2 * e[-1] - e[-2]]))
+            A[:, j] = e - h * a * (ue[2:] - 2 * e + ue[:-2]) / dx ** 2
+        assert np.max(np.abs(inv @ A - np.eye(n))) <= 1e-10
+
+
+def test_evolve_one_step_jacobian_sign(env_periodic):
+    # one full step (explicit flux, implicit diffusion) is order
+    # preserving: raising any input node lowers no output node.  Linear
+    # ghosts only: a clamp ghost copies the end slope into the flux, which
+    # then falls as the neighbour rises wherever that slope is upwind
+    dx, theta = 0.1, 1.0
+    dt = stable_dt(env_periodic, G, BETA, theta, dx)
+    scheme = SchemeConfig(dx=dx, dt=dt, M=2.0, T=dt, theta=theta)
+    xs = -2.0 + dx * np.arange(41)
+    u0 = theta * xs + 0.3 * np.sin(2.0 * xs)
+    base = evolve(env_periodic, G, BETA, u0, scheme)
+    assert base.steps == 1
+    for j in range(xs.size):
+        bumped = u0.copy()
+        bumped[j] += 1e-3
+        res = evolve(env_periodic, G, BETA, bumped, scheme)
+        assert np.all(res.u >= base.u - 1e-13), j
+        assert res.u[j] > base.u[j]
+
+
+def test_evolve_matches_explicit_march(env_periodic):
+    # oracle: the fully explicit scheme at its diffusive CFL, marched
+    # with scheme_update; both are first order, so they differ by
+    # O(dx + dt) -- measured 3.8e-3 here, asserted below 1e-2
+    dx, theta, T = 0.05, 1.0, 1.0
+    xs = -5.0 + dx * np.arange(201)
+    a, v = sample_many(env_periodic, xs)
+    kappa = G.lipschitz_on(cfl_gradient_range(G, BETA, theta))
+    n_exp = math.ceil(T * (2.0 * a.max() / dx ** 2 + kappa / dx) / 0.9)
+    u = u0 = theta * xs + 0.3 * np.sin(2.0 * xs)
+    for _ in range(n_exp):
+        ue = np.concatenate(([u[0] - theta * dx], u, [u[-1] + theta * dx]))
+        u = scheme_update(G, BETA, ue[:-2], u, ue[2:], a, v, dx, T / n_exp)
+    dt = stable_dt(env_periodic, G, BETA, theta, dx)
+    res = evolve(env_periodic, G, BETA, u0,
+                 SchemeConfig(dx=dx, dt=dt, M=5.0, T=T, theta=theta))
+    assert res.steps < n_exp / 4
+    assert np.max(np.abs(res.u - u)) <= 1e-2
+
+
+def test_stable_dt_independent_of_diffusion():
+    # the hyperbolic bound reads G and the slope range, not a(x)
+    dts = [stable_dt(generate_env("constant", 0, (-5.0, 5.0), 0.1,
+                                  params={"a0": a0, "v0": 0.5}),
+                     G, BETA, 1.0, 0.05)
+           for a0 in (0.05, 0.5, 1.0)]
+    assert dts[0] == dts[1] == dts[2]
+    kappa = G.lipschitz_on(cfl_gradient_range(G, BETA, 1.0))
+    assert dts[0] == pytest.approx(0.9 * 0.05 / kappa, rel=1e-14)
 
 
 def test_comparison_preserved_on_ordered_pairs(env_periodic):
@@ -164,6 +254,11 @@ def test_evolve_rejects_bad_inputs(env_periodic):
                      boundary="absorbing")
     with pytest.raises(ConfigError):
         SchemeConfig(dx=0.1, dt=-dt, M=5.0, T=1.0, theta=1.0)
+    # bool is an int subclass; True must not pass as 1.0
+    with pytest.raises(ConfigError):
+        SchemeConfig(dx=True, dt=dt, M=5.0, T=1.0, theta=1.0)
+    with pytest.raises(ConfigError):
+        SchemeConfig(dx=0.1, dt=dt, M=5.0, T=True, theta=1.0)
     scheme = SchemeConfig(dx=0.1, dt=dt, M=5.0, T=1.0, theta=1.0)
     with pytest.raises(ConfigError):
         evolve(env_periodic, G, BETA, np.zeros(7), scheme)
@@ -171,6 +266,30 @@ def test_evolve_rejects_bad_inputs(env_periodic):
     bad[3] = np.nan
     with pytest.raises(StabilityError):
         evolve(env_periodic, G, BETA, bad, scheme)
+
+
+@pytest.mark.parametrize("steps", [10, 3])
+def test_evolve_raises_on_midrun_nonfinite(env_periodic, steps):
+    # G runs on two grid arrays per step; a NaN in the third step's flux
+    # is caught by the fourth step's slope range (steps = 10) or, when the
+    # third step is the last, by the final check (steps = 3)
+    grid_calls = []
+
+    def G_nan(p):
+        out = G(p)
+        if np.ndim(out) == 0:
+            return out
+        grid_calls.append(1)
+        return np.where(np.arange(out.size) == 5, np.nan, out) \
+            if len(grid_calls) == 6 else out
+
+    G_nan.lipschitz_on = G.lipschitz_on
+    G_nan.branch_inverse = G.branch_inverse
+    dt = stable_dt(env_periodic, G, BETA, 1.0, 0.1)
+    scheme = SchemeConfig(dx=0.1, dt=dt, M=5.0, T=steps * dt, theta=1.0)
+    with pytest.raises(StabilityError, match="non-finite"):
+        evolve(env_periodic, G_nan, BETA, lambda x: x, scheme)
+    assert len(grid_calls) == 6
 
 
 def test_gradient_monitor_flags_excursion(env_periodic):
