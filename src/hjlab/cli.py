@@ -239,6 +239,8 @@ def cmd_corrector(cfg: RunConfig) -> list[Path]:
                              (region[0], region[1]), tol, dx)
     out = cfg.out_dir / "corrector.csv"
     save_profile(prof, str(out))
+    cfg.stats.update(rk4_steps=prof.rk4_steps, gap=prof.gap,
+                     flagged=prof.flagged)
     return [out]
 
 
@@ -248,10 +250,10 @@ def _theta_task(args):
         # disorder-free corrector slopes are exactly constant
         v0 = float(env.v_vals[0])
         theta = branch_inverse(G, branch, max(lam - beta * v0, 0.0))
-        return (lam, theta, 0.0, False)
+        return (lam, theta, 0.0, False, 0)
     est = estimate_theta(env, G, beta, lam, branch, X,
                          n_batches=n_batches, tol=tol, dx=dx)
-    return (lam, est.mean, est.ci_halfwidth, est.flagged)
+    return (lam, est.mean, est.ci_halfwidth, est.flagged, est.rk4_steps)
 
 
 def cmd_theta_curve(cfg: RunConfig) -> list[Path]:
@@ -274,9 +276,10 @@ def cmd_theta_curve(cfg: RunConfig) -> list[Path]:
     out = cfg.out_dir / "theta_curve.csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("lam,theta,ci,flagged\n")
-        for lam, theta, ci, flagged in rows:
+        for lam, theta, ci, flagged, _ in rows:
             fh.write(f"{float(lam)!r},{float(theta)!r},{float(ci)!r},"
                      f"{bool(flagged)}\n")
+    cfg.stats.update(rk4_steps=sum(r[4] for r in rows))
     return [out]
 
 

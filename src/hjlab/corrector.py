@@ -11,7 +11,11 @@ solution to any prescribed tolerance:
 * ``burn_in_length`` turns a tolerance into a certified s-length via the
   contraction transform Phi of the branch modulus;
 * ``corrector_profile`` shoots through the burn-in from two different
-  starting values and checks that they have merged to within 2 tol;
+  starting values and checks that they have merged to within 2 tol.
+  Both runs share one pass of sampled stage coefficients, and the check
+  run stops at the first node where it equals the primary run bit for
+  bit: an RK4 step depends only on f and those coefficients, so the
+  rest of the check run would repeat the primary run exactly;
 * ``estimate_theta`` averages the corrector slope over a long window
   with a batch-means confidence interval;
 * ``find_low_slope_points`` and ``build_glued_profile`` assemble the
@@ -62,7 +66,12 @@ class CorrectorProfile:
 
     ``cert_bound`` is the certified sup-distance to the true stationary
     slope on the region: Phi^-1 of the burn-in s-length, or the full
-    bracket width when no burn-in was performed.
+    bracket width when no burn-in was performed.  ``flagged`` marks a
+    certificate from the superlinear fallback modulus; ``gap`` is the
+    sup-distance between the two shooting starts on the region (None
+    for single-run profiles); ``rk4_steps`` counts the RK4 steps
+    integrated to build the profile (0 when not recorded, as for a
+    profile loaded from a file).
     """
 
     branch: int
@@ -72,6 +81,9 @@ class CorrectorProfile:
     f_vals: np.ndarray
     burn_in: float
     cert_bound: float
+    flagged: bool = False
+    gap: float | None = None
+    rk4_steps: int = 0
 
     def __post_init__(self):
         self.grid.setflags(write=False)
@@ -95,6 +107,7 @@ class ThetaEstimate:
     n_batches: int
     cert_bound: float
     flagged: bool = False
+    rk4_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -125,15 +138,29 @@ class GluedProfile:
 # Shooting core
 # ============================================================
 
-def _rk4_forward(env: EnvRealization, G, lam: float, beta: float,
-                 L: float, c: float, x_end: float, dx: float,
-                 p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate f' = (lam - beta V - G(f)) / a rightward from (L, c).
+@dataclass(frozen=True)
+class _Stages:
+    """RK4 lattice from L to x_end and the ODE coefficients at its stage
+    points: f' = B - A G(f) with A = 1/a and B = (lam - beta V)/a.
 
-    Coefficients at all RK4 stage points are sampled in one vectorized
-    pass; the stepping loop itself is scalar Python, which beats array
-    dispatch at size 1 by a wide margin.
+    Stage 2i is node i, stage 2i + 1 the midpoint of step i.
     """
+
+    xs: np.ndarray
+    A: list
+    B: list
+    dx: float
+    n_full: int
+    tail: float
+
+    @property
+    def n_steps(self) -> int:
+        return self.xs.size - 1
+
+
+def _stages(env: EnvRealization, lam: float, beta: float, L: float,
+            x_end: float, dx: float) -> _Stages:
+    """Sample the coefficients at every RK4 stage point in one pass."""
     span = x_end - L
     if span <= 0:
         raise ValueError(f"integration span must be positive, got [{L}, {x_end}]")
@@ -150,21 +177,37 @@ def _rk4_forward(env: EnvRealization, G, lam: float, beta: float,
         xs = np.concatenate((xs, [x_end]))
         stage_x = np.concatenate((stage_x, [x_end - 0.5 * tail, x_end]))
     a_st, v_st = sample_many(env, stage_x)
-    A = (1.0 / a_st).tolist()
-    B = ((lam - beta * v_st) / a_st).tolist()
+    return _Stages(xs=xs, A=(1.0 / a_st).tolist(),
+                   B=((lam - beta * v_st) / a_st).tolist(),
+                   dx=dx, n_full=n_full, tail=tail)
+
+
+def _rk4_run(st: _Stages, G, c: float, p_lo: float, p_hi: float,
+             until: list | None = None) -> list:
+    """Node values of the RK4 run from c over the lattice of ``st``.
+
+    With ``until`` (the node values of another run over the same
+    stages), stop at the first node where the value equals ``until``'s
+    and return the values up to and including that node: one step is a
+    function of f and the stage coefficients only, so from there on the
+    two runs are the same run.  The stepping loop is scalar Python,
+    which beats array dispatch at size 1 by a wide margin.
+    """
+    A, B, xs, n_full = st.A, st.B, st.xs, st.n_full
     geval = G.scalar
     lo = p_lo - _BRACKET_GUARD
     hi = p_hi + _BRACKET_GUARD
-    n_steps = n_full + (1 if tail > 0.0 else 0)
+    n_steps = st.n_steps
+    check = until is not None
     fs = [0.0] * (n_steps + 1)
     f = float(c)
     fs[0] = f
-    h = dx
+    h = st.dx
     h2 = 0.5 * h
     h6 = h / 6.0
     for i in range(n_steps):
         if i == n_full:
-            h = tail
+            h = st.tail
             h2 = 0.5 * h
             h6 = h / 6.0
         j = 2 * i
@@ -181,7 +224,17 @@ def _rk4_forward(env: EnvRealization, G, lam: float, beta: float,
                 f"near x = {float(xs[i + 1]):.6g} (f = {f:.6g}); "
                 f"reduce the integration step or check the inputs")
         fs[i + 1] = f
-    return xs, np.asarray(fs)
+        if check and f == until[i + 1]:
+            return fs[:i + 2]
+    return fs
+
+
+def _rk4_forward(env: EnvRealization, G, lam: float, beta: float,
+                 L: float, c: float, x_end: float, dx: float,
+                 p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate f' = (lam - beta V - G(f)) / a rightward from (L, c)."""
+    st = _stages(env, lam, beta, L, x_end, dx)
+    return st.xs, np.asarray(_rk4_run(st, G, c, p_lo, p_hi))
 
 
 def shoot(env: EnvRealization, G, beta: float, lam: float, branch: int,
@@ -210,22 +263,25 @@ def shoot(env: EnvRealization, G, beta: float, lam: float, branch: int,
         raise ValueError(f"branch must be 1 or 2, got {branch}")
     return CorrectorProfile(branch=branch, lam=lam, beta=beta,
                             grid=xs, f_vals=fs, burn_in=0.0,
-                            cert_bound=p_hi - p_lo)
+                            cert_bound=p_hi - p_lo, rk4_steps=xs.size - 1)
 
 
-def burn_in_length(env_region, G, beta: float, lam: float,
-                   tol: float) -> tuple[float, float]:
+def burn_in_length(env_region, G, beta: float, lam: float, tol: float,
+                   branch: int = 2, modulus=None) -> tuple[float, float]:
     """Certified burn-in: (s-length, x-length) so two bracketed runs
     merge to within tol.
 
-    Returns z* with Phi^-1(z*) <= tol.  Conversion to x-length uses the
-    worst case a <= 1 (s dominates x), so the x-length equals z*
-    regardless of the realization; ``env_region`` is accepted for
-    interface symmetry and may be None.
+    Returns z* with Phi^-1(z*) <= tol for the modulus of ``branch``;
+    a caller that has built that modulus already passes it as
+    ``modulus``.  Conversion to x-length uses the worst case a <= 1
+    (s dominates x), so the x-length equals z* regardless of the
+    realization; ``env_region`` is accepted for interface symmetry and
+    may be None.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    M = monotonicity_modulus(G, lam, beta)
+    M = modulus if modulus is not None else monotonicity_modulus(
+        G, lam, beta, branch=branch)
     if tol >= M.K:
         return 0.0, 0.0
     z = M.phi(tol)
@@ -240,57 +296,63 @@ def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
     Shoots from beyond a certified burn-in with the bracket midpoint,
     reports only the region, and cross-checks against a second run
     started at a bracket endpoint: the two must agree to 2 tol on the
-    region, or the certificate is declared broken.
+    region, or the certificate is declared broken.  Both runs use one
+    pass of sampled stage coefficients, and the check run stops at the
+    first node where it equals the primary run bit for bit; from there
+    on it would repeat the primary's steps exactly, so the gap, the
+    bracket check and the certificate are those of two full runs.
     """
     x_lo, x_hi = float(region[0]), float(region[1])
     if x_hi <= x_lo:
         raise ValueError(f"empty region {region}")
     p_lo, p_hi = slope_bracket(G, branch, lam, beta)
-    _, x_burn = burn_in_length(env, G, beta, lam, tol)
     M = monotonicity_modulus(G, lam, beta, branch=branch)
+    _, x_burn = burn_in_length(env, G, beta, lam, tol, modulus=M)
 
     # round the burn-in up to whole steps so region nodes sit exactly on
     # the integration lattice
     x_burn = math.ceil(x_burn / dx - 1e-9) * dx
+    mid = 0.5 * (p_lo + p_hi)
     if branch == 2:
         L = x_lo - x_burn
         if L < env.window[0] - 1e-9:
             raise WindowError(
                 f"region start {x_lo:g} minus burn-in {x_burn:g} falls outside "
                 f"the window (needs x >= {env.window[0]:g})")
-        runs = []
-        for c in (0.5 * (p_lo + p_hi), p_hi):
-            xs, fs = _rk4_forward(env, G, lam, beta, L, c, x_hi, dx, p_lo, p_hi)
-            keep = xs >= x_lo - 1e-9
-            runs.append((xs[keep], fs[keep]))
+        st = _stages(env, lam, beta, L, x_hi, dx)
+        bracket, starts, Gf, r_lo = (p_lo, p_hi), (mid, p_hi), G, x_lo
         s_burn = float(s_at(env, np.array([x_lo]))[0] - s_at(env, np.array([L]))[0])
     elif branch == 1:
+        # integrate branch 2 of the reflected problem, then map back
         L = x_hi + x_burn
         if L > env.window[1] + 1e-9:
             raise WindowError(
                 f"region end {x_hi:g} plus burn-in {x_burn:g} falls outside "
                 f"the window (needs x <= {env.window[1]:g})")
-        renv = reflect(env)
-        Gr = G.reflect()
-        runs = []
-        for c in (0.5 * (p_lo + p_hi), p_lo):
-            xs, fs = _rk4_forward(renv, Gr, lam, beta, -L, -c, -x_lo,
-                                  dx, -p_hi, -p_lo)
-            keep = xs >= -x_hi - 1e-9
-            runs.append((-xs[keep][::-1], -fs[keep][::-1]))
+        st = _stages(reflect(env), lam, beta, -L, -x_lo, dx)
+        bracket, starts, Gf, r_lo = (-p_hi, -p_lo), (-mid, -p_lo), G.reflect(), -x_hi
         s_burn = float(s_at(env, np.array([L]))[0] - s_at(env, np.array([x_hi]))[0])
     else:
         raise ValueError(f"branch must be 1 or 2, got {branch}")
 
-    (xs, fs), (_, fs_alt) = runs
-    gap = float(np.max(np.abs(fs - fs_alt)))
+    fs = _rk4_run(st, Gf, starts[0], *bracket)
+    fs_alt = _rk4_run(st, Gf, starts[1], *bracket, until=fs)
+    i0 = int(np.searchsorted(st.xs, r_lo - 1e-9))
+    # past the check run's last node the two runs are equal
+    diff = np.abs(np.asarray(fs[i0:len(fs_alt)]) - np.asarray(fs_alt[i0:]))
+    gap = float(diff.max()) if diff.size else 0.0
     if gap > 2.0 * tol:
         raise CertificateError(
             f"two shooting starts still differ by {gap:.3g} after the "
             f"burn-in ({x_burn:g}); certified bound was {tol:g}")
+    xs, fs = st.xs[i0:], np.asarray(fs[i0:])
+    if branch == 1:
+        xs, fs = -xs[::-1], -fs[::-1]
     cert = min(M.phi_inv(s_burn), p_hi - p_lo)
     return CorrectorProfile(branch=branch, lam=lam, beta=beta,
-                            grid=xs, f_vals=fs, burn_in=x_burn, cert_bound=cert)
+                            grid=xs, f_vals=fs, burn_in=x_burn, cert_bound=cert,
+                            flagged=M.flagged, gap=gap,
+                            rk4_steps=len(fs_alt) - 1 + st.n_steps)
 
 
 def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
@@ -327,10 +389,10 @@ def estimate_theta(env: EnvRealization, G, beta: float, lam: float,
     bm = np.array([f[edges[k]:edges[k + 1] + 1].mean() for k in range(n_batches)])
     tcrit = float(student_t.ppf(0.975, n_batches - 1))
     ci = tcrit * float(bm.std(ddof=1)) / math.sqrt(n_batches)
-    M = monotonicity_modulus(G, lam, beta, branch=branch)
     return ThetaEstimate(branch=branch, lam=lam, beta=beta, mean=mean,
                          ci_halfwidth=ci, window_length=X, n_batches=n_batches,
-                         cert_bound=prof.cert_bound, flagged=M.flagged)
+                         cert_bound=prof.cert_bound, flagged=prof.flagged,
+                         rk4_steps=prof.rk4_steps)
 
 
 # ============================================================

@@ -68,6 +68,12 @@ class SchemeConfig:
     slope copies the adjacent interior slope; for profile initial
     data).  ``theta`` always feeds the CFL gradient range, so set it to
     a representative slope even for clamped runs.
+
+    Known fault: "clamp" is not monotone at the two end nodes.  Its
+    ghost copies the end slope into the flux, so where that slope is
+    upwind, raising the neighbour lowers the end value: on the periodic
+    medium (dx = 0.1, theta = 1) a 1e-3 bump lowered an output node by
+    3.3e-4 for u0 = -x.
     """
 
     dx: float
@@ -201,7 +207,10 @@ def diffusion_lu(a, h: float, dx: float, boundary: str):
     ghosts extrapolate linearly, so the boundary Laplacian vanishes and
     the boundary rows are identity rows.  Either way the matrix is a
     diagonally dominant M-matrix with an entrywise nonnegative inverse.
-    Solve with ``dgttrs(*lu, rhs)``.
+    For "clamp" that does not make the whole step monotone: the
+    explicit flux at the end nodes sees the extrapolated ghost, and a
+    1e-3 bump lowered an end value by 3.3e-4 (u0 = -x, periodic medium,
+    dx = 0.1, theta = 1).  Solve with ``dgttrs(*lu, rhs)``.
     """
     r = h * np.asarray(a, dtype=np.float64) / dx ** 2
     diag = 1.0 + 2.0 * r

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from hjlab.cli import main
+from hjlab.corrector import burn_in_length
+from hjlab.hamiltonian import PowerG
 
 CONST_V0 = """
 [env]
@@ -163,6 +165,26 @@ def test_theta_curve_parallel_matches_sequential(tmp_path):
                  "--workers", "3"]) == 0
     assert (d1 / "theta_curve.csv").read_bytes() == \
         (d2 / "theta_curve.csv").read_bytes()
+
+
+def test_theta_curve_and_corrector_record_rk4_steps(tmp_path):
+    # each estimate integrates its primary run in full (burn-in plus
+    # region) and stops its check run once the two are equal
+    text = PERIODIC + "\n[corrector]\nlam = 2.0\nbranch = 1\n" \
+        "region = -10 0\ntol = 1e-6\ndx = 0.01\n"
+    cfg = _write(tmp_path, text)
+    assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    stats = json.loads((tmp_path / "theta_curve.meta.json").read_text())["stats"]
+    primary = sum(6000 + math.ceil(burn_in_length(None, PowerG(2.0), 1.0, lam,
+                                                  1e-6)[1] / 0.01 - 1e-9)
+                  for lam in (1.5, 2.0, 3.0))
+    assert primary < stats["rk4_steps"] < 2 * primary
+    assert main(["corrector", "--config", cfg, "--out", str(tmp_path)]) == 0
+    stats = json.loads((tmp_path / "corrector.meta.json").read_text())["stats"]
+    assert set(stats) == {"rk4_steps", "gap", "flagged"}
+    assert 1647 < stats["rk4_steps"] < 2 * 1647   # 647 burn-in + 1000 region
+    assert 0.0 <= stats["gap"] <= 2e-6
+    assert stats["flagged"] is False
 
 
 def test_effective_constant_closed_form(tmp_path):

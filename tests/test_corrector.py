@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hjlab.corrector import (
+    _rk4_forward,
     build_glued_profile,
     burn_in_length,
     corrector_profile,
@@ -15,8 +16,8 @@ from hjlab.corrector import (
     shoot,
 )
 from hjlab.environment import HillWitness, generate_env, reflect
-from hjlab.errors import BracketExitError, GlueError, WindowError
-from hjlab.hamiltonian import PowerG, monotonicity_modulus
+from hjlab.errors import BracketExitError, CertificateError, GlueError, WindowError
+from hjlab.hamiltonian import AsymPowerG, PowerG, bracket, monotonicity_modulus
 
 G = PowerG(2.0)
 SQRT2 = math.sqrt(2.0)
@@ -162,6 +163,75 @@ def test_corrector_profile_branch1(env_periodic):
     assert float(np.max(np.abs(r - 2.0))) < 1e-3
 
 
+@pytest.fixture(scope="module")
+def env_iid3():
+    return generate_env("iid-interp", 3, (-130.0, 130.0), 0.01)
+
+
+def _full_two_start_reference(env, lam, branch, region, burn, dx):
+    """Grid, values and gap of two full runs through separate samplings."""
+    p_lo, p_hi = bracket(G, branch, lam, 1.0)
+    mid = 0.5 * (p_lo + p_hi)
+    if branch == 2:
+        L = region[0] - burn
+        runs = [_rk4_forward(env, G, lam, 1.0, L, c, region[1], dx, p_lo, p_hi)
+                for c in (mid, p_hi)]
+        keep = runs[0][0] >= region[0] - 1e-9
+        (xs, fs), (_, alt) = [(x[keep], f[keep]) for x, f in runs]
+    else:
+        renv = reflect(env)
+        L = -(region[1] + burn)
+        runs = [_rk4_forward(renv, G.reflect(), lam, 1.0, L, -c, -region[0], dx,
+                             -p_hi, -p_lo) for c in (mid, p_lo)]
+        keep = runs[0][0] >= -region[1] - 1e-9
+        (xs, fs), (_, alt) = [(-x[keep][::-1], -f[keep][::-1]) for x, f in runs]
+    steps = runs[0][0].size - 1
+    return xs, fs, float(np.max(np.abs(fs - alt))), steps
+
+
+@pytest.mark.parametrize("branch, lam, tol, region", [
+    (2, 1.0, 1e-2, (0.0, 10.0)),
+    (1, 1.0, 1e-2, (-10.0, 0.0)),
+    (2, 2.0, 1e-6, (0.0, 10.005)),     # tail step of 0.005
+    (1, 2.0, 1e-6, (-10.005, 0.0)),
+])
+def test_early_stop_equals_two_full_runs(env_iid3, branch, lam, tol, region):
+    # the check run stops once it equals the primary run (inside the
+    # burn-in at lam = beta, inside the region at lam = 2); the profile
+    # and the gap must still be those of two full, separately sampled runs
+    p = corrector_profile(env_iid3, G, 1.0, lam, branch, region, tol, 0.01)
+    xs, fs, gap, steps = _full_two_start_reference(env_iid3, lam, branch,
+                                                   region, p.burn_in, 0.01)
+    assert p.grid.tobytes() == xs.tobytes()
+    assert p.f_vals.tobytes() == fs.tobytes()
+    assert p.gap == gap
+    assert steps < p.rk4_steps < 2 * steps
+
+
+def test_two_start_certificate_fires_without_burn_in(env_iid3, monkeypatch):
+    monkeypatch.setattr("hjlab.corrector.burn_in_length",
+                        lambda *args, **kwargs: (0.0, 0.0))
+    for branch, region in ((2, (0.0, 10.0)), (1, (-10.0, 0.0))):
+        with pytest.raises(CertificateError, match="two shooting starts"):
+            corrector_profile(env_iid3, G, 1.0, 2.0, branch, region, 1e-6, 0.01)
+
+
+@pytest.mark.parametrize("gammas", [(1.5, 3.0), (3.0, 1.5)])
+def test_branch_burn_in_for_asymmetric_G(env_iid3, gammas):
+    # each branch takes its burn-in from its own modulus; with the branch-2
+    # modulus, branch 1 of AsymPowerG(1.5, 3) stopped at 4.16 of the 8.86
+    # it needs and the two starts still differed by 3.4e-4
+    Ga = AsymPowerG(*gammas)
+    for branch, region in ((1, (-10.0, 0.0)), (2, (0.0, 10.0))):
+        M = monotonicity_modulus(Ga, 2.0, 1.0, branch=branch)
+        z, _ = burn_in_length(None, Ga, 1.0, 2.0, 1e-6, branch=branch)
+        assert z == M.phi(1e-6)
+        p = corrector_profile(env_iid3, Ga, 1.0, 2.0, branch, region, 1e-6, 0.01)
+        assert p.cert_bound <= 1e-6
+        assert p.burn_in >= z
+        assert p.gap <= 2e-6
+
+
 # ------------------------------------------------------------
 # theta estimation
 # ------------------------------------------------------------
@@ -198,6 +268,13 @@ def test_theta_branch1_is_reflected_branch2():
                          tol=1e-6, dx=0.01)
     assert th1.mean == pytest.approx(-th2.mean, abs=1e-12)
     assert -SQRT2 < th1.mean < -1.0
+
+
+def test_theta_reports_profile_work(env_iid3):
+    th = estimate_theta(env_iid3, G, 1.0, 1.0, 2, 20.0, tol=1e-2)
+    p = corrector_profile(env_iid3, G, 1.0, 1.0, 2, (0.0, 20.0), 1e-2, 0.01)
+    assert th.rk4_steps == p.rk4_steps > 0
+    assert th.flagged == p.flagged is True
 
 
 def test_theta_validates_batches(env_periodic):
