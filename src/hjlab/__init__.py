@@ -84,7 +84,7 @@ from .pde import (
     SweepResult,
     cfl_gradient_range,
     cfl_number,
-    diffusion_lu,
+    diffusion_solver,
     evolve,
     godunov_flux,
     homogenize_sweep,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .corrector import (
@@ -299,6 +300,9 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
                             endpoint_tol=endpoint_tol, workers=cfg.workers)
     out = cfg.out_dir / "effective.csv"
     save_effective(eff, str(out))
+    cfg.stats.update(n_evals=eff.n_evals, rk4_steps=eff.rk4_steps,
+                     theta1_ci=eff.theta1_ci, theta2_ci=eff.theta2_ci,
+                     flagged=eff.flagged)
     return [out]
 
 
@@ -494,6 +498,7 @@ def _sidecar(cfg: RunConfig, args, outputs: list[Path], wall: float) -> Path:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "hjlab": __version__,
         },
         "wall_time_s": wall,

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .environment import EnvRealization, HillWitness, reflect, s_at, sample_many
 from .errors import BracketExitError, CertificateError, GlueError, WindowError
@@ -387,7 +387,7 @@ def estimate_theta(env: EnvRealization, G, beta: float, lam: float,
     mean = float(np.trapezoid(f, prof.grid) / X)
     edges = np.linspace(0, f.size - 1, n_batches + 1).astype(int)
     bm = np.array([f[edges[k]:edges[k + 1] + 1].mean() for k in range(n_batches)])
-    tcrit = float(student_t.ppf(0.975, n_batches - 1))
+    tcrit = float(stdtrit(n_batches - 1, 0.975))  # Student t quantile
     ci = tcrit * float(bm.std(ddof=1)) / math.sqrt(n_batches)
     return ThetaEstimate(branch=branch, lam=lam, beta=beta, mean=mean,
                          ci_halfwidth=ci, window_length=X, n_batches=n_batches,

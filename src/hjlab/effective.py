@@ -46,7 +46,9 @@ class LambdaInversion:
 
     ``[lam_lo, lam_hi]`` is the bisection bracket at acceptance;
     ``theta_at_lam`` and ``ci`` are the final slope estimate and its
-    batch-means half-width.  ``n_evals`` counts slope estimates spent.
+    batch-means half-width.  ``n_evals`` counts slope estimates spent,
+    ``rk4_steps`` their RK4 steps, and ``flagged`` is set when any of
+    them was.  A reused endpoint estimate counts toward none of these.
     """
 
     branch: int
@@ -57,6 +59,8 @@ class LambdaInversion:
     theta_at_lam: float
     ci: float
     n_evals: int
+    rk4_steps: int = 0
+    flagged: bool = False
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,10 @@ class EffectiveH:
     ``beta`` for random media (whose potential sup is 1) and ``beta*v0``
     for constant media; the flat piece is that exact constant, only the
     endpoints ``theta1_beta``/``theta2_beta`` are statistical.
+
+    ``n_evals``, ``rk4_steps`` and ``flagged`` sum up the work of the
+    build: slope estimates of the inversions, RK4 steps of the endpoint
+    estimates and the inversions, and whether any estimate was flagged.
     """
 
     beta: float
@@ -81,6 +89,9 @@ class EffectiveH:
     flat_value: float
     theta_tol: float
     lambda_tol: float
+    n_evals: int = 0
+    rk4_steps: int = 0
+    flagged: bool = False
 
     def __post_init__(self):
         for arr in (self.branch1_table, self.branch2_table, self.flat_thetas):
@@ -239,21 +250,28 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                                theta_at_lam=endpoint.mean,
                                ci=endpoint.ci_halfwidth, n_evals=0)
 
-    n_evals = 0
+    ests: list[ThetaEstimate] = []
 
     def measure(lam: float) -> ThetaEstimate:
-        nonlocal n_evals
-        n_evals += 1
-        if n_evals > max_evals:
+        if len(ests) >= max_evals:
             raise CertificateError(
                 f"inversion exceeded {max_evals} slope estimates")
         est = estimate_theta(env, G, beta, lam, branch, X=X,
                              n_batches=n_batches, tol=profile_tol, dx=dx)
+        ests.append(est)
         if est.ci_halfwidth > tol:
             raise CertificateError(
                 f"batch-means ci {est.ci_halfwidth:.3g} at lam={lam:.6g} "
                 f"exceeds the requested theta tolerance {tol:.3g}: grow X")
         return est
+
+    def accept(lam: float, lo: float, hi: float,
+               est: ThetaEstimate) -> LambdaInversion:
+        return LambdaInversion(branch=branch, theta=theta, lam=lam,
+                               lam_lo=lo, lam_hi=hi, theta_at_lam=est.mean,
+                               ci=est.ci_halfwidth, n_evals=len(ests),
+                               rk4_steps=sum(e.rk4_steps for e in ests),
+                               flagged=any(e.flagged for e in ests))
 
     # G(theta) + beta already bounds the level from above (the bracket's
     # lower edge at that level is theta itself); the doubling loop only
@@ -265,19 +283,13 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
         hi = beta + 2.0 * (hi - beta)
         est_hi = measure(hi)
     if abs(est_hi.mean - theta) <= tol:
-        return LambdaInversion(branch=branch, theta=theta, lam=hi,
-                               lam_lo=lo, lam_hi=hi,
-                               theta_at_lam=est_hi.mean,
-                               ci=est_hi.ci_halfwidth, n_evals=n_evals)
+        return accept(hi, lo, hi, est_hi)
 
     while hi - lo > 1e-12 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         est = measure(mid)
         if abs(est.mean - theta) <= tol:
-            return LambdaInversion(branch=branch, theta=theta, lam=mid,
-                                   lam_lo=lo, lam_hi=hi,
-                                   theta_at_lam=est.mean,
-                                   ci=est.ci_halfwidth, n_evals=n_evals)
+            return accept(mid, lo, hi, est)
         if s * est.mean < s * theta:
             lo = mid
         else:
@@ -287,9 +299,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     mid = 0.5 * (lo + hi)
     est = measure(mid)
     if abs(est.mean - theta) <= tol + est.ci_halfwidth:
-        return LambdaInversion(branch=branch, theta=theta, lam=mid,
-                               lam_lo=lo, lam_hi=hi, theta_at_lam=est.mean,
-                               ci=est.ci_halfwidth, n_evals=n_evals)
+        return accept(mid, lo, hi, est)
     raise CertificateError(
         f"bisection exhausted level resolution with |theta_hat - theta| = "
         f"{abs(est.mean - theta):.3g} > tol = {tol:.3g}: the slope estimate "
@@ -397,11 +407,15 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
 
     widths = np.concatenate((rows1[:, 3] - rows1[:, 2],
                              rows2[:, 3] - rows2[:, 2]))
+    endpoints = [ep for ep in (ep1, ep2) if ep is not None]
     return EffectiveH(beta=beta, theta1_beta=float(t1), theta1_ci=float(ci1),
                       theta2_beta=float(t2), theta2_ci=float(ci2),
                       branch1_table=rows1, branch2_table=rows2,
                       flat_thetas=flat, flat_value=flat_value,
-                      theta_tol=tol, lambda_tol=float(widths.max(initial=0.0)))
+                      theta_tol=tol, lambda_tol=float(widths.max(initial=0.0)),
+                      n_evals=sum(i.n_evals for i in invs),
+                      rk4_steps=sum(r.rk4_steps for r in endpoints + invs),
+                      flagged=any(r.flagged for r in endpoints + invs))
 
 
 def effective_reference(env: EnvRealization, G, beta: float, theta: float,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import CertificateError
 
@@ -432,6 +431,8 @@ class ContractionModulus:
             return math.inf
         if self.kind == "linear":
             return math.log(self.K / p) / self.mu
+        from scipy.integrate import quad  # slow import; only lam = beta needs it
+
         f = lambda u: math.exp(u) / self.m(math.exp(u))
         val, _ = quad(f, math.log(p), math.log(self.K), limit=500,
                       epsabs=1e-13, epsrel=1e-12)

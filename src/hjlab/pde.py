@@ -12,9 +12,12 @@ The explicit stage is monotone under the hyperbolic CFL bound
 ``dt kappa / dx <= 0.9`` (kappa a Lipschitz constant of G on the
 reachable slopes); the implicit stage is monotone at every step size,
 because ``I - h diag(a) D2`` is an M-matrix and its inverse is entrywise
-nonnegative.  Diffusion therefore puts no limit on dt.  Monotonicity is
-what makes the scheme converge to the viscosity solution, so everything
-here favours plainness over order: first order in time, no limiters.
+nonnegative.  Diffusion therefore puts no limit on dt.  Row-scaled by
+``diag(a)^-1`` the same matrix is symmetric positive definite, so the
+implicit stage is one LAPACK ``dpttrf`` per step size and one ``dpttrs``
+per step (``diffusion_solver``).  Monotonicity is what makes the scheme
+converge to the viscosity solution, so everything here favours
+plainness over order: first order in time, no limiters.
 
 Also holds the epsilon-sweep driver that empirically verifies the
 homogenized limit, and the perturbed-profile residual probes for the
@@ -27,8 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .corrector import CorrectorProfile, GluedProfile
 from .environment import EnvRealization, sample_many
@@ -45,7 +47,7 @@ __all__ = [
     "cfl_gradient_range",
     "cfl_number",
     "stable_dt",
-    "diffusion_lu",
+    "diffusion_solver",
     "evolve",
     "profile_antiderivative",
     "homogenize_sweep",
@@ -196,36 +198,59 @@ class EvolveResult:
         self.u.setflags(write=False)
 
 
-def diffusion_lu(a, h: float, dx: float, boundary: str):
-    """LU factors (``dgttrf``) of ``I - h diag(a) D2`` on the run grid.
+def diffusion_solver(a, h: float, dx: float, boundary: str):
+    """Solver ``solve(w)`` for ``(I - h diag(a) D2) u = w`` on the run grid.
 
     D2 is the central second difference, closed by the ghost rule of
     ``boundary``.  "linear" ghosts ``u[0] - theta dx`` and
     ``u[n] + theta dx`` are affine: their theta part moves to the
-    right-hand side (``-/+ h a theta / dx`` at the two ends), leaving
-    rows ``(1 + r) u[0] - r u[1]`` with ``r = h a / dx**2``.  "clamp"
-    ghosts extrapolate linearly, so the boundary Laplacian vanishes and
-    the boundary rows are identity rows.  Either way the matrix is a
-    diagonally dominant M-matrix with an entrywise nonnegative inverse.
-    For "clamp" that does not make the whole step monotone: the
-    explicit flux at the end nodes sees the extrapolated ghost, and a
-    1e-3 bump lowered an end value by 3.3e-4 (u0 = -x, periodic medium,
-    dx = 0.1, theta = 1).  Solve with ``dgttrs(*lu, rhs)``.
+    right-hand side (``-/+ h a theta / dx`` at the two ends, added by the
+    caller), leaving rows ``(1 + r) u[0] - r u[1]`` with
+    ``r = h a / dx**2``.  "clamp" ghosts extrapolate linearly, so the
+    boundary Laplacian vanishes and the boundary rows are identity rows.
+    Either way the matrix is a diagonally dominant M-matrix with an
+    entrywise nonnegative inverse.
+
+    Each row divided by its ``a_i`` gives diagonal ``1/a_i + 2 c`` (with
+    ``1/a_i + c`` at "linear" end rows) and off-diagonals ``-c``,
+    ``c = h / dx**2``: a symmetric positive definite matrix, factored
+    once here by ``dpttrf``.  ``solve`` scales ``w`` by ``1/a`` and runs
+    ``dpttrs``.  For "clamp" the end values are ``w`` itself, so only the
+    interior is solved, with ``c w_end`` moved to the right-hand side.
+    ``solve`` overwrites ``w`` with the solution and returns it.
+
+    For "clamp" a nonnegative inverse does not make the whole step
+    monotone: the explicit flux at the end nodes sees the extrapolated
+    ghost, and a 1e-3 bump lowered an end value by 3.3e-4 (u0 = -x,
+    periodic medium, dx = 0.1, theta = 1).
     """
-    r = h * np.asarray(a, dtype=np.float64) / dx ** 2
-    diag = 1.0 + 2.0 * r
-    lower = -r[1:]
-    upper = -r[:-1]
+    inv_a = 1.0 / np.asarray(a, dtype=np.float64)
+    c = h / dx ** 2
+    # rows lo..hi-1 are unknowns; "clamp" fixes its two end rows
+    lo, hi = (0, inv_a.size) if boundary == "linear" else (1, inv_a.size - 1)
+    scale = inv_a[lo:hi]
+    diag = scale + 2.0 * c
     if boundary == "linear":
-        diag[0] = 1.0 + r[0]
-        diag[-1] = 1.0 + r[-1]
-    else:
-        diag[0] = diag[-1] = 1.0
-        upper[0] = lower[-1] = 0.0
-    *lu, info = dgttrf(lower, diag, upper)
+        diag[0] = scale[0] + c
+        diag[-1] = scale[-1] + c
+    diag, off, info = dpttrf(diag, np.full(hi - lo - 1, -c))
     if info != 0:
-        raise StabilityError(f"diffusion matrix is singular (dgttrf info {info})")
-    return lu
+        raise StabilityError(
+            f"diffusion matrix is not positive definite (dpttrf info {info})")
+
+    def solve(w):
+        rhs = w[lo:hi]
+        # .T scales rows when w holds several right-hand sides as columns
+        np.multiply(rhs.T, scale, out=rhs.T)
+        if lo:
+            rhs[0] += c * w[0]
+            rhs[-1] += c * w[-1]
+        x, _ = dpttrs(diag, off, rhs, overwrite_b=1)
+        if x is not rhs:  # dpttrs copied a right-hand side it could not reuse
+            rhs[...] = x
+        return w
+
+    return solve
 
 
 def evolve(env: EnvRealization, G, beta: float, initial_data,
@@ -270,7 +295,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     theta_dx = scheme.theta * dx
     linear = scheme.boundary == "linear"
     # one factorization per distinct step size, with its boundary terms
-    implicit = {h: (diffusion_lu(a, h, dx, scheme.boundary),
+    implicit = {h: (diffusion_solver(a, h, dx, scheme.boundary),
                     h * a[0] * scheme.theta / dx,
                     h * a[-1] * scheme.theta / dx)
                 for h in {dt, dt_tail} if h > 0.0}
@@ -289,7 +314,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     total = n_steps + (1 if dt_tail > 0.0 else 0)
     while step < total:
         h = dt if step < n_steps else dt_tail
-        lu, bc_lo, bc_hi = implicit[h]
+        solve, bc_lo, bc_hi = implicit[h]
         ue[1:-1] = u
         if linear:
             ue[0] = u[0] - theta_dx
@@ -314,7 +339,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
             u[0] -= bc_lo
             u[-1] += bc_hi
         # implicit stage
-        u, _ = dgttrs(*lu, u, overwrite_b=1)
+        solve(u)
         t += h
         step += 1
         if trace_t is not None and step % max(trace_stride, 1) == 0:
@@ -340,7 +365,10 @@ def profile_antiderivative(profile) -> callable:
     profile grid (callers should cover their scheme domain).
     """
     grid = profile.grid
-    F = cumulative_trapezoid(profile.f_vals, grid, initial=0.0)
+    f = profile.f_vals
+    # cumulative trapezoid, starting at 0
+    F = np.concatenate(
+        ([0.0], np.cumsum(np.diff(grid) * (f[1:] + f[:-1]) / 2.0)))
     if grid[0] <= 0.0 <= grid[-1]:
         F = F - np.interp(0.0, grid, F)
 

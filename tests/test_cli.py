@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hjlab
 from hjlab.cli import main
 from hjlab.corrector import burn_in_length
 from hjlab.hamiltonian import PowerG
@@ -122,6 +127,20 @@ def test_gen_env_deterministic_and_sidecar(tmp_path):
     assert meta["wall_time_s"] >= 0.0
     assert meta["outputs"] == ["env.csv"]
     assert "numpy" in meta["versions"]
+    assert "scipy" in meta["versions"]
+
+
+def test_cli_import_skips_scipy_stats_and_integrate():
+    # start-up cost: a fresh process importing the CLI loads neither
+    # scipy.stats nor scipy.integrate (module names, not timings)
+    src = str(Path(hjlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, hjlab.cli; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.stats', 'scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_seed_override_changes_data(tmp_path):
@@ -198,6 +217,23 @@ def test_effective_constant_closed_form(tmp_path):
     # H = G(theta) + beta v0 exactly on constant media
     assert float(by_theta[-1.5][1]) == pytest.approx(3.25, abs=1e-12)
     assert float(by_theta[1.5][1]) == pytest.approx(3.25, abs=1e-12)
+
+
+def test_effective_records_run_counters(tmp_path):
+    text = PERIODIC + "\n[effective]\ntheta_grid = -1.8 1.8\nx = 40\n" \
+        "tol = 1e-3\n"
+    cfg = _write(tmp_path, text)
+    assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
+    stats = json.loads((tmp_path / "effective.meta.json").read_text())["stats"]
+    assert set(stats) == {"n_evals", "rk4_steps", "theta1_ci", "theta2_ci",
+                          "flagged"}
+    # each side inverts one slope: at least one slope estimate apiece,
+    # each with at least its 4000-step region, plus the two endpoints
+    assert stats["n_evals"] >= 2
+    assert stats["rk4_steps"] > (stats["n_evals"] + 2) * 4000
+    assert 0.0 <= stats["theta1_ci"] <= 1e-3
+    assert 0.0 <= stats["theta2_ci"] <= 1e-3
+    assert stats["flagged"] is True  # the lam = beta endpoints always are
 
 
 def test_homogenize_flat_reference_is_beta(tmp_path):

@@ -277,6 +277,23 @@ def test_theta_reports_profile_work(env_iid3):
     assert th.flagged == p.flagged is True
 
 
+def test_theta_ci_uses_student_t_quantile(env_periodic):
+    # the CI's critical value is scipy.stats.t.ppf(0.975, n - 1) bit for
+    # bit, recomputed here from the profile's batch means
+    from scipy.stats import t as student_t
+
+    prof = corrector_profile(env_periodic, G, 1.0, 2.0, 2, (0.0, 10.0),
+                             1e-6, 0.01)
+    f = prof.f_vals
+    for n in range(10, 41):
+        th = estimate_theta(env_periodic, G, 1.0, 2.0, 2, 10.0, n_batches=n)
+        edges = np.linspace(0, f.size - 1, n + 1).astype(int)
+        bm = np.array([f[edges[k]:edges[k + 1] + 1].mean() for k in range(n)])
+        ci = (float(student_t.ppf(0.975, n - 1)) * float(bm.std(ddof=1))
+              / math.sqrt(n))
+        assert th.ci_halfwidth == ci
+
+
 def test_theta_validates_batches(env_periodic):
     with pytest.raises(ValueError):
         estimate_theta(env_periodic, G, 1.0, 2.0, 2, 10.0, n_batches=5)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import hjlab.effective
 from hjlab.effective import (
     EffectiveH,
     build_effective_H,
@@ -150,6 +151,27 @@ def test_invert_periodic_endpoint_reuse(env_periodic, G):
     inv2 = invert_theta(env_periodic, G, BETA, 1.5, 2, 1e-4, X=40.0,
                         endpoint=ep)
     assert abs(inv2.lam - LAM_STAR_15) <= 1e-3
+
+
+def test_invert_reports_estimate_work(env_periodic, G, monkeypatch):
+    # the inversion's counters are the sums over the estimates it made;
+    # the reused endpoint counts toward none of them
+    ep = estimate_theta(env_periodic, G, BETA, BETA, 2, X=40.0, tol=1e-2)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(estimate_theta(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(hjlab.effective, "estimate_theta", spy)
+    inv = invert_theta(env_periodic, G, BETA, 1.5, 2, 1e-4, X=40.0,
+                       endpoint=ep)
+    assert inv.n_evals == len(seen) > 0
+    assert inv.rk4_steps == sum(e.rk4_steps for e in seen) > 0
+    assert inv.flagged == any(e.flagged for e in seen)
+    at_ep = invert_theta(env_periodic, G, BETA, ep.mean, 2, 1e-3, X=40.0,
+                         endpoint=ep)
+    assert (at_ep.n_evals, at_ep.rk4_steps, at_ep.flagged) == (0, 0, False)
 
 
 def test_invert_rejects_mismatched_endpoint(env_periodic, G):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from hjlab.corrector import GluedProfile, build_glued_profile, corrector_profile
 from hjlab.environment import HillWitness, generate_env, sample_many
@@ -19,7 +19,7 @@ from hjlab.hamiltonian import PowerG
 from hjlab.pde import (
     SchemeConfig,
     cfl_gradient_range,
-    diffusion_lu,
+    diffusion_solver,
     evolve,
     godunov_flux,
     homogenize_sweep,
@@ -103,14 +103,13 @@ def test_explicit_stage_monotone_exhaustive_lattice():
 
 @pytest.mark.parametrize("boundary", ["linear", "clamp"])
 def test_diffusion_inverse_nonnegative(env_periodic, boundary):
-    # (I - h diag(a) D2)^-1 from the factors evolve uses: entrywise
+    # (I - h diag(a) D2)^-1 from the solver evolve uses: entrywise
     # nonnegative, and the inverse of the matrix the ghost rule defines
     dx, n = 0.1, 12
     xs = 0.37 + dx * np.arange(n)
     a, _ = sample_many(env_periodic, xs)
     for h in (1e-3, 0.05, 10.0):
-        inv, info = dgttrs(*diffusion_lu(a, h, dx, boundary), np.eye(n))
-        assert info == 0
+        inv = diffusion_solver(a, h, dx, boundary)(np.eye(n))
         assert inv.min() >= -1e-14  # exact zeros come out as roundoff
         # dense operator u -> u - h a D2 u, ghosts at theta = 0
         A = np.empty((n, n))
@@ -122,6 +121,30 @@ def test_diffusion_inverse_nonnegative(env_periodic, boundary):
                                      [2 * e[-1] - e[-2]]))
             A[:, j] = e - h * a * (ue[2:] - 2 * e + ue[:-2]) / dx ** 2
         assert np.max(np.abs(inv @ A - np.eye(n))) <= 1e-10
+
+
+@pytest.mark.parametrize("boundary", ["linear", "clamp"])
+def test_diffusion_solver_matches_general_tridiagonal_lu(boundary):
+    # oracle: a general LU solve (dgttrf/dgttrs) of the unscaled matrix
+    # I - h diag(a) D2, assembled here from the ghost rule
+    dx, n = 0.05, 401
+    xs = dx * np.arange(n)
+    a = 0.55 + 0.4 * np.sin(3.1 * xs) * np.cos(0.7 * xs ** 2)
+    w = np.cos(xs) + 0.3 * xs
+    for h in (1e-3, 0.05, 10.0):
+        r = h * a / dx ** 2
+        diag, lower, upper = 1.0 + 2.0 * r, -r[1:], -r[:-1]
+        if boundary == "linear":
+            diag[0], diag[-1] = 1.0 + r[0], 1.0 + r[-1]
+        else:
+            diag[0] = diag[-1] = 1.0
+            upper[0] = lower[-1] = 0.0
+        *lu, info = dgttrf(lower, diag, upper)
+        assert info == 0
+        ref, info = dgttrs(*lu, w)
+        assert info == 0
+        got = diffusion_solver(a, h, dx, boundary)(w.copy())
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_evolve_one_step_jacobian_sign(env_periodic):
@@ -336,6 +359,21 @@ def test_profile_antiderivative(env_periodic):
         fd = (F(x + h) - F(x - h)) / (2 * h)
         f_here = np.interp(x, prof.grid, prof.f_vals)
         assert abs(fd - f_here) <= 1e-4
+
+
+def test_profile_antiderivative_is_cumulative_trapezoid():
+    # bit for bit against scipy's cumulative_trapezoid, non-uniform grid
+    from types import SimpleNamespace
+
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(7)
+    grid = np.cumsum(rng.uniform(0.001, 0.1, 600)) - 12.0
+    f_vals = np.sin(grid) + rng.normal(0.0, 0.2, grid.size)
+    ref = cumulative_trapezoid(f_vals, grid, initial=0.0)
+    ref = ref - np.interp(0.0, grid, ref)
+    F = profile_antiderivative(SimpleNamespace(grid=grid, f_vals=f_vals))
+    assert np.array_equal(F(grid), ref)
 
 
 # ------------------------------------------------------------
