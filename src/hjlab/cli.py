@@ -4,7 +4,9 @@ Configs are INI files with one section per concern ([env], [hamiltonian],
 [model], plus a section named after the subcommand).  Every command is a
 pure function of its config: rerunning writes byte-identical data files.
 Exit codes: 0 success, 1 scientific failure (a certified invariant did
-not hold), 2 configuration/usage error.
+not hold), 2 configuration/usage error.  Parameters are checked before
+any computation; any other exception raised by a command is a bug and
+propagates.
 """
 
 import argparse
@@ -57,7 +59,10 @@ COMMANDS = ("gen-env", "corrector", "theta-curve", "effective", "homogenize",
 # ------------------------------------------------------------
 
 def _floats(text: str) -> list[float]:
-    vals = [float(t) for t in text.replace(",", " ").split()]
+    try:
+        vals = [float(t) for t in text.replace(",", " ").split()]
+    except ValueError:
+        raise ConfigError(f"expected numbers, got {text!r}") from None
     if not vals:
         raise ConfigError(f"expected at least one number, got {text!r}")
     return vals
@@ -95,9 +100,13 @@ class RunConfig:
     stats: dict = field(default_factory=dict)
 
     def make_env(self, window=None):
-        return generate_env(self.env_kind, self.env_seed,
-                            self.window if window is None else window,
-                            self.dx_env, params=self.env_params or None)
+        # a pure function of the [env] section: what it rejects is config
+        try:
+            return generate_env(self.env_kind, self.env_seed,
+                                self.window if window is None else window,
+                                self.dx_env, params=self.env_params or None)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"cannot build the medium: {exc}") from exc
 
 
 def _require(section, key, kind=str):
@@ -198,21 +207,55 @@ def load_config(path: str, command: str, out_flag: str | None,
                      echo=echo)
 
 
-def _get(params: dict, key: str, default=None, kind=float):
+def _get(params: dict, key: str, default=None, kind=float,
+         positive: bool = False):
+    """Typed command parameter; with ``positive`` every value must be > 0."""
     if key not in params:
         if default is None:
             raise ConfigError(f"missing required key {key!r} in command section")
         return default
+    raw = params[key]
     try:
         if kind is float:
-            return float(params[key])
-        if kind is int:
-            return int(float(params[key]))
-        if kind is list:
-            return _floats(params[key])
+            val = float(raw)
+        elif kind is int:
+            val = int(float(raw))
+        elif kind is list:
+            val = _floats(raw)
+        else:
+            return raw
     except ValueError:
-        raise ConfigError(f"bad value for {key!r}: {params[key]!r}") from None
-    return params[key]
+        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+    if positive and not all(v > 0 for v in (val if kind is list else [val])):
+        raise ConfigError(f"{key!r} must be positive, got {raw!r}")
+    return val
+
+
+def _branch(params: dict) -> int:
+    branch = _get(params, "branch", 2, int)
+    if branch not in (1, 2):
+        raise ConfigError(f"branch must be 1 or 2, got {branch}")
+    return branch
+
+
+def _region(params: dict) -> tuple[float, float]:
+    region = _get(params, "region", kind=list)
+    if len(region) != 2 or not region[0] < region[1]:
+        raise ConfigError(f"region must be two increasing numbers, got {region}")
+    return region[0], region[1]
+
+
+def _n_batches(params: dict) -> int:
+    n = _get(params, "n_batches", 10, int)
+    if n < 10:
+        raise ConfigError(f"n_batches must be at least 10, got {n}")
+    return n
+
+
+def _in_unit(vals: list[float], key: str) -> list[float]:
+    if not all(0.0 < v < 1.0 for v in vals):
+        raise ConfigError(f"{key!r} values must lie in (0, 1), got {vals}")
+    return vals
 
 
 # ------------------------------------------------------------
@@ -229,15 +272,13 @@ def cmd_gen_env(cfg: RunConfig) -> list[Path]:
 def cmd_corrector(cfg: RunConfig) -> list[Path]:
     p = cfg.params
     lam = _get(p, "lam")
-    branch = _get(p, "branch", 2, int)
-    region = _get(p, "region", kind=list)
-    if len(region) != 2:
-        raise ConfigError(f"region must be two numbers, got {region}")
-    tol = _get(p, "tol", 1e-6)
-    dx = _get(p, "dx", 0.01)
+    branch = _branch(p)
+    region = _region(p)
+    tol = _get(p, "tol", 1e-6, positive=True)
+    dx = _get(p, "dx", 0.01, positive=True)
     env = cfg.make_env()
-    prof = corrector_profile(env, cfg.G, cfg.beta, lam, branch,
-                             (region[0], region[1]), tol, dx)
+    prof = corrector_profile(env, cfg.G, cfg.beta, lam, branch, region,
+                             tol, dx)
     out = cfg.out_dir / "corrector.csv"
     save_profile(prof, str(out))
     cfg.stats.update(rk4_steps=prof.rk4_steps, gap=prof.gap,
@@ -260,11 +301,11 @@ def _theta_task(args):
 def cmd_theta_curve(cfg: RunConfig) -> list[Path]:
     p = cfg.params
     lams = sorted(set(_get(p, "lams", kind=list)))
-    branch = _get(p, "branch", 2, int)
-    X = _get(p, "x", 300.0)
-    n_batches = _get(p, "n_batches", 10, int)
-    tol = _get(p, "tol", 1e-6)
-    dx = _get(p, "dx", 0.01)
+    branch = _branch(p)
+    X = _get(p, "x", 300.0, positive=True)
+    n_batches = _n_batches(p)
+    tol = _get(p, "tol", 1e-6, positive=True)
+    dx = _get(p, "dx", 0.01, positive=True)
     env = cfg.make_env()
     tasks = [(env, cfg.G, cfg.beta, lam, branch, X, n_batches, tol, dx)
              for lam in lams]
@@ -287,12 +328,12 @@ def cmd_theta_curve(cfg: RunConfig) -> list[Path]:
 def cmd_effective(cfg: RunConfig) -> list[Path]:
     p = cfg.params
     grid = _get(p, "theta_grid", kind=list)
-    tol = _get(p, "tol", 2e-2)
-    X = _get(p, "x", 300.0)
-    dx = _get(p, "dx", 0.01)
-    n_batches = _get(p, "n_batches", 10, int)
-    profile_tol = _get(p, "profile_tol", 1e-6)
-    endpoint_tol = _get(p, "endpoint_tol", 1e-2)
+    tol = _get(p, "tol", 2e-2, positive=True)
+    X = _get(p, "x", 300.0, positive=True)
+    dx = _get(p, "dx", 0.01, positive=True)
+    n_batches = _n_batches(p)
+    profile_tol = _get(p, "profile_tol", 1e-6, positive=True)
+    endpoint_tol = _get(p, "endpoint_tol", 1e-2, positive=True)
     env = cfg.make_env()
     eff = build_effective_H(env, cfg.G, cfg.beta, grid, tol, X=X,
                             n_batches=n_batches, dx=dx,
@@ -302,7 +343,8 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
     save_effective(eff, str(out))
     cfg.stats.update(n_evals=eff.n_evals, rk4_steps=eff.rk4_steps,
                      theta1_ci=eff.theta1_ci, theta2_ci=eff.theta2_ci,
-                     flagged=eff.flagged)
+                     flagged=eff.flagged,
+                     inversions_flagged=eff.inversions_flagged)
     return [out]
 
 
@@ -328,8 +370,8 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
     p = cfg.params
     theta = _get(p, "theta")
     epsilons = sorted(set(_get(p, "epsilons", kind=list)), reverse=True)
-    dx = _get(p, "dx", 0.05)
-    M = _get(p, "m", 1.0)
+    dx = _get(p, "dx", 0.05, positive=True)
+    M = _get(p, "m", 1.0, positive=True)
     boundary = _get(p, "boundary", "linear", str)
     env = cfg.make_env()
     dt = (_get(p, "dt", 0.0) or
@@ -341,9 +383,9 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
         ref = _get(p, "reference")
     else:
         ref, _ = effective_reference(env, cfg.G, cfg.beta, theta,
-                                     _get(p, "ref_tol", 2e-2),
-                                     X=_get(p, "ref_x", 300.0),
-                                     dx=_get(p, "ref_dx", 0.01))
+                                     _get(p, "ref_tol", 2e-2, positive=True),
+                                     X=_get(p, "ref_x", 300.0, positive=True),
+                                     dx=_get(p, "ref_dx", 0.01, positive=True))
 
     tasks = [(env, cfg.G, cfg.beta, theta, eps, scheme, ref)
              for eps in epsilons]
@@ -373,7 +415,8 @@ def cmd_hill_check(cfg: RunConfig) -> list[Path]:
     mode = _get(p, "mode", "hill", str)
     out = cfg.out_dir / "hill_report.csv"
     if mode == "singular":
-        cs = _get(p, "cs", kind=list) if "cs" in p else [_get(p, "c")]
+        cs = _in_unit(_get(p, "cs", kind=list) if "cs" in p
+                      else [_get(p, "c")], "cs")
         env = cfg.make_env()
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("c,found,x0\n")
@@ -385,8 +428,10 @@ def cmd_hill_check(cfg: RunConfig) -> list[Path]:
     if mode != "hill":
         raise ConfigError(f"mode must be 'hill' or 'singular', got {mode!r}")
 
-    hs = _get(p, "hs", kind=list) if "hs" in p else [_get(p, "h")]
-    Cs = _get(p, "cs", kind=list) if "cs" in p else [_get(p, "c")]
+    hs = _in_unit(_get(p, "hs", kind=list) if "hs" in p else [_get(p, "h")],
+                  "hs")
+    Cs = (_get(p, "cs", kind=list, positive=True) if "cs" in p
+          else [_get(p, "c", positive=True)])
     doublings = _get(p, "doublings", 0, int)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("h,C,window_half,found,L1,L2,scaled_length,v_min\n")
@@ -415,34 +460,33 @@ def cmd_hill_check(cfg: RunConfig) -> list[Path]:
 def cmd_probe(cfg: RunConfig) -> list[Path]:
     p = cfg.params
     source = _get(p, "profile", "corrector", str)
-    delta = _get(p, "delta")
-    region = _get(p, "region", kind=list)
-    if len(region) != 2:
-        raise ConfigError(f"region must be two numbers, got {region}")
-    dx = _get(p, "dx", 0.01)
-    env = cfg.make_env()
-    if source == "corrector":
-        prof = corrector_profile(env, cfg.G, cfg.beta, _get(p, "lam"),
-                                 _get(p, "branch", 2, int),
-                                 (region[0], region[1]),
-                                 _get(p, "tol", 1e-6), dx)
-    elif source == "glued":
-        h = _get(p, "hill_h")
-        C = _get(p, "hill_c")
-        hill = find_hill(env, h, C)
-        if hill is None:
-            raise HillError(f"no hill witness at (h={h}, C={C}) in the window")
-        prof = build_glued_profile(env, cfg.G, cfg.beta, delta, hill,
-                                   order=_get(p, "order", "21", str),
-                                   region=(region[0], region[1]), dx=dx)
-    else:
-        raise ConfigError(
-            f"profile must be 'corrector' or 'glued', got {source!r}")
-
+    delta = _get(p, "delta", positive=True)
+    region = _region(p)
+    dx = _get(p, "dx", 0.01, positive=True)
     kind = _get(p, "kind", "both", str)
     kinds = ("sub", "super") if kind == "both" else (kind,)
     if any(k not in ("sub", "super") for k in kinds):
         raise ConfigError(f"kind must be sub, super or both, got {kind!r}")
+    env = cfg.make_env()
+    if source == "corrector":
+        prof = corrector_profile(env, cfg.G, cfg.beta, _get(p, "lam"),
+                                 _branch(p), region,
+                                 _get(p, "tol", 1e-6, positive=True), dx)
+    elif source == "glued":
+        h = _in_unit([_get(p, "hill_h")], "hill_h")[0]
+        C = _get(p, "hill_c", positive=True)
+        order = _get(p, "order", "21", str)
+        if order not in ("21", "12"):
+            raise ConfigError(f"order must be '21' or '12', got {order!r}")
+        hill = find_hill(env, h, C)
+        if hill is None:
+            raise HillError(f"no hill witness at (h={h}, C={C}) in the window")
+        prof = build_glued_profile(env, cfg.G, cfg.beta, delta, hill,
+                                   order=order, region=region, dx=dx)
+    else:
+        raise ConfigError(
+            f"profile must be 'corrector' or 'glued', got {source!r}")
+
     tol = _get(p, "tol_probe", 0.0) or None
     reports = [residual_probe(env, cfg.G, cfg.beta, prof, delta, k, tol=tol)
                for k in kinds]
@@ -523,12 +567,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command, args.out, args.workers,
                           args.seed_override)
+    except (ConfigError, ValueError, KeyError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         outputs = _DISPATCH[args.command](cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ScientificError as exc:

@@ -17,7 +17,11 @@ solution to any prescribed tolerance:
   bit: an RK4 step depends only on f and those coefficients, so the
   rest of the check run would repeat the primary run exactly;
 * ``estimate_theta`` averages the corrector slope over a long window
-  with a batch-means confidence interval;
+  with a batch-means confidence interval, and on request the
+  derivative of that average in lam: the tangent g = df/dlam of the
+  discrete RK4 run (start and lattice held fixed), rebuilt after the
+  run from its node values (each step is affine in g; the steps form
+  one unit lower-bidiagonal system);
 * ``find_low_slope_points`` and ``build_glued_profile`` assemble the
   flat-piece sub/supersolution profiles at the degenerate level
   lam = beta by bridging the two one-sided correctors across a
@@ -31,10 +35,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.special import stdtrit
 
 from .environment import EnvRealization, HillWitness, reflect, s_at, sample_many
-from .errors import BracketExitError, CertificateError, GlueError, WindowError
+from .errors import (BracketExitError, CertificateError, ConfigError,
+                     GlueError, WindowError)
 from .hamiltonian import bracket as slope_bracket
 from .hamiltonian import monotonicity_modulus
 
@@ -71,7 +77,8 @@ class CorrectorProfile:
     sup-distance between the two shooting starts on the region (None
     for single-run profiles); ``rk4_steps`` counts the RK4 steps
     integrated to build the profile (0 when not recorded, as for a
-    profile loaded from a file).
+    profile loaded from a file).  ``g_vals`` holds the tangent df/dlam
+    at the grid nodes when it was asked for, else None.
     """
 
     branch: int
@@ -84,10 +91,13 @@ class CorrectorProfile:
     flagged: bool = False
     gap: float | None = None
     rk4_steps: int = 0
+    g_vals: np.ndarray | None = None
 
     def __post_init__(self):
         self.grid.setflags(write=False)
         self.f_vals.setflags(write=False)
+        if self.g_vals is not None:
+            self.g_vals.setflags(write=False)
 
     @property
     def dx(self) -> float:
@@ -96,7 +106,11 @@ class CorrectorProfile:
 
 @dataclass(frozen=True)
 class ThetaEstimate:
-    """Ergodic average of a corrector slope with a batch-means CI."""
+    """Ergodic average of a corrector slope with a batch-means CI.
+
+    ``dtheta_dlam`` and ``dtheta_ci`` are the same average and CI of the
+    tangent df/dlam, when it was asked for (else None).
+    """
 
     branch: int
     lam: float
@@ -108,6 +122,8 @@ class ThetaEstimate:
     cert_bound: float
     flagged: bool = False
     rk4_steps: int = 0
+    dtheta_dlam: float | None = None
+    dtheta_ci: float | None = None
 
 
 @dataclass(frozen=True)
@@ -143,12 +159,16 @@ class _Stages:
     """RK4 lattice from L to x_end and the ODE coefficients at its stage
     points: f' = B - A G(f) with A = 1/a and B = (lam - beta V)/a.
 
-    Stage 2i is node i, stage 2i + 1 the midpoint of step i.
+    Stage 2i is node i, stage 2i + 1 the midpoint of step i.  The
+    coefficients are kept as lists, for the scalar stepping loop, and
+    as the arrays they came from, for the vectorized tangent pass.
     """
 
     xs: np.ndarray
     A: list
     B: list
+    A_arr: np.ndarray
+    B_arr: np.ndarray
     dx: float
     n_full: int
     tail: float
@@ -177,8 +197,13 @@ def _stages(env: EnvRealization, lam: float, beta: float, L: float,
         xs = np.concatenate((xs, [x_end]))
         stage_x = np.concatenate((stage_x, [x_end - 0.5 * tail, x_end]))
     a_st, v_st = sample_many(env, stage_x)
-    return _Stages(xs=xs, A=(1.0 / a_st).tolist(),
-                   B=((lam - beta * v_st) / a_st).tolist(),
+    # B = (lam - beta V) / a and A = 1 / a take over the sample buffers:
+    # keeping them for the tangent pass then costs no memory
+    B = np.multiply(beta, v_st, out=v_st)
+    np.subtract(lam, B, out=B)
+    B /= a_st
+    A = np.divide(1.0, a_st, out=a_st)
+    return _Stages(xs=xs, A=A.tolist(), B=B.tolist(), A_arr=A, B_arr=B,
                    dx=dx, n_full=n_full, tail=tail)
 
 
@@ -227,6 +252,70 @@ def _rk4_run(st: _Stages, G, c: float, p_lo: float, p_hi: float,
         if check and f == until[i + 1]:
             return fs[:i + 2]
     return fs
+
+
+_TANGENT_CHUNK = 4096
+
+
+def _rk4_tangent(st: _Stages, G, fs: np.ndarray) -> np.ndarray:
+    """Node values of g = df/dlam along the RK4 run ``fs`` over ``st``.
+
+    Every stage coefficient B has dB/dlam = A, so differentiating one
+    step gives stage derivatives k' = A (1 - G'(y) y') at the step's
+    stage values y = f, f + h/2 k1, f + h/2 k2, f + h k3.  Those are
+    rebuilt here, vectorized, from the stored node values with the
+    loop's own operations.  The step is then affine in g,
+    g_{i+1} = alpha_i g_i + beta_i: its slope is the tangent step from
+    g = 1 without the forcing A, its offset the step from g = 0 with
+    it.  The recurrence is one unit lower-bidiagonal system, solved in
+    fixed-size chunks by forward substitution (``dtbtrs``) so the
+    temporaries stay small.  The tangent starts at 0: the start
+    value's own dependence on lam decays over the burn-in like the
+    start itself.
+    """
+    n = fs.size - 1
+    A, B, gder = st.A_arr, st.B_arr, G.deriv
+    g = np.empty(n + 1)
+    g[0] = 0.0
+    for i0 in range(0, n, _TANGENT_CHUNK):
+        i1 = min(i0 + _TANGENT_CHUNK, n)
+        f = fs[i0:i1]
+        a0, am, a1 = (A[2 * i0:2 * i1:2], A[2 * i0 + 1:2 * i1:2],
+                      A[2 * i0 + 2:2 * i1 + 1:2])
+        b0, bm = B[2 * i0:2 * i1:2], B[2 * i0 + 1:2 * i1:2]
+        h = np.full(i1 - i0, st.dx)
+        h[max(st.n_full - i0, 0):] = st.tail
+        h2 = 0.5 * h
+        h6 = h / 6.0
+        k1 = b0 - a0 * G(f)
+        y2 = f + h2 * k1
+        k2 = bm - am * G(y2)
+        y3 = f + h2 * k2
+        k3 = bm - am * G(y3)
+        y4 = f + h * k3
+        d1, d2, d3, d4 = (a0 * gder(f), am * gder(y2), am * gder(y3),
+                          a1 * gder(y4))
+
+        def step(g0, forced):
+            c0, cm, c1 = (a0, am, a1) if forced else (0.0, 0.0, 0.0)
+            q1 = c0 - d1 * g0
+            q2 = cm - d2 * (g0 + h2 * q1)
+            q3 = cm - d3 * (g0 + h2 * q2)
+            q4 = c1 - d4 * (g0 + h * q3)
+            return g0 + h6 * (q1 + 2.0 * (q2 + q3) + q4)
+
+        alpha = step(1.0, False)
+        rhs = step(0.0, True)
+        rhs[0] += alpha[0] * g[i0]
+        ab = np.empty((2, i1 - i0))
+        ab[0] = 1.0
+        ab[1, :-1] = -alpha[1:]
+        ab[1, -1] = 0.0
+        sol, info = dtbtrs(ab, rhs[:, None], uplo="L", diag="U")
+        if info != 0:
+            raise RuntimeError(f"dtbtrs failed with info = {info}")
+        g[i0 + 1:i1 + 1] = sol[:, 0]
+    return g
 
 
 def _rk4_forward(env: EnvRealization, G, lam: float, beta: float,
@@ -290,7 +379,7 @@ def burn_in_length(env_region, G, beta: float, lam: float, tol: float,
 
 def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
                       branch: int, region: tuple[float, float], tol: float,
-                      dx: float) -> CorrectorProfile:
+                      dx: float, tangent: bool = False) -> CorrectorProfile:
     """Certified corrector slope on ``region``.
 
     Shoots from beyond a certified burn-in with the bracket midpoint,
@@ -301,6 +390,8 @@ def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
     first node where it equals the primary run bit for bit; from there
     on it would repeat the primary's steps exactly, so the gap, the
     bracket check and the certificate are those of two full runs.
+    With ``tangent``, the profile also carries df/dlam of the primary
+    run (``g_vals``).
     """
     x_lo, x_hi = float(region[0]), float(region[1])
     if x_hi <= x_lo:
@@ -337,22 +428,26 @@ def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
 
     fs = _rk4_run(st, Gf, starts[0], *bracket)
     fs_alt = _rk4_run(st, Gf, starts[1], *bracket, until=fs)
+    fs = np.asarray(fs)
     i0 = int(np.searchsorted(st.xs, r_lo - 1e-9))
     # past the check run's last node the two runs are equal
-    diff = np.abs(np.asarray(fs[i0:len(fs_alt)]) - np.asarray(fs_alt[i0:]))
+    diff = np.abs(fs[i0:len(fs_alt)] - np.asarray(fs_alt[i0:]))
     gap = float(diff.max()) if diff.size else 0.0
     if gap > 2.0 * tol:
         raise CertificateError(
             f"two shooting starts still differ by {gap:.3g} after the "
             f"burn-in ({x_burn:g}); certified bound was {tol:g}")
-    xs, fs = st.xs[i0:], np.asarray(fs[i0:])
+    gs = _rk4_tangent(st, Gf, fs)[i0:] if tangent else None
+    xs, fs = st.xs[i0:], fs[i0:]
     if branch == 1:
         xs, fs = -xs[::-1], -fs[::-1]
+        if tangent:
+            gs = -gs[::-1]
     cert = min(M.phi_inv(s_burn), p_hi - p_lo)
     return CorrectorProfile(branch=branch, lam=lam, beta=beta,
                             grid=xs, f_vals=fs, burn_in=x_burn, cert_bound=cert,
                             flagged=M.flagged, gap=gap,
-                            rk4_steps=len(fs_alt) - 1 + st.n_steps)
+                            rk4_steps=len(fs_alt) - 1 + st.n_steps, g_vals=gs)
 
 
 def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
@@ -368,31 +463,47 @@ def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
 # Theta estimation
 # ============================================================
 
+def _window_mean(vals: np.ndarray, grid: np.ndarray, X: float,
+                 n_batches: int) -> tuple[float, float]:
+    """Trapezoid average over the window and its batch-means half-width."""
+    mean = float(np.trapezoid(vals, grid) / X)
+    edges = np.linspace(0, vals.size - 1, n_batches + 1).astype(int)
+    bm = np.array([vals[edges[k]:edges[k + 1] + 1].mean()
+                   for k in range(n_batches)])
+    tcrit = float(stdtrit(n_batches - 1, 0.975))  # Student t quantile
+    return mean, tcrit * float(bm.std(ddof=1)) / math.sqrt(n_batches)
+
+
 def estimate_theta(env: EnvRealization, G, beta: float, lam: float,
                    branch: int, X: float, n_batches: int = 10,
-                   tol: float = 1e-6, dx: float = 0.01) -> ThetaEstimate:
+                   tol: float = 1e-6, dx: float = 0.01,
+                   tangent: bool = False) -> ThetaEstimate:
     """Ergodic average of the corrector slope over [0, X].
 
     The mean is the trapezoid average of a certified profile; the
     confidence interval comes from ``n_batches`` contiguous batch means
-    (Student t, 95%).  Branch 1 averages over [-X, 0].
+    (Student t, 95%).  Branch 1 averages over [-X, 0].  With
+    ``tangent``, the same average and CI of df/dlam give
+    ``dtheta_dlam`` and ``dtheta_ci``: the derivative of the discrete
+    mean in lam, exact up to the start value and burn-in length, whose
+    own dependence on lam the burn-in has forgotten.
     """
     if n_batches < 10:
         raise ValueError(f"need at least 10 batches for the CI, got {n_batches}")
     if X <= 0:
         raise ValueError(f"window length must be positive, got {X}")
     region = (0.0, X) if branch == 2 else (-X, 0.0)
-    prof = corrector_profile(env, G, beta, lam, branch, region, tol, dx)
-    f = prof.f_vals
-    mean = float(np.trapezoid(f, prof.grid) / X)
-    edges = np.linspace(0, f.size - 1, n_batches + 1).astype(int)
-    bm = np.array([f[edges[k]:edges[k + 1] + 1].mean() for k in range(n_batches)])
-    tcrit = float(stdtrit(n_batches - 1, 0.975))  # Student t quantile
-    ci = tcrit * float(bm.std(ddof=1)) / math.sqrt(n_batches)
+    prof = corrector_profile(env, G, beta, lam, branch, region, tol, dx,
+                             tangent=tangent)
+    mean, ci = _window_mean(prof.f_vals, prof.grid, X, n_batches)
+    dmean = dci = None
+    if tangent:
+        dmean, dci = _window_mean(prof.g_vals, prof.grid, X, n_batches)
     return ThetaEstimate(branch=branch, lam=lam, beta=beta, mean=mean,
                          ci_halfwidth=ci, window_length=X, n_batches=n_batches,
                          cert_bound=prof.cert_bound, flagged=prof.flagged,
-                         rk4_steps=prof.rk4_steps)
+                         rk4_steps=prof.rk4_steps, dtheta_dlam=dmean,
+                         dtheta_ci=dci)
 
 
 # ============================================================
@@ -634,7 +745,21 @@ def load_profile(path: str) -> CorrectorProfile:
     for key in ("branch", "lambda", "beta", "burn_in", "cert_bound"):
         if key not in meta:
             raise ValueError(f"{path}: missing header field {key}")
+    # the grid is the RK4 lattice: steps of one size, except a shorter
+    # tail step at the far end of the integration (the last step on
+    # branch 2, the first on branch 1)
+    grid = np.asarray(xs)
+    steps = np.diff(grid)
+    if steps.size:
+        branch2 = int(meta["branch"]) == 2
+        tail = float(steps[-1] if branch2 else steps[0])
+        body = steps[:-1] if branch2 else steps[1:]
+        h = float(body.max()) if body.size else tail
+        slack = 1e-9 * max(1.0, float(np.abs(grid).max()))
+        if (body.size and float(body.max() - body.min()) > slack) \
+                or not 0.0 < tail <= h + slack:
+            raise ConfigError(f"{path}: x column is not a uniform grid")
     return CorrectorProfile(branch=int(meta["branch"]), lam=meta["lambda"],
-                            beta=meta["beta"], grid=np.asarray(xs),
+                            beta=meta["beta"], grid=grid,
                             f_vals=np.asarray(fs), burn_in=meta["burn_in"],
                             cert_bound=meta["cert_bound"])

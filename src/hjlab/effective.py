@@ -6,10 +6,16 @@ strictly monotone branches -- obtained by inverting the slope averages
 ``lam -> theta_i(lam)`` of the one-sided correctors -- joined by an
 exactly flat piece at height ``beta`` on ``(theta1(beta), theta2(beta))``.
 
-Slope averages carry Monte Carlo error, so the inversion bisects on the
-level with its tolerance measured in theta (the observable we actually
-estimate); every returned level comes with a bracketing interval
-``[lam_lo, lam_hi]``.
+Slope averages carry Monte Carlo error, so the inversion matches the
+slope with its tolerance measured in theta (the observable we actually
+estimate).  It runs a safeguarded Newton iteration on the level: each
+slope estimate also returns the exact derivative ``dtheta/dlam`` of its
+discrete average (a tangent-linear pass over the same shooting run),
+and the iteration keeps to the a-priori bracket
+``lam in [max(beta, G(theta)), G(theta) + beta]``, falling back to
+bisection whenever a Newton step would leave it.  Every returned level
+comes with that safeguard bracket ``[lam_lo, lam_hi]`` as narrowed at
+acceptance.
 
 Disorder-free (constant) media are special-cased throughout: their
 correctors are constants, so every inversion is the closed form
@@ -19,6 +25,7 @@ single slope 0 at height ``beta*v0``.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -44,11 +51,14 @@ __all__ = [
 class LambdaInversion:
     """One inverted level: theta_hat(lam) matched the target slope.
 
-    ``[lam_lo, lam_hi]`` is the bisection bracket at acceptance;
+    ``[lam_lo, lam_hi]`` is the safeguard bracket at acceptance;
     ``theta_at_lam`` and ``ci`` are the final slope estimate and its
-    batch-means half-width.  ``n_evals`` counts slope estimates spent,
-    ``rk4_steps`` their RK4 steps, and ``flagged`` is set when any of
-    them was.  A reused endpoint estimate counts toward none of these.
+    batch-means half-width, ``dtheta_dlam`` and ``dtheta_ci`` the
+    derivative of that estimate in lam and its half-width (None where
+    no tangent was computed, as for a reused endpoint).  ``n_evals``
+    counts slope estimates spent, ``rk4_steps`` their RK4 steps, and
+    ``flagged`` is set when any of them was.  A reused endpoint
+    estimate counts toward none of these.
     """
 
     branch: int
@@ -61,6 +71,8 @@ class LambdaInversion:
     n_evals: int
     rk4_steps: int = 0
     flagged: bool = False
+    dtheta_dlam: float | None = None
+    dtheta_ci: float | None = None
 
 
 @dataclass(frozen=True)
@@ -76,6 +88,9 @@ class EffectiveH:
     ``n_evals``, ``rk4_steps`` and ``flagged`` sum up the work of the
     build: slope estimates of the inversions, RK4 steps of the endpoint
     estimates and the inversions, and whether any estimate was flagged.
+    ``inversions_flagged`` is the same flag over the inversions alone:
+    the lam = beta endpoints take the superlinear fallback modulus and
+    so are always flagged.
     """
 
     beta: float
@@ -92,6 +107,7 @@ class EffectiveH:
     n_evals: int = 0
     rk4_steps: int = 0
     flagged: bool = False
+    inversions_flagged: bool = False
 
     def __post_init__(self):
         for arr in (self.branch1_table, self.branch2_table, self.flat_thetas):
@@ -131,7 +147,7 @@ class EffectiveH:
         return self._interp(float(theta), 1)
 
     def interval(self, theta: float) -> tuple[float, float]:
-        """(lo, hi) bracket for Hbar(theta) from the bisection intervals."""
+        """(lo, hi) bracket for Hbar(theta) from the safeguard brackets."""
         theta = float(theta)
         return self._interp(theta, 2), self._interp(theta, 3)
 
@@ -190,9 +206,13 @@ def _invert_constant(env: EnvRealization, G, beta: float, theta: float,
             f"theta={theta:g} is on the wrong side of the degenerate flat "
             f"point 0 for branch {branch}")
     lam = float(G(theta)) + beta * v0
+    # the corrector is the constant G_b^-1(lam - beta v0)
+    dG = float(G.deriv(theta))
     return LambdaInversion(branch=branch, theta=float(theta), lam=lam,
                            lam_lo=lam, lam_hi=lam, theta_at_lam=float(theta),
-                           ci=0.0, n_evals=0)
+                           ci=0.0, n_evals=0,
+                           dtheta_dlam=1.0 / dG if dG != 0.0 else math.inf,
+                           dtheta_ci=0.0)
 
 
 def invert_theta(env: EnvRealization, G, beta: float, theta: float,
@@ -204,11 +224,24 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                  max_evals: int = 200) -> LambdaInversion:
     """Level lam on the requested branch with theta_branch(lam) = theta.
 
-    Monotone bisection on lam, with the stopping rule measured in theta:
-    accept mid once |theta_hat(mid) - theta| <= tol.  The slope must sit
-    at or beyond the flat endpoint theta_branch(beta) (up to the
-    endpoint's ci); strictly inside the flat piece there is no preimage
-    and the caller should use the flat value instead.
+    Safeguarded Newton iteration on lam, with the stopping rule measured
+    in theta: accept a level once |theta_hat(lam) - theta| <= tol.  Each
+    slope estimate carries the exact derivative of its discrete average
+    in lam (``estimate_theta(..., tangent=True)``), which gives the
+    Newton step.  Slopes lie in the invariant bracket
+    ``[G_b^-1(lam - beta), G_b^-1(lam)]``, so the level sits in
+    ``[max(beta, G(theta)), G(theta) + beta]``.  The iteration starts at
+    the upper end, narrows that bracket with every estimate (the map is
+    monotone), and bisects whenever a Newton step would leave it.  When
+    the estimate at the upper end still falls short of theta by more
+    than tol, the bracket moves up by beta (keeping its width at most
+    beta) until it does not.  If the bracket collapses to rounding
+    first, the last estimate is accepted only when its mismatch is
+    within tol plus its ci.
+
+    The slope must sit at or beyond the flat endpoint theta_branch(beta)
+    (up to the endpoint's ci); strictly inside the flat piece there is
+    no preimage and the caller should use the flat value instead.
 
     ``endpoint`` lets callers reuse a lam=beta estimate across many
     inversions; when omitted it is computed here with ``endpoint_tol``
@@ -248,7 +281,9 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
         return LambdaInversion(branch=branch, theta=theta, lam=beta,
                                lam_lo=beta, lam_hi=beta,
                                theta_at_lam=endpoint.mean,
-                               ci=endpoint.ci_halfwidth, n_evals=0)
+                               ci=endpoint.ci_halfwidth, n_evals=0,
+                               dtheta_dlam=endpoint.dtheta_dlam,
+                               dtheta_ci=endpoint.dtheta_ci)
 
     ests: list[ThetaEstimate] = []
 
@@ -257,7 +292,8 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
             raise CertificateError(
                 f"inversion exceeded {max_evals} slope estimates")
         est = estimate_theta(env, G, beta, lam, branch, X=X,
-                             n_batches=n_batches, tol=profile_tol, dx=dx)
+                             n_batches=n_batches, tol=profile_tol, dx=dx,
+                             tangent=True)
         ests.append(est)
         if est.ci_halfwidth > tol:
             raise CertificateError(
@@ -271,37 +307,38 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                                lam_lo=lo, lam_hi=hi, theta_at_lam=est.mean,
                                ci=est.ci_halfwidth, n_evals=len(ests),
                                rk4_steps=sum(e.rk4_steps for e in ests),
-                               flagged=any(e.flagged for e in ests))
+                               flagged=any(e.flagged for e in ests),
+                               dtheta_dlam=est.dtheta_dlam,
+                               dtheta_ci=est.dtheta_ci)
 
-    # G(theta) + beta already bounds the level from above (the bracket's
-    # lower edge at that level is theta itself); the doubling loop only
-    # mops up statistical wobble.
-    lo = beta
-    hi = beta + max(float(G(theta)), tol)
-    est_hi = measure(hi)
-    while s * est_hi.mean < s * theta:
-        hi = beta + 2.0 * (hi - beta)
-        est_hi = measure(hi)
-    if abs(est_hi.mean - theta) <= tol:
-        return accept(hi, lo, hi, est_hi)
-
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        est = measure(mid)
+    # slopes at level lam lie in [G_b^-1(lam - beta), G_b^-1(lam)]
+    g_theta = float(G(theta))
+    lo, hi = max(beta, g_theta), beta + max(g_theta, tol)
+    lam, est = hi, measure(hi)
+    while s * (theta - est.mean) > tol:
+        lo, hi = hi, hi + beta
+        lam, est = hi, measure(hi)
+    while True:
         if abs(est.mean - theta) <= tol:
-            return accept(mid, lo, hi, est)
+            return accept(lam, lo, hi, est)
         if s * est.mean < s * theta:
-            lo = mid
+            lo = lam
         else:
-            hi = mid
+            hi = lam
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+        # Newton step; bisect when it leaves the bracket or the slope
+        # has the wrong sign
+        slope = est.dtheta_dlam
+        step = lam + (theta - est.mean) / slope if s * slope > 0.0 else hi
+        lam = step if lo < step < hi else 0.5 * (lo + hi)
+        est = measure(lam)
     # bracket collapsed to rounding before the theta tolerance was met:
     # accept only if the residual mismatch is explained by the ci
-    mid = 0.5 * (lo + hi)
-    est = measure(mid)
     if abs(est.mean - theta) <= tol + est.ci_halfwidth:
-        return accept(mid, lo, hi, est)
+        return accept(lam, lo, hi, est)
     raise CertificateError(
-        f"bisection exhausted level resolution with |theta_hat - theta| = "
+        f"inversion exhausted level resolution with |theta_hat - theta| = "
         f"{abs(est.mean - theta):.3g} > tol = {tol:.3g}: the slope estimate "
         f"is biased beyond its ci; tighten profile_tol or grow X")
 
@@ -415,7 +452,8 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
                       theta_tol=tol, lambda_tol=float(widths.max(initial=0.0)),
                       n_evals=sum(i.n_evals for i in invs),
                       rk4_steps=sum(r.rk4_steps for r in endpoints + invs),
-                      flagged=any(r.flagged for r in endpoints + invs))
+                      flagged=any(r.flagged for r in endpoints + invs),
+                      inversions_flagged=any(i.flagged for i in invs))
 
 
 def effective_reference(env: EnvRealization, G, beta: float, theta: float,
@@ -429,22 +467,30 @@ def effective_reference(env: EnvRealization, G, beta: float, theta: float,
     half = 0.  On a branch, a level increment e moves the slope by at
     least e / kappa_tilde, so matching the slope to tol + ci pins the
     level to half = kappa_tilde * (tol + ci) -- usually far tighter
-    than the leftover bisection bracket.
+    than the leftover safeguard bracket.
+
+    Only the flat endpoint on theta's side of 0 is estimated (branch 2
+    for theta >= 0): the flat piece straddles 0, so the other endpoint
+    cannot decide where theta lies.  An endpoint on the wrong side of 0
+    raises ``CertificateError``, as in ``build_effective_H``.
     """
     beta = float(beta)
     theta = float(theta)
     if env.kind == "constant":
         return float(G(theta)) + beta * float(env.v_vals[0]), 0.0
-    ep2 = estimate_theta(env, G, beta, beta, 2, X=X, n_batches=n_batches,
-                         tol=endpoint_tol, dx=dx)
-    ep1 = estimate_theta(env, G, beta, beta, 1, X=X, n_batches=n_batches,
-                         tol=endpoint_tol, dx=dx)
-    if ep1.mean < theta < ep2.mean:
+    branch = 2 if theta >= 0.0 else 1
+    s = 1.0 if branch == 2 else -1.0
+    ep = estimate_theta(env, G, beta, beta, branch, X=X, n_batches=n_batches,
+                        tol=endpoint_tol, dx=dx)
+    if not s * ep.mean > 0.0:
+        raise CertificateError(
+            f"flat endpoint theta{branch}(beta) = {ep.mean:.6g} is on the "
+            f"wrong side of 0")
+    if s * theta < s * ep.mean:
         return beta, 0.0
-    branch = 2 if theta >= ep2.mean else 1
     inv = invert_theta(env, G, beta, theta, branch, tol, X=X,
                        n_batches=n_batches, dx=dx, profile_tol=profile_tol,
-                       endpoint=ep2 if branch == 2 else ep1)
+                       endpoint=ep)
     half = kappa_tilde(G, inv.lam, beta, branch=branch) * (tol + inv.ci)
     return inv.lam, half
 

@@ -542,6 +542,17 @@ def load_env(path: str) -> EnvRealization:
         raise ConfigError(f"{path}: no samples")
     data = np.asarray(rows, dtype=np.float64)
     xs, a, v, s = data.T
+    # the samples are the lattice {j * dx_env}: one step size, dx_env
+    steps = np.diff(xs)
+    slack = 1e-9 * max(1.0, float(np.abs(xs).max()))
+    if steps.size and float(steps.max() - steps.min()) > slack:
+        raise ConfigError(
+            f"{path}: x column is not uniformly spaced (steps from "
+            f"{float(steps.min()):g} to {float(steps.max()):g})")
+    if steps.size and abs(float(steps[0]) - dx_env) > slack:
+        raise ConfigError(
+            f"{path}: x spacing {float(steps[0]):g} disagrees with "
+            f"dx_env = {dx_env:g}")
     env = EnvRealization(seed=seed, kind=kind, window=(float(xs[0]), float(xs[-1])),
                          dx_env=dx_env, a_vals=a.copy(), v_vals=v.copy(),
                          s_table=s.copy(), params=params, flags=flags)

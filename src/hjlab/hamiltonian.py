@@ -2,11 +2,14 @@
 
 A Hamiltonian G here is coercive, continuous, zero at zero, strictly
 decreasing on the negative half-line (branch 1) and strictly increasing
-on the positive one (branch 2).  The corrector machinery needs four
+on the positive one (branch 2).  The corrector machinery needs five
 things from it, all provided with closed forms for the built-in
 families and guarded numerics for tabulated data:
 
 * branch inverses, to place slope brackets;
+* the elementwise derivative ``G.deriv``, for the tangent-linear
+  shooting run behind ``dtheta/dlam`` (tabulated data: the slope of the
+  interpolant);
 * Lipschitz constants on intervals, for CFL bounds and probe slack;
 * a monotonicity modulus of branch 2 on a bracket, which drives the
   contraction certificate (exponential when the modulus is linear,
@@ -76,6 +79,12 @@ class PowerG:
             return lambda p: p * p
         return lambda p: abs(p) ** g
 
+    def deriv(self, p):
+        p = np.asarray(p, dtype=np.float64)
+        if self.gamma == 2.0:
+            return 2.0 * p
+        return self.gamma * np.sign(p) * np.abs(p) ** (self.gamma - 1.0)
+
     def branch_inverse(self, branch: int, y: float) -> float:
         y = _checked_level(y)
         r = y ** (1.0 / self.gamma)
@@ -125,6 +134,12 @@ class AsymPowerG:
         g1, g2 = self.gamma1, self.gamma2
         return lambda p: (-p) ** g1 if p < 0 else p ** g2
 
+    def deriv(self, p):
+        p = np.asarray(p, dtype=np.float64)
+        ap = np.abs(p)
+        return np.where(p < 0, -self.gamma1 * ap ** (self.gamma1 - 1.0),
+                        self.gamma2 * ap ** (self.gamma2 - 1.0))
+
     def branch_inverse(self, branch: int, y: float) -> float:
         y = _checked_level(y)
         if branch == 2:
@@ -169,6 +184,10 @@ class LogQuasiconvexG:
     @property
     def scalar(self) -> Callable[[float], float]:
         return lambda p: math.log1p(p * p)
+
+    def deriv(self, p):
+        p = np.asarray(p, dtype=np.float64)
+        return 2.0 * p / (1.0 + p * p)
 
     def branch_inverse(self, branch: int, y: float) -> float:
         y = _checked_level(y)
@@ -262,6 +281,14 @@ class TabulatedG:
     @property
     def scalar(self) -> Callable[[float], float]:
         return lambda p: float(self.__call__(p))
+
+    def deriv(self, p):
+        """Slope of the interpolant: the segment's to the right of a node,
+        the edge slopes outside the table."""
+        sl = self._slopes()
+        i = np.searchsorted(self.ps, np.asarray(p, dtype=np.float64),
+                            side="right") - 1
+        return sl[np.clip(i, 0, sl.size - 1)]
 
     def branch_inverse(self, branch: int, y: float) -> float:
         y = _checked_level(y)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hjlab
+import hjlab.cli
 from hjlab.cli import main
 from hjlab.corrector import burn_in_length
 from hjlab.hamiltonian import PowerG
@@ -176,6 +177,25 @@ def test_lam_below_beta_is_config_error(tmp_path):
     assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("line", ["branch = 3", "n_batches = 5", "tol = -1",
+                                  "x = 0"])
+def test_bad_command_parameter_is_config_error(tmp_path, line):
+    cfg = _write(tmp_path, CONST_V0.replace("branch = 2", line))
+    assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_value_error_inside_command_is_a_crash(tmp_path, monkeypatch):
+    # only config loading maps ValueError to exit 2; raised by a command,
+    # it is a bug and propagates
+    def broken(cfg):
+        raise ValueError("raised mid-computation")
+
+    monkeypatch.setitem(hjlab.cli._DISPATCH, "gen-env", broken)
+    cfg = _write(tmp_path, CONST_V0)
+    with pytest.raises(ValueError, match="mid-computation"):
+        main(["gen-env", "--config", cfg, "--out", str(tmp_path)])
+
+
 def test_theta_curve_parallel_matches_sequential(tmp_path):
     cfg = _write(tmp_path, PERIODIC)
     d1, d2 = tmp_path / "seq", tmp_path / "par"
@@ -226,7 +246,7 @@ def test_effective_records_run_counters(tmp_path):
     assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
     stats = json.loads((tmp_path / "effective.meta.json").read_text())["stats"]
     assert set(stats) == {"n_evals", "rk4_steps", "theta1_ci", "theta2_ci",
-                          "flagged"}
+                          "flagged", "inversions_flagged"}
     # each side inverts one slope: at least one slope estimate apiece,
     # each with at least its 4000-step region, plus the two endpoints
     assert stats["n_evals"] >= 2
@@ -234,6 +254,7 @@ def test_effective_records_run_counters(tmp_path):
     assert 0.0 <= stats["theta1_ci"] <= 1e-3
     assert 0.0 <= stats["theta2_ci"] <= 1e-3
     assert stats["flagged"] is True  # the lam = beta endpoints always are
+    assert stats["inversions_flagged"] is False
 
 
 def test_homogenize_flat_reference_is_beta(tmp_path):

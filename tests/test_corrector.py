@@ -5,6 +5,9 @@ import pytest
 
 from hjlab.corrector import (
     _rk4_forward,
+    _rk4_run,
+    _rk4_tangent,
+    _stages,
     build_glued_profile,
     burn_in_length,
     corrector_profile,
@@ -16,7 +19,8 @@ from hjlab.corrector import (
     shoot,
 )
 from hjlab.environment import HillWitness, generate_env, reflect
-from hjlab.errors import BracketExitError, CertificateError, GlueError, WindowError
+from hjlab.errors import (BracketExitError, CertificateError, ConfigError,
+                          GlueError, WindowError)
 from hjlab.hamiltonian import AsymPowerG, PowerG, bracket, monotonicity_modulus
 
 G = PowerG(2.0)
@@ -393,6 +397,62 @@ def test_glue_validates_order(env_const_v1):
 
 
 # ------------------------------------------------------------
+# tangent-linear shooting
+# ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def env_iid():
+    return generate_env("iid-interp", 56254, (-160.0, 160.0), 0.01)
+
+
+def test_tangent_is_the_derivative_of_the_discrete_run(env_periodic):
+    # fixed start, two tangent chunks and a 0.003 tail step
+    def run(lam):
+        st = _stages(env_periodic, lam, 1.0, -20.0, 25.003, 0.01)
+        return st, np.asarray(_rk4_run(st, G, 1.2, 0.0, 5.0))
+
+    st, fs = run(2.0)
+    assert st.tail > 0.0 and st.n_steps > 4096
+    g = _rk4_tangent(st, G, fs)
+    fd = (run(2.0 + 1e-4)[1] - run(2.0 - 1e-4)[1]) / 2e-4
+    assert g[0] == 0.0
+    assert float(np.max(np.abs(g - fd))) <= 1e-6 * float(np.max(np.abs(g)))
+
+
+@pytest.mark.parametrize("branch", [2, 1])
+def test_tangent_mean_matches_central_differences(env_iid, branch):
+    for lam in (1.5, 2.0, 3.0):
+        est = estimate_theta(env_iid, G, 1.0, lam, branch, 100.0, tangent=True)
+        plain = estimate_theta(env_iid, G, 1.0, lam, branch, 100.0)
+        # the slope path is untouched by the tangent pass
+        assert (est.mean, est.ci_halfwidth, est.rk4_steps) == \
+            (plain.mean, plain.ci_halfwidth, plain.rk4_steps)
+        assert plain.dtheta_dlam is None and plain.dtheta_ci is None
+        up = estimate_theta(env_iid, G, 1.0, lam + 1e-4, branch, 100.0)
+        dn = estimate_theta(env_iid, G, 1.0, lam - 1e-4, branch, 100.0)
+        fd = (up.mean - dn.mean) / 2e-4
+        assert abs(est.dtheta_dlam - fd) <= 1e-6 * abs(fd)
+        # theta_1 falls and theta_2 rises with the level
+        assert (1.0 if branch == 2 else -1.0) * est.dtheta_dlam > 0.0
+        assert 0.0 < est.dtheta_ci < abs(est.dtheta_dlam)
+
+
+def test_tangent_constant_medium_closed_form():
+    # the corrector is the constant G_b^-1(lam - beta v0), so
+    # theta'(lam) = 1 / G'(theta) whatever a0 is
+    env = generate_env("constant", 0, (-40.0, 40.0), 0.1,
+                       {"a0": 0.5, "v0": 0.3})
+    for Gf in (G, AsymPowerG(1.5, 3.0)):
+        for branch in (2, 1):
+            est = estimate_theta(env, Gf, 1.0, 2.0, branch, 20.0,
+                                 tangent=True)
+            theta = Gf.branch_inverse(branch, 2.0 - 0.3)
+            assert est.mean == pytest.approx(theta, rel=1e-12)
+            assert est.dtheta_dlam == pytest.approx(
+                1.0 / float(Gf.deriv(theta)), rel=1e-9)
+
+
+# ------------------------------------------------------------
 # serialization
 # ------------------------------------------------------------
 
@@ -405,3 +465,26 @@ def test_profile_round_trip(tmp_path, profile_periodic):
     assert q.cert_bound == profile_periodic.cert_bound
     assert np.array_equal(q.grid, profile_periodic.grid)
     assert np.array_equal(q.f_vals, profile_periodic.f_vals)
+
+
+def test_profile_round_trip_with_tail_step(tmp_path, env_periodic):
+    # the tail step sits at the far end of the integration: last on
+    # branch 2, first on branch 1
+    p = tmp_path / "prof.csv"
+    for branch, region in ((2, (0.0, 10.004)), (1, (-10.004, 0.0))):
+        prof = corrector_profile(env_periodic, G, 1.0, 2.0, branch, region,
+                                 1e-6, 0.01)
+        steps = np.diff(prof.grid)
+        assert float(steps.min()) == pytest.approx(0.004, abs=1e-9)
+        save_profile(prof, str(p))
+        assert np.array_equal(load_profile(str(p)).grid, prof.grid)
+
+
+def test_load_profile_rejects_irregular_grid(tmp_path, profile_periodic):
+    p = tmp_path / "prof.csv"
+    save_profile(profile_periodic, str(p))
+    lines = p.read_text().splitlines(keepends=True)
+    del lines[len(lines) // 2]  # one node missing: one double step
+    p.write_text("".join(lines))
+    with pytest.raises(ConfigError):
+        load_profile(str(p))

@@ -6,6 +6,7 @@ media, where the corrector is a constant and everything is exact.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from hjlab.effective import (
     kappa_tilde,
     save_effective,
 )
-from hjlab.corrector import estimate_theta
+from hjlab.corrector import ThetaEstimate, estimate_theta
 from hjlab.environment import generate_env
 from hjlab.errors import CertificateError, ConfigError, FlatPieceError
 from hjlab.hamiltonian import PowerG
@@ -33,6 +34,10 @@ BETA = 1.0
 LAM_STAR_15 = 2.752578371962943
 #   one-period slope average at lam = beta = 1 (the flat endpoint)
 THETA2_BETA_PER = 0.7049721205934798
+
+# slope estimates that the former bisection spent on each slope of the
+# iid fixture below (tol 2e-2, X = 300): 22 in all
+BISECTION_EVALS = {-2.2: 6, -1.7: 5, 1.7: 5, 2.2: 6}
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +91,13 @@ def test_invert_constant_v0_one_closed_form(env_const1, G):
     assert invert_theta(env_const1, G, BETA, 2.0, 2, 1e-6).lam == 5.0
     assert invert_theta(env_const1, G, BETA, 0.5, 2, 1e-6).lam == 1.25
     assert invert_theta(env_const1, G, BETA, -1.5, 1, 1e-6).lam == 3.25
+
+
+def test_invert_constant_tangent_closed_form(env_const1, G):
+    # theta'(lam) = 1 / G'(theta) on both branches
+    assert invert_theta(env_const1, G, BETA, 2.0, 2, 1e-6).dtheta_dlam == 0.25
+    assert invert_theta(env_const1, G, BETA, -1.5, 1, 1e-6).dtheta_dlam == \
+        pytest.approx(-1.0 / 3.0, rel=1e-15)
 
 
 def test_invert_constant_wrong_side_raises(env_const0, G):
@@ -181,6 +193,87 @@ def test_invert_rejects_mismatched_endpoint(env_periodic, G):
                      endpoint=ep)
 
 
+# ------------------------------------------------------------
+# the safeguarded Newton loop, on scripted slope estimates
+# ------------------------------------------------------------
+
+def _scripted(monkeypatch, mean_of, slope_of, ci=0.0):
+    """Replace the slope estimates by a given map; return the lams asked."""
+    lams = []
+
+    def fake(env, G, beta, lam, branch, X, n_batches=10, tol=1e-6,
+             dx=0.01, tangent=False):
+        lams.append(lam)
+        return ThetaEstimate(branch=branch, lam=lam, beta=beta,
+                             mean=mean_of(lam), ci_halfwidth=ci,
+                             window_length=X, n_batches=n_batches,
+                             cert_bound=0.0, dtheta_dlam=slope_of(lam),
+                             dtheta_ci=0.0)
+
+    monkeypatch.setattr(hjlab.effective, "estimate_theta", fake)
+    return lams
+
+
+ENDPOINT_2 = ThetaEstimate(branch=2, lam=BETA, beta=BETA, mean=0.5,
+                           ci_halfwidth=0.0, window_length=40.0, n_batches=10,
+                           cert_bound=0.0)
+
+
+def test_newton_converges_from_the_upper_end(env_periodic, G, monkeypatch):
+    # theta(lam) = sqrt(lam - 0.3): theta = 1.5 at lam = 2.55, inside the
+    # a-priori bracket [G(1.5), G(1.5) + beta] = [2.25, 3.25]
+    lams = _scripted(monkeypatch, lambda lam: math.sqrt(lam - 0.3),
+                     lambda lam: 0.5 / math.sqrt(lam - 0.3))
+    inv = invert_theta(env_periodic, G, BETA, 1.5, 2, 1e-9,
+                       endpoint=ENDPOINT_2)
+    assert lams[0] == 3.25
+    assert inv.n_evals == len(lams) <= 5   # bisection would need ~30
+    assert abs(inv.lam - 2.55) <= 1e-8
+    assert 2.25 <= inv.lam_lo <= inv.lam <= inv.lam_hi <= 3.25
+    assert inv.dtheta_dlam == pytest.approx(1.0 / 3.0, rel=1e-8)
+
+
+def test_newton_falls_back_to_bisection(env_periodic, G, monkeypatch):
+    # a derivative of the wrong sign is never followed: every step
+    # bisects the bracket, which still converges
+    lams = _scripted(monkeypatch, lambda lam: math.sqrt(lam - 0.3),
+                     lambda lam: -1.0)
+    inv = invert_theta(env_periodic, G, BETA, 1.5, 2, 1e-3,
+                       endpoint=ENDPOINT_2)
+    assert lams[:3] == [3.25, 2.75, 2.5]
+    assert abs(inv.theta_at_lam - 1.5) <= 1e-3
+    assert all(2.25 <= lam <= 3.25 for lam in lams)
+
+
+def test_newton_moves_a_short_upper_end(env_periodic, G, monkeypatch):
+    # theta(lam) = sqrt(lam - 3/2) falls short at the a-priori upper end
+    # 3.25: the bracket moves up by beta and the level 3.75 is found there
+    lams = _scripted(monkeypatch, lambda lam: math.sqrt(lam - 1.5),
+                     lambda lam: 0.5 / math.sqrt(lam - 1.5))
+    inv = invert_theta(env_periodic, G, BETA, 1.5, 2, 1e-6,
+                       endpoint=ENDPOINT_2)
+    assert lams[:2] == [3.25, 4.25]
+    assert abs(inv.lam - 3.75) <= 1e-5
+    assert 3.25 <= inv.lam_lo <= inv.lam <= inv.lam_hi == 4.25
+
+
+@pytest.mark.parametrize("ci, accepted", [(8e-3, True), (1e-3, False)])
+def test_newton_collapse_rule(env_periodic, G, monkeypatch, ci, accepted):
+    # the estimate jumps by 0.03 across theta at lam = 2.6: the bracket
+    # collapses there, and the mismatch 0.015 is accepted only when
+    # tol + ci covers it
+    _scripted(monkeypatch, lambda lam: 1.5 + (0.015 if lam >= 2.6 else -0.015),
+              lambda lam: 1.0, ci=ci)
+    if accepted:
+        inv = invert_theta(env_periodic, G, BETA, 1.5, 2, 1e-2,
+                           endpoint=ENDPOINT_2)
+        assert abs(inv.lam - 2.6) <= 1e-9
+    else:
+        with pytest.raises(CertificateError, match="exhausted"):
+            invert_theta(env_periodic, G, BETA, 1.5, 2, 1e-2,
+                         endpoint=ENDPOINT_2)
+
+
 def test_invert_ci_too_large_raises(env_iid, G):
     with pytest.raises(CertificateError):
         invert_theta(env_iid, G, BETA, 2.0, 2, 1e-9, X=20.0)
@@ -256,6 +349,19 @@ def test_iid_branch_continuity_at_flat_endpoint(env_iid, G, eff_iid):
     assert BETA <= inv.lam <= BETA + kap * (0.05 + 0.08) + 0.05
 
 
+def test_newton_needs_fewer_estimates_than_bisection(env_iid, G, eff_iid):
+    assert eff_iid.n_evals < sum(BISECTION_EVALS.values())
+    assert eff_iid.flagged and not eff_iid.inversions_flagged
+    for theta, n_bisect in BISECTION_EVALS.items():
+        branch = 2 if theta > 0 else 1
+        inv = invert_theta(env_iid, G, BETA, theta, branch, 2e-2, X=300.0)
+        assert inv.n_evals < n_bisect
+        assert abs(inv.theta_at_lam - theta) <= 2e-2
+        assert inv.lam_lo <= inv.lam <= inv.lam_hi
+        assert inv.lam_hi - inv.lam_lo <= BETA
+        assert (1.0 if branch == 2 else -1.0) * inv.dtheta_dlam > 0.0
+
+
 def test_grid_must_cover_both_branches(env_periodic, G):
     with pytest.raises(ConfigError):
         build_effective_H(env_periodic, G, BETA, [0.1, 1.7], tol=1e-3,
@@ -277,6 +383,35 @@ def test_effective_reference_flat_and_branch(env_iid, env_const1, G):
     # strict level bracket: theta^2 < Hbar(theta) < theta^2 + beta
     assert 4.0 < ref_b < 5.0
     assert 0.0 < half_b < 0.3
+
+
+def test_effective_reference_estimates_one_endpoint(env_periodic, G,
+                                                   monkeypatch):
+    calls = []
+
+    def spy(env, G, beta, lam, branch, *args, **kwargs):
+        calls.append((lam, branch))
+        return estimate_theta(env, G, beta, lam, branch, *args, **kwargs)
+
+    monkeypatch.setattr(hjlab.effective, "estimate_theta", spy)
+    assert effective_reference(env_periodic, G, BETA, 0.3, 1e-3,
+                               X=40.0) == (BETA, 0.0)
+    assert calls == [(BETA, 2)]
+    calls.clear()
+    effective_reference(env_periodic, G, BETA, -1.5, 1e-3, X=40.0)
+    assert calls[0] == (BETA, 1) and len(calls) >= 2
+    assert all(b == 1 and lam > BETA for lam, b in calls[1:])
+
+
+def test_effective_reference_wrong_side_endpoint_raises(env_periodic, G,
+                                                        monkeypatch):
+    def mirrored(*args, **kwargs):
+        est = estimate_theta(*args, **kwargs)
+        return dataclasses.replace(est, mean=-est.mean)
+
+    monkeypatch.setattr(hjlab.effective, "estimate_theta", mirrored)
+    with pytest.raises(CertificateError):
+        effective_reference(env_periodic, G, BETA, 1.5, 1e-3, X=40.0)
 
 
 # ------------------------------------------------------------

@@ -283,6 +283,23 @@ def test_load_rejects_missing_header(tmp_path):
         load_env(str(p))
 
 
+def test_load_rejects_irregular_x_column(tmp_path):
+    e = generate_env("iid-interp", 3, (0.0, 5.0), 0.1)
+    p = tmp_path / "env.csv"
+    save_env(e, str(p))
+    text = p.read_text()
+    lines = text.splitlines(keepends=True)
+    gap = tmp_path / "gap.csv"
+    gap.write_text("".join(lines[:20] + lines[21:]))  # one sample missing
+    with pytest.raises(ConfigError, match="uniformly"):
+        load_env(str(gap))
+    off = tmp_path / "dx.csv"
+    assert "# dx_env 0.1\n" in text
+    off.write_text(text.replace("# dx_env 0.1\n", "# dx_env 0.05\n"))
+    with pytest.raises(ConfigError, match="dx_env"):
+        load_env(str(off))
+
+
 def test_realization_rejects_bad_values():
     xs = np.linspace(0.0, 1.0, 11)
     ones = np.ones(11)

@@ -219,6 +219,25 @@ def test_branch1_modulus_via_reflection():
     assert M.mu == pytest.approx(3.0 * 1.0 ** 2, abs=1e-12)  # 3 p^2 at p = 1
 
 
+def test_deriv_matches_finite_differences():
+    # central differences at points off every kink and table node;
+    # h = 1e-6 leaves only rounding, far below the 1e-6 relative bound
+    ps = np.array([-3.1, -1.37, -0.41, 0.23, 0.77, 2.9, 4.3])
+    tab = TabulatedG(np.array([-4.0, -2.5, -1.0, 0.0, 1.5, 3.0]),
+                     np.array([7.0, 4.0, 1.0, 0.0, 2.0, 5.0]))
+    h = 1e-6
+    for G in (PowerG(2.0), PowerG(1.7), AsymPowerG(2.5, 1.4),
+              LogQuasiconvexG(), tab):
+        fd = (G(ps + h) - G(ps - h)) / (2.0 * h)
+        assert np.allclose(G.deriv(ps), fd, rtol=1e-6, atol=1e-9), G
+        # the reflected family differentiates the reflected function
+        assert np.allclose(G.reflect().deriv(ps), -G.deriv(-ps),
+                           rtol=1e-12), G
+    # tabulated: the slope of the interpolant, edge slopes outside
+    assert tab.deriv(np.array([-5.0, -2.0, 0.5, 4.0])).tolist() == \
+        [-2.0, -2.0, 4.0 / 3.0, 2.0]
+
+
 # ------------------------------------------------------------
 # tabulated family
 # ------------------------------------------------------------
