@@ -16,7 +16,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +80,8 @@ def _maybe_number(text: str):
 class RunConfig:
     """Validated run description; commands read only from here.
 
-    ``stats`` collects the run counters a command reports; the sidecar
-    writes them out.
+    ``stats`` collects the run counters a command reports and ``rows``
+    any per-row diagnostics of its table; the sidecar writes both out.
     """
 
     command: str
@@ -98,6 +98,7 @@ class RunConfig:
     workers: int
     echo: dict
     stats: dict = field(default_factory=dict)
+    rows: list = field(default_factory=list)
 
     def make_env(self, window=None):
         # a pure function of the [env] section: what it rejects is config
@@ -345,6 +346,9 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
                      theta1_ci=eff.theta1_ci, theta2_ci=eff.theta2_ci,
                      flagged=eff.flagged,
                      inversions_flagged=eff.inversions_flagged)
+    # one record per branch row, with Hbar' = 1 / theta'(lam)
+    cfg.rows = [dict(asdict(inv), dH_dtheta=1.0 / inv.dtheta_dlam
+                     if inv.dtheta_dlam else None) for inv in eff.inversions]
     return [out]
 
 
@@ -549,6 +553,8 @@ def _sidecar(cfg: RunConfig, args, outputs: list[Path], wall: float) -> Path:
         "stats": cfg.stats,
         "outputs": [o.name for o in outputs],
     }
+    if cfg.rows:
+        meta["rows"] = cfg.rows
     path = outputs[0].parent / (outputs[0].stem + ".meta.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -101,7 +101,10 @@ class CorrectorProfile:
 
     @property
     def dx(self) -> float:
-        return float(self.grid[1] - self.grid[0])
+        # the body step: a short tail step, if any, is the first step on
+        # branch 1 and the last on branch 2
+        g = self.grid
+        return float(g[-1] - g[-2] if self.branch == 1 else g[1] - g[0])
 
 
 @dataclass(frozen=True)
@@ -452,10 +455,13 @@ def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
 
 def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
                     G, beta: float) -> np.ndarray:
-    """Centered-difference residual a f' + G(f) + beta V at interior nodes."""
-    h = float(grid[1] - grid[0])
+    """Centered-difference residual a f' + G(f) + beta V at interior nodes.
+
+    f' is the three-point formula on the actual node spacing, so a short
+    tail step of the RK4 lattice is differenced correctly.
+    """
     a, v = sample_many(env, grid[1:-1])
-    df = (f_vals[2:] - f_vals[:-2]) / (2.0 * h)
+    df = np.gradient(f_vals, grid)[1:-1]
     return a * df + np.asarray(G(f_vals[1:-1])) + beta * v
 
 

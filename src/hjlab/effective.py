@@ -13,9 +13,12 @@ slope estimate also returns the exact derivative ``dtheta/dlam`` of its
 discrete average (a tangent-linear pass over the same shooting run),
 and the iteration keeps to the a-priori bracket
 ``lam in [max(beta, G(theta)), G(theta) + beta]``, falling back to
-bisection whenever a Newton step would leave it.  Every returned level
-comes with that safeguard bracket ``[lam_lo, lam_hi]`` as narrowed at
-acceptance.
+bisection whenever a Newton step would leave it.  It starts at the
+branch endpoint's offset carried over to theta: ``Hbar - G`` is exactly
+``beta - G(theta_i(beta))`` at the endpoint and moves little along the
+branch, so the first level ``G(theta) + beta - G(theta_i(beta))`` is
+usually accepted as it stands.  Every returned level comes with that
+safeguard bracket ``[lam_lo, lam_hi]`` as narrowed at acceptance.
 
 Disorder-free (constant) media are special-cased throughout: their
 correctors are constants, so every inversion is the closed form
@@ -90,7 +93,9 @@ class EffectiveH:
     estimates and the inversions, and whether any estimate was flagged.
     ``inversions_flagged`` is the same flag over the inversions alone:
     the lam = beta endpoints take the superlinear fallback modulus and
-    so are always flagged.
+    so are always flagged.  ``inversions`` keeps every branch row's
+    ``LambdaInversion`` in theta order, with its final slope estimate,
+    tangent and work counters.
     """
 
     beta: float
@@ -108,6 +113,7 @@ class EffectiveH:
     rk4_steps: int = 0
     flagged: bool = False
     inversions_flagged: bool = False
+    inversions: tuple[LambdaInversion, ...] = ()
 
     def __post_init__(self):
         for arr in (self.branch1_table, self.branch2_table, self.flat_thetas):
@@ -231,13 +237,16 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     Newton step.  Slopes lie in the invariant bracket
     ``[G_b^-1(lam - beta), G_b^-1(lam)]``, so the level sits in
     ``[max(beta, G(theta)), G(theta) + beta]``.  The iteration starts at
-    the upper end, narrows that bracket with every estimate (the map is
-    monotone), and bisects whenever a Newton step would leave it.  When
-    the estimate at the upper end still falls short of theta by more
-    than tol, the bracket moves up by beta (keeping its width at most
-    beta) until it does not.  If the bracket collapses to rounding
-    first, the last estimate is accepted only when its mismatch is
-    within tol plus its ci.
+    ``G(theta) + beta - G(endpoint.mean)``, the endpoint's offset
+    ``Hbar - G`` carried over to theta and clamped into that bracket (at
+    theta = endpoint.mean it is beta, the level there).  It narrows the
+    bracket with every estimate (the map is monotone) and bisects
+    whenever a Newton step would leave it, except that a step past an
+    upper end not yet measured measures that end.  When the estimate at
+    the upper end falls short of theta by more than tol, the bracket
+    moves up by beta (keeping its width at most beta) until it does
+    not.  If the bracket collapses to rounding first, the last estimate
+    is accepted only when its mismatch is within tol plus its ci.
 
     The slope must sit at or beyond the flat endpoint theta_branch(beta)
     (up to the endpoint's ci); strictly inside the flat piece there is
@@ -314,24 +323,33 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     # slopes at level lam lie in [G_b^-1(lam - beta), G_b^-1(lam)]
     g_theta = float(G(theta))
     lo, hi = max(beta, g_theta), beta + max(g_theta, tol)
-    lam, est = hi, measure(hi)
-    while s * (theta - est.mean) > tol:
-        lo, hi = hi, hi + beta
-        lam, est = hi, measure(hi)
+    # the offset Hbar - G is exactly beta at the endpoint: carry it over
+    lam = min(max(g_theta + beta - float(G(endpoint.mean)), lo), hi)
+    est = measure(lam)
+    hi_measured = False
     while True:
         if abs(est.mean - theta) <= tol:
             return accept(lam, lo, hi, est)
         if s * est.mean < s * theta:
+            if lam == hi:
+                # the upper end itself falls short: move the bracket up
+                lo, hi = hi, hi + beta
+                lam, est = hi, measure(hi)
+                continue
             lo = lam
         else:
-            hi = lam
+            hi, hi_measured = lam, True
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
-        # Newton step; bisect when it leaves the bracket or the slope
-        # has the wrong sign
+        # Newton step; measure the upper end first when the step leaves
+        # the bracket upward, and bisect when it leaves it otherwise or
+        # the slope has the wrong sign
         slope = est.dtheta_dlam
-        step = lam + (theta - est.mean) / slope if s * slope > 0.0 else hi
-        lam = step if lo < step < hi else 0.5 * (lo + hi)
+        step = lam + (theta - est.mean) / slope if s * slope > 0.0 else lo
+        if step >= hi and not hi_measured:
+            lam = hi
+        else:
+            lam = step if lo < step < hi else 0.5 * (lo + hi)
         est = measure(lam)
     # bracket collapsed to rounding before the theta tolerance was met:
     # accept only if the residual mismatch is explained by the ci
@@ -453,7 +471,8 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
                       n_evals=sum(i.n_evals for i in invs),
                       rk4_steps=sum(r.rk4_steps for r in endpoints + invs),
                       flagged=any(r.flagged for r in endpoints + invs),
-                      inversions_flagged=any(i.flagged for i in invs))
+                      inversions_flagged=any(i.flagged for i in invs),
+                      inversions=tuple(invs))
 
 
 def effective_reference(env: EnvRealization, G, beta: float, theta: float,

@@ -509,8 +509,10 @@ def residual_probe(env: EnvRealization, G, beta: float, profile,
     For a glued flat-piece profile the candidate is undecorated:
     ``t (beta - 3 delta) + F(x)`` (sub) or ``t (beta + 4 delta) + F(x)``
     (super).  The residual a F'' + G(F') + beta V - drift is evaluated
-    with centered differences for F'' and analytic psi derivatives;
-    sub requires min >= -tol, super requires max <= tol.
+    with three-point differences for F'' on the actual node spacing (a
+    corrector profile may end in a short tail step) and analytic psi
+    derivatives; sub requires min >= -tol, super requires max <= tol.
+    The default tol is ten body steps.
     """
     if kind not in ("sub", "super"):
         raise ValueError(f"kind must be 'sub' or 'super', got {kind!r}")
@@ -524,11 +526,11 @@ def residual_probe(env: EnvRealization, G, beta: float, profile,
             f"{type(profile).__name__}")
     grid = profile.grid
     f = profile.f_vals
-    dx = float(grid[1] - grid[0])
     if tol is None:
-        tol = 10.0 * dx
+        tol = 10.0 * (profile.dx if isinstance(profile, CorrectorProfile)
+                      else float(grid[1] - grid[0]))
     a, v = sample_many(env, grid)
-    fd = (f[2:] - f[:-2]) / (2.0 * dx)
+    fd = np.gradient(f, grid)[1:-1]
     xi, ai, vi, fi = grid[1:-1], a[1:-1], v[1:-1], f[1:-1]
 
     if isinstance(profile, GluedProfile):

@@ -257,6 +257,30 @@ def test_effective_records_run_counters(tmp_path):
     assert stats["inversions_flagged"] is False
 
 
+def test_effective_sidecar_rows(tmp_path):
+    text = PERIODIC + "\n[effective]\ntheta_grid = -1.8 0 1.8\nx = 40\n" \
+        "tol = 1e-3\n"
+    cfg = _write(tmp_path, text)
+    assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "effective.meta.json").read_text())
+    _, table = _rows(tmp_path / "effective.csv")
+    branch_rows = [r for r in table if r[4] != "flat"]
+    # one record per branch row, in the table's order
+    rows = meta["rows"]
+    assert [(r["theta"], r["lam"], r["lam_lo"], r["lam_hi"]) for r in rows] \
+        == [tuple(map(float, r[:4])) for r in branch_rows]
+    assert [r["branch"] for r in rows] == [1, 2]
+    assert sum(r["n_evals"] for r in rows) == meta["stats"]["n_evals"]
+    for r in rows:
+        assert {"theta_at_lam", "ci", "n_evals", "rk4_steps", "flagged",
+                "dtheta_dlam", "dtheta_ci", "dH_dtheta"} <= set(r)
+        assert abs(r["theta_at_lam"] - r["theta"]) <= 1e-3
+        assert r["n_evals"] >= 1 and r["dtheta_ci"] >= 0.0
+        assert r["dH_dtheta"] == 1.0 / r["dtheta_dlam"]
+        # Hbar is increasing on the right branch, decreasing on the left
+        assert (r["dH_dtheta"] > 0.0) == (r["branch"] == 2)
+
+
 def test_homogenize_flat_reference_is_beta(tmp_path):
     cfg = _write(tmp_path, HOMOG_IID)
     assert main(["homogenize", "--config", cfg, "--out", str(tmp_path)]) == 0

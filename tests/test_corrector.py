@@ -138,6 +138,20 @@ def test_corrector_profile_residual_small(profile_periodic):
     assert float(np.max(np.abs(r - 2.0))) < 1e-3
 
 
+@pytest.mark.parametrize("branch, region", [(1, (-10.004, 0.0)),
+                                            (2, (0.0, 10.004))])
+def test_residual_with_tail_step(env_periodic, branch, region):
+    # the short tail step (first on branch 1, last on branch 2) is
+    # differenced on its own spacing, so the band is that of a region of
+    # whole steps, and dx is the body step
+    p = corrector_profile(env_periodic, G, 1.0, 2.0, branch, region, 1e-6,
+                          0.01)
+    assert float(np.diff(p.grid).min()) == pytest.approx(0.004, abs=1e-9)
+    assert p.dx == pytest.approx(0.01, abs=1e-12)
+    r = residual_series(env_periodic, p.grid, p.f_vals, G, 1.0)
+    assert float(np.max(np.abs(r - 2.0))) < 1e-3
+
+
 def test_residual_is_second_order():
     # env sampled much finer than the integration step, so the medium is
     # smooth at integration scale and the centered residual is O(dx^2)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hjlab.effective
 from hjlab.effective import (
@@ -25,7 +27,7 @@ from hjlab.effective import (
 from hjlab.corrector import ThetaEstimate, estimate_theta
 from hjlab.environment import generate_env
 from hjlab.errors import CertificateError, ConfigError, FlatPieceError
-from hjlab.hamiltonian import PowerG
+from hjlab.hamiltonian import PowerG, bracket
 
 BETA = 1.0
 
@@ -219,14 +221,16 @@ ENDPOINT_2 = ThetaEstimate(branch=2, lam=BETA, beta=BETA, mean=0.5,
                            cert_bound=0.0)
 
 
-def test_newton_converges_from_the_upper_end(env_periodic, G, monkeypatch):
+def test_newton_converges_from_the_endpoint_offset(env_periodic, G,
+                                                   monkeypatch):
     # theta(lam) = sqrt(lam - 0.3): theta = 1.5 at lam = 2.55, inside the
-    # a-priori bracket [G(1.5), G(1.5) + beta] = [2.25, 3.25]
+    # a-priori bracket [G(1.5), G(1.5) + beta] = [2.25, 3.25]; the first
+    # level carries the endpoint's offset over: G(1.5) + 1 - G(0.5) = 3
     lams = _scripted(monkeypatch, lambda lam: math.sqrt(lam - 0.3),
                      lambda lam: 0.5 / math.sqrt(lam - 0.3))
     inv = invert_theta(env_periodic, G, BETA, 1.5, 2, 1e-9,
                        endpoint=ENDPOINT_2)
-    assert lams[0] == 3.25
+    assert lams[0] == 3.0
     assert inv.n_evals == len(lams) <= 5   # bisection would need ~30
     assert abs(inv.lam - 2.55) <= 1e-8
     assert 2.25 <= inv.lam_lo <= inv.lam <= inv.lam_hi <= 3.25
@@ -240,21 +244,47 @@ def test_newton_falls_back_to_bisection(env_periodic, G, monkeypatch):
                      lambda lam: -1.0)
     inv = invert_theta(env_periodic, G, BETA, 1.5, 2, 1e-3,
                        endpoint=ENDPOINT_2)
-    assert lams[:3] == [3.25, 2.75, 2.5]
+    assert lams[:3] == [3.0, 2.625, 2.4375]
     assert abs(inv.theta_at_lam - 1.5) <= 1e-3
     assert all(2.25 <= lam <= 3.25 for lam in lams)
 
 
 def test_newton_moves_a_short_upper_end(env_periodic, G, monkeypatch):
-    # theta(lam) = sqrt(lam - 3/2) falls short at the a-priori upper end
-    # 3.25: the bracket moves up by beta and the level 3.75 is found there
+    # theta(lam) = sqrt(lam - 3/2) falls short at the first level 3 and
+    # Newton leaves the bracket upward: the a-priori upper end 3.25 is
+    # measured next, falls short too, and the bracket moves up by beta;
+    # the level 3.75 is found there
     lams = _scripted(monkeypatch, lambda lam: math.sqrt(lam - 1.5),
                      lambda lam: 0.5 / math.sqrt(lam - 1.5))
     inv = invert_theta(env_periodic, G, BETA, 1.5, 2, 1e-6,
                        endpoint=ENDPOINT_2)
-    assert lams[:2] == [3.25, 4.25]
+    assert lams[:3] == [3.0, 3.25, 4.25]
     assert abs(inv.lam - 3.75) <= 1e-5
     assert 3.25 <= inv.lam_lo <= inv.lam <= inv.lam_hi == 4.25
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(1.2, 3.0), beta=st.floats(0.25, 2.0),
+       branch=st.sampled_from([1, 2]), u=st.floats(0.0, 1.0),
+       beyond=st.floats(1e-6, 4.0))
+def test_first_level_lies_in_the_a_priori_bracket(env_periodic, gamma, beta,
+                                                  branch, u, beyond):
+    # any endpoint mean inside the lam = beta slope bracket, any slope
+    # beyond it: the first level is in [max(beta, G(theta)), G(theta) + beta]
+    G = PowerG(gamma)
+    p_lo, p_hi = bracket(G, branch, beta, beta)
+    mean = p_lo + u * (p_hi - p_lo)
+    theta = mean + beyond if branch == 2 else mean - beyond
+    endpoint = ThetaEstimate(branch=branch, lam=beta, beta=beta, mean=mean,
+                             ci_halfwidth=0.0, window_length=40.0,
+                             n_batches=10, cert_bound=0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        lams = _scripted(mp, lambda lam: theta, lambda lam: 1.0)
+        invert_theta(env_periodic, G, beta, theta, branch, 1e-3,
+                     endpoint=endpoint)
+    g_theta = float(G(theta))
+    assert lams == [lams[0]]
+    assert max(beta, g_theta) <= lams[0] <= g_theta + beta
 
 
 @pytest.mark.parametrize("ci, accepted", [(8e-3, True), (1e-3, False)])
@@ -362,6 +392,20 @@ def test_newton_needs_fewer_estimates_than_bisection(env_iid, G, eff_iid):
         assert (1.0 if branch == 2 else -1.0) * inv.dtheta_dlam > 0.0
 
 
+def test_one_estimate_per_off_flat_slope(eff_iid):
+    # the endpoint's offset is accepted as the level on every slope
+    invs = eff_iid.inversions
+    assert [i.theta for i in invs] == [-2.2, -1.7, 1.7, 2.2]
+    assert [i.n_evals for i in invs] == [1, 1, 1, 1]
+    assert eff_iid.n_evals == 4
+    for inv in invs:
+        assert abs(inv.theta_at_lam - inv.theta) <= eff_iid.theta_tol
+        assert (1.0 if inv.branch == 2 else -1.0) * inv.dtheta_dlam > 0.0
+    lams = np.concatenate((eff_iid.branch1_table[:, 1],
+                           eff_iid.branch2_table[:, 1]))
+    assert [i.lam for i in invs] == lams.tolist()
+
+
 def test_grid_must_cover_both_branches(env_periodic, G):
     with pytest.raises(ConfigError):
         build_effective_H(env_periodic, G, BETA, [0.1, 1.7], tol=1e-3,
@@ -401,6 +445,21 @@ def test_effective_reference_estimates_one_endpoint(env_periodic, G,
     effective_reference(env_periodic, G, BETA, -1.5, 1e-3, X=40.0)
     assert calls[0] == (BETA, 1) and len(calls) >= 2
     assert all(b == 1 and lam > BETA for lam, b in calls[1:])
+
+
+def test_effective_reference_spends_one_estimate(env_iid, G, monkeypatch):
+    calls = []
+
+    def spy(env, G, beta, lam, branch, *args, **kwargs):
+        calls.append((lam, branch))
+        return estimate_theta(env, G, beta, lam, branch, *args, **kwargs)
+
+    monkeypatch.setattr(hjlab.effective, "estimate_theta", spy)
+    effective_reference(env_iid, G, BETA, 2.0, 2e-2, X=300.0)
+    # the endpoint, then the one level it predicts
+    assert len(calls) == 2
+    assert calls[0] == (BETA, 2)
+    assert calls[1][1] == 2 and calls[1][0] > BETA
 
 
 def test_effective_reference_wrong_side_endpoint_raises(env_periodic, G,

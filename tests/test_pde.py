@@ -476,6 +476,22 @@ def test_probe_constant_corrector_super(env_const_half):
     assert rep.max_residual < -0.2  # strictly negative margin
 
 
+@pytest.mark.parametrize("branch, whole, tail", [
+    (1, (-10.0, 0.0), (-10.004, 0.0)),
+    (2, (0.0, 10.0), (0.0, 10.004)),
+])
+def test_probe_tail_step_profile(env_periodic, branch, whole, tail):
+    # a short tail step neither skews F'' nor shrinks the default tol
+    profs = [corrector_profile(env_periodic, G, BETA, 2.0, branch, region,
+                               1e-6, 0.01) for region in (whole, tail)]
+    for kind in ("sub", "super"):
+        want, got = (residual_probe(env_periodic, G, BETA, prof, 0.1, kind)
+                     for prof in profs)
+        assert got.tol == pytest.approx(0.1, abs=1e-12)
+        assert got.min_residual == pytest.approx(want.min_residual, abs=1e-6)
+        assert got.max_residual == pytest.approx(want.max_residual, abs=1e-6)
+
+
 HILL = HillWitness(L1=5.0, L2=25.0, scaled_length=20.0, v_min_on_interval=1.0)
 
 
