@@ -70,9 +70,6 @@ from .hamiltonian import (
     TabulatedG,
     bracket,
     branch2_modulus,
-    branch_inverse,
-    eval_G,
-    lipschitz_on,
     make_G,
     monotonicity_modulus,
     validate_growth,

@@ -15,7 +15,6 @@ import json
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .corrector import (
     estimate_theta,
     save_profile,
 )
-from .effective import build_effective_H, effective_reference, save_effective
+from .effective import _pmap, build_effective_H, effective_reference, save_effective
 from .environment import (
     KINDS,
     check_singular_hill,
@@ -38,7 +37,7 @@ from .environment import (
     save_env,
 )
 from .errors import CertificateError, ConfigError, HillError, ScientificError
-from .hamiltonian import GrowthCertificate, branch_inverse, make_G, validate_growth
+from .hamiltonian import GrowthCertificate, make_G, validate_growth
 from .pde import (
     SchemeConfig,
     SweepResult,
@@ -46,6 +45,7 @@ from .pde import (
     cfl_number,
     homogenize_sweep,
     residual_probe,
+    save_probe,
     save_sweep,
     stable_dt,
 )
@@ -292,7 +292,7 @@ def _theta_task(args):
     if env.kind == "constant":
         # disorder-free corrector slopes are exactly constant
         v0 = float(env.v_vals[0])
-        theta = branch_inverse(G, branch, max(lam - beta * v0, 0.0))
+        theta = G.branch_inverse(branch, max(lam - beta * v0, 0.0))
         return (lam, theta, 0.0, False, 0)
     est = estimate_theta(env, G, beta, lam, branch, X,
                          n_batches=n_batches, tol=tol, dx=dx)
@@ -310,12 +310,7 @@ def cmd_theta_curve(cfg: RunConfig) -> list[Path]:
     env = cfg.make_env()
     tasks = [(env, cfg.G, cfg.beta, lam, branch, X, n_batches, tol, dx)
              for lam in lams]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_theta_task, tasks))
-    else:
-        rows = [_theta_task(t) for t in tasks]
-    rows.sort(key=lambda r: r[0])  # deterministic merge on the sweep key
+    rows = _pmap(_theta_task, tasks, cfg.workers)
     out = cfg.out_dir / "theta_curve.csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("lam,theta,ci,flagged\n")
@@ -393,12 +388,7 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
 
     tasks = [(env, cfg.G, cfg.beta, theta, eps, scheme, ref)
              for eps in epsilons]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
-    else:
-        rows = [_sweep_task(t) for t in tasks]
-    rows.sort(key=lambda r: -r[0])  # deterministic merge on the sweep key
+    rows = _pmap(_sweep_task, tasks, cfg.workers)
     result = SweepResult(theta=theta, epsilons=np.array([r[0] for r in rows]),
                          values=np.array([r[1] for r in rows]),
                          reference=float(ref),
@@ -495,11 +485,7 @@ def cmd_probe(cfg: RunConfig) -> list[Path]:
     reports = [residual_probe(env, cfg.G, cfg.beta, prof, delta, k, tol=tol)
                for k in kinds]
     out = cfg.out_dir / "probe.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("kind,min_residual,max_residual,pass\n")
-        for rep in reports:
-            fh.write(f"{rep.kind},{rep.min_residual!r},{rep.max_residual!r},"
-                     f"{rep.passed}\n")
+    save_probe(reports, str(out))
     return [out]
 
 

@@ -7,7 +7,9 @@ solution to any prescribed tolerance:
 
 * ``shoot`` integrates the ODE with fixed-step RK4 and a bracket-exit
   guard — the bracket is invariant for the exact flow, so leaving it
-  signals a bad step size or bad inputs, never a feature;
+  signals a bad step size or bad inputs, never a feature.  Branch 2 is
+  shot rightward and branch 1 leftward, on the medium and G as given:
+  one stepping loop serves both, with a signed step;
 * ``burn_in_length`` turns a tolerance into a certified s-length via the
   contraction transform Phi of the branch modulus;
 * ``corrector_profile`` shoots through the burn-in from two different
@@ -38,7 +40,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.special import stdtrit
 
-from .environment import EnvRealization, HillWitness, reflect, s_at, sample_many
+from .environment import EnvRealization, HillWitness, s_at, sample_many
 from .errors import (BracketExitError, CertificateError, ConfigError,
                      GlueError, WindowError)
 from .hamiltonian import bracket as slope_bracket
@@ -162,7 +164,9 @@ class _Stages:
     """RK4 lattice from L to x_end and the ODE coefficients at its stage
     points: f' = B - A G(f) with A = 1/a and B = (lam - beta V)/a.
 
-    Stage 2i is node i, stage 2i + 1 the midpoint of step i.  The
+    Stage 2i is node i, stage 2i + 1 the midpoint of step i.  ``dx`` and
+    ``tail`` are signed: negative when the lattice runs leftward
+    (x_end < L), so one stepping loop serves both directions.  The
     coefficients are kept as lists, for the scalar stepping loop, and
     as the arrays they came from, for the vectorized tangent pass.
     """
@@ -183,10 +187,13 @@ class _Stages:
 
 def _stages(env: EnvRealization, lam: float, beta: float, L: float,
             x_end: float, dx: float) -> _Stages:
-    """Sample the coefficients at every RK4 stage point in one pass."""
-    span = x_end - L
-    if span <= 0:
-        raise ValueError(f"integration span must be positive, got [{L}, {x_end}]")
+    """Sample the coefficients at every RK4 stage point in one pass.
+
+    The lattice runs from L towards x_end, on either side of L.
+    """
+    span = abs(x_end - L)
+    if span == 0:
+        raise ValueError(f"integration span must be nonzero, got [{L}, {x_end}]")
     # steps of exactly dx plus one short tail step: a rescaled step would
     # lose commensurability with periodic media and stop integrator
     # error from cancelling between periods
@@ -194,9 +201,11 @@ def _stages(env: EnvRealization, lam: float, beta: float, L: float,
     tail = span - n_full * dx
     if tail <= 1e-9 * max(1.0, abs(x_end)):
         tail = 0.0
+    if x_end < L:
+        dx, tail = -dx, -tail
     xs = L + dx * np.arange(n_full + 1)
     stage_x = L + 0.5 * dx * np.arange(2 * n_full + 1)
-    if tail > 0.0:
+    if tail != 0.0:
         xs = np.concatenate((xs, [x_end]))
         stage_x = np.concatenate((stage_x, [x_end - 0.5 * tail, x_end]))
     a_st, v_st = sample_many(env, stage_x)
@@ -324,7 +333,7 @@ def _rk4_tangent(st: _Stages, G, fs: np.ndarray) -> np.ndarray:
 def _rk4_forward(env: EnvRealization, G, lam: float, beta: float,
                  L: float, c: float, x_end: float, dx: float,
                  p_lo: float, p_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate f' = (lam - beta V - G(f)) / a rightward from (L, c)."""
+    """Integrate f' = (lam - beta V - G(f)) / a from (L, c) to x_end."""
     st = _stages(env, lam, beta, L, x_end, dx)
     return st.xs, np.asarray(_rk4_run(st, G, c, p_lo, p_hi))
 
@@ -333,51 +342,43 @@ def shoot(env: EnvRealization, G, beta: float, lam: float, branch: int,
           L: float, c: float, dx: float) -> CorrectorProfile:
     """One shooting run across the remaining window.
 
-    Branch 2 integrates rightward from L to the window's right end;
-    branch 1 integrates leftward from L to the window's left end via
-    the reflection substitution (reflect the medium and the Hamiltonian,
-    integrate branch 2, map back).  The run is *checked* against the
-    invariant bracket, never clamped to it.
+    Branch 2 integrates rightward from L to the window's right end,
+    branch 1 leftward from L to the window's left end; the grid is
+    returned in ascending order either way.  The run is *checked*
+    against the invariant bracket, never clamped to it.
     """
     if lam < beta:
         raise ValueError(f"corrector level lam={lam} must be >= beta={beta}")
     p_lo, p_hi = slope_bracket(G, branch, lam, beta)
     if not (p_lo - 1e-12 <= c <= p_hi + 1e-12):
         raise ValueError(f"start value c={c} outside branch bracket [{p_lo:g}, {p_hi:g}]")
-    if branch == 2:
-        xs, fs = _rk4_forward(env, G, lam, beta, L, c, env.window[1], dx, p_lo, p_hi)
-    elif branch == 1:
-        renv = reflect(env)
-        xs, fs = _rk4_forward(renv, G.reflect(), lam, beta, -L, -c,
-                              renv.window[1], dx, -p_hi, -p_lo)
-        xs, fs = -xs[::-1], -fs[::-1]
-    else:
+    if branch not in (1, 2):
         raise ValueError(f"branch must be 1 or 2, got {branch}")
+    xs, fs = _rk4_forward(env, G, lam, beta, L, c, env.window[branch - 1],
+                          dx, p_lo, p_hi)
+    if branch == 1:
+        xs, fs = xs[::-1], fs[::-1]
     return CorrectorProfile(branch=branch, lam=lam, beta=beta,
                             grid=xs, f_vals=fs, burn_in=0.0,
                             cert_bound=p_hi - p_lo, rk4_steps=xs.size - 1)
 
 
-def burn_in_length(env_region, G, beta: float, lam: float, tol: float,
-                   branch: int = 2, modulus=None) -> tuple[float, float]:
-    """Certified burn-in: (s-length, x-length) so two bracketed runs
-    merge to within tol.
+def burn_in_length(G, beta: float, lam: float, tol: float,
+                   branch: int = 2, modulus=None) -> float:
+    """Certified burn-in length so two bracketed runs merge to within tol.
 
     Returns z* with Phi^-1(z*) <= tol for the modulus of ``branch``;
     a caller that has built that modulus already passes it as
-    ``modulus``.  Conversion to x-length uses the worst case a <= 1
-    (s dominates x), so the x-length equals z* regardless of the
-    realization; ``env_region`` is accepted for interface symmetry and
-    may be None.
+    ``modulus``.  z* is an s-length; since a <= 1 (s dominates x), it
+    is also a sufficient x-length on every realization.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     M = modulus if modulus is not None else monotonicity_modulus(
         G, lam, beta, branch=branch)
     if tol >= M.K:
-        return 0.0, 0.0
-    z = M.phi(tol)
-    return z, z
+        return 0.0
+    return M.phi(tol)
 
 
 def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
@@ -401,51 +402,42 @@ def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
         raise ValueError(f"empty region {region}")
     p_lo, p_hi = slope_bracket(G, branch, lam, beta)
     M = monotonicity_modulus(G, lam, beta, branch=branch)
-    _, x_burn = burn_in_length(env, G, beta, lam, tol, modulus=M)
-
     # round the burn-in up to whole steps so region nodes sit exactly on
-    # the integration lattice
-    x_burn = math.ceil(x_burn / dx - 1e-9) * dx
+    # the integration lattice, the first of them at node n_burn
+    n_burn = math.ceil(burn_in_length(G, beta, lam, tol, modulus=M) / dx - 1e-9)
+    x_burn = n_burn * dx
     mid = 0.5 * (p_lo + p_hi)
+    # branch 2 runs rightward through the region, branch 1 leftward; the
+    # run enters the region at r0
     if branch == 2:
-        L = x_lo - x_burn
-        if L < env.window[0] - 1e-9:
-            raise WindowError(
-                f"region start {x_lo:g} minus burn-in {x_burn:g} falls outside "
-                f"the window (needs x >= {env.window[0]:g})")
-        st = _stages(env, lam, beta, L, x_hi, dx)
-        bracket, starts, Gf, r_lo = (p_lo, p_hi), (mid, p_hi), G, x_lo
-        s_burn = float(s_at(env, np.array([x_lo]))[0] - s_at(env, np.array([L]))[0])
+        L, r0, x_end, starts = x_lo - x_burn, x_lo, x_hi, (mid, p_hi)
     elif branch == 1:
-        # integrate branch 2 of the reflected problem, then map back
-        L = x_hi + x_burn
-        if L > env.window[1] + 1e-9:
-            raise WindowError(
-                f"region end {x_hi:g} plus burn-in {x_burn:g} falls outside "
-                f"the window (needs x <= {env.window[1]:g})")
-        st = _stages(reflect(env), lam, beta, -L, -x_lo, dx)
-        bracket, starts, Gf, r_lo = (-p_hi, -p_lo), (-mid, -p_lo), G.reflect(), -x_hi
-        s_burn = float(s_at(env, np.array([L]))[0] - s_at(env, np.array([x_hi]))[0])
+        L, r0, x_end, starts = x_hi + x_burn, x_hi, x_lo, (mid, p_lo)
     else:
         raise ValueError(f"branch must be 1 or 2, got {branch}")
+    if not env.window[0] - 1e-9 <= L <= env.window[1] + 1e-9:
+        raise WindowError(
+            f"region {region} with a burn-in of {x_burn:g} starts at "
+            f"x = {L:g}, outside the window {env.window}")
+    s_burn = abs(float(np.diff(s_at(env, np.array([L, r0])))[0]))
 
-    fs = _rk4_run(st, Gf, starts[0], *bracket)
-    fs_alt = _rk4_run(st, Gf, starts[1], *bracket, until=fs)
+    st = _stages(env, lam, beta, L, x_end, dx)
+    fs = _rk4_run(st, G, starts[0], p_lo, p_hi)
+    fs_alt = _rk4_run(st, G, starts[1], p_lo, p_hi, until=fs)
     fs = np.asarray(fs)
-    i0 = int(np.searchsorted(st.xs, r_lo - 1e-9))
     # past the check run's last node the two runs are equal
-    diff = np.abs(fs[i0:len(fs_alt)] - np.asarray(fs_alt[i0:]))
+    diff = np.abs(fs[n_burn:len(fs_alt)] - np.asarray(fs_alt[n_burn:]))
     gap = float(diff.max()) if diff.size else 0.0
     if gap > 2.0 * tol:
         raise CertificateError(
             f"two shooting starts still differ by {gap:.3g} after the "
             f"burn-in ({x_burn:g}); certified bound was {tol:g}")
-    gs = _rk4_tangent(st, Gf, fs)[i0:] if tangent else None
-    xs, fs = st.xs[i0:], fs[i0:]
+    gs = _rk4_tangent(st, G, fs)[n_burn:] if tangent else None
+    xs, fs = st.xs[n_burn:], fs[n_burn:]
     if branch == 1:
-        xs, fs = -xs[::-1], -fs[::-1]
+        xs, fs = xs[::-1], fs[::-1]
         if tangent:
-            gs = -gs[::-1]
+            gs = gs[::-1]
     cert = min(M.phi_inv(s_burn), p_hi - p_lo)
     return CorrectorProfile(branch=branch, lam=lam, beta=beta,
                             grid=xs, f_vals=fs, burn_in=x_burn, cert_bound=cert,
@@ -633,11 +625,9 @@ def build_glued_profile(env: EnvRealization, G, beta: float, delta: float,
     p_lo1, p_hi1 = slope_bracket(G, 1, beta, beta)
     xs2, fs2 = _rk4_forward(env, G, beta, beta, R_lo, 0.5 * (p_lo2 + p_hi2),
                             R_hi, dx, p_lo2, p_hi2)
-    renv = reflect(env)
-    Gr = G.reflect()
-    xs1, fs1 = _rk4_forward(renv, Gr, beta, beta, -R_hi, -0.5 * (p_lo1 + p_hi1),
-                            -R_lo, dx, -p_hi1, -p_lo1)
-    xs1, fs1 = -xs1[::-1], -fs1[::-1]
+    xs1, fs1 = _rk4_forward(env, G, beta, beta, R_hi, 0.5 * (p_lo1 + p_hi1),
+                            R_lo, dx, p_lo1, p_hi1)
+    xs1, fs1 = xs1[::-1], fs1[::-1]
     if xs1.size != xs2.size or float(np.max(np.abs(xs1 - xs2))) > 1e-9:
         raise RuntimeError("one-sided grids failed to align")
     grid = xs2

@@ -365,6 +365,15 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
 # Assembly
 # ============================================================
 
+def _pmap(fn, tasks, workers: int) -> list:
+    """``fn`` over ``tasks``, results in task order; a process pool at
+    ``workers > 1``."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _invert_task(args):
     (env, G, beta, theta, branch, tol, X, n_batches, dx, profile_tol,
      endpoint) = args
@@ -431,11 +440,7 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
               profile_tol, ep1) for th in left]
     tasks += [(env, G, beta, float(th), 2, tol, X, n_batches, dx,
                profile_tol, ep2) for th in right]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            invs = list(pool.map(_invert_task, tasks))
-    else:
-        invs = [_invert_task(t) for t in tasks]
+    invs = _pmap(_invert_task, tasks, workers)
 
     rows1 = np.array([[i.theta, i.lam, i.lam_lo, i.lam_hi]
                       for i in invs if i.branch == 1], dtype=np.float64)

@@ -33,10 +33,7 @@ __all__ = [
     "LogQuasiconvexG",
     "TabulatedG",
     "make_G",
-    "eval_G",
-    "branch_inverse",
     "bracket",
-    "lipschitz_on",
     "ContractionModulus",
     "branch2_modulus",
     "monotonicity_modulus",
@@ -393,16 +390,6 @@ def make_G(family: str, **params):
 # Free-function API
 # ============================================================
 
-def eval_G(G, p):
-    return G(p)
-
-
-def branch_inverse(G, branch: int, y: float) -> float:
-    if branch not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {branch}")
-    return G.branch_inverse(branch, y)
-
-
 def bracket(G, branch: int, lam: float, beta: float) -> tuple[float, float]:
     """Invariant slope interval of the one-sided corrector at level lam.
 
@@ -417,13 +404,6 @@ def bracket(G, branch: int, lam: float, beta: float) -> tuple[float, float]:
     if branch == 1:
         return (G.branch_inverse(1, lam), G.branch_inverse(1, lam - beta))
     raise ValueError(f"branch must be 1 or 2, got {branch}")
-
-
-def lipschitz_on(G, interval) -> float:
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi < lo:
-        raise ValueError("interval must be ordered")
-    return float(G.lipschitz_on((lo, hi)))
 
 
 # ============================================================

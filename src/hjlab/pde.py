@@ -574,9 +574,10 @@ def save_sweep(result: SweepResult, path: str) -> None:
                      f"{result.reference!r},{float(ds)!r}\n")
 
 
-def save_probe(report: SignReport, path: str) -> None:
-    """Write `kind,min_residual,max_residual,pass` (single row)."""
+def save_probe(reports, path: str) -> None:
+    """Write `kind,min_residual,max_residual,pass`, one row per report."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("kind,min_residual,max_residual,pass\n")
-        fh.write(f"{report.kind},{report.min_residual!r},"
-                 f"{report.max_residual!r},{report.passed}\n")
+        for rep in reports:
+            fh.write(f"{rep.kind},{rep.min_residual!r},"
+                     f"{rep.max_residual!r},{rep.passed}\n")

@@ -80,7 +80,7 @@ def test_criterion_01_bracket_invariance():
     for kind in ("periodic", "iid-interp", "gauss-squash"):
         for G in (G2, GLOG):
             for lam in (BETA, BETA + 0.5, BETA + 2.0):
-                _, burn = burn_in_length(None, G, BETA, lam, 1e-2)
+                burn = burn_in_length(G, BETA, lam, 1e-2)
                 window = (region[0] - burn - 2.0, region[1] + 2.0)
                 for seed in range(5):
                     env = generate_env(kind, seed, window, 0.01)

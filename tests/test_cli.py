@@ -214,8 +214,8 @@ def test_theta_curve_and_corrector_record_rk4_steps(tmp_path):
     cfg = _write(tmp_path, text)
     assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 0
     stats = json.loads((tmp_path / "theta_curve.meta.json").read_text())["stats"]
-    primary = sum(6000 + math.ceil(burn_in_length(None, PowerG(2.0), 1.0, lam,
-                                                  1e-6)[1] / 0.01 - 1e-9)
+    primary = sum(6000 + math.ceil(burn_in_length(PowerG(2.0), 1.0, lam,
+                                                  1e-6) / 0.01 - 1e-9)
                   for lam in (1.5, 2.0, 3.0))
     assert primary < stats["rk4_steps"] < 2 * primary
     assert main(["corrector", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -279,6 +279,23 @@ def test_effective_sidecar_rows(tmp_path):
         assert r["dH_dtheta"] == 1.0 / r["dtheta_dlam"]
         # Hbar is increasing on the right branch, decreasing on the left
         assert (r["dH_dtheta"] > 0.0) == (r["branch"] == 2)
+
+
+def test_effective_parallel_matches_sequential(tmp_path):
+    text = PERIODIC + "\n[effective]\ntheta_grid = -1.8 -1.5 0 1.5 1.8\n" \
+        "x = 40\ntol = 1e-3\n"
+    cfg = _write(tmp_path, text)
+    d1, d2 = tmp_path / "w1", tmp_path / "w2"
+    assert main(["effective", "--config", cfg, "--out", str(d1)]) == 0
+    assert main(["effective", "--config", cfg, "--out", str(d2),
+                 "--workers", "2"]) == 0
+    assert (d1 / "effective.csv").read_bytes() == \
+        (d2 / "effective.csv").read_bytes()
+    m1, m2 = (json.loads((d / "effective.meta.json").read_text())
+              for d in (d1, d2))
+    assert len(m1["rows"]) == 4
+    assert json.dumps(m1["rows"]) == json.dumps(m2["rows"])
+    assert m1["stats"] == m2["stats"]
 
 
 def test_homogenize_flat_reference_is_beta(tmp_path):

@@ -21,7 +21,8 @@ from hjlab.corrector import (
 from hjlab.environment import HillWitness, generate_env, reflect
 from hjlab.errors import (BracketExitError, CertificateError, ConfigError,
                           GlueError, WindowError)
-from hjlab.hamiltonian import AsymPowerG, PowerG, bracket, monotonicity_modulus
+from hjlab.hamiltonian import (AsymPowerG, PowerG, TabulatedG, bracket,
+                               monotonicity_modulus)
 
 G = PowerG(2.0)
 SQRT2 = math.sqrt(2.0)
@@ -107,12 +108,11 @@ def test_contraction_ordering(env_periodic):
 # ------------------------------------------------------------
 
 def test_burn_in_closed_form():
-    s_len, x_len = burn_in_length(None, G, 1.0, 2.0, 1e-6)
-    assert s_len == pytest.approx(6.467068485472366, abs=1e-12)
-    assert x_len == s_len
-    assert burn_in_length(None, G, 1.0, 2.0, 1.0) == (0.0, 0.0)
+    z = burn_in_length(G, 1.0, 2.0, 1e-6)
+    assert z == pytest.approx(6.467068485472366, abs=1e-12)
+    assert burn_in_length(G, 1.0, 2.0, 1.0) == 0.0
     with pytest.raises(ValueError):
-        burn_in_length(None, G, 1.0, 2.0, 0.0)
+        burn_in_length(G, 1.0, 2.0, 0.0)
 
 
 def test_corrector_profile_certified(profile_periodic):
@@ -197,12 +197,10 @@ def _full_two_start_reference(env, lam, branch, region, burn, dx):
         keep = runs[0][0] >= region[0] - 1e-9
         (xs, fs), (_, alt) = [(x[keep], f[keep]) for x, f in runs]
     else:
-        renv = reflect(env)
-        L = -(region[1] + burn)
-        runs = [_rk4_forward(renv, G.reflect(), lam, 1.0, L, -c, -region[0], dx,
-                             -p_hi, -p_lo) for c in (mid, p_lo)]
-        keep = runs[0][0] >= -region[1] - 1e-9
-        (xs, fs), (_, alt) = [(-x[keep][::-1], -f[keep][::-1]) for x, f in runs]
+        runs = [_rk4_forward(env, G, lam, 1.0, region[1] + burn, c, region[0],
+                             dx, p_lo, p_hi) for c in (mid, p_lo)]
+        keep = runs[0][0] <= region[1] + 1e-9
+        (xs, fs), (_, alt) = [(x[keep][::-1], f[keep][::-1]) for x, f in runs]
     steps = runs[0][0].size - 1
     return xs, fs, float(np.max(np.abs(fs - alt))), steps
 
@@ -228,7 +226,7 @@ def test_early_stop_equals_two_full_runs(env_iid3, branch, lam, tol, region):
 
 def test_two_start_certificate_fires_without_burn_in(env_iid3, monkeypatch):
     monkeypatch.setattr("hjlab.corrector.burn_in_length",
-                        lambda *args, **kwargs: (0.0, 0.0))
+                        lambda *args, **kwargs: 0.0)
     for branch, region in ((2, (0.0, 10.0)), (1, (-10.0, 0.0))):
         with pytest.raises(CertificateError, match="two shooting starts"):
             corrector_profile(env_iid3, G, 1.0, 2.0, branch, region, 1e-6, 0.01)
@@ -242,12 +240,34 @@ def test_branch_burn_in_for_asymmetric_G(env_iid3, gammas):
     Ga = AsymPowerG(*gammas)
     for branch, region in ((1, (-10.0, 0.0)), (2, (0.0, 10.0))):
         M = monotonicity_modulus(Ga, 2.0, 1.0, branch=branch)
-        z, _ = burn_in_length(None, Ga, 1.0, 2.0, 1e-6, branch=branch)
+        z = burn_in_length(Ga, 1.0, 2.0, 1e-6, branch=branch)
         assert z == M.phi(1e-6)
         p = corrector_profile(env_iid3, Ga, 1.0, 2.0, branch, region, 1e-6, 0.01)
         assert p.cert_bound <= 1e-6
         assert p.burn_in >= z
         assert p.gap <= 2e-6
+
+
+@pytest.mark.parametrize("Gf", [
+    AsymPowerG(1.5, 3.0),
+    TabulatedG(np.array([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.5, 3.0]),
+               np.array([6.0, 3.5, 1.2, 0.3, 0.0, 0.2, 1.8, 7.0])),
+])
+def test_branch1_leftward_run_matches_reflected_branch2(env_iid3, Gf):
+    # branch 1 shoots leftward on the medium and G as given; the oracle is
+    # branch 2 of the reflected problem (x -> -x, G -> G(-p)), mapped
+    # back.  The region ends in a tail step of 0.004.
+    p1 = corrector_profile(env_iid3, Gf, 1.0, 2.0, 1, (-10.004, 0.0), 1e-6,
+                           0.01, tangent=True)
+    p2 = corrector_profile(reflect(env_iid3), Gf.reflect(), 1.0, 2.0, 2,
+                           (0.0, 10.004), 1e-6, 0.01, tangent=True)
+    assert float(np.diff(p1.grid).min()) == pytest.approx(0.004, abs=1e-9)
+    assert p1.grid.size == p2.grid.size
+    assert np.max(np.abs(p1.grid + p2.grid[::-1])) <= 1e-12
+    assert np.max(np.abs(p1.f_vals + p2.f_vals[::-1])) <= 1e-12
+    assert np.max(np.abs(p1.g_vals + p2.g_vals[::-1])) <= 1e-12
+    assert abs(p1.gap - p2.gap) <= 1e-12
+    assert p1.burn_in == p2.burn_in and p1.rk4_steps > 0
 
 
 # ------------------------------------------------------------

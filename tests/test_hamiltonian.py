@@ -14,8 +14,6 @@ from hjlab.hamiltonian import (
     TabulatedG,
     bracket,
     branch2_modulus,
-    branch_inverse,
-    lipschitz_on,
     make_G,
     monotonicity_modulus,
     validate_growth,
@@ -30,23 +28,23 @@ SQRT2 = math.sqrt(2.0)
 
 def test_power_branch_inverse_exact():
     G = PowerG(2.0)
-    assert branch_inverse(G, 1, 4.0) == -2.0
-    assert branch_inverse(G, 2, 4.0) == 2.0
-    assert branch_inverse(G, 2, 0.0) == 0.0
+    assert G.branch_inverse(1, 4.0) == -2.0
+    assert G.branch_inverse(2, 4.0) == 2.0
+    assert G.branch_inverse(2, 0.0) == 0.0
 
 
 def test_asym_power_branch_inverse():
     G = AsymPowerG(3.0, 2.0)
     # (-p)^3 = 8  =>  p = -2
-    assert branch_inverse(G, 1, 8.0) == pytest.approx(-2.0, abs=1e-14)
-    assert branch_inverse(G, 2, 9.0) == pytest.approx(3.0, abs=1e-14)
+    assert G.branch_inverse(1, 8.0) == pytest.approx(-2.0, abs=1e-14)
+    assert G.branch_inverse(2, 9.0) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_log_branch_inverse():
     G = LogQuasiconvexG()
     # frozen: sqrt(e - 1)
-    assert branch_inverse(G, 2, 1.0) == pytest.approx(1.3108324944320862, abs=1e-14)
-    assert branch_inverse(G, 1, 1.0) == pytest.approx(-1.3108324944320862, abs=1e-14)
+    assert G.branch_inverse(2, 1.0) == pytest.approx(1.3108324944320862, abs=1e-14)
+    assert G.branch_inverse(1, 1.0) == pytest.approx(-1.3108324944320862, abs=1e-14)
 
 
 def test_branch_inverse_rejects_negative_level():
@@ -88,18 +86,18 @@ def test_bracket_requires_level_above_beta():
 # ------------------------------------------------------------
 
 def test_lipschitz_closed_forms():
-    assert lipschitz_on(PowerG(2.0), (-3.0, 2.0)) == 6.0
-    assert lipschitz_on(AsymPowerG(3.0, 2.0), (-2.0, 3.0)) == 12.0
+    assert PowerG(2.0).lipschitz_on((-3.0, 2.0)) == 6.0
+    assert AsymPowerG(3.0, 2.0).lipschitz_on((-2.0, 3.0)) == 12.0
     # |G'| of log(1+p^2) peaks at 1: frozen values
-    assert lipschitz_on(LogQuasiconvexG(), (0.0, 10.0)) == 1.0
-    assert lipschitz_on(LogQuasiconvexG(), (-10.0, -0.5)) == 1.0
-    assert lipschitz_on(LogQuasiconvexG(), (2.0, 10.0)) == pytest.approx(0.8, abs=1e-15)
+    assert LogQuasiconvexG().lipschitz_on((0.0, 10.0)) == 1.0
+    assert LogQuasiconvexG().lipschitz_on((-10.0, -0.5)) == 1.0
+    assert LogQuasiconvexG().lipschitz_on((2.0, 10.0)) == pytest.approx(0.8, abs=1e-15)
 
 
 def test_lipschitz_is_a_bound_on_samples():
     for G in (PowerG(1.7), AsymPowerG(2.5, 1.4), LogQuasiconvexG()):
         lo, hi = -2.3, 3.1
-        L = lipschitz_on(G, (lo, hi))
+        L = G.lipschitz_on((lo, hi))
         ps = np.linspace(lo, hi, 4001)
         gv = G(ps)
         slopes = np.abs(np.diff(gv) / np.diff(ps))
@@ -288,7 +286,7 @@ def test_tabulated_modulus_is_conservative():
 
 def test_tabulated_lipschitz_has_safety_factor():
     T = _quadratic_table()
-    L = lipschitz_on(T, (0.0, 2.0))
+    L = T.lipschitz_on((0.0, 2.0))
     assert L >= 2.0 * 2.0          # at least the true constant
     assert L == pytest.approx(1.01 * (1.99 + 2.0), abs=1e-9)  # 1.01 * worst slope
 

@@ -559,7 +559,7 @@ def test_save_sweep_and_probe_csv(tmp_path, env_const_v1):
                              1e-6, 0.01)
     rep = residual_probe(env_const_v1, G, BETA, prof, 0.1, "sub")
     probe_path = tmp_path / "probe.csv"
-    save_probe(rep, str(probe_path))
+    save_probe([rep], str(probe_path))
     lines = probe_path.read_text().strip().split("\n")
     assert lines[0] == "kind,min_residual,max_residual,pass"
     cols = lines[1].split(",")
