@@ -28,7 +28,7 @@ from .corrector import (
     estimate_theta,
     save_profile,
 )
-from .effective import _pmap, build_effective_H, effective_reference, save_effective
+from .effective import _pmap, build_effective_H, save_effective
 from .environment import (
     KINDS,
     check_singular_hill,
@@ -40,7 +40,6 @@ from .errors import CertificateError, ConfigError, HillError, ScientificError
 from .hamiltonian import GrowthCertificate, make_G, validate_growth
 from .pde import (
     SchemeConfig,
-    SweepResult,
     cfl_gradient_range,
     cfl_number,
     homogenize_sweep,
@@ -347,13 +346,6 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
     return [out]
 
 
-def _sweep_task(args):
-    (env, G, beta, theta, eps, scheme, ref) = args
-    res = homogenize_sweep(env, G, beta, theta, [eps], scheme, reference=ref)
-    return (eps, float(res.values[0]), float(res.domain_sensitivity[0]),
-            bool(res.grad_excursion), res.steps)
-
-
 def cmd_homogenize(cfg: RunConfig) -> list[Path]:
     if cfg.growth is None:
         raise ConfigError(
@@ -368,33 +360,18 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
 
     p = cfg.params
     theta = _get(p, "theta")
-    epsilons = sorted(set(_get(p, "epsilons", kind=list)), reverse=True)
     dx = _get(p, "dx", 0.05, positive=True)
     M = _get(p, "m", 1.0, positive=True)
-    boundary = _get(p, "boundary", "linear", str)
     env = cfg.make_env()
     dt = (_get(p, "dt", 0.0) or
           stable_dt(env, cfg.G, cfg.beta, theta, dx))
-    scheme = SchemeConfig(dx=dx, dt=dt, M=M, T=1.0, theta=theta,
-                          boundary=boundary)
-
-    if "reference" in p:
-        ref = _get(p, "reference")
-    else:
-        ref, _ = effective_reference(env, cfg.G, cfg.beta, theta,
-                                     _get(p, "ref_tol", 2e-2, positive=True),
-                                     X=_get(p, "ref_x", 300.0, positive=True),
-                                     dx=_get(p, "ref_dx", 0.01, positive=True))
-
-    tasks = [(env, cfg.G, cfg.beta, theta, eps, scheme, ref)
-             for eps in epsilons]
-    rows = _pmap(_sweep_task, tasks, cfg.workers)
-    result = SweepResult(theta=theta, epsilons=np.array([r[0] for r in rows]),
-                         values=np.array([r[1] for r in rows]),
-                         reference=float(ref),
-                         domain_sensitivity=np.array([r[2] for r in rows]),
-                         grad_excursion=any(r[3] for r in rows),
-                         steps=sum(r[4] for r in rows))
+    scheme = SchemeConfig(dx=dx, dt=dt, M=M, T=1.0, theta=theta)
+    result = homogenize_sweep(
+        env, cfg.G, cfg.beta, theta, _get(p, "epsilons", kind=list), scheme,
+        reference=_get(p, "reference") if "reference" in p else None,
+        ref_tol=_get(p, "ref_tol", 2e-2, positive=True),
+        ref_X=_get(p, "ref_x", 300.0, positive=True),
+        ref_dx=_get(p, "ref_dx", 0.01, positive=True), workers=cfg.workers)
     out = cfg.out_dir / "sweep.csv"
     save_sweep(result, str(out))
     kappa = cfg.G.lipschitz_on(cfl_gradient_range(cfg.G, cfg.beta, theta))

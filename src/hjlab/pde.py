@@ -21,7 +21,8 @@ plainness over order: first order in time, no limiters.
 
 Also holds the epsilon-sweep driver that empirically verifies the
 homogenized limit, and the perturbed-profile residual probes for the
-sub/supersolution constructions.
+sub/supersolution constructions.  The sweep chains ``evolve`` calls to
+march each distinct domain once, bit for bit a fresh run at every stop.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .corrector import CorrectorProfile, GluedProfile
+from .effective import _pmap, effective_reference
 from .environment import EnvRealization, sample_many
 from .errors import ConfigError, SignError, StabilityError, WindowError
 from .hamiltonian import bracket
@@ -190,8 +192,6 @@ class EvolveResult:
     cfl: float
     grad_range_seen: tuple[float, float]
     grad_excursion: bool
-    trace_t: np.ndarray | None = None
-    trace_u: np.ndarray | None = None
 
     def __post_init__(self):
         self.xs.setflags(write=False)
@@ -254,8 +254,7 @@ def diffusion_solver(a, h: float, dx: float, boundary: str):
 
 
 def evolve(env: EnvRealization, G, beta: float, initial_data,
-           scheme: SchemeConfig, *, trace_x: float | None = None,
-           trace_stride: int = 1) -> EvolveResult:
+           scheme: SchemeConfig) -> EvolveResult:
     """March the monotone scheme from t = 0 to t = scheme.T.
 
     ``initial_data`` is a callable evaluated on the grid or an array of
@@ -300,11 +299,6 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
                     h * a[-1] * scheme.theta / dx)
                 for h in {dt, dt_tail} if h > 0.0}
     seen_lo, seen_hi = np.inf, -np.inf
-    trace_t, trace_u = ([], []) if trace_x is not None else (None, None)
-    if trace_x is not None:
-        i_tr = int(round((float(trace_x) + scheme.M) / dx))
-        if not 0 <= i_tr <= n:
-            raise ConfigError(f"trace_x = {trace_x} outside [-M, M]")
 
     ue = np.empty(n + 3, dtype=np.float64)
     d = np.empty(n + 2, dtype=np.float64)
@@ -342,9 +336,6 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
         solve(u)
         t += h
         step += 1
-        if trace_t is not None and step % max(trace_stride, 1) == 0:
-            trace_t.append(t)
-            trace_u.append(float(u[i_tr]))
     if step < total or not np.all(np.isfinite(u)):
         raise StabilityError(
             f"non-finite values at t = {t:.6g} despite CFL "
@@ -353,9 +344,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     return EvolveResult(
         xs=xs, u=u, t=t, steps=step, cfl=cfl,
         grad_range_seen=(seen_lo, seen_hi),
-        grad_excursion=bool(seen_lo < p_lo or seen_hi > p_hi),
-        trace_t=None if trace_t is None else np.asarray(trace_t),
-        trace_u=None if trace_u is None else np.asarray(trace_u))
+        grad_excursion=bool(seen_lo < p_lo or seen_hi > p_hi))
 
 
 def profile_antiderivative(profile) -> callable:
@@ -389,7 +378,7 @@ class SweepResult:
     ``values[i]`` is eps * u_theta(1/eps, 0) on the base domain;
     ``domain_sensitivity[i]`` is its change when the domain half-width
     doubles -- the honest surrogate for boundary error.  ``steps`` is
-    the total number of evolve steps of all runs.
+    the number of evolve steps marched, one march per distinct domain.
     """
 
     theta: float
@@ -410,17 +399,53 @@ class SweepResult:
             arr.setflags(write=False)
 
 
+def _march(args):
+    """March u(0, x) = theta x on [-n dx, n dx] once, to increasing stops.
+
+    Whole steps to ``floor(T/dt + 1e-9)`` advance the shared state; the
+    tail ``T - floor(...) dt``, skipped at or below ``1e-12 T``, is
+    stepped on a copy.  These are the steps of ``evolve(T)``, so each
+    stop is bit for bit a fresh run to T.  Returns ({T: u(T, 0)}, any
+    gradient excursion, steps marched).
+    """
+    env, G, beta, theta, scheme, n, stops = args
+    dx, dt = scheme.dx, scheme.dt
+    u = lambda x: theta * x  # evolve evaluates it on its own grid
+    runs, at_zero, n_prev = [], {}, 0
+    for t_stop in stops:
+        n_k = int(math.floor(t_stop / dt + 1e-9))
+        if n_k > n_prev:
+            runs.append(evolve(env, G, beta, u, SchemeConfig(
+                dx=dx, dt=dt, M=n * dx, T=(n_k - n_prev) * dt, theta=theta)))
+            u, n_prev = runs[-1].u, n_k
+        end = u  # a stop below dt leaves u callable, but takes a tail
+        tail = t_stop - n_k * dt
+        if tail > 1e-12 * t_stop:
+            # dt = T = tail: one step of size tail, one factorization
+            runs.append(evolve(env, G, beta, u, SchemeConfig(
+                dx=dx, dt=tail, M=n * dx, T=tail, theta=theta)))
+            end = runs[-1].u
+        at_zero[t_stop] = float(end[n])
+    return (at_zero, any(r.grad_excursion for r in runs),
+            sum(r.steps for r in runs))
+
+
 def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
                      epsilons, scheme: SchemeConfig, *,
                      reference: float | None = None,
                      ref_tol: float = 2e-2, ref_X: float = 300.0,
-                     ref_dx: float = 0.01) -> SweepResult:
+                     ref_dx: float = 0.01, workers: int = 1) -> SweepResult:
     """Record eps * u_theta(1/eps, 0) along an epsilon ladder.
 
-    ``scheme.M`` is the half-width of the scaled domain: each run uses
-    [-M/eps, M/eps] at unit scale (and [-2M/eps, 2M/eps] for the
-    sensitivity rerun), evolving u(0, x) = theta x to T = 1/eps with the
-    linear-theta boundary.  ``reference`` defaults to the effective
+    ``scheme.M`` is the half-width of the scaled domain: each epsilon
+    reads [-M/eps, M/eps] at unit scale (and [-2M/eps, 2M/eps] for the
+    sensitivity), evolving u(0, x) = theta x to T = 1/eps with the
+    linear-theta boundary; ``scheme.T`` and ``scheme.boundary`` are not
+    used.  Domains are keyed by their half-width in nodes and each is
+    marched once, stopping at every T that reads it: on a halving
+    ladder the doubled domain at eps is the base domain at eps/2.
+    ``workers > 1`` runs the marches in a process pool; the result does
+    not depend on it.  ``reference`` defaults to the effective
     Hamiltonian at theta, computed from correctors on the same medium.
     """
     beta = float(beta)
@@ -432,10 +457,11 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     if np.any(eps_arr <= 0.0) or np.any(eps_arr >= 1.0):
         raise ConfigError("epsilons must lie in (0, 1)")
 
-    # check the window once, against the widest (doubled) run
+    # base half-width in nodes per eps; the window must cover the widest
+    halves = [math.ceil(scheme.M / (eps * scheme.dx) - 1e-9)
+              for eps in eps_arr]
     eps_min = float(eps_arr[-1])
-    n_widest = math.ceil(scheme.M / (eps_min * scheme.dx) - 1e-9)
-    m_widest = 2.0 * n_widest * scheme.dx
+    m_widest = 2.0 * halves[-1] * scheme.dx
     if env.window[0] > -m_widest - scheme.dx or \
             env.window[1] < m_widest + scheme.dx:
         raise WindowError(
@@ -443,33 +469,26 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
             f"domain [-{m_widest:g}, {m_widest:g}] at eps = {eps_min:g}")
 
     if reference is None:
-        from .effective import effective_reference
         reference, _ = effective_reference(env, G, beta, theta, ref_tol,
                                            X=ref_X, dx=ref_dx)
 
-    values = np.empty(eps_arr.size)
-    sens = np.empty(eps_arr.size)
-    excursion = False
-    steps = 0
-    for k, eps in enumerate(eps_arr):
-        t_final = 1.0 / eps
-        n_half = math.ceil(scheme.M / (eps * scheme.dx) - 1e-9)
-        pair = []
-        for m_run in (n_half * scheme.dx, 2 * n_half * scheme.dx):
-            run_scheme = SchemeConfig(dx=scheme.dx, dt=scheme.dt, M=m_run,
-                                      T=t_final, theta=theta,
-                                      boundary="linear")
-            res = evolve(env, G, beta, lambda x: theta * x, run_scheme)
-            i0 = int(round(m_run / scheme.dx))
-            pair.append(eps * float(res.u[i0]))
-            excursion = excursion or res.grad_excursion
-            steps += res.steps
-        values[k] = pair[0]
-        sens[k] = abs(pair[1] - pair[0])
+    # half-width in nodes -> its stops, increasing since eps decreases
+    stops = {}
+    for eps, n in zip(eps_arr, halves):
+        for width in (n, 2 * n):
+            stops.setdefault(width, []).append(1.0 / eps)
+    marches = _pmap(_march, [(env, G, beta, theta, scheme, n, ts)
+                             for n, ts in stops.items()], workers)
+    u0 = {(n, t): u for n, m in zip(stops, marches) for t, u in m[0].items()}
+    values = np.array([eps * u0[n, 1.0 / eps]
+                       for eps, n in zip(eps_arr, halves)])
+    doubled = np.array([eps * u0[2 * n, 1.0 / eps]
+                        for eps, n in zip(eps_arr, halves)])
     return SweepResult(theta=theta, epsilons=eps_arr, values=values,
                        reference=float(reference),
-                       domain_sensitivity=sens, grad_excursion=excursion,
-                       steps=steps)
+                       domain_sensitivity=np.abs(doubled - values),
+                       grad_excursion=any(m[1] for m in marches),
+                       steps=sum(m[2] for m in marches))
 
 
 # ============================================================

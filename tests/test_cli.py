@@ -323,8 +323,14 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     assert set(stats) == {"dt", "cfl", "evolve_steps", "grad_excursion"}
     assert 0.0 < stats["cfl"] <= 0.9 + 1e-12
     assert stats["dt"] > 0.0
-    # two runs (base and doubled domain) per epsilon, T = 1/eps each
-    assert stats["evolve_steps"] >= 2 * math.ceil((4.0 + 8.0) / stats["dt"])
+    # one march per domain: half-widths 80 (T = 4), 160 (T = 4 and 8,
+    # doubled at 0.25 and base at 0.125) and 320 (T = 8) nodes
+    dt = stats["dt"]
+    whole = {t: math.floor(t / dt + 1e-9) for t in (4.0, 8.0)}
+    tail = {t: int(t - whole[t] * dt > 1e-12 * t) for t in (4.0, 8.0)}
+    assert stats["evolve_steps"] == (whole[4.0] + tail[4.0]
+                                     + whole[8.0] + tail[4.0] + tail[8.0]
+                                     + whole[8.0] + tail[8.0])
     assert stats["grad_excursion"] is False
 
 

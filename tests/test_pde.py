@@ -423,6 +423,53 @@ def test_homogenize_iid_flat_slope_runs():
     assert np.all(res.domain_sensitivity >= 0.0)
 
 
+def _fresh_runs(env, theta, epsilons, scheme):
+    """The sweep from one fresh evolve per (domain, T), the steps those
+    runs take, and the steps of one march per distinct domain: to its
+    last T once, plus one tail step per stop that has a tail."""
+    values, sens, excursion, fresh, stops = [], [], False, 0, {}
+    for eps in epsilons:
+        n_half = math.ceil(scheme.M / (eps * scheme.dx) - 1e-9)
+        pair = []
+        for n in (n_half, 2 * n_half):
+            run = SchemeConfig(dx=scheme.dx, dt=scheme.dt, M=n * scheme.dx,
+                               T=1.0 / eps, theta=theta)
+            res = evolve(env, G, BETA, lambda x: theta * x, run)
+            pair.append(eps * float(res.u[n]))
+            excursion = excursion or res.grad_excursion
+            fresh += res.steps
+            stops.setdefault(n, []).append(1.0 / eps)
+        values.append(pair[0])
+        sens.append(abs(pair[1] - pair[0]))
+    marched = 0
+    for ts in stops.values():
+        whole = [math.floor(t / scheme.dt + 1e-9) for t in ts]
+        marched += max(whole) + sum(t - w * scheme.dt > 1e-12 * t
+                                    for t, w in zip(ts, whole))
+    return np.array(values), np.array(sens), excursion, fresh, marched
+
+
+@pytest.mark.parametrize("epsilons", [(0.5, 0.25, 0.125), (0.5, 0.3)])
+@pytest.mark.parametrize("dt", [None, 1.0 / 128.0])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_homogenize_marches_each_domain_once(epsilons, dt, workers):
+    env = generate_env("iid-interp", 11, (-40.0, 40.0), 0.01)
+    dx = 0.05
+    # None: the CFL step, a tail at every stop; 1/128 divides T = 2, 4, 8
+    dt = dt or stable_dt(env, G, BETA, 1.0, dx)
+    scheme = SchemeConfig(dx=dx, dt=dt, M=1.0, T=1.0, theta=1.0)
+    values, sens, excursion, fresh, marched = _fresh_runs(
+        env, 1.0, epsilons, scheme)
+    res = homogenize_sweep(env, G, BETA, 1.0, epsilons, scheme,
+                           reference=1.0, workers=workers)
+    assert res.values.tolist() == values.tolist()
+    assert res.domain_sensitivity.tolist() == sens.tolist()
+    assert res.grad_excursion == excursion
+    assert res.steps == marched
+    # the halving ladder shares two domains, the other ladder none
+    assert (marched < fresh) == (epsilons[-1] == 0.125)
+
+
 # ------------------------------------------------------------
 # residual probes
 # ------------------------------------------------------------
