@@ -31,6 +31,7 @@ from .effective import (
     invert_theta,
     kappa_tilde,
     save_effective,
+    save_theta_curve,
 )
 from .environment import (
     KINDS,

@@ -28,7 +28,8 @@ from .corrector import (
     estimate_theta,
     save_profile,
 )
-from .effective import _pmap, build_effective_H, save_effective
+from .effective import (_pmap, build_effective_H, save_effective,
+                        save_theta_curve)
 from .environment import (
     KINDS,
     check_singular_hill,
@@ -311,11 +312,7 @@ def cmd_theta_curve(cfg: RunConfig) -> list[Path]:
              for lam in lams]
     rows = _pmap(_theta_task, tasks, cfg.workers)
     out = cfg.out_dir / "theta_curve.csv"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("lam,theta,ci,flagged\n")
-        for lam, theta, ci, flagged, _ in rows:
-            fh.write(f"{float(lam)!r},{float(theta)!r},{float(ci)!r},"
-                     f"{bool(flagged)}\n")
+    save_theta_curve([r[:4] for r in rows], str(out))
     cfg.stats.update(rk4_steps=sum(r[4] for r in rows))
     return [out]
 

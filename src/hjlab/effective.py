@@ -47,6 +47,7 @@ __all__ = [
     "kappa_tilde",
     "inverse_modulus",
     "save_effective",
+    "save_theta_curve",
 ]
 
 
@@ -538,3 +539,12 @@ def save_effective(eff: EffectiveH, path: str) -> None:
         fh.write("theta,H,H_lo,H_hi,branch\n")
         for th, lam, lo, hi, br in rows:
             fh.write(f"{th!r},{lam!r},{lo!r},{hi!r},{br}\n")
+
+
+def save_theta_curve(rows, path: str) -> None:
+    """Write `lam,theta,ci,flagged`, one row per (lam, theta, ci, flagged)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("lam,theta,ci,flagged\n")
+        for lam, theta, ci, flagged in rows:
+            fh.write(f"{float(lam)!r},{float(theta)!r},{float(ci)!r},"
+                     f"{bool(flagged)}\n")

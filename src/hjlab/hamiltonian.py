@@ -12,13 +12,15 @@ families and guarded numerics for tabulated data:
   interpolant);
 * Lipschitz constants on intervals, for CFL bounds and probe slack;
 * a monotonicity modulus of branch 2 on a bracket, which drives the
-  contraction certificate (exponential when the modulus is linear,
-  quadrature-based when it degenerates at the left endpoint);
+  contraction certificate (exponential when the modulus is linear; when
+  it degenerates at the left endpoint, an in-house globally adaptive
+  7/15-point Gauss-Kronrod rule integrates the transform);
 * a growth report against power-type upper/lower envelopes.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -43,6 +45,20 @@ __all__ = [
 ]
 
 _INV_TOL = 1e-12
+
+# Gauss-Kronrod 7/15 rule on [-1, 1]: the positive Kronrod nodes x_0..x_6
+# (x_1, x_3, x_5 are Gauss nodes) and the centre 0; _WGK holds the K15
+# weights of x_0..x_6 and 0, _WG the G7 weights of x_1, x_3, x_5 and 0
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
 
 # ============================================================
@@ -410,6 +426,48 @@ def bracket(G, branch: int, lam: float, beta: float) -> tuple[float, float]:
 # Contraction modulus and its certificate transform
 # ============================================================
 
+def _gk15(f, a: float, b: float) -> tuple[float, float]:
+    """K15 estimate of the integral of f over [a, b] and |K15 - G7|."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(c)
+    k, g = _WGK[7] * fc, _WG[3] * fc
+    for j in range(7):
+        x = h * _XGK[j]
+        pair = f(c - x) + f(c + x)
+        k += _WGK[j] * pair
+        if j & 1:
+            g += _WG[j >> 1] * pair
+    return k * h, abs((k - g) * h)
+
+
+def _adaptive_gk(f, edges, epsabs: float, epsrel: float, limit: int) -> float:
+    """Globally adaptive 7/15 Gauss-Kronrod quadrature of f.
+
+    Starts from the panels between consecutive ``edges`` and bisects the
+    panel with the largest |K15 - G7| until the summed estimate meets
+    max(epsabs, epsrel |I|).  Raises CertificateError when that needs
+    more than ``limit`` panels.
+    """
+    heap = []
+    for a, b in zip(edges, edges[1:]):
+        val, err = _gk15(f, a, b)
+        heapq.heappush(heap, (-err, a, b, val))
+    while True:
+        total = math.fsum(p[3] for p in heap)
+        err = math.fsum(-p[0] for p in heap)
+        if err <= max(epsabs, epsrel * abs(total)):
+            return total
+        if len(heap) >= limit:
+            raise CertificateError(
+                f"adaptive quadrature left an error estimate of {err:.3g} "
+                f"on {total:.17g} after {len(heap)} panels")
+        _, a, b, _ = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        for lo, hi in ((a, mid), (mid, b)):
+            val, e = _gk15(f, lo, hi)
+            heapq.heappush(heap, (-e, lo, hi, val))
+
+
 @dataclass(frozen=True)
 class ContractionModulus:
     """Monotonicity modulus m of branch 2 on a bracket [p_lo, p_hi].
@@ -421,7 +479,12 @@ class ContractionModulus:
 
     converts an s-length of burn-in into a sup-norm contraction bound
     via its inverse: deviations h with a h' + m(h) <= 0 obey
-    h(x) <= phi_inv(s(x) - s(start)).
+    h(x) <= phi_inv(s(x) - s(start)).  A linear modulus has phi in
+    closed form; otherwise phi integrates e^u / m(e^u) over
+    [log p, log K] with a globally adaptive 7/15-point Gauss-Kronrod
+    rule (absolute 1e-13, relative 1e-12, at most 500 panels, else
+    CertificateError), split at u = 0, the kink of the power families'
+    fallback min(q, q^gamma).
     """
 
     kind: str                      # 'linear' or 'superlinear'
@@ -438,12 +501,11 @@ class ContractionModulus:
             return math.inf
         if self.kind == "linear":
             return math.log(self.K / p) / self.mu
-        from scipy.integrate import quad  # slow import; only lam = beta needs it
-
-        f = lambda u: math.exp(u) / self.m(math.exp(u))
-        val, _ = quad(f, math.log(p), math.log(self.K), limit=500,
-                      epsabs=1e-13, epsrel=1e-12)
-        return val
+        m = self.m
+        f = lambda u: math.exp(u) / m(math.exp(u))
+        a, b = math.log(p), math.log(self.K)
+        edges = (a, 0.0, b) if a < 0.0 < b else (a, b)
+        return _adaptive_gk(f, edges, 1e-13, 1e-12, 500)
 
     def phi_inv(self, z: float) -> float:
         if z <= 0.0:
@@ -461,6 +523,8 @@ class ContractionModulus:
         a, b = math.log(lo), math.log(self.K)
         for _ in range(120):
             mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break  # a and b are adjacent doubles
             if self.phi(math.exp(mid)) > z:
                 a = mid
             else:
@@ -515,7 +579,8 @@ def monotonicity_modulus(G, lam: float, beta: float, branch: int = 2) -> Contrac
 
     At lam = beta the bracket starts at 0 where the derivative of every
     smooth branch vanishes; the returned modulus is then the flagged
-    superlinear family fallback and phi is computed by quadrature.
+    superlinear family fallback and phi is computed by the adaptive
+    7/15-point Gauss-Kronrod rule of ``ContractionModulus``.
     """
     if lam < beta:
         raise ValueError(f"lam must be >= beta, got lam={lam}, beta={beta}")

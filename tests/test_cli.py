@@ -144,6 +144,30 @@ def test_cli_import_skips_scipy_stats_and_integrate():
     assert out.strip() == "[]"
 
 
+def test_effective_run_skips_scipy_stats_and_integrate(tmp_path):
+    # the lam = beta endpoints take the superlinear modulus, whose phi is
+    # the in-house Gauss-Kronrod rule: a whole effective run in a fresh
+    # process still loads neither scipy.stats nor scipy.integrate
+    text = ("[env]\nkind = iid-interp\nseed = 3\nwindow = -300 300\n"
+            "dx_env = 0.01\n\n[model]\nbeta = 1.0\n\n[effective]\n"
+            "theta_grid = -1.5 1.5\nx = 40\ntol = 0.05\n")
+    cfg = _write(tmp_path, text)
+    out_dir = tmp_path / "out"
+    src = str(Path(hjlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys; from hjlab.cli import main; "
+            f"rc = main(['effective', '--config', {cfg!r}, '--out', "
+            f"{str(out_dir)!r}]); "
+            "print(rc, sorted(m for m in sys.modules "
+            "if m in ('scipy.stats', 'scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "0 []"
+    stats = json.loads((out_dir / "effective.meta.json").read_text())["stats"]
+    assert stats["flagged"] is True  # the superlinear modulus was used
+
+
 def test_seed_override_changes_data(tmp_path):
     iid = CONST_V0.replace("kind = constant", "kind = iid-interp")
     cfg = _write(tmp_path, iid)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hjlab.errors import CertificateError
 from hjlab.hamiltonian import (
     AsymPowerG,
+    ContractionModulus,
     GrowthCertificate,
     LogQuasiconvexG,
     PowerG,
@@ -18,6 +19,7 @@ from hjlab.hamiltonian import (
     monotonicity_modulus,
     validate_growth,
 )
+from hjlab.hamiltonian import _adaptive_gk, _gk15
 
 SQRT2 = math.sqrt(2.0)
 
@@ -196,6 +198,99 @@ def test_modulus_certificate_at_degenerate_level_random_pairs():
 def test_branch2_modulus_rejects_bad_levels():
     with pytest.raises(ValueError):
         branch2_modulus(PowerG(2.0), 2.0, 1.0)
+
+
+# ------------------------------------------------------------
+# adaptive Gauss-Kronrod rule behind phi
+# ------------------------------------------------------------
+
+@pytest.mark.parametrize("d", range(24))
+def test_gk15_exact_degrees(d):
+    # K15 integrates x^d exactly on [-1, 1] up to degree 22 (23 by
+    # symmetry), G7 up to degree 13, so |K15 - G7| vanishes there
+    val, err = _gk15(lambda x: x ** d, -1.0, 1.0)
+    exact = 0.0 if d % 2 else 2.0 / (d + 1)
+    assert abs(val - exact) <= 1e-15
+    if d <= 13:
+        assert err <= 1e-15
+    elif d % 2 == 0:
+        assert err > 1e-6  # G7 is no longer exact
+
+
+def _power_phi_closed(gamma, K, p):
+    # integral_p^K dq / min(q, q^gamma): q^-gamma below 1, 1/q above
+    if p >= 1.0:
+        return math.log(K / p)
+    if K <= 1.0:
+        return (p ** (1.0 - gamma) - K ** (1.0 - gamma)) / (gamma - 1.0)
+    return (p ** (1.0 - gamma) - 1.0) / (gamma - 1.0) + math.log(K)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("beta", [0.25, 1.0, 4.0, 25.0])
+def test_phi_matches_power_closed_forms(gamma, beta):
+    # beta > 1 puts the kink of min(q, q^gamma) at q = 1 inside (p, K);
+    # at gamma = 1.5, beta = 25, p = 0.48987 an unsplit panel holds it
+    # between its outer node and its end, where |K15 - G7| cannot see it
+    for G in (PowerG(gamma), AsymPowerG(2.5, gamma)):
+        M = monotonicity_modulus(G, lam=beta, beta=beta)
+        assert M.kind == "superlinear"
+        ps = [*np.geomspace(1e-6, 0.999 * M.K, 40), 0.48987]
+        for p in (float(p) for p in ps if p < M.K):
+            exact = _power_phi_closed(gamma, M.K, p)
+            assert M.phi(p) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.0, 4.0])
+def test_phi_log_family_matches_scipy_quad(beta):
+    from scipy.integrate import quad  # test-only oracle
+
+    M = monotonicity_modulus(LogQuasiconvexG(), lam=beta, beta=beta)
+    K = M.K
+    # min(log1p(q^2), log((1+K^2)/(1+(K-q)^2))) switches branch where
+    # q^2 - K q + 2 = 0, which has real roots once K^2 > 8
+    kinks = []
+    if K * K > 8.0:
+        r = math.sqrt(K * K - 8.0)
+        kinks = [0.5 * (K - r), 0.5 * (K + r)]
+    assert bool(kinks) == (beta > 2.0)
+
+    def f(u):
+        return math.exp(u) / M.m(math.exp(u))
+
+    for p in np.geomspace(1e-6, 0.999 * K, 25):
+        a, b = math.log(p), math.log(K)
+        pts = [math.log(q) for q in kinks if p < q < K] or None
+        ref, _ = quad(f, a, b, points=pts, limit=500, epsabs=1e-14,
+                      epsrel=1e-13)
+        assert M.phi(float(p)) == pytest.approx(ref, rel=1e-10)
+
+
+def test_adaptive_gk_raises_past_panel_limit():
+    # a kink at a non-dyadic point needs many bisections to reach 1e-13
+    f = lambda u: abs(u - 1.0 / 3.0)
+    with pytest.raises(CertificateError):
+        _adaptive_gk(f, (-1.0, 1.0), 1e-13, 1e-12, 4)
+    assert _adaptive_gk(f, (-1.0, 1.0), 1e-13, 1e-12, 500) == \
+        pytest.approx(10.0 / 9.0, rel=1e-12)
+
+
+def test_phi_inv_stops_at_adjacent_doubles(monkeypatch):
+    # the log-scale bisection ends once its bracket holds two adjacent
+    # doubles, not after a fixed 120 halvings
+    M = monotonicity_modulus(PowerG(2.0), lam=1.0, beta=1.0)
+    calls = []
+    phi = ContractionModulus.phi
+
+    def counting(self, p):
+        calls.append(p)
+        return phi(self, p)
+
+    monkeypatch.setattr(ContractionModulus, "phi", counting)
+    for z in (0.5, 30.0, 300.0):
+        calls.clear()
+        assert M.phi_inv(z) == pytest.approx(1.0 / (1.0 + z), rel=1e-12)
+        assert len(calls) <= 70
 
 
 # ------------------------------------------------------------
