@@ -287,8 +287,8 @@ def cmd_corrector(cfg: RunConfig) -> list[Path]:
     return [out]
 
 
-def _theta_task(args):
-    (env, G, beta, lam, branch, X, n_batches, tol, dx) = args
+def _theta_task(env, args):
+    (G, beta, lam, branch, X, n_batches, tol, dx) = args
     if env.kind == "constant":
         # disorder-free corrector slopes are exactly constant
         v0 = float(env.v_vals[0])
@@ -308,9 +308,9 @@ def cmd_theta_curve(cfg: RunConfig) -> list[Path]:
     tol = _get(p, "tol", 1e-6, positive=True)
     dx = _get(p, "dx", 0.01, positive=True)
     env = cfg.make_env()
-    tasks = [(env, cfg.G, cfg.beta, lam, branch, X, n_batches, tol, dx)
+    tasks = [(cfg.G, cfg.beta, lam, branch, X, n_batches, tol, dx)
              for lam in lams]
-    rows = _pmap(_theta_task, tasks, cfg.workers)
+    rows = _pmap(_theta_task, env, tasks, cfg.workers)
     out = cfg.out_dir / "theta_curve.csv"
     save_theta_curve([r[:4] for r in rows], str(out))
     cfg.stats.update(rk4_steps=sum(r[4] for r in rows))

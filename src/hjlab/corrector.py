@@ -19,11 +19,12 @@ solution to any prescribed tolerance:
   bit: an RK4 step depends only on f and those coefficients, so the
   rest of the check run would repeat the primary run exactly;
 * ``estimate_theta`` averages the corrector slope over a long window
-  with a batch-means confidence interval, and on request the
-  derivative of that average in lam: the tangent g = df/dlam of the
-  discrete RK4 run (start and lattice held fixed), rebuilt after the
-  run from its node values (each step is affine in g; the steps form
-  one unit lower-bidiagonal system);
+  with a batch-means confidence interval (its Student t quantile is
+  computed in-house from a cancellation-free tail series), and on
+  request the derivative of that average in lam: the tangent
+  g = df/dlam of the discrete RK4 run (start and lattice held fixed),
+  rebuilt after the run from its node values (each step is affine in
+  g, and a log-depth affine scan composes the steps);
 * ``find_low_slope_points`` and ``build_glued_profile`` assemble the
   flat-piece sub/supersolution profiles at the degenerate level
   lam = beta by bridging the two one-sided correctors across a
@@ -35,10 +36,9 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
-from scipy.special import stdtrit
 
 from .environment import EnvRealization, HillWitness, s_at, sample_many
 from .errors import (BracketExitError, CertificateError, ConfigError,
@@ -279,11 +279,12 @@ def _rk4_tangent(st: _Stages, G, fs: np.ndarray) -> np.ndarray:
     loop's own operations.  The step is then affine in g,
     g_{i+1} = alpha_i g_i + beta_i: its slope is the tangent step from
     g = 1 without the forcing A, its offset the step from g = 0 with
-    it.  The recurrence is one unit lower-bidiagonal system, solved in
-    fixed-size chunks by forward substitution (``dtbtrs``) so the
-    temporaries stay small.  The tangent starts at 0: the start
-    value's own dependence on lam decays over the burn-in like the
-    start itself.
+    it.  The recurrence is solved in fixed-size chunks, so the
+    temporaries stay small, each by a log-depth affine scan: after the
+    pass at offset k every entry holds the composition of the (up to)
+    2k steps ending at it.  The scan has no division, so it is safe for
+    any sign of alpha.  The tangent starts at 0: the start value's own
+    dependence on lam decays over the burn-in like the start itself.
     """
     n = fs.size - 1
     A, B, gder = st.A_arr, st.B_arr, G.deriv
@@ -317,16 +318,14 @@ def _rk4_tangent(st: _Stages, G, fs: np.ndarray) -> np.ndarray:
             return g0 + h6 * (q1 + 2.0 * (q2 + q3) + q4)
 
         alpha = step(1.0, False)
-        rhs = step(0.0, True)
-        rhs[0] += alpha[0] * g[i0]
-        ab = np.empty((2, i1 - i0))
-        ab[0] = 1.0
-        ab[1, :-1] = -alpha[1:]
-        ab[1, -1] = 0.0
-        sol, info = dtbtrs(ab, rhs[:, None], uplo="L", diag="U")
-        if info != 0:
-            raise RuntimeError(f"dtbtrs failed with info = {info}")
-        g[i0 + 1:i1 + 1] = sol[:, 0]
+        r = step(0.0, True)
+        r[0] += alpha[0] * g[i0]
+        k = 1
+        while k < r.size:
+            r[k:] += alpha[k:] * r[:-k]
+            alpha[k:] *= alpha[:-k]
+            k *= 2
+        g[i0 + 1:i1 + 1] = r
     return g
 
 
@@ -461,6 +460,84 @@ def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
 # Theta estimation
 # ============================================================
 
+# standard normal quantile at 0.975, the nu -> infinity limit of t
+_Z975 = 1.959963984540054
+# above this many degrees of freedom the Cornish-Fisher series is exact
+# to within 5e-16 relative; at or below it the tail series is summed
+_T_SERIES_MAX_NU = 1000
+
+
+def _t975_expansion(nu: int) -> float:
+    """Cornish-Fisher expansion of t_0.975(nu) to 1/nu^4 (A&S 26.7.5)."""
+    z = _Z975
+    z2 = z * z
+    g1 = z * (z2 + 1.0) / 4.0
+    g2 = z * ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0
+    g3 = z * (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0
+    g4 = z * ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2
+              - 945.0) / 92160.0
+    return z + (g1 + (g2 + (g3 + g4 / nu) / nu) / nu) / nu
+
+
+def _t_tail(t: float, nu: int, lead: float) -> float:
+    """P(|T| > t) for Student's t with nu degrees of freedom, t > 0.
+
+    With cos^2 theta = 1 / (1 + u), u = t^2 / nu, A&S 26.7.3 (odd nu)
+    and 26.7.4 (even nu) write P(|T| < t) as the first terms of a series
+    whose full sum is 1.  The tail is the rest of that series, one sum
+    for both parities:
+
+        P(|T| > t) = c sin(theta) sum_{i >= 0} l_i (1 + u)^-(nu/2 + i),
+
+    c = 2/pi for odd nu and 1 for even nu, l_0 = ``lead`` and
+    l_{i+1} = l_i (nu + 2i + 1) / (nu + 2i + 2).  Every term is
+    positive, so the sum has no cancellation; each power is taken as
+    exp(-(nu/2 + i) log1p(u)) so the rounding of cos^2 theta is not
+    raised to a large power.
+    """
+    u = t * t / nu
+    log_c2 = math.log1p(u)
+    coef, i, total = lead, 0, 0.0
+    while True:
+        term = coef * math.exp(-(0.5 * nu + i) * log_c2)
+        total += term
+        if term <= 1e-17 * total:
+            break
+        coef *= (nu + 2 * i + 1) / (nu + 2 * i + 2)
+        i += 1
+    pref = 2.0 / math.pi if nu % 2 else 1.0
+    return pref * math.sqrt(u / (1.0 + u)) * total
+
+
+@lru_cache(maxsize=None)
+def _student_t975(nu: int) -> float:
+    """Two-sided 95% quantile of Student's t: P(|T| > t) = 0.05.
+
+    For nu <= ``_T_SERIES_MAX_NU`` Newton's method on the tail series of
+    ``_t_tail`` from the Cornish-Fisher start; the tail is convex and
+    decreasing in t, so a few steps converge to within 1e-14 relative.
+    Above it the expansion itself.  The cost is bounded in nu: at most
+    about 10^4 series terms per tail.
+    """
+    if nu > _T_SERIES_MAX_NU:
+        return _t975_expansion(nu)
+    # l_0 = prod (m - 1) / m over 2 <= m <= nu with m of nu's parity
+    lead = 1.0
+    for m in range(2 + nu % 2, nu + 1, 2):
+        lead *= (m - 1) / m
+    # log of the density's constant Gamma((nu+1)/2) / (sqrt(nu pi) Gamma(nu/2))
+    log_norm = (math.lgamma(0.5 * (nu + 1)) - math.lgamma(0.5 * nu)
+                - 0.5 * math.log(nu * math.pi))
+    t = _t975_expansion(nu)
+    for _ in range(20):
+        density = math.exp(log_norm - 0.5 * (nu + 1) * math.log1p(t * t / nu))
+        step = (_t_tail(t, nu, lead) - 0.05) / (2.0 * density)
+        t += step
+        if abs(step) <= 1e-15 * t:
+            break
+    return t
+
+
 def _window_mean(vals: np.ndarray, grid: np.ndarray, X: float,
                  n_batches: int) -> tuple[float, float]:
     """Trapezoid average over the window and its batch-means half-width."""
@@ -468,7 +545,7 @@ def _window_mean(vals: np.ndarray, grid: np.ndarray, X: float,
     edges = np.linspace(0, vals.size - 1, n_batches + 1).astype(int)
     bm = np.array([vals[edges[k]:edges[k + 1] + 1].mean()
                    for k in range(n_batches)])
-    tcrit = float(stdtrit(n_batches - 1, 0.975))  # Student t quantile
+    tcrit = _student_t975(n_batches - 1)
     return mean, tcrit * float(bm.std(ddof=1)) / math.sqrt(n_batches)
 
 

@@ -29,8 +29,8 @@ single slope 0 at height ``beta*v0``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -366,17 +366,36 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
 # Assembly
 # ============================================================
 
-def _pmap(fn, tasks, workers: int) -> list:
-    """``fn`` over ``tasks``, results in task order; a process pool at
-    ``workers > 1``."""
+_pool_env = None  # the medium of a pool worker, set once by its initializer
+
+
+def _set_pool_env(env: EnvRealization) -> None:
+    global _pool_env
+    _pool_env = env
+
+
+def _call_with_pool_env(fn, task):
+    return fn(_pool_env, task)
+
+
+def _pmap(fn, env: EnvRealization, tasks, workers: int) -> list:
+    """``fn(env, task)`` over ``tasks``, results in task order.
+
+    At ``workers > 1`` a process pool runs them, and ``env`` reaches
+    each worker once, through the pool initializer, not once per task.
+    """
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_set_pool_env,
+                                 initargs=(env,)) as pool:
+            return list(pool.map(partial(_call_with_pool_env, fn), tasks))
+    return [fn(env, t) for t in tasks]
 
 
-def _invert_task(args):
-    (env, G, beta, theta, branch, tol, X, n_batches, dx, profile_tol,
+def _invert_task(env, args):
+    (G, beta, theta, branch, tol, X, n_batches, dx, profile_tol,
      endpoint) = args
     return invert_theta(env, G, beta, theta, branch, tol, X=X,
                         n_batches=n_batches, dx=dx, profile_tol=profile_tol,
@@ -437,11 +456,11 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
             f"theta grid must reach beyond both flat endpoints "
             f"({t1:.4g}, {t2:.4g})")
 
-    tasks = [(env, G, beta, float(th), 1, tol, X, n_batches, dx,
-              profile_tol, ep1) for th in left]
-    tasks += [(env, G, beta, float(th), 2, tol, X, n_batches, dx,
-               profile_tol, ep2) for th in right]
-    invs = _pmap(_invert_task, tasks, workers)
+    tasks = [(G, beta, float(th), 1, tol, X, n_batches, dx, profile_tol, ep1)
+             for th in left]
+    tasks += [(G, beta, float(th), 2, tol, X, n_batches, dx, profile_tol, ep2)
+              for th in right]
+    invs = _pmap(_invert_task, env, tasks, workers)
 
     rows1 = np.array([[i.theta, i.lam, i.lam_lo, i.lam_hi]
                       for i in invs if i.branch == 1], dtype=np.float64)

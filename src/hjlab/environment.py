@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError, WindowError
 
@@ -89,6 +88,9 @@ def _lattice_uniform(seed: int, idx, stream: int) -> np.ndarray:
 
 
 def _lattice_normal(seed: int, idx, stream: int) -> np.ndarray:
+    # only the gauss-squash medium draws normals: load scipy.special here
+    from scipy.special import ndtri
+
     u = _lattice_uniform(seed, idx, stream)
     tiny = 2.0 ** -53
     return ndtri(np.clip(u, tiny, 1.0 - tiny))

@@ -110,10 +110,11 @@ class PowerG:
     def branch2_derivative_inf(self, p_lo: float, p_hi: float) -> float:
         return self.gamma * p_lo ** (self.gamma - 1.0)
 
-    def branch2_fallback_modulus(self, K: float) -> Callable[[float], float]:
+    def branch2_fallback_modulus(self, K: float) -> tuple[Callable, tuple]:
         g = self.gamma
-        # (p+q)^g - p^g >= q^g on p >= 0; capped by q for certificate admissibility
-        return lambda q: min(q, q ** g)
+        # (p+q)^g - p^g >= q^g on p >= 0; capped by q for certificate
+        # admissibility, which puts a kink at q = 1
+        return (lambda q: min(q, q ** g)), (1.0,)
 
     def reflect(self) -> "PowerG":
         return self
@@ -171,9 +172,9 @@ class AsymPowerG:
     def branch2_derivative_inf(self, p_lo: float, p_hi: float) -> float:
         return self.gamma2 * p_lo ** (self.gamma2 - 1.0)
 
-    def branch2_fallback_modulus(self, K: float) -> Callable[[float], float]:
+    def branch2_fallback_modulus(self, K: float) -> tuple[Callable, tuple]:
         g = self.gamma2
-        return lambda q: min(q, q ** g)
+        return (lambda q: min(q, q ** g)), (1.0,)
 
     def reflect(self) -> "AsymPowerG":
         return AsymPowerG(self.gamma2, self.gamma1)
@@ -223,13 +224,18 @@ class LogQuasiconvexG:
         # derivative on the positive branch is unimodal with peak at p = 1
         return min(self._absderiv(p_lo), self._absderiv(p_hi))
 
-    def branch2_fallback_modulus(self, K: float) -> Callable[[float], float]:
+    def branch2_fallback_modulus(self, K: float) -> tuple[Callable, tuple]:
         # exact infimum of G(p+q) - G(p) over p in [0, K-q] sits at an endpoint
         def m(q):
             left = math.log1p(q * q)
             right = math.log((1.0 + K * K) / (1.0 + (K - q) ** 2)) if q <= K else left
             return min(q, left, right)
-        return m
+        # the two endpoint values cross where q (K - q) = 2, which has
+        # roots in (0, K) once K^2 > 8; their product is 2
+        if K * K <= 8.0:
+            return m, ()
+        q_hi = 0.5 * (K + math.sqrt(K * K - 8.0))
+        return m, (2.0 / q_hi, q_hi)
 
     def reflect(self) -> "LogQuasiconvexG":
         return self
@@ -357,7 +363,7 @@ class TabulatedG:
             raise CertificateError("bracket does not meet the tabulated branch")
         return float(sl[overlap].min())
 
-    def branch2_fallback_modulus(self, K: float) -> Callable[[float], float]:
+    def branch2_fallback_modulus(self, K: float) -> tuple[Callable, tuple]:
         grid = np.linspace(0.0, K, 257)
 
         def m(q):
@@ -371,7 +377,7 @@ class TabulatedG:
                     "tabulated branch is not strictly monotone enough for a fallback modulus")
             return min(q, val)
 
-        return m
+        return m, ()  # kinks wherever the minimizing grid point changes
 
     def reflect(self) -> "TabulatedG":
         return TabulatedG(-self.ps[::-1], self.gs[::-1])
@@ -483,8 +489,8 @@ class ContractionModulus:
     closed form; otherwise phi integrates e^u / m(e^u) over
     [log p, log K] with a globally adaptive 7/15-point Gauss-Kronrod
     rule (absolute 1e-13, relative 1e-12, at most 500 panels, else
-    CertificateError), split at u = 0, the kink of the power families'
-    fallback min(q, q^gamma).
+    CertificateError), split at the ``kinks`` of m that its family's
+    fallback reports.
     """
 
     kind: str                      # 'linear' or 'superlinear'
@@ -493,6 +499,7 @@ class ContractionModulus:
     mu: float | None
     m: Callable[[float], float]
     flagged: bool = False
+    kinks: tuple[float, ...] = ()
 
     def phi(self, p: float) -> float:
         if p >= self.K:
@@ -503,8 +510,8 @@ class ContractionModulus:
             return math.log(self.K / p) / self.mu
         m = self.m
         f = lambda u: math.exp(u) / m(math.exp(u))
-        a, b = math.log(p), math.log(self.K)
-        edges = (a, 0.0, b) if a < 0.0 < b else (a, b)
+        inner = [math.log(q) for q in self.kinks if p < q < self.K]
+        edges = (math.log(p), *inner, math.log(self.K))
         return _adaptive_gk(f, edges, 1e-13, 1e-12, 500)
 
     def phi_inv(self, z: float) -> float:
@@ -567,11 +574,11 @@ def branch2_modulus(G, y_lo: float, y_hi: float) -> ContractionModulus:
                                       mu=mu, m=lambda q, _mu=mu: _mu * q)
         raise CertificateError(
             "branch 2 derivative vanishes on the bracket and no fallback applies")
-    m = G.branch2_fallback_modulus(K)
+    m, kinks = G.branch2_fallback_modulus(K)
     if m(K * 0.5) <= 0.0:
         raise CertificateError("fallback modulus is not positive on the bracket")
     return ContractionModulus(kind="superlinear", bracket=(p_lo, p_hi), K=K,
-                              mu=None, m=m, flagged=True)
+                              mu=None, m=m, flagged=True, kinks=kinks)
 
 
 def monotonicity_modulus(G, lam: float, beta: float, branch: int = 2) -> ContractionModulus:

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .corrector import CorrectorProfile, GluedProfile
 from .effective import _pmap, effective_reference
@@ -224,6 +223,9 @@ def diffusion_solver(a, h: float, dx: float, boundary: str):
     ghost, and a 1e-3 bump lowered an end value by 3.3e-4 (u0 = -x,
     periodic medium, dx = 0.1, theta = 1).
     """
+    # only the evolve path solves: load scipy.linalg here, not at import
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
     inv_a = 1.0 / np.asarray(a, dtype=np.float64)
     c = h / dx ** 2
     # rows lo..hi-1 are unknowns; "clamp" fixes its two end rows
@@ -399,7 +401,7 @@ class SweepResult:
             arr.setflags(write=False)
 
 
-def _march(args):
+def _march(env, args):
     """March u(0, x) = theta x on [-n dx, n dx] once, to increasing stops.
 
     Whole steps to ``floor(T/dt + 1e-9)`` advance the shared state; the
@@ -408,7 +410,7 @@ def _march(args):
     stop is bit for bit a fresh run to T.  Returns ({T: u(T, 0)}, any
     gradient excursion, steps marched).
     """
-    env, G, beta, theta, scheme, n, stops = args
+    G, beta, theta, scheme, n, stops = args
     dx, dt = scheme.dx, scheme.dt
     u = lambda x: theta * x  # evolve evaluates it on its own grid
     runs, at_zero, n_prev = [], {}, 0
@@ -477,8 +479,8 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     for eps, n in zip(eps_arr, halves):
         for width in (n, 2 * n):
             stops.setdefault(width, []).append(1.0 / eps)
-    marches = _pmap(_march, [(env, G, beta, theta, scheme, n, ts)
-                             for n, ts in stops.items()], workers)
+    marches = _pmap(_march, env, [(G, beta, theta, scheme, n, ts)
+                                  for n, ts in stops.items()], workers)
     u0 = {(n, t): u for n, m in zip(stops, marches) for t, u in m[0].items()}
     values = np.array([eps * u0[n, 1.0 / eps]
                        for eps, n in zip(eps_arr, halves)])

@@ -131,41 +131,54 @@ def test_gen_env_deterministic_and_sidecar(tmp_path):
     assert "scipy" in meta["versions"]
 
 
-def test_cli_import_skips_scipy_stats_and_integrate():
-    # start-up cost: a fresh process importing the CLI loads neither
-    # scipy.stats nor scipy.integrate (module names, not timings)
+# scipy submodules that a command must not load unless it needs them
+_HEAVY = ('scipy.stats', 'scipy.integrate', 'scipy.special', 'scipy.linalg')
+
+
+def _loaded_heavy(argv: list[str]) -> list:
+    """[exit code, heavy scipy submodules loaded] of ``hjlab.cli.main(argv)``
+    in a fresh interpreter; with no ``argv`` only the import runs."""
     src = str(Path(hjlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, hjlab.cli; print(sorted(m for m in sys.modules "
-            "if m in ('scipy.stats', 'scipy.integrate')))")
+    code = ("import json, sys; from hjlab.cli import main; "
+            f"rc = main({argv!r}) if {argv!r} else None; "
+            "print(json.dumps([rc, sorted(m for m in sys.modules "
+            f"if m in {_HEAVY!r})]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_cli_import_skips_scipy_stats_and_integrate():
+    # start-up cost: a fresh process importing the CLI loads none of
+    # scipy.stats, scipy.integrate, scipy.special and scipy.linalg
+    # (module names, not timings)
+    assert _loaded_heavy([]) == [None, []]
 
 
 def test_effective_run_skips_scipy_stats_and_integrate(tmp_path):
     # the lam = beta endpoints take the superlinear modulus, whose phi is
-    # the in-house Gauss-Kronrod rule: a whole effective run in a fresh
-    # process still loads neither scipy.stats nor scipy.integrate
+    # the in-house Gauss-Kronrod rule, the CI takes the in-house t
+    # quantile and the tangent an in-house scan: a whole effective run
+    # in a fresh process loads no heavy scipy submodule
     text = ("[env]\nkind = iid-interp\nseed = 3\nwindow = -300 300\n"
             "dx_env = 0.01\n\n[model]\nbeta = 1.0\n\n[effective]\n"
             "theta_grid = -1.5 1.5\nx = 40\ntol = 0.05\n")
     cfg = _write(tmp_path, text)
     out_dir = tmp_path / "out"
-    src = str(Path(hjlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys; from hjlab.cli import main; "
-            f"rc = main(['effective', '--config', {cfg!r}, '--out', "
-            f"{str(out_dir)!r}]); "
-            "print(rc, sorted(m for m in sys.modules "
-            "if m in ('scipy.stats', 'scipy.integrate')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip().splitlines()[-1] == "0 []"
+    assert _loaded_heavy(["effective", "--config", cfg, "--out",
+                          str(out_dir)]) == [0, []]
     stats = json.loads((out_dir / "effective.meta.json").read_text())["stats"]
     assert stats["flagged"] is True  # the superlinear modulus was used
+
+
+def test_homogenize_run_loads_linalg_only(tmp_path):
+    # the diffusion solve needs LAPACK's dpttrf/dpttrs; nothing in a
+    # homogenize run needs scipy.special
+    cfg = _write(tmp_path, HOMOG_IID)
+    assert _loaded_heavy(["homogenize", "--config", cfg, "--out",
+                          str(tmp_path / "out")]) == [0, ["scipy.linalg"]]
 
 
 def test_seed_override_changes_data(tmp_path):
@@ -320,6 +333,25 @@ def test_effective_parallel_matches_sequential(tmp_path):
     assert len(m1["rows"]) == 4
     assert json.dumps(m1["rows"]) == json.dumps(m2["rows"])
     assert m1["stats"] == m2["stats"]
+
+
+def test_effective_iid_parallel_matches_sequential(tmp_path):
+    # a random medium reaches each pool worker once, through the pool
+    # initializer; the output does not depend on the worker count
+    text = ("[env]\nkind = iid-interp\nseed = 3\nwindow = -300 300\n"
+            "dx_env = 0.01\n\n[model]\nbeta = 1.0\n\n[effective]\n"
+            "theta_grid = -1.8 -1.5 1.5 1.8\nx = 40\ntol = 0.05\n")
+    cfg = _write(tmp_path, text)
+    d1, d2 = tmp_path / "w1", tmp_path / "w2"
+    assert main(["effective", "--config", cfg, "--out", str(d1)]) == 0
+    assert main(["effective", "--config", cfg, "--out", str(d2),
+                 "--workers", "2"]) == 0
+    assert (d1 / "effective.csv").read_bytes() == \
+        (d2 / "effective.csv").read_bytes()
+    m1, m2 = (json.loads((d / "effective.meta.json").read_text())
+              for d in (d1, d2))
+    assert len(m1["rows"]) == 4
+    assert json.dumps(m1["rows"]) == json.dumps(m2["rows"])
 
 
 def test_homogenize_flat_reference_is_beta(tmp_path):

@@ -8,6 +8,7 @@ from hjlab.corrector import (
     _rk4_run,
     _rk4_tangent,
     _stages,
+    _student_t975,
     build_glued_profile,
     burn_in_length,
     corrector_profile,
@@ -316,10 +317,9 @@ def test_theta_reports_profile_work(env_iid3):
 
 
 def test_theta_ci_uses_student_t_quantile(env_periodic):
-    # the CI's critical value is scipy.stats.t.ppf(0.975, n - 1) bit for
-    # bit, recomputed here from the profile's batch means
-    from scipy.stats import t as student_t
-
+    # the CI is tcrit sd / sqrt(n) bit for bit, recomputed here from the
+    # profile's batch means with the library's own t quantile (checked
+    # against oracles in test_student_t_quantile_matches_oracles)
     prof = corrector_profile(env_periodic, G, 1.0, 2.0, 2, (0.0, 10.0),
                              1e-6, 0.01)
     f = prof.f_vals
@@ -327,9 +327,35 @@ def test_theta_ci_uses_student_t_quantile(env_periodic):
         th = estimate_theta(env_periodic, G, 1.0, 2.0, 2, 10.0, n_batches=n)
         edges = np.linspace(0, f.size - 1, n + 1).astype(int)
         bm = np.array([f[edges[k]:edges[k + 1] + 1].mean() for k in range(n)])
-        ci = (float(student_t.ppf(0.975, n - 1)) * float(bm.std(ddof=1))
-              / math.sqrt(n))
+        ci = _student_t975(n - 1) * float(bm.std(ddof=1)) / math.sqrt(n)
         assert th.ci_halfwidth == ci
+
+
+def test_student_t_quantile_matches_oracles():
+    # t_0.975(nu): the tail series up to nu = 1000, the Cornish-Fisher
+    # expansion above; scipy itself is up to 3 ulp off the exact root
+    from scipy.special import stdtrit  # test-only oracle
+
+    nus = [*range(9, 201), 500, 1000, 10 ** 5]
+    for nu in nus:
+        assert _student_t975(nu) == pytest.approx(float(stdtrit(nu, 0.975)),
+                                                  rel=1e-14, abs=0.0)
+    try:
+        import mpmath
+    except ImportError:
+        return
+    with mpmath.workdps(30):
+        half = mpmath.mpf(1) / 2
+        for nu in nus:
+            # P(|T| > t) = I_{nu / (nu + t^2)}(nu / 2, 1 / 2) = 0.05
+            root = mpmath.findroot(
+                lambda t: mpmath.betainc(nu * half, half, 0, nu / (nu + t * t),
+                                         regularized=True) - mpmath.mpf("0.05"),
+                mpmath.mpf(_student_t975(nu)))
+            assert _student_t975(nu) == pytest.approx(float(root), rel=1e-14,
+                                                      abs=0.0)
+            if nu == 9:
+                assert float(root) == 2.2621571627982053  # correctly rounded
 
 
 def test_theta_validates_batches(env_periodic):
@@ -451,6 +477,49 @@ def test_tangent_is_the_derivative_of_the_discrete_run(env_periodic):
     fd = (run(2.0 + 1e-4)[1] - run(2.0 - 1e-4)[1]) / 2e-4
     assert g[0] == 0.0
     assert float(np.max(np.abs(g - fd))) <= 1e-6 * float(np.max(np.abs(g)))
+
+
+def test_tangent_matches_banded_solve(env_periodic):
+    # the chunked scan against one LAPACK forward substitution of the
+    # whole unit lower-bidiagonal system g_{i+1} - alpha_i g_i = r_i,
+    # whose coefficients are rebuilt here over the whole run at once
+    from scipy.linalg.lapack import dtbtrs  # test-only oracle
+
+    st = _stages(env_periodic, 2.0, 1.0, -20.0, 25.003, 0.01)
+    fs = np.asarray(_rk4_run(st, G, 1.2, 0.0, 5.0))
+    assert st.tail > 0.0 and st.n_steps > 4096
+    n = st.n_steps
+    A, B = st.A_arr, st.B_arr
+    a0, am, a1 = A[0:2 * n:2], A[1:2 * n:2], A[2:2 * n + 1:2]
+    h = np.where(np.arange(n) < st.n_full, st.dx, st.tail)
+    f = fs[:-1]
+    k1 = B[0:2 * n:2] - a0 * G(f)
+    y2 = f + 0.5 * h * k1
+    k2 = B[1:2 * n:2] - am * G(y2)
+    y3 = f + 0.5 * h * k2
+    k3 = B[1:2 * n:2] - am * G(y3)
+    y4 = f + h * k3
+    d = (a0 * G.deriv(f), am * G.deriv(y2), am * G.deriv(y3),
+         a1 * G.deriv(y4))
+
+    def step(g0, c):
+        q1 = c[0] - d[0] * g0
+        q2 = c[1] - d[1] * (g0 + 0.5 * h * q1)
+        q3 = c[1] - d[2] * (g0 + 0.5 * h * q2)
+        q4 = c[2] - d[3] * (g0 + h * q3)
+        return g0 + h / 6.0 * (q1 + 2.0 * (q2 + q3) + q4)
+
+    alpha = step(1.0, (0.0, 0.0, 0.0))
+    r = step(0.0, (a0, am, a1))
+    ab = np.ones((2, n))
+    ab[1, :-1] = -alpha[1:]
+    ab[1, -1] = 0.0
+    sol, info = dtbtrs(ab, r[:, None], uplo="L", diag="U")
+    assert info == 0
+    g = _rk4_tangent(st, G, fs)
+    assert g[0] == 0.0
+    assert float(np.max(np.abs(g[1:] - sol[:, 0]))) <= \
+        1e-13 * float(np.max(np.abs(g)))
 
 
 @pytest.mark.parametrize("branch", [2, 1])

@@ -241,7 +241,7 @@ def test_phi_matches_power_closed_forms(gamma, beta):
             assert M.phi(p) == pytest.approx(exact, rel=1e-12)
 
 
-@pytest.mark.parametrize("beta", [1.0, 4.0])
+@pytest.mark.parametrize("beta", [1.0, 4.0, 9.0])
 def test_phi_log_family_matches_scipy_quad(beta):
     from scipy.integrate import quad  # test-only oracle
 
@@ -254,6 +254,7 @@ def test_phi_log_family_matches_scipy_quad(beta):
         r = math.sqrt(K * K - 8.0)
         kinks = [0.5 * (K - r), 0.5 * (K + r)]
     assert bool(kinks) == (beta > 2.0)
+    assert list(M.kinks) == pytest.approx(kinks, rel=1e-15)
 
     def f(u):
         return math.exp(u) / M.m(math.exp(u))
@@ -263,7 +264,7 @@ def test_phi_log_family_matches_scipy_quad(beta):
         pts = [math.log(q) for q in kinks if p < q < K] or None
         ref, _ = quad(f, a, b, points=pts, limit=500, epsabs=1e-14,
                       epsrel=1e-13)
-        assert M.phi(float(p)) == pytest.approx(ref, rel=1e-10)
+        assert M.phi(float(p)) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_adaptive_gk_raises_past_panel_limit():
