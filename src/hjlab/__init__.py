@@ -17,17 +17,14 @@ from .corrector import (
     corrector_profile,
     estimate_theta,
     find_low_slope_points,
-    load_profile,
     residual_series,
     save_profile,
-    shoot,
 )
 from .effective import (
     EffectiveH,
     LambdaInversion,
     build_effective_H,
     effective_reference,
-    inverse_modulus,
     invert_theta,
     kappa_tilde,
     save_effective,
@@ -40,14 +37,10 @@ from .environment import (
     check_singular_hill,
     find_hill,
     generate_env,
-    load_env,
     reflect,
     s_at,
-    s_between,
-    sample,
     sample_many,
     save_env,
-    shift,
 )
 from .errors import (
     BracketExitError,
@@ -86,11 +79,9 @@ from .pde import (
     evolve,
     godunov_flux,
     homogenize_sweep,
-    profile_antiderivative,
     residual_probe,
     save_probe,
     save_sweep,
-    scheme_update,
     stable_dt,
 )
 

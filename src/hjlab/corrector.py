@@ -5,11 +5,11 @@ order-preserving and contracts inside the invariant slope bracket, so a
 single shooting run plus a certified burn-in produces the stationary
 solution to any prescribed tolerance:
 
-* ``shoot`` integrates the ODE with fixed-step RK4 and a bracket-exit
+* one fixed-step RK4 loop integrates the ODE with a bracket-exit
   guard — the bracket is invariant for the exact flow, so leaving it
   signals a bad step size or bad inputs, never a feature.  Branch 2 is
   shot rightward and branch 1 leftward, on the medium and G as given:
-  one stepping loop serves both, with a signed step;
+  the loop serves both, with a signed step;
 * ``burn_in_length`` turns a tolerance into a certified s-length via the
   contraction transform Phi of the branch modulus;
 * ``corrector_profile`` shoots through the burn-in from two different
@@ -41,8 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .environment import EnvRealization, HillWitness, s_at, sample_many
-from .errors import (BracketExitError, CertificateError, ConfigError,
-                     GlueError, WindowError)
+from .errors import BracketExitError, CertificateError, GlueError, WindowError
 from .hamiltonian import bracket as slope_bracket
 from .hamiltonian import monotonicity_modulus
 
@@ -50,7 +49,6 @@ __all__ = [
     "CorrectorProfile",
     "ThetaEstimate",
     "GluedProfile",
-    "shoot",
     "burn_in_length",
     "corrector_profile",
     "estimate_theta",
@@ -58,7 +56,6 @@ __all__ = [
     "find_low_slope_points",
     "build_glued_profile",
     "save_profile",
-    "load_profile",
 ]
 
 _BRACKET_GUARD = 1e-9
@@ -78,9 +75,10 @@ class CorrectorProfile:
     certificate from the superlinear fallback modulus; ``gap`` is the
     sup-distance between the two shooting starts on the region (None
     for single-run profiles); ``rk4_steps`` counts the RK4 steps
-    integrated to build the profile (0 when not recorded, as for a
-    profile loaded from a file).  ``g_vals`` holds the tangent df/dlam
-    at the grid nodes when it was asked for, else None.
+    integrated to build the profile (0 when not recorded, as for the
+    one-sided runs that ``build_glued_profile`` joins).  ``g_vals``
+    holds the tangent df/dlam at the grid nodes when it was asked for,
+    else None.
     """
 
     branch: int
@@ -335,31 +333,6 @@ def _rk4_forward(env: EnvRealization, G, lam: float, beta: float,
     """Integrate f' = (lam - beta V - G(f)) / a from (L, c) to x_end."""
     st = _stages(env, lam, beta, L, x_end, dx)
     return st.xs, np.asarray(_rk4_run(st, G, c, p_lo, p_hi))
-
-
-def shoot(env: EnvRealization, G, beta: float, lam: float, branch: int,
-          L: float, c: float, dx: float) -> CorrectorProfile:
-    """One shooting run across the remaining window.
-
-    Branch 2 integrates rightward from L to the window's right end,
-    branch 1 leftward from L to the window's left end; the grid is
-    returned in ascending order either way.  The run is *checked*
-    against the invariant bracket, never clamped to it.
-    """
-    if lam < beta:
-        raise ValueError(f"corrector level lam={lam} must be >= beta={beta}")
-    p_lo, p_hi = slope_bracket(G, branch, lam, beta)
-    if not (p_lo - 1e-12 <= c <= p_hi + 1e-12):
-        raise ValueError(f"start value c={c} outside branch bracket [{p_lo:g}, {p_hi:g}]")
-    if branch not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {branch}")
-    xs, fs = _rk4_forward(env, G, lam, beta, L, c, env.window[branch - 1],
-                          dx, p_lo, p_hi)
-    if branch == 1:
-        xs, fs = xs[::-1], fs[::-1]
-    return CorrectorProfile(branch=branch, lam=lam, beta=beta,
-                            grid=xs, f_vals=fs, burn_in=0.0,
-                            cert_bound=p_hi - p_lo, rk4_steps=xs.size - 1)
 
 
 def burn_in_length(G, beta: float, lam: float, tol: float,
@@ -795,44 +768,3 @@ def save_profile(prof: CorrectorProfile, path: str) -> None:
         buf.write(f"{x!r},{f!r}\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
-
-
-def load_profile(path: str) -> CorrectorProfile:
-    meta: dict[str, float] = {}
-    xs = []
-    fs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, rest = line[1:].strip().partition(" ")
-                meta[key] = float(rest)
-                continue
-            if line.startswith("x,"):
-                continue
-            sx, sf = line.split(",")
-            xs.append(float(sx))
-            fs.append(float(sf))
-    for key in ("branch", "lambda", "beta", "burn_in", "cert_bound"):
-        if key not in meta:
-            raise ValueError(f"{path}: missing header field {key}")
-    # the grid is the RK4 lattice: steps of one size, except a shorter
-    # tail step at the far end of the integration (the last step on
-    # branch 2, the first on branch 1)
-    grid = np.asarray(xs)
-    steps = np.diff(grid)
-    if steps.size:
-        branch2 = int(meta["branch"]) == 2
-        tail = float(steps[-1] if branch2 else steps[0])
-        body = steps[:-1] if branch2 else steps[1:]
-        h = float(body.max()) if body.size else tail
-        slack = 1e-9 * max(1.0, float(np.abs(grid).max()))
-        if (body.size and float(body.max() - body.min()) > slack) \
-                or not 0.0 < tail <= h + slack:
-            raise ConfigError(f"{path}: x column is not a uniform grid")
-    return CorrectorProfile(branch=int(meta["branch"]), lam=meta["lambda"],
-                            beta=meta["beta"], grid=grid,
-                            f_vals=np.asarray(fs), burn_in=meta["burn_in"],
-                            cert_bound=meta["cert_bound"])

@@ -23,7 +23,10 @@ safeguard bracket ``[lam_lo, lam_hi]`` as narrowed at acceptance.
 Disorder-free (constant) media are special-cased throughout: their
 correctors are constants, so every inversion is the closed form
 ``lam = G(theta) + beta*v0`` and the flat piece degenerates to the
-single slope 0 at height ``beta*v0``.
+single slope 0 at height ``beta*v0``.  The general path cannot stand
+in for them when v0 < 1: its level bracket and its flat level beta
+assume sup V = 1, and at v0 = 1 both endpoints are 0, which its
+straddle check rejects.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ __all__ = [
     "build_effective_H",
     "effective_reference",
     "kappa_tilde",
-    "inverse_modulus",
     "save_effective",
     "save_theta_curve",
 ]
@@ -160,7 +162,7 @@ class EffectiveH:
 
 
 # ============================================================
-# Rate-bound constants (pure functions of G)
+# Rate-bound constant (a pure function of G)
 # ============================================================
 
 def kappa_tilde(G, lam: float, beta: float, branch: int = 2) -> float:
@@ -180,24 +182,6 @@ def kappa_tilde(G, lam: float, beta: float, branch: int = 2) -> float:
     else:
         raise ValueError(f"branch must be 1 or 2, got {branch}")
     return float(G.lipschitz_on(iv))
-
-
-def inverse_modulus(G, lam: float, beta: float, eps: float,
-                    branch: int = 2, n: int = 2049) -> float:
-    """Largest jump of the branch inverse over a level step ``eps``.
-
-    Grid supremum of ``|G_b^{-1}(y+eps) - G_b^{-1}(y)|`` for
-    ``y, y+eps`` in ``[lam-beta, lam+1]``; the matching upper rate is
-    ``theta2(lam+eps) - theta2(lam) <= inverse_modulus(...)``.
-    """
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    lo = max(float(lam) - float(beta), 0.0)
-    hi = float(lam) + 1.0
-    ys = np.linspace(lo, hi - eps, n)
-    return float(max(abs(G.branch_inverse(branch, y + eps)
-                         - G.branch_inverse(branch, y)) for y in ys))
 
 
 # ============================================================

@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,16 +35,12 @@ __all__ = [
     "EnvRealization",
     "HillWitness",
     "generate_env",
-    "sample",
     "sample_many",
     "s_at",
-    "s_between",
     "find_hill",
     "check_singular_hill",
-    "shift",
     "reflect",
     "save_env",
-    "load_env",
     "KINDS",
 ]
 
@@ -240,8 +236,8 @@ class EnvRealization:
 
     Arrays are read-only; treat instances as immutable values.  ``flags``
     marks degenerate constructions (a constant potential never attains
-    the full range [0, 1]; reflected realizations cannot be regenerated
-    by shifting).
+    the full range [0, 1]; a reflected realization is a space-reversed
+    view, not a draw of its generator).
     """
 
     seed: int
@@ -295,15 +291,6 @@ class EnvRealization:
         # nodes live on the global lattice so that windows over the same
         # seed agree bitwise wherever they overlap
         return (self.lattice_origin + np.arange(self.n)) * self.dx_env
-
-    def potential_range(self) -> tuple[float, float]:
-        """Empirical (min V, max V) over the window.
-
-        The idealized medium has essential bounds 0 and 1; a finite
-        window only approaches them, so consumers that care get the
-        realized range instead of a promise.
-        """
-        return float(self.v_vals.min()), float(self.v_vals.max())
 
 
 @dataclass(frozen=True)
@@ -383,11 +370,6 @@ def sample_many(env: EnvRealization, x) -> tuple[np.ndarray, np.ndarray]:
     return a, v
 
 
-def sample(env: EnvRealization, x: float) -> tuple[float, float]:
-    a, v = sample_many(env, np.array([x]))
-    return float(a[0]), float(v[0])
-
-
 def s_at(env: EnvRealization, x) -> np.ndarray:
     """Scaled coordinate s(x), consistent with the stored table at nodes.
 
@@ -401,14 +383,6 @@ def s_at(env: EnvRealization, x) -> np.ndarray:
     x_node = env.window[0] + env.dx_env * i
     partial = (xq - x_node) * 0.5 * (1.0 / env.a_vals[i] + 1.0 / a_x)
     return env.s_table[i] + partial
-
-
-def s_between(env: EnvRealization, x1: float, x2: float) -> float:
-    """Trapezoid value of the integral of 1/a over [x1, x2]."""
-    if x2 < x1:
-        raise ValueError("s_between expects x1 <= x2")
-    lo, hi = s_at(env, np.array([x1, x2]))
-    return float(hi - lo)
 
 
 # ============================================================
@@ -462,20 +436,6 @@ def check_singular_hill(env: EnvRealization, c: float) -> float | None:
 # Lattice transformations
 # ============================================================
 
-def shift(env: EnvRealization, z: float) -> EnvRealization:
-    """Same underlying realization observed from a window moved by z.
-
-    Implemented by regenerating the deterministic process on the
-    translated lattice; grid nodes shared by both windows carry
-    identical values.
-    """
-    if "reflected" in env.flags:
-        raise ConfigError("reflected realizations carry no generator; cannot shift")
-    return generate_env(env.kind, env.seed,
-                        (env.window[0] + z, env.window[1] + z),
-                        env.dx_env, env.params)
-
-
 def reflect(env: EnvRealization) -> EnvRealization:
     """Space-reversed view x -> -x, used for branch-1 symmetry checks."""
     a = env.a_vals[::-1].copy()
@@ -508,54 +468,3 @@ def save_env(env: EnvRealization, path: str) -> None:
         buf.write(f"{xs[k]!r},{a[k]!r},{v[k]!r},{s[k]!r}\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
-
-
-def load_env(path: str) -> EnvRealization:
-    kind = None
-    seed = None
-    dx_env = None
-    params: dict = {}
-    flags: tuple[str, ...] = ()
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, rest = line[1:].strip().partition(" ")
-                if key == "kind":
-                    kind = rest.strip()
-                elif key == "seed":
-                    seed = int(rest)
-                elif key == "dx_env":
-                    dx_env = float(rest)
-                elif key == "params":
-                    params = json.loads(rest)
-                elif key == "flags":
-                    flags = tuple(json.loads(rest))
-                continue
-            if line.startswith("x,"):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if kind is None or seed is None or dx_env is None:
-        raise ConfigError(f"{path}: missing kind/seed/dx_env header")
-    if not rows:
-        raise ConfigError(f"{path}: no samples")
-    data = np.asarray(rows, dtype=np.float64)
-    xs, a, v, s = data.T
-    # the samples are the lattice {j * dx_env}: one step size, dx_env
-    steps = np.diff(xs)
-    slack = 1e-9 * max(1.0, float(np.abs(xs).max()))
-    if steps.size and float(steps.max() - steps.min()) > slack:
-        raise ConfigError(
-            f"{path}: x column is not uniformly spaced (steps from "
-            f"{float(steps.min()):g} to {float(steps.max()):g})")
-    if steps.size and abs(float(steps[0]) - dx_env) > slack:
-        raise ConfigError(
-            f"{path}: x spacing {float(steps[0]):g} disagrees with "
-            f"dx_env = {dx_env:g}")
-    env = EnvRealization(seed=seed, kind=kind, window=(float(xs[0]), float(xs[-1])),
-                         dx_env=dx_env, a_vals=a.copy(), v_vals=v.copy(),
-                         s_table=s.copy(), params=params, flags=flags)
-    return env

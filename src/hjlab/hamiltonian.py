@@ -119,9 +119,6 @@ class PowerG:
     def reflect(self) -> "PowerG":
         return self
 
-    def params(self) -> dict:
-        return {"gamma": self.gamma}
-
 
 class AsymPowerG:
     """G(p) = |p|^gamma1 for p < 0 and p^gamma2 for p >= 0."""
@@ -178,9 +175,6 @@ class AsymPowerG:
 
     def reflect(self) -> "AsymPowerG":
         return AsymPowerG(self.gamma2, self.gamma1)
-
-    def params(self) -> dict:
-        return {"gamma1": self.gamma1, "gamma2": self.gamma2}
 
 
 class LogQuasiconvexG:
@@ -239,9 +233,6 @@ class LogQuasiconvexG:
 
     def reflect(self) -> "LogQuasiconvexG":
         return self
-
-    def params(self) -> dict:
-        return {}
 
 
 class TabulatedG:
@@ -381,9 +372,6 @@ class TabulatedG:
 
     def reflect(self) -> "TabulatedG":
         return TabulatedG(-self.ps[::-1], self.gs[::-1])
-
-    def params(self) -> dict:
-        return {"n": int(self.ps.size)}
 
 
 def _checked_level(y: float) -> float:
@@ -537,25 +525,6 @@ class ContractionModulus:
             else:
                 b = mid
         return math.exp(0.5 * (a + b))
-
-    def inverse(self, eps: float) -> float:
-        """Smallest q with m(q) >= eps, capped at the bracket width."""
-        if eps <= 0.0:
-            return 0.0
-        if self.kind == "linear":
-            return min(eps / self.mu, self.K)
-        if self.m(self.K) <= eps:
-            return self.K
-        a, b = 0.0, self.K
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if self.m(mid) >= eps:
-                b = mid
-            else:
-                a = mid
-            if b - a <= 1e-14 * self.K:
-                break
-        return b
 
 
 def branch2_modulus(G, y_lo: float, y_hi: float) -> ContractionModulus:

@@ -44,13 +44,11 @@ __all__ = [
     "SweepResult",
     "SignReport",
     "godunov_flux",
-    "scheme_update",
     "cfl_gradient_range",
     "cfl_number",
     "stable_dt",
     "diffusion_solver",
     "evolve",
-    "profile_antiderivative",
     "homogenize_sweep",
     "residual_probe",
     "save_sweep",
@@ -77,6 +75,11 @@ class SchemeConfig:
     upwind, raising the neighbour lowers the end value: on the periodic
     medium (dx = 0.1, theta = 1) a 1e-3 bump lowered an output node by
     3.3e-4 for u0 = -x.
+
+    "clamp" stays, fault and all, because the corrector-data runs need
+    it: with linear ghosts the first-order check on u = t lam + F
+    (periodic medium, lam = 2, dx 0.05 -> 0.025) improves by only
+    0.000793 / 0.000443 = 1.79, short of the 1.8 it asserts.
     """
 
     dx: float
@@ -140,7 +143,7 @@ def stable_dt(env: EnvRealization, G, beta: float, theta: float,
 
 
 # ============================================================
-# Flux and one-step update
+# Upwind flux
 # ============================================================
 
 def godunov_flux(G, p_minus, p_plus, out=None):
@@ -155,19 +158,6 @@ def godunov_flux(G, p_minus, p_plus, out=None):
     up = G(np.maximum(p_plus, 0.0))
     out = np.maximum(down, up, out=out)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def scheme_update(G, beta: float, u_left, u_center, u_right, a, v,
-                  dx: float, dt: float):
-    """One explicit-Euler step of the three-point monotone scheme.
-
-    Monotone when ``dt (2 a / dx**2 + kappa / dx) <= 1``.  With ``a = 0``
-    it is the explicit stage of ``evolve``, monotone when
-    ``dt kappa / dx <= 1``.
-    """
-    lap = (u_right - 2.0 * u_center + u_left) / dx ** 2
-    flux = godunov_flux(G, (u_center - u_left) / dx, (u_right - u_center) / dx)
-    return u_center + dt * (a * lap + flux + beta * v)
 
 
 # ============================================================
@@ -347,26 +337,6 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
         xs=xs, u=u, t=t, steps=step, cfl=cfl,
         grad_range_seen=(seen_lo, seen_hi),
         grad_excursion=bool(seen_lo < p_lo or seen_hi > p_hi))
-
-
-def profile_antiderivative(profile) -> callable:
-    """F(x) = integral of the profile slope, pinned to F(0) = 0.
-
-    Linear interpolation between profile nodes; clamps outside the
-    profile grid (callers should cover their scheme domain).
-    """
-    grid = profile.grid
-    f = profile.f_vals
-    # cumulative trapezoid, starting at 0
-    F = np.concatenate(
-        ([0.0], np.cumsum(np.diff(grid) * (f[1:] + f[:-1]) / 2.0)))
-    if grid[0] <= 0.0 <= grid[-1]:
-        F = F - np.interp(0.0, grid, F)
-
-    def antiderivative(x):
-        return np.interp(x, grid, F)
-
-    return antiderivative
 
 
 # ============================================================

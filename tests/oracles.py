@@ -1,0 +1,96 @@
+"""Reference computations the tests compare hjlab against.
+
+None of these runs in a command.  Each is the plain form of a quantity
+the package computes another way:
+
+* ``shoot``: one bracket-checked RK4 run with no burn-in or second
+  start, the dense-step oracle for ``corrector_profile``;
+* ``scheme_update``: one fully explicit Euler step of the three-point
+  monotone scheme, the explicit-march oracle for ``pde.evolve``;
+* ``profile_antiderivative``: the cumulative trapezoid of a corrector
+  slope, the exact-solution data ``u = t lam + F``;
+* ``inverse_modulus``: the upper rate of ``theta2`` in lam, from the
+  branch inverse of G alone.
+"""
+
+import numpy as np
+
+from hjlab.corrector import CorrectorProfile, _rk4_forward
+from hjlab.hamiltonian import bracket
+from hjlab.pde import godunov_flux
+
+
+def shoot(env, G, beta: float, lam: float, branch: int,
+          L: float, c: float, dx: float) -> CorrectorProfile:
+    """One shooting run across the remaining window.
+
+    Branch 2 integrates rightward from L to the window's right end,
+    branch 1 leftward from L to the window's left end; the grid is
+    returned in ascending order either way.  The run is *checked*
+    against the invariant bracket, never clamped to it.
+    """
+    if lam < beta:
+        raise ValueError(f"corrector level lam={lam} must be >= beta={beta}")
+    p_lo, p_hi = bracket(G, branch, lam, beta)
+    if not (p_lo - 1e-12 <= c <= p_hi + 1e-12):
+        raise ValueError(f"start value c={c} outside branch bracket [{p_lo:g}, {p_hi:g}]")
+    if branch not in (1, 2):
+        raise ValueError(f"branch must be 1 or 2, got {branch}")
+    xs, fs = _rk4_forward(env, G, lam, beta, L, c, env.window[branch - 1],
+                          dx, p_lo, p_hi)
+    if branch == 1:
+        xs, fs = xs[::-1], fs[::-1]
+    return CorrectorProfile(branch=branch, lam=lam, beta=beta,
+                            grid=xs, f_vals=fs, burn_in=0.0,
+                            cert_bound=p_hi - p_lo, rk4_steps=xs.size - 1)
+
+
+def scheme_update(G, beta: float, u_left, u_center, u_right, a, v,
+                  dx: float, dt: float):
+    """One explicit-Euler step of the three-point monotone scheme.
+
+    Monotone when ``dt (2 a / dx**2 + kappa / dx) <= 1``.  With ``a = 0``
+    it is the explicit stage of ``evolve``, monotone when
+    ``dt kappa / dx <= 1``.
+    """
+    lap = (u_right - 2.0 * u_center + u_left) / dx ** 2
+    flux = godunov_flux(G, (u_center - u_left) / dx, (u_right - u_center) / dx)
+    return u_center + dt * (a * lap + flux + beta * v)
+
+
+def profile_antiderivative(profile):
+    """F(x) = integral of the profile slope, pinned to F(0) = 0.
+
+    Linear interpolation between profile nodes; clamps outside the
+    profile grid (callers should cover their scheme domain).
+    """
+    grid = profile.grid
+    f = profile.f_vals
+    # cumulative trapezoid, starting at 0
+    F = np.concatenate(
+        ([0.0], np.cumsum(np.diff(grid) * (f[1:] + f[:-1]) / 2.0)))
+    if grid[0] <= 0.0 <= grid[-1]:
+        F = F - np.interp(0.0, grid, F)
+
+    def antiderivative(x):
+        return np.interp(x, grid, F)
+
+    return antiderivative
+
+
+def inverse_modulus(G, lam: float, beta: float, eps: float,
+                    branch: int = 2, n: int = 2049) -> float:
+    """Largest jump of the branch inverse over a level step ``eps``.
+
+    Grid supremum of ``|G_b^{-1}(y+eps) - G_b^{-1}(y)|`` for
+    ``y, y+eps`` in ``[lam-beta, lam+1]``; the matching upper rate is
+    ``theta2(lam+eps) - theta2(lam) <= inverse_modulus(...)``.
+    """
+    eps = float(eps)
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    lo = max(float(lam) - float(beta), 0.0)
+    hi = float(lam) + 1.0
+    ys = np.linspace(lo, hi - eps, n)
+    return float(max(abs(G.branch_inverse(branch, y + eps)
+                         - G.branch_inverse(branch, y)) for y in ys))

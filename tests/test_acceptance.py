@@ -17,9 +17,8 @@ from hjlab.corrector import (
     burn_in_length,
     corrector_profile,
     estimate_theta,
-    shoot,
 )
-from hjlab.effective import effective_reference, inverse_modulus, kappa_tilde
+from hjlab.effective import effective_reference, kappa_tilde
 from hjlab.environment import (
     check_singular_hill,
     find_hill,
@@ -36,11 +35,11 @@ from hjlab.pde import (
     SchemeConfig,
     evolve,
     homogenize_sweep,
-    profile_antiderivative,
     residual_probe,
-    scheme_update,
     stable_dt,
 )
+from oracles import (inverse_modulus, profile_antiderivative, scheme_update,
+                     shoot)
 
 G2 = PowerG(2.0)
 GLOG = LogQuasiconvexG()

@@ -14,16 +14,15 @@ from hjlab.corrector import (
     corrector_profile,
     estimate_theta,
     find_low_slope_points,
-    load_profile,
     residual_series,
     save_profile,
-    shoot,
 )
 from hjlab.environment import HillWitness, generate_env, reflect
-from hjlab.errors import (BracketExitError, CertificateError, ConfigError,
-                          GlueError, WindowError)
+from hjlab.errors import (BracketExitError, CertificateError, GlueError,
+                          WindowError)
 from hjlab.hamiltonian import (AsymPowerG, PowerG, TabulatedG, bracket,
                                monotonicity_modulus)
+from oracles import shoot
 
 G = PowerG(2.0)
 SQRT2 = math.sqrt(2.0)
@@ -559,15 +558,24 @@ def test_tangent_constant_medium_closed_form():
 # serialization
 # ------------------------------------------------------------
 
+def _read_profile(path):
+    """(header fields, x column, f column) of a ``save_profile`` file."""
+    lines = path.read_text().splitlines()
+    meta = dict(line[2:].split(" ", 1) for line in lines if line.startswith("# "))
+    head = lines.index("x,f")
+    data = np.loadtxt(lines[head + 1:], delimiter=",", ndmin=2)
+    return meta, data[:, 0], data[:, 1]
+
+
 def test_profile_round_trip(tmp_path, profile_periodic):
     p = tmp_path / "prof.csv"
     save_profile(profile_periodic, str(p))
-    q = load_profile(str(p))
-    assert q.branch == profile_periodic.branch
-    assert q.lam == profile_periodic.lam
-    assert q.cert_bound == profile_periodic.cert_bound
-    assert np.array_equal(q.grid, profile_periodic.grid)
-    assert np.array_equal(q.f_vals, profile_periodic.f_vals)
+    meta, grid, f_vals = _read_profile(p)
+    assert int(meta["branch"]) == profile_periodic.branch
+    assert float(meta["lambda"]) == profile_periodic.lam
+    assert float(meta["cert_bound"]) == profile_periodic.cert_bound
+    assert np.array_equal(grid, profile_periodic.grid)
+    assert np.array_equal(f_vals, profile_periodic.f_vals)
 
 
 def test_profile_round_trip_with_tail_step(tmp_path, env_periodic):
@@ -580,14 +588,4 @@ def test_profile_round_trip_with_tail_step(tmp_path, env_periodic):
         steps = np.diff(prof.grid)
         assert float(steps.min()) == pytest.approx(0.004, abs=1e-9)
         save_profile(prof, str(p))
-        assert np.array_equal(load_profile(str(p)).grid, prof.grid)
-
-
-def test_load_profile_rejects_irregular_grid(tmp_path, profile_periodic):
-    p = tmp_path / "prof.csv"
-    save_profile(profile_periodic, str(p))
-    lines = p.read_text().splitlines(keepends=True)
-    del lines[len(lines) // 2]  # one node missing: one double step
-    p.write_text("".join(lines))
-    with pytest.raises(ConfigError):
-        load_profile(str(p))
+        assert np.array_equal(_read_profile(p)[1], prof.grid)

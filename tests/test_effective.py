@@ -19,7 +19,6 @@ from hjlab.effective import (
     EffectiveH,
     build_effective_H,
     effective_reference,
-    inverse_modulus,
     invert_theta,
     kappa_tilde,
     save_effective,
@@ -28,6 +27,7 @@ from hjlab.corrector import ThetaEstimate, estimate_theta
 from hjlab.environment import generate_env
 from hjlab.errors import CertificateError, ConfigError, FlatPieceError
 from hjlab.hamiltonian import PowerG, bracket
+from oracles import inverse_modulus
 
 BETA = 1.0
 

@@ -121,7 +121,6 @@ def test_modulus_linear_power():
     zstar = M.phi(1e-6)
     assert zstar == pytest.approx(6.467068485472366, abs=1e-12)
     assert M.phi_inv(zstar) == pytest.approx(1e-6, rel=1e-12)
-    assert M.inverse(0.1) == pytest.approx(0.05, abs=1e-15)
 
 
 def test_modulus_linear_power_lam5():

@@ -23,13 +23,12 @@ from hjlab.pde import (
     evolve,
     godunov_flux,
     homogenize_sweep,
-    profile_antiderivative,
     residual_probe,
     save_probe,
     save_sweep,
-    scheme_update,
     stable_dt,
 )
+from oracles import profile_antiderivative, scheme_update
 
 G = PowerG(2.0)
 BETA = 1.0
