@@ -110,16 +110,21 @@ class RunConfig:
             raise ConfigError(f"cannot build the medium: {exc}") from exc
 
 
+def _as_int(raw: str) -> int:
+    """An integer written as an integer or an integral float, else ValueError."""
+    f = float(raw)
+    if not f.is_integer():
+        raise ValueError(raw)
+    return int(f)
+
+
 def _require(section, key, kind=str):
     if key not in section:
         raise ConfigError(f"missing required key {key!r} in [{section.name}]")
     raw = section[key]
     try:
         if kind is int:
-            f = float(raw)
-            if f != int(f):
-                raise ValueError
-            return int(f)
+            return _as_int(raw)
         if kind is float:
             return float(raw)
     except ValueError:
@@ -220,7 +225,7 @@ def _get(params: dict, key: str, default=None, kind=float,
         if kind is float:
             val = float(raw)
         elif kind is int:
-            val = int(float(raw))
+            val = _as_int(raw)
         elif kind is list:
             val = _floats(raw)
         else:
@@ -282,8 +287,7 @@ def cmd_corrector(cfg: RunConfig) -> list[Path]:
                              tol, dx)
     out = cfg.out_dir / "corrector.csv"
     save_profile(prof, str(out))
-    cfg.stats.update(rk4_steps=prof.rk4_steps, gap=prof.gap,
-                     flagged=prof.flagged)
+    cfg.stats.update(rk4_steps=prof.rk4_steps, cert_bound=prof.cert_bound)
     return [out]
 
 
@@ -293,10 +297,10 @@ def _theta_task(env, args):
         # disorder-free corrector slopes are exactly constant
         v0 = float(env.v_vals[0])
         theta = G.branch_inverse(branch, max(lam - beta * v0, 0.0))
-        return (lam, theta, 0.0, False, 0)
+        return (lam, theta, 0.0, 0.0, 0)
     est = estimate_theta(env, G, beta, lam, branch, X,
                          n_batches=n_batches, tol=tol, dx=dx)
-    return (lam, est.mean, est.ci_halfwidth, est.flagged, est.rk4_steps)
+    return (lam, est.mean, est.ci_halfwidth, est.cert_bound, est.rk4_steps)
 
 
 def cmd_theta_curve(cfg: RunConfig) -> list[Path]:
@@ -334,9 +338,7 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
     out = cfg.out_dir / "effective.csv"
     save_effective(eff, str(out))
     cfg.stats.update(n_evals=eff.n_evals, rk4_steps=eff.rk4_steps,
-                     theta1_ci=eff.theta1_ci, theta2_ci=eff.theta2_ci,
-                     flagged=eff.flagged,
-                     inversions_flagged=eff.inversions_flagged)
+                     theta1_ci=eff.theta1_ci, theta2_ci=eff.theta2_ci)
     # one record per branch row, with Hbar' = 1 / theta'(lam)
     cfg.rows = [dict(asdict(inv), dH_dtheta=1.0 / inv.dtheta_dlam
                      if inv.dtheta_dlam else None) for inv in eff.inversions]
@@ -401,6 +403,8 @@ def cmd_hill_check(cfg: RunConfig) -> list[Path]:
     Cs = (_get(p, "cs", kind=list, positive=True) if "cs" in p
           else [_get(p, "c", positive=True)])
     doublings = _get(p, "doublings", 0, int)
+    if doublings < 0:
+        raise ConfigError(f"doublings must be >= 0, got {doublings}")
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("h,C,window_half,found,L1,L2,scaled_length,v_min\n")
         for h in hs:

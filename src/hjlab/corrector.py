@@ -1,23 +1,27 @@
 """Static corrector construction for a f' + G(f) + beta V = lam.
 
 The slope field f of a corrector solves a first-order ODE whose flow is
-order-preserving and contracts inside the invariant slope bracket, so a
-single shooting run plus a certified burn-in produces the stationary
-solution to any prescribed tolerance:
+order-preserving inside the invariant slope bracket, so the runs from
+the bracket's two ends enclose the stationary solution, and a burn-in
+over which they meet to within a tolerance produces it to that
+tolerance:
 
 * one fixed-step RK4 loop integrates the ODE with a bracket-exit
   guard — the bracket is invariant for the exact flow, so leaving it
   signals a bad step size or bad inputs, never a feature.  Branch 2 is
   shot rightward and branch 1 leftward, on the medium and G as given:
   the loop serves both, with a signed step;
-* ``burn_in_length`` turns a tolerance into a certified s-length via the
-  contraction transform Phi of the branch modulus;
-* ``corrector_profile`` shoots through the burn-in from two different
-  starting values and checks that they have merged to within 2 tol.
-  Both runs share one pass of sampled stage coefficients, and the check
-  run stops at the first node where it equals the primary run bit for
-  bit: an RK4 step depends only on f and those coefficients, so the
-  rest of the check run would repeat the primary run exactly;
+* ``corrector_profile`` shoots through a burn-in from both ends of the
+  bracket, with a step checked to keep each RK4 step increasing in f.
+  Every bracketed solution, the stationary corrector among them, then
+  stays between those two runs, so their measured distance on the
+  region is the certificate; the burn-in doubles until it is at most
+  tol.  ``burn_in_length`` gives the first burn-in, from the branch's
+  linear contraction rate where it is positive.  Both runs share one
+  pass of sampled stage coefficients, and the check run stops at the
+  first node where it equals the reported run bit for bit: an RK4 step
+  depends only on f and those coefficients, so the rest of the check
+  run would repeat the reported run exactly;
 * ``estimate_theta`` averages the corrector slope over a long window
   with a batch-means confidence interval (its Student t quantile is
   computed in-house from a cancellation-free tail series), and on
@@ -69,14 +73,12 @@ _BRACKET_GUARD = 1e-9
 class CorrectorProfile:
     """Slope field of a one-sided corrector on a reported region.
 
-    ``cert_bound`` is the certified sup-distance to the true stationary
-    slope on the region: Phi^-1 of the burn-in s-length, or the full
-    bracket width when no burn-in was performed.  ``flagged`` marks a
-    certificate from the superlinear fallback modulus; ``gap`` is the
-    sup-distance between the two shooting starts on the region (None
-    for single-run profiles); ``rk4_steps`` counts the RK4 steps
-    integrated to build the profile (0 when not recorded, as for the
-    one-sided runs that ``build_glued_profile`` joins).  ``g_vals``
+    ``cert_bound`` bounds the sup-distance to the stationary slope of
+    the discrete flow on the region: the measured width of the two-run
+    enclosure, or the full bracket width for a single run.
+    ``rk4_steps`` counts the RK4 steps integrated to build the profile
+    (0 when not recorded, as for the one-sided runs that
+    ``build_glued_profile`` joins).  ``g_vals``
     holds the tangent df/dlam at the grid nodes when it was asked for,
     else None.
     """
@@ -88,8 +90,6 @@ class CorrectorProfile:
     f_vals: np.ndarray
     burn_in: float
     cert_bound: float
-    flagged: bool = False
-    gap: float | None = None
     rk4_steps: int = 0
     g_vals: np.ndarray | None = None
 
@@ -123,7 +123,6 @@ class ThetaEstimate:
     window_length: float
     n_batches: int
     cert_bound: float
-    flagged: bool = False
     rk4_steps: int = 0
     dtheta_dlam: float | None = None
     dtheta_ci: float | None = None
@@ -335,22 +334,49 @@ def _rk4_forward(env: EnvRealization, G, lam: float, beta: float,
     return st.xs, np.asarray(_rk4_run(st, G, c, p_lo, p_hi))
 
 
-def burn_in_length(G, beta: float, lam: float, tol: float,
-                   branch: int = 2, modulus=None) -> float:
-    """Certified burn-in length so two bracketed runs merge to within tol.
+# first burn-in, in x-units, where the branch has no linear contraction
+# rate (mu = 0, as at lam = beta for the smooth families)
+_DEGENERATE_BURN_IN = 16.0
 
-    Returns z* with Phi^-1(z*) <= tol for the modulus of ``branch``;
-    a caller that has built that modulus already passes it as
-    ``modulus``.  z* is an s-length; since a <= 1 (s dominates x), it
-    is also a sufficient x-length on every realization.
+
+def burn_in_length(G, beta: float, lam: float, tol: float,
+                   branch: int = 2) -> float:
+    """First burn-in length for the two-run enclosure.
+
+    Where the modulus of ``branch`` has a linear rate mu > 0 it is the
+    s-length Phi(tol) = log(K / tol) / mu over which that rate shrinks
+    the bracket width K to tol; since a <= 1 (s dominates x), it is
+    also an x-length on every realization.  Where mu = 0 it is
+    ``_DEGENERATE_BURN_IN``.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    M = modulus if modulus is not None else monotonicity_modulus(
-        G, lam, beta, branch=branch)
+    M = monotonicity_modulus(G, lam, beta, branch=branch)
     if tol >= M.K:
         return 0.0
-    return M.phi(tol)
+    return M.phi(tol) if M.mu > 0.0 else _DEGENERATE_BURN_IN
+
+
+def _check_monotone_steps(env: EnvRealization, G, beta: float,
+                          p_lo: float, p_hi: float, dx: float) -> None:
+    """Require every RK4 step over the bracket to be increasing in f.
+
+    With A = 1/a and z_k = h A G'(y_k) at the four stage values y_k,
+    the step's derivative in f is multilinear in (z_1, ..., z_4), so
+    over |z_k| <= 1 its minimum sits at a vertex of the cube, where it
+    is 0.375 > 0.  The ODE right-hand side is at most beta max(A) in
+    size on the bracket (V in [0, 1]), so once |dx| max(A) L <= 1 for
+    the Lipschitz constant L of G on the padded bracket, every stage
+    offset is at most 1.75 |dx| max(A) beta, inside the pad of
+    2 |dx| max(A) beta, and |z_k| <= 1 follows.
+    """
+    A = 1.0 / float(env.a_vals.min())
+    pad = 2.0 * abs(dx) * A * beta
+    prod = abs(dx) * A * G.lipschitz_on((p_lo - pad, p_hi + pad))
+    if prod > 1.0:
+        raise CertificateError(
+            f"RK4 step is not monotone in f: |dx| max(1/a) Lip(G) = "
+            f"{prod:.3g} > 1 on the bracket [{p_lo:g}, {p_hi:g}]; reduce dx")
 
 
 def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
@@ -358,63 +384,61 @@ def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
                       dx: float, tangent: bool = False) -> CorrectorProfile:
     """Certified corrector slope on ``region``.
 
-    Shoots from beyond a certified burn-in with the bracket midpoint,
-    reports only the region, and cross-checks against a second run
-    started at a bracket endpoint: the two must agree to 2 tol on the
-    region, or the certificate is declared broken.  Both runs use one
-    pass of sampled stage coefficients, and the check run stops at the
-    first node where it equals the primary run bit for bit; from there
-    on it would repeat the primary's steps exactly, so the gap, the
-    bracket check and the certificate are those of two full runs.
-    With ``tangent``, the profile also carries df/dlam of the primary
-    run (``g_vals``).
+    Shoots from both ends of the slope bracket, a burn-in before the
+    region, and reports the run that starts nearer 0 (``p_lo`` on
+    branch 2, ``p_hi`` on branch 1).  Each RK4 step is increasing in f
+    (``_check_monotone_steps``), so the run from any start in the
+    bracket, the stationary corrector's included, lies between the
+    two; their largest distance on the region is ``cert_bound``.  While
+    it exceeds tol the burn-in doubles and both runs start again;
+    ``WindowError`` when the start leaves the window.  Both runs of an
+    attempt use one pass of sampled stage coefficients, and the check
+    run stops at the first node where it equals the reported run bit
+    for bit; from there on it would repeat the reported run exactly.
+    ``rk4_steps`` counts the steps of every attempt.  With ``tangent``,
+    the profile also carries df/dlam of the reported run (``g_vals``).
     """
     x_lo, x_hi = float(region[0]), float(region[1])
     if x_hi <= x_lo:
         raise ValueError(f"empty region {region}")
     p_lo, p_hi = slope_bracket(G, branch, lam, beta)
-    M = monotonicity_modulus(G, lam, beta, branch=branch)
+    _check_monotone_steps(env, G, beta, p_lo, p_hi, dx)
     # round the burn-in up to whole steps so region nodes sit exactly on
     # the integration lattice, the first of them at node n_burn
-    n_burn = math.ceil(burn_in_length(G, beta, lam, tol, modulus=M) / dx - 1e-9)
-    x_burn = n_burn * dx
-    mid = 0.5 * (p_lo + p_hi)
-    # branch 2 runs rightward through the region, branch 1 leftward; the
-    # run enters the region at r0
-    if branch == 2:
-        L, r0, x_end, starts = x_lo - x_burn, x_lo, x_hi, (mid, p_hi)
-    elif branch == 1:
-        L, r0, x_end, starts = x_hi + x_burn, x_hi, x_lo, (mid, p_lo)
-    else:
-        raise ValueError(f"branch must be 1 or 2, got {branch}")
-    if not env.window[0] - 1e-9 <= L <= env.window[1] + 1e-9:
-        raise WindowError(
-            f"region {region} with a burn-in of {x_burn:g} starts at "
-            f"x = {L:g}, outside the window {env.window}")
-    s_burn = abs(float(np.diff(s_at(env, np.array([L, r0])))[0]))
-
-    st = _stages(env, lam, beta, L, x_end, dx)
-    fs = _rk4_run(st, G, starts[0], p_lo, p_hi)
-    fs_alt = _rk4_run(st, G, starts[1], p_lo, p_hi, until=fs)
-    fs = np.asarray(fs)
-    # past the check run's last node the two runs are equal
-    diff = np.abs(fs[n_burn:len(fs_alt)] - np.asarray(fs_alt[n_burn:]))
-    gap = float(diff.max()) if diff.size else 0.0
-    if gap > 2.0 * tol:
-        raise CertificateError(
-            f"two shooting starts still differ by {gap:.3g} after the "
-            f"burn-in ({x_burn:g}); certified bound was {tol:g}")
+    n_burn = math.ceil(burn_in_length(G, beta, lam, tol, branch=branch) / dx
+                       - 1e-9)
+    # branch 2 runs rightward through the region, branch 1 leftward
+    starts = (p_lo, p_hi) if branch == 2 else (p_hi, p_lo)
+    steps, width = 0, None
+    while True:
+        x_burn = n_burn * dx
+        L, x_end = (x_lo - x_burn, x_hi) if branch == 2 else (x_hi + x_burn, x_lo)
+        if not env.window[0] - 1e-9 <= L <= env.window[1] + 1e-9:
+            seen = ("" if width is None else
+                    f"; the two starts still differed by {width:.3g} > {tol:g}")
+            raise WindowError(
+                f"region {region} with a burn-in of {x_burn:g} starts at "
+                f"x = {L:g}, outside the window {env.window}{seen}")
+        st = _stages(env, lam, beta, L, x_end, dx)
+        fs = _rk4_run(st, G, starts[0], p_lo, p_hi)
+        fs_alt = _rk4_run(st, G, starts[1], p_lo, p_hi, until=fs)
+        steps += len(fs_alt) - 1 + st.n_steps
+        # past the check run's last node the two runs are equal
+        fs = np.asarray(fs)
+        diff = np.abs(fs[n_burn:len(fs_alt)] - np.asarray(fs_alt[n_burn:]))
+        width = float(diff.max()) if diff.size else 0.0
+        if width <= tol:
+            break
+        n_burn = max(2 * n_burn, 1)
     gs = _rk4_tangent(st, G, fs)[n_burn:] if tangent else None
     xs, fs = st.xs[n_burn:], fs[n_burn:]
     if branch == 1:
         xs, fs = xs[::-1], fs[::-1]
         if tangent:
             gs = gs[::-1]
-    cert = min(M.phi_inv(s_burn), p_hi - p_lo)
     return CorrectorProfile(branch=branch, lam=lam, beta=beta,
-                            grid=xs, f_vals=fs, burn_in=x_burn, cert_bound=cert,
-                            flagged=M.flagged, gap=gap,
-                            rk4_steps=len(fs_alt) - 1 + st.n_steps, g_vals=gs)
+                            grid=xs, f_vals=fs, burn_in=x_burn,
+                            cert_bound=width, rk4_steps=steps, g_vals=gs)
 
 
 def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
@@ -549,7 +573,7 @@ def estimate_theta(env: EnvRealization, G, beta: float, lam: float,
         dmean, dci = _window_mean(prof.g_vals, prof.grid, X, n_batches)
     return ThetaEstimate(branch=branch, lam=lam, beta=beta, mean=mean,
                          ci_halfwidth=ci, window_length=X, n_batches=n_batches,
-                         cert_bound=prof.cert_bound, flagged=prof.flagged,
+                         cert_bound=prof.cert_bound,
                          rk4_steps=prof.rk4_steps, dtheta_dlam=dmean,
                          dtheta_ci=dci)
 

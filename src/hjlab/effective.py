@@ -62,9 +62,8 @@ class LambdaInversion:
     batch-means half-width, ``dtheta_dlam`` and ``dtheta_ci`` the
     derivative of that estimate in lam and its half-width (None where
     no tangent was computed, as for a reused endpoint).  ``n_evals``
-    counts slope estimates spent, ``rk4_steps`` their RK4 steps, and
-    ``flagged`` is set when any of them was.  A reused endpoint
-    estimate counts toward none of these.
+    counts slope estimates spent and ``rk4_steps`` their RK4 steps.  A
+    reused endpoint estimate counts toward neither.
     """
 
     branch: int
@@ -76,7 +75,6 @@ class LambdaInversion:
     ci: float
     n_evals: int
     rk4_steps: int = 0
-    flagged: bool = False
     dtheta_dlam: float | None = None
     dtheta_ci: float | None = None
 
@@ -91,12 +89,9 @@ class EffectiveH:
     for constant media; the flat piece is that exact constant, only the
     endpoints ``theta1_beta``/``theta2_beta`` are statistical.
 
-    ``n_evals``, ``rk4_steps`` and ``flagged`` sum up the work of the
-    build: slope estimates of the inversions, RK4 steps of the endpoint
-    estimates and the inversions, and whether any estimate was flagged.
-    ``inversions_flagged`` is the same flag over the inversions alone:
-    the lam = beta endpoints take the superlinear fallback modulus and
-    so are always flagged.  ``inversions`` keeps every branch row's
+    ``n_evals`` and ``rk4_steps`` sum up the work of the build: slope
+    estimates of the inversions, and RK4 steps of the endpoint
+    estimates and the inversions.  ``inversions`` keeps every branch row's
     ``LambdaInversion`` in theta order, with its final slope estimate,
     tangent and work counters.
     """
@@ -114,8 +109,6 @@ class EffectiveH:
     lambda_tol: float
     n_evals: int = 0
     rk4_steps: int = 0
-    flagged: bool = False
-    inversions_flagged: bool = False
     inversions: tuple[LambdaInversion, ...] = ()
 
     def __post_init__(self):
@@ -239,8 +232,9 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
 
     ``endpoint`` lets callers reuse a lam=beta estimate across many
     inversions; when omitted it is computed here with ``endpoint_tol``
-    as the burn-in tolerance (the lam=beta contraction is slow, so a
-    loose burn-in keeps the window requirement modest).
+    as the enclosure tolerance (the lam = beta runs merge only across
+    the potential's hills, so a loose tolerance keeps the window
+    requirement modest).
     """
     beta = float(beta)
     theta = float(theta)
@@ -301,7 +295,6 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                                lam_lo=lo, lam_hi=hi, theta_at_lam=est.mean,
                                ci=est.ci_halfwidth, n_evals=len(ests),
                                rk4_steps=sum(e.rk4_steps for e in ests),
-                               flagged=any(e.flagged for e in ests),
                                dtheta_dlam=est.dtheta_dlam,
                                dtheta_ci=est.dtheta_ci)
 
@@ -479,8 +472,6 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
                       theta_tol=tol, lambda_tol=float(widths.max(initial=0.0)),
                       n_evals=sum(i.n_evals for i in invs),
                       rk4_steps=sum(r.rk4_steps for r in endpoints + invs),
-                      flagged=any(r.flagged for r in endpoints + invs),
-                      inversions_flagged=any(i.flagged for i in invs),
                       inversions=tuple(invs))
 
 
@@ -545,9 +536,9 @@ def save_effective(eff: EffectiveH, path: str) -> None:
 
 
 def save_theta_curve(rows, path: str) -> None:
-    """Write `lam,theta,ci,flagged`, one row per (lam, theta, ci, flagged)."""
+    """Write `lam,theta,ci,cert_bound`, one row per such tuple."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lam,theta,ci,flagged\n")
-        for lam, theta, ci, flagged in rows:
+        fh.write("lam,theta,ci,cert_bound\n")
+        for lam, theta, ci, cert in rows:
             fh.write(f"{float(lam)!r},{float(theta)!r},{float(ci)!r},"
-                     f"{bool(flagged)}\n")
+                     f"{float(cert)!r}\n")

@@ -1,4 +1,4 @@
-"""Quasiconvex Hamiltonians and their certified moduli.
+"""Quasiconvex Hamiltonians and their contraction moduli.
 
 A Hamiltonian G here is coercive, continuous, zero at zero, strictly
 decreasing on the negative half-line (branch 1) and strictly increasing
@@ -11,16 +11,15 @@ families and guarded numerics for tabulated data:
   shooting run behind ``dtheta/dlam`` (tabulated data: the slope of the
   interpolant);
 * Lipschitz constants on intervals, for CFL bounds and probe slack;
-* a monotonicity modulus of branch 2 on a bracket, which drives the
-  contraction certificate (exponential when the modulus is linear; when
-  it degenerates at the left endpoint, an in-house globally adaptive
-  7/15-point Gauss-Kronrod rule integrates the transform);
+* a linear monotonicity modulus of branch 2 on a bracket, whose
+  exponential rate gives the corrector's first burn-in guess (the
+  certificate itself is the measured two-run enclosure; the rate is 0
+  where the branch derivative vanishes, as at lam = beta);
 * a growth report against power-type upper/lower envelopes.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -45,20 +44,6 @@ __all__ = [
 ]
 
 _INV_TOL = 1e-12
-
-# Gauss-Kronrod 7/15 rule on [-1, 1]: the positive Kronrod nodes x_0..x_6
-# (x_1, x_3, x_5 are Gauss nodes) and the centre 0; _WGK holds the K15
-# weights of x_0..x_6 and 0, _WG the G7 weights of x_1, x_3, x_5 and 0
-_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245)
-_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
 
 # ============================================================
@@ -109,12 +94,6 @@ class PowerG:
 
     def branch2_derivative_inf(self, p_lo: float, p_hi: float) -> float:
         return self.gamma * p_lo ** (self.gamma - 1.0)
-
-    def branch2_fallback_modulus(self, K: float) -> tuple[Callable, tuple]:
-        g = self.gamma
-        # (p+q)^g - p^g >= q^g on p >= 0; capped by q for certificate
-        # admissibility, which puts a kink at q = 1
-        return (lambda q: min(q, q ** g)), (1.0,)
 
     def reflect(self) -> "PowerG":
         return self
@@ -169,10 +148,6 @@ class AsymPowerG:
     def branch2_derivative_inf(self, p_lo: float, p_hi: float) -> float:
         return self.gamma2 * p_lo ** (self.gamma2 - 1.0)
 
-    def branch2_fallback_modulus(self, K: float) -> tuple[Callable, tuple]:
-        g = self.gamma2
-        return (lambda q: min(q, q ** g)), (1.0,)
-
     def reflect(self) -> "AsymPowerG":
         return AsymPowerG(self.gamma2, self.gamma1)
 
@@ -217,19 +192,6 @@ class LogQuasiconvexG:
     def branch2_derivative_inf(self, p_lo: float, p_hi: float) -> float:
         # derivative on the positive branch is unimodal with peak at p = 1
         return min(self._absderiv(p_lo), self._absderiv(p_hi))
-
-    def branch2_fallback_modulus(self, K: float) -> tuple[Callable, tuple]:
-        # exact infimum of G(p+q) - G(p) over p in [0, K-q] sits at an endpoint
-        def m(q):
-            left = math.log1p(q * q)
-            right = math.log((1.0 + K * K) / (1.0 + (K - q) ** 2)) if q <= K else left
-            return min(q, left, right)
-        # the two endpoint values cross where q (K - q) = 2, which has
-        # roots in (0, K) once K^2 > 8; their product is 2
-        if K * K <= 8.0:
-            return m, ()
-        q_hi = 0.5 * (K + math.sqrt(K * K - 8.0))
-        return m, (2.0 / q_hi, q_hi)
 
     def reflect(self) -> "LogQuasiconvexG":
         return self
@@ -354,22 +316,6 @@ class TabulatedG:
             raise CertificateError("bracket does not meet the tabulated branch")
         return float(sl[overlap].min())
 
-    def branch2_fallback_modulus(self, K: float) -> tuple[Callable, tuple]:
-        grid = np.linspace(0.0, K, 257)
-
-        def m(q):
-            ps = grid[grid <= K - q + 1e-15]
-            if ps.size == 0:
-                ps = np.array([0.0])
-            delta = self(ps + q) - self(ps)
-            val = float(delta.min())
-            if val <= 0:
-                raise CertificateError(
-                    "tabulated branch is not strictly monotone enough for a fallback modulus")
-            return min(q, val)
-
-        return m, ()  # kinks wherever the minimizing grid point changes
-
     def reflect(self) -> "TabulatedG":
         return TabulatedG(-self.ps[::-1], self.gs[::-1])
 
@@ -417,114 +363,38 @@ def bracket(G, branch: int, lam: float, beta: float) -> tuple[float, float]:
 
 
 # ============================================================
-# Contraction modulus and its certificate transform
+# Contraction modulus
 # ============================================================
-
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """K15 estimate of the integral of f over [a, b] and |K15 - G7|."""
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    fc = f(c)
-    k, g = _WGK[7] * fc, _WG[3] * fc
-    for j in range(7):
-        x = h * _XGK[j]
-        pair = f(c - x) + f(c + x)
-        k += _WGK[j] * pair
-        if j & 1:
-            g += _WG[j >> 1] * pair
-    return k * h, abs((k - g) * h)
-
-
-def _adaptive_gk(f, edges, epsabs: float, epsrel: float, limit: int) -> float:
-    """Globally adaptive 7/15 Gauss-Kronrod quadrature of f.
-
-    Starts from the panels between consecutive ``edges`` and bisects the
-    panel with the largest |K15 - G7| until the summed estimate meets
-    max(epsabs, epsrel |I|).  Raises CertificateError when that needs
-    more than ``limit`` panels.
-    """
-    heap = []
-    for a, b in zip(edges, edges[1:]):
-        val, err = _gk15(f, a, b)
-        heapq.heappush(heap, (-err, a, b, val))
-    while True:
-        total = math.fsum(p[3] for p in heap)
-        err = math.fsum(-p[0] for p in heap)
-        if err <= max(epsabs, epsrel * abs(total)):
-            return total
-        if len(heap) >= limit:
-            raise CertificateError(
-                f"adaptive quadrature left an error estimate of {err:.3g} "
-                f"on {total:.17g} after {len(heap)} panels")
-        _, a, b, _ = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            val, e = _gk15(f, lo, hi)
-            heapq.heappush(heap, (-e, lo, hi, val))
-
 
 @dataclass(frozen=True)
 class ContractionModulus:
-    """Monotonicity modulus m of branch 2 on a bracket [p_lo, p_hi].
+    """Linear monotonicity modulus of branch 2 on a bracket [p_lo, p_hi].
 
-    Guarantees G(p + q) - G(p) >= m(q) whenever p and p + q both lie in
-    the bracket.  The certificate transform
-
-        phi(p) = integral_p^K dq / m(q),   K = bracket width,
-
-    converts an s-length of burn-in into a sup-norm contraction bound
-    via its inverse: deviations h with a h' + m(h) <= 0 obey
-    h(x) <= phi_inv(s(x) - s(start)).  A linear modulus has phi in
-    closed form; otherwise phi integrates e^u / m(e^u) over
-    [log p, log K] with a globally adaptive 7/15-point Gauss-Kronrod
-    rule (absolute 1e-13, relative 1e-12, at most 500 panels, else
-    CertificateError), split at the ``kinks`` of m that its family's
-    fallback reports.
+    Guarantees G(p + q) - G(p) >= mu q whenever p and p + q both lie in
+    the bracket, mu being the infimum of the branch derivative there.
+    Deviations h between two bracketed correctors then obey
+    a h' + mu h <= 0, so h decays like K exp(-mu s) over an s-length s,
+    K the bracket width; ``phi`` is the inverse of that decay and
+    ``phi_inv`` the decay itself.  mu = 0 where the derivative vanishes
+    on the bracket (lam = beta for the smooth families), and then
+    ``phi`` is infinite for every p < K.
     """
 
-    kind: str                      # 'linear' or 'superlinear'
     bracket: tuple[float, float]
     K: float
-    mu: float | None
-    m: Callable[[float], float]
-    flagged: bool = False
-    kinks: tuple[float, ...] = ()
+    mu: float
 
     def phi(self, p: float) -> float:
         if p >= self.K:
             return 0.0
-        if p <= 0.0:
+        if p <= 0.0 or self.mu == 0.0:
             return math.inf
-        if self.kind == "linear":
-            return math.log(self.K / p) / self.mu
-        m = self.m
-        f = lambda u: math.exp(u) / m(math.exp(u))
-        inner = [math.log(q) for q in self.kinks if p < q < self.K]
-        edges = (math.log(p), *inner, math.log(self.K))
-        return _adaptive_gk(f, edges, 1e-13, 1e-12, 500)
+        return math.log(self.K / p) / self.mu
 
     def phi_inv(self, z: float) -> float:
         if z <= 0.0:
             return self.K
-        if self.kind == "linear":
-            return self.K * math.exp(-self.mu * z)
-        lo = self.K
-        # expand downward until phi(lo) exceeds z, then bisect in log scale
-        for _ in range(40):
-            lo *= 1e-2
-            if self.phi(lo) > z:
-                break
-            if lo < 1e-280:
-                return 0.0
-        a, b = math.log(lo), math.log(self.K)
-        for _ in range(120):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break  # a and b are adjacent doubles
-            if self.phi(math.exp(mid)) > z:
-                a = mid
-            else:
-                b = mid
-        return math.exp(0.5 * (a + b))
+        return self.K * math.exp(-self.mu * z)
 
 
 def branch2_modulus(G, y_lo: float, y_hi: float) -> ContractionModulus:
@@ -536,27 +406,15 @@ def branch2_modulus(G, y_lo: float, y_hi: float) -> ContractionModulus:
     K = p_hi - p_lo
     if K <= 0:
         raise CertificateError("empty bracket")
-    if p_lo > 0.0:
-        mu = float(G.branch2_derivative_inf(p_lo, p_hi))
-        if mu > 0.0:
-            return ContractionModulus(kind="linear", bracket=(p_lo, p_hi), K=K,
-                                      mu=mu, m=lambda q, _mu=mu: _mu * q)
-        raise CertificateError(
-            "branch 2 derivative vanishes on the bracket and no fallback applies")
-    m, kinks = G.branch2_fallback_modulus(K)
-    if m(K * 0.5) <= 0.0:
-        raise CertificateError("fallback modulus is not positive on the bracket")
-    return ContractionModulus(kind="superlinear", bracket=(p_lo, p_hi), K=K,
-                              mu=None, m=m, flagged=True, kinks=kinks)
+    mu = float(G.branch2_derivative_inf(p_lo, p_hi))
+    return ContractionModulus(bracket=(p_lo, p_hi), K=K, mu=mu)
 
 
 def monotonicity_modulus(G, lam: float, beta: float, branch: int = 2) -> ContractionModulus:
     """Contraction modulus for the corrector bracket at level lam.
 
-    At lam = beta the bracket starts at 0 where the derivative of every
-    smooth branch vanishes; the returned modulus is then the flagged
-    superlinear family fallback and phi is computed by the adaptive
-    7/15-point Gauss-Kronrod rule of ``ContractionModulus``.
+    At lam = beta the bracket starts at 0, where the derivative of every
+    smooth branch vanishes, so mu = 0 there.
     """
     if lam < beta:
         raise ValueError(f"lam must be >= beta, got lam={lam}, beta={beta}")

@@ -10,7 +10,10 @@ the package computes another way:
 * ``profile_antiderivative``: the cumulative trapezoid of a corrector
   slope, the exact-solution data ``u = t lam + F``;
 * ``inverse_modulus``: the upper rate of ``theta2`` in lam, from the
-  branch inverse of G alone.
+  branch inverse of G alone;
+* ``cell_average`` and ``cell_level``: the one-cell slope average of a
+  periodic medium from a dense-step ``shoot``, and the level that gives
+  a slope average, by bisection.
 """
 
 import numpy as np
@@ -94,3 +97,32 @@ def inverse_modulus(G, lam: float, beta: float, eps: float,
     ys = np.linspace(lo, hi - eps, n)
     return float(max(abs(G.branch_inverse(branch, y + eps)
                          - G.branch_inverse(branch, y)) for y in ys))
+
+
+def cell_average(env, G, beta: float, lam: float, period: float = 1.0,
+                 dx: float = 5e-4) -> float:
+    """One-period slope average of the branch-2 corrector, periodic medium.
+
+    A dense-step ``shoot`` from the bracket floor at the window's left
+    end, averaged by the trapezoid rule over the window's last
+    ``period``; the rest of the window is the burn-in.
+    """
+    p_lo, _ = bracket(G, 2, lam, beta)
+    prof = shoot(env, G, beta, lam, 2, env.window[0], p_lo, dx)
+    m = prof.grid >= env.window[1] - period - 1e-12
+    return float(np.trapezoid(prof.f_vals[m], prof.grid[m]) / period)
+
+
+def cell_level(env, G, beta: float, theta: float, lo: float, hi: float,
+               tol: float = 1e-10) -> float:
+    """Level in [lo, hi] whose ``cell_average`` is theta, by bisection.
+
+    The average increases with the level, so [lo, hi] must straddle it.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if cell_average(env, G, beta, mid) < theta:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -110,10 +110,10 @@ def test_theta_curve_constant_closed_form(tmp_path):
     cfg = _write(tmp_path, CONST_V0)
     assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 0
     header, rows = _rows(tmp_path / "theta_curve.csv")
-    assert header == ["lam", "theta", "ci", "flagged"]
-    for (lam, theta, ci, flagged) in rows:
+    assert header == ["lam", "theta", "ci", "cert_bound"]
+    for (lam, theta, ci, cert) in rows:
         assert abs(float(theta) - math.sqrt(float(lam))) <= 1e-12
-        assert float(ci) == 0.0 and flagged == "False"
+        assert float(ci) == 0.0 and float(cert) == 0.0
 
 
 def test_gen_env_deterministic_and_sidecar(tmp_path):
@@ -158,10 +158,9 @@ def test_cli_import_skips_scipy_stats_and_integrate():
 
 
 def test_effective_run_skips_scipy_stats_and_integrate(tmp_path):
-    # the lam = beta endpoints take the superlinear modulus, whose phi is
-    # the in-house Gauss-Kronrod rule, the CI takes the in-house t
-    # quantile and the tangent an in-house scan: a whole effective run
-    # in a fresh process loads no heavy scipy submodule
+    # the CI takes the in-house t quantile and the tangent an in-house
+    # scan: a whole effective run in a fresh process loads no heavy
+    # scipy submodule
     text = ("[env]\nkind = iid-interp\nseed = 3\nwindow = -300 300\n"
             "dx_env = 0.01\n\n[model]\nbeta = 1.0\n\n[effective]\n"
             "theta_grid = -1.5 1.5\nx = 40\ntol = 0.05\n")
@@ -169,8 +168,6 @@ def test_effective_run_skips_scipy_stats_and_integrate(tmp_path):
     out_dir = tmp_path / "out"
     assert _loaded_heavy(["effective", "--config", cfg, "--out",
                           str(out_dir)]) == [0, []]
-    stats = json.loads((out_dir / "effective.meta.json").read_text())["stats"]
-    assert stats["flagged"] is True  # the superlinear modulus was used
 
 
 def test_homogenize_run_loads_linalg_only(tmp_path):
@@ -215,7 +212,8 @@ def test_lam_below_beta_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["branch = 3", "n_batches = 5", "tol = -1",
-                                  "x = 0"])
+                                  "x = 0", "branch = 2.5",
+                                  "n_batches = 10.5"])
 def test_bad_command_parameter_is_config_error(tmp_path, line):
     cfg = _write(tmp_path, CONST_V0.replace("branch = 2", line))
     assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -244,7 +242,7 @@ def test_theta_curve_parallel_matches_sequential(tmp_path):
 
 
 def test_theta_curve_and_corrector_record_rk4_steps(tmp_path):
-    # each estimate integrates its primary run in full (burn-in plus
+    # each estimate integrates its reported run in full (burn-in plus
     # region) and stops its check run once the two are equal
     text = PERIODIC + "\n[corrector]\nlam = 2.0\nbranch = 1\n" \
         "region = -10 0\ntol = 1e-6\ndx = 0.01\n"
@@ -257,10 +255,9 @@ def test_theta_curve_and_corrector_record_rk4_steps(tmp_path):
     assert primary < stats["rk4_steps"] < 2 * primary
     assert main(["corrector", "--config", cfg, "--out", str(tmp_path)]) == 0
     stats = json.loads((tmp_path / "corrector.meta.json").read_text())["stats"]
-    assert set(stats) == {"rk4_steps", "gap", "flagged"}
+    assert set(stats) == {"rk4_steps", "cert_bound"}
     assert 1647 < stats["rk4_steps"] < 2 * 1647   # 647 burn-in + 1000 region
-    assert 0.0 <= stats["gap"] <= 2e-6
-    assert stats["flagged"] is False
+    assert 0.0 <= stats["cert_bound"] <= 1e-6
 
 
 def test_effective_constant_closed_form(tmp_path):
@@ -282,16 +279,13 @@ def test_effective_records_run_counters(tmp_path):
     cfg = _write(tmp_path, text)
     assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
     stats = json.loads((tmp_path / "effective.meta.json").read_text())["stats"]
-    assert set(stats) == {"n_evals", "rk4_steps", "theta1_ci", "theta2_ci",
-                          "flagged", "inversions_flagged"}
+    assert set(stats) == {"n_evals", "rk4_steps", "theta1_ci", "theta2_ci"}
     # each side inverts one slope: at least one slope estimate apiece,
     # each with at least its 4000-step region, plus the two endpoints
     assert stats["n_evals"] >= 2
     assert stats["rk4_steps"] > (stats["n_evals"] + 2) * 4000
     assert 0.0 <= stats["theta1_ci"] <= 1e-3
     assert 0.0 <= stats["theta2_ci"] <= 1e-3
-    assert stats["flagged"] is True  # the lam = beta endpoints always are
-    assert stats["inversions_flagged"] is False
 
 
 def test_effective_sidecar_rows(tmp_path):
@@ -309,8 +303,9 @@ def test_effective_sidecar_rows(tmp_path):
     assert [r["branch"] for r in rows] == [1, 2]
     assert sum(r["n_evals"] for r in rows) == meta["stats"]["n_evals"]
     for r in rows:
-        assert {"theta_at_lam", "ci", "n_evals", "rk4_steps", "flagged",
+        assert {"theta_at_lam", "ci", "n_evals", "rk4_steps",
                 "dtheta_dlam", "dtheta_ci", "dH_dtheta"} <= set(r)
+        assert "flagged" not in r
         assert abs(r["theta_at_lam"] - r["theta"]) <= 1e-3
         assert r["n_evals"] >= 1 and r["dtheta_ci"] >= 0.0
         assert r["dH_dtheta"] == 1.0 / r["dtheta_dlam"]
@@ -421,6 +416,15 @@ def test_hill_check_periodic_reports_none(tmp_path):
                       "scaled_length", "v_min"]
     assert rows[0][3] == "False"
     assert float(rows[0][2]) == 580.0  # doubled twice from 145
+
+
+@pytest.mark.parametrize("line", ["doublings = -1", "doublings = 1.5"])
+def test_bad_doublings_is_config_error(tmp_path, line):
+    # rejected before any medium is generated or any report written
+    text = PERIODIC + f"\n[hill-check]\nh = 0.9\nc = 1.0\n{line}\n"
+    cfg = _write(tmp_path, text)
+    assert main(["hill-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "hill_report.csv").exists()
 
 
 def test_hill_check_iid_finds_witness(tmp_path):

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjlab.errors import CertificateError
 from hjlab.hamiltonian import (
     AsymPowerG,
-    ContractionModulus,
     GrowthCertificate,
     LogQuasiconvexG,
     PowerG,
@@ -19,7 +17,6 @@ from hjlab.hamiltonian import (
     monotonicity_modulus,
     validate_growth,
 )
-from hjlab.hamiltonian import _adaptive_gk, _gk15
 
 SQRT2 = math.sqrt(2.0)
 
@@ -113,8 +110,7 @@ def test_lipschitz_is_a_bound_on_samples():
 def test_modulus_linear_power():
     G = PowerG(2.0)
     M = monotonicity_modulus(G, lam=2.0, beta=1.0)
-    assert M.kind == "linear"
-    assert not M.flagged
+    assert M.mu > 0
     assert M.mu == pytest.approx(2.0, abs=1e-15)
     assert M.K == pytest.approx(SQRT2 - 1.0, abs=1e-15)
     # frozen: burn-in for tol=1e-6 is ln(K/tol)/mu
@@ -131,41 +127,9 @@ def test_modulus_linear_power_lam5():
 
 def test_modulus_linear_log():
     M = monotonicity_modulus(LogQuasiconvexG(), lam=2.0, beta=1.0)
-    assert M.kind == "linear"
+    assert M.mu > 0
     # frozen: min endpoint derivative of 2p/(1+p^2) on the bracket
     assert M.mu == pytest.approx(0.6841626834251587, abs=1e-14)
-
-
-def test_modulus_degenerate_level_power():
-    # lam = beta puts the bracket against p = 0: the linear modulus dies
-    # and the flagged family fallback m(q) = min(q, q^2) takes over.
-    M = monotonicity_modulus(PowerG(2.0), lam=1.0, beta=1.0)
-    assert M.kind == "superlinear"
-    assert M.flagged
-    assert M.K == pytest.approx(1.0, abs=1e-15)
-    # frozen closed form: phi(p) = 1/p - 1 on (0, 1]
-    assert M.phi(0.5) == pytest.approx(1.0, rel=1e-10)
-    assert M.phi(0.01) == pytest.approx(99.0, rel=1e-10)
-    assert M.phi(1e-6) == pytest.approx(999999.0, rel=1e-8)
-    # frozen inverse: phi_inv(z) = 1/(1+z)
-    assert M.phi_inv(1.0) == pytest.approx(0.5, rel=1e-8)
-    assert M.phi_inv(99.0) == pytest.approx(0.01, rel=1e-8)
-
-
-def test_modulus_degenerate_level_wider_bracket():
-    # beta = 4 makes K = 2: the quadrature crosses the kink of
-    # min(q, q^2) at q = 1.  frozen: phi(0.01) = 99 + ln 2.
-    M = monotonicity_modulus(PowerG(2.0), lam=4.0, beta=4.0)
-    assert M.K == pytest.approx(2.0, abs=1e-14)
-    assert M.phi(0.01) == pytest.approx(99.69314718055995, rel=1e-8)
-
-
-def test_modulus_degenerate_level_log():
-    M = monotonicity_modulus(LogQuasiconvexG(), lam=1.0, beta=1.0)
-    assert M.flagged
-    z = M.phi(1e-3)
-    assert math.isfinite(z) and z > 0
-    assert M.phi_inv(z) == pytest.approx(1e-3, rel=1e-6)
 
 
 @given(data=st.data())
@@ -180,117 +144,29 @@ def test_modulus_certifies_branch_growth(data):
     p = data.draw(st.floats(0.0, 1.0)) * (p_hi - p_lo) + p_lo
     q = data.draw(st.floats(0.0, 1.0)) * (p_hi - p)
     lhs = float(G(p + q)) - float(G(p))
-    assert lhs >= M.m(q) - 1e-12
+    assert lhs >= M.mu * q - 1e-12
 
 
 def test_modulus_certificate_at_degenerate_level_random_pairs():
+    # lam = beta puts the bracket against p = 0, where the derivative of
+    # each smooth family vanishes: no linear rate, so phi is infinite
+    # below K and the burn-in cannot come from it
     rng = np.random.default_rng(7)
     for G in (PowerG(2.0), PowerG(3.0), LogQuasiconvexG()):
         M = monotonicity_modulus(G, lam=1.0, beta=1.0)
         p_lo, p_hi = M.bracket
+        assert M.mu == 0.0 and p_lo == 0.0
+        assert M.phi(0.5 * M.K) == math.inf and M.phi(M.K) == 0.0
+        assert M.phi_inv(5.0) == M.K
         for _ in range(300):
             p = rng.uniform(p_lo, p_hi)
             q = rng.uniform(0.0, p_hi - p)
-            assert float(G(p + q)) - float(G(p)) >= M.m(q) - 1e-12
+            assert float(G(p + q)) - float(G(p)) >= M.mu * q - 1e-12
 
 
 def test_branch2_modulus_rejects_bad_levels():
     with pytest.raises(ValueError):
         branch2_modulus(PowerG(2.0), 2.0, 1.0)
-
-
-# ------------------------------------------------------------
-# adaptive Gauss-Kronrod rule behind phi
-# ------------------------------------------------------------
-
-@pytest.mark.parametrize("d", range(24))
-def test_gk15_exact_degrees(d):
-    # K15 integrates x^d exactly on [-1, 1] up to degree 22 (23 by
-    # symmetry), G7 up to degree 13, so |K15 - G7| vanishes there
-    val, err = _gk15(lambda x: x ** d, -1.0, 1.0)
-    exact = 0.0 if d % 2 else 2.0 / (d + 1)
-    assert abs(val - exact) <= 1e-15
-    if d <= 13:
-        assert err <= 1e-15
-    elif d % 2 == 0:
-        assert err > 1e-6  # G7 is no longer exact
-
-
-def _power_phi_closed(gamma, K, p):
-    # integral_p^K dq / min(q, q^gamma): q^-gamma below 1, 1/q above
-    if p >= 1.0:
-        return math.log(K / p)
-    if K <= 1.0:
-        return (p ** (1.0 - gamma) - K ** (1.0 - gamma)) / (gamma - 1.0)
-    return (p ** (1.0 - gamma) - 1.0) / (gamma - 1.0) + math.log(K)
-
-
-@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("beta", [0.25, 1.0, 4.0, 25.0])
-def test_phi_matches_power_closed_forms(gamma, beta):
-    # beta > 1 puts the kink of min(q, q^gamma) at q = 1 inside (p, K);
-    # at gamma = 1.5, beta = 25, p = 0.48987 an unsplit panel holds it
-    # between its outer node and its end, where |K15 - G7| cannot see it
-    for G in (PowerG(gamma), AsymPowerG(2.5, gamma)):
-        M = monotonicity_modulus(G, lam=beta, beta=beta)
-        assert M.kind == "superlinear"
-        ps = [*np.geomspace(1e-6, 0.999 * M.K, 40), 0.48987]
-        for p in (float(p) for p in ps if p < M.K):
-            exact = _power_phi_closed(gamma, M.K, p)
-            assert M.phi(p) == pytest.approx(exact, rel=1e-12)
-
-
-@pytest.mark.parametrize("beta", [1.0, 4.0, 9.0])
-def test_phi_log_family_matches_scipy_quad(beta):
-    from scipy.integrate import quad  # test-only oracle
-
-    M = monotonicity_modulus(LogQuasiconvexG(), lam=beta, beta=beta)
-    K = M.K
-    # min(log1p(q^2), log((1+K^2)/(1+(K-q)^2))) switches branch where
-    # q^2 - K q + 2 = 0, which has real roots once K^2 > 8
-    kinks = []
-    if K * K > 8.0:
-        r = math.sqrt(K * K - 8.0)
-        kinks = [0.5 * (K - r), 0.5 * (K + r)]
-    assert bool(kinks) == (beta > 2.0)
-    assert list(M.kinks) == pytest.approx(kinks, rel=1e-15)
-
-    def f(u):
-        return math.exp(u) / M.m(math.exp(u))
-
-    for p in np.geomspace(1e-6, 0.999 * K, 25):
-        a, b = math.log(p), math.log(K)
-        pts = [math.log(q) for q in kinks if p < q < K] or None
-        ref, _ = quad(f, a, b, points=pts, limit=500, epsabs=1e-14,
-                      epsrel=1e-13)
-        assert M.phi(float(p)) == pytest.approx(ref, rel=1e-12, abs=0.0)
-
-
-def test_adaptive_gk_raises_past_panel_limit():
-    # a kink at a non-dyadic point needs many bisections to reach 1e-13
-    f = lambda u: abs(u - 1.0 / 3.0)
-    with pytest.raises(CertificateError):
-        _adaptive_gk(f, (-1.0, 1.0), 1e-13, 1e-12, 4)
-    assert _adaptive_gk(f, (-1.0, 1.0), 1e-13, 1e-12, 500) == \
-        pytest.approx(10.0 / 9.0, rel=1e-12)
-
-
-def test_phi_inv_stops_at_adjacent_doubles(monkeypatch):
-    # the log-scale bisection ends once its bracket holds two adjacent
-    # doubles, not after a fixed 120 halvings
-    M = monotonicity_modulus(PowerG(2.0), lam=1.0, beta=1.0)
-    calls = []
-    phi = ContractionModulus.phi
-
-    def counting(self, p):
-        calls.append(p)
-        return phi(self, p)
-
-    monkeypatch.setattr(ContractionModulus, "phi", counting)
-    for z in (0.5, 30.0, 300.0):
-        calls.clear()
-        assert M.phi_inv(z) == pytest.approx(1.0 / (1.0 + z), rel=1e-12)
-        assert len(calls) <= 70
 
 
 # ------------------------------------------------------------
@@ -308,7 +184,7 @@ def test_branch1_modulus_via_reflection():
     # branch 1 of asym-power (3, 2) is cubic: its modulus must use
     # exponent 3, not 2.
     M = monotonicity_modulus(AsymPowerG(3.0, 2.0), lam=2.0, beta=1.0, branch=1)
-    assert M.kind == "linear"
+    assert M.mu > 0
     assert M.mu == pytest.approx(3.0 * 1.0 ** 2, abs=1e-12)  # 3 p^2 at p = 1
 
 
@@ -368,7 +244,7 @@ def test_tabulated_branch_inverse_round_trip():
 def test_tabulated_modulus_is_conservative():
     T = _quadratic_table()
     M = monotonicity_modulus(T, lam=2.0, beta=1.0)
-    assert M.kind == "linear"
+    assert M.mu > 0
     # true inf of derivative is 2.0; segment slopes give 2 +- dx
     assert M.mu == pytest.approx(2.0, abs=0.02)
     p_lo, p_hi = M.bracket
@@ -376,7 +252,7 @@ def test_tabulated_modulus_is_conservative():
     for _ in range(200):
         p = rng.uniform(p_lo, p_hi)
         q = rng.uniform(0.0, p_hi - p)
-        assert float(T(p + q)) - float(T(p)) >= M.m(q) - 1e-10
+        assert float(T(p + q)) - float(T(p)) >= M.mu * q - 1e-10
 
 
 def test_tabulated_lipschitz_has_safety_factor():
