@@ -164,9 +164,108 @@ def test_modulus_certificate_at_degenerate_level_random_pairs():
             assert float(G(p + q)) - float(G(p)) >= M.mu * q - 1e-12
 
 
+def test_modulus_degenerate_level_power():
+    # lam = beta puts the bracket against p = 0, where G' = 2p vanishes:
+    # no linear rate, so phi is infinite below K and phi_inv stays at K
+    M = monotonicity_modulus(PowerG(2.0), lam=1.0, beta=1.0)
+    assert M.bracket == (0.0, 1.0)
+    assert M.K == 1.0 and M.mu == 0.0
+    for p in (0.5, 0.01, 1e-6):
+        assert M.phi(p) == math.inf
+    assert M.phi(1.0) == 0.0 and M.phi(2.0) == 0.0
+    for z in (0.0, 1.0, 99.0, 999999.0):
+        assert M.phi_inv(z) == 1.0
+    # just above the degenerate level the rate 2 sqrt(lam - beta) returns
+    M = monotonicity_modulus(PowerG(2.0), lam=1.0 + 1e-4, beta=1.0)
+    assert M.mu == pytest.approx(0.02, rel=1e-12)
+    assert M.phi(1e-6) == pytest.approx(math.log(M.K / 1e-6) / 0.02, rel=1e-12)
+
+
+def test_modulus_degenerate_level_wider_bracket():
+    # beta = 4 makes K = 2 on the symmetric family and K = 4^(1/3) on
+    # branch 1 of AsymPowerG(3, 2): a wider bracket gives no rate either
+    M = monotonicity_modulus(PowerG(2.0), lam=4.0, beta=4.0)
+    assert M.K == pytest.approx(2.0, abs=1e-14)
+    assert M.mu == 0.0
+    assert M.phi(0.01) == math.inf and M.phi_inv(50.0) == M.K
+    M1 = monotonicity_modulus(AsymPowerG(3.0, 2.0), lam=4.0, beta=4.0, branch=1)
+    assert M1.bracket[0] == 0.0
+    assert M1.K == pytest.approx(4.0 ** (1.0 / 3.0), rel=1e-15)
+    assert M1.mu == 0.0 and M1.phi(0.01) == math.inf
+
+
+def test_modulus_degenerate_level_log():
+    # the log family's derivative 2p / (1 + p^2) vanishes at p = 0 too
+    M = monotonicity_modulus(LogQuasiconvexG(), lam=1.0, beta=1.0)
+    assert M.bracket[0] == 0.0
+    assert M.K == pytest.approx(math.sqrt(math.e - 1.0), rel=1e-15)
+    assert M.mu == 0.0
+    assert M.phi(1e-3) == math.inf
+    assert M.phi_inv(10.0) == M.K
+
+
 def test_branch2_modulus_rejects_bad_levels():
     with pytest.raises(ValueError):
         branch2_modulus(PowerG(2.0), 2.0, 1.0)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("beta", [0.25, 1.0, 4.0, 25.0])
+def test_phi_matches_power_closed_forms(gamma, beta):
+    # at lam = 2 beta the bracket is [beta^(1/gamma), (2 beta)^(1/gamma)]
+    # and G' = gamma p^(gamma-1) is least at its lower end, so
+    # phi(p) = log(K / p) / mu with mu = gamma beta^((gamma-1)/gamma)
+    lam = 2.0 * beta
+    p_lo = beta ** (1.0 / gamma)
+    K = lam ** (1.0 / gamma) - p_lo
+    mu = gamma * p_lo ** (gamma - 1.0)
+    for G in (PowerG(gamma), AsymPowerG(2.5, gamma)):
+        M = monotonicity_modulus(G, lam=lam, beta=beta)
+        assert M.K == pytest.approx(K, rel=1e-14)
+        assert M.mu == pytest.approx(mu, rel=1e-14)
+        for p in (float(p) for p in np.geomspace(1e-6, 0.999 * K, 40)):
+            exact = math.log(K / p) / mu
+            assert M.phi(p) == pytest.approx(exact, rel=1e-12)
+            assert M.phi_inv(exact) == pytest.approx(p, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.0, 4.0, 9.0])
+def test_phi_log_family_matches_scipy_quad(beta):
+    from scipy.integrate import quad  # test-only oracles
+    from scipy.optimize import brentq
+
+    G = LogQuasiconvexG()
+    M = monotonicity_modulus(G, lam=beta + 0.25, beta=beta)
+    p_lo, p_hi = M.bracket
+    K = M.K
+    # the bracket straddles the peak of G' = 2p / (1 + p^2) at p = 1,
+    # so mu is the smaller of the two end slopes
+    assert p_lo < 1.0 < p_hi
+    assert M.mu == pytest.approx(float(G.deriv(np.linspace(p_lo, p_hi, 20001)).min()),
+                                 rel=1e-12)
+
+    def rise(p, q):
+        # G(p + q) - G(p) without cancellation at small q
+        return math.log1p(q * (2.0 * p + q) / (1.0 + p * p))
+
+    def m_best(q):
+        # G' is unimodal, so G(p + q) - G(p) over p in [p_lo, p_hi - q]
+        # is least at an end: the sharpest modulus of the bracket
+        return min(rise(p_lo, q), rise(p_hi - q, q))
+
+    # the two ends trade places once, close to q = K: a kink for quad
+    kink = brentq(lambda q: rise(p_lo, q) - rise(p_hi - q, q), 0.5 * K, K)
+    for p in np.geomspace(1e-6, 0.999 * K, 25):
+        a, b = math.log(p), math.log(K)
+        lin, _ = quad(lambda u: math.exp(u) / (M.mu * math.exp(u)), a, b,
+                      limit=500, epsabs=1e-14, epsrel=1e-13)
+        assert M.phi(float(p)) == pytest.approx(lin, rel=1e-12, abs=0.0)
+        # the linear rate is conservative: the sharpest modulus decays
+        # the bracket width to p in no more s-length than phi(p)
+        pts = [math.log(kink)] if p < kink else None
+        best, _ = quad(lambda u: math.exp(u) / m_best(math.exp(u)), a, b,
+                       points=pts, limit=500, epsabs=1e-14, epsrel=1e-12)
+        assert best <= M.phi(float(p)) * (1.0 + 1e-9)
 
 
 # ------------------------------------------------------------
