@@ -14,6 +14,7 @@ from .corrector import (
     ThetaEstimate,
     build_glued_profile,
     burn_in_length,
+    choose_dx,
     corrector_profile,
     estimate_theta,
     find_low_slope_points,

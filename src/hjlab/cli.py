@@ -24,6 +24,7 @@ import scipy
 from . import __version__
 from .corrector import (
     build_glued_profile,
+    choose_dx,
     corrector_profile,
     estimate_theta,
     save_profile,
@@ -297,10 +298,11 @@ def _theta_task(env, args):
         # disorder-free corrector slopes are exactly constant
         v0 = float(env.v_vals[0])
         theta = G.branch_inverse(branch, max(lam - beta * v0, 0.0))
-        return (lam, theta, 0.0, 0.0, 0)
+        return (lam, theta, 0.0, 0.0, 0.0, 0)
     est = estimate_theta(env, G, beta, lam, branch, X,
                          n_batches=n_batches, tol=tol, dx=dx)
-    return (lam, est.mean, est.ci_halfwidth, est.cert_bound, est.rk4_steps)
+    return (lam, est.mean, est.ci_halfwidth, est.cert_bound, est.disc_bound,
+            est.rk4_steps)
 
 
 def cmd_theta_curve(cfg: RunConfig) -> list[Path]:
@@ -310,14 +312,17 @@ def cmd_theta_curve(cfg: RunConfig) -> list[Path]:
     X = _get(p, "x", 300.0, positive=True)
     n_batches = _n_batches(p)
     tol = _get(p, "tol", 1e-6, positive=True)
-    dx = _get(p, "dx", 0.01, positive=True)
+    dx = _get(p, "dx", 0.0, positive=True)
     env = cfg.make_env()
+    # without a configured step, the largest monotone one at every level
+    dx = dx or choose_dx(env, cfg.G, cfg.beta,
+                         [(branch, lam) for lam in lams])
     tasks = [(cfg.G, cfg.beta, lam, branch, X, n_batches, tol, dx)
              for lam in lams]
     rows = _pmap(_theta_task, env, tasks, cfg.workers)
     out = cfg.out_dir / "theta_curve.csv"
-    save_theta_curve([r[:4] for r in rows], str(out))
-    cfg.stats.update(rk4_steps=sum(r[4] for r in rows))
+    save_theta_curve([r[:5] for r in rows], str(out))
+    cfg.stats.update(dx=dx, rk4_steps=sum(r[5] for r in rows))
     return [out]
 
 
@@ -326,19 +331,28 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
     grid = _get(p, "theta_grid", kind=list)
     tol = _get(p, "tol", 2e-2, positive=True)
     X = _get(p, "x", 300.0, positive=True)
-    dx = _get(p, "dx", 0.01, positive=True)
+    dx = _get(p, "dx", 0.0, positive=True)
     n_batches = _n_batches(p)
     profile_tol = _get(p, "profile_tol", 1e-6, positive=True)
     endpoint_tol = _get(p, "endpoint_tol", 1e-2, positive=True)
     env = cfg.make_env()
+    # without a configured step, the largest monotone one at the levels
+    # shot: beta for the endpoints and, as the highest, the a-priori top
+    # G(theta) + beta at each branch's extreme slope
+    dx = dx or choose_dx(env, cfg.G, cfg.beta, [
+        (1, cfg.beta), (2, cfg.beta),
+        (1, float(cfg.G(min(grid))) + cfg.beta),
+        (2, float(cfg.G(max(grid))) + cfg.beta)])
     eff = build_effective_H(env, cfg.G, cfg.beta, grid, tol, X=X,
                             n_batches=n_batches, dx=dx,
                             profile_tol=profile_tol,
                             endpoint_tol=endpoint_tol, workers=cfg.workers)
     out = cfg.out_dir / "effective.csv"
     save_effective(eff, str(out))
-    cfg.stats.update(n_evals=eff.n_evals, rk4_steps=eff.rk4_steps,
-                     theta1_ci=eff.theta1_ci, theta2_ci=eff.theta2_ci)
+    cfg.stats.update(dx=dx, n_evals=eff.n_evals, rk4_steps=eff.rk4_steps,
+                     theta1_ci=eff.theta1_ci, theta2_ci=eff.theta2_ci,
+                     theta1_disc_bound=eff.theta1_disc_bound,
+                     theta2_disc_bound=eff.theta2_disc_bound)
     # one record per branch row, with Hbar' = 1 / theta'(lam)
     cfg.rows = [dict(asdict(inv), dH_dtheta=1.0 / inv.dtheta_dlam
                      if inv.dtheta_dlam else None) for inv in eff.inversions]
@@ -377,6 +391,8 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
     cfg.stats.update(dt=dt, cfl=cfl_number(scheme, kappa),
                      evolve_steps=result.steps,
                      grad_excursion=result.grad_excursion)
+    if result.ref_disc_bound is not None:
+        cfg.stats["ref_disc_bound"] = result.ref_disc_bound
     return [out]
 
 

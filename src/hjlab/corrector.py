@@ -17,18 +17,23 @@ tolerance:
   stays between those two runs, so their measured distance on the
   region is the certificate; the burn-in doubles until it is at most
   tol.  ``burn_in_length`` gives the first burn-in, from the branch's
-  linear contraction rate where it is positive.  Both runs share one
+  linear contraction rate where it is positive, clipped to what the
+  window holds.  Both runs share one
   pass of sampled stage coefficients, and the check run stops at the
   first node where it equals the reported run bit for bit: an RK4 step
   depends only on f and those coefficients, so the rest of the check
   run would repeat the reported run exactly;
 * ``estimate_theta`` averages the corrector slope over a long window
-  with a batch-means confidence interval (its Student t quantile is
+  with a discretization bar from step doubling (the same run at twice
+  the step, on the same stage coefficients) and a batch-means
+  confidence interval (its Student t quantile is
   computed in-house from a cancellation-free tail series), and on
   request the derivative of that average in lam: the tangent
   g = df/dlam of the discrete RK4 run (start and lattice held fixed),
   rebuilt after the run from its node values (each step is affine in
   g, and a log-depth affine scan composes the steps);
+* ``choose_dx`` picks the largest shooting step that keeps every RK4
+  step increasing in f at the levels a command shoots;
 * ``find_low_slope_points`` and ``build_glued_profile`` assemble the
   flat-piece sub/supersolution profiles at the degenerate level
   lam = beta by bridging the two one-sided correctors across a
@@ -54,6 +59,7 @@ __all__ = [
     "ThetaEstimate",
     "GluedProfile",
     "burn_in_length",
+    "choose_dx",
     "corrector_profile",
     "estimate_theta",
     "residual_series",
@@ -80,7 +86,9 @@ class CorrectorProfile:
     (0 when not recorded, as for the one-sided runs that
     ``build_glued_profile`` joins).  ``g_vals``
     holds the tangent df/dlam at the grid nodes when it was asked for,
-    else None.
+    else None.  ``disc_bound`` is the step-doubling bar of the region
+    average, |mean at dx - mean at 2 dx|, when it was asked for, else
+    None.
     """
 
     branch: int
@@ -92,6 +100,7 @@ class CorrectorProfile:
     cert_bound: float
     rk4_steps: int = 0
     g_vals: np.ndarray | None = None
+    disc_bound: float | None = None
 
     def __post_init__(self):
         self.grid.setflags(write=False)
@@ -111,6 +120,7 @@ class CorrectorProfile:
 class ThetaEstimate:
     """Ergodic average of a corrector slope with a batch-means CI.
 
+    ``disc_bound`` is the step-doubling bar |mean - mean at 2 dx|.
     ``dtheta_dlam`` and ``dtheta_ci`` are the same average and CI of the
     tangent df/dlam, when it was asked for (else None).
     """
@@ -126,6 +136,7 @@ class ThetaEstimate:
     rk4_steps: int = 0
     dtheta_dlam: float | None = None
     dtheta_ci: float | None = None
+    disc_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -205,15 +216,51 @@ def _stages(env: EnvRealization, lam: float, beta: float, L: float,
     if tail != 0.0:
         xs = np.concatenate((xs, [x_end]))
         stage_x = np.concatenate((stage_x, [x_end - 0.5 * tail, x_end]))
-    a_st, v_st = sample_many(env, stage_x)
-    # B = (lam - beta V) / a and A = 1 / a take over the sample buffers:
-    # keeping them for the tangent pass then costs no memory
-    B = np.multiply(beta, v_st, out=v_st)
-    np.subtract(lam, B, out=B)
-    B /= a_st
-    A = np.divide(1.0, a_st, out=a_st)
+    A, B = _coefficients(env, lam, beta, stage_x)
     return _Stages(xs=xs, A=A.tolist(), B=B.tolist(), A_arr=A, B_arr=B,
                    dx=dx, n_full=n_full, tail=tail)
+
+
+def _coefficients(env: EnvRealization, lam: float, beta: float,
+                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A = 1/a and B = (lam - beta V)/a at the points x."""
+    a, v = sample_many(env, x)
+    # B and A take over the sample buffers: keeping them for the tangent
+    # pass then costs no memory
+    B = np.multiply(beta, v, out=v)
+    np.subtract(lam, B, out=B)
+    B /= a
+    return np.divide(1.0, a, out=a), B
+
+
+def _doubled_stages(env: EnvRealization, st: _Stages, lam: float,
+                    beta: float, first: int) -> _Stages:
+    """The lattice of ``st`` from its node ``first`` at twice the step.
+
+    The doubled lattice's nodes and midpoints are nodes of ``st``, so
+    its coefficients are every other stage coefficient of ``st``, and
+    its lists share their floats; only a final short step, if any,
+    samples the medium, at its two stage points.
+    """
+    n_full = (st.n_full - first) // 2
+    last = first + 2 * n_full
+    every_other = slice(2 * first, 2 * last + 1, 2)
+    xs = st.xs[first:last + 1:2]
+    A, B = st.A_arr[every_other], st.B_arr[every_other]
+    A_list, B_list = st.A[every_other], st.B[every_other]
+    x_end = float(st.xs[-1])
+    tail = x_end - float(st.xs[last])
+    if last < st.xs.size - 1:
+        A_t, B_t = _coefficients(env, lam, beta,
+                                 np.array([x_end - 0.5 * tail, x_end]))
+        xs = np.concatenate((xs, [x_end]))
+        A, B = np.concatenate((A, A_t)), np.concatenate((B, B_t))
+        A_list += A_t.tolist()
+        B_list += B_t.tolist()
+    else:
+        tail = 0.0
+    return _Stages(xs=xs, A=A_list, B=B_list, A_arr=A, B_arr=B,
+                   dx=2.0 * st.dx, n_full=n_full, tail=tail)
 
 
 def _rk4_run(st: _Stages, G, c: float, p_lo: float, p_hi: float,
@@ -357,8 +404,8 @@ def burn_in_length(G, beta: float, lam: float, tol: float,
     return M.phi(tol) if M.mu > 0.0 else _DEGENERATE_BURN_IN
 
 
-def _check_monotone_steps(env: EnvRealization, G, beta: float,
-                          p_lo: float, p_hi: float, dx: float) -> None:
+def _check_monotone_steps(A_max: float, G, beta: float, p_lo: float,
+                          p_hi: float, dx: float) -> None:
     """Require every RK4 step over the bracket to be increasing in f.
 
     With A = 1/a and z_k = h A G'(y_k) at the four stage values y_k,
@@ -368,58 +415,98 @@ def _check_monotone_steps(env: EnvRealization, G, beta: float,
     size on the bracket (V in [0, 1]), so once |dx| max(A) L <= 1 for
     the Lipschitz constant L of G on the padded bracket, every stage
     offset is at most 1.75 |dx| max(A) beta, inside the pad of
-    2 |dx| max(A) beta, and |z_k| <= 1 follows.
+    2 |dx| max(A) beta, and |z_k| <= 1 follows.  ``A_max`` is max(A)
+    over the stage points the steps use.
     """
-    A = 1.0 / float(env.a_vals.min())
-    pad = 2.0 * abs(dx) * A * beta
-    prod = abs(dx) * A * G.lipschitz_on((p_lo - pad, p_hi + pad))
+    pad = 2.0 * abs(dx) * A_max * beta
+    prod = abs(dx) * A_max * G.lipschitz_on((p_lo - pad, p_hi + pad))
     if prod > 1.0:
         raise CertificateError(
             f"RK4 step is not monotone in f: |dx| max(1/a) Lip(G) = "
             f"{prod:.3g} > 1 on the bracket [{p_lo:g}, {p_hi:g}]; reduce dx")
 
 
+# shooting steps ``choose_dx`` picks from, largest first
+DX_CHOICES = (0.04, 0.02, 0.01)
+
+
+def choose_dx(env: EnvRealization, G, beta: float, levels) -> float:
+    """Largest step of ``DX_CHOICES`` that passes the monotone-step check
+    at every ``(branch, lam)`` of ``levels``; the smallest if none does.
+
+    The check takes max(1/a) over the whole window: the spans a command
+    will shoot are not known yet, and a window-wide bound can only err
+    towards a smaller step.  Steps above 0.01 trade pointwise accuracy
+    for speed, so they suit slope averages, whose every estimate carries
+    its step-doubling bar, and not the profiles certified pointwise.
+    Where the medium is piecewise linear on a lattice finer than the
+    step (``dx_env`` = 0.01), the steps straddle its kinks and the error
+    is set by them, not by RK4 truncation: on the periodic medium the
+    average at dx = 0.04 is off the one-cell average by 5e-7 to 1.6e-6
+    (lam = 1 to 4), at or below its bar, against 5e-10 at dx = 0.01.
+    """
+    A_max = 1.0 / float(env.a_vals.min())
+    for dx in DX_CHOICES:
+        try:
+            for branch, lam in levels:
+                _check_monotone_steps(A_max, G, beta,
+                                      *slope_bracket(G, branch, lam, beta), dx)
+        except CertificateError:
+            continue
+        return dx
+    return DX_CHOICES[-1]
+
+
 def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
                       branch: int, region: tuple[float, float], tol: float,
-                      dx: float, tangent: bool = False) -> CorrectorProfile:
+                      dx: float, tangent: bool = False,
+                      doubled: bool = False) -> CorrectorProfile:
     """Certified corrector slope on ``region``.
 
     Shoots from both ends of the slope bracket, a burn-in before the
     region, and reports the run that starts nearer 0 (``p_lo`` on
     branch 2, ``p_hi`` on branch 1).  Each RK4 step is increasing in f
-    (``_check_monotone_steps``), so the run from any start in the
-    bracket, the stationary corrector's included, lies between the
-    two; their largest distance on the region is ``cert_bound``.  While
-    it exceeds tol the burn-in doubles and both runs start again;
-    ``WindowError`` when the start leaves the window.  Both runs of an
-    attempt use one pass of sampled stage coefficients, and the check
-    run stops at the first node where it equals the reported run bit
-    for bit; from there on it would repeat the reported run exactly.
-    ``rk4_steps`` counts the steps of every attempt.  With ``tangent``,
-    the profile also carries df/dlam of the reported run (``g_vals``).
+    (``_check_monotone_steps``, on the attempt's own stage
+    coefficients), so the run from any start in the bracket, the
+    stationary corrector's included, lies between the two; their
+    largest distance on the region is ``cert_bound``.  The first
+    burn-in is ``burn_in_length``, clipped to the longest the window
+    holds; while the distance exceeds tol the burn-in doubles, again
+    within the window, and both runs start again.  ``WindowError``
+    when an attempt at the window's limit still does not close.  Both
+    runs of an attempt use one pass of sampled stage coefficients, and
+    the check run stops at the first node where it equals the reported
+    run bit for bit; from there on it would repeat the reported run
+    exactly.  ``rk4_steps`` counts the steps of every run.  With
+    ``tangent``, the profile also carries df/dlam of the reported run
+    (``g_vals``).  With ``doubled``, the reported run of the accepted
+    attempt is run again at twice the step, on every other stage
+    coefficient, and ``disc_bound`` is the change of the region
+    average.  The doubled lattice starts at node ``n_burn % 2``, so the
+    region starts on one of its nodes and the reported run is
+    untouched.
     """
     x_lo, x_hi = float(region[0]), float(region[1])
     if x_hi <= x_lo:
         raise ValueError(f"empty region {region}")
     p_lo, p_hi = slope_bracket(G, branch, lam, beta)
-    _check_monotone_steps(env, G, beta, p_lo, p_hi, dx)
+    # the longest burn-in the window holds, in whole steps
+    room = x_lo - env.window[0] if branch == 2 else env.window[1] - x_hi
+    n_max = math.floor((room + 1e-9) / dx)
+    if n_max < 0:
+        raise WindowError(f"region {region} is outside the window {env.window}")
     # round the burn-in up to whole steps so region nodes sit exactly on
     # the integration lattice, the first of them at node n_burn
-    n_burn = math.ceil(burn_in_length(G, beta, lam, tol, branch=branch) / dx
-                       - 1e-9)
+    n_burn = min(math.ceil(burn_in_length(G, beta, lam, tol, branch=branch)
+                           / dx - 1e-9), n_max)
     # branch 2 runs rightward through the region, branch 1 leftward
     starts = (p_lo, p_hi) if branch == 2 else (p_hi, p_lo)
-    steps, width = 0, None
+    steps = 0
     while True:
         x_burn = n_burn * dx
         L, x_end = (x_lo - x_burn, x_hi) if branch == 2 else (x_hi + x_burn, x_lo)
-        if not env.window[0] - 1e-9 <= L <= env.window[1] + 1e-9:
-            seen = ("" if width is None else
-                    f"; the two starts still differed by {width:.3g} > {tol:g}")
-            raise WindowError(
-                f"region {region} with a burn-in of {x_burn:g} starts at "
-                f"x = {L:g}, outside the window {env.window}{seen}")
         st = _stages(env, lam, beta, L, x_end, dx)
+        _check_monotone_steps(float(st.A_arr.max()), G, beta, p_lo, p_hi, dx)
         fs = _rk4_run(st, G, starts[0], p_lo, p_hi)
         fs_alt = _rk4_run(st, G, starts[1], p_lo, p_hi, until=fs)
         steps += len(fs_alt) - 1 + st.n_steps
@@ -429,7 +516,21 @@ def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
         width = float(diff.max()) if diff.size else 0.0
         if width <= tol:
             break
-        n_burn = max(2 * n_burn, 1)
+        if n_burn == n_max:
+            raise WindowError(
+                f"region {region} with a burn-in of {x_burn:g}, the longest "
+                f"the window {env.window} holds: the two starts still "
+                f"differed by {width:.3g} > {tol:g}")
+        n_burn = min(max(2 * n_burn, 1), n_max)
+    disc = None
+    if doubled:
+        first = n_burn % 2
+        st2 = _doubled_stages(env, st, lam, beta, first)
+        steps += st2.n_steps
+        k = (n_burn - first) // 2
+        fs2 = np.asarray(_rk4_run(st2, G, fs[first], p_lo, p_hi))
+        disc = abs(float(np.trapezoid(fs[n_burn:], st.xs[n_burn:])
+                         - np.trapezoid(fs2[k:], st2.xs[k:]))) / (x_hi - x_lo)
     gs = _rk4_tangent(st, G, fs)[n_burn:] if tangent else None
     xs, fs = st.xs[n_burn:], fs[n_burn:]
     if branch == 1:
@@ -438,7 +539,8 @@ def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
             gs = gs[::-1]
     return CorrectorProfile(branch=branch, lam=lam, beta=beta,
                             grid=xs, f_vals=fs, burn_in=x_burn,
-                            cert_bound=width, rk4_steps=steps, g_vals=gs)
+                            cert_bound=width, rk4_steps=steps, g_vals=gs,
+                            disc_bound=disc)
 
 
 def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
@@ -552,7 +654,9 @@ def estimate_theta(env: EnvRealization, G, beta: float, lam: float,
                    tangent: bool = False) -> ThetaEstimate:
     """Ergodic average of the corrector slope over [0, X].
 
-    The mean is the trapezoid average of a certified profile; the
+    The mean is the trapezoid average of a certified profile, with its
+    step-doubling bar ``disc_bound`` (``corrector_profile(...,
+    doubled=True)``, half a run more); the
     confidence interval comes from ``n_batches`` contiguous batch means
     (Student t, 95%).  Branch 1 averages over [-X, 0].  With
     ``tangent``, the same average and CI of df/dlam give
@@ -566,7 +670,7 @@ def estimate_theta(env: EnvRealization, G, beta: float, lam: float,
         raise ValueError(f"window length must be positive, got {X}")
     region = (0.0, X) if branch == 2 else (-X, 0.0)
     prof = corrector_profile(env, G, beta, lam, branch, region, tol, dx,
-                             tangent=tangent)
+                             tangent=tangent, doubled=True)
     mean, ci = _window_mean(prof.f_vals, prof.grid, X, n_batches)
     dmean = dci = None
     if tangent:
@@ -575,7 +679,7 @@ def estimate_theta(env: EnvRealization, G, beta: float, lam: float,
                          ci_halfwidth=ci, window_length=X, n_batches=n_batches,
                          cert_bound=prof.cert_bound,
                          rk4_steps=prof.rk4_steps, dtheta_dlam=dmean,
-                         dtheta_ci=dci)
+                         dtheta_ci=dci, disc_bound=prof.disc_bound)
 
 
 # ============================================================

@@ -61,7 +61,9 @@ class LambdaInversion:
     ``theta_at_lam`` and ``ci`` are the final slope estimate and its
     batch-means half-width, ``dtheta_dlam`` and ``dtheta_ci`` the
     derivative of that estimate in lam and its half-width (None where
-    no tangent was computed, as for a reused endpoint).  ``n_evals``
+    no tangent was computed, as for a reused endpoint), and
+    ``disc_bound`` its step-doubling bar (0 on constant media, where
+    the level is exact).  ``n_evals``
     counts slope estimates spent and ``rk4_steps`` their RK4 steps.  A
     reused endpoint estimate counts toward neither.
     """
@@ -77,6 +79,7 @@ class LambdaInversion:
     rk4_steps: int = 0
     dtheta_dlam: float | None = None
     dtheta_ci: float | None = None
+    disc_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,9 @@ class EffectiveH:
     ``(theta, lam, lam_lo, lam_hi)`` sorted by theta.  ``flat_value`` is
     ``beta`` for random media (whose potential sup is 1) and ``beta*v0``
     for constant media; the flat piece is that exact constant, only the
-    endpoints ``theta1_beta``/``theta2_beta`` are statistical.
+    endpoints ``theta1_beta``/``theta2_beta`` are statistical, with
+    CIs ``theta1_ci``/``theta2_ci`` and step-doubling bars
+    ``theta1_disc_bound``/``theta2_disc_bound`` (0 on constant media).
 
     ``n_evals`` and ``rk4_steps`` sum up the work of the build: slope
     estimates of the inversions, and RK4 steps of the endpoint
@@ -110,6 +115,8 @@ class EffectiveH:
     n_evals: int = 0
     rk4_steps: int = 0
     inversions: tuple[LambdaInversion, ...] = ()
+    theta1_disc_bound: float = 0.0
+    theta2_disc_bound: float = 0.0
 
     def __post_init__(self):
         for arr in (self.branch1_table, self.branch2_table, self.flat_thetas):
@@ -196,7 +203,7 @@ def _invert_constant(env: EnvRealization, G, beta: float, theta: float,
                            lam_lo=lam, lam_hi=lam, theta_at_lam=float(theta),
                            ci=0.0, n_evals=0,
                            dtheta_dlam=1.0 / dG if dG != 0.0 else math.inf,
-                           dtheta_ci=0.0)
+                           dtheta_ci=0.0, disc_bound=0.0)
 
 
 def invert_theta(env: EnvRealization, G, beta: float, theta: float,
@@ -271,7 +278,8 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                                theta_at_lam=endpoint.mean,
                                ci=endpoint.ci_halfwidth, n_evals=0,
                                dtheta_dlam=endpoint.dtheta_dlam,
-                               dtheta_ci=endpoint.dtheta_ci)
+                               dtheta_ci=endpoint.dtheta_ci,
+                               disc_bound=endpoint.disc_bound)
 
     ests: list[ThetaEstimate] = []
 
@@ -296,7 +304,8 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                                ci=est.ci_halfwidth, n_evals=len(ests),
                                rk4_steps=sum(e.rk4_steps for e in ests),
                                dtheta_dlam=est.dtheta_dlam,
-                               dtheta_ci=est.dtheta_ci)
+                               dtheta_ci=est.dtheta_ci,
+                               disc_bound=est.disc_bound)
 
     # slopes at level lam lie in [G_b^-1(lam - beta), G_b^-1(lam)]
     g_theta = float(G(theta))
@@ -397,7 +406,9 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
     process pool; results are merged in grid order, so the output is
     identical to the sequential run.
     """
-    grid = np.unique(np.asarray(theta_grid, dtype=np.float64))
+    # sorted(set(...)), not np.unique, which imports numpy.ma
+    grid = np.array(sorted(set(np.asarray(theta_grid, dtype=np.float64)
+                               .tolist())), dtype=np.float64)
     if grid.size == 0:
         raise ConfigError("theta grid is empty")
     if not np.all(np.isfinite(grid)):
@@ -409,7 +420,7 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
         v0 = float(env.v_vals[0])
         flat_value = beta * v0
         t1 = t2 = 0.0
-        ci1 = ci2 = 0.0
+        ci1 = ci2 = disc1 = disc2 = 0.0
         ep1 = ep2 = None
     else:
         flat_value = beta
@@ -418,8 +429,8 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
                              n_batches=n_batches, tol=endpoint_tol, dx=dx)
         ep1 = estimate_theta(env, G, beta, beta, 1, X=eX,
                              n_batches=n_batches, tol=endpoint_tol, dx=dx)
-        t1, ci1 = ep1.mean, ep1.ci_halfwidth
-        t2, ci2 = ep2.mean, ep2.ci_halfwidth
+        t1, ci1, disc1 = ep1.mean, ep1.ci_halfwidth, ep1.disc_bound
+        t2, ci2, disc2 = ep2.mean, ep2.ci_halfwidth, ep2.disc_bound
         if not (t1 < 0.0 < t2):
             raise CertificateError(
                 f"flat endpoints must straddle 0, got theta1 = {t1:.6g}, "
@@ -472,7 +483,8 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
                       theta_tol=tol, lambda_tol=float(widths.max(initial=0.0)),
                       n_evals=sum(i.n_evals for i in invs),
                       rk4_steps=sum(r.rk4_steps for r in endpoints + invs),
-                      inversions=tuple(invs))
+                      inversions=tuple(invs), theta1_disc_bound=disc1,
+                      theta2_disc_bound=disc2)
 
 
 def effective_reference(env: EnvRealization, G, beta: float, theta: float,
@@ -493,10 +505,23 @@ def effective_reference(env: EnvRealization, G, beta: float, theta: float,
     cannot decide where theta lies.  An endpoint on the wrong side of 0
     raises ``CertificateError``, as in ``build_effective_H``.
     """
+    value, half, _ = _reference(env, G, beta, theta, tol, X=X,
+                                n_batches=n_batches, dx=dx,
+                                profile_tol=profile_tol,
+                                endpoint_tol=endpoint_tol)
+    return value, half
+
+
+def _reference(env: EnvRealization, G, beta: float, theta: float,
+               tol: float, *, X: float = 500.0, n_batches: int = 10,
+               dx: float = 0.01, profile_tol: float = 1e-6,
+               endpoint_tol: float = 1e-2) -> tuple[float, float, float]:
+    """``effective_reference`` plus the step-doubling bar of the slope
+    estimate the level was matched on (0 where the value is exact)."""
     beta = float(beta)
     theta = float(theta)
     if env.kind == "constant":
-        return float(G(theta)) + beta * float(env.v_vals[0]), 0.0
+        return float(G(theta)) + beta * float(env.v_vals[0]), 0.0, 0.0
     branch = 2 if theta >= 0.0 else 1
     s = 1.0 if branch == 2 else -1.0
     ep = estimate_theta(env, G, beta, beta, branch, X=X, n_batches=n_batches,
@@ -506,12 +531,12 @@ def effective_reference(env: EnvRealization, G, beta: float, theta: float,
             f"flat endpoint theta{branch}(beta) = {ep.mean:.6g} is on the "
             f"wrong side of 0")
     if s * theta < s * ep.mean:
-        return beta, 0.0
+        return beta, 0.0, 0.0
     inv = invert_theta(env, G, beta, theta, branch, tol, X=X,
                        n_batches=n_batches, dx=dx, profile_tol=profile_tol,
                        endpoint=ep)
     half = kappa_tilde(G, inv.lam, beta, branch=branch) * (tol + inv.ci)
-    return inv.lam, half
+    return inv.lam, half, inv.disc_bound
 
 
 # ============================================================
@@ -536,9 +561,8 @@ def save_effective(eff: EffectiveH, path: str) -> None:
 
 
 def save_theta_curve(rows, path: str) -> None:
-    """Write `lam,theta,ci,cert_bound`, one row per such tuple."""
+    """Write `lam,theta,ci,cert_bound,disc_bound`, one row per such tuple."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lam,theta,ci,cert_bound\n")
-        for lam, theta, ci, cert in rows:
-            fh.write(f"{float(lam)!r},{float(theta)!r},{float(ci)!r},"
-                     f"{float(cert)!r}\n")
+        fh.write("lam,theta,ci,cert_bound,disc_bound\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")

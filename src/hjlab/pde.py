@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrector import CorrectorProfile, GluedProfile
-from .effective import _pmap, effective_reference
+from .effective import _pmap, _reference
 from .environment import EnvRealization, sample_many
 from .errors import ConfigError, SignError, StabilityError, WindowError
 from .hamiltonian import bracket
@@ -351,6 +351,8 @@ class SweepResult:
     ``domain_sensitivity[i]`` is its change when the domain half-width
     doubles -- the honest surrogate for boundary error.  ``steps`` is
     the number of evolve steps marched, one march per distinct domain.
+    ``ref_disc_bound`` is the step-doubling bar of the slope estimate
+    behind ``reference`` when the sweep computed it, else None.
     """
 
     theta: float
@@ -360,6 +362,7 @@ class SweepResult:
     domain_sensitivity: np.ndarray
     grad_excursion: bool = False
     steps: int = 0
+    ref_disc_bound: float | None = None
 
     def __post_init__(self):
         if self.epsilons.size != self.values.size or \
@@ -440,9 +443,10 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
             f"environment window {env.window} cannot cover the doubled "
             f"domain [-{m_widest:g}, {m_widest:g}] at eps = {eps_min:g}")
 
+    ref_disc = None
     if reference is None:
-        reference, _ = effective_reference(env, G, beta, theta, ref_tol,
-                                           X=ref_X, dx=ref_dx)
+        reference, _, ref_disc = _reference(env, G, beta, theta, ref_tol,
+                                            X=ref_X, dx=ref_dx)
 
     # half-width in nodes -> its stops, increasing since eps decreases
     stops = {}
@@ -460,7 +464,8 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
                        reference=float(reference),
                        domain_sensitivity=np.abs(doubled - values),
                        grad_excursion=any(m[1] for m in marches),
-                       steps=sum(m[2] for m in marches))
+                       steps=sum(m[2] for m in marches),
+                       ref_disc_bound=ref_disc)
 
 
 # ============================================================

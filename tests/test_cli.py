@@ -110,10 +110,10 @@ def test_theta_curve_constant_closed_form(tmp_path):
     cfg = _write(tmp_path, CONST_V0)
     assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 0
     header, rows = _rows(tmp_path / "theta_curve.csv")
-    assert header == ["lam", "theta", "ci", "cert_bound"]
-    for (lam, theta, ci, cert) in rows:
+    assert header == ["lam", "theta", "ci", "cert_bound", "disc_bound"]
+    for (lam, theta, ci, cert, disc) in rows:
         assert abs(float(theta) - math.sqrt(float(lam))) <= 1e-12
-        assert float(ci) == 0.0 and float(cert) == 0.0
+        assert float(ci) == 0.0 and float(cert) == 0.0 and float(disc) == 0.0
 
 
 def test_gen_env_deterministic_and_sidecar(tmp_path):
@@ -135,8 +135,8 @@ def test_gen_env_deterministic_and_sidecar(tmp_path):
 _HEAVY = ('scipy.stats', 'scipy.integrate', 'scipy.special', 'scipy.linalg')
 
 
-def _loaded_heavy(argv: list[str]) -> list:
-    """[exit code, heavy scipy submodules loaded] of ``hjlab.cli.main(argv)``
+def _loaded_heavy(argv: list[str], watch=_HEAVY) -> list:
+    """[exit code, modules of ``watch`` loaded] of ``hjlab.cli.main(argv)``
     in a fresh interpreter; with no ``argv`` only the import runs."""
     src = str(Path(hjlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -144,7 +144,7 @@ def _loaded_heavy(argv: list[str]) -> list:
     code = ("import json, sys; from hjlab.cli import main; "
             f"rc = main({argv!r}) if {argv!r} else None; "
             "print(json.dumps([rc, sorted(m for m in sys.modules "
-            f"if m in {_HEAVY!r})]))")
+            f"if m in {tuple(watch)!r})]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -168,6 +168,19 @@ def test_effective_run_skips_scipy_stats_and_integrate(tmp_path):
     out_dir = tmp_path / "out"
     assert _loaded_heavy(["effective", "--config", cfg, "--out",
                           str(out_dir)]) == [0, []]
+
+
+def test_effective_run_skips_numpy_ma(tmp_path):
+    # the theta grid is deduplicated without np.unique, whose import of
+    # numpy.ma was the run's only lazy import (homogenize still loads
+    # numpy.ma through scipy.linalg)
+    text = ("[env]\nkind = iid-interp\nseed = 3\nwindow = -300 300\n"
+            "dx_env = 0.01\n\n[model]\nbeta = 1.0\n\n[effective]\n"
+            "theta_grid = 1.5 -1.5 1.5\nx = 40\ntol = 0.05\n")
+    cfg = _write(tmp_path, text)
+    assert _loaded_heavy(["effective", "--config", cfg, "--out",
+                          str(tmp_path / "out")], watch=("numpy.ma",)) \
+        == [0, []]
 
 
 def test_homogenize_run_loads_linalg_only(tmp_path):
@@ -243,16 +256,18 @@ def test_theta_curve_parallel_matches_sequential(tmp_path):
 
 def test_theta_curve_and_corrector_record_rk4_steps(tmp_path):
     # each estimate integrates its reported run in full (burn-in plus
-    # region) and stops its check run once the two are equal
+    # region), stops its check run once the two are equal, and runs the
+    # reported run again at twice the step for its discretization bar
     text = PERIODIC + "\n[corrector]\nlam = 2.0\nbranch = 1\n" \
         "region = -10 0\ntol = 1e-6\ndx = 0.01\n"
     cfg = _write(tmp_path, text)
     assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 0
     stats = json.loads((tmp_path / "theta_curve.meta.json").read_text())["stats"]
-    primary = sum(6000 + math.ceil(burn_in_length(PowerG(2.0), 1.0, lam,
-                                                  1e-6) / 0.01 - 1e-9)
-                  for lam in (1.5, 2.0, 3.0))
-    assert primary < stats["rk4_steps"] < 2 * primary
+    dx = stats["dx"]
+    primary = sum(round(60 / dx)
+                  + math.ceil(burn_in_length(PowerG(2.0), 1.0, lam, 1e-6)
+                              / dx - 1e-9) for lam in (1.5, 2.0, 3.0))
+    assert 1.5 * primary < stats["rk4_steps"] < 2.5 * primary
     assert main(["corrector", "--config", cfg, "--out", str(tmp_path)]) == 0
     stats = json.loads((tmp_path / "corrector.meta.json").read_text())["stats"]
     assert set(stats) == {"rk4_steps", "cert_bound"}
@@ -279,11 +294,14 @@ def test_effective_records_run_counters(tmp_path):
     cfg = _write(tmp_path, text)
     assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
     stats = json.loads((tmp_path / "effective.meta.json").read_text())["stats"]
-    assert set(stats) == {"n_evals", "rk4_steps", "theta1_ci", "theta2_ci"}
+    assert set(stats) == {"n_evals", "rk4_steps", "theta1_ci", "theta2_ci",
+                          "dx", "theta1_disc_bound", "theta2_disc_bound"}
     # each side inverts one slope: at least one slope estimate apiece,
-    # each with at least its 4000-step region, plus the two endpoints
+    # each with at least its 40-unit region, plus the two endpoints
     assert stats["n_evals"] >= 2
-    assert stats["rk4_steps"] > (stats["n_evals"] + 2) * 4000
+    assert stats["rk4_steps"] > (stats["n_evals"] + 2) * 40 / stats["dx"]
+    assert 0.0 <= stats["theta1_disc_bound"] <= 1e-5
+    assert 0.0 <= stats["theta2_disc_bound"] <= 1e-5
     assert 0.0 <= stats["theta1_ci"] <= 1e-3
     assert 0.0 <= stats["theta2_ci"] <= 1e-3
 
@@ -330,6 +348,59 @@ def test_effective_parallel_matches_sequential(tmp_path):
     assert m1["stats"] == m2["stats"]
 
 
+# parent outputs at an explicit dx = 0.01, before the step-doubling bar:
+# with the step given, the bar leaves every existing column untouched
+FROZEN_THETA_CURVE = """lam,theta,ci,cert_bound
+1.5,0.9985621118796275,5.1687834737291944e-11,4.409799858606789e-09
+2.0,1.2236227813813914,3.481900142736444e-10,5.227294996856813e-08
+3.0,1.5803401143048579,9.277243058279801e-10,2.1364434465986903e-07
+"""
+FROZEN_EFFECTIVE = """theta,H,H_lo,H_hi,branch
+-1.8,3.8052266705410775,3.24,4.24,left
+-1.5,2.8152266705410773,2.25,3.25,left
+0.0,1.0,1.0,1.0,flat
+1.5,2.7988940043549566,2.25,3.25,right
+1.8,3.788894004354957,3.24,4.24,right
+"""
+IID_EFFECTIVE = ("[env]\nkind = iid-interp\nseed = 3\nwindow = -300 300\n"
+                 "dx_env = 0.01\n\n[model]\nbeta = 1.0\n\n[effective]\n"
+                 "theta_grid = -1.8 -1.5 0 1.5 1.8\nx = 40\ntol = 0.05\n")
+
+
+def test_explicit_dx_keeps_the_outputs(tmp_path):
+    cfg = _write(tmp_path, PERIODIC.replace("x = 60", "x = 60\ndx = 0.01"))
+    assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    header, rows = _rows(tmp_path / "theta_curve.csv")
+    assert header[-1] == "disc_bound"
+    assert "".join(",".join(r) + "\n" for r in [header[:4]] +
+                   [r[:4] for r in rows]) == FROZEN_THETA_CURVE
+    assert all(0.0 < float(r[4]) < 1e-5 for r in rows)
+    cfg = _write(tmp_path, IID_EFFECTIVE + "dx = 0.01\n")
+    assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "effective.csv").read_text() == FROZEN_EFFECTIVE
+    meta = json.loads((tmp_path / "effective.meta.json").read_text())
+    assert meta["stats"]["dx"] == 0.01
+    assert all(math.isfinite(r["disc_bound"]) for r in meta["rows"])
+
+
+def test_effective_default_step_and_bars(tmp_path):
+    # no dx in the config: a = 1 on iid-interp, so the largest step, 0.04,
+    # keeps every RK4 step monotone up to G(1.8) + beta; every slope
+    # estimate carries a step-doubling bar far below its CI
+    cfg = _write(tmp_path, IID_EFFECTIVE)
+    assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "effective.meta.json").read_text())
+    assert meta["stats"]["dx"] == 0.04
+    assert len(meta["rows"]) == 4
+    for r in meta["rows"]:
+        assert 0.0 < r["disc_bound"] <= r["ci"] / 100
+    _, rows = _rows(tmp_path / "effective.csv")
+    got = {float(r[0]): float(r[1]) for r in rows}
+    for line in FROZEN_EFFECTIVE.splitlines()[1:]:
+        theta, H = map(float, line.split(",")[:2])
+        assert got[theta] == pytest.approx(H, abs=1e-5)
+
+
 def test_effective_iid_parallel_matches_sequential(tmp_path):
     # a random medium reaches each pool worker once, through the pool
     # initializer; the output does not depend on the worker count
@@ -371,7 +442,9 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
     stats = json.loads((d1 / "sweep.meta.json").read_text())["stats"]
     assert stats == json.loads((d2 / "sweep.meta.json").read_text())["stats"]
-    assert set(stats) == {"dt", "cfl", "evolve_steps", "grad_excursion"}
+    assert set(stats) == {"dt", "cfl", "evolve_steps", "grad_excursion",
+                          "ref_disc_bound"}
+    assert stats["ref_disc_bound"] == 0.0  # a flat reference is exact
     assert 0.0 < stats["cfl"] <= 0.9 + 1e-12
     assert stats["dt"] > 0.0
     # one march per domain: half-widths 80 (T = 4), 160 (T = 4 and 8,

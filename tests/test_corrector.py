@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hjlab.corrector import (
     _DEGENERATE_BURN_IN,
+    _check_monotone_steps,
     _rk4_forward,
     _rk4_run,
     _rk4_tangent,
@@ -14,18 +15,19 @@ from hjlab.corrector import (
     _student_t975,
     build_glued_profile,
     burn_in_length,
+    choose_dx,
     corrector_profile,
     estimate_theta,
     find_low_slope_points,
     residual_series,
     save_profile,
 )
-from hjlab.environment import HillWitness, generate_env, reflect
+from hjlab.environment import HillWitness, _build, generate_env, reflect
 from hjlab.errors import (BracketExitError, CertificateError, GlueError,
                           WindowError)
 from hjlab.hamiltonian import (AsymPowerG, PowerG, TabulatedG, bracket,
                                monotonicity_modulus)
-from oracles import shoot
+from oracles import cell_average, shoot
 
 G = PowerG(2.0)
 SQRT2 = math.sqrt(2.0)
@@ -289,6 +291,113 @@ def test_non_monotone_step_is_refused(env_iid3):
         corrector_profile(env_iid3, G, 1.0, 25.0, 2, (0.0, 10.0), 1e-6, 0.5)
 
 
+def test_low_a_stretch_outside_the_span_is_not_refused(env_iid3):
+    # the check takes max(1/a) over the attempt's own stage points:
+    # a = 0.01 on [100, 110] makes |dx| max(1/a) Lip(G) = 6.8 there,
+    # which refuses a run through the stretch but not one that never
+    # reaches it (the window-wide bound refused both)
+    a = np.where((env_iid3.xs >= 100.0) & (env_iid3.xs <= 110.0), 0.01,
+                 env_iid3.a_vals)
+    env = _build(3, "iid-interp", env_iid3.window, env_iid3.dx_env, a,
+                 env_iid3.v_vals.copy(), {}, ())
+    p = corrector_profile(env, G, 1.0, 2.0, 2, (0.0, 10.0), 1e-6, 0.01)
+    q = corrector_profile(env_iid3, G, 1.0, 2.0, 2, (0.0, 10.0), 1e-6, 0.01)
+    assert p.f_vals.tobytes() == q.f_vals.tobytes()
+    with pytest.raises(CertificateError, match="not monotone"):
+        corrector_profile(env, G, 1.0, 2.0, 2, (105.0, 115.0), 1e-6, 0.01)
+    # the step chooser bounds max(1/a) over the window, erring small
+    assert choose_dx(env, G, 1.0, [(2, 2.0)]) == 0.01
+
+
+def test_first_burn_in_is_clipped_to_the_window():
+    # just above lam = beta the linear rate tends to 0: phi(1e-6) asks
+    # 6,907 and 69,077 units, far past the 960 the window holds.  Clipped
+    # to the window, the enclosure closes as it does at lam = beta
+    env = generate_env("iid-interp", 56254, (-960.0, 960.0), 0.01)
+    for lam, asked in ((1.0 + 1e-6, 6907.0), (1.0 + 1e-8, 69077.0)):
+        assert burn_in_length(G, 1.0, lam, 1e-6) == pytest.approx(asked,
+                                                                  abs=1.0)
+        p = corrector_profile(env, G, 1.0, lam, 2, (0.0, 20.0), 1e-6, 0.01)
+        assert p.burn_in == pytest.approx(960.0, abs=1e-9)
+        assert p.cert_bound <= 1e-6
+
+
+@pytest.mark.parametrize("lam", [2.0, 3.0])      # n_burn 647 (odd), 448 (even)
+@pytest.mark.parametrize("branch, region", [
+    (2, (0.0, 10.0)),
+    (2, (0.0, 10.005)),                          # tail step of 0.005
+    (1, (-10.005, 0.0)),
+])
+def test_doubled_run_is_a_run_at_twice_the_step(env_iid3, lam, branch,
+                                                region):
+    # the doubled run reuses every other stage coefficient of the
+    # reported run's lattice, from the node of the burn-in's parity; its
+    # region average must be that of a separately sampled run at 0.02
+    # from the same node, and the reported run must not change
+    p = corrector_profile(env_iid3, G, 1.0, lam, branch, region, 1e-6, 0.01,
+                          doubled=True)
+    q = corrector_profile(env_iid3, G, 1.0, lam, branch, region, 1e-6, 0.01)
+    assert p.f_vals.tobytes() == q.f_vals.tobytes()
+    assert p.cert_bound == q.cert_bound and q.disc_bound is None
+    first = round(p.burn_in / 0.01) % 2
+    p_lo, p_hi = bracket(G, branch, lam, 1.0)
+    sgn, c = (1.0, p_lo) if branch == 2 else (-1.0, p_hi)
+    L = region[0] - p.burn_in if branch == 2 else region[1] + p.burn_in
+    x_end = region[1] if branch == 2 else region[0]
+    if first:
+        c = _rk4_forward(env_iid3, G, lam, 1.0, L, c, L + sgn * 0.01, 0.01,
+                         p_lo, p_hi)[1][-1]
+    xs, fs = _rk4_forward(env_iid3, G, lam, 1.0, L + sgn * first * 0.01, c,
+                          x_end, 0.02, p_lo, p_hi)
+    keep = (xs >= region[0] - 1e-9) & (xs <= region[1] + 1e-9)
+    X = region[1] - region[0]
+    mean2 = sgn * float(np.trapezoid(fs[keep], xs[keep])) / X
+    mean = float(np.trapezoid(p.f_vals, p.grid)) / X
+    assert p.disc_bound == pytest.approx(abs(mean - mean2), rel=1e-6,
+                                         abs=1e-13)
+    assert 0.0 < p.disc_bound < 1e-5
+    # its steps are counted: half the reported run's, up to one step
+    assert p.rk4_steps - q.rk4_steps == pytest.approx(
+        (p.grid.size - 1 + round(p.burn_in / 0.01)) / 2, abs=1)
+
+
+def test_choose_dx_takes_the_largest_monotone_step():
+    # a = 1 on iid-interp: at lam = 6.78, |dx| max(1/a) Lip(G) = 0.22 at
+    # dx = 0.04.  gauss-squash (seed 1) reaches a = 0.204, where 0.04
+    # gives 1.17 > 1 and 0.02 gives 0.55
+    iid = generate_env("iid-interp", 1, (-30.0, 30.0), 0.01)
+    gs = generate_env("gauss-squash", 1, (-30.0, 30.0), 0.01)
+    assert choose_dx(iid, G, 1.0, [(1, 6.78), (2, 6.78)]) == 0.04
+    assert choose_dx(gs, G, 1.0, [(1, 6.78), (2, 6.78)]) == 0.02
+    p_lo, p_hi = bracket(G, 2, 6.78, 1.0)
+    with pytest.raises(CertificateError, match="not monotone"):
+        _check_monotone_steps(1.0 / float(gs.a_vals.min()), G, 1.0, p_lo,
+                              p_hi, 0.04)
+    # coupled-singular dips to a ~ 1e-4: nothing passes, and the smallest
+    # step is returned for the shooting check to refuse
+    cs = generate_env("coupled-singular", 1, (-200.0, 200.0), 0.01)
+    assert choose_dx(cs, G, 1.0, [(2, 2.0)]) == 0.01
+
+
+@pytest.fixture(scope="module")
+def env_periodic_long():
+    return generate_env("periodic", 1, (-100.0, 20.0), 0.01)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 4.0])
+def test_default_step_average_within_its_bar(env_periodic_long, lam):
+    # at dx = 0.04 the steps straddle the kinks of the piecewise-linear
+    # medium (dx_env = 0.01), and the average moves off the one-cell
+    # average by 5e-7 to 1.6e-6; the step-doubling bar covers it
+    dx = choose_dx(env_periodic_long, G, 1.0, [(2, lam)])
+    assert dx == 0.04
+    est = estimate_theta(env_periodic_long, G, 1.0, lam, 2, 10.0, dx=dx)
+    oracle = cell_average(generate_env("periodic", 1, (-30.0, 1.0), 0.01),
+                          G, 1.0, lam)
+    assert abs(est.mean - oracle) <= est.disc_bound + 1e-6
+    assert est.disc_bound < 1e-5
+
+
 @pytest.mark.parametrize("gammas", [(1.5, 3.0), (3.0, 1.5)])
 def test_branch_burn_in_for_asymmetric_G(env_iid3, gammas):
     # each branch takes its burn-in from its own modulus; with the branch-2
@@ -365,10 +474,13 @@ def test_theta_branch1_is_reflected_branch2():
 
 
 def test_theta_reports_profile_work(env_iid3):
+    # an estimate's profile carries its step-doubling run
     th = estimate_theta(env_iid3, G, 1.0, 1.0, 2, 20.0, tol=1e-2)
-    p = corrector_profile(env_iid3, G, 1.0, 1.0, 2, (0.0, 20.0), 1e-2, 0.01)
+    p = corrector_profile(env_iid3, G, 1.0, 1.0, 2, (0.0, 20.0), 1e-2, 0.01,
+                          doubled=True)
     assert th.rk4_steps == p.rk4_steps > 0
     assert th.cert_bound == p.cert_bound <= 1e-2
+    assert th.disc_bound == p.disc_bound
 
 
 def test_theta_ci_uses_student_t_quantile(env_periodic):

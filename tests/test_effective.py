@@ -428,6 +428,10 @@ def test_grid_must_cover_both_branches(env_periodic, G):
                           X=40.0)
     with pytest.raises(ConfigError):
         build_effective_H(env_periodic, G, BETA, [], tol=1e-3, X=40.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            build_effective_H(env_periodic, G, BETA, [-1.7, bad, 1.7],
+                              tol=1e-3, X=40.0)
 
 
 # ------------------------------------------------------------
@@ -443,6 +447,25 @@ def test_effective_reference_flat_and_branch(env_iid, env_const1, G):
     # strict level bracket: theta^2 < Hbar(theta) < theta^2 + beta
     assert 4.0 < ref_b < 5.0
     assert 0.0 < half_b < 0.3
+    # the homogenize sweep also takes the step-doubling bar of the slope
+    # estimate the level rests on; a flat or constant-medium level is exact
+    _, _, disc = hjlab.effective._reference(env_iid, G, BETA, 2.0, 2e-2,
+                                            X=300.0)
+    assert 0.0 < disc < 1e-5
+    assert hjlab.effective._reference(env_iid, G, BETA, 0.2, 2e-2,
+                                      X=300.0) == (BETA, 0.0, 0.0)
+    assert hjlab.effective._reference(env_const1, G, BETA, 2.0,
+                                      1e-6) == (5.0, 0.0, 0.0)
+
+
+def test_every_slope_estimate_carries_its_bar(eff_iid):
+    # step doubling at dx = 0.01 moves each average by about 1e-6, two
+    # orders below the batch-means CI
+    for inv in eff_iid.inversions:
+        assert 0.0 < inv.disc_bound <= inv.ci / 100
+    for disc, ci in ((eff_iid.theta1_disc_bound, eff_iid.theta1_ci),
+                     (eff_iid.theta2_disc_bound, eff_iid.theta2_ci)):
+        assert 0.0 < disc <= ci / 100
 
 
 def test_effective_reference_estimates_one_endpoint(env_periodic, G,

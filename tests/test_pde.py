@@ -390,7 +390,7 @@ def test_homogenize_constant_env_exact():
     # linear data is an exact fixed shape: eps u(1/eps, 0) = G(theta)
     assert np.max(np.abs(res.values - 1.0)) <= 1e-10
     assert np.max(res.domain_sensitivity) <= 1e-10
-    assert res.reference == 1.0
+    assert res.reference == 1.0 and res.ref_disc_bound is None
     assert res.epsilons.tolist() == [0.5, 0.25]
 
 
@@ -417,7 +417,7 @@ def test_homogenize_iid_flat_slope_runs():
     scheme = SchemeConfig(dx=dx, dt=dt, M=1.0, T=1.0, theta=0.0)
     res = homogenize_sweep(env, G, BETA, 0.0, [0.25, 0.125], scheme)
     # theta = 0 sits in the flat piece, so the automatic reference is beta
-    assert res.reference == BETA
+    assert res.reference == BETA and res.ref_disc_bound == 0.0
     assert np.all(res.values > 0.0) and np.all(res.values < 2.0 * BETA)
     assert np.all(res.domain_sensitivity >= 0.0)
 
