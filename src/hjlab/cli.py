@@ -390,7 +390,8 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
     kappa = cfg.G.lipschitz_on(cfl_gradient_range(cfg.G, cfg.beta, theta))
     cfg.stats.update(dt=dt, cfl=cfl_number(scheme, kappa),
                      evolve_steps=result.steps,
-                     grad_excursion=result.grad_excursion)
+                     grad_excursion=result.grad_excursion,
+                     grad_range_seen=list(result.grad_range_seen))
     if result.ref_disc_bound is not None:
         cfg.stats["ref_disc_bound"] = result.ref_disc_bound
     return [out]

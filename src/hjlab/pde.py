@@ -15,9 +15,11 @@ because ``I - h diag(a) D2`` is an M-matrix and its inverse is entrywise
 nonnegative.  Diffusion therefore puts no limit on dt.  Row-scaled by
 ``diag(a)^-1`` the same matrix is symmetric positive definite, so the
 implicit stage is one LAPACK ``dpttrf`` per step size and one ``dpttrs``
-per step (``diffusion_solver``).  Monotonicity is what makes the scheme
-converge to the viscosity solution, so everything here favours
-plainness over order: first order in time, no limiters.
+per step (``diffusion_solver``), taken from scipy's ``_flapack``
+extension without the ``scipy.linalg`` package (``_lapack_pt``).
+Monotonicity is what makes the scheme converge to the viscosity
+solution, so everything here favours plainness over order: first order
+in time, no limiters.
 
 Also holds the epsilon-sweep driver that empirically verifies the
 homogenized limit, and the perturbed-profile residual probes for the
@@ -28,6 +30,7 @@ march each distinct domain once, bit for bit a fresh run at every stop.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,6 +190,47 @@ class EvolveResult:
         self.u.setflags(write=False)
 
 
+def _lapack_pt():
+    """LAPACK's ``(dpttrf, dpttrs)``, loaded without ``scipy.linalg``.
+
+    Importing ``scipy.linalg`` runs its package init, which pulls in
+    ``scipy._lib._util`` and through it ``numpy.ma``, ``numpy.testing``,
+    ``unittest`` and more: about 0.3 s and 23 MB on a 2-vCPU Xeon, where
+    the extension alone takes 4 ms and 0.6 MB.  So the f2py extension
+    ``scipy.linalg._flapack`` that holds the two routines is loaded from
+    scipy's ``linalg`` directory by itself, under its full name, and
+    registered in ``sys.modules``, where a later ``import scipy.linalg``
+    finds and reuses it.  ``import scipy`` comes first, since on some
+    platforms it preloads the BLAS that ``_flapack`` links against.  The
+    routines are the objects ``scipy.linalg.lapack`` re-exports; when the
+    extension is not found or does not load, they come from there.
+    """
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        import importlib.machinery as machinery
+        import importlib.util
+
+        import scipy
+
+        spec = machinery.FileFinder(
+            f"{scipy.__path__[0]}/linalg",
+            (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+        ).find_spec(name)
+        if spec is not None:
+            try:
+                flapack = importlib.util.module_from_spec(spec)
+                sys.modules[name] = flapack
+                spec.loader.exec_module(flapack)
+            except ImportError:
+                sys.modules.pop(name, None)
+                flapack = None
+    if flapack is None:
+        from scipy.linalg.lapack import dpttrf, dpttrs
+        return dpttrf, dpttrs
+    return flapack.dpttrf, flapack.dpttrs
+
+
 def diffusion_solver(a, h: float, dx: float, boundary: str):
     """Solver ``solve(w)`` for ``(I - h diag(a) D2) u = w`` on the run grid.
 
@@ -213,9 +257,7 @@ def diffusion_solver(a, h: float, dx: float, boundary: str):
     ghost, and a 1e-3 bump lowered an end value by 3.3e-4 (u0 = -x,
     periodic medium, dx = 0.1, theta = 1).
     """
-    # only the evolve path solves: load scipy.linalg here, not at import
-    from scipy.linalg.lapack import dpttrf, dpttrs
-
+    dpttrf, dpttrs = _lapack_pt()
     inv_a = 1.0 / np.asarray(a, dtype=np.float64)
     c = h / dx ** 2
     # rows lo..hi-1 are unknowns; "clamp" fixes its two end rows
@@ -353,6 +395,8 @@ class SweepResult:
     the number of evolve steps marched, one march per distinct domain.
     ``ref_disc_bound`` is the step-doubling bar of the slope estimate
     behind ``reference`` when the sweep computed it, else None.
+    ``grad_range_seen`` is the union of the marches' observed
+    (min D-, max D+), the range ``grad_excursion`` tests.
     """
 
     theta: float
@@ -363,6 +407,7 @@ class SweepResult:
     grad_excursion: bool = False
     steps: int = 0
     ref_disc_bound: float | None = None
+    grad_range_seen: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.epsilons.size != self.values.size or \
@@ -381,7 +426,7 @@ def _march(env, args):
     tail ``T - floor(...) dt``, skipped at or below ``1e-12 T``, is
     stepped on a copy.  These are the steps of ``evolve(T)``, so each
     stop is bit for bit a fresh run to T.  Returns ({T: u(T, 0)}, any
-    gradient excursion, steps marched).
+    gradient excursion, steps marched, the gradient range seen).
     """
     G, beta, theta, scheme, n, stops = args
     dx, dt = scheme.dx, scheme.dt
@@ -402,7 +447,9 @@ def _march(env, args):
             end = runs[-1].u
         at_zero[t_stop] = float(end[n])
     return (at_zero, any(r.grad_excursion for r in runs),
-            sum(r.steps for r in runs))
+            sum(r.steps for r in runs),
+            (min(r.grad_range_seen[0] for r in runs),
+             max(r.grad_range_seen[1] for r in runs)))
 
 
 def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
@@ -465,7 +512,9 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
                        domain_sensitivity=np.abs(doubled - values),
                        grad_excursion=any(m[1] for m in marches),
                        steps=sum(m[2] for m in marches),
-                       ref_disc_bound=ref_disc)
+                       ref_disc_bound=ref_disc,
+                       grad_range_seen=(min(m[3][0] for m in marches),
+                                        max(m[3][1] for m in marches)))
 
 
 # ============================================================

@@ -15,6 +15,7 @@ import hjlab.cli
 from hjlab.cli import main
 from hjlab.corrector import burn_in_length
 from hjlab.hamiltonian import PowerG
+from hjlab.pde import cfl_gradient_range
 
 CONST_V0 = """
 [env]
@@ -131,8 +132,10 @@ def test_gen_env_deterministic_and_sidecar(tmp_path):
     assert "scipy" in meta["versions"]
 
 
-# scipy submodules that a command must not load unless it needs them
-_HEAVY = ('scipy.stats', 'scipy.integrate', 'scipy.special', 'scipy.linalg')
+# scipy modules that a command must not load unless it needs them;
+# scipy._lib._util is what the scipy.linalg package init costs
+_HEAVY = ('scipy.stats', 'scipy.integrate', 'scipy.special', 'scipy.linalg',
+          'scipy._lib._util')
 
 
 def _loaded_heavy(argv: list[str], watch=_HEAVY) -> list:
@@ -152,8 +155,8 @@ def _loaded_heavy(argv: list[str], watch=_HEAVY) -> list:
 
 def test_cli_import_skips_scipy_stats_and_integrate():
     # start-up cost: a fresh process importing the CLI loads none of
-    # scipy.stats, scipy.integrate, scipy.special and scipy.linalg
-    # (module names, not timings)
+    # scipy.stats, scipy.integrate, scipy.special, scipy.linalg and
+    # scipy._lib._util (module names, not timings)
     assert _loaded_heavy([]) == [None, []]
 
 
@@ -172,8 +175,7 @@ def test_effective_run_skips_scipy_stats_and_integrate(tmp_path):
 
 def test_effective_run_skips_numpy_ma(tmp_path):
     # the theta grid is deduplicated without np.unique, whose import of
-    # numpy.ma was the run's only lazy import (homogenize still loads
-    # numpy.ma through scipy.linalg)
+    # numpy.ma was the run's only lazy import
     text = ("[env]\nkind = iid-interp\nseed = 3\nwindow = -300 300\n"
             "dx_env = 0.01\n\n[model]\nbeta = 1.0\n\n[effective]\n"
             "theta_grid = 1.5 -1.5 1.5\nx = 40\ntol = 0.05\n")
@@ -184,11 +186,14 @@ def test_effective_run_skips_numpy_ma(tmp_path):
 
 
 def test_homogenize_run_loads_linalg_only(tmp_path):
-    # the diffusion solve needs LAPACK's dpttrf/dpttrs; nothing in a
-    # homogenize run needs scipy.special
+    # the diffusion solve loads LAPACK's dpttrf/dpttrs without the
+    # scipy.linalg package, so neither its init (scipy._lib._util) nor
+    # the numpy.ma that came with it runs; nothing in a homogenize run
+    # needs scipy.special
     cfg = _write(tmp_path, HOMOG_IID)
     assert _loaded_heavy(["homogenize", "--config", cfg, "--out",
-                          str(tmp_path / "out")]) == [0, ["scipy.linalg"]]
+                          str(tmp_path / "out")],
+                         watch=_HEAVY + ("numpy.ma",)) == [0, []]
 
 
 def test_seed_override_changes_data(tmp_path):
@@ -443,7 +448,7 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     stats = json.loads((d1 / "sweep.meta.json").read_text())["stats"]
     assert stats == json.loads((d2 / "sweep.meta.json").read_text())["stats"]
     assert set(stats) == {"dt", "cfl", "evolve_steps", "grad_excursion",
-                          "ref_disc_bound"}
+                          "grad_range_seen", "ref_disc_bound"}
     assert stats["ref_disc_bound"] == 0.0  # a flat reference is exact
     assert 0.0 < stats["cfl"] <= 0.9 + 1e-12
     assert stats["dt"] > 0.0
@@ -456,6 +461,10 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
                                      + whole[8.0] + tail[4.0] + tail[8.0]
                                      + whole[8.0] + tail[8.0])
     assert stats["grad_excursion"] is False
+    # no excursion: the slopes seen lie inside the CFL gradient range
+    p_lo, p_hi = cfl_gradient_range(PowerG(2.0), 1.0, 0.0)
+    lo, hi = stats["grad_range_seen"]
+    assert p_lo <= lo <= hi <= p_hi
 
 
 def test_homogenize_requires_growth_certificate(tmp_path):

@@ -6,18 +6,27 @@ u = t lam + F elsewhere.  Probe oracles are recomputed in-test from the
 analytic psi derivatives and hand Lipschitz constants.
 """
 
+import importlib.machinery
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+import hjlab
 from hjlab.corrector import GluedProfile, build_glued_profile, corrector_profile
 from hjlab.environment import HillWitness, generate_env, sample_many
 from hjlab.errors import ConfigError, SignError, StabilityError, WindowError
 from hjlab.hamiltonian import PowerG
 from hjlab.pde import (
     SchemeConfig,
+    _lapack_pt,
     cfl_gradient_range,
     diffusion_solver,
     evolve,
@@ -144,6 +153,69 @@ def test_diffusion_solver_matches_general_tridiagonal_lu(boundary):
         assert info == 0
         got = diffusion_solver(a, h, dx, boundary)(w.copy())
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_lapack_pt_is_scipy_lapack():
+    # the routines are scipy.linalg.lapack's own wrapper objects
+    dpttrf, dpttrs = _lapack_pt()
+    assert dpttrf is scipy.linalg.lapack.dpttrf
+    assert dpttrs is scipy.linalg.lapack.dpttrs
+
+
+def test_lapack_pt_fresh_process_shares_the_extension():
+    # loaded first, the extension is the one a later import of
+    # scipy.linalg.lapack re-exports, and scipy.linalg still works
+    src = str(Path(hjlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import json, sys; import numpy as np; "
+        "from hjlab.pde import _lapack_pt; "
+        "f, s = _lapack_pt(); "
+        "before = 'scipy.linalg' in sys.modules; "
+        "import scipy.linalg, scipy.linalg.lapack as L; "
+        "ab = np.array([[0., -1., -1.], [4., 4., 4.], [-1., -1., 0.]]); "
+        "x = scipy.linalg.solve_banded((1, 1), ab, np.array([3., 2., 3.])); "
+        "print(json.dumps([before, f is L.dpttrf, s is L.dpttrs, "
+        "x.tolist()]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out.strip().splitlines()[-1]) == [
+        False, True, True, [1.0, 1.0, 1.0]]
+
+
+def _no_spec(self, fullname, target=None):
+    return None
+
+
+def _fail_load(self, spec_or_module):
+    raise ImportError("simulated load failure")
+
+
+@pytest.mark.parametrize("where", [
+    ("FileFinder", "find_spec", _no_spec),
+    ("ExtensionFileLoader", "create_module", _fail_load),
+    ("ExtensionFileLoader", "exec_module", _fail_load),
+], ids=["no-spec", "create-fails", "exec-fails"])
+def test_lapack_pt_falls_back_to_scipy_linalg(monkeypatch, where):
+    # an extension that is not found or does not load leaves no entry in
+    # sys.modules, and the public routines solve to the same bits
+    dx, n = 0.05, 201
+    a = 0.55 + 0.4 * np.sin(3.1 * dx * np.arange(n))
+    w = np.cos(dx * np.arange(n))
+    want = {b: diffusion_solver(a, 0.05, dx, b)(w.copy())
+            for b in ("linear", "clamp")}
+    cls, attr, fake = where
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(getattr(importlib.machinery, cls), attr, fake)
+    dpttrf, dpttrs = _lapack_pt()
+    assert "scipy.linalg._flapack" not in sys.modules
+    assert dpttrf is scipy.linalg.lapack.dpttrf
+    assert dpttrs is scipy.linalg.lapack.dpttrs
+    for b, ref in want.items():
+        got = diffusion_solver(a, 0.05, dx, b)(w.copy())
+        assert got.tobytes() == ref.tobytes()
+    assert "scipy.linalg._flapack" not in sys.modules
 
 
 def test_evolve_one_step_jacobian_sign(env_periodic):
@@ -424,9 +496,11 @@ def test_homogenize_iid_flat_slope_runs():
 
 def _fresh_runs(env, theta, epsilons, scheme):
     """The sweep from one fresh evolve per (domain, T), the steps those
-    runs take, and the steps of one march per distinct domain: to its
-    last T once, plus one tail step per stop that has a tail."""
+    runs take, the union of their gradient ranges, and the steps of one
+    march per distinct domain: to its last T once, plus one tail step
+    per stop that has a tail."""
     values, sens, excursion, fresh, stops = [], [], False, 0, {}
+    seen = (math.inf, -math.inf)
     for eps in epsilons:
         n_half = math.ceil(scheme.M / (eps * scheme.dx) - 1e-9)
         pair = []
@@ -436,6 +510,8 @@ def _fresh_runs(env, theta, epsilons, scheme):
             res = evolve(env, G, BETA, lambda x: theta * x, run)
             pair.append(eps * float(res.u[n]))
             excursion = excursion or res.grad_excursion
+            seen = (min(seen[0], res.grad_range_seen[0]),
+                    max(seen[1], res.grad_range_seen[1]))
             fresh += res.steps
             stops.setdefault(n, []).append(1.0 / eps)
         values.append(pair[0])
@@ -445,7 +521,7 @@ def _fresh_runs(env, theta, epsilons, scheme):
         whole = [math.floor(t / scheme.dt + 1e-9) for t in ts]
         marched += max(whole) + sum(t - w * scheme.dt > 1e-12 * t
                                     for t, w in zip(ts, whole))
-    return np.array(values), np.array(sens), excursion, fresh, marched
+    return np.array(values), np.array(sens), excursion, seen, fresh, marched
 
 
 @pytest.mark.parametrize("epsilons", [(0.5, 0.25, 0.125), (0.5, 0.3)])
@@ -457,13 +533,14 @@ def test_homogenize_marches_each_domain_once(epsilons, dt, workers):
     # None: the CFL step, a tail at every stop; 1/128 divides T = 2, 4, 8
     dt = dt or stable_dt(env, G, BETA, 1.0, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=1.0, T=1.0, theta=1.0)
-    values, sens, excursion, fresh, marched = _fresh_runs(
+    values, sens, excursion, seen, fresh, marched = _fresh_runs(
         env, 1.0, epsilons, scheme)
     res = homogenize_sweep(env, G, BETA, 1.0, epsilons, scheme,
                            reference=1.0, workers=workers)
     assert res.values.tolist() == values.tolist()
     assert res.domain_sensitivity.tolist() == sens.tolist()
     assert res.grad_excursion == excursion
+    assert res.grad_range_seen == seen  # the marches see the same slopes
     assert res.steps == marched
     # the halving ladder shares two domains, the other ladder none
     assert (marched < fresh) == (epsilons[-1] == 0.125)
