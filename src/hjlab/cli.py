@@ -15,7 +15,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from .environment import (
     find_hill,
     generate_env,
     save_env,
+    write_csv,
 )
 from .errors import CertificateError, ConfigError, HillError, ScientificError
 from .hamiltonian import GrowthCertificate, make_G, validate_growth
@@ -94,7 +95,7 @@ class RunConfig:
     G: object
     growth: GrowthCertificate | None
     beta: float
-    params: dict
+    params: configparser.SectionProxy
     out_dir: Path
     workers: int
     echo: dict
@@ -119,20 +120,31 @@ def _as_int(raw: str) -> int:
     return int(f)
 
 
-def _require(section, key, kind=str):
+def _get(section: configparser.SectionProxy, key: str, default=None,
+         kind=float, positive: bool = False):
+    """Typed config value; with ``positive`` every value must be > 0."""
     if key not in section:
-        raise ConfigError(f"missing required key {key!r} in [{section.name}]")
+        if default is None:
+            raise ConfigError(
+                f"missing required key {key!r} in [{section.name}]")
+        return default
     raw = section[key]
     try:
-        if kind is int:
-            return _as_int(raw)
         if kind is float:
-            return float(raw)
+            val = float(raw)
+        elif kind is int:
+            val = _as_int(raw)
+        elif kind is list:
+            val = _floats(raw)
+        else:
+            return raw
     except ValueError:
         raise ConfigError(
-            f"key {key!r} in [{section.name}] must be {kind.__name__}, "
-            f"got {raw!r}") from None
-    return raw
+            f"bad value for {key!r} in [{section.name}]: {raw!r}") from None
+    if positive and not all(v > 0 for v in (val if kind is list else [val])):
+        raise ConfigError(
+            f"{key!r} in [{section.name}] must be positive, got {raw!r}")
+    return val
 
 
 def load_config(path: str, command: str, out_flag: str | None,
@@ -145,52 +157,46 @@ def load_config(path: str, command: str, out_flag: str | None,
     if "env" not in cp:
         raise ConfigError("config needs an [env] section")
     env_sec = cp["env"]
-    kind = _require(env_sec, "kind")
+    kind = _get(env_sec, "kind", kind=str)
     if kind not in KINDS:
         raise ConfigError(f"unknown env kind {kind!r}; choose from {KINDS}")
-    seed = _require(env_sec, "seed", int)
+    seed = _get(env_sec, "seed", kind=int)
     if seed_override is not None:
         seed = seed_override
-    window = _floats(_require(env_sec, "window"))
+    window = _get(env_sec, "window", kind=list)
     if len(window) != 2 or window[0] >= window[1]:
         raise ConfigError(f"window must be two increasing numbers, got {window}")
-    dx_env = _require(env_sec, "dx_env", float)
-    if dx_env <= 0:
-        raise ConfigError(f"dx_env must be positive, got {dx_env}")
+    dx_env = _get(env_sec, "dx_env", positive=True)
     env_params = {k: _maybe_number(v) for k, v in env_sec.items()
                   if k not in ("kind", "seed", "window", "dx_env")}
 
     g_params: dict = {}
+    growth_kw: dict = {}
     family = "power"
-    growth = None
     if "hamiltonian" in cp:
         h = cp["hamiltonian"]
-        family = h.get("family", "power")
-        growth_keys = [k for k in h if k.startswith("growth_")]
-        if growth_keys:
-            for need in ("growth_gamma", "growth_c1", "growth_c2"):
-                if need not in h:
-                    raise ConfigError(
-                        f"growth certificate needs {need} in [hamiltonian]")
-            growth = GrowthCertificate(gamma=float(h["growth_gamma"]),
-                                       c1=float(h["growth_c1"]),
-                                       c2=float(h["growth_c2"]))
-        for k, v in h.items():
-            if k == "family" or k.startswith("growth_"):
-                continue
-            g_params[k] = v if k == "path" else _maybe_number(v)
+        family = _get(h, "family", "power", str)
+        growth_kw = {k.removeprefix("growth_"): _get(h, k)
+                     for k in h if k.startswith("growth_")}
+        g_params = {k: v if k == "path" else _maybe_number(v)
+                    for k, v in h.items()
+                    if k != "family" and not k.startswith("growth_")}
+    # both are built from their constructors' keyword arguments, so a
+    # misspelled or missing key is a TypeError
     try:
         G = make_G(family, **g_params)
-    except (ValueError, KeyError, OSError) as exc:
+        growth = GrowthCertificate(**growth_kw) if growth_kw else None
+    except (ValueError, KeyError, OSError, TypeError) as exc:
         raise ConfigError(f"cannot build Hamiltonian: {exc}") from exc
 
     if "model" not in cp:
         raise ConfigError("config needs a [model] section with beta")
-    beta = _require(cp["model"], "beta", float)
-    if beta <= 0:
-        raise ConfigError(f"beta must be positive, got {beta}")
+    beta = _get(cp["model"], "beta", positive=True)
 
-    params = dict(cp[command]) if command in cp else {}
+    echo = {name: dict(cp[name]) for name in cp.sections()}
+    if command not in cp:
+        cp.add_section(command)
+    params = cp[command]
 
     # lambda levels below beta are outside every contract; fail before compute
     for key in ("lam", "lams"):
@@ -206,7 +212,6 @@ def load_config(path: str, command: str, out_flag: str | None,
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
 
-    echo = {name: dict(cp[name]) for name in cp.sections()}
     return RunConfig(command=command, env_kind=kind, env_seed=seed,
                      window=(window[0], window[1]), dx_env=dx_env,
                      env_params=env_params, G=G, growth=growth, beta=beta,
@@ -214,45 +219,21 @@ def load_config(path: str, command: str, out_flag: str | None,
                      echo=echo)
 
 
-def _get(params: dict, key: str, default=None, kind=float,
-         positive: bool = False):
-    """Typed command parameter; with ``positive`` every value must be > 0."""
-    if key not in params:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in command section")
-        return default
-    raw = params[key]
-    try:
-        if kind is float:
-            val = float(raw)
-        elif kind is int:
-            val = _as_int(raw)
-        elif kind is list:
-            val = _floats(raw)
-        else:
-            return raw
-    except ValueError:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
-    if positive and not all(v > 0 for v in (val if kind is list else [val])):
-        raise ConfigError(f"{key!r} must be positive, got {raw!r}")
-    return val
-
-
-def _branch(params: dict) -> int:
+def _branch(params) -> int:
     branch = _get(params, "branch", 2, int)
     if branch not in (1, 2):
         raise ConfigError(f"branch must be 1 or 2, got {branch}")
     return branch
 
 
-def _region(params: dict) -> tuple[float, float]:
+def _region(params) -> tuple[float, float]:
     region = _get(params, "region", kind=list)
     if len(region) != 2 or not region[0] < region[1]:
         raise ConfigError(f"region must be two increasing numbers, got {region}")
     return region[0], region[1]
 
 
-def _n_batches(params: dict) -> int:
+def _n_batches(params) -> int:
     n = _get(params, "n_batches", 10, int)
     if n < 10:
         raise ConfigError(f"n_batches must be at least 10, got {n}")
@@ -405,12 +386,11 @@ def cmd_hill_check(cfg: RunConfig) -> list[Path]:
         cs = _in_unit(_get(p, "cs", kind=list) if "cs" in p
                       else [_get(p, "c")], "cs")
         env = cfg.make_env()
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("c,found,x0\n")
-            for c in cs:
-                x0 = check_singular_hill(env, c)
-                fh.write(f"{float(c)!r},{x0 is not None},"
-                         f"{'' if x0 is None else repr(float(x0))}\n")
+        rows = []
+        for c in cs:
+            x0 = check_singular_hill(env, c)
+            rows.append((c, x0 is not None, x0))
+        write_csv(out, ("c", "found", "x0"), rows)
         return [out]
     if mode != "hill":
         raise ConfigError(f"mode must be 'hill' or 'singular', got {mode!r}")
@@ -422,27 +402,21 @@ def cmd_hill_check(cfg: RunConfig) -> list[Path]:
     doublings = _get(p, "doublings", 0, int)
     if doublings < 0:
         raise ConfigError(f"doublings must be >= 0, got {doublings}")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("h,C,window_half,found,L1,L2,scaled_length,v_min\n")
-        for h in hs:
-            for C in Cs:
-                lo, hi = cfg.window
-                witness, used = None, (lo, hi)
-                for attempt in range(doublings + 1):
-                    env = cfg.make_env(window=used)
-                    witness = find_hill(env, h, C)
-                    if witness is not None or attempt == doublings:
-                        break
-                    used = (2.0 * used[0], 2.0 * used[1])
-                half = max(abs(used[0]), abs(used[1]))
-                if witness is None:
-                    fh.write(f"{float(h)!r},{float(C)!r},{half!r},False,,,,\n")
-                else:
-                    fh.write(
-                        f"{float(h)!r},{float(C)!r},{half!r},True,"
-                        f"{witness.L1!r},{witness.L2!r},"
-                        f"{witness.scaled_length!r},"
-                        f"{witness.v_min_on_interval!r}\n")
+    rows = []
+    for h in hs:
+        for C in Cs:
+            used = cfg.window
+            for attempt in range(doublings + 1):
+                env = cfg.make_env(window=used)
+                witness = find_hill(env, h, C)
+                if witness is not None or attempt == doublings:
+                    break
+                used = (2.0 * used[0], 2.0 * used[1])
+            half = max(abs(used[0]), abs(used[1]))
+            rows.append((h, C, half, witness is not None)
+                        + (astuple(witness) if witness else (None,) * 4))
+    write_csv(out, ("h", "C", "window_half", "found", "L1", "L2",
+                    "scaled_length", "v_min"), rows)
     return [out]
 
 

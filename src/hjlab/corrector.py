@@ -42,14 +42,14 @@ tolerance:
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .environment import EnvRealization, HillWitness, s_at, sample_many
+from .environment import (EnvRealization, HillWitness, s_at, sample_many,
+                          write_csv)
 from .errors import BracketExitError, CertificateError, GlueError, WindowError
 from .hamiltonian import bracket as slope_bracket
 from .hamiltonian import monotonicity_modulus
@@ -885,14 +885,9 @@ def build_glued_profile(env: EnvRealization, G, beta: float, delta: float,
 # ============================================================
 
 def save_profile(prof: CorrectorProfile, path: str) -> None:
-    buf = io.StringIO()
-    buf.write(f"# branch {prof.branch}\n")
-    buf.write(f"# lambda {prof.lam!r}\n")
-    buf.write(f"# beta {prof.beta!r}\n")
-    buf.write(f"# burn_in {prof.burn_in!r}\n")
-    buf.write(f"# cert_bound {prof.cert_bound!r}\n")
-    buf.write("x,f\n")
-    for x, f in zip(prof.grid.tolist(), prof.f_vals.tolist()):
-        buf.write(f"{x!r},{f!r}\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    """Write `x,f`, one row per grid node."""
+    write_csv(path, ("x", "f"),
+              zip(prof.grid.tolist(), prof.f_vals.tolist()),
+              [("branch", prof.branch), ("lambda", prof.lam),
+               ("beta", prof.beta), ("burn_in", prof.burn_in),
+               ("cert_bound", prof.cert_bound)])

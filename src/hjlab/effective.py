@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .corrector import ThetaEstimate, estimate_theta
-from .environment import EnvRealization
+from .environment import EnvRealization, write_csv
 from .errors import CertificateError, ConfigError, FlatPieceError
 
 __all__ = [
@@ -51,6 +51,9 @@ __all__ = [
     "save_effective",
     "save_theta_curve",
 ]
+
+# slope estimates one inversion may spend before it gives up
+_MAX_EVALS = 200
 
 
 @dataclass(frozen=True)
@@ -211,8 +214,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                  n_batches: int = 10, dx: float = 0.01,
                  profile_tol: float = 1e-6,
                  endpoint: ThetaEstimate | None = None,
-                 endpoint_tol: float = 1e-2,
-                 max_evals: int = 200) -> LambdaInversion:
+                 endpoint_tol: float = 1e-2) -> LambdaInversion:
     """Level lam on the requested branch with theta_branch(lam) = theta.
 
     Safeguarded Newton iteration on lam, with the stopping rule measured
@@ -284,9 +286,9 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     ests: list[ThetaEstimate] = []
 
     def measure(lam: float) -> ThetaEstimate:
-        if len(ests) >= max_evals:
+        if len(ests) >= _MAX_EVALS:
             raise CertificateError(
-                f"inversion exceeded {max_evals} slope estimates")
+                f"inversion exceeded {_MAX_EVALS} slope estimates")
         est = estimate_theta(env, G, beta, lam, branch, X=X,
                              n_batches=n_batches, tol=profile_tol, dx=dx,
                              tangent=True)
@@ -389,8 +391,7 @@ def _invert_task(env, args):
 
 
 def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
-                      tol: float, *, X: float = 500.0,
-                      endpoint_X: float | None = None, n_batches: int = 10,
+                      tol: float, *, X: float = 500.0, n_batches: int = 10,
                       dx: float = 0.01, profile_tol: float = 1e-6,
                       endpoint_tol: float = 1e-2,
                       workers: int = 1) -> EffectiveH:
@@ -424,10 +425,9 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
         ep1 = ep2 = None
     else:
         flat_value = beta
-        eX = X if endpoint_X is None else float(endpoint_X)
-        ep2 = estimate_theta(env, G, beta, beta, 2, X=eX,
+        ep2 = estimate_theta(env, G, beta, beta, 2, X=X,
                              n_batches=n_batches, tol=endpoint_tol, dx=dx)
-        ep1 = estimate_theta(env, G, beta, beta, 1, X=eX,
+        ep1 = estimate_theta(env, G, beta, beta, 1, X=X,
                              n_batches=n_batches, tol=endpoint_tol, dx=dx)
         t1, ci1, disc1 = ep1.mean, ep1.ci_halfwidth, ep1.disc_bound
         t2, ci2, disc2 = ep2.mean, ep2.ci_halfwidth, ep2.disc_bound
@@ -545,24 +545,14 @@ def _reference(env: EnvRealization, G, beta: float, theta: float,
 
 def save_effective(eff: EffectiveH, path: str) -> None:
     """Write `theta,H,H_lo,H_hi,branch` rows sorted by theta."""
-    rows = []
-    for th, lam, lo, hi in eff.branch1_table:
-        rows.append((float(th), float(lam), float(lo), float(hi), "left"))
-    for th in eff.flat_thetas:
-        rows.append((float(th), eff.flat_value, eff.flat_value,
-                     eff.flat_value, "flat"))
-    for th, lam, lo, hi in eff.branch2_table:
-        rows.append((float(th), float(lam), float(lo), float(hi), "right"))
+    rows = [(th, lam, lo, hi, "left") for th, lam, lo, hi in eff.branch1_table]
+    rows += [(th, eff.flat_value, eff.flat_value, eff.flat_value, "flat")
+             for th in eff.flat_thetas]
+    rows += [(th, lam, lo, hi, "right") for th, lam, lo, hi in eff.branch2_table]
     rows.sort(key=lambda r: r[0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theta,H,H_lo,H_hi,branch\n")
-        for th, lam, lo, hi, br in rows:
-            fh.write(f"{th!r},{lam!r},{lo!r},{hi!r},{br}\n")
+    write_csv(path, ("theta", "H", "H_lo", "H_hi", "branch"), rows)
 
 
 def save_theta_curve(rows, path: str) -> None:
     """Write `lam,theta,ci,cert_bound,disc_bound`, one row per such tuple."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lam,theta,ci,cert_bound,disc_bound\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, ("lam", "theta", "ci", "cert_bound", "disc_bound"), rows)

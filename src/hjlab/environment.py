@@ -21,7 +21,6 @@ laboratory relies on for reproducibility.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,6 +40,7 @@ __all__ = [
     "check_singular_hill",
     "reflect",
     "save_env",
+    "write_csv",
     "KINDS",
 ]
 
@@ -109,12 +109,12 @@ def _bump(u: np.ndarray) -> np.ndarray:
 # Generators
 # ============================================================
 
-def _gen_iid_interp(seed: int, params: dict, xs: np.ndarray, dx: float):
-    a0 = float(params.get("a0", 1.0))
+def _gen_iid_interp(seed: int, xs: np.ndarray, dx: float, a0=1.0,
+                    phase=None):
+    a0 = float(a0)
     if not (0.0 < a0 <= 1.0):
         raise ConfigError(f"iid-interp a0 must lie in (0, 1], got {a0}")
-    ph = params.get("phase")
-    ph = _phase(seed, _STREAM_PHASE) if ph is None else float(ph)
+    ph = _phase(seed, _STREAM_PHASE) if phase is None else float(phase)
     t = xs - ph
     m = np.floor(t).astype(np.int64)
     w = t - m
@@ -125,10 +125,10 @@ def _gen_iid_interp(seed: int, params: dict, xs: np.ndarray, dx: float):
     return a, v
 
 
-def _gen_periodic(seed: int, params: dict, xs: np.ndarray, dx: float):
-    ph = params.get("phase")
-    ph = _phase(seed, _STREAM_PHASE) if ph is None else float(ph)
-    period = float(params.get("period", 1.0))
+def _gen_periodic(seed: int, xs: np.ndarray, dx: float, period=1.0,
+                  phase=None):
+    ph = _phase(seed, _STREAM_PHASE) if phase is None else float(phase)
+    period = float(period)
     m = int(round(period / dx))
     if m >= 1 and m * dx == period:
         # reduce on the lattice so translation by a whole period is the
@@ -140,13 +140,11 @@ def _gen_periodic(seed: int, params: dict, xs: np.ndarray, dx: float):
     return a, v
 
 
-def _gauss_field(seed: int, stream: int, phase_stream: int, params: dict,
-                 xs: np.ndarray) -> np.ndarray:
+def _gauss_field(seed: int, stream: int, phase_stream: int, ell: float,
+                 phase, xs: np.ndarray) -> np.ndarray:
     """Moving average of lattice Gaussians with a compact smooth kernel."""
-    ell = float(params.get("corr_len", 2.0))
     h0 = ell / 4.0
-    ph = params.get("phase")
-    ph = (_phase(seed, phase_stream) if ph is None else float(ph)) * h0
+    ph = (_phase(seed, phase_stream) if phase is None else float(phase)) * h0
     m_lo = int(math.floor((xs[0] - ph - ell) / h0))
     m_hi = int(math.ceil((xs[-1] - ph + ell) / h0))
     z = np.zeros_like(xs)
@@ -167,10 +165,9 @@ _SIGMA0 = math.sqrt(sum(
     float(_bump(np.array([j / 4.0]))[0]) ** 2 for j in range(-4, 5)))
 
 
-def _gen_gauss_squash(seed: int, params: dict, xs: np.ndarray, dx: float):
-    ell = float(params.get("corr_len", 2.0))
-    kappa = float(params.get("kappa", 0.2))
-    gain = float(params.get("gain", 2.5))
+def _gen_gauss_squash(seed: int, xs: np.ndarray, dx: float, corr_len=2.0,
+                      kappa=0.2, gain=2.5, phase=None):
+    ell, kappa, gain = float(corr_len), float(kappa), float(gain)
     if ell <= 0:
         raise ConfigError(f"gauss-squash corr_len must be positive, got {ell}")
     if not (0.0 < kappa < 1.0):
@@ -178,24 +175,23 @@ def _gen_gauss_squash(seed: int, params: dict, xs: np.ndarray, dx: float):
     if xs[-1] - xs[0] < 2.0 * ell:
         raise WindowError(
             f"window of length {xs[-1] - xs[0]:g} too small for correlation length {ell:g}")
-    zv = _gauss_field(seed, _STREAM_GS_V, _STREAM_GS_PHASE_V, params, xs)
-    za = _gauss_field(seed, _STREAM_GS_A, _STREAM_GS_PHASE_A, params, xs)
+    zv = _gauss_field(seed, _STREAM_GS_V, _STREAM_GS_PHASE_V, ell, phase, xs)
+    za = _gauss_field(seed, _STREAM_GS_A, _STREAM_GS_PHASE_A, ell, phase, xs)
     v = 1.0 / (1.0 + np.exp(-gain * zv / _SIGMA0))
     a = kappa + (1.0 - kappa) / (1.0 + np.exp(-gain * za / _SIGMA0))
     return a, v
 
 
-def _gen_coupled_singular(seed: int, params: dict, xs: np.ndarray, dx: float):
+def _gen_coupled_singular(seed: int, xs: np.ndarray, dx: float,
+                          bump_width=0.35, depth_power=2.0, phase=None):
     # Bumps on the unit lattice: at the k-th center the diffusion dips to a
     # random depth d_k while the potential rises to 1 - d_k, so sites with
     # a <= c and V >= 1 - c occur for every level c down to the smallest
     # realized depth.  Depths are pushed toward 0 (power of a uniform).
-    width = float(params.get("bump_width", 0.35))
-    dpow = float(params.get("depth_power", 2.0))
+    width, dpow = float(bump_width), float(depth_power)
     if not (0.0 < width <= 0.49):
         raise ConfigError(f"coupled-singular bump_width must lie in (0, 0.49], got {width}")
-    ph = params.get("phase")
-    ph = _phase(seed, _STREAM_CS_PHASE) if ph is None else float(ph)
+    ph = _phase(seed, _STREAM_CS_PHASE) if phase is None else float(phase)
     m = np.round(xs - ph).astype(np.int64)
     u = (xs - ph - m) / width
     d = _lattice_uniform(seed, m, _STREAM_DEPTH) ** dpow
@@ -205,9 +201,8 @@ def _gen_coupled_singular(seed: int, params: dict, xs: np.ndarray, dx: float):
     return a, v
 
 
-def _gen_constant(seed: int, params: dict, xs: np.ndarray, dx: float):
-    a0 = float(params.get("a0", 1.0))
-    v0 = float(params.get("v0", 0.0))
+def _gen_constant(seed: int, xs: np.ndarray, dx: float, a0=1.0, v0=0.0):
+    a0, v0 = float(a0), float(v0)
     if not (0.0 < a0 <= 1.0):
         raise ConfigError(f"constant a0 must lie in (0, 1], got {a0}")
     if not (0.0 <= v0 <= 1.0):
@@ -247,7 +242,6 @@ class EnvRealization:
     a_vals: np.ndarray
     v_vals: np.ndarray
     s_table: np.ndarray
-    interp: str = "linear"
     params: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
 
@@ -259,8 +253,6 @@ class EnvRealization:
             raise ValueError("a_vals, v_vals, s_table must have equal length")
         if n < 2:
             raise ValueError("a realization needs at least two grid points")
-        if self.interp != "linear":
-            raise ValueError(f"unsupported interpolation {self.interp!r}")
         amin = float(self.a_vals.min())
         if amin <= 0.0 or float(self.a_vals.max()) > 1.0:
             raise ValueError("diffusion coefficient must take values in (0, 1]")
@@ -334,7 +326,9 @@ def generate_env(kind: str, seed: int, window: tuple[float, float],
     if j1 <= j0:
         j1 = j0 + 1
     xs = (j0 + np.arange(j1 - j0 + 1)) * dx_env
-    a, v = _GENERATORS[kind](int(seed), params, xs, dx_env)
+    # the generator's keyword arguments are its parameters: an unknown
+    # key is a TypeError
+    a, v = _GENERATORS[kind](int(seed), xs, dx_env, **params)
     flags = ("degenerate-potential",) if kind == "constant" else ()
     return _build(int(seed), kind, (float(xs[0]), float(xs[-1])), dx_env, a, v, params, flags)
 
@@ -447,24 +441,39 @@ def reflect(env: EnvRealization) -> EnvRealization:
 # ============================================================
 # Serialization
 # ============================================================
-# Columnar text, one row per grid node.  Floats are written with repr,
-# which round-trips every double exactly.
+
+def _field(v) -> str:
+    if type(v) is float:  # the common case, tested first
+        return repr(v)
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def write_csv(path, header, rows, meta=()) -> None:
+    """Write one table: ``# key value`` lines, the header, then the rows.
+
+    Every table the package writes goes through here.  A float (numpy's
+    too) is written with ``repr(float(v))``, which round-trips every
+    double exactly; ``None`` is an empty field and anything else is
+    ``str(v)``.  Nothing is quoted and every line ends in ``\n``.
+    """
+    lines = [f"# {key} {_field(val)}" for key, val in meta]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(_field, row)) for row in rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
 
 def save_env(env: EnvRealization, path: str) -> None:
-    buf = io.StringIO()
-    buf.write(f"# kind {env.kind}\n")
-    buf.write(f"# seed {env.seed}\n")
-    buf.write(f"# dx_env {env.dx_env!r}\n")
+    """Write `x,a,V,s`, one row per grid node."""
+    meta = [("kind", env.kind), ("seed", env.seed), ("dx_env", env.dx_env)]
     if env.params:
-        buf.write(f"# params {json.dumps(env.params, sort_keys=True)}\n")
+        meta.append(("params", json.dumps(env.params, sort_keys=True)))
     if env.flags:
-        buf.write(f"# flags {json.dumps(list(env.flags))}\n")
-    buf.write("x,a,V,s\n")
-    xs = env.xs.tolist()
-    a = env.a_vals.tolist()
-    v = env.v_vals.tolist()
-    s = env.s_table.tolist()
-    for k in range(env.n):
-        buf.write(f"{xs[k]!r},{a[k]!r},{v[k]!r},{s[k]!r}\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        meta.append(("flags", json.dumps(list(env.flags))))
+    write_csv(path, ("x", "a", "V", "s"),
+              zip(env.xs.tolist(), env.a_vals.tolist(), env.v_vals.tolist(),
+                  env.s_table.tolist()), meta)

@@ -328,18 +328,15 @@ def _checked_level(y: float) -> float:
 
 
 def make_G(family: str, **params):
-    """Factory used by the CLI; parameters mirror the constructors."""
-    if family == "power":
-        return PowerG(params.get("gamma", 2.0))
-    if family == "asym-power":
-        return AsymPowerG(params.get("gamma1", 2.0), params.get("gamma2", 2.0))
-    if family == "log-quasiconvex":
-        return LogQuasiconvexG()
-    if family == "tabulated":
-        if "path" in params:
-            return TabulatedG.from_file(params["path"])
-        return TabulatedG(params["ps"], params["gs"])
-    raise ValueError(f"unknown Hamiltonian family {family!r}")
+    """Factory used by the CLI; parameters are the constructors' keywords,
+    so an unknown one is a TypeError."""
+    if family == "tabulated" and "path" in params:
+        return TabulatedG.from_file(**params)
+    families = {"power": PowerG, "asym-power": AsymPowerG,
+                "log-quasiconvex": LogQuasiconvexG, "tabulated": TabulatedG}
+    if family not in families:
+        raise ValueError(f"unknown Hamiltonian family {family!r}")
+    return families[family](**params)
 
 
 # ============================================================
@@ -426,6 +423,11 @@ def monotonicity_modulus(G, lam: float, beta: float, branch: int = 2) -> Contrac
 # Growth report
 # ============================================================
 
+# growth envelopes are checked at _GROWTH_N points on [-_GROWTH_P, _GROWTH_P]
+_GROWTH_P = 10.0
+_GROWTH_N = 2001
+
+
 @dataclass(frozen=True)
 class GrowthCertificate:
     gamma: float
@@ -445,8 +447,6 @@ class GrowthReport:
     """
 
     certificate: GrowthCertificate
-    P: float
-    n: int
     lower_margin: float
     upper_margin: float
     lipschitz_margin: float
@@ -468,24 +468,23 @@ class GrowthReport:
         return self.lower_ok and self.upper_ok and self.lipschitz_ok
 
 
-def validate_growth(G, cert: GrowthCertificate, P: float = 10.0,
-                    n: int = 2001) -> GrowthReport:
+def validate_growth(G, cert: GrowthCertificate) -> GrowthReport:
     gamma, c1, c2 = cert.gamma, cert.c1, cert.c2
     if gamma <= 1 or c1 <= 0 or c2 <= 0:
         raise ValueError("growth certificate needs gamma > 1 and positive constants")
-    ps = np.linspace(-P, P, n)
+    ps = np.linspace(-_GROWTH_P, _GROWTH_P, _GROWTH_N)
     gv = G(ps)
     ap = np.abs(ps)
     lower = gv - (c1 * ap ** gamma - 1.0 / c1)
     upper = c2 * (ap ** gamma + 1.0) - gv
     # pair check on a thinned lattice to keep the quadratic sweep cheap
-    sub = ps[:: max(1, n // 256)]
+    sub = ps[::_GROWTH_N // 256]
     gs = G(sub)
     pi, pj = np.meshgrid(sub, sub, indexing="ij")
     gi, gj = np.meshgrid(gs, gs, indexing="ij")
     rhs = c2 * (np.abs(pi) + np.abs(pj) + 1.0) ** (gamma - 1.0) * np.abs(pi - pj)
     lip = rhs - np.abs(gi - gj)
-    return GrowthReport(certificate=cert, P=P, n=n,
+    return GrowthReport(certificate=cert,
                         lower_margin=float(lower.min()),
                         upper_margin=float(upper.min()),
                         lipschitz_margin=float(lip.min()))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .corrector import CorrectorProfile, GluedProfile
 from .effective import _pmap, _reference
-from .environment import EnvRealization, sample_many
+from .environment import EnvRealization, sample_many, write_csv
 from .errors import ConfigError, SignError, StabilityError, WindowError
 from .hamiltonian import bracket
 
@@ -57,6 +57,9 @@ __all__ = [
     "save_sweep",
     "save_probe",
 ]
+
+# hyperbolic CFL bound of the explicit stage; stable_dt steps right at it
+_CFL_MAX = 0.9
 
 
 # ============================================================
@@ -133,8 +136,8 @@ def cfl_number(scheme: SchemeConfig, kappa_grad: float) -> float:
 
 
 def stable_dt(env: EnvRealization, G, beta: float, theta: float,
-              dx: float, target: float = 0.9) -> float:
-    """Largest dt with ``cfl_number <= target``, i.e. ``target dx / kappa``.
+              dx: float) -> float:
+    """Largest dt with ``cfl_number <= _CFL_MAX``: ``_CFL_MAX dx / kappa``.
 
     kappa is the Lipschitz constant of G on ``cfl_gradient_range``.  The
     bound reads nothing of the medium: a(x) enters only the implicit
@@ -142,7 +145,7 @@ def stable_dt(env: EnvRealization, G, beta: float, theta: float,
     can ask for the step of the run it is about to make.
     """
     kappa = G.lipschitz_on(cfl_gradient_range(G, beta, theta))
-    return target * dx / kappa
+    return _CFL_MAX * dx / kappa
 
 
 # ============================================================
@@ -304,11 +307,11 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     p_lo, p_hi = cfl_gradient_range(G, beta, scheme.theta)
     kappa = G.lipschitz_on((p_lo, p_hi))
     cfl = cfl_number(scheme, kappa)
-    if cfl > 0.9 + 1e-12:
+    if cfl > _CFL_MAX + 1e-12:
         raise StabilityError(
             f"CFL number {cfl:.3f} exceeds the hyperbolic bound "
-            f"dt kappa / dx <= 0.9 (kappa = {kappa:.3g}); shrink dt below "
-            f"{stable_dt(env, G, beta, scheme.theta, dx):.3e}")
+            f"dt kappa / dx <= {_CFL_MAX} (kappa = {kappa:.3g}); shrink dt "
+            f"below {stable_dt(env, G, beta, scheme.theta, dx):.3e}")
 
     u = np.asarray(initial_data(xs) if callable(initial_data)
                    else initial_data, dtype=np.float64).copy()
@@ -611,18 +614,15 @@ def residual_probe(env: EnvRealization, G, beta: float, profile,
 
 def save_sweep(result: SweepResult, path: str) -> None:
     """Write `theta,epsilon,value,reference,domain_sensitivity` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theta,epsilon,value,reference,domain_sensitivity\n")
-        for eps, val, ds in zip(result.epsilons, result.values,
-                                result.domain_sensitivity):
-            fh.write(f"{result.theta!r},{float(eps)!r},{float(val)!r},"
-                     f"{result.reference!r},{float(ds)!r}\n")
+    write_csv(path, ("theta", "epsilon", "value", "reference",
+                     "domain_sensitivity"),
+              ((result.theta, eps, val, result.reference, ds)
+               for eps, val, ds in zip(result.epsilons, result.values,
+                                       result.domain_sensitivity)))
 
 
 def save_probe(reports, path: str) -> None:
     """Write `kind,min_residual,max_residual,pass`, one row per report."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("kind,min_residual,max_residual,pass\n")
-        for rep in reports:
-            fh.write(f"{rep.kind},{rep.min_residual!r},"
-                     f"{rep.max_residual!r},{rep.passed}\n")
+    write_csv(path, ("kind", "min_residual", "max_residual", "pass"),
+              ((rep.kind, rep.min_residual, rep.max_residual, rep.passed)
+               for rep in reports))

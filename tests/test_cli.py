@@ -197,7 +197,8 @@ def test_homogenize_run_loads_linalg_only(tmp_path):
 
 
 def test_seed_override_changes_data(tmp_path):
-    iid = CONST_V0.replace("kind = constant", "kind = iid-interp")
+    iid = CONST_V0.replace("kind = constant", "kind = iid-interp") \
+        .replace("v0 = 0.0\n", "")
     cfg = _write(tmp_path, iid)
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(["gen-env", "--config", cfg, "--out", str(d1)]) == 0
@@ -216,6 +217,18 @@ def test_missing_seed_is_config_error(tmp_path):
 def test_unknown_kind_is_config_error(tmp_path):
     cfg = _write(tmp_path, CONST_V0.replace("constant", "quenched"))
     assert main(["gen-env", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    # a misspelled G parameter, env parameter or growth constant
+    CONST_V0.replace("[model]", "[hamiltonian]\ngama = 3.0\n\n[model]"),
+    CONST_V0.replace("v0 = 0.0", "vo = 0.7"),
+    HOMOG_IID.replace("growth_c2 = 1.1", "growth_c2 = 1.1\ngrowth_c3 = 1.0"),
+], ids=["gama", "vo", "growth_c3"])
+def test_unknown_key_is_config_error(tmp_path, text):
+    cfg = _write(tmp_path, text)
+    assert main(["gen-env", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "env.csv").exists()
 
 
 def test_missing_config_file_is_config_error(tmp_path):

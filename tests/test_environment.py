@@ -16,6 +16,7 @@ from hjlab.environment import (
     s_at,
     sample_many,
     save_env,
+    write_csv,
 )
 from hjlab.errors import ConfigError, WindowError
 
@@ -279,6 +280,17 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     p2 = tmp_path / "env2.csv"
     save_env(f, str(p2))
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_write_csv_exact_bytes(tmp_path):
+    p = tmp_path / "t.csv"
+    write_csv(str(p), ("a", "b", "c"),
+              [(np.float64(0.1), 0.1 + 0.2, True), (None, 7, "left")],
+              meta=[("dx", np.float64(0.01)), ("seed", 3)])
+    # numpy floats are written as plain doubles, not np.float64(...);
+    # 0.1 + 0.2 needs all 17 significant digits to round-trip
+    assert p.read_bytes() == (b"# dx 0.01\n# seed 3\na,b,c\n"
+                              b"0.1,0.30000000000000004,True\n,7,left\n")
 
 
 def test_realization_rejects_bad_values():

@@ -1,9 +1,12 @@
-"""Static checks of the package source: every module-level import is used.
+"""Static checks of the package source: every module-level import is used,
+and only the two writers open files for writing.
 
 The package imports are its only dependencies on other modules, so an
 import that nothing references is dead weight at start-up and a stale
 pointer for the reader.  ``__init__.py`` is exempt: its imports are the
-package's public namespace.
+package's public namespace.  Every output file is a table written by
+``environment.write_csv`` or a sidecar written by ``cli._sidecar``, so
+one CSV convention holds as long as nothing else writes.
 """
 
 import ast
@@ -46,3 +49,64 @@ def test_module_imports_are_used():
         if found:
             unused[path.name] = found
     assert unused == {}
+
+
+# the two functions that write files: every table goes through write_csv,
+# every JSON sidecar through cli._sidecar
+WRITERS = ["cli._sidecar", "environment.write_csv"]
+_WRITE_CALLS = ("write_text", "write_bytes", "savetxt", "save", "savez",
+                "savez_compressed", "tofile")
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    if name in _WRITE_CALLS:
+        return True
+    if name != "open":
+        return False
+    # builtin open(path, mode) takes the mode second, Path.open(mode) first
+    pos = 1 if isinstance(func, ast.Name) else 0
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[pos] if len(call.args) > pos else None)
+    if mode is None:
+        return False
+    # a mode that is not a literal may write
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def _file_writers(tree: ast.Module, module: str) -> list[str]:
+    """Qualified names of the functions in ``tree`` that open a file for
+    writing; a write outside any function is listed as ``<module>``."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            owner = node.name if owner is None else f"{owner}.{node.name}"
+        elif isinstance(node, ast.Call) and _opens_for_writing(node):
+            found.add(f"{module}.{owner or '<module>'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_only_the_writers_open_files_for_writing():
+    # the check itself sees each way of writing, and passes reads
+    probe = ast.parse(
+        "def a(p):\n    open(p, 'w')\n"
+        "def b(p):\n    open(p)\n    open(p, mode='rb')\n    p.open()\n"
+        "def c(p, m):\n    open(p, m)\n"
+        "class D:\n    def e(self, p):\n        p.open(mode='a')\n"
+        "def f(p):\n    p.write_text('x')\n"
+        "np.savetxt('g', [])\n")
+    assert _file_writers(probe, "m") == ["m.<module>", "m.D.e", "m.a",
+                                         "m.c", "m.f"]
+    writers = []
+    for path in sorted(SRC.glob("*.py")):
+        writers += _file_writers(ast.parse(path.read_text(),
+                                           filename=str(path)), path.stem)
+    assert writers == WRITERS
