@@ -55,6 +55,21 @@ from .pde import (
 COMMANDS = ("gen-env", "corrector", "theta-curve", "effective", "homogenize",
             "hill-check", "probe")
 
+# the keys a command reads from its own section; any other key there is
+# a typo that would silently run at a default
+_KEYS = {
+    "gen-env": (),
+    "corrector": ("lam", "branch", "region", "tol", "dx"),
+    "theta-curve": ("lams", "branch", "x", "n_batches", "tol", "dx"),
+    "effective": ("theta_grid", "tol", "x", "dx", "n_batches", "profile_tol",
+                  "endpoint_tol"),
+    "homogenize": ("theta", "dx", "m", "dt", "epsilons", "reference",
+                   "ref_tol", "ref_x", "ref_dx"),
+    "hill-check": ("mode", "hs", "h", "cs", "c", "doublings"),
+    "probe": ("profile", "delta", "region", "dx", "kind", "lam", "branch",
+              "tol", "hill_h", "hill_c", "order", "tol_probe"),
+}
+
 
 # ------------------------------------------------------------
 # config ingestion
@@ -71,11 +86,11 @@ def _floats(text: str) -> list[float]:
 
 
 def _maybe_number(text: str):
+    # every generator and G parameter is a float, so `1` and `1.0` agree
     try:
-        f = float(text)
+        return float(text)
     except ValueError:
         return text
-    return int(f) if f == int(f) and "." not in text and "e" not in text.lower() else f
 
 
 @dataclass
@@ -197,6 +212,12 @@ def load_config(path: str, command: str, out_flag: str | None,
     if command not in cp:
         cp.add_section(command)
     params = cp[command]
+    for name, known in (("model", ("beta",)), (command, _KEYS[command])):
+        unknown = sorted(set(cp[name]) - set(known))
+        if unknown:
+            raise ConfigError(
+                f"unknown key(s) {', '.join(unknown)} in [{name}], which "
+                f"takes {', '.join(known) or 'no keys'} for {command}")
 
     # lambda levels below beta are outside every contract; fail before compute
     for key in ("lam", "lams"):
@@ -371,6 +392,8 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
     kappa = cfg.G.lipschitz_on(cfl_gradient_range(cfg.G, cfg.beta, theta))
     cfg.stats.update(dt=dt, cfl=cfl_number(scheme, kappa),
                      evolve_steps=result.steps,
+                     node_steps=result.node_steps,
+                     trim_bound=result.trim_bound,
                      grad_excursion=result.grad_excursion,
                      grad_range_seen=list(result.grad_range_seen))
     if result.ref_disc_bound is not None:

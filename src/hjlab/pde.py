@@ -24,7 +24,12 @@ in time, no limiters.
 Also holds the epsilon-sweep driver that empirically verifies the
 homogenized limit, and the perturbed-profile residual probes for the
 sub/supersolution constructions.  The sweep chains ``evolve`` calls to
-march each distinct domain once, bit for bit a fresh run at every stop.
+march each distinct domain once and reads u(T, 0) at every stop.  Since
+the scheme is monotone, what a node far from x = 0 does reaches x = 0
+only through tails the scheme's spread bounds, so each march drops the
+nodes beyond a derived margin of its remaining steps (``_trim_margin``):
+every stop is within a certified bound below 1e-16 of a fresh run on
+the whole domain, and the same run bit for bit while no window shrinks.
 """
 
 from __future__ import annotations
@@ -60,6 +65,10 @@ __all__ = [
 
 # hyperbolic CFL bound of the explicit stage; stable_dt steps right at it
 _CFL_MAX = 0.9
+# a trimmed march certifies |u(T, 0) - u_fresh(T, 0)| below this
+_TRIM_TOL = 1e-16
+# a march moves to a smaller window once it needs less than this share
+_TRIM_SHRINK = 0.85
 
 
 # ============================================================
@@ -399,7 +408,11 @@ class SweepResult:
     ``ref_disc_bound`` is the step-doubling bar of the slope estimate
     behind ``reference`` when the sweep computed it, else None.
     ``grad_range_seen`` is the union of the marches' observed
-    (min D-, max D+), the range ``grad_excursion`` tests.
+    (min D-, max D+) on the windows they marched, the range
+    ``grad_excursion`` tests.  ``node_steps`` sums steps times window
+    nodes over the marches, and ``trim_bound`` is the largest certified
+    ``|u(T, 0) - u_fresh(T, 0)|`` of a march whose window shrank (0 when
+    none did).
     """
 
     theta: float
@@ -411,6 +424,8 @@ class SweepResult:
     steps: int = 0
     ref_disc_bound: float | None = None
     grad_range_seen: tuple[float, float] | None = None
+    node_steps: int = 0
+    trim_bound: float = 0.0
 
     def __post_init__(self):
         if self.epsilons.size != self.values.size or \
@@ -422,37 +437,136 @@ class SweepResult:
             arr.setflags(write=False)
 
 
+def _trim_rate(d: float, c: float) -> float:
+    """Largest lam with ``f(lam) <= 1``, by bisection (see ``_trim_margin``).
+
+    ``log f`` is convex (a sum of log-MGFs), 0 at 0 with slope
+    ``d - 1 < 0`` there, and infinite where ``2 c (cosh lam - 1) = 1``,
+    so it is <= 0 exactly on [0, lam*].
+    """
+    def log_f(lam):
+        den = 1.0 - 4.0 * c * math.sinh(0.5 * lam) ** 2
+        if den <= 0.0:
+            return math.inf
+        return -lam + math.log1p(d * math.expm1(lam)) - math.log(den)
+
+    lo, hi = 0.0, math.acosh(1.0 + 0.5 / c)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if log_f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _trim_margin(env, G, beta: float, theta: float, dx: float, dt: float,
+                 k_last: int) -> tuple[float, float]:
+    """Margin ``m`` in nodes of a trimmed march, and its certified bound.
+
+    A march of ``k_last`` steps (``dt`` or shorter) reads u at x = 0 only,
+    so step k runs on the nodes within ``k_last - k + m`` of x = 0 and
+    takes linear-theta ghosts at that window's edges.  The difference e
+    from the march on the whole domain is then driven by a nonnegative
+    linear operator, since the step is monotone: the explicit stage moves
+    at most ``d = dt kappa / dx`` of the weight, one node per step; the
+    implicit stage spreads it by a kernel dominated by the two-sided
+    geometric one, of MGF ``1 / (1 - 2 c (cosh lam - 1))`` with
+    ``c = dt max(a) / dx**2``; and each edge injects at most
+    ``dt (kappa + max(a) / dx) |p - theta|`` per step, p the slope there.
+    Weighted by ``cosh(lam j)`` at node j, the explicit stage grows e by
+    at most ``1 - d + d e^lam`` and the implicit one (its end rows
+    included) by at most ``1 / (1 - 2 c (cosh lam - 1))``, while what an
+    edge injects at step k starts ``k_last - k + m`` nodes out, at weight
+    ``e^(lam (k_last - k + m))`` or more.  So each step to go costs
+    ``f(lam)``, with
+
+        f(lam) = e^-lam (1 - d + d e^lam) / (1 - 2 c (cosh lam - 1)),
+
+    and with ``lam*`` the largest lam with ``f <= 1`` (``_trim_rate``) and
+    ``inj`` the injection of both edges at the widest slope gap of
+    ``cfl_gradient_range``,
+
+        |e(T, 0)| <= k_last inj exp(-lam* m).
+
+    ``m`` is the least margin that puts this below ``_TRIM_TOL``.  The
+    bound holds while the slopes stay in the a-priori range, as the CFL
+    number does (``grad_excursion`` reports a breach).  Returns
+    ``(m, bound)``, or ``(inf, 0.0)`` when ``d >= 1``: then no margin is
+    certified and the march keeps its whole domain.
+    """
+    p_lo, p_hi = cfl_gradient_range(G, beta, theta)
+    kappa = G.lipschitz_on((p_lo, p_hi))
+    a_max = float(np.max(env.a_vals))
+    d = dt * kappa / dx
+    if not d < 1.0:
+        return math.inf, 0.0
+    lam = _trim_rate(d, dt * a_max / dx ** 2)
+    inj = 2.0 * dt * (kappa + a_max / dx) * max(theta - p_lo, p_hi - theta)
+    m = max(1, math.ceil(math.log(k_last * inj / _TRIM_TOL) / lam))
+    return m, k_last * inj * math.exp(-lam * m)
+
+
 def _march(env, args):
     """March u(0, x) = theta x on [-n dx, n dx] once, to increasing stops.
 
     Whole steps to ``floor(T/dt + 1e-9)`` advance the shared state; the
     tail ``T - floor(...) dt``, skipped at or below ``1e-12 T``, is
-    stepped on a copy.  These are the steps of ``evolve(T)``, so each
-    stop is bit for bit a fresh run to T.  Returns ({T: u(T, 0)}, any
-    gradient excursion, steps marched, the gradient range seen).
+    stepped on a copy.  These are the steps of ``evolve(T)``.  Only
+    u(T, 0) is read, so the march drops the nodes that cannot reach
+    x = 0: step k needs the ``min(n, k_last - k + m)`` nodes on each side,
+    ``k_last`` counting every step to the last stop (its tail included)
+    and ``m`` the margin of ``_trim_margin``.  The march keeps one window
+    until that falls below ``_TRIM_SHRINK`` of it, then goes on from the
+    slice of u on the smaller window, with linear-theta ghosts at its
+    edges.  Each stop is then within ``bound`` of a fresh run to T; while
+    no window has shrunk, the march is the fresh run bit for bit.  A
+    window's grid, laid by ``evolve`` from ``M = w dx``, matches the
+    domain's nodes only up to rounding: where they fall on the medium's
+    samples (dx a multiple of ``dx_env``) ``sample_many`` snaps both to
+    the same values, elsewhere the medium moves in its last bits and
+    u(T, 0) by a few ulps beyond ``bound``.
+    Returns ({T: u(T, 0)}, any gradient excursion, steps marched, node
+    steps (steps times window nodes), the gradient range seen on the
+    windows, the bound, or 0 when no window shrank).
     """
     G, beta, theta, scheme, n, stops = args
     dx, dt = scheme.dx, scheme.dt
-    u = lambda x: theta * x  # evolve evaluates it on its own grid
-    runs, at_zero, n_prev = [], {}, 0
-    for t_stop in stops:
-        n_k = int(math.floor(t_stop / dt + 1e-9))
-        if n_k > n_prev:
-            runs.append(evolve(env, G, beta, u, SchemeConfig(
-                dx=dx, dt=dt, M=n * dx, T=(n_k - n_prev) * dt, theta=theta)))
-            u, n_prev = runs[-1].u, n_k
-        end = u  # a stop below dt leaves u callable, but takes a tail
-        tail = t_stop - n_k * dt
-        if tail > 1e-12 * t_stop:
-            # dt = T = tail: one step of size tail, one factorization
-            runs.append(evolve(env, G, beta, u, SchemeConfig(
-                dx=dx, dt=tail, M=n * dx, T=tail, theta=theta)))
-            end = runs[-1].u
-        at_zero[t_stop] = float(end[n])
-    return (at_zero, any(r.grad_excursion for r in runs),
-            sum(r.steps for r in runs),
-            (min(r.grad_range_seen[0] for r in runs),
-             max(r.grad_range_seen[1] for r in runs)))
+    whole = [int(math.floor(t / dt + 1e-9)) for t in stops]
+    tails = [t - k * dt if t - k * dt > 1e-12 * t else 0.0
+             for t, k in zip(stops, whole)]
+    k_last = whole[-1] + (tails[-1] > 0.0)
+    m, bound = _trim_margin(env, G, beta, theta, dx, dt, k_last)
+    # (first step, half-width) of each window
+    windows = [(0, min(n, k_last + m))]
+    while True:
+        k = k_last + m + 1 - math.ceil(_TRIM_SHRINK * windows[-1][1])
+        if k >= k_last:
+            break
+        windows.append((k, k_last + m - k))
+
+    def run(u, steps, h):
+        r = evolve(env, G, beta, u, SchemeConfig(
+            dx=dx, dt=h, M=w * dx, T=steps * h, theta=theta))
+        runs.append((r.grad_excursion, r.steps, r.steps * r.xs.size,
+                     *r.grad_range_seen))
+        return r.u
+
+    # u(0, x) = theta x on the grid evolve lays over the whole domain
+    u, w = theta * (-(n * dx) + dx * np.arange(2 * n + 1)), n
+    runs, at_zero, k_prev = [], {}, 0
+    for k_end in sorted({k for k, _ in windows} | set(whole)):
+        if k_end > k_prev:
+            u, k_prev = run(u, k_end - k_prev, dt), k_end
+        for k, w_new in windows:
+            if k == k_end:
+                u, w = u[w - w_new:w + w_new + 1], w_new
+        for t_stop, k, tail in zip(stops, whole, tails):
+            if k == k_end:
+                at_zero[t_stop] = float((run(u, 1, tail) if tail else u)[w])
+    excursion, steps, node_steps, lo, hi = zip(*runs)
+    return (at_zero, any(excursion), sum(steps), sum(node_steps),
+            (min(lo), max(hi)), bound if w < n else 0.0)
 
 
 def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
@@ -468,8 +582,10 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     linear-theta boundary; ``scheme.T`` and ``scheme.boundary`` are not
     used.  Domains are keyed by their half-width in nodes and each is
     marched once, stopping at every T that reads it: on a halving
-    ladder the doubled domain at eps is the base domain at eps/2.
-    ``workers > 1`` runs the marches in a process pool; the result does
+    ladder the doubled domain at eps is the base domain at eps/2.  Each
+    march runs only on the nodes that can reach x = 0 before its last
+    stop (``_march``), so a value is a fresh run's to within
+    ``trim_bound``.  ``workers > 1`` runs the marches in a process pool; the result does
     not depend on it.  ``reference`` defaults to the effective
     Hamiltonian at theta, computed from correctors on the same medium.
     """
@@ -506,6 +622,7 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     marches = _pmap(_march, env, [(G, beta, theta, scheme, n, ts)
                                   for n, ts in stops.items()], workers)
     u0 = {(n, t): u for n, m in zip(stops, marches) for t, u in m[0].items()}
+    _, excursions, steps, node_steps, seen, bounds = zip(*marches)
     values = np.array([eps * u0[n, 1.0 / eps]
                        for eps, n in zip(eps_arr, halves)])
     doubled = np.array([eps * u0[2 * n, 1.0 / eps]
@@ -513,11 +630,11 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     return SweepResult(theta=theta, epsilons=eps_arr, values=values,
                        reference=float(reference),
                        domain_sensitivity=np.abs(doubled - values),
-                       grad_excursion=any(m[1] for m in marches),
-                       steps=sum(m[2] for m in marches),
+                       grad_excursion=any(excursions), steps=sum(steps),
                        ref_disc_bound=ref_disc,
-                       grad_range_seen=(min(m[3][0] for m in marches),
-                                        max(m[3][1] for m in marches)))
+                       grad_range_seen=(min(lo for lo, _ in seen),
+                                        max(hi for _, hi in seen)),
+                       node_steps=sum(node_steps), trim_bound=max(bounds))
 
 
 # ============================================================

@@ -13,8 +13,13 @@ the package computes another way:
   branch inverse of G alone;
 * ``cell_average`` and ``cell_level``: the one-cell slope average of a
   periodic medium from a dense-step ``shoot``, and the level that gives
-  a slope average, by bisection.
+  a slope average, by bisection;
+* ``walk_tail``: the exact tail of the walk that dominates a trimmed
+  march's error, by direct convolution, against which the Chernoff rate
+  ``pde._trim_rate`` is checked.
 """
+
+import math
 
 import numpy as np
 
@@ -126,3 +131,24 @@ def cell_level(env, G, beta: float, theta: float, lo: float, hi: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def walk_tail(d: float, c: float, steps: int, ms) -> np.ndarray:
+    """``sum_k P(S_k >= m)`` over k = 1..steps, for each m in ``ms``.
+
+    S_k sums k independent steps ``B + Y - 1``: B is Bernoulli(d), the
+    explicit stage moving weight one node; Y has the two-sided geometric
+    law ``r**|j| / sqrt(1 + 4c)`` of ``(I - c D2)^-1`` on the integers,
+    the implicit stage; -1 is the window edge closing in.  The law of
+    S_k is convolved out step by step, Y cut where ``r**|j| < 1e-30``.
+    """
+    r = (1.0 + 2.0 * c - math.sqrt(1.0 + 4.0 * c)) / (2.0 * c)
+    cut = math.ceil(math.log(1e-30) / math.log(r))
+    y = r ** np.abs(np.arange(-cut, cut + 1)) / math.sqrt(1.0 + 4.0 * c)
+    step = np.convolve([1.0 - d, d], y)  # offsets -cut - 1 .. cut
+    law, lo = np.array([1.0]), 0  # law[i] = P(S_k = lo + i)
+    tails = np.zeros(len(ms))
+    for _ in range(steps):
+        law, lo = np.convolve(law, step), lo - cut - 1
+        tails += [law[m - lo:].sum() for m in ms]
+    return tails

@@ -231,6 +231,28 @@ def test_unknown_key_is_config_error(tmp_path, text):
     assert not (tmp_path / "env.csv").exists()
 
 
+@pytest.mark.parametrize("section, line", [("effective", "tols = 0.5"),
+                                           ("model", "beat = 2.0")],
+                         ids=["effective-tols", "model-beat"])
+def test_unknown_command_or_model_key_is_config_error(tmp_path, section,
+                                                      line):
+    text = CONST_V0 + "\n[effective]\ntheta_grid = -1 0 1\n"
+    cfg = _write(tmp_path, text.replace(f"[{section}]\n",
+                                        f"[{section}]\n{line}\n"))
+    assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "effective.csv").exists()
+
+
+def test_gen_env_integer_and_float_params_agree(tmp_path):
+    # generator parameters are floats however they are written
+    text = CONST_V0.replace("v0 = 0.0", "v0 = 0.3\na0 = {}")
+    d1, d2 = tmp_path / "int", tmp_path / "float"
+    for out, a0 in ((d1, "1"), (d2, "1.0")):
+        cfg = _write(tmp_path, text.format(a0), name=f"{out.name}.ini")
+        assert main(["gen-env", "--config", cfg, "--out", str(out)]) == 0
+    assert (d1 / "env.csv").read_bytes() == (d2 / "env.csv").read_bytes()
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["gen-env", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path)]) == 2
@@ -460,8 +482,9 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
     stats = json.loads((d1 / "sweep.meta.json").read_text())["stats"]
     assert stats == json.loads((d2 / "sweep.meta.json").read_text())["stats"]
-    assert set(stats) == {"dt", "cfl", "evolve_steps", "grad_excursion",
-                          "grad_range_seen", "ref_disc_bound"}
+    assert set(stats) == {"dt", "cfl", "evolve_steps", "node_steps",
+                          "trim_bound", "grad_excursion", "grad_range_seen",
+                          "ref_disc_bound"}
     assert stats["ref_disc_bound"] == 0.0  # a flat reference is exact
     assert 0.0 < stats["cfl"] <= 0.9 + 1e-12
     assert stats["dt"] > 0.0
@@ -473,6 +496,12 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     assert stats["evolve_steps"] == (whole[4.0] + tail[4.0]
                                      + whole[8.0] + tail[4.0] + tail[8.0]
                                      + whole[8.0] + tail[8.0])
+    # no window shrinks: the margin at the CFL step exceeds 320 nodes
+    assert stats["node_steps"] == (161 * (whole[4.0] + tail[4.0])
+                                   + 321 * (whole[8.0] + tail[4.0]
+                                            + tail[8.0])
+                                   + 641 * (whole[8.0] + tail[8.0]))
+    assert stats["trim_bound"] == 0.0
     assert stats["grad_excursion"] is False
     # no excursion: the slopes seen lie inside the CFL gradient range
     p_lo, p_hi = cfl_gradient_range(PowerG(2.0), 1.0, 0.0)

@@ -27,6 +27,7 @@ from hjlab.hamiltonian import PowerG
 from hjlab.pde import (
     SchemeConfig,
     _lapack_pt,
+    _trim_rate,
     cfl_gradient_range,
     diffusion_solver,
     evolve,
@@ -37,7 +38,7 @@ from hjlab.pde import (
     save_sweep,
     stable_dt,
 )
-from oracles import profile_antiderivative, scheme_update
+from oracles import profile_antiderivative, scheme_update, walk_tail
 
 G = PowerG(2.0)
 BETA = 1.0
@@ -496,9 +497,9 @@ def test_homogenize_iid_flat_slope_runs():
 
 def _fresh_runs(env, theta, epsilons, scheme):
     """The sweep from one fresh evolve per (domain, T), the steps those
-    runs take, the union of their gradient ranges, and the steps of one
-    march per distinct domain: to its last T once, plus one tail step
-    per stop that has a tail."""
+    runs take, the union of their gradient ranges, and the steps and node
+    steps of one march per distinct domain on its whole width: to its
+    last T once, plus one tail step per stop that has a tail."""
     values, sens, excursion, fresh, stops = [], [], False, 0, {}
     seen = (math.inf, -math.inf)
     for eps in epsilons:
@@ -516,12 +517,15 @@ def _fresh_runs(env, theta, epsilons, scheme):
             stops.setdefault(n, []).append(1.0 / eps)
         values.append(pair[0])
         sens.append(abs(pair[1] - pair[0]))
-    marched = 0
-    for ts in stops.values():
+    marched = marched_nodes = 0
+    for n, ts in stops.items():
         whole = [math.floor(t / scheme.dt + 1e-9) for t in ts]
-        marched += max(whole) + sum(t - w * scheme.dt > 1e-12 * t
-                                    for t, w in zip(ts, whole))
-    return np.array(values), np.array(sens), excursion, seen, fresh, marched
+        steps = max(whole) + sum(t - w * scheme.dt > 1e-12 * t
+                                 for t, w in zip(ts, whole))
+        marched += steps
+        marched_nodes += (2 * n + 1) * steps
+    return (np.array(values), np.array(sens), excursion, seen, fresh,
+            marched, marched_nodes)
 
 
 @pytest.mark.parametrize("epsilons", [(0.5, 0.25, 0.125), (0.5, 0.3)])
@@ -533,7 +537,7 @@ def test_homogenize_marches_each_domain_once(epsilons, dt, workers):
     # None: the CFL step, a tail at every stop; 1/128 divides T = 2, 4, 8
     dt = dt or stable_dt(env, G, BETA, 1.0, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=1.0, T=1.0, theta=1.0)
-    values, sens, excursion, seen, fresh, marched = _fresh_runs(
+    values, sens, excursion, seen, fresh, marched, nodes = _fresh_runs(
         env, 1.0, epsilons, scheme)
     res = homogenize_sweep(env, G, BETA, 1.0, epsilons, scheme,
                            reference=1.0, workers=workers)
@@ -542,8 +546,71 @@ def test_homogenize_marches_each_domain_once(epsilons, dt, workers):
     assert res.grad_excursion == excursion
     assert res.grad_range_seen == seen  # the marches see the same slopes
     assert res.steps == marched
+    # the margin (over 900 nodes at either dt) keeps every whole domain
+    assert res.node_steps == nodes and res.trim_bound == 0.0
     # the halving ladder shares two domains, the other ladder none
     assert (marched < fresh) == (epsilons[-1] == 0.125)
+
+
+# dx = 0.1 and a small dt keep d and c small, so the margins are tens of
+# nodes: (dt, M, epsilons) whose marches shrink their window midway, and
+# whose marches start on a window narrower than their domain.  dx is a
+# multiple of dx_env, so every window's grid samples the medium exactly
+# where the whole domain's does
+TRIM_CASES = {"shrinks": (0.002, 1.0, (0.5, 0.25, 0.125)),
+              "starts-trimmed": (0.01, 16.0, (0.5, 0.25))}
+
+
+@pytest.fixture(scope="module", params=["iid-interp", "gauss-squash"])
+def env_trim(request):
+    return generate_env(request.param, 4, (-140.0, 140.0), 0.01)
+
+
+@pytest.mark.parametrize("case", TRIM_CASES)
+@pytest.mark.parametrize("theta", [1.0, -1.5])
+def test_trimmed_sweep_matches_fresh_runs(env_trim, case, theta):
+    dt, M, epsilons = TRIM_CASES[case]
+    scheme = SchemeConfig(dx=0.1, dt=dt, M=M, T=1.0, theta=theta)
+    values, sens, excursion, _, _, marched, nodes = _fresh_runs(
+        env_trim, theta, epsilons, scheme)
+    res = homogenize_sweep(env_trim, G, BETA, theta, epsilons, scheme,
+                           reference=1.0)
+    assert 0.0 < res.trim_bound <= 1e-16
+    assert np.all(np.abs(res.values - values) <= res.trim_bound)
+    assert np.all(np.abs(res.domain_sensitivity - sens)
+                  <= 2.0 * res.trim_bound)
+    assert res.steps == marched
+    assert res.grad_excursion is excursion is False
+    assert res.node_steps < nodes
+
+
+def test_trimmed_sweep_same_at_two_workers(env_trim):
+    dt, M, epsilons = TRIM_CASES["shrinks"]
+    scheme = SchemeConfig(dx=0.1, dt=dt, M=M, T=1.0, theta=-1.5)
+    one, two = (homogenize_sweep(env_trim, G, BETA, -1.5, epsilons, scheme,
+                                 reference=1.0, workers=w) for w in (1, 2))
+    assert one.values.tobytes() == two.values.tobytes()
+    assert (one.domain_sensitivity.tobytes()
+            == two.domain_sensitivity.tobytes())
+    assert (one.steps, one.node_steps, one.trim_bound, one.grad_range_seen,
+            one.grad_excursion) == (two.steps, two.node_steps,
+                                    two.trim_bound, two.grad_range_seen,
+                                    two.grad_excursion)
+
+
+@pytest.mark.parametrize("d, c, tight", [(0.5, 1.0, True), (0.11, 0.2, True),
+                                         (0.9, 2.8, False)])
+def test_trim_rate_against_exact_walk_tail(d, c, tight):
+    lam = _trim_rate(d, c)
+    ms = np.array([10, 20, 30])
+    tails = walk_tail(d, c, 200, ms)
+    # the Chernoff bound a trimmed march rests on holds for the walk ...
+    assert np.all(tails <= 200 * np.exp(-lam * ms))
+    # ... and lam* is the walk's own decay rate (Cramer), once the walk
+    # has the steps to reach m: the margin gives nothing away
+    if tight:
+        rates = -np.diff(np.log(tails)) / np.diff(ms)
+        assert np.allclose(rates, lam, rtol=1e-3)
 
 
 # ------------------------------------------------------------
