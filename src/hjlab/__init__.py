@@ -64,7 +64,6 @@ from .hamiltonian import (
     PowerG,
     TabulatedG,
     bracket,
-    branch2_modulus,
     make_G,
     monotonicity_modulus,
     validate_growth,

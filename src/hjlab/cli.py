@@ -352,6 +352,7 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
     out = cfg.out_dir / "effective.csv"
     save_effective(eff, str(out))
     cfg.stats.update(dx=dx, n_evals=eff.n_evals, rk4_steps=eff.rk4_steps,
+                     theta1_beta=eff.theta1_beta, theta2_beta=eff.theta2_beta,
                      theta1_ci=eff.theta1_ci, theta2_ci=eff.theta2_ci,
                      theta1_disc_bound=eff.theta1_disc_bound,
                      theta2_disc_bound=eff.theta2_disc_bound)

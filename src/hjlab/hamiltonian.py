@@ -11,10 +11,12 @@ families and guarded numerics for tabulated data:
   shooting run behind ``dtheta/dlam`` (tabulated data: the slope of the
   interpolant);
 * Lipschitz constants on intervals, for CFL bounds and probe slack;
-* a linear monotonicity modulus of branch 2 on a bracket, whose
-  exponential rate gives the corrector's first burn-in guess (the
-  certificate itself is the measured two-run enclosure; the rate is 0
-  where the branch derivative vanishes, as at lam = beta);
+* the infimum of |G'| on an interval on one side of the minimum
+  (``abs_derivative_inf``), the rate of the linear monotonicity modulus
+  of either branch on its bracket, which gives the corrector's first
+  burn-in guess (the certificate itself is the measured two-run
+  enclosure; the rate is 0 where the branch derivative vanishes, as at
+  lam = beta);
 * a growth report against power-type upper/lower envelopes.
 """
 
@@ -36,15 +38,11 @@ __all__ = [
     "make_G",
     "bracket",
     "ContractionModulus",
-    "branch2_modulus",
     "monotonicity_modulus",
     "GrowthCertificate",
     "GrowthReport",
     "validate_growth",
 ]
-
-_INV_TOL = 1e-12
-
 
 # ============================================================
 # Families
@@ -92,11 +90,8 @@ class PowerG:
         lo, hi = interval
         return self.gamma * max(abs(lo), abs(hi)) ** (self.gamma - 1.0)
 
-    def branch2_derivative_inf(self, p_lo: float, p_hi: float) -> float:
-        return self.gamma * p_lo ** (self.gamma - 1.0)
-
-    def reflect(self) -> "PowerG":
-        return self
+    def abs_derivative_inf(self, p_lo: float, p_hi: float) -> float:
+        return self.gamma * min(abs(p_lo), abs(p_hi)) ** (self.gamma - 1.0)
 
 
 class AsymPowerG:
@@ -145,11 +140,10 @@ class AsymPowerG:
             out = max(out, self.gamma2 * hi ** (self.gamma2 - 1.0))
         return out
 
-    def branch2_derivative_inf(self, p_lo: float, p_hi: float) -> float:
+    def abs_derivative_inf(self, p_lo: float, p_hi: float) -> float:
+        if p_lo < 0:
+            return self.gamma1 * abs(p_hi) ** (self.gamma1 - 1.0)
         return self.gamma2 * p_lo ** (self.gamma2 - 1.0)
-
-    def reflect(self) -> "AsymPowerG":
-        return AsymPowerG(self.gamma2, self.gamma1)
 
 
 class LogQuasiconvexG:
@@ -189,12 +183,9 @@ class LogQuasiconvexG:
             cands.append(1.0)
         return max(self._absderiv(c) for c in cands)
 
-    def branch2_derivative_inf(self, p_lo: float, p_hi: float) -> float:
-        # derivative on the positive branch is unimodal with peak at p = 1
+    def abs_derivative_inf(self, p_lo: float, p_hi: float) -> float:
+        # |G'| on either branch is unimodal with peak at |p| = 1
         return min(self._absderiv(p_lo), self._absderiv(p_hi))
-
-    def reflect(self) -> "LogQuasiconvexG":
-        return self
 
 
 class TabulatedG:
@@ -203,8 +194,9 @@ class TabulatedG:
     The table must be strictly quasiconvex with its minimum value 0
     attained next to p = 0; that shape is validated at load.  Evaluation
     interpolates linearly and extrapolates with the edge slopes, so the
-    object stays coercive.  Branch inverses run a guarded bisection on
-    the interpolant.
+    object stays coercive.  The segment slopes are computed once; each
+    branch inverse is exact, the linear interpolant of that branch's
+    (G, p) nodes, continued with the edge slope beyond the table.
     """
 
     family = "tabulated"
@@ -230,6 +222,10 @@ class TabulatedG:
         self.ps = ps
         self.gs = gs
         self.imin = imin
+        self.slopes = np.diff(gs) / np.diff(ps)
+        # segment ends, with the edge segments running on to infinity
+        self._seg_lo = np.concatenate(([-np.inf], ps[1:-1]))
+        self._seg_hi = np.concatenate((ps[1:-1], [np.inf]))
 
     @classmethod
     def from_file(cls, path: str) -> "TabulatedG":
@@ -244,10 +240,9 @@ class TabulatedG:
     def __call__(self, p):
         p = np.asarray(p, dtype=np.float64)
         out = np.interp(p, self.ps, self.gs)
-        lo_slope = (self.gs[1] - self.gs[0]) / (self.ps[1] - self.ps[0])
-        hi_slope = (self.gs[-1] - self.gs[-2]) / (self.ps[-1] - self.ps[-2])
-        out = np.where(p < self.ps[0], self.gs[0] + lo_slope * (p - self.ps[0]), out)
-        out = np.where(p > self.ps[-1], self.gs[-1] + hi_slope * (p - self.ps[-1]), out)
+        sl = self.slopes
+        out = np.where(p < self.ps[0], self.gs[0] + sl[0] * (p - self.ps[0]), out)
+        out = np.where(p > self.ps[-1], self.gs[-1] + sl[-1] * (p - self.ps[-1]), out)
         return out
 
     @property
@@ -257,67 +252,31 @@ class TabulatedG:
     def deriv(self, p):
         """Slope of the interpolant: the segment's to the right of a node,
         the edge slopes outside the table."""
-        sl = self._slopes()
         i = np.searchsorted(self.ps, np.asarray(p, dtype=np.float64),
                             side="right") - 1
-        return sl[np.clip(i, 0, sl.size - 1)]
+        return self.slopes[np.clip(i, 0, self.slopes.size - 1)]
 
     def branch_inverse(self, branch: int, y: float) -> float:
         y = _checked_level(y)
-        ev = self.scalar
+        # the branch's nodes in increasing G, from the minimum outward
+        i = self.imin
         if branch == 2:
-            lo, hi = float(self.ps[self.imin]), float(self.ps[-1])
-            if y >= float(self.gs[-1]):
-                hi_slope = (self.gs[-1] - self.gs[-2]) / (self.ps[-1] - self.ps[-2])
-                return float(self.ps[-1] + (y - self.gs[-1]) / hi_slope)
-            sign = 1.0
+            gs, ps, edge = self.gs[i:], self.ps[i:], self.slopes[-1]
         else:
-            lo, hi = float(self.ps[0]), float(self.ps[self.imin])
-            if y >= float(self.gs[0]):
-                lo_slope = (self.gs[1] - self.gs[0]) / (self.ps[1] - self.ps[0])
-                return float(self.ps[0] + (y - self.gs[0]) / lo_slope)
-            sign = -1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= _INV_TOL:
-                break
-            if (ev(mid) - y) * sign >= 0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+            gs, ps, edge = self.gs[i::-1], self.ps[i::-1], self.slopes[0]
+        if y > gs[-1]:
+            return float(ps[-1] + (y - gs[-1]) / edge)
+        return float(np.interp(y, gs, ps))
 
-    def _slopes(self):
-        return np.diff(self.gs) / np.diff(self.ps)
+    def _abs_slopes_on(self, lo: float, hi: float) -> np.ndarray:
+        """|slope| of every segment meeting the open interval (lo, hi)."""
+        return np.abs(self.slopes[(self._seg_hi > lo) & (self._seg_lo < hi)])
 
     def lipschitz_on(self, interval) -> float:
-        lo, hi = interval
-        sl = self._slopes()
-        mids_lo = self.ps[:-1]
-        mids_hi = self.ps[1:]
-        overlap = (mids_hi > lo) & (mids_lo < hi)
-        cands = [0.0]
-        if overlap.any():
-            cands.append(float(np.abs(sl[overlap]).max()))
-        if lo < self.ps[0]:
-            cands.append(abs(float(sl[0])))
-        if hi > self.ps[-1]:
-            cands.append(abs(float(sl[-1])))
-        return 1.01 * max(cands)
+        return 1.01 * float(self._abs_slopes_on(*interval).max(initial=0.0))
 
-    def branch2_derivative_inf(self, p_lo: float, p_hi: float) -> float:
-        sl = self._slopes()
-        seg_lo = self.ps[:-1]
-        seg_hi = self.ps[1:]
-        overlap = (seg_hi > p_lo) & (seg_lo < p_hi) & (np.arange(sl.size) >= self.imin)
-        if not overlap.any():
-            if p_lo >= self.ps[-1]:
-                return float(sl[-1])
-            raise CertificateError("bracket does not meet the tabulated branch")
-        return float(sl[overlap].min())
-
-    def reflect(self) -> "TabulatedG":
-        return TabulatedG(-self.ps[::-1], self.gs[::-1])
+    def abs_derivative_inf(self, p_lo: float, p_hi: float) -> float:
+        return float(self._abs_slopes_on(p_lo, p_hi).min())
 
 
 def _checked_level(y: float) -> float:
@@ -346,9 +305,9 @@ def make_G(family: str, **params):
 def bracket(G, branch: int, lam: float, beta: float) -> tuple[float, float]:
     """Invariant slope interval of the one-sided corrector at level lam.
 
-    Branch 2 slopes live in [G2^-1(lam - beta), G2^-1(lam)]; branch 1 is
-    the mirror image.  Requires lam >= beta so the lower level is above
-    the minimum of G.
+    Branch 2 slopes live in [G2^-1(lam - beta), G2^-1(lam)], branch 1
+    slopes in [G1^-1(lam), G1^-1(lam - beta)].  Requires lam >= beta so
+    the lower level is above the minimum of G.
     """
     if lam < beta - 1e-12:
         raise ValueError(f"corrector level lam={lam} must be >= beta={beta}")
@@ -365,16 +324,16 @@ def bracket(G, branch: int, lam: float, beta: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ContractionModulus:
-    """Linear monotonicity modulus of branch 2 on a bracket [p_lo, p_hi].
+    """Linear monotonicity modulus of one branch on its bracket [p_lo, p_hi].
 
-    Guarantees G(p + q) - G(p) >= mu q whenever p and p + q both lie in
-    the bracket, mu being the infimum of the branch derivative there.
-    Deviations h between two bracketed correctors then obey
-    a h' + mu h <= 0, so h decays like K exp(-mu s) over an s-length s,
-    K the bracket width; ``phi`` is the inverse of that decay and
-    ``phi_inv`` the decay itself.  mu = 0 where the derivative vanishes
-    on the bracket (lam = beta for the smooth families), and then
-    ``phi`` is infinite for every p < K.
+    Guarantees |G(p + q) - G(p)| >= mu |q| whenever p and p + q both lie
+    in the bracket, mu being the infimum of |G'| there.  Deviations h
+    between two bracketed correctors then obey a h' + mu h <= 0 along
+    the branch's shooting direction, so h decays like K exp(-mu s) over
+    an s-length s, K the bracket width; ``phi`` is the inverse of that
+    decay and ``phi_inv`` the decay itself.  mu = 0 where the derivative
+    vanishes on the bracket (lam = beta for the smooth families), and
+    then ``phi`` is infinite for every p < K.
     """
 
     bracket: tuple[float, float]
@@ -394,29 +353,19 @@ class ContractionModulus:
         return self.K * math.exp(-self.mu * z)
 
 
-def branch2_modulus(G, y_lo: float, y_hi: float) -> ContractionModulus:
-    """Modulus of branch 2 on the bracket [G2^-1(y_lo), G2^-1(y_hi)]."""
-    if not (0.0 <= y_lo < y_hi):
-        raise ValueError(f"need 0 <= y_lo < y_hi, got ({y_lo}, {y_hi})")
-    p_lo = G.branch_inverse(2, y_lo)
-    p_hi = G.branch_inverse(2, y_hi)
-    K = p_hi - p_lo
-    if K <= 0:
-        raise CertificateError("empty bracket")
-    mu = float(G.branch2_derivative_inf(p_lo, p_hi))
-    return ContractionModulus(bracket=(p_lo, p_hi), K=K, mu=mu)
-
-
 def monotonicity_modulus(G, lam: float, beta: float, branch: int = 2) -> ContractionModulus:
-    """Contraction modulus for the corrector bracket at level lam.
+    """Contraction modulus of ``branch`` on its bracket at level lam.
 
-    At lam = beta the bracket starts at 0, where the derivative of every
-    smooth branch vanishes, so mu = 0 there.
+    At lam = beta the bracket ends at the minimum, where the derivative
+    of every smooth branch vanishes, so mu = 0 there.
     """
     if lam < beta:
         raise ValueError(f"lam must be >= beta, got lam={lam}, beta={beta}")
-    Geff = G if branch == 2 else G.reflect()
-    return branch2_modulus(Geff, lam - beta, lam)
+    p_lo, p_hi = bracket(G, branch, lam, beta)
+    if p_hi <= p_lo:
+        raise CertificateError("empty bracket")
+    return ContractionModulus(bracket=(p_lo, p_hi), K=p_hi - p_lo,
+                              mu=float(G.abs_derivative_inf(p_lo, p_hi)))
 
 
 # ============================================================

@@ -303,15 +303,17 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
            scheme: SchemeConfig) -> EvolveResult:
     """March the monotone scheme from t = 0 to t = scheme.T.
 
-    ``initial_data`` is a callable evaluated on the grid or an array of
-    matching length.  Ghost values follow ``scheme.boundary``.  Raises
+    The grid is laid by node index, ``x_i = dx (i - n/2)`` with
+    n = 2M/dx, so x = 0 is node n/2 exactly.  ``initial_data`` is a
+    callable evaluated on the grid or an array of matching length.
+    Ghost values follow ``scheme.boundary``.  Raises
     on a violation of the hyperbolic CFL bound and on non-finite values
     (which, under a valid CFL, indicate a bug rather than instability).
     """
     beta = float(beta)
     dx, dt = scheme.dx, scheme.dt
     n = int(round(2.0 * scheme.M / dx))
-    xs = -scheme.M + dx * np.arange(n + 1)
+    xs = dx * (np.arange(n + 1) - n // 2)
     a, v = sample_many(env, xs)
     p_lo, p_hi = cfl_gradient_range(G, beta, scheme.theta)
     kappa = G.lipschitz_on((p_lo, p_hi))
@@ -519,13 +521,10 @@ def _march(env, args):
     and ``m`` the margin of ``_trim_margin``.  The march keeps one window
     until that falls below ``_TRIM_SHRINK`` of it, then goes on from the
     slice of u on the smaller window, with linear-theta ghosts at its
-    edges.  Each stop is then within ``bound`` of a fresh run to T; while
-    no window has shrunk, the march is the fresh run bit for bit.  A
-    window's grid, laid by ``evolve`` from ``M = w dx``, matches the
-    domain's nodes only up to rounding: where they fall on the medium's
-    samples (dx a multiple of ``dx_env``) ``sample_many`` snaps both to
-    the same values, elsewhere the medium moves in its last bits and
-    u(T, 0) by a few ulps beyond ``bound``.
+    edges.  ``evolve`` lays its grid by node index, so each window's
+    grid is an exact slice of the domain's, and each stop is within
+    ``bound`` of a fresh run to T; while no window has shrunk, the
+    march is the fresh run bit for bit.
     Returns ({T: u(T, 0)}, any gradient excursion, steps marched, node
     steps (steps times window nodes), the gradient range seen on the
     windows, the bound, or 0 when no window shrank).
@@ -553,7 +552,7 @@ def _march(env, args):
         return r.u
 
     # u(0, x) = theta x on the grid evolve lays over the whole domain
-    u, w = theta * (-(n * dx) + dx * np.arange(2 * n + 1)), n
+    u, w = theta * (dx * (np.arange(2 * n + 1) - n)), n
     runs, at_zero, k_prev = [], {}, 0
     for k_end in sorted({k for k, _ in windows} | set(whole)):
         if k_end > k_prev:

@@ -16,7 +16,10 @@ the package computes another way:
   a slope average, by bisection;
 * ``walk_tail``: the exact tail of the walk that dominates a trimmed
   march's error, by direct convolution, against which the Chernoff rate
-  ``pde._trim_rate`` is checked.
+  ``pde._trim_rate`` is checked;
+* ``Reflected``: the mirror image ``G(-p)`` of any G family, whose
+  branch 2 is G's branch 1: with a reflected medium it is the
+  rightward oracle for a branch-1 (leftward) run.
 """
 
 import math
@@ -152,3 +155,32 @@ def walk_tail(d: float, c: float, steps: int, ms) -> np.ndarray:
         law, lo = np.convolve(law, step), lo - cut - 1
         tails += [law[m - lo:].sum() for m in ms]
     return tails
+
+
+class Reflected:
+    """G(-p) for any G family, built from G's methods on the mirrored
+    arguments: the branches swap, and so do the ends of every interval."""
+
+    def __init__(self, G):
+        self.G = G
+
+    def __call__(self, p):
+        return self.G(-np.asarray(p, dtype=np.float64))
+
+    @property
+    def scalar(self):
+        g = self.G.scalar
+        return lambda p: g(-p)
+
+    def deriv(self, p):
+        return -self.G.deriv(-np.asarray(p, dtype=np.float64))
+
+    def branch_inverse(self, branch: int, y: float) -> float:
+        return -self.G.branch_inverse(3 - branch, y)
+
+    def lipschitz_on(self, interval) -> float:
+        lo, hi = interval
+        return self.G.lipschitz_on((-hi, -lo))
+
+    def abs_derivative_inf(self, p_lo: float, p_hi: float) -> float:
+        return self.G.abs_derivative_inf(-p_hi, -p_lo)

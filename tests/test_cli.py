@@ -334,8 +334,9 @@ def test_effective_records_run_counters(tmp_path):
     cfg = _write(tmp_path, text)
     assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
     stats = json.loads((tmp_path / "effective.meta.json").read_text())["stats"]
-    assert set(stats) == {"n_evals", "rk4_steps", "theta1_ci", "theta2_ci",
-                          "dx", "theta1_disc_bound", "theta2_disc_bound"}
+    assert set(stats) == {"n_evals", "rk4_steps", "theta1_beta", "theta2_beta",
+                          "theta1_ci", "theta2_ci", "dx", "theta1_disc_bound",
+                          "theta2_disc_bound"}
     # each side inverts one slope: at least one slope estimate apiece,
     # each with at least its 40-unit region, plus the two endpoints
     assert stats["n_evals"] >= 2
@@ -344,6 +345,8 @@ def test_effective_records_run_counters(tmp_path):
     assert 0.0 <= stats["theta2_disc_bound"] <= 1e-5
     assert 0.0 <= stats["theta1_ci"] <= 1e-3
     assert 0.0 <= stats["theta2_ci"] <= 1e-3
+    # the flat endpoints theta_i(beta) bound the flat piece around 0
+    assert stats["theta1_beta"] < 0.0 < stats["theta2_beta"]
 
 
 def test_effective_sidecar_rows(tmp_path):

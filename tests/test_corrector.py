@@ -27,7 +27,7 @@ from hjlab.errors import (BracketExitError, CertificateError, GlueError,
                           WindowError)
 from hjlab.hamiltonian import (AsymPowerG, PowerG, TabulatedG, bracket,
                                monotonicity_modulus)
-from oracles import cell_average, shoot
+from oracles import Reflected, cell_average, shoot
 
 G = PowerG(2.0)
 SQRT2 = math.sqrt(2.0)
@@ -424,7 +424,7 @@ def test_branch1_leftward_run_matches_reflected_branch2(env_iid3, Gf):
     # back.  The region ends in a tail step of 0.004.
     p1 = corrector_profile(env_iid3, Gf, 1.0, 2.0, 1, (-10.004, 0.0), 1e-6,
                            0.01, tangent=True)
-    p2 = corrector_profile(reflect(env_iid3), Gf.reflect(), 1.0, 2.0, 2,
+    p2 = corrector_profile(reflect(env_iid3), Reflected(Gf), 1.0, 2.0, 2,
                            (0.0, 10.004), 1e-6, 0.01, tangent=True)
     assert float(np.diff(p1.grid).min()) == pytest.approx(0.004, abs=1e-9)
     assert p1.grid.size == p2.grid.size

@@ -12,11 +12,11 @@ from hjlab.hamiltonian import (
     PowerG,
     TabulatedG,
     bracket,
-    branch2_modulus,
     make_G,
     monotonicity_modulus,
     validate_growth,
 )
+from oracles import Reflected
 
 SQRT2 = math.sqrt(2.0)
 
@@ -189,7 +189,7 @@ def test_modulus_degenerate_level_wider_bracket():
     assert M.mu == 0.0
     assert M.phi(0.01) == math.inf and M.phi_inv(50.0) == M.K
     M1 = monotonicity_modulus(AsymPowerG(3.0, 2.0), lam=4.0, beta=4.0, branch=1)
-    assert M1.bracket[0] == 0.0
+    assert M1.bracket[1] == 0.0
     assert M1.K == pytest.approx(4.0 ** (1.0 / 3.0), rel=1e-15)
     assert M1.mu == 0.0 and M1.phi(0.01) == math.inf
 
@@ -204,9 +204,35 @@ def test_modulus_degenerate_level_log():
     assert M.phi_inv(10.0) == M.K
 
 
+# a table with its minimum at p = 0, extrapolated beyond |p| = 3 or 4
+_TAB = TabulatedG(np.array([-4.0, -2.5, -1.0, 0.0, 1.5, 3.0]),
+                  np.array([7.0, 4.0, 1.0, 0.0, 2.0, 5.0]))
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_abs_derivative_inf_bounds_sampled_slopes(data):
+    # on a random interval on either side of the minimum, the bound is at
+    # most |G'| anywhere inside it; for the smooth families it is the
+    # smaller end value, since |G'| is monotone or (log) unimodal there
+    G = data.draw(st.sampled_from([PowerG(2.0), PowerG(1.5), AsymPowerG(3.0, 1.5),
+                                   LogQuasiconvexG(), _TAB]))
+    near = data.draw(st.floats(0.0, 5.0))
+    far = near + data.draw(st.floats(1e-3, 5.0))
+    p_lo, p_hi = data.draw(st.sampled_from([(near, far), (-far, -near)]))
+    inf = G.abs_derivative_inf(p_lo, p_hi)
+    assert inf >= 0.0
+    sampled = np.abs(G.deriv(np.linspace(p_lo, p_hi, 2001)[1:-1]))
+    assert inf <= sampled.min()
+    if G is not _TAB:
+        ends = np.abs(G.deriv(np.array([p_lo, p_hi])))
+        assert inf == pytest.approx(ends.min(), rel=1e-12, abs=1e-300)
+
+
 def test_branch2_modulus_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        branch2_modulus(PowerG(2.0), 2.0, 1.0)
+    for branch in (1, 2):
+        with pytest.raises(ValueError):
+            monotonicity_modulus(PowerG(2.0), lam=1.0, beta=2.0, branch=branch)
 
 
 @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
@@ -273,10 +299,20 @@ def test_phi_log_family_matches_scipy_quad(beta):
 # ------------------------------------------------------------
 
 def test_reflect_swaps_asym_exponents():
-    G = AsymPowerG(3.0, 2.0)
-    R = G.reflect()
+    # the generic mirror of AsymPowerG(3, 2) is the closed form
+    # AsymPowerG(2, 3), method by method
+    R, C = Reflected(AsymPowerG(3.0, 2.0)), AsymPowerG(2.0, 3.0)
     ps = np.linspace(-2.0, 2.0, 41)
-    assert np.allclose(R(ps), G(-ps), atol=0, rtol=0)
+    assert R(ps).tolist() == C(ps).tolist()
+    assert [R.scalar(float(p)) for p in ps] == [C.scalar(float(p)) for p in ps]
+    assert R.deriv(ps).tolist() == C.deriv(ps).tolist()
+    for y in (0.0, 0.3, 1.0, 8.0):
+        for b in (1, 2):
+            assert R.branch_inverse(b, y) == C.branch_inverse(b, y)
+    for lo, hi in ((-2.0, 1.5), (-1.0, -0.25), (0.5, 3.0)):
+        assert R.lipschitz_on((lo, hi)) == C.lipschitz_on((lo, hi))
+        if lo * hi > 0:
+            assert R.abs_derivative_inf(lo, hi) == C.abs_derivative_inf(lo, hi)
 
 
 def test_branch1_modulus_via_reflection():
@@ -298,9 +334,6 @@ def test_deriv_matches_finite_differences():
               LogQuasiconvexG(), tab):
         fd = (G(ps + h) - G(ps - h)) / (2.0 * h)
         assert np.allclose(G.deriv(ps), fd, rtol=1e-6, atol=1e-9), G
-        # the reflected family differentiates the reflected function
-        assert np.allclose(G.reflect().deriv(ps), -G.deriv(-ps),
-                           rtol=1e-12), G
     # tabulated: the slope of the interpolant, edge slopes outside
     assert tab.deriv(np.array([-5.0, -2.0, 0.5, 4.0])).tolist() == \
         [-2.0, -2.0, 4.0 / 3.0, 2.0]
@@ -338,6 +371,16 @@ def test_tabulated_branch_inverse_round_trip():
     # beyond the table the inverse uses the extrapolation slope
     p = T.branch_inverse(2, 15.0)
     assert float(T(p)) == pytest.approx(15.0, abs=1e-9)
+
+
+def test_tabulated_branch_inverse_exact_at_nodes():
+    # each branch inverse returns the node whose G value it is given,
+    # the minimum on either branch
+    for T in (_quadratic_table(), _TAB):
+        for i, p in enumerate(T.ps):
+            branches = (1, 2) if i == T.imin else (2 if i > T.imin else 1,)
+            for b in branches:
+                assert T.branch_inverse(b, float(T(p))) == p
 
 
 def test_tabulated_modulus_is_conservative():

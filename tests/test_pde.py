@@ -554,16 +554,19 @@ def test_homogenize_marches_each_domain_once(epsilons, dt, workers):
 
 # dx = 0.1 and a small dt keep d and c small, so the margins are tens of
 # nodes: (dt, M, epsilons) whose marches shrink their window midway, and
-# whose marches start on a window narrower than their domain.  dx is a
-# multiple of dx_env, so every window's grid samples the medium exactly
-# where the whole domain's does
+# whose marches start on a window narrower than their domain.  Every
+# window's grid is a slice of the whole domain's, so it samples the
+# medium where the domain does, on (dx_env 0.01) or off (0.03) the
+# medium's lattice
 TRIM_CASES = {"shrinks": (0.002, 1.0, (0.5, 0.25, 0.125)),
               "starts-trimmed": (0.01, 16.0, (0.5, 0.25))}
 
 
-@pytest.fixture(scope="module", params=["iid-interp", "gauss-squash"])
+@pytest.fixture(scope="module", params=[
+    ("iid-interp", 0.01), ("gauss-squash", 0.01), ("gauss-squash", 0.03)],
+    ids=["iid-interp", "gauss-squash", "gauss-squash-off-lattice"])
 def env_trim(request):
-    return generate_env(request.param, 4, (-140.0, 140.0), 0.01)
+    return generate_env(request.param[0], 4, (-140.0, 140.0), request.param[1])
 
 
 @pytest.mark.parametrize("case", TRIM_CASES)
