@@ -1,7 +1,7 @@
 """Command-line driver: config files in, CSV tables + JSON sidecars out.
 
 Configs are INI files with one section per concern ([env], [hamiltonian],
-[model], plus a section named after the subcommand).  Every command is a
+[model], [output], one per subcommand) and no other.  Every command is a
 pure function of its config: rerunning writes byte-identical data files.
 Exit codes: 0 success, 1 scientific failure (a certified invariant did
 not hold), 2 configuration/usage error.  Parameters are checked before
@@ -54,6 +54,9 @@ from .pde import (
 
 COMMANDS = ("gen-env", "corrector", "theta-curve", "effective", "homogenize",
             "hill-check", "probe")
+
+# the sections a config may hold
+_SECTIONS = ("env", "hamiltonian", "model", "output") + COMMANDS
 
 # the keys a command reads from its own section; any other key there is
 # a typo that would silently run at a default
@@ -168,6 +171,11 @@ def load_config(path: str, command: str, out_flag: str | None,
     read = cp.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    # a misspelled header would leave its keys unread and run at defaults
+    unknown = sorted(set(cp.sections()) - set(_SECTIONS))
+    if unknown:
+        raise ConfigError(f"unknown section(s) {', '.join(unknown)}; a "
+                          f"config takes {', '.join(_SECTIONS)}")
 
     if "env" not in cp:
         raise ConfigError("config needs an [env] section")
@@ -212,8 +220,9 @@ def load_config(path: str, command: str, out_flag: str | None,
     if command not in cp:
         cp.add_section(command)
     params = cp[command]
-    for name, known in (("model", ("beta",)), (command, _KEYS[command])):
-        unknown = sorted(set(cp[name]) - set(known))
+    for name, known in (("model", ("beta",)), ("output", ("dir",)),
+                        (command, _KEYS[command])):
+        unknown = sorted(set(cp[name]) - set(known)) if name in cp else ()
         if unknown:
             raise ConfigError(
                 f"unknown key(s) {', '.join(unknown)} in [{name}], which "
@@ -227,9 +236,7 @@ def load_config(path: str, command: str, out_flag: str | None,
                     raise ConfigError(
                         f"{key} contains {lam} below beta = {beta}")
 
-    out_dir = Path(out_flag) if out_flag else Path(
-        cp["output"]["dir"] if "output" in cp and "dir" in cp["output"]
-        else ".")
+    out_dir = Path(out_flag or cp.get("output", "dir", fallback="."))
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
 

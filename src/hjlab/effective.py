@@ -225,7 +225,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     ``[G_b^-1(lam - beta), G_b^-1(lam)]``, so the level sits in
     ``[max(beta, G(theta)), G(theta) + beta]``.  The iteration starts at
     ``G(theta) + beta - G(endpoint.mean)``, the endpoint's offset
-    ``Hbar - G`` carried over to theta and clamped into that bracket (at
+    ``Hbar - G`` carried over to theta and clipped into that bracket (at
     theta = endpoint.mean it is beta, the level there).  It narrows the
     bracket with every estimate (the map is monotone) and bisects
     whenever a Newton step would leave it, except that a step past an

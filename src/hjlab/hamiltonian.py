@@ -23,6 +23,7 @@ families and guarded numerics for tabulated data:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -247,7 +248,19 @@ class TabulatedG:
 
     @property
     def scalar(self) -> Callable[[float], float]:
-        return lambda p: float(self.__call__(p))
+        """``float(self(p))`` without numpy, bit for bit: the edge lines
+        outside the table, else ``np.interp``'s segment line."""
+        ps, gs, sl = self.ps.tolist(), self.gs.tolist(), self.slopes.tolist()
+
+        def g(p):
+            if p < ps[0]:
+                return gs[0] + sl[0] * (p - ps[0])
+            if p < ps[-1]:
+                j = bisect_right(ps, p) - 1
+                return sl[j] * (p - ps[j]) + gs[j]
+            # from the last node on (gs[-1] itself there), or NaN
+            return gs[-1] + sl[-1] * (p - ps[-1])
+        return g
 
     def deriv(self, p):
         """Slope of the interpolant: the segment's to the right of a node,

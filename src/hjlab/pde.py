@@ -77,24 +77,11 @@ _TRIM_SHRINK = 0.85
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Grid and boundary rule for one evolve run.
+    """Grid and ghost slope for one evolve run.
 
-    ``boundary`` is "linear" (ghost values extended with slope
-    ``theta``; the right choice for linear-data runs) or "clamp" (ghost
-    slope copies the adjacent interior slope; for profile initial
-    data).  ``theta`` always feeds the CFL gradient range, so set it to
-    a representative slope even for clamped runs.
-
-    Known fault: "clamp" is not monotone at the two end nodes.  Its
-    ghost copies the end slope into the flux, so where that slope is
-    upwind, raising the neighbour lowers the end value: on the periodic
-    medium (dx = 0.1, theta = 1) a 1e-3 bump lowered an output node by
-    3.3e-4 for u0 = -x.
-
-    "clamp" stays, fault and all, because the corrector-data runs need
-    it: with linear ghosts the first-order check on u = t lam + F
-    (periodic medium, lam = 2, dx 0.05 -> 0.025) improves by only
-    0.000793 / 0.000443 = 1.79, short of the 1.8 it asserts.
+    Every run closes its grid with the ghosts ``u[0] - theta dx`` and
+    ``u[n] + theta dx``, which keep the step monotone at the end nodes
+    too; ``theta`` also feeds the CFL gradient range.
     """
 
     dx: float
@@ -102,7 +89,6 @@ class SchemeConfig:
     M: float
     T: float
     theta: float
-    boundary: str = "linear"
 
     def __post_init__(self):
         for name in ("dx", "dt", "M", "T"):
@@ -111,9 +97,6 @@ class SchemeConfig:
                     and not isinstance(val, bool)
                     and math.isfinite(val) and val > 0):
                 raise ConfigError(f"{name} must be a positive number, got {val}")
-        if self.boundary not in ("linear", "clamp"):
-            raise ConfigError(
-                f"boundary must be 'linear' or 'clamp', got {self.boundary!r}")
         n = self.M / self.dx
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ConfigError(
@@ -243,57 +226,37 @@ def _lapack_pt():
     return flapack.dpttrf, flapack.dpttrs
 
 
-def diffusion_solver(a, h: float, dx: float, boundary: str):
+def diffusion_solver(a, h: float, dx: float):
     """Solver ``solve(w)`` for ``(I - h diag(a) D2) u = w`` on the run grid.
 
-    D2 is the central second difference, closed by the ghost rule of
-    ``boundary``.  "linear" ghosts ``u[0] - theta dx`` and
-    ``u[n] + theta dx`` are affine: their theta part moves to the
-    right-hand side (``-/+ h a theta / dx`` at the two ends, added by the
-    caller), leaving rows ``(1 + r) u[0] - r u[1]`` with
-    ``r = h a / dx**2``.  "clamp" ghosts extrapolate linearly, so the
-    boundary Laplacian vanishes and the boundary rows are identity rows.
-    Either way the matrix is a diagonally dominant M-matrix with an
-    entrywise nonnegative inverse.
+    D2 is the central second difference, closed by the linear ghosts
+    ``u[0] - theta dx`` and ``u[n] + theta dx``, whose theta part the
+    caller moves to the right-hand side (``-/+ h a theta / dx``).  That
+    leaves end rows ``(1 + r) u[0] - r u[1]``, ``r = h a / dx**2``: a
+    diagonally dominant M-matrix with an entrywise nonnegative inverse.
 
     Each row divided by its ``a_i`` gives diagonal ``1/a_i + 2 c`` (with
-    ``1/a_i + c`` at "linear" end rows) and off-diagonals ``-c``,
+    ``1/a_i + c`` at the end rows) and off-diagonals ``-c``,
     ``c = h / dx**2``: a symmetric positive definite matrix, factored
     once here by ``dpttrf``.  ``solve`` scales ``w`` by ``1/a`` and runs
-    ``dpttrs``.  For "clamp" the end values are ``w`` itself, so only the
-    interior is solved, with ``c w_end`` moved to the right-hand side.
-    ``solve`` overwrites ``w`` with the solution and returns it.
-
-    For "clamp" a nonnegative inverse does not make the whole step
-    monotone: the explicit flux at the end nodes sees the extrapolated
-    ghost, and a 1e-3 bump lowered an end value by 3.3e-4 (u0 = -x,
-    periodic medium, dx = 0.1, theta = 1).
+    ``dpttrs``; it overwrites ``w`` with the solution and returns it.
     """
     dpttrf, dpttrs = _lapack_pt()
-    inv_a = 1.0 / np.asarray(a, dtype=np.float64)
+    scale = 1.0 / np.asarray(a, dtype=np.float64)
     c = h / dx ** 2
-    # rows lo..hi-1 are unknowns; "clamp" fixes its two end rows
-    lo, hi = (0, inv_a.size) if boundary == "linear" else (1, inv_a.size - 1)
-    scale = inv_a[lo:hi]
     diag = scale + 2.0 * c
-    if boundary == "linear":
-        diag[0] = scale[0] + c
-        diag[-1] = scale[-1] + c
-    diag, off, info = dpttrf(diag, np.full(hi - lo - 1, -c))
+    diag[[0, -1]] = scale[[0, -1]] + c
+    diag, off, info = dpttrf(diag, np.full(scale.size - 1, -c))
     if info != 0:
         raise StabilityError(
             f"diffusion matrix is not positive definite (dpttrf info {info})")
 
     def solve(w):
-        rhs = w[lo:hi]
         # .T scales rows when w holds several right-hand sides as columns
-        np.multiply(rhs.T, scale, out=rhs.T)
-        if lo:
-            rhs[0] += c * w[0]
-            rhs[-1] += c * w[-1]
-        x, _ = dpttrs(diag, off, rhs, overwrite_b=1)
-        if x is not rhs:  # dpttrs copied a right-hand side it could not reuse
-            rhs[...] = x
+        np.multiply(w.T, scale, out=w.T)
+        x, _ = dpttrs(diag, off, w, overwrite_b=1)
+        if x is not w:  # dpttrs copied a right-hand side it could not reuse
+            w[...] = x
         return w
 
     return solve
@@ -306,7 +269,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     The grid is laid by node index, ``x_i = dx (i - n/2)`` with
     n = 2M/dx, so x = 0 is node n/2 exactly.  ``initial_data`` is a
     callable evaluated on the grid or an array of matching length.
-    Ghost values follow ``scheme.boundary``.  Raises
+    Ghost values extend u linearly with slope ``scheme.theta``.  Raises
     on a violation of the hyperbolic CFL bound and on non-finite values
     (which, under a valid CFL, indicate a bug rather than instability).
     """
@@ -340,10 +303,8 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
 
     src = beta * v
     theta_dx = scheme.theta * dx
-    linear = scheme.boundary == "linear"
     # one factorization per distinct step size, with its boundary terms
-    implicit = {h: (diffusion_solver(a, h, dx, scheme.boundary),
-                    h * a[0] * scheme.theta / dx,
+    implicit = {h: (diffusion_solver(a, h, dx), h * a[0] * scheme.theta / dx,
                     h * a[-1] * scheme.theta / dx)
                 for h in {dt, dt_tail} if h > 0.0}
     seen_lo, seen_hi = np.inf, -np.inf
@@ -351,35 +312,27 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     ue = np.empty(n + 3, dtype=np.float64)
     d = np.empty(n + 2, dtype=np.float64)
     flux = np.empty(n + 1, dtype=np.float64)
-    t = 0.0
-    step = 0
+    t, step = 0.0, 0
     total = n_steps + (1 if dt_tail > 0.0 else 0)
     while step < total:
         h = dt if step < n_steps else dt_tail
         solve, bc_lo, bc_hi = implicit[h]
         ue[1:-1] = u
-        if linear:
-            ue[0] = u[0] - theta_dx
-            ue[-1] = u[-1] + theta_dx
-        else:
-            ue[0] = 2.0 * u[0] - u[1]
-            ue[-1] = 2.0 * u[-1] - u[-2]
+        ue[0], ue[-1] = u[0] - theta_dx, u[-1] + theta_dx
         # d[i] is D-u at node i and D+u at node i - 1
         np.subtract(ue[1:], ue[:-1], out=d)
         d /= dx
         lo, hi = float(d.min()), float(d.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             break  # a NaN or inf in u reaches both reductions
-        seen_lo = min(seen_lo, lo)
-        seen_hi = max(seen_hi, hi)
+        seen_lo, seen_hi = min(seen_lo, lo), max(seen_hi, hi)
         # explicit stage, written into u (ue keeps the old values)
         godunov_flux(G, d[:-1], d[1:], out=flux)
         flux += src
         flux *= h
         u += flux
-        if linear:
-            u[0] -= bc_lo
-            u[-1] += bc_hi
+        u[0] -= bc_lo
+        u[-1] += bc_hi
         # implicit stage
         solve(u)
         t += h
@@ -577,16 +530,16 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
 
     ``scheme.M`` is the half-width of the scaled domain: each epsilon
     reads [-M/eps, M/eps] at unit scale (and [-2M/eps, 2M/eps] for the
-    sensitivity), evolving u(0, x) = theta x to T = 1/eps with the
-    linear-theta boundary; ``scheme.T`` and ``scheme.boundary`` are not
-    used.  Domains are keyed by their half-width in nodes and each is
-    marched once, stopping at every T that reads it: on a halving
-    ladder the doubled domain at eps is the base domain at eps/2.  Each
-    march runs only on the nodes that can reach x = 0 before its last
-    stop (``_march``), so a value is a fresh run's to within
-    ``trim_bound``.  ``workers > 1`` runs the marches in a process pool; the result does
-    not depend on it.  ``reference`` defaults to the effective
-    Hamiltonian at theta, computed from correctors on the same medium.
+    sensitivity), evolving u(0, x) = theta x to T = 1/eps under
+    ``evolve``'s linear-theta ghosts; ``scheme.T`` is not used.  Domains
+    are keyed by their half-width in nodes and each is marched once,
+    stopping at every T that reads it: on a halving ladder the doubled
+    domain at eps is the base domain at eps/2.  Each march runs only on
+    the nodes that can reach x = 0 before its last stop (``_march``), so
+    a value is a fresh run's to within ``trim_bound``.  ``workers > 1``
+    runs the marches in a process pool; the result does not depend on
+    it.  ``reference`` defaults to the effective Hamiltonian at theta,
+    computed from correctors on the same medium.
     """
     beta = float(beta)
     theta = float(theta)
@@ -710,10 +663,7 @@ def residual_probe(env: EnvRealization, G, beta: float, profile,
              + G(fi + c * _psi_prime(xi)) + beta * vi - drift)
 
     r_min, r_max = float(r.min()), float(r.max())
-    if kind == "sub":
-        passed = r_min >= -tol
-    else:
-        passed = r_max <= tol
+    passed = r_min >= -tol if kind == "sub" else r_max <= tol
     report = SignReport(kind=kind, drift=float(drift), min_residual=r_min,
                         max_residual=r_max, tol=float(tol), passed=passed,
                         kappa=kappa)

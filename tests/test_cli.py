@@ -231,6 +231,27 @@ def test_unknown_key_is_config_error(tmp_path, text):
     assert not (tmp_path / "env.csv").exists()
 
 
+@pytest.mark.parametrize("text", [
+    # a misspelled section header would run at the default PowerG(2)
+    CONST_V0.replace("[model]",
+                     "[hamiltonain]\nfamily = log-quasiconvex\n\n[model]"),
+    CONST_V0 + "\n[output]\ndri = elsewhere\n",
+], ids=["hamiltonain", "output-dri"])
+def test_unknown_section_or_output_key_is_config_error(tmp_path, text):
+    cfg = _write(tmp_path, text)
+    assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "theta_curve.csv").exists()
+
+
+def test_output_dir_and_other_command_sections_are_accepted(tmp_path):
+    # a config may carry every command's section and an [output] dir
+    text = (CONST_V0 + "\n[effective]\ntheta_grid = -1 0 1\n"
+            + f"\n[output]\ndir = {tmp_path / 'out'}\n")
+    cfg = _write(tmp_path, text)
+    assert main(["theta-curve", "--config", cfg]) == 0
+    assert (tmp_path / "out" / "theta_curve.csv").exists()
+
+
 @pytest.mark.parametrize("section, line", [("effective", "tols = 0.5"),
                                            ("model", "beat = 2.0")],
                          ids=["effective-tols", "model-beat"])

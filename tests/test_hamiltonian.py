@@ -360,6 +360,20 @@ def test_tabulated_extrapolates_linearly():
     assert float(T(np.array([4.0]))[0]) == pytest.approx(9.0 + 5.99 * 1.0, abs=1e-10)
 
 
+def test_tabulated_scalar_bit_equal_to_call():
+    # the scalar path the RK4 loop uses returns the array path's bits:
+    # random points inside and outside the table, every node and the
+    # floats next to it, and the two infinities
+    rng = np.random.default_rng(3)
+    for T in (_quadratic_table(), _TAB):
+        ps = np.concatenate((rng.uniform(-6.0, 6.0, 20000), T.ps,
+                             np.nextafter(T.ps, np.inf),
+                             np.nextafter(T.ps, -np.inf), [np.inf, -np.inf]))
+        g = T.scalar
+        got = np.array([g(float(p)) for p in ps])
+        assert got.tobytes() == T(ps).tobytes()
+
+
 def test_tabulated_branch_inverse_round_trip():
     T = _quadratic_table()
     for y in (0.3, 1.0, 2.0, 7.5):

@@ -110,32 +110,26 @@ def test_explicit_stage_monotone_exhaustive_lattice():
     assert np.all(np.diff(s, axis=2) >= -1e-12)  # in u_{j+1}
 
 
-@pytest.mark.parametrize("boundary", ["linear", "clamp"])
-def test_diffusion_inverse_nonnegative(env_periodic, boundary):
+def test_diffusion_inverse_nonnegative(env_periodic):
     # (I - h diag(a) D2)^-1 from the solver evolve uses: entrywise
-    # nonnegative, and the inverse of the matrix the ghost rule defines
+    # nonnegative, and the inverse of the matrix the linear ghosts define
     dx, n = 0.1, 12
     xs = 0.37 + dx * np.arange(n)
     a, _ = sample_many(env_periodic, xs)
     for h in (1e-3, 0.05, 10.0):
-        inv = diffusion_solver(a, h, dx, boundary)(np.eye(n))
+        inv = diffusion_solver(a, h, dx)(np.eye(n))
         assert inv.min() >= -1e-14  # exact zeros come out as roundoff
         # dense operator u -> u - h a D2 u, ghosts at theta = 0
         A = np.empty((n, n))
         for j, e in enumerate(np.eye(n)):
-            if boundary == "linear":
-                ue = np.concatenate(([e[0]], e, [e[-1]]))
-            else:
-                ue = np.concatenate(([2 * e[0] - e[1]], e,
-                                     [2 * e[-1] - e[-2]]))
+            ue = np.concatenate(([e[0]], e, [e[-1]]))
             A[:, j] = e - h * a * (ue[2:] - 2 * e + ue[:-2]) / dx ** 2
         assert np.max(np.abs(inv @ A - np.eye(n))) <= 1e-10
 
 
-@pytest.mark.parametrize("boundary", ["linear", "clamp"])
-def test_diffusion_solver_matches_general_tridiagonal_lu(boundary):
+def test_diffusion_solver_matches_general_tridiagonal_lu():
     # oracle: a general LU solve (dgttrf/dgttrs) of the unscaled matrix
-    # I - h diag(a) D2, assembled here from the ghost rule
+    # I - h diag(a) D2, assembled here from the linear ghosts
     dx, n = 0.05, 401
     xs = dx * np.arange(n)
     a = 0.55 + 0.4 * np.sin(3.1 * xs) * np.cos(0.7 * xs ** 2)
@@ -143,16 +137,12 @@ def test_diffusion_solver_matches_general_tridiagonal_lu(boundary):
     for h in (1e-3, 0.05, 10.0):
         r = h * a / dx ** 2
         diag, lower, upper = 1.0 + 2.0 * r, -r[1:], -r[:-1]
-        if boundary == "linear":
-            diag[0], diag[-1] = 1.0 + r[0], 1.0 + r[-1]
-        else:
-            diag[0] = diag[-1] = 1.0
-            upper[0] = lower[-1] = 0.0
+        diag[0], diag[-1] = 1.0 + r[0], 1.0 + r[-1]
         *lu, info = dgttrf(lower, diag, upper)
         assert info == 0
         ref, info = dgttrs(*lu, w)
         assert info == 0
-        got = diffusion_solver(a, h, dx, boundary)(w.copy())
+        got = diffusion_solver(a, h, dx)(w.copy())
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -204,8 +194,7 @@ def test_lapack_pt_falls_back_to_scipy_linalg(monkeypatch, where):
     dx, n = 0.05, 201
     a = 0.55 + 0.4 * np.sin(3.1 * dx * np.arange(n))
     w = np.cos(dx * np.arange(n))
-    want = {b: diffusion_solver(a, 0.05, dx, b)(w.copy())
-            for b in ("linear", "clamp")}
+    want = diffusion_solver(a, 0.05, dx)(w.copy())
     cls, attr, fake = where
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     monkeypatch.setattr(getattr(importlib.machinery, cls), attr, fake)
@@ -213,49 +202,29 @@ def test_lapack_pt_falls_back_to_scipy_linalg(monkeypatch, where):
     assert "scipy.linalg._flapack" not in sys.modules
     assert dpttrf is scipy.linalg.lapack.dpttrf
     assert dpttrs is scipy.linalg.lapack.dpttrs
-    for b, ref in want.items():
-        got = diffusion_solver(a, 0.05, dx, b)(w.copy())
-        assert got.tobytes() == ref.tobytes()
+    got = diffusion_solver(a, 0.05, dx)(w.copy())
+    assert got.tobytes() == want.tobytes()
     assert "scipy.linalg._flapack" not in sys.modules
 
 
 def test_evolve_one_step_jacobian_sign(env_periodic):
     # one full step (explicit flux, implicit diffusion) is order
-    # preserving: raising any input node lowers no output node.  Linear
-    # ghosts only: a clamp ghost copies the end slope into the flux, which
-    # then falls as the neighbour rises wherever that slope is upwind
+    # preserving: raising any input node lowers no output node, end nodes
+    # included.  u0 = -x has upwind slopes at both ends, where a ghost
+    # that copied the end slope into the flux once lowered an end value
     dx, theta = 0.1, 1.0
     dt = stable_dt(env_periodic, G, BETA, theta, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=2.0, T=dt, theta=theta)
     xs = -2.0 + dx * np.arange(41)
-    u0 = theta * xs + 0.3 * np.sin(2.0 * xs)
-    base = evolve(env_periodic, G, BETA, u0, scheme)
-    assert base.steps == 1
-    for j in range(xs.size):
-        bumped = u0.copy()
-        bumped[j] += 1e-3
-        res = evolve(env_periodic, G, BETA, bumped, scheme)
-        assert np.all(res.u >= base.u - 1e-13), j
-        assert res.u[j] > base.u[j]
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "clamp ghosts are not monotone at the end nodes: the extrapolated "
-    "ghost copies the end slope into the flux, so a 1e-3 bump of node 1 "
-    "lowers node 0 by 3.3e-4 for u0 = -x"))
-def test_evolve_one_step_jacobian_sign_clamp(env_periodic):
-    dx, theta = 0.1, 1.0
-    dt = stable_dt(env_periodic, G, BETA, theta, dx)
-    scheme = SchemeConfig(dx=dx, dt=dt, M=2.0, T=dt, theta=theta,
-                          boundary="clamp")
-    xs = -2.0 + dx * np.arange(41)
-    u0 = -xs
-    base = evolve(env_periodic, G, BETA, u0, scheme)
-    for j in range(xs.size):
-        bumped = u0.copy()
-        bumped[j] += 1e-3
-        res = evolve(env_periodic, G, BETA, bumped, scheme)
-        assert np.all(res.u >= base.u - 1e-13), j
+    for u0 in (theta * xs + 0.3 * np.sin(2.0 * xs), -xs):
+        base = evolve(env_periodic, G, BETA, u0, scheme)
+        assert base.steps == 1
+        for j in range(xs.size):
+            bumped = u0.copy()
+            bumped[j] += 1e-3
+            res = evolve(env_periodic, G, BETA, bumped, scheme)
+            assert np.all(res.u >= base.u - 1e-13), j
+            assert res.u[j] > base.u[j]
 
 
 def test_evolve_matches_explicit_march(env_periodic):
@@ -328,10 +297,13 @@ def test_evolve_constant_env_linear_data_exact():
 def test_evolve_corrector_data_first_order(env_periodic):
     # u = t lam + F solves the equation exactly; the scheme must track
     # it to C (dx + dt) and improve by >= 1.8 under joint halving
-    # interior |x| <= 6 is buffered from the clamped boundary at |x| = 12
-    # by more than the hyperbolic range Lip(G) T plus the diffusive tail
+    # interior |x| <= 6 is buffered from the ghosts at |x| = 12 by more
+    # than the hyperbolic range Lip(G) T plus the diffusive tail
     # the profile grid (0.0025) is much finer than either scheme grid so
     # its own discretization error does not floor the convergence ratio
+    # one ghost slope serves both ends: M = 12 is a whole number of
+    # periods of the 1-periodic medium, so F'(-12) = F'(12) to within
+    # the enclosure (1.2887276157 against 1.2887276390)
     lam = 2.0
     prof = corrector_profile(env_periodic, G, BETA, lam, 2, (-12.0, 12.0),
                              1e-6, 0.0025)
@@ -340,12 +312,15 @@ def test_evolve_corrector_data_first_order(env_periodic):
     for dx in (0.05, 0.025):
         dt = stable_dt(env_periodic, G, BETA, math.sqrt(lam), dx)
         scheme = SchemeConfig(dx=dx, dt=dt, M=12.0, T=1.0,
-                              theta=math.sqrt(lam), boundary="clamp")
+                              theta=float(prof.f_vals[-1]))
         res = evolve(env_periodic, G, BETA, F, scheme)
         interior = np.abs(res.xs) <= 6.0
         err = np.max(np.abs(res.u[interior]
                             - (F(res.xs[interior]) + lam * 1.0)))
         errs.append(err)
+        # the ghosts follow the solution, so the error converges on the
+        # whole domain too, end nodes included
+        assert np.max(np.abs(res.u - (F(res.xs) + lam))) <= 0.5 * (dx + dt)
     assert errs[0] <= 0.05 * (0.05 + stable_dt(env_periodic, G, BETA,
                                                math.sqrt(lam), 0.05)) * 1.0
     assert errs[0] / errs[1] >= 1.8
@@ -363,9 +338,6 @@ def test_evolve_rejects_bad_inputs(env_periodic):
     dt = stable_dt(env_periodic, G, BETA, 1.0, 0.1)
     with pytest.raises(ConfigError):
         SchemeConfig(dx=0.1, dt=dt, M=5.03, T=1.0, theta=1.0)
-    with pytest.raises(ConfigError):
-        SchemeConfig(dx=0.1, dt=dt, M=5.0, T=1.0, theta=1.0,
-                     boundary="absorbing")
     with pytest.raises(ConfigError):
         SchemeConfig(dx=0.1, dt=-dt, M=5.0, T=1.0, theta=1.0)
     # bool is an int subclass; True must not pass as 1.0
