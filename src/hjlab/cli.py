@@ -374,6 +374,16 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
         raise ConfigError(
             "homogenize requires a growth certificate: set growth_gamma, "
             "growth_c1, growth_c2 in [hamiltonian]")
+    p = cfg.params
+    theta = _get(p, "theta")
+    dx = _get(p, "dx", 0.05, positive=True)
+    M = _get(p, "m", 1.0, positive=True)
+    dt = _get(p, "dt", 0.0, positive=True)
+    epsilons = _in_unit(_get(p, "epsilons", kind=list), "epsilons")
+    reference = _get(p, "reference") if "reference" in p else None
+    ref_tol = _get(p, "ref_tol", 2e-2, positive=True)
+    ref_X = _get(p, "ref_x", 300.0, positive=True)
+    ref_dx = _get(p, "ref_dx", 0.01, positive=True)
     report = validate_growth(cfg.G, cfg.growth)
     if not report.passed:
         raise CertificateError(
@@ -381,20 +391,12 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
             f"lower={report.lower_margin:.3g}, upper={report.upper_margin:.3g}, "
             f"lipschitz={report.lipschitz_margin:.3g}")
 
-    p = cfg.params
-    theta = _get(p, "theta")
-    dx = _get(p, "dx", 0.05, positive=True)
-    M = _get(p, "m", 1.0, positive=True)
     env = cfg.make_env()
-    dt = (_get(p, "dt", 0.0) or
-          stable_dt(env, cfg.G, cfg.beta, theta, dx))
+    dt = dt or stable_dt(env, cfg.G, cfg.beta, theta, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=M, T=1.0, theta=theta)
     result = homogenize_sweep(
-        env, cfg.G, cfg.beta, theta, _get(p, "epsilons", kind=list), scheme,
-        reference=_get(p, "reference") if "reference" in p else None,
-        ref_tol=_get(p, "ref_tol", 2e-2, positive=True),
-        ref_X=_get(p, "ref_x", 300.0, positive=True),
-        ref_dx=_get(p, "ref_dx", 0.01, positive=True), workers=cfg.workers)
+        env, cfg.G, cfg.beta, theta, epsilons, scheme, reference=reference,
+        ref_tol=ref_tol, ref_X=ref_X, ref_dx=ref_dx, workers=cfg.workers)
     out = cfg.out_dir / "sweep.csv"
     save_sweep(result, str(out))
     kappa = cfg.G.lipschitz_on(cfl_gradient_range(cfg.G, cfg.beta, theta))
@@ -461,29 +463,32 @@ def cmd_probe(cfg: RunConfig) -> list[Path]:
     kinds = ("sub", "super") if kind == "both" else (kind,)
     if any(k not in ("sub", "super") for k in kinds):
         raise ConfigError(f"kind must be sub, super or both, got {kind!r}")
-    env = cfg.make_env()
     if source == "corrector":
-        prof = corrector_profile(env, cfg.G, cfg.beta, _get(p, "lam"),
-                                 _branch(p), region,
-                                 _get(p, "tol", 1e-6, positive=True), dx)
+        lam, branch = _get(p, "lam"), _branch(p)
+        tol = _get(p, "tol", 1e-6, positive=True)
     elif source == "glued":
         h = _in_unit([_get(p, "hill_h")], "hill_h")[0]
         C = _get(p, "hill_c", positive=True)
         order = _get(p, "order", "21", str)
         if order not in ("21", "12"):
             raise ConfigError(f"order must be '21' or '12', got {order!r}")
+    else:
+        raise ConfigError(
+            f"profile must be 'corrector' or 'glued', got {source!r}")
+    # absent, the probe takes its own default tolerance
+    tol_probe = _get(p, "tol_probe", 0.0, positive=True) or None
+    env = cfg.make_env()
+    if source == "corrector":
+        prof = corrector_profile(env, cfg.G, cfg.beta, lam, branch, region,
+                                 tol, dx)
+    else:
         hill = find_hill(env, h, C)
         if hill is None:
             raise HillError(f"no hill witness at (h={h}, C={C}) in the window")
         prof = build_glued_profile(env, cfg.G, cfg.beta, delta, hill,
                                    order=order, region=region, dx=dx)
-    else:
-        raise ConfigError(
-            f"profile must be 'corrector' or 'glued', got {source!r}")
-
-    tol = _get(p, "tol_probe", 0.0) or None
-    reports = [residual_probe(env, cfg.G, cfg.beta, prof, delta, k, tol=tol)
-               for k in kinds]
+    reports = [residual_probe(env, cfg.G, cfg.beta, prof, delta, k,
+                              tol=tol_probe) for k in kinds]
     out = cfg.out_dir / "probe.csv"
     save_probe(reports, str(out))
     return [out]

@@ -693,8 +693,8 @@ def _hill_levels(G, beta: float, delta: float) -> tuple[float, float]:
     return h_req, s_req
 
 
-def find_low_slope_points(profile_pair, env: EnvRealization, G, delta: float,
-                          hill: HillWitness, order: str = "21") -> tuple[float, float]:
+def find_low_slope_points(profile_pair, G, delta: float, hill: HillWitness,
+                          order: str = "21") -> tuple[float, float]:
     """Junction points (z1, z2) inside the hill where both one-sided
     corrector slopes have G-value at most 2 delta.
 
@@ -814,7 +814,7 @@ def build_glued_profile(env: EnvRealization, G, beta: float, delta: float,
     prof2 = CorrectorProfile(branch=2, lam=beta, beta=beta, grid=xs2.copy(),
                              f_vals=fs2, burn_in=0.0, cert_bound=p_hi2 - p_lo2)
 
-    z1, z2 = find_low_slope_points((prof1, prof2), env, G, delta, hill, order)
+    z1, z2 = find_low_slope_points((prof1, prof2), G, delta, hill, order)
     z_from, z_to = (z2, z1) if order == "21" else (z1, z2)
     # junctions live on grid nodes: work with indices so the pieces, the
     # bridge endpoints, and the s-coordinates all refer to the same node

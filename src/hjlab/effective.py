@@ -89,19 +89,18 @@ class LambdaInversion:
 class EffectiveH:
     """Piecewise effective Hamiltonian: monotone branches + flat piece.
 
-    Branch tables are float arrays with columns
-    ``(theta, lam, lam_lo, lam_hi)`` sorted by theta.  ``flat_value`` is
-    ``beta`` for random media (whose potential sup is 1) and ``beta*v0``
-    for constant media; the flat piece is that exact constant, only the
-    endpoints ``theta1_beta``/``theta2_beta`` are statistical, with
-    CIs ``theta1_ci``/``theta2_ci`` and step-doubling bars
+    ``inversions`` holds each branch row once, as its ``LambdaInversion``
+    (branch 1, then branch 2, each in theta order).  ``flat_thetas``
+    are the grid slopes on the flat piece, at ``flat_value``: ``beta``
+    for random media (whose potential sup is 1), ``beta*v0`` for
+    constant media.  That value is exact; only the endpoints
+    ``theta1_beta``/``theta2_beta`` are statistical, with CIs
+    ``theta1_ci``/``theta2_ci`` and step-doubling bars
     ``theta1_disc_bound``/``theta2_disc_bound`` (0 on constant media).
 
     ``n_evals`` and ``rk4_steps`` sum up the work of the build: slope
     estimates of the inversions, and RK4 steps of the endpoint
-    estimates and the inversions.  ``inversions`` keeps every branch row's
-    ``LambdaInversion`` in theta order, with its final slope estimate,
-    tangent and work counters.
+    estimates and the inversions.
     """
 
     beta: float
@@ -109,12 +108,8 @@ class EffectiveH:
     theta1_ci: float
     theta2_beta: float
     theta2_ci: float
-    branch1_table: np.ndarray
-    branch2_table: np.ndarray
     flat_thetas: np.ndarray
     flat_value: float
-    theta_tol: float
-    lambda_tol: float
     n_evals: int = 0
     rk4_steps: int = 0
     inversions: tuple[LambdaInversion, ...] = ()
@@ -122,46 +117,7 @@ class EffectiveH:
     theta2_disc_bound: float = 0.0
 
     def __post_init__(self):
-        for arr in (self.branch1_table, self.branch2_table, self.flat_thetas):
-            arr.setflags(write=False)
-
-    def branch_of(self, theta: float) -> str:
-        if theta > self.theta2_beta:
-            return "right"
-        if theta < self.theta1_beta:
-            return "left"
-        return "flat"
-
-    def _interp(self, theta: float, col: int) -> float:
-        side = self.branch_of(theta)
-        if side == "flat":
-            return self.flat_value
-        if side == "right":
-            tab = self.branch2_table
-            xp = np.concatenate(([self.theta2_beta], tab[:, 0]))
-            fp = np.concatenate(([self.flat_value], tab[:, col]))
-            if theta > xp[-1]:
-                raise ValueError(
-                    f"theta={theta:g} beyond the right branch table "
-                    f"(max {xp[-1]:g}); rebuild with a wider grid")
-        else:
-            tab = self.branch1_table
-            xp = np.concatenate((tab[:, 0], [self.theta1_beta]))
-            fp = np.concatenate((tab[:, col], [self.flat_value]))
-            if theta < xp[0]:
-                raise ValueError(
-                    f"theta={theta:g} beyond the left branch table "
-                    f"(min {xp[0]:g}); rebuild with a wider grid")
-        return float(np.interp(theta, xp, fp))
-
-    def value(self, theta: float) -> float:
-        """Hbar(theta): flat constant inside, monotone interpolation outside."""
-        return self._interp(float(theta), 1)
-
-    def interval(self, theta: float) -> tuple[float, float]:
-        """(lo, hi) bracket for Hbar(theta) from the safeguard brackets."""
-        theta = float(theta)
-        return self._interp(theta, 2), self._interp(theta, 3)
+        self.flat_thetas.setflags(write=False)
 
 
 # ============================================================
@@ -395,13 +351,17 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
                       dx: float = 0.01, profile_tol: float = 1e-6,
                       endpoint_tol: float = 1e-2,
                       workers: int = 1) -> EffectiveH:
-    """Assemble Hbar on a slope grid: branch tables plus the flat piece.
+    """Assemble Hbar on a slope grid: branch inversions plus the flat piece.
 
     Estimates the flat endpoints theta_i(beta) first (the lam = beta
     estimates are reused by every inversion), then inverts each grid
     slope strictly outside (theta1, theta2) on its branch.  Grid slopes
     inside the estimated flat interval are carried as flat rows at the
-    exact flat value.  The grid must reach beyond both endpoints.
+    exact flat value.  The grid must reach beyond both endpoints, which
+    straddle 0, so a grid without a negative and a positive slope fails
+    before any estimate.  The levels must certify the shape: strictly
+    monotone on each branch, never below the flat value, above it at
+    both grid ends.
 
     ``workers > 1`` farms the independent slope inversions out to a
     process pool; results are merged in grid order, so the output is
@@ -414,6 +374,9 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
         raise ConfigError("theta grid is empty")
     if not np.all(np.isfinite(grid)):
         raise ConfigError("theta grid must be finite")
+    if not grid[0] < 0.0 < grid[-1]:
+        raise ConfigError("theta grid needs a negative and a positive "
+                          "slope: the flat piece straddles 0")
     beta = float(beta)
     tol = float(tol)
 
@@ -450,37 +413,26 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
               for th in right]
     invs = _pmap(_invert_task, env, tasks, workers)
 
-    rows1 = np.array([[i.theta, i.lam, i.lam_lo, i.lam_hi]
-                      for i in invs if i.branch == 1], dtype=np.float64)
-    rows2 = np.array([[i.theta, i.lam, i.lam_lo, i.lam_hi]
-                      for i in invs if i.branch == 2], dtype=np.float64)
-    rows1 = rows1.reshape(-1, 4)
-    rows2 = rows2.reshape(-1, 4)
-
-    if np.any(np.diff(rows1[:, 1]) >= 0.0):
+    lams1, lams2 = ([i.lam for i in invs if i.branch == k] for k in (1, 2))
+    if any(b >= a for a, b in zip(lams1, lams1[1:])):
         raise CertificateError(
             "left branch table is not strictly decreasing; grow X or "
             "spread the theta grid")
-    if np.any(np.diff(rows2[:, 1]) <= 0.0):
+    if any(b <= a for a, b in zip(lams2, lams2[1:])):
         raise CertificateError(
             "right branch table is not strictly increasing; grow X or "
             "spread the theta grid")
-    if np.any(rows1[:, 1] < flat_value - 1e-12) or \
-            np.any(rows2[:, 1] < flat_value - 1e-12):
+    if any(i.lam < flat_value - 1e-12 for i in invs):
         raise CertificateError("branch levels fell below the flat value")
-    if rows1[0, 1] <= flat_value or rows2[-1, 1] <= flat_value:
+    if invs[0].lam <= flat_value or invs[-1].lam <= flat_value:
         raise CertificateError(
             "branch tables do not rise above the flat value at the grid "
             "ends (coercivity check)")
 
-    widths = np.concatenate((rows1[:, 3] - rows1[:, 2],
-                             rows2[:, 3] - rows2[:, 2]))
     endpoints = [ep for ep in (ep1, ep2) if ep is not None]
     return EffectiveH(beta=beta, theta1_beta=float(t1), theta1_ci=float(ci1),
                       theta2_beta=float(t2), theta2_ci=float(ci2),
-                      branch1_table=rows1, branch2_table=rows2,
                       flat_thetas=flat, flat_value=flat_value,
-                      theta_tol=tol, lambda_tol=float(widths.max(initial=0.0)),
                       n_evals=sum(i.n_evals for i in invs),
                       rk4_steps=sum(r.rk4_steps for r in endpoints + invs),
                       inversions=tuple(invs), theta1_disc_bound=disc1,
@@ -545,10 +497,10 @@ def _reference(env: EnvRealization, G, beta: float, theta: float,
 
 def save_effective(eff: EffectiveH, path: str) -> None:
     """Write `theta,H,H_lo,H_hi,branch` rows sorted by theta."""
-    rows = [(th, lam, lo, hi, "left") for th, lam, lo, hi in eff.branch1_table]
+    rows = [(i.theta, i.lam, i.lam_lo, i.lam_hi,
+             "left" if i.branch == 1 else "right") for i in eff.inversions]
     rows += [(th, eff.flat_value, eff.flat_value, eff.flat_value, "flat")
              for th in eff.flat_thetas]
-    rows += [(th, lam, lo, hi, "right") for th, lam, lo, hi in eff.branch2_table]
     rows.sort(key=lambda r: r[0])
     write_csv(path, ("theta", "H", "H_lo", "H_hi", "branch"), rows)
 

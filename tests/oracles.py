@@ -19,7 +19,10 @@ the package computes another way:
   ``pde._trim_rate`` is checked;
 * ``Reflected``: the mirror image ``G(-p)`` of any G family, whose
   branch 2 is G's branch 1: with a reflected medium it is the
-  rightward oracle for a branch-1 (leftward) run.
+  rightward oracle for a branch-1 (leftward) run;
+* ``branch_table``, ``branch_of``, ``hbar`` and ``hbar_interval``: an
+  ``EffectiveH`` read back at any slope, by linear interpolation of its
+  branch rows between the flat endpoints and the grid ends.
 """
 
 import math
@@ -184,3 +187,53 @@ class Reflected:
 
     def abs_derivative_inf(self, p_lo: float, p_hi: float) -> float:
         return self.G.abs_derivative_inf(-p_hi, -p_lo)
+
+
+def branch_table(eff, branch: int) -> np.ndarray:
+    """The rows of one branch as a float array with columns
+    ``(theta, lam, lam_lo, lam_hi)``, sorted by theta."""
+    rows = [(i.theta, i.lam, i.lam_lo, i.lam_hi)
+            for i in eff.inversions if i.branch == branch]
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def branch_of(eff, theta: float) -> str:
+    if theta > eff.theta2_beta:
+        return "right"
+    if theta < eff.theta1_beta:
+        return "left"
+    return "flat"
+
+
+def _interp(eff, theta: float, col: int) -> float:
+    side = branch_of(eff, theta)
+    if side == "flat":
+        return eff.flat_value
+    if side == "right":
+        tab = branch_table(eff, 2)
+        xp = np.concatenate(([eff.theta2_beta], tab[:, 0]))
+        fp = np.concatenate(([eff.flat_value], tab[:, col]))
+        if theta > xp[-1]:
+            raise ValueError(
+                f"theta={theta:g} beyond the right branch table "
+                f"(max {xp[-1]:g}); rebuild with a wider grid")
+    else:
+        tab = branch_table(eff, 1)
+        xp = np.concatenate((tab[:, 0], [eff.theta1_beta]))
+        fp = np.concatenate((tab[:, col], [eff.flat_value]))
+        if theta < xp[0]:
+            raise ValueError(
+                f"theta={theta:g} beyond the left branch table "
+                f"(min {xp[0]:g}); rebuild with a wider grid")
+    return float(np.interp(theta, xp, fp))
+
+
+def hbar(eff, theta: float) -> float:
+    """Hbar(theta): flat constant inside, monotone interpolation outside."""
+    return _interp(eff, float(theta), 1)
+
+
+def hbar_interval(eff, theta: float) -> tuple[float, float]:
+    """(lo, hi) bracket for Hbar(theta) from the safeguard brackets."""
+    theta = float(theta)
+    return _interp(eff, theta, 2), _interp(eff, theta, 3)

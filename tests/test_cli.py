@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hjlab
@@ -291,6 +290,38 @@ def test_lam_below_beta_is_config_error(tmp_path):
 def test_bad_command_parameter_is_config_error(tmp_path, line):
     cfg = _write(tmp_path, CONST_V0.replace("branch = 2", line))
     assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+_BASES = {
+    "probe": PROBE_GLUED,
+    "probe-corrector": PROBE_GLUED.replace(
+        "profile = glued", "profile = corrector\nlam = 2.0\nbranch = 2"),
+    "homogenize": HOMOG_IID,
+}
+
+
+@pytest.mark.parametrize("base, line", [
+    ("probe", "tol_probe = abc"), ("probe", "tol_probe = -1"),
+    ("probe", "hill_h = 1.5"), ("probe", "hill_c = -5"),
+    ("probe", "order = 22"), ("probe-corrector", "branch = 3"),
+    ("probe-corrector", "tol = -1"), ("homogenize", "dt = abc"),
+    ("homogenize", "dt = -0.01"), ("homogenize", "epsilons = x"),
+    ("homogenize", "epsilons = 0.5 2"), ("homogenize", "reference = abc"),
+    ("homogenize", "ref_tol = -1"), ("homogenize", "ref_x = 0"),
+    ("homogenize", "ref_dx = -0.01")])
+def test_bad_parameter_exits_before_the_medium_is_built(tmp_path, monkeypatch,
+                                                        base, line):
+    def no_medium(self, window=None):
+        pytest.fail("the medium was built before every parameter was read")
+
+    monkeypatch.setattr(hjlab.cli.RunConfig, "make_env", no_medium)
+    # the command's section is last: drop the key's line, append the bad one
+    key = line.split(" = ")[0]
+    text = "\n".join(ln for ln in _BASES[base].splitlines()
+                     if not ln.startswith(key + " ")) + f"\n{line}\n"
+    cfg = _write(tmp_path, text)
+    command = base.partition("-")[0]
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
 def test_value_error_inside_command_is_a_crash(tmp_path, monkeypatch):

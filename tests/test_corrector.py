@@ -589,7 +589,7 @@ def test_glued_profile_keeps_one_sided_pieces(env_const_v1):
     assert float(G(gl.f_vals[i1])) <= 0.5 + 1e-12
 
 
-def test_find_low_slope_points_trivial(env_const_v1):
+def test_find_low_slope_points_trivial():
     p_lo, p_hi = 0.0, 1.0
     xs2, fs2 = np.linspace(0.0, 30.0, 301), np.zeros(301)
     from hjlab.corrector import CorrectorProfile
@@ -597,7 +597,7 @@ def test_find_low_slope_points_trivial(env_const_v1):
                              f_vals=fs2, burn_in=0.0, cert_bound=1.0)
     prof1 = CorrectorProfile(branch=1, lam=1.0, beta=1.0, grid=xs2.copy(),
                              f_vals=np.zeros(301), burn_in=0.0, cert_bound=1.0)
-    z1, z2 = find_low_slope_points((prof1, prof2), env_const_v1, G, 0.25, HILL)
+    z1, z2 = find_low_slope_points((prof1, prof2), G, 0.25, HILL)
     assert HILL.L1 <= z2 < z1 <= HILL.L2
     assert float(G(np.array([0.0]))[0]) <= 0.5
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import hjlab.effective
 from hjlab.effective import (
-    EffectiveH,
     build_effective_H,
     effective_reference,
     invert_theta,
@@ -29,7 +28,15 @@ from hjlab.corrector import ThetaEstimate, estimate_theta
 from hjlab.environment import generate_env
 from hjlab.errors import CertificateError, ConfigError, FlatPieceError
 from hjlab.hamiltonian import PowerG, bracket
-from oracles import cell_average, cell_level, inverse_modulus
+from oracles import (
+    branch_of,
+    branch_table,
+    cell_average,
+    cell_level,
+    hbar,
+    hbar_interval,
+    inverse_modulus,
+)
 
 BETA = 1.0
 
@@ -123,21 +130,21 @@ def test_build_effective_constant_v0_zero(env_const0, G):
     assert eff.theta1_beta == 0.0 and eff.theta2_beta == 0.0
     assert eff.flat_thetas.tolist() == [0.0]
     # Hbar(theta) = G(theta), exactly, at every table node
-    for th, lam, lo, hi in np.vstack((eff.branch1_table, eff.branch2_table)):
+    for th, lam, lo, hi in np.vstack((branch_table(eff, 1),
+                                      branch_table(eff, 2))):
         assert lam == th * th and lo == lam and hi == lam
-    assert eff.value(0.0) == 0.0
-    assert eff.value(0.5) == 0.25
-    assert eff.value(-2.0) == 4.0
-    assert eff.lambda_tol == 0.0
+    assert hbar(eff, 0.0) == 0.0
+    assert hbar(eff, 0.5) == 0.25
+    assert hbar(eff, -2.0) == 4.0
 
 
 def test_build_effective_constant_v0_one(env_const1, G):
     eff = build_effective_H(env_const1, G, BETA, [-1.5, -0.5, 0.0, 0.5, 1.5],
                             tol=1e-6)
     assert eff.flat_value == BETA
-    assert eff.value(0.0) == BETA
-    assert eff.value(1.5) == 2.25 + BETA
-    assert eff.value(-0.5) == 0.25 + BETA
+    assert hbar(eff, 0.0) == BETA
+    assert hbar(eff, 1.5) == 2.25 + BETA
+    assert hbar(eff, -0.5) == 0.25 + BETA
 
 
 # ------------------------------------------------------------
@@ -338,8 +345,8 @@ def test_iid_flat_endpoints_strictly_inside(eff_iid):
 
 
 def test_iid_branch_tables_monotone_and_coercive(eff_iid):
-    t2 = eff_iid.branch2_table
-    t1 = eff_iid.branch1_table
+    t2 = branch_table(eff_iid, 2)
+    t1 = branch_table(eff_iid, 1)
     assert np.all(np.diff(t2[:, 0]) > 0) and np.all(np.diff(t2[:, 1]) > 0)
     assert np.all(np.diff(t1[:, 0]) > 0) and np.all(np.diff(t1[:, 1]) < 0)
     assert np.all(t2[:, 1] >= BETA) and np.all(t1[:, 1] >= BETA)
@@ -349,34 +356,34 @@ def test_iid_branch_tables_monotone_and_coercive(eff_iid):
     # strict bracket of the level: theta^2 < lam < theta^2 + beta,
     # with slack 2 theta (tol + ci) for the statistical slope error
     for th, lam, _, _ in t2:
-        slack = 2.0 * th * (eff_iid.theta_tol + 2e-2)
+        slack = 2.0 * th * (2e-2 + 2e-2)
         assert th * th - slack < lam < th * th + BETA + slack
 
 
 def test_iid_value_interpolation(eff_iid):
-    assert eff_iid.value(0.0) == BETA
-    assert eff_iid.branch_of(0.0) == "flat"
-    assert eff_iid.branch_of(1.7) == "right"
-    assert eff_iid.branch_of(-1.7) == "left"
-    t2 = eff_iid.branch2_table
-    assert eff_iid.value(1.7) == pytest.approx(t2[0, 1], abs=1e-12)
-    v_mid = eff_iid.value(1.95)
+    assert hbar(eff_iid, 0.0) == BETA
+    assert branch_of(eff_iid, 0.0) == "flat"
+    assert branch_of(eff_iid, 1.7) == "right"
+    assert branch_of(eff_iid, -1.7) == "left"
+    t2 = branch_table(eff_iid, 2)
+    assert hbar(eff_iid, 1.7) == pytest.approx(t2[0, 1], abs=1e-12)
+    v_mid = hbar(eff_iid, 1.95)
     assert t2[0, 1] < v_mid < t2[1, 1]
-    lo, hi = eff_iid.interval(1.95)
+    lo, hi = hbar_interval(eff_iid, 1.95)
     assert lo <= v_mid <= hi
     with pytest.raises(ValueError):
-        eff_iid.value(3.0)
+        hbar(eff_iid, 3.0)
     with pytest.raises(ValueError):
-        eff_iid.value(-3.0)
+        hbar(eff_iid, -3.0)
 
 
 def test_iid_lipschitz_inverse_quotient(eff_iid, G):
     # difference quotients along branch 2 are bounded by the branch
     # Lipschitz constant over the spanned slope interval (up to the
     # statistical slack in the two thetas)
-    t2 = eff_iid.branch2_table
+    t2 = branch_table(eff_iid, 2)
     # each table theta is matched to within tol + ci <= 2 tol
-    slack = 4.0 * eff_iid.theta_tol
+    slack = 4.0 * 2e-2
     for k in range(len(t2) - 1):
         th_a, lam_a = t2[k, 0], t2[k, 1]
         th_b, lam_b = t2[k + 1, 0], t2[k + 1, 1]
@@ -415,17 +422,24 @@ def test_one_estimate_per_off_flat_slope(eff_iid):
     assert [i.n_evals for i in invs] == [1, 1, 1, 1]
     assert eff_iid.n_evals == 4
     for inv in invs:
-        assert abs(inv.theta_at_lam - inv.theta) <= eff_iid.theta_tol
+        assert abs(inv.theta_at_lam - inv.theta) <= 2e-2
         assert (1.0 if inv.branch == 2 else -1.0) * inv.dtheta_dlam > 0.0
-    lams = np.concatenate((eff_iid.branch1_table[:, 1],
-                           eff_iid.branch2_table[:, 1]))
-    assert [i.lam for i in invs] == lams.tolist()
 
 
-def test_grid_must_cover_both_branches(env_periodic, G):
-    with pytest.raises(ConfigError):
-        build_effective_H(env_periodic, G, BETA, [0.1, 1.7], tol=1e-3,
+def test_grid_must_cover_both_branches(env_periodic, G, monkeypatch):
+    # slopes of both signs, but none beyond the left flat endpoint
+    with pytest.raises(ConfigError, match="beyond both flat endpoints"):
+        build_effective_H(env_periodic, G, BETA, [-0.1, 1.7], tol=1e-3,
                           X=40.0)
+    # every grid below is refused before any slope estimate: the flat
+    # piece straddles 0, so a grid needs slopes of both signs
+    def no_estimate(*args, **kwargs):
+        pytest.fail("a slope was estimated before the grid was checked")
+
+    monkeypatch.setattr(hjlab.effective, "estimate_theta", no_estimate)
+    for grid in ([0.1, 1.7], [1.0, 1.5, 2.0], [-2.0, -1.0], [-1.7, 0.0]):
+        with pytest.raises(ConfigError, match="negative and a positive"):
+            build_effective_H(env_periodic, G, BETA, grid, tol=1e-3, X=40.0)
     with pytest.raises(ConfigError):
         build_effective_H(env_periodic, G, BETA, [], tol=1e-3, X=40.0)
     for bad in (math.nan, math.inf):

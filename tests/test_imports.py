@@ -1,10 +1,11 @@
-"""Static checks of the package source: every module-level import is used,
-and only the two writers open files for writing.
+"""Static checks of the source: every module-level import of the package
+and of the tests is used, and only the two writers open files for writing.
 
 The package imports are its only dependencies on other modules, so an
 import that nothing references is dead weight at start-up and a stale
-pointer for the reader.  ``__init__.py`` is exempt: its imports are the
-package's public namespace.  Every output file is a table written by
+pointer for the reader; in a test module it is a stale pointer too.
+``__init__.py`` is exempt: its imports are the package's public
+namespace.  Every output file is a table written by
 ``environment.write_csv`` or a sidecar written by ``cli._sidecar``, so
 one CSV convention holds as long as nothing else writes.
 """
@@ -12,7 +13,8 @@ one CSV convention holds as long as nothing else writes.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hjlab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hjlab"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -42,12 +44,12 @@ def test_module_imports_are_used():
     probe = ast.parse("import io\nfrom math import pi, tau\nx = tau\n")
     assert _unused_imports(probe) == ["line 1: io", "line 2: pi"]
     unused = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        if path == SRC / "__init__.py":
             continue
         found = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
         if found:
-            unused[path.name] = found
+            unused[f"{path.parent.name}/{path.name}"] = found
     assert unused == {}
 
 
