@@ -392,7 +392,7 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
             f"lipschitz={report.lipschitz_margin:.3g}")
 
     env = cfg.make_env()
-    dt = dt or stable_dt(env, cfg.G, cfg.beta, theta, dx)
+    dt = dt or stable_dt(cfg.G, cfg.beta, theta, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=M, T=1.0, theta=theta)
     result = homogenize_sweep(
         env, cfg.G, cfg.beta, theta, epsilons, scheme, reference=reference,
@@ -401,6 +401,7 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
     save_sweep(result, str(out))
     kappa = cfg.G.lipschitz_on(cfl_gradient_range(cfg.G, cfg.beta, theta))
     cfg.stats.update(dt=dt, cfl=cfl_number(scheme, kappa),
+                     cfl_seen=result.cfl_seen,
                      evolve_steps=result.steps,
                      node_steps=result.node_steps,
                      trim_bound=result.trim_bound,

@@ -8,18 +8,25 @@ of the diffusion is implicit.  Each step is
     w = u + h (godunov_flux(G, D-u, D+u) + beta V)
     (I - h diag(a) D2) u_new = w + boundary term
 
-The explicit stage is monotone under the hyperbolic CFL bound
-``dt kappa / dx <= 0.9`` (kappa a Lipschitz constant of G on the
-reachable slopes); the implicit stage is monotone at every step size,
-because ``I - h diag(a) D2`` is an M-matrix and its inverse is entrywise
-nonnegative.  Diffusion therefore puts no limit on dt.  Row-scaled by
-``diag(a)^-1`` the same matrix is symmetric positive definite, so the
-implicit stage is one LAPACK ``dpttrf`` per step size and one ``dpttrs``
-per step (``diffusion_solver``), taken from scipy's ``_flapack``
-extension without the ``scipy.linalg`` package (``_lapack_pt``).
-Monotonicity is what makes the scheme converge to the viscosity
-solution, so everything here favours plainness over order: first order
-in time, no limiters.
+The implicit stage is monotone at every step size, because
+``I - h diag(a) D2`` is an M-matrix and its inverse is entrywise
+nonnegative, so diffusion puts no limit on dt.  The explicit stage is
+monotone exactly when ``dt Lip(G on [lo, hi]) / dx <= 1``, with lo and
+hi the least D-u and the largest D+u of that step.  ``stable_dt`` steps
+at ``dt kappa / dx = 0.9``, kappa a Lipschitz constant of G on the
+a-priori slope range ``cfl_gradient_range``: the branch bracket over
+the levels a run from linear data can hold.  That range is a good
+guess, not a proof, so the certificate is the step itself: ``evolve``
+compares every step's [lo, hi] with the range (two float comparisons)
+and, for a step whose slopes leave it, checks the bound on the union of
+both, raising ``StabilityError`` when it fails.  Every executed step is
+therefore monotone.  Row-scaled by ``diag(a)^-1`` the implicit matrix
+is symmetric positive definite, so the implicit stage is one LAPACK
+``dpttrf`` per step size and one ``dpttrs`` per step
+(``diffusion_solver``), taken from scipy's ``_flapack`` extension
+without the ``scipy.linalg`` package (``_lapack_pt``).  Monotonicity is
+what makes the scheme converge to the viscosity solution, so everything
+here favours plainness over order: first order in time, no limiters.
 
 Also holds the epsilon-sweep driver that empirically verifies the
 homogenized limit, and the perturbed-profile residual probes for the
@@ -28,8 +35,9 @@ march each distinct domain once and reads u(T, 0) at every stop.  Since
 the scheme is monotone, what a node far from x = 0 does reaches x = 0
 only through tails the scheme's spread bounds, so each march drops the
 nodes beyond a derived margin of its remaining steps (``_trim_margin``):
-every stop is within a certified bound below 1e-16 of a fresh run on
-the whole domain, and the same run bit for bit while no window shrinks.
+every stop is within a certified bound (below 1e-16 while the slopes
+stay in the a-priori range) of a fresh run on the whole domain, and the
+same run bit for bit while no window shrinks.
 """
 
 from __future__ import annotations
@@ -105,38 +113,55 @@ class SchemeConfig:
 
 
 def cfl_gradient_range(G, beta: float, theta: float) -> tuple[float, float]:
-    """A priori slope range reachable from linear data with slope theta.
+    """A-priori slope range of a run from linear data with slope theta.
 
-    Levels cannot exceed lam_max = beta + G(theta) + beta, so one-sided
-    slopes stay within the brackets at lam_max, padded by one unit.  A
-    runtime monitor reports excursions; they signal that the CFL input
-    was too optimistic.
+    The scheme is monotone and commutes with constants, so its discrete
+    u_t stays within its range at t = 0, ``G(theta) + beta V`` in
+    ``[G(theta), G(theta) + beta]``.  Where ``a u''`` is small, the level
+    ``G(u') = u_t - beta V - a u''`` then lies in
+    ``[G(theta) - beta, G(theta) + beta]``, and the slopes in that band's
+    branch bracket: ``[G2^-1(G(theta) - beta), G2^-1(G(theta) + beta)]``
+    for theta > 0 with ``G(theta) >= beta``, its mirror on branch 1 for
+    theta < 0, and both branches at ``G(theta) + beta`` when
+    ``G(theta) < beta`` (the flat piece and its neighbourhood).  Nothing
+    bounds ``a u''`` here, so the range is not certified: it chooses dt,
+    and ``evolve`` checks every step whose slopes leave it.
     """
-    lam_max = float(beta) + float(G(theta)) + float(beta)
-    p_lo = min(float(theta), G.branch_inverse(1, lam_max)) - 1.0
-    p_hi = max(float(theta), G.branch_inverse(2, lam_max)) + 1.0
-    return p_lo, p_hi
+    beta = float(beta)
+    g = float(G(theta))
+    top = g + beta
+    if g < beta:
+        return G.branch_inverse(1, top), G.branch_inverse(2, top)
+    if theta > 0:
+        return G.branch_inverse(2, g - beta), G.branch_inverse(2, top)
+    return G.branch_inverse(1, top), G.branch_inverse(1, g - beta)
 
 
 def cfl_number(scheme: SchemeConfig, kappa_grad: float) -> float:
     """Hyperbolic CFL number ``dt kappa / dx`` of the explicit flux stage.
 
-    ``kappa_grad`` is a Lipschitz constant of G on the slope range the
-    run can reach.  Diffusion is implicit and adds no term.
+    ``kappa_grad`` is a Lipschitz constant of G on the slope range of
+    the run.  Diffusion is implicit and adds no term.
     """
     return scheme.dt * kappa_grad / scheme.dx
 
 
-def stable_dt(env: EnvRealization, G, beta: float, theta: float,
-              dx: float) -> float:
+def stable_dt(G, beta: float, theta: float, dx: float) -> float:
     """Largest dt with ``cfl_number <= _CFL_MAX``: ``_CFL_MAX dx / kappa``.
 
     kappa is the Lipschitz constant of G on ``cfl_gradient_range``.  The
     bound reads nothing of the medium: a(x) enters only the implicit
-    stage, and V only the source.  ``env`` is kept so that every caller
-    can ask for the step of the run it is about to make.
+    stage, and V only the source.  The range is not certified, so this
+    step is monotone as long as the slopes stay in it; ``evolve``
+    certifies each step that leaves it, and raises if that step is not
+    monotone.  A range on which G is flat (one point, as at beta = 0 and
+    theta = 0) gives no step: ``ConfigError``, so the caller sets dt.
     """
-    kappa = G.lipschitz_on(cfl_gradient_range(G, beta, theta))
+    p_range = cfl_gradient_range(G, beta, theta)
+    kappa = G.lipschitz_on(p_range)
+    if not kappa > 0.0:
+        raise ConfigError(f"G is flat on the slope range {p_range}: "
+                          "no CFL step, set dt")
     return _CFL_MAX * dx / kappa
 
 
@@ -166,10 +191,12 @@ def godunov_flux(G, p_minus, p_plus, out=None):
 class EvolveResult:
     """Final slice of one run plus bookkeeping.
 
+    ``cfl`` is the a-priori CFL number, on ``cfl_gradient_range``.
     ``grad_range_seen`` is the observed (min D-, max D+) over all steps;
-    ``grad_excursion`` flags any escape from the CFL gradient range (the
-    run still completes -- the flag marks the CFL certificate as
-    untrusted, not the arithmetic).
+    ``grad_excursion`` flags any escape from the a-priori range (the run
+    still completes: each such step was checked monotone on its own
+    slopes).  ``cfl_seen = dt Lip(G on grad_range_seen) / dx`` is the
+    largest CFL number any step really had, at most 1.
     """
 
     xs: np.ndarray
@@ -179,6 +206,7 @@ class EvolveResult:
     cfl: float
     grad_range_seen: tuple[float, float]
     grad_excursion: bool
+    cfl_seen: float
 
     def __post_init__(self):
         self.xs.setflags(write=False)
@@ -270,8 +298,11 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     n = 2M/dx, so x = 0 is node n/2 exactly.  ``initial_data`` is a
     callable evaluated on the grid or an array of matching length.
     Ghost values extend u linearly with slope ``scheme.theta``.  Raises
-    on a violation of the hyperbolic CFL bound and on non-finite values
-    (which, under a valid CFL, indicate a bug rather than instability).
+    ``StabilityError`` when dt breaks the CFL bound on the a-priori range
+    ``cfl_gradient_range``, when a step whose slopes leave that range is
+    not monotone (``dt Lip(G) / dx > 1`` on the union of its slopes and
+    the range), and on non-finite values (which, with every step
+    monotone, indicate a bug rather than instability).
     """
     beta = float(beta)
     dx, dt = scheme.dx, scheme.dt
@@ -285,7 +316,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
         raise StabilityError(
             f"CFL number {cfl:.3f} exceeds the hyperbolic bound "
             f"dt kappa / dx <= {_CFL_MAX} (kappa = {kappa:.3g}); shrink dt "
-            f"below {stable_dt(env, G, beta, scheme.theta, dx):.3e}")
+            f"below {stable_dt(G, beta, scheme.theta, dx):.3e}")
 
     u = np.asarray(initial_data(xs) if callable(initial_data)
                    else initial_data, dtype=np.float64).copy()
@@ -326,6 +357,16 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
         if not (math.isfinite(lo) and math.isfinite(hi)):
             break  # a NaN or inf in u reaches both reductions
         seen_lo, seen_hi = min(seen_lo, lo), max(seen_hi, hi)
+        if lo < p_lo or hi > p_hi:
+            # the a-priori CFL does not cover this step: certify it itself
+            kappa_step = G.lipschitz_on((min(lo, p_lo), max(hi, p_hi)))
+            if h * kappa_step / dx > 1.0:
+                raise StabilityError(
+                    f"step {step + 1} (t = {t:.6g}) is not monotone: its "
+                    f"slopes [{lo:.4g}, {hi:.4g}] leave the a-priori range "
+                    f"[{p_lo:.4g}, {p_hi:.4g}] and give dt Lip(G) / dx = "
+                    f"{h * kappa_step / dx:.3f} > 1; dt <= "
+                    f"{dx / kappa_step:.3e} would have been monotone")
         # explicit stage, written into u (ue keeps the old values)
         godunov_flux(G, d[:-1], d[1:], out=flux)
         flux += src
@@ -342,10 +383,12 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
             f"non-finite values at t = {t:.6g} despite CFL "
             f"{cfl:.3f}: this is a bug, not instability")
 
+    h_max = dt if n_steps else dt_tail
     return EvolveResult(
         xs=xs, u=u, t=t, steps=step, cfl=cfl,
         grad_range_seen=(seen_lo, seen_hi),
-        grad_excursion=bool(seen_lo < p_lo or seen_hi > p_hi))
+        grad_excursion=bool(seen_lo < p_lo or seen_hi > p_hi),
+        cfl_seen=h_max * G.lipschitz_on((seen_lo, seen_hi)) / dx)
 
 
 # ============================================================
@@ -364,7 +407,8 @@ class SweepResult:
     behind ``reference`` when the sweep computed it, else None.
     ``grad_range_seen`` is the union of the marches' observed
     (min D-, max D+) on the windows they marched, the range
-    ``grad_excursion`` tests.  ``node_steps`` sums steps times window
+    ``grad_excursion`` tests, and ``cfl_seen`` the largest
+    ``cfl_seen`` of their runs.  ``node_steps`` sums steps times window
     nodes over the marches, and ``trim_bound`` is the largest certified
     ``|u(T, 0) - u_fresh(T, 0)|`` of a march whose window shrank (0 when
     none did).
@@ -381,6 +425,7 @@ class SweepResult:
     grad_range_seen: tuple[float, float] | None = None
     node_steps: int = 0
     trim_bound: float = 0.0
+    cfl_seen: float = 0.0
 
     def __post_init__(self):
         if self.epsilons.size != self.values.size or \
@@ -415,17 +460,18 @@ def _trim_rate(d: float, c: float) -> float:
     return lo
 
 
-def _trim_margin(env, G, beta: float, theta: float, dx: float, dt: float,
-                 k_last: int) -> tuple[float, float]:
+def _trim_margin(env, G, theta: float, p_range, dx: float, dt: float,
+                 k_last: int, m=None) -> tuple[float, float]:
     """Margin ``m`` in nodes of a trimmed march, and its certified bound.
 
     A march of ``k_last`` steps (``dt`` or shorter) reads u at x = 0 only,
     so step k runs on the nodes within ``k_last - k + m`` of x = 0 and
     takes linear-theta ghosts at that window's edges.  The difference e
     from the march on the whole domain is then driven by a nonnegative
-    linear operator, since the step is monotone: the explicit stage moves
-    at most ``d = dt kappa / dx`` of the weight, one node per step; the
-    implicit stage spreads it by a kernel dominated by the two-sided
+    linear operator, since the step is monotone: with kappa the Lipschitz
+    constant of G on the slope range ``p_range``, the explicit stage
+    moves at most ``d = dt kappa / dx`` of the weight, one node per step;
+    the implicit stage spreads it by a kernel dominated by the two-sided
     geometric one, of MGF ``1 / (1 - 2 c (cosh lam - 1))`` with
     ``c = dt max(a) / dx**2``; and each edge injects at most
     ``dt (kappa + max(a) / dx) |p - theta|`` per step, p the slope there.
@@ -440,25 +486,29 @@ def _trim_margin(env, G, beta: float, theta: float, dx: float, dt: float,
 
     and with ``lam*`` the largest lam with ``f <= 1`` (``_trim_rate``) and
     ``inj`` the injection of both edges at the widest slope gap of
-    ``cfl_gradient_range``,
+    ``p_range``,
 
         |e(T, 0)| <= k_last inj exp(-lam* m).
 
-    ``m`` is the least margin that puts this below ``_TRIM_TOL``.  The
-    bound holds while the slopes stay in the a-priori range, as the CFL
-    number does (``grad_excursion`` reports a breach).  Returns
-    ``(m, bound)``, or ``(inf, 0.0)`` when ``d >= 1``: then no margin is
-    certified and the march keeps its whole domain.
+    Without ``m``, ``m`` is the least margin that puts this below
+    ``_TRIM_TOL``, with ``p_range`` the a-priori ``cfl_gradient_range``.
+    The bound holds while the slopes stay in ``p_range``, so a march that
+    leaves it (``grad_excursion``) evaluates the bound again at the ``m``
+    it used, over the slopes it saw too.  Returns ``(m, bound)``, or
+    ``(inf, 0.0)`` when no ``m`` is given and ``d >= 1``: then no margin
+    is certified and the march keeps its whole domain.  At a given ``m``
+    the bound is inf when ``d > 1``.
     """
-    p_lo, p_hi = cfl_gradient_range(G, beta, theta)
-    kappa = G.lipschitz_on((p_lo, p_hi))
+    p_lo, p_hi = p_range
+    kappa = G.lipschitz_on(p_range)
     a_max = float(np.max(env.a_vals))
     d = dt * kappa / dx
-    if not d < 1.0:
-        return math.inf, 0.0
-    lam = _trim_rate(d, dt * a_max / dx ** 2)
+    lam = _trim_rate(d, dt * a_max / dx ** 2) if d <= 1.0 else -math.inf
     inj = 2.0 * dt * (kappa + a_max / dx) * max(theta - p_lo, p_hi - theta)
-    m = max(1, math.ceil(math.log(k_last * inj / _TRIM_TOL) / lam))
+    if m is None:
+        if not lam > 0.0:
+            return math.inf, 0.0
+        m = max(1, math.ceil(math.log(k_last * inj / _TRIM_TOL) / lam))
     return m, k_last * inj * math.exp(-lam * m)
 
 
@@ -477,10 +527,13 @@ def _march(env, args):
     edges.  ``evolve`` lays its grid by node index, so each window's
     grid is an exact slice of the domain's, and each stop is within
     ``bound`` of a fresh run to T; while no window has shrunk, the
-    march is the fresh run bit for bit.
+    march is the fresh run bit for bit.  When the slopes leave the
+    a-priori range, the bound is taken again at the same margin over
+    that range and the slopes seen.
     Returns ({T: u(T, 0)}, any gradient excursion, steps marched, node
     steps (steps times window nodes), the gradient range seen on the
-    windows, the bound, or 0 when no window shrank).
+    windows, the bound, or 0 when no window shrank, and the largest
+    ``cfl_seen`` of the runs).
     """
     G, beta, theta, scheme, n, stops = args
     dx, dt = scheme.dx, scheme.dt
@@ -488,7 +541,8 @@ def _march(env, args):
     tails = [t - k * dt if t - k * dt > 1e-12 * t else 0.0
              for t, k in zip(stops, whole)]
     k_last = whole[-1] + (tails[-1] > 0.0)
-    m, bound = _trim_margin(env, G, beta, theta, dx, dt, k_last)
+    p_lo, p_hi = cfl_gradient_range(G, beta, theta)
+    m, bound = _trim_margin(env, G, theta, (p_lo, p_hi), dx, dt, k_last)
     # (first step, half-width) of each window
     windows = [(0, min(n, k_last + m))]
     while True:
@@ -501,7 +555,7 @@ def _march(env, args):
         r = evolve(env, G, beta, u, SchemeConfig(
             dx=dx, dt=h, M=w * dx, T=steps * h, theta=theta))
         runs.append((r.grad_excursion, r.steps, r.steps * r.xs.size,
-                     *r.grad_range_seen))
+                     *r.grad_range_seen, r.cfl_seen))
         return r.u
 
     # u(0, x) = theta x on the grid evolve lays over the whole domain
@@ -516,9 +570,15 @@ def _march(env, args):
         for t_stop, k, tail in zip(stops, whole, tails):
             if k == k_end:
                 at_zero[t_stop] = float((run(u, 1, tail) if tail else u)[w])
-    excursion, steps, node_steps, lo, hi = zip(*runs)
-    return (at_zero, any(excursion), sum(steps), sum(node_steps),
-            (min(lo), max(hi)), bound if w < n else 0.0)
+    excursion, steps, node_steps, lo, hi, cfl_seen = zip(*runs)
+    lo, hi = min(lo), max(hi)
+    if w == n:
+        bound = 0.0
+    elif any(excursion):
+        _, bound = _trim_margin(env, G, theta, (min(lo, p_lo), max(hi, p_hi)),
+                                dx, dt, k_last, m)
+    return (at_zero, any(excursion), sum(steps), sum(node_steps), (lo, hi),
+            bound, max(cfl_seen))
 
 
 def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
@@ -574,7 +634,7 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     marches = _pmap(_march, env, [(G, beta, theta, scheme, n, ts)
                                   for n, ts in stops.items()], workers)
     u0 = {(n, t): u for n, m in zip(stops, marches) for t, u in m[0].items()}
-    _, excursions, steps, node_steps, seen, bounds = zip(*marches)
+    _, excursions, steps, node_steps, seen, bounds, cfl_seen = zip(*marches)
     values = np.array([eps * u0[n, 1.0 / eps]
                        for eps, n in zip(eps_arr, halves)])
     doubled = np.array([eps * u0[2 * n, 1.0 / eps]
@@ -586,7 +646,8 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
                        ref_disc_bound=ref_disc,
                        grad_range_seen=(min(lo for lo, _ in seen),
                                         max(hi for _, hi in seen)),
-                       node_steps=sum(node_steps), trim_bound=max(bounds))
+                       node_steps=sum(node_steps), trim_bound=max(bounds),
+                       cfl_seen=max(cfl_seen))
 
 
 # ============================================================

@@ -62,7 +62,7 @@ def theta2_beta(env_iid_hill):
 
 def _sweep(env, theta, ref, epsilons=(1 / 8, 1 / 16, 1 / 32, 1 / 64)):
     dx = 0.05
-    dt = stable_dt(env, G2, BETA, theta, dx)
+    dt = stable_dt(G2, BETA, theta, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=4.0, T=1.0, theta=theta)
     return homogenize_sweep(env, G2, BETA, theta, list(epsilons), scheme,
                             reference=ref)
@@ -183,7 +183,7 @@ def test_criterion_06_exact_solution_residual():
     F = profile_antiderivative(prof)
     errs = []
     for dx in (0.05, 0.025):
-        dt = stable_dt(env, G2, BETA, math.sqrt(lam), dx)
+        dt = stable_dt(G2, BETA, math.sqrt(lam), dx)
         # one ghost slope serves both ends: M = 12 is a whole number of
         # periods of the 1-periodic medium, so F'(-12) = F'(12) to within
         # the enclosure (1.2887276157 against 1.2887276390)
@@ -193,7 +193,7 @@ def test_criterion_06_exact_solution_residual():
         interior = np.abs(res.xs) <= 6.0
         errs.append(np.max(np.abs(res.u[interior]
                                   - (F(res.xs[interior]) + lam))))
-    dt0 = stable_dt(env, G2, BETA, math.sqrt(lam), 0.05)
+    dt0 = stable_dt(G2, BETA, math.sqrt(lam), 0.05)
     assert errs[0] <= 0.05 * (0.05 + dt0)
     assert errs[0] / errs[1] >= 1.8
 
@@ -277,7 +277,8 @@ def test_criterion_10_scheme_monotonicity():
 
     env = generate_env("periodic", 1, (-30.0, 30.0), 0.01)
     dx = 0.1
-    dt = stable_dt(env, G2, BETA, 1.0, dx)
+    # dt is monotone on the data's slopes, 1 +- 0.6
+    dt = 0.9 * dx / G2.lipschitz_on((0.4, 1.6))
     scheme = SchemeConfig(dx=dx, dt=dt, M=10.0, T=1000 * dt, theta=1.0)
     xs = -10.0 + dx * np.arange(201)
     rng = np.random.default_rng(42)

@@ -537,11 +537,13 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
     stats = json.loads((d1 / "sweep.meta.json").read_text())["stats"]
     assert stats == json.loads((d2 / "sweep.meta.json").read_text())["stats"]
-    assert set(stats) == {"dt", "cfl", "evolve_steps", "node_steps",
-                          "trim_bound", "grad_excursion", "grad_range_seen",
-                          "ref_disc_bound"}
+    assert set(stats) == {"dt", "cfl", "cfl_seen", "evolve_steps",
+                          "node_steps", "trim_bound", "grad_excursion",
+                          "grad_range_seen", "ref_disc_bound"}
     assert stats["ref_disc_bound"] == 0.0  # a flat reference is exact
     assert 0.0 < stats["cfl"] <= 0.9 + 1e-12
+    # every step the sweep took was monotone on the slopes it had
+    assert 0.0 < stats["cfl_seen"] <= stats["cfl"]
     assert stats["dt"] > 0.0
     # one march per domain: half-widths 80 (T = 4), 160 (T = 4 and 8,
     # doubled at 0.25 and base at 0.125) and 320 (T = 8) nodes
@@ -562,6 +564,18 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     p_lo, p_hi = cfl_gradient_range(PowerG(2.0), 1.0, 0.0)
     lo, hi = stats["grad_range_seen"]
     assert p_lo <= lo <= hi <= p_hi
+
+
+def test_non_monotone_step_exits_1(tmp_path, monkeypatch, capsys):
+    # an a-priori range far narrower than the slopes the run reaches
+    # gives a dt at which a step is not monotone: evolve raises
+    # StabilityError, a scientific failure
+    monkeypatch.setattr("hjlab.pde.cfl_gradient_range",
+                        lambda G, beta, theta: (theta - 0.01, theta + 0.01))
+    cfg = _write(tmp_path, HOMOG_IID)
+    assert main(["homogenize", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "not monotone" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_homogenize_requires_growth_certificate(tmp_path):

@@ -20,7 +20,8 @@ import scipy.linalg.lapack
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 import hjlab
-from hjlab.corrector import GluedProfile, build_glued_profile, corrector_profile
+from hjlab.corrector import (GluedProfile, build_glued_profile,
+                             corrector_profile, estimate_theta)
 from hjlab.environment import HillWitness, generate_env, sample_many
 from hjlab.errors import ConfigError, SignError, StabilityError, WindowError
 from hjlab.hamiltonian import PowerG
@@ -211,9 +212,10 @@ def test_evolve_one_step_jacobian_sign(env_periodic):
     # one full step (explicit flux, implicit diffusion) is order
     # preserving: raising any input node lowers no output node, end nodes
     # included.  u0 = -x has upwind slopes at both ends, where a ghost
-    # that copied the end slope into the flux once lowered an end value
+    # that copied the end slope into the flux once lowered an end value.
+    # dt is monotone on the data's slopes, [-1, 1.6] and the bump's 0.01
     dx, theta = 0.1, 1.0
-    dt = stable_dt(env_periodic, G, BETA, theta, dx)
+    dt = 0.9 * dx / G.lipschitz_on((-1.0, 1.61))
     scheme = SchemeConfig(dx=dx, dt=dt, M=2.0, T=dt, theta=theta)
     xs = -2.0 + dx * np.arange(41)
     for u0 in (theta * xs + 0.3 * np.sin(2.0 * xs), -xs):
@@ -230,17 +232,18 @@ def test_evolve_one_step_jacobian_sign(env_periodic):
 def test_evolve_matches_explicit_march(env_periodic):
     # oracle: the fully explicit scheme at its diffusive CFL, marched
     # with scheme_update; both are first order, so they differ by
-    # O(dx + dt) -- measured 3.8e-3 here, asserted below 1e-2
+    # O(dx + dt) -- measured 6.4e-3 here, asserted below 1e-2.  Both
+    # step on the data's slope range, theta +- 0.6
     dx, theta, T = 0.05, 1.0, 1.0
     xs = -5.0 + dx * np.arange(201)
     a, v = sample_many(env_periodic, xs)
-    kappa = G.lipschitz_on(cfl_gradient_range(G, BETA, theta))
+    kappa = G.lipschitz_on((theta - 0.6, theta + 0.6))
     n_exp = math.ceil(T * (2.0 * a.max() / dx ** 2 + kappa / dx) / 0.9)
     u = u0 = theta * xs + 0.3 * np.sin(2.0 * xs)
     for _ in range(n_exp):
         ue = np.concatenate(([u[0] - theta * dx], u, [u[-1] + theta * dx]))
         u = scheme_update(G, BETA, ue[:-2], u, ue[2:], a, v, dx, T / n_exp)
-    dt = stable_dt(env_periodic, G, BETA, theta, dx)
+    dt = 0.9 * dx / kappa
     res = evolve(env_periodic, G, BETA, u0,
                  SchemeConfig(dx=dx, dt=dt, M=5.0, T=T, theta=theta))
     assert res.steps < n_exp / 4
@@ -248,20 +251,32 @@ def test_evolve_matches_explicit_march(env_periodic):
 
 
 def test_stable_dt_independent_of_diffusion():
-    # the hyperbolic bound reads G and the slope range, not a(x)
-    dts = [stable_dt(generate_env("constant", 0, (-5.0, 5.0), 0.1,
-                                  params={"a0": a0, "v0": 0.5}),
-                     G, BETA, 1.0, 0.05)
-           for a0 in (0.05, 0.5, 1.0)]
-    assert dts[0] == dts[1] == dts[2]
+    # the hyperbolic bound reads G and the slope range, not a(x): one
+    # step serves every diffusion, each run at CFL 0.9
+    dt = stable_dt(G, BETA, 1.0, 0.05)
     kappa = G.lipschitz_on(cfl_gradient_range(G, BETA, 1.0))
-    assert dts[0] == pytest.approx(0.9 * 0.05 / kappa, rel=1e-14)
+    assert dt == pytest.approx(0.9 * 0.05 / kappa, rel=1e-14)
+    scheme = SchemeConfig(dx=0.05, dt=dt, M=2.0, T=20 * dt, theta=1.0)
+    for a0 in (0.05, 0.5, 1.0):
+        env = generate_env("constant", 0, (-5.0, 5.0), 0.1,
+                           params={"a0": a0, "v0": 0.5})
+        res = evolve(env, G, BETA, lambda x: x, scheme)
+        assert res.cfl == pytest.approx(0.9, rel=1e-14)
+        assert res.steps == 20 and not res.grad_excursion
+
+
+def test_stable_dt_needs_a_slope_range_where_g_moves():
+    # beta = 0 and theta = 0 hold every level at 0: the range is {0},
+    # where G' = 0, so there is no CFL step to take
+    assert cfl_gradient_range(G, 0.0, 0.0) == (0.0, 0.0)
+    with pytest.raises(ConfigError, match="set dt"):
+        stable_dt(G, 0.0, 0.0, 0.05)
 
 
 def test_comparison_preserved_on_ordered_pairs(env_periodic):
-    # smooth perturbations keep slopes inside the certified gradient range
+    # dt is monotone on the data's slopes, 1 +- 0.6
     dx = 0.1
-    dt = stable_dt(env_periodic, G, BETA, 1.0, dx)
+    dt = 0.9 * dx / G.lipschitz_on((0.4, 1.6))
     rng = np.random.default_rng(7)
     xs = -10.0 + dx * np.arange(int(round(20.0 / dx)) + 1)
     for _ in range(5):
@@ -285,7 +300,7 @@ def test_evolve_constant_env_linear_data_exact():
                        params={"a0": 0.8, "v0": 0.5})
     theta = 0.7
     dx = 0.05
-    dt = stable_dt(env, G, BETA, theta, dx)
+    dt = stable_dt(G, BETA, theta, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=5.0, T=0.5, theta=theta)
     res = evolve(env, G, BETA, lambda x: theta * x, scheme)
     exact = theta * res.xs + 0.5 * (G(theta) + BETA * 0.5)
@@ -310,7 +325,7 @@ def test_evolve_corrector_data_first_order(env_periodic):
     F = profile_antiderivative(prof)
     errs = []
     for dx in (0.05, 0.025):
-        dt = stable_dt(env_periodic, G, BETA, math.sqrt(lam), dx)
+        dt = stable_dt(G, BETA, math.sqrt(lam), dx)
         scheme = SchemeConfig(dx=dx, dt=dt, M=12.0, T=1.0,
                               theta=float(prof.f_vals[-1]))
         res = evolve(env_periodic, G, BETA, F, scheme)
@@ -321,21 +336,21 @@ def test_evolve_corrector_data_first_order(env_periodic):
         # the ghosts follow the solution, so the error converges on the
         # whole domain too, end nodes included
         assert np.max(np.abs(res.u - (F(res.xs) + lam))) <= 0.5 * (dx + dt)
-    assert errs[0] <= 0.05 * (0.05 + stable_dt(env_periodic, G, BETA,
-                                               math.sqrt(lam), 0.05)) * 1.0
+    assert errs[0] <= 0.05 * (0.05 + stable_dt(G, BETA, math.sqrt(lam),
+                                               0.05)) * 1.0
     assert errs[0] / errs[1] >= 1.8
 
 
 def test_evolve_cfl_violation_raises(env_periodic):
     dx = 0.1
-    dt = 2.0 * stable_dt(env_periodic, G, BETA, 1.0, dx)
+    dt = 2.0 * stable_dt(G, BETA, 1.0, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=5.0, T=1.0, theta=1.0)
     with pytest.raises(StabilityError):
         evolve(env_periodic, G, BETA, lambda x: x, scheme)
 
 
 def test_evolve_rejects_bad_inputs(env_periodic):
-    dt = stable_dt(env_periodic, G, BETA, 1.0, 0.1)
+    dt = stable_dt(G, BETA, 1.0, 0.1)
     with pytest.raises(ConfigError):
         SchemeConfig(dx=0.1, dt=dt, M=5.03, T=1.0, theta=1.0)
     with pytest.raises(ConfigError):
@@ -371,21 +386,34 @@ def test_evolve_raises_on_midrun_nonfinite(env_periodic, steps):
 
     G_nan.lipschitz_on = G.lipschitz_on
     G_nan.branch_inverse = G.branch_inverse
-    dt = stable_dt(env_periodic, G, BETA, 1.0, 0.1)
+    dt = stable_dt(G, BETA, 1.0, 0.1)
     scheme = SchemeConfig(dx=0.1, dt=dt, M=5.0, T=steps * dt, theta=1.0)
     with pytest.raises(StabilityError, match="non-finite"):
         evolve(env_periodic, G_nan, BETA, lambda x: x, scheme)
     assert len(grid_calls) == 6
 
 
-def test_gradient_monitor_flags_excursion(env_periodic):
+def test_non_monotone_step_raises(env_periodic):
+    # 5|x| has slopes +-5, where Lip(G) = 10: at the step of the a-priori
+    # range [-1, 1] the first step is not monotone, and evolve says so
     dx = 0.1
-    dt = stable_dt(env_periodic, G, BETA, 0.0, dx)
+    dt = stable_dt(G, BETA, 0.0, dx)
+    scheme = SchemeConfig(dx=dx, dt=dt, M=5.0, T=5 * dt, theta=0.0)
+    with pytest.raises(StabilityError, match="step 1 .* not monotone"):
+        evolve(env_periodic, G, BETA, lambda x: 5.0 * np.abs(x), scheme)
+
+
+def test_gradient_monitor_flags_excursion(env_periodic):
+    # at a dt monotone on the data's slopes the run completes, and its
+    # slopes leaving the a-priori range are flagged
+    dx = 0.1
+    dt = 0.9 * dx / G.lipschitz_on((-5.0, 5.0))
     scheme = SchemeConfig(dx=dx, dt=dt, M=5.0, T=5 * dt, theta=0.0)
     res = evolve(env_periodic, G, BETA, lambda x: 5.0 * np.abs(x), scheme)
     assert res.grad_excursion
     p_lo, p_hi = cfl_gradient_range(G, BETA, 0.0)
     assert res.grad_range_seen[0] < p_lo or res.grad_range_seen[1] > p_hi
+    assert res.cfl < res.cfl_seen <= 1.0
     smooth = evolve(env_periodic, G, BETA, lambda x: 0.0 * x, scheme)
     assert not smooth.grad_excursion
 
@@ -428,7 +456,7 @@ def test_homogenize_constant_env_exact():
     env = generate_env("constant", 0, (-40.0, 40.0), 0.1,
                        params={"a0": 1.0, "v0": 0.0})
     dx = 0.05
-    dt = stable_dt(env, G, BETA, 1.0, dx)
+    dt = stable_dt(G, BETA, 1.0, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=2.0, T=1.0, theta=1.0)
     res = homogenize_sweep(env, G, BETA, 1.0, [0.5, 0.25], scheme,
                            reference=1.0)
@@ -458,7 +486,7 @@ def test_homogenize_validates_epsilons():
 def test_homogenize_iid_flat_slope_runs():
     env = generate_env("iid-interp", 11, (-960.0, 960.0), 0.01)
     dx = 0.05
-    dt = stable_dt(env, G, BETA, 0.0, dx)
+    dt = stable_dt(G, BETA, 0.0, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=1.0, T=1.0, theta=0.0)
     res = homogenize_sweep(env, G, BETA, 0.0, [0.25, 0.125], scheme)
     # theta = 0 sits in the flat piece, so the automatic reference is beta
@@ -507,19 +535,26 @@ def test_homogenize_marches_each_domain_once(epsilons, dt, workers):
     env = generate_env("iid-interp", 11, (-40.0, 40.0), 0.01)
     dx = 0.05
     # None: the CFL step, a tail at every stop; 1/128 divides T = 2, 4, 8
-    dt = dt or stable_dt(env, G, BETA, 1.0, dx)
+    dt = dt or stable_dt(G, BETA, 1.0, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=1.0, T=1.0, theta=1.0)
     values, sens, excursion, seen, fresh, marched, nodes = _fresh_runs(
         env, 1.0, epsilons, scheme)
     res = homogenize_sweep(env, G, BETA, 1.0, epsilons, scheme,
                            reference=1.0, workers=workers)
-    assert res.values.tolist() == values.tolist()
-    assert res.domain_sensitivity.tolist() == sens.tolist()
+    # bit for bit where no window shrinks (trim_bound 0)
+    assert np.all(np.abs(res.values - values) <= res.trim_bound)
+    assert np.all(np.abs(res.domain_sensitivity - sens)
+                  <= 2.0 * res.trim_bound)
     assert res.grad_excursion == excursion
     assert res.grad_range_seen == seen  # the marches see the same slopes
     assert res.steps == marched
-    # the margin (over 900 nodes at either dt) keeps every whole domain
-    assert res.node_steps == nodes and res.trim_bound == 0.0
+    # the margin at the CFL step (over 2,600 nodes) keeps every whole
+    # domain; at dt = 1/128 it is about 260 nodes, so the widest march
+    # (320 nodes to T = 8) shrinks its window over its last steps
+    if dt == 1.0 / 128.0 and epsilons[-1] == 0.125:
+        assert 0.0 < res.trim_bound <= 1e-16 and res.node_steps < nodes
+    else:
+        assert res.node_steps == nodes and res.trim_bound == 0.0
     # the halving ladder shares two domains, the other ladder none
     assert (marched < fresh) == (epsilons[-1] == 0.125)
 
@@ -571,6 +606,67 @@ def test_trimmed_sweep_same_at_two_workers(env_trim):
             one.grad_excursion) == (two.steps, two.node_steps,
                                     two.trim_bound, two.grad_range_seen,
                                     two.grad_excursion)
+
+
+def test_trim_bound_covers_a_march_that_leaves_the_range(monkeypatch):
+    # an a-priori range of theta +- 0.02, well inside the slopes the runs
+    # see (about [0.73, 1.24]), and margins for 1e-8 rather than 1e-16:
+    # the marches trim, leave the range, and their stops differ from the
+    # fresh runs.  Each margin puts its a-priori bound below 1e-8; the
+    # bound reported is taken again over the slopes seen, and covers the
+    # difference
+    narrow = (0.98, 1.02)
+    monkeypatch.setattr("hjlab.pde.cfl_gradient_range",
+                        lambda G, beta, theta: narrow)
+    monkeypatch.setattr("hjlab.pde._TRIM_TOL", 1e-8)
+    env = generate_env("iid-interp", 4, (-140.0, 140.0), 0.01)
+    epsilons = (0.5, 0.25)
+    scheme = SchemeConfig(dx=0.1, dt=0.01, M=16.0, T=1.0, theta=1.0)
+    values, sens, excursion, seen, _, marched, nodes = _fresh_runs(
+        env, 1.0, epsilons, scheme)
+    res = homogenize_sweep(env, G, BETA, 1.0, epsilons, scheme,
+                           reference=1.0)
+    assert res.grad_excursion and excursion
+    assert seen[0] < narrow[0] and seen[1] > narrow[1]
+    assert res.steps == marched and res.node_steps < nodes
+    assert res.trim_bound > 1e-8
+    assert 0.0 < np.max(np.abs(res.values - values)) <= res.trim_bound
+    assert np.all(np.abs(res.domain_sensitivity - sens)
+                  <= 2.0 * res.trim_bound)
+
+
+@pytest.mark.parametrize("kind", ["iid-interp", "gauss-squash", "periodic"])
+def test_linear_data_stays_in_the_a_priori_range(kind):
+    # a slope on branch 2, one on branch 1, and two inside the flat piece
+    # (0 and theta2/2, where G(theta) < beta): each sweep at stable_dt
+    # completes, and its slopes stay in the range that chose dt
+    env = generate_env(kind, 4, (-200.0, 200.0), 0.01)
+    theta2 = estimate_theta(env, G, BETA, BETA, 2, 100.0, tol=1e-2).mean
+    for theta in (1.7, -1.7, 0.0, theta2 / 2.0):
+        scheme = SchemeConfig(dx=0.05, dt=stable_dt(G, BETA, theta, 0.05),
+                              M=1.0, T=1.0, theta=theta)
+        res = homogenize_sweep(env, G, BETA, theta, [1 / 8, 1 / 16, 1 / 32],
+                               scheme, reference=1.0)
+        p_lo, p_hi = cfl_gradient_range(G, BETA, theta)
+        lo, hi = res.grad_range_seen
+        assert p_lo <= lo <= hi <= p_hi, (theta, res.grad_range_seen)
+        assert not res.grad_excursion
+        assert 0.0 < res.cfl_seen <= 0.9 + 1e-12
+
+
+def test_sweep_at_half_the_stable_step_agrees():
+    # the scheme is first order in time, so halving dt moves
+    # eps u(1/eps, 0) by O(dt): at most 2.9e-4 here (at theta = 1.7,
+    # eps = 1/4), asserted below 1e-3, a fifth of the 0.005 to which the
+    # benchmark holds its sweep values
+    env = generate_env("iid-interp", 11, (-40.0, 40.0), 0.01)
+    for theta in (1.7, -1.7, 0.0, 0.4):
+        dt = stable_dt(G, BETA, theta, 0.05)
+        full, half = (homogenize_sweep(
+            env, G, BETA, theta, [0.25, 0.125],
+            SchemeConfig(dx=0.05, dt=h, M=1.0, T=1.0, theta=theta),
+            reference=1.0) for h in (dt, dt / 2.0))
+        assert np.max(np.abs(full.values - half.values)) <= 1e-3, theta
 
 
 @pytest.mark.parametrize("d, c, tight", [(0.5, 1.0, True), (0.11, 0.2, True),
@@ -709,7 +805,7 @@ def test_save_sweep_and_probe_csv(tmp_path, env_const_v1):
     env = generate_env("constant", 0, (-40.0, 40.0), 0.1,
                        params={"v0": 0.0})
     dx = 0.05
-    dt = stable_dt(env, G, BETA, 1.0, dx)
+    dt = stable_dt(G, BETA, 1.0, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=2.0, T=1.0, theta=1.0)
     res = homogenize_sweep(env, G, BETA, 1.0, [0.5], scheme, reference=1.0)
     sweep_path = tmp_path / "sweep.csv"
