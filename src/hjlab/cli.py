@@ -405,6 +405,7 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
                      evolve_steps=result.steps,
                      node_steps=result.node_steps,
                      trim_bound=result.trim_bound,
+                     trim_margins=list(result.trim_margins),
                      grad_excursion=result.grad_excursion,
                      grad_range_seen=list(result.grad_range_seen))
     if result.ref_disc_bound is not None:

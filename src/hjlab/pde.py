@@ -34,10 +34,15 @@ sub/supersolution constructions.  The sweep chains ``evolve`` calls to
 march each distinct domain once and reads u(T, 0) at every stop.  Since
 the scheme is monotone, what a node far from x = 0 does reaches x = 0
 only through tails the scheme's spread bounds, so each march drops the
-nodes beyond a derived margin of its remaining steps (``_trim_margin``):
-every stop is within a certified bound (below 1e-16 while the slopes
-stay in the a-priori range) of a fresh run on the whole domain, and the
-same run bit for bit while no window shrinks.
+nodes beyond derived margins (``_trim_margin``).  Upwind, the margin
+counts the remaining steps, since advection carries an edge's error
+toward x = 0 up to one node a step.  Off the flat piece every slope a
+run can hold has one sign, so the upwind flux reads one neighbour only
+and an error from the downwind edge reaches x = 0 only by diffusion,
+against a drift of at least ``dt inf|G'| / dx`` nodes a step: that side
+keeps a constant margin.  Every stop is within a certified bound (below
+1e-16 while the slopes stay in the a-priori range) of a fresh run on
+the whole domain, and the same run bit for bit while no window shrinks.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import numpy as np
 
 from .corrector import CorrectorProfile, GluedProfile
 from .effective import _pmap, _reference
-from .environment import EnvRealization, sample_many, write_csv
+from .environment import EnvRealization, _locate, sample_many, write_csv
 from .errors import ConfigError, SignError, StabilityError, WindowError
 from .hamiltonian import bracket
 
@@ -291,12 +296,15 @@ def diffusion_solver(a, h: float, dx: float):
 
 
 def evolve(env: EnvRealization, G, beta: float, initial_data,
-           scheme: SchemeConfig) -> EvolveResult:
+           scheme: SchemeConfig, *, origin: int | None = None) -> EvolveResult:
     """March the monotone scheme from t = 0 to t = scheme.T.
 
-    The grid is laid by node index, ``x_i = dx (i - n/2)`` with
-    n = 2M/dx, so x = 0 is node n/2 exactly.  ``initial_data`` is a
-    callable evaluated on the grid or an array of matching length.
+    The grid is laid by node index, ``x_i = dx (i - origin)`` for
+    i = 0..n with n = 2M/dx, so x = 0 is node ``origin`` exactly; it
+    defaults to the centre n/2, and any other origin lays an exact slice
+    of a wider centred grid (a trimmed ``homogenize`` window).
+    ``initial_data`` is a callable evaluated on the grid or an array of
+    matching length.
     Ghost values extend u linearly with slope ``scheme.theta``.  Raises
     ``StabilityError`` when dt breaks the CFL bound on the a-priori range
     ``cfl_gradient_range``, when a step whose slopes leave that range is
@@ -307,7 +315,10 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     beta = float(beta)
     dx, dt = scheme.dx, scheme.dt
     n = int(round(2.0 * scheme.M / dx))
-    xs = dx * (np.arange(n + 1) - n // 2)
+    origin = n // 2 if origin is None else origin
+    if not 0 <= origin <= n:
+        raise ConfigError(f"origin node {origin} is not on the grid 0..{n}")
+    xs = dx * (np.arange(n + 1) - origin)
     a, v = sample_many(env, xs)
     p_lo, p_hi = cfl_gradient_range(G, beta, scheme.theta)
     kappa = G.lipschitz_on((p_lo, p_hi))
@@ -411,7 +422,10 @@ class SweepResult:
     ``cfl_seen`` of their runs.  ``node_steps`` sums steps times window
     nodes over the marches, and ``trim_bound`` is the largest certified
     ``|u(T, 0) - u_fresh(T, 0)|`` of a march whose window shrank (0 when
-    none did).
+    none did).  ``trim_margins`` is ``(m_up, m_dn)``, the largest margins
+    in nodes of the upwind and downwind sides over the marches
+    (``_march``), with ``m_dn`` None when every march kept the symmetric
+    plan, ``m_up`` on both sides.
     """
 
     theta: float
@@ -426,6 +440,7 @@ class SweepResult:
     node_steps: int = 0
     trim_bound: float = 0.0
     cfl_seen: float = 0.0
+    trim_margins: tuple[float, float | None] | None = None
 
     def __post_init__(self):
         if self.epsilons.size != self.values.size or \
@@ -437,18 +452,21 @@ class SweepResult:
             arr.setflags(write=False)
 
 
-def _trim_rate(d: float, c: float) -> float:
+def _trim_rate(q: float, c: float) -> float:
     """Largest lam with ``f(lam) <= 1``, by bisection (see ``_trim_margin``).
 
-    ``log f`` is convex (a sum of log-MGFs), 0 at 0 with slope
-    ``d - 1 < 0`` there, and infinite where ``2 c (cosh lam - 1) = 1``,
-    so it is <= 0 exactly on [0, lam*].
+    ``f(lam) = (1 - q + q e^-lam) / (1 - 2 c (cosh lam - 1))``: q is the
+    least share of the walk that each step's explicit stage carries one
+    node away from the edge.  ``log f`` is convex (a sum of log-MGFs), 0
+    at 0 with slope ``-q`` there, and infinite where
+    ``2 c (cosh lam - 1) = 1``, so for q > 0 it is <= 0 exactly on
+    [0, lam*]; for q = 0 only lam = 0 qualifies.
     """
     def log_f(lam):
         den = 1.0 - 4.0 * c * math.sinh(0.5 * lam) ** 2
         if den <= 0.0:
             return math.inf
-        return -lam + math.log1p(d * math.expm1(lam)) - math.log(den)
+        return math.log1p(q * math.expm1(-lam)) - math.log(den)
 
     lo, hi = 0.0, math.acosh(1.0 + 0.5 / c)
     for _ in range(100):
@@ -461,55 +479,89 @@ def _trim_rate(d: float, c: float) -> float:
 
 
 def _trim_margin(env, G, theta: float, p_range, dx: float, dt: float,
-                 k_last: int, m=None) -> tuple[float, float]:
-    """Margin ``m`` in nodes of a trimmed march, and its certified bound.
+                 k_last: int, n: int, margins=None):
+    """Margins in nodes of a trimmed march, and the bound of each side.
 
-    A march of ``k_last`` steps (``dt`` or shorter) reads u at x = 0 only,
-    so step k runs on the nodes within ``k_last - k + m`` of x = 0 and
-    takes linear-theta ghosts at that window's edges.  The difference e
-    from the march on the whole domain is then driven by a nonnegative
-    linear operator, since the step is monotone: with kappa the Lipschitz
-    constant of G on the slope range ``p_range``, the explicit stage
-    moves at most ``d = dt kappa / dx`` of the weight, one node per step;
-    the implicit stage spreads it by a kernel dominated by the two-sided
-    geometric one, of MGF ``1 / (1 - 2 c (cosh lam - 1))`` with
-    ``c = dt max(a) / dx**2``; and each edge injects at most
-    ``dt (kappa + max(a) / dx) |p - theta|`` per step, p the slope there.
-    Weighted by ``cosh(lam j)`` at node j, the explicit stage grows e by
-    at most ``1 - d + d e^lam`` and the implicit one (its end rows
-    included) by at most ``1 / (1 - 2 c (cosh lam - 1))``, while what an
-    edge injects at step k starts ``k_last - k + m`` nodes out, at weight
-    ``e^(lam (k_last - k + m))`` or more.  So each step to go costs
-    ``f(lam)``, with
+    A march of ``k_last`` steps (``dt`` or shorter) on [-n dx, n dx]
+    reads u at x = 0 only, so it may run on a window of fewer nodes, with
+    linear-theta ghosts at the window's edges.  The difference e from the
+    march on the whole domain is then driven by a nonnegative linear
+    operator, since the step is monotone, and each edge injects at most
+    ``inj / 2 = dt (kappa + max(a) / dx) |p - theta|`` per step, p the
+    slope there, kappa the Lipschitz constant of G on the slope range
+    ``p_range`` and max(a) over the domain.  Read backward from x = 0,
+    that operator is a walk: the explicit stage moves it one node with
+    chance ``dt G'(p) / dx``, the implicit stage jumps by the window's
+    kernel, and an edge's injection reaches x = 0 in proportion to the
+    chance that the walk stands on that edge.  Inside the window that
+    kernel is at least the whole line's (its end rows only keep what
+    would have left), so the walk moves as a free walk until it first
+    reaches an edge; the free walk's implicit jump has MGF at most
+    ``1 / (1 - 2 c (cosh lam - 1))``, ``c = dt max(a) / dx**2``.  With
+    ``f(lam) <= 1`` per step (``_trim_rate``), ``e^(lam S) / f^k`` is a
+    supermartingale, S the walk's progress toward an edge, so the walk
+    reaches an edge m nodes out with chance at most ``exp(-lam m)``, and
+    that edge adds at most ``k_last (inj / 2) exp(-lam m)`` to
+    ``|e(T, 0)|``.  (Reflection at the other edge, which this leaves
+    out, needs the walk to cross the window first and adds terms smaller
+    by a further ``exp(-lam width)``.)  The two sides:
 
-        f(lam) = e^-lam (1 - d + d e^lam) / (1 - 2 c (cosh lam - 1)),
+    * upwind, or both sides when the slopes can change sign: step k runs
+      on the ``k_last - k + m_up`` nodes on that side of x = 0, so the
+      edge closes in by one node a step, and the explicit stage moves the
+      walk toward it at most ``d = dt kappa / dx`` of the time:
+      ``f(lam) = e^-lam (1 - d + d e^lam) / (1 - 2 c (cosh lam - 1))``,
+      a ``_trim_rate`` with ``q = 1 - d``;
+    * downwind, when ``p_range`` lies on one side of 0: G' has one sign
+      there, so each node takes its explicit share from its upwind
+      neighbour only, and the walk moves away from the downwind edge at
+      least ``d_min = dt inf|G'| / dx`` of the time.  That edge can stay
+      ``m_dn`` nodes out at every step:
+      ``f(lam) = (1 - d_min + d_min e^-lam) / (1 - 2 c (cosh lam - 1))``,
+      ``q = d_min``.
 
-    and with ``lam*`` the largest lam with ``f <= 1`` (``_trim_rate``) and
-    ``inj`` the injection of both edges at the widest slope gap of
-    ``p_range``,
-
-        |e(T, 0)| <= k_last inj exp(-lam* m).
-
-    Without ``m``, ``m`` is the least margin that puts this below
-    ``_TRIM_TOL``, with ``p_range`` the a-priori ``cfl_gradient_range``.
-    The bound holds while the slopes stay in ``p_range``, so a march that
-    leaves it (``grad_excursion``) evaluates the bound again at the ``m``
-    it used, over the slopes it saw too.  Returns ``(m, bound)``, or
-    ``(inf, 0.0)`` when no ``m`` is given and ``d >= 1``: then no margin
-    is certified and the march keeps its whole domain.  At a given ``m``
-    the bound is inf when ``d > 1``.
+    Without ``margins``, each margin is the least that puts its side's
+    term below ``_TRIM_TOL / 2``, with ``p_range`` the a-priori
+    ``cfl_gradient_range``; ``m_dn`` is None when that range reaches 0.
+    The terms hold while the slopes stay in ``p_range``, so a march that
+    leaves it (``grad_excursion``) takes them again at the ``margins`` it
+    used (``m_dn`` None for the symmetric plan), over the slopes it saw
+    too; where those reach 0, ``d_min`` is 0 and the downwind term is
+    its ``lam = 0`` value ``k_last inj / 2``.  Returns ``((m_up, m_dn),
+    (term_up, term_dn))``, with ``term_dn = term_up`` when ``m_dn`` is
+    None, or ``((inf, None), (0.0, 0.0))`` when no ``margins`` are given
+    and ``d >= 1``: then no margin is certified and the march keeps its
+    whole domain.  A term is inf when ``d > 1``.
     """
     p_lo, p_hi = p_range
+    ends, _ = _locate(env, (-n * dx, n * dx))
+    a_max = float(np.max(env.a_vals[ends[0]:ends[1] + 2]))
+    c = dt * a_max / dx ** 2
     kappa = G.lipschitz_on(p_range)
-    a_max = float(np.max(env.a_vals))
     d = dt * kappa / dx
-    lam = _trim_rate(d, dt * a_max / dx ** 2) if d <= 1.0 else -math.inf
-    inj = 2.0 * dt * (kappa + a_max / dx) * max(theta - p_lo, p_hi - theta)
-    if m is None:
-        if not lam > 0.0:
-            return math.inf, 0.0
-        m = max(1, math.ceil(math.log(k_last * inj / _TRIM_TOL) / lam))
-    return m, k_last * inj * math.exp(-lam * m)
+    half = dt * (kappa + a_max / dx) * max(theta - p_lo, p_hi - theta)
+    one_sided = ((p_lo > 0.0 or p_hi < 0.0) if margins is None
+                 else margins[1] is not None)
+    if d > 1.0:
+        lam_up = lam_dn = -math.inf
+    else:
+        lam_up = lam_dn = _trim_rate(1.0 - d, c)
+        if one_sided:
+            d_min = (dt * G.abs_derivative_inf(p_lo, p_hi) / dx
+                     if p_lo > 0.0 or p_hi < 0.0 else 0.0)
+            lam_dn = _trim_rate(d_min, c)
+    if margins is None:
+        if not lam_up > 0.0:
+            return (math.inf, None), (0.0, 0.0)
+        log_ratio = math.log(2.0 * k_last * half / _TRIM_TOL)
+
+        def margin(lam):
+            return max(1, math.ceil(log_ratio / lam))
+
+        margins = (margin(lam_up), margin(lam_dn) if one_sided else None)
+    m_dn = margins[1] if one_sided else margins[0]
+    return margins, (k_last * half * math.exp(-lam_up * margins[0]),
+                     k_last * half * math.exp(-lam_dn * m_dn))
 
 
 def _march(env, args):
@@ -519,21 +571,28 @@ def _march(env, args):
     tail ``T - floor(...) dt``, skipped at or below ``1e-12 T``, is
     stepped on a copy.  These are the steps of ``evolve(T)``.  Only
     u(T, 0) is read, so the march drops the nodes that cannot reach
-    x = 0: step k needs the ``min(n, k_last - k + m)`` nodes on each side,
-    ``k_last`` counting every step to the last stop (its tail included)
-    and ``m`` the margin of ``_trim_margin``.  The march keeps one window
-    until that falls below ``_TRIM_SHRINK`` of it, then goes on from the
-    slice of u on the smaller window, with linear-theta ghosts at its
-    edges.  ``evolve`` lays its grid by node index, so each window's
-    grid is an exact slice of the domain's, and each stop is within
-    ``bound`` of a fresh run to T; while no window has shrunk, the
-    march is the fresh run bit for bit.  When the slopes leave the
-    a-priori range, the bound is taken again at the same margin over
-    that range and the slopes seen.
+    x = 0, by the margins of ``_trim_margin``: step k needs
+    ``min(n, k_last - k + m_up)`` nodes on the upwind side, ``k_last``
+    counting every step to the last stop (its tail included), and
+    ``min(n, m_dn)`` on the downwind side.  The symmetric plan takes the
+    upwind count on both sides; it is the plan when the a-priori slopes
+    can change sign (``m_dn`` None), and also when it steps no more
+    nodes than the one-sided plan, as a short march against a weak drift
+    may.  The march keeps one window until its upwind side needs less
+    than ``_TRIM_SHRINK`` of its nodes there, then goes on from the slice
+    of u on the smaller window, with linear-theta ghosts at its edges; a
+    window of odd width grows one node on a side below n, so that its
+    half-width is a whole number of steps.  ``evolve`` lays its grid by
+    node index from x = 0, so each window's grid is an exact slice of
+    the domain's, and each stop is within ``bound`` of a fresh run to
+    T: the terms of the sides whose window shrank below n.  While no
+    window has shrunk, the march is the fresh run bit for bit.  When the
+    slopes leave the a-priori range, the terms are taken again at the
+    same margins over that range and the slopes seen.
     Returns ({T: u(T, 0)}, any gradient excursion, steps marched, node
     steps (steps times window nodes), the gradient range seen on the
-    windows, the bound, or 0 when no window shrank, and the largest
-    ``cfl_seen`` of the runs).
+    windows, the bound, the largest ``cfl_seen`` of the runs, and the
+    margins ``(m_up, m_dn)`` of the plan marched).
     """
     G, beta, theta, scheme, n, stops = args
     dx, dt = scheme.dx, scheme.dt
@@ -542,43 +601,74 @@ def _march(env, args):
              for t, k in zip(stops, whole)]
     k_last = whole[-1] + (tails[-1] > 0.0)
     p_lo, p_hi = cfl_gradient_range(G, beta, theta)
-    m, bound = _trim_margin(env, G, theta, (p_lo, p_hi), dx, dt, k_last)
-    # (first step, half-width) of each window
-    windows = [(0, min(n, k_last + m))]
-    while True:
-        k = k_last + m + 1 - math.ceil(_TRIM_SHRINK * windows[-1][1])
-        if k >= k_last:
-            break
-        windows.append((k, k_last + m - k))
+    (m_up, m_dn), terms = _trim_margin(env, G, theta, (p_lo, p_hi), dx, dt,
+                                       k_last, n)
+    # the upwind side is the right one when the slopes are all positive
+    up_right = p_lo > 0.0
+
+    def plan(m_dn):
+        """(first step, nodes left of x = 0, nodes right of it) of each
+        window, with ``m_dn`` None for the symmetric plan."""
+        def window(k, up):
+            dn = up if m_dn is None else min(n, m_dn)
+            if (up + dn) % 2:
+                up, dn = (up + 1, dn) if up < n else (up, dn + 1)
+            return (k, dn, up) if up_right else (k, up, dn)
+
+        windows = [window(0, min(n, k_last + m_up))]
+        while True:
+            up = windows[-1][2 if up_right else 1]
+            k = k_last + m_up + 1 - math.ceil(_TRIM_SHRINK * up)
+            if k >= k_last:
+                return windows
+            windows.append(window(k, k_last + m_up - k))
+
+    def plan_nodes(windows):
+        ends = [k for k, _, _ in windows[1:]] + [k_last]
+        return sum((end - k) * (left + right + 1)
+                   for (k, left, right), end in zip(windows, ends))
+
+    windows = plan(None)
+    if m_dn is not None:
+        # a short march with a weak drift can need fewer nodes downwind
+        # on the symmetric plan; ties keep it
+        one_sided = plan(m_dn)
+        if plan_nodes(one_sided) < plan_nodes(windows):
+            windows = one_sided
+        else:
+            m_dn, terms = None, (terms[0], terms[0])
 
     def run(u, steps, h):
         r = evolve(env, G, beta, u, SchemeConfig(
-            dx=dx, dt=h, M=w * dx, T=steps * h, theta=theta))
+            dx=dx, dt=h, M=(left + right) // 2 * dx, T=steps * h,
+            theta=theta), origin=left)
         runs.append((r.grad_excursion, r.steps, r.steps * r.xs.size,
                      *r.grad_range_seen, r.cfl_seen))
         return r.u
 
     # u(0, x) = theta x on the grid evolve lays over the whole domain
-    u, w = theta * (dx * (np.arange(2 * n + 1) - n)), n
+    u, left, right = theta * (dx * (np.arange(2 * n + 1) - n)), n, n
     runs, at_zero, k_prev = [], {}, 0
-    for k_end in sorted({k for k, _ in windows} | set(whole)):
+    for k_end in sorted({k for k, _, _ in windows} | set(whole)):
         if k_end > k_prev:
             u, k_prev = run(u, k_end - k_prev, dt), k_end
-        for k, w_new in windows:
+        for k, new_left, new_right in windows:
             if k == k_end:
-                u, w = u[w - w_new:w + w_new + 1], w_new
+                u = u[left - new_left:left + new_right + 1]
+                left, right = new_left, new_right
         for t_stop, k, tail in zip(stops, whole, tails):
             if k == k_end:
-                at_zero[t_stop] = float((run(u, 1, tail) if tail else u)[w])
+                at_zero[t_stop] = float((run(u, 1, tail) if tail else u)[left])
     excursion, steps, node_steps, lo, hi, cfl_seen = zip(*runs)
     lo, hi = min(lo), max(hi)
-    if w == n:
-        bound = 0.0
-    elif any(excursion):
-        _, bound = _trim_margin(env, G, theta, (min(lo, p_lo), max(hi, p_hi)),
-                                dx, dt, k_last, m)
+    if any(excursion):
+        _, terms = _trim_margin(env, G, theta, (min(lo, p_lo), max(hi, p_hi)),
+                                dx, dt, k_last, n, (m_up, m_dn))
+    (term_up, term_dn), (w_up, w_dn) = terms, ((right, left) if up_right
+                                               else (left, right))
+    bound = (term_up if w_up < n else 0.0) + (term_dn if w_dn < n else 0.0)
     return (at_zero, any(excursion), sum(steps), sum(node_steps), (lo, hi),
-            bound, max(cfl_seen))
+            bound, max(cfl_seen), (m_up, m_dn))
 
 
 def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
@@ -634,7 +724,9 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     marches = _pmap(_march, env, [(G, beta, theta, scheme, n, ts)
                                   for n, ts in stops.items()], workers)
     u0 = {(n, t): u for n, m in zip(stops, marches) for t, u in m[0].items()}
-    _, excursions, steps, node_steps, seen, bounds, cfl_seen = zip(*marches)
+    (_, excursions, steps, node_steps, seen, bounds, cfl_seen,
+     margins) = zip(*marches)
+    m_up, m_dn = zip(*margins)
     values = np.array([eps * u0[n, 1.0 / eps]
                        for eps, n in zip(eps_arr, halves)])
     doubled = np.array([eps * u0[2 * n, 1.0 / eps]
@@ -647,7 +739,9 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
                        grad_range_seen=(min(lo for lo, _ in seen),
                                         max(hi for _, hi in seen)),
                        node_steps=sum(node_steps), trim_bound=max(bounds),
-                       cfl_seen=max(cfl_seen))
+                       cfl_seen=max(cfl_seen),
+                       trim_margins=(max(m_up), max(
+                           (m for m in m_dn if m is not None), default=None)))
 
 
 # ============================================================

@@ -15,8 +15,9 @@ the package computes another way:
   periodic medium from a dense-step ``shoot``, and the level that gives
   a slope average, by bisection;
 * ``walk_tail``: the exact tail of the walk that dominates a trimmed
-  march's error, by direct convolution, against which the Chernoff rate
-  ``pde._trim_rate`` is checked;
+  march's error from its upwind or its downwind edge, by direct
+  convolution, against which the Chernoff rates of ``pde._trim_rate``
+  are checked;
 * ``Reflected``: the mirror image ``G(-p)`` of any G family, whose
   branch 2 is G's branch 1: with a reflected medium it is the
   rightward oracle for a branch-1 (leftward) run;
@@ -139,19 +140,25 @@ def cell_level(env, G, beta: float, theta: float, lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def walk_tail(d: float, c: float, steps: int, ms) -> np.ndarray:
+def walk_tail(d: float, c: float, steps: int, ms,
+              closing: bool = True) -> np.ndarray:
     """``sum_k P(S_k >= m)`` over k = 1..steps, for each m in ``ms``.
 
-    S_k sums k independent steps ``B + Y - 1``: B is Bernoulli(d), the
-    explicit stage moving weight one node; Y has the two-sided geometric
-    law ``r**|j| / sqrt(1 + 4c)`` of ``(I - c D2)^-1`` on the integers,
-    the implicit stage; -1 is the window edge closing in.  The law of
-    S_k is convolved out step by step, Y cut where ``r**|j| < 1e-30``.
+    S_k sums k independent steps.  Y has the two-sided geometric law
+    ``r**|j| / sqrt(1 + 4c)`` of ``(I - c D2)^-1`` on the integers, the
+    implicit stage, and B is Bernoulli(d), the explicit stage moving
+    weight one node.  Toward an edge that closes in (upwind), a step is
+    ``B + Y - 1``: the explicit stage may move toward the edge, and -1 is
+    the edge closing in.  Toward a fixed downwind edge
+    (``closing=False``), a step is ``Y - B``: the explicit stage moves
+    weight only away from it, with d the least share it moves.  The law
+    of S_k is convolved out step by step, Y cut where ``r**|j| < 1e-30``.
     """
     r = (1.0 + 2.0 * c - math.sqrt(1.0 + 4.0 * c)) / (2.0 * c)
     cut = math.ceil(math.log(1e-30) / math.log(r))
     y = r ** np.abs(np.arange(-cut, cut + 1)) / math.sqrt(1.0 + 4.0 * c)
-    step = np.convolve([1.0 - d, d], y)  # offsets -cut - 1 .. cut
+    # offsets -cut - 1 .. cut either way
+    step = np.convolve([1.0 - d, d] if closing else [d, 1.0 - d], y)
     law, lo = np.array([1.0]), 0  # law[i] = P(S_k = lo + i)
     tails = np.zeros(len(ms))
     for _ in range(steps):

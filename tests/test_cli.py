@@ -538,8 +538,9 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     stats = json.loads((d1 / "sweep.meta.json").read_text())["stats"]
     assert stats == json.loads((d2 / "sweep.meta.json").read_text())["stats"]
     assert set(stats) == {"dt", "cfl", "cfl_seen", "evolve_steps",
-                          "node_steps", "trim_bound", "grad_excursion",
-                          "grad_range_seen", "ref_disc_bound"}
+                          "node_steps", "trim_bound", "trim_margins",
+                          "grad_excursion", "grad_range_seen",
+                          "ref_disc_bound"}
     assert stats["ref_disc_bound"] == 0.0  # a flat reference is exact
     assert 0.0 < stats["cfl"] <= 0.9 + 1e-12
     # every step the sweep took was monotone on the slopes it had
@@ -559,6 +560,10 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
                                             + tail[8.0])
                                    + 641 * (whole[8.0] + tail[8.0]))
     assert stats["trim_bound"] == 0.0
+    # theta = 0 sits in the flat piece: slopes of both signs, so both
+    # sides keep the upwind margin and the downwind one is null
+    m_up, m_dn = stats["trim_margins"]
+    assert m_up > 320 and m_dn is None
     assert stats["grad_excursion"] is False
     # no excursion: the slopes seen lie inside the CFL gradient range
     p_lo, p_hi = cfl_gradient_range(PowerG(2.0), 1.0, 0.0)

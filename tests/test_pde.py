@@ -369,6 +369,20 @@ def test_evolve_rejects_bad_inputs(env_periodic):
         evolve(env_periodic, G, BETA, bad, scheme)
 
 
+def test_evolve_origin_lays_a_slice_of_the_centred_grid(env_periodic):
+    # 70 steps wide with x = 0 at node 30: nodes 20..90 of the centred
+    # 100-step grid, bit for bit; an origin off the grid is refused
+    dt = stable_dt(G, BETA, 1.0, 0.1)
+    centred = evolve(env_periodic, G, BETA, lambda x: x, SchemeConfig(
+        dx=0.1, dt=dt, M=5.0, T=dt, theta=1.0))
+    window = SchemeConfig(dx=0.1, dt=dt, M=3.5, T=dt, theta=1.0)
+    off = evolve(env_periodic, G, BETA, lambda x: x, window, origin=30)
+    assert off.xs.tobytes() == centred.xs[20:91].tobytes()
+    for origin in (-1, 71):
+        with pytest.raises(ConfigError):
+            evolve(env_periodic, G, BETA, lambda x: x, window, origin=origin)
+
+
 @pytest.mark.parametrize("steps", [10, 3])
 def test_evolve_raises_on_midrun_nonfinite(env_periodic, steps):
     # G runs on two grid arrays per step; a NaN in the third step's flux
@@ -576,9 +590,27 @@ def env_trim(request):
     return generate_env(request.param[0], 4, (-140.0, 140.0), request.param[1])
 
 
+def _symmetric_sweep(monkeypatch, *args, **kwargs):
+    """``homogenize_sweep`` with every march on the symmetric plan: the
+    upwind margin on both sides, as when the slopes can change sign."""
+    trim_margin = hjlab.pde._trim_margin
+
+    def symmetric(*a, **kw):
+        (m_up, _), (term_up, _) = trim_margin(*a, **kw)
+        return (m_up, None), (term_up, term_up)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("hjlab.pde._trim_margin", symmetric)
+        return homogenize_sweep(*args, **kwargs)
+
+
 @pytest.mark.parametrize("case", TRIM_CASES)
-@pytest.mark.parametrize("theta", [1.0, -1.5])
-def test_trimmed_sweep_matches_fresh_runs(env_trim, case, theta):
+@pytest.mark.parametrize("theta", [1.0, -1.5, 1.7, 0.0, "theta2/2"])
+def test_trimmed_sweep_matches_fresh_runs(env_trim, case, theta,
+                                          monkeypatch):
+    if theta == "theta2/2":  # inside the flat piece, off its centre
+        theta = estimate_theta(env_trim, G, BETA, BETA, 2, 100.0,
+                               tol=1e-2).mean / 2.0
     dt, M, epsilons = TRIM_CASES[case]
     scheme = SchemeConfig(dx=0.1, dt=dt, M=M, T=1.0, theta=theta)
     values, sens, excursion, _, _, marched, nodes = _fresh_runs(
@@ -592,6 +624,24 @@ def test_trimmed_sweep_matches_fresh_runs(env_trim, case, theta):
     assert res.steps == marched
     assert res.grad_excursion is excursion is False
     assert res.node_steps < nodes
+    sym = _symmetric_sweep(monkeypatch, env_trim, G, BETA, theta, epsilons,
+                           scheme, reference=1.0)
+    p_lo, p_hi = cfl_gradient_range(G, BETA, theta)
+    if (p_lo > 0.0 or p_hi < 0.0) and case == "starts-trimmed":
+        # slopes of one sign (1.7 and -1.5) on domains of 320 nodes and
+        # more: a constant downwind margin of about 200 nodes, on fewer
+        # nodes than the symmetric plan
+        assert res.trim_margins[1] is not None
+        assert res.trim_margins[0] == sym.trim_margins[0]
+        assert res.node_steps < sym.node_steps
+    else:
+        # slopes of both signs (theta = 1 has p_lo = 0, and the flat
+        # piece), or domains of at most 160 nodes, narrower than the
+        # downwind margin: the symmetric plan, step for step
+        assert res.trim_margins[1] is None
+        assert res.trim_margins == sym.trim_margins
+        assert res.node_steps == sym.node_steps
+        assert res.values.tobytes() == sym.values.tobytes()
 
 
 def test_trimmed_sweep_same_at_two_workers(env_trim):
@@ -635,6 +685,35 @@ def test_trim_bound_covers_a_march_that_leaves_the_range(monkeypatch):
                   <= 2.0 * res.trim_bound)
 
 
+def test_trim_bound_covers_a_downwind_march_whose_slopes_reach_zero(
+        monkeypatch):
+    # theta = 0 with an a-priori range of positive slopes, far from the
+    # slopes of both signs the runs see (about [-0.46, 0.35]): each march
+    # plans a constant downwind margin against a drift the slopes seen do
+    # not have.  Over them d_min is 0, so the downwind term falls back to
+    # its lam = 0 value, large but finite, and covers the difference
+    narrow = (0.9, 1.0)
+    monkeypatch.setattr("hjlab.pde.cfl_gradient_range",
+                        lambda G, beta, theta: narrow)
+    monkeypatch.setattr("hjlab.pde._TRIM_TOL", 1e-8)
+    env = generate_env("iid-interp", 4, (-140.0, 140.0), 0.01)
+    epsilons = (0.5, 0.25)
+    scheme = SchemeConfig(dx=0.1, dt=0.01, M=16.0, T=1.0, theta=0.0)
+    values, sens, excursion, seen, _, marched, nodes = _fresh_runs(
+        env, 0.0, epsilons, scheme)
+    res = homogenize_sweep(env, G, BETA, 0.0, epsilons, scheme,
+                           reference=1.0)
+    assert res.grad_excursion and excursion
+    lo, hi = res.grad_range_seen
+    assert lo < 0.0 < hi
+    assert res.trim_margins[1] is not None
+    assert res.steps == marched and res.node_steps < nodes
+    assert 1.0 < res.trim_bound < math.inf
+    assert 0.0 < np.max(np.abs(res.values - values)) <= res.trim_bound
+    assert np.all(np.abs(res.domain_sensitivity - sens)
+                  <= 2.0 * res.trim_bound)
+
+
 @pytest.mark.parametrize("kind", ["iid-interp", "gauss-squash", "periodic"])
 def test_linear_data_stays_in_the_a_priori_range(kind):
     # a slope on branch 2, one on branch 1, and two inside the flat piece
@@ -672,13 +751,31 @@ def test_sweep_at_half_the_stable_step_agrees():
 @pytest.mark.parametrize("d, c, tight", [(0.5, 1.0, True), (0.11, 0.2, True),
                                          (0.9, 2.8, False)])
 def test_trim_rate_against_exact_walk_tail(d, c, tight):
-    lam = _trim_rate(d, c)
+    lam = _trim_rate(1.0 - d, c)
     ms = np.array([10, 20, 30])
     tails = walk_tail(d, c, 200, ms)
     # the Chernoff bound a trimmed march rests on holds for the walk ...
     assert np.all(tails <= 200 * np.exp(-lam * ms))
     # ... and lam* is the walk's own decay rate (Cramer), once the walk
     # has the steps to reach m: the margin gives nothing away
+    if tight:
+        rates = -np.diff(np.log(tails)) / np.diff(ms)
+        assert np.allclose(rates, lam, rtol=1e-3)
+
+
+# (0.627, 4.56) is the benchmark's downwind side: d_min = dt inf|G'| / dx
+# at theta = 1.7, dx = 0.05 and c = dt / dx**2
+@pytest.mark.parametrize("d_min, c, tight", [
+    (0.5, 1.0, True), (0.9, 2.8, True), (0.11, 0.2, False),
+    (0.627, 4.56, False)])
+def test_downwind_trim_rate_against_exact_walk_tail(d_min, c, tight):
+    lam = _trim_rate(d_min, c)
+    ms = np.array([10, 20, 30])
+    tails = walk_tail(d_min, c, 200, ms, closing=False)
+    # a fixed downwind edge m nodes out, against the explicit drift: the
+    # Chernoff bound k_last exp(-lam m) holds for the walk ...
+    assert np.all(tails <= 200 * np.exp(-lam * ms))
+    # ... and lam is its Cramer rate, where m is far enough out
     if tight:
         rates = -np.diff(np.log(tails)) / np.diff(ms)
         assert np.allclose(rates, lam, rtol=1e-3)
