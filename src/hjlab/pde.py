@@ -40,9 +40,12 @@ toward x = 0 up to one node a step.  Off the flat piece every slope a
 run can hold has one sign, so the upwind flux reads one neighbour only
 and an error from the downwind edge reaches x = 0 only by diffusion,
 against a drift of at least ``dt inf|G'| / dx`` nodes a step: that side
-keeps a constant margin.  Every stop is within a certified bound (below
-1e-16 while the slopes stay in the a-priori range) of a fresh run on
-the whole domain, and the same run bit for bit while no window shrinks.
+keeps the lesser of a constant margin and the upwind count.  The bound
+weighs the row of x = 0, carried back through the window's own stages,
+by an exponential weight, the reflection at the window's far Neumann
+end included, so every stop is within a certified bound (below 1e-16
+while the slopes stay in the a-priori range) of a fresh run on the
+whole domain, and the same run bit for bit while no window shrinks.
 """
 
 from __future__ import annotations
@@ -424,8 +427,8 @@ class SweepResult:
     ``|u(T, 0) - u_fresh(T, 0)|`` of a march whose window shrank (0 when
     none did).  ``trim_margins`` is ``(m_up, m_dn)``, the largest margins
     in nodes of the upwind and downwind sides over the marches
-    (``_march``), with ``m_dn`` None when every march kept the symmetric
-    plan, ``m_up`` on both sides.
+    (``_march``), with ``m_dn`` None when the a-priori slopes can change
+    sign, so that every march takes ``m_up`` on both sides.
     """
 
     theta: float
@@ -478,6 +481,27 @@ def _trim_rate(q: float, c: float) -> float:
     return lo
 
 
+def _trim_weights(c: float, d: float, d_min: float, k_last: int, w):
+    """Rates and factors of the edge weights of a trimmed march.
+
+    ``((lam_up, f_up), (lam_dn, f_dn))``: an edge that closes in by one
+    node a step, m nodes out at the last step, holds at most
+    ``f_up exp(-lam_up m)`` of the weight of x = 0 at each step, and one
+    that stays m nodes out downwind at most ``f_dn exp(-lam_dn m)``, the
+    window's far end at least w nodes from x = 0 (``_trim_margin``).
+    """
+    lam_up, lam_dn = _trim_rate(1.0 - d, c), _trim_rate(d_min, c)
+
+    def mgf(lam):
+        return 1.0 / (1.0 - 4.0 * c * math.sinh(0.5 * lam) ** 2)
+
+    return ((lam_up, mgf(lam_up) * (1.0 + c * math.exp(-lam_up * w)
+                                     * -math.expm1(-lam_up * k_last))),
+            (lam_dn, mgf(lam_dn) * (1.0 + k_last * (c + d_min)
+                                     * math.exp(-lam_dn * w)
+                                     * -math.expm1(-lam_dn))))
+
+
 def _trim_margin(env, G, theta: float, p_range, dx: float, dt: float,
                  k_last: int, n: int, margins=None):
     """Margins in nodes of a trimmed march, and the bound of each side.
@@ -485,53 +509,67 @@ def _trim_margin(env, G, theta: float, p_range, dx: float, dt: float,
     A march of ``k_last`` steps (``dt`` or shorter) on [-n dx, n dx]
     reads u at x = 0 only, so it may run on a window of fewer nodes, with
     linear-theta ghosts at the window's edges.  The difference e from the
-    march on the whole domain is then driven by a nonnegative linear
-    operator, since the step is monotone, and each edge injects at most
-    ``inj / 2 = dt (kappa + max(a) / dx) |p - theta|`` per step, p the
-    slope there, kappa the Lipschitz constant of G on the slope range
-    ``p_range`` and max(a) over the domain.  Read backward from x = 0,
-    that operator is a walk: the explicit stage moves it one node with
-    chance ``dt G'(p) / dx``, the implicit stage jumps by the window's
-    kernel, and an edge's injection reaches x = 0 in proportion to the
-    chance that the walk stands on that edge.  Inside the window that
-    kernel is at least the whole line's (its end rows only keep what
-    would have left), so the walk moves as a free walk until it first
-    reaches an edge; the free walk's implicit jump has MGF at most
-    ``1 / (1 - 2 c (cosh lam - 1))``, ``c = dt max(a) / dx**2``.  With
-    ``f(lam) <= 1`` per step (``_trim_rate``), ``e^(lam S) / f^k`` is a
-    supermartingale, S the walk's progress toward an edge, so the walk
-    reaches an edge m nodes out with chance at most ``exp(-lam m)``, and
-    that edge adds at most ``k_last (inj / 2) exp(-lam m)`` to
-    ``|e(T, 0)|``.  (Reflection at the other edge, which this leaves
-    out, needs the walk to cross the window first and adds terms smaller
-    by a further ``exp(-lam width)``.)  The two sides:
+    march on the whole domain then obeys ``e <- N (E e + j)``: E and N
+    are the window's explicit and implicit stages linearized between the
+    two runs, nonnegative with unit row sums since the step is monotone,
+    and j is what an edge injects, at most ``inj / 2 = dt (kappa + max(a)
+    / dx) |p - theta|`` a step, p the slope there, kappa the Lipschitz
+    constant of G on the slope range ``p_range`` and max(a) over the
+    domain.  So an edge adds to ``|e(T, 0)|`` at most ``inj / 2`` times
+    the weight r that the row of x = 0, carried back through the steps
+    after k and the N of step k, puts on that edge, summed over k.  That
+    weight is bounded through ``r U / U(edge)`` for an exponential weight
+    U, ``e^(lam l)`` with l the distance from x = 0 toward the edge:
 
-    * upwind, or both sides when the slopes can change sign: step k runs
-      on the ``k_last - k + m_up`` nodes on that side of x = 0, so the
-      edge closes in by one node a step, and the explicit stage moves the
-      walk toward it at most ``d = dt kappa / dx`` of the time:
-      ``f(lam) = e^-lam (1 - d + d e^lam) / (1 - 2 c (cosh lam - 1))``,
-      a ``_trim_rate`` with ``q = 1 - d``;
-    * downwind, when ``p_range`` lies on one side of 0: G' has one sign
-      there, so each node takes its explicit share from its upwind
-      neighbour only, and the walk moves away from the downwind edge at
-      least ``d_min = dt inf|G'| / dx`` of the time.  That edge can stay
-      ``m_dn`` nodes out at every step:
-      ``f(lam) = (1 - d_min + d_min e^-lam) / (1 - 2 c (cosh lam - 1))``,
-      ``q = d_min``.
+    * The implicit stage: row i of ``A = I - h diag(a) D2`` maps U to
+      ``U_i / M(lam)`` or more in the interior, ``M(lam) = 1 / (1 - 2 c
+      (cosh lam - 1))`` and ``c = dt max(a) / dx**2``, and to U_i or more
+      at the edge's own end row, where U grows outward.  At the far end
+      row, where U falls outward and the Neumann row reflects weight
+      inward, it loses ``c (1 - e^-lam) U_far``.  Since ``N = A^-1`` is
+      nonnegative with unit row sums,
+      ``N U <= M U + M c (1 - e^-lam) U_far``.
+    * Upwind, or on both sides when the slopes can change sign, step k
+      runs on the ``k_last - k + m_up`` nodes on that side of x = 0: the
+      edge closes in by one node a step, and the explicit stage moves at
+      most ``d = dt kappa / dx`` of the weight toward it.  With
+      ``U_j = e^(lam (l - j))`` after j steps back, each step grows
+      ``r U_j`` by at most ``f(lam) = e^-lam (1 - d + d e^lam) M(lam)``,
+      a ``_trim_rate`` with ``q = 1 - d``, plus the far end's loss, and
+      at ``f <= 1`` these losses sum to at most ``c e^(-lam w)``, w the
+      nodes from x = 0 to the far end.  So, with the N of step k, the
+      edge's weight is at most ``M (1 + c e^(-lam w)) e^(-lam m_up)``.
+    * Downwind, when ``p_range`` lies on one side of 0: G' has one sign
+      there, so each node takes its explicit share, at least ``d_min =
+      dt inf|G'| / dx``, from its upwind neighbour only, and the
+      explicit stage moves weight away from the downwind edge but for
+      the upwind end node, which keeps it.  That edge can stay ``m_dn``
+      nodes out at every step: the fixed weight ``e^(lam l)`` grows by
+      at most ``f(lam) = (1 - d_min + d_min e^-lam) M(lam)`` a step, a
+      ``_trim_rate`` with ``q = d_min``, plus at most ``(c + d_min)
+      (1 - e^-lam) e^(-lam w)`` from the upwind end, so the edge's
+      weight is at most ``M (1 + k_last (c + d_min) (1 - e^-lam)
+      e^(-lam w)) e^(-lam m_dn)``.  The explicit stage never moves the
+      weight toward this edge, so an edge that closes in at the upwind
+      rate is bounded as the upwind one is: the downwind side runs on
+      ``min(m_dn, k_last - k + m_up)`` nodes, and its term is the sum.
 
-    Without ``margins``, each margin is the least that puts its side's
-    term below ``_TRIM_TOL / 2``, with ``p_range`` the a-priori
-    ``cfl_gradient_range``; ``m_dn`` is None when that range reaches 0.
-    The terms hold while the slopes stay in ``p_range``, so a march that
-    leaves it (``grad_excursion``) takes them again at the ``margins`` it
-    used (``m_dn`` None for the symmetric plan), over the slopes it saw
-    too; where those reach 0, ``d_min`` is 0 and the downwind term is
-    its ``lam = 0`` value ``k_last inj / 2``.  Returns ``((m_up, m_dn),
-    (term_up, term_dn))``, with ``term_dn = term_up`` when ``m_dn`` is
-    None, or ``((inf, None), (0.0, 0.0))`` when no ``margins`` are given
-    and ``d >= 1``: then no margin is certified and the march keeps its
-    whole domain.  A term is inf when ``d > 1``.
+    A shorter tail step keeps both ``f`` at most 1.  Each term is
+    ``k_last (inj / 2)`` times its weight bound, with w taken as
+    ``min(n, m_up, m_dn)``, at most the far side of any window.
+    Without ``margins``, each margin is the least that puts its term
+    below ``_TRIM_TOL`` over the number of terms (three one-sided, two
+    otherwise), with ``p_range`` the a-priori ``cfl_gradient_range``;
+    ``m_dn`` is None when that range reaches 0.  The terms hold while
+    the slopes of both runs stay in ``p_range``, so a march that leaves
+    it (``grad_excursion``) takes them again at the ``margins`` it used
+    (``m_dn`` None for the symmetric plan), over the slopes it saw too;
+    where those reach 0, ``d_min`` is 0 and the fixed downwind term is
+    its ``lam = 0`` value ``k_last inj / 2``.  Returns
+    ``((m_up, m_dn), (term_up, term_dn))``, with ``term_dn = term_up``
+    when ``m_dn`` is None, or ``((inf, None), (0.0, 0.0))`` when no
+    ``margins`` are given and ``d >= 1``: then no margin is certified
+    and the march keeps its whole domain.  A term is inf when ``d > 1``.
     """
     p_lo, p_hi = p_range
     ends, _ = _locate(env, (-n * dx, n * dx))
@@ -540,28 +578,37 @@ def _trim_margin(env, G, theta: float, p_range, dx: float, dt: float,
     kappa = G.lipschitz_on(p_range)
     d = dt * kappa / dx
     half = dt * (kappa + a_max / dx) * max(theta - p_lo, p_hi - theta)
-    one_sided = ((p_lo > 0.0 or p_hi < 0.0) if margins is None
-                 else margins[1] is not None)
+    d_min = (dt * G.abs_derivative_inf(p_lo, p_hi) / dx
+             if p_lo > 0.0 or p_hi < 0.0 else 0.0)
+    if margins is None and d >= 1.0:
+        return (math.inf, None), (0.0, 0.0)
     if d > 1.0:
-        lam_up = lam_dn = -math.inf
-    else:
-        lam_up = lam_dn = _trim_rate(1.0 - d, c)
-        if one_sided:
-            d_min = (dt * G.abs_derivative_inf(p_lo, p_hi) / dx
-                     if p_lo > 0.0 or p_hi < 0.0 else 0.0)
-            lam_dn = _trim_rate(d_min, c)
+        return margins, (math.inf, math.inf)
+
+    def weights(w):
+        return _trim_weights(c, d, d_min, k_last, w)
+
     if margins is None:
-        if not lam_up > 0.0:
-            return (math.inf, None), (0.0, 0.0)
-        log_ratio = math.log(2.0 * k_last * half / _TRIM_TOL)
+        sides = 2 if d_min > 0.0 else 1
+        log_ratio = math.log(k_last * half * (sides + 1) / _TRIM_TOL)
 
-        def margin(lam):
-            return max(1, math.ceil(log_ratio / lam))
+        def least(w):
+            return [max(1, math.ceil((log_ratio + math.log(factor)) / lam))
+                    for lam, factor in weights(w)[:sides]]
 
-        margins = (margin(lam_up), margin(lam_dn) if one_sided else None)
-    m_dn = margins[1] if one_sided else margins[0]
-    return margins, (k_last * half * math.exp(-lam_up * margins[0]),
-                     k_last * half * math.exp(-lam_dn * m_dn))
+        # no margin is below its value for a far end at infinity, so the
+        # far end stays at least min(n, those) out: the margins for that
+        # w are certified
+        margins = least(min(n, *least(math.inf)))
+        margins = (margins[0], margins[1] if sides == 2 else None)
+    m_up, m_dn = margins
+    (lam_up, f_up), (lam_dn, f_dn) = weights(
+        min(n, m_up, n if m_dn is None else m_dn))
+    term_up = k_last * half * f_up * math.exp(-lam_up * m_up)
+    if m_dn is None:
+        return margins, (term_up, term_up)
+    return margins, (term_up, term_up + k_last * half * f_dn
+                     * math.exp(-lam_dn * m_dn))
 
 
 def _march(env, args):
@@ -573,14 +620,12 @@ def _march(env, args):
     u(T, 0) is read, so the march drops the nodes that cannot reach
     x = 0, by the margins of ``_trim_margin``: step k needs
     ``min(n, k_last - k + m_up)`` nodes on the upwind side, ``k_last``
-    counting every step to the last stop (its tail included), and
-    ``min(n, m_dn)`` on the downwind side.  The symmetric plan takes the
-    upwind count on both sides; it is the plan when the a-priori slopes
-    can change sign (``m_dn`` None), and also when it steps no more
-    nodes than the one-sided plan, as a short march against a weak drift
-    may.  The march keeps one window until its upwind side needs less
-    than ``_TRIM_SHRINK`` of its nodes there, then goes on from the slice
-    of u on the smaller window, with linear-theta ghosts at its edges; a
+    counting every step to the last stop (its tail included), and the
+    least of that and ``m_dn`` on the downwind side (the upwind count
+    when the a-priori slopes can change sign, ``m_dn`` None).  The march
+    keeps one window until its upwind side needs less than
+    ``_TRIM_SHRINK`` of its nodes there, then goes on from the slice of
+    u on the smaller window, with linear-theta ghosts at its edges; a
     window of odd width grows one node on a side below n, so that its
     half-width is a whole number of steps.  ``evolve`` lays its grid by
     node index from x = 0, so each window's grid is an exact slice of
@@ -592,7 +637,7 @@ def _march(env, args):
     Returns ({T: u(T, 0)}, any gradient excursion, steps marched, node
     steps (steps times window nodes), the gradient range seen on the
     windows, the bound, the largest ``cfl_seen`` of the runs, and the
-    margins ``(m_up, m_dn)`` of the plan marched).
+    margins ``(m_up, m_dn)``).
     """
     G, beta, theta, scheme, n, stops = args
     dx, dt = scheme.dx, scheme.dt
@@ -606,37 +651,21 @@ def _march(env, args):
     # the upwind side is the right one when the slopes are all positive
     up_right = p_lo > 0.0
 
-    def plan(m_dn):
-        """(first step, nodes left of x = 0, nodes right of it) of each
-        window, with ``m_dn`` None for the symmetric plan."""
-        def window(k, up):
-            dn = up if m_dn is None else min(n, m_dn)
-            if (up + dn) % 2:
-                up, dn = (up + 1, dn) if up < n else (up, dn + 1)
-            return (k, dn, up) if up_right else (k, up, dn)
+    def window(k):
+        """(first step k, nodes left of x = 0, nodes right of it)."""
+        up = min(n, k_last - k + m_up)
+        dn = up if m_dn is None else min(up, m_dn)
+        if (up + dn) % 2:
+            up, dn = (up + 1, dn) if up < n else (up, dn + 1)
+        return (k, dn, up) if up_right else (k, up, dn)
 
-        windows = [window(0, min(n, k_last + m_up))]
-        while True:
-            up = windows[-1][2 if up_right else 1]
-            k = k_last + m_up + 1 - math.ceil(_TRIM_SHRINK * up)
-            if k >= k_last:
-                return windows
-            windows.append(window(k, k_last + m_up - k))
-
-    def plan_nodes(windows):
-        ends = [k for k, _, _ in windows[1:]] + [k_last]
-        return sum((end - k) * (left + right + 1)
-                   for (k, left, right), end in zip(windows, ends))
-
-    windows = plan(None)
-    if m_dn is not None:
-        # a short march with a weak drift can need fewer nodes downwind
-        # on the symmetric plan; ties keep it
-        one_sided = plan(m_dn)
-        if plan_nodes(one_sided) < plan_nodes(windows):
-            windows = one_sided
-        else:
-            m_dn, terms = None, (terms[0], terms[0])
+    windows = [window(0)]
+    while True:
+        up = windows[-1][2 if up_right else 1]
+        k = k_last + m_up + 1 - math.ceil(_TRIM_SHRINK * up)
+        if k >= k_last:
+            break
+        windows.append(window(k))
 
     def run(u, steps, h):
         r = evolve(env, G, beta, u, SchemeConfig(

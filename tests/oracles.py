@@ -244,3 +244,36 @@ def hbar_interval(eff, theta: float) -> tuple[float, float]:
     """(lo, hi) bracket for Hbar(theta) from the safeguard brackets."""
     theta = float(theta)
     return _interp(eff, theta, 2), _interp(eff, theta, 3)
+
+
+def window_walk(p: float, c: float, left: int, right: int, steps: int,
+                grow=(0, 0)) -> tuple[float, float]:
+    """Weight of x = 0 on each end of a trimmed march's window, exactly.
+
+    The window runs from ``left`` nodes left of x = 0 to ``right`` right
+    of it at the last step, each side ``grow`` nodes wider a step
+    further back (an edge that closes in).  Its explicit stage moves
+    share p of each node's weight one node right, toward the upwind side,
+    but for the right end node, whose upwind neighbour is a ghost; its
+    implicit stage is the inverse N of ``I - h diag(a) D2`` with Neumann
+    end rows, ``h a / dx**2`` varying in [c/2, c] from node to node.
+    The row r of x = 0, carried back as ``r <- r N E``, puts ``(r N)``
+    on an end at each step; returns the sums over ``steps`` steps on the
+    left end and the right end.
+    """
+    r, weights = np.zeros(left + right + 1), np.zeros(2)
+    r[left] = 1.0
+    for j in range(steps):
+        lo, hi = left + j * grow[0], right + j * grow[1]
+        if j:
+            r = np.pad(r, grow)
+        cj = c * (0.75 + 0.25 * np.cos(np.arange(-lo, hi + 1)))
+        a = (np.diag(1.0 + 2.0 * cj) - np.diag(cj[1:], -1)
+             - np.diag(cj[:-1], 1))
+        a[0, 0], a[-1, -1] = 1.0 + cj[0], 1.0 + cj[-1]
+        rn = np.linalg.solve(a.T, r)
+        weights += rn[0], rn[-1]
+        r = (1.0 - p) * rn
+        r[1:] += p * rn[:-1]
+        r[-1] += p * rn[-1]
+    return tuple(weights)

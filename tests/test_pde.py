@@ -29,6 +29,7 @@ from hjlab.pde import (
     SchemeConfig,
     _lapack_pt,
     _trim_rate,
+    _trim_weights,
     cfl_gradient_range,
     diffusion_solver,
     evolve,
@@ -39,7 +40,8 @@ from hjlab.pde import (
     save_sweep,
     stable_dt,
 )
-from oracles import profile_antiderivative, scheme_update, walk_tail
+from oracles import (profile_antiderivative, scheme_update, walk_tail,
+                     window_walk)
 
 G = PowerG(2.0)
 BETA = 1.0
@@ -590,6 +592,43 @@ def env_trim(request):
     return generate_env(request.param[0], 4, (-140.0, 140.0), request.param[1])
 
 
+@pytest.fixture(scope="module")
+def theta_half(env_trim):
+    """theta2 / 2 on ``env_trim``: inside the flat piece, off its centre."""
+    return estimate_theta(env_trim, G, BETA, BETA, 2, 100.0,
+                          tol=1e-2).mean / 2.0
+
+
+# every slope on the shorter case; "shrinks" marches many more steps, and
+# on its domains of at most 160 nodes a one-signed range keeps the upwind
+# count on both sides, as -1.5 shows
+@pytest.mark.parametrize("theta, case", [
+    pytest.param(theta, case, id=f"{theta}-{case}")
+    for theta, case in [(1.0, "shrinks"), (-1.5, "shrinks"),
+                        *((theta, "starts-trimmed")
+                          for theta in (1.0, -1.5, 1.7, 0.0, "theta2/2"))]])
+def test_trimmed_sweep_matches_fresh_runs(env_trim, theta_half, case, theta):
+    theta = theta_half if theta == "theta2/2" else theta
+    dt, M, epsilons = TRIM_CASES[case]
+    scheme = SchemeConfig(dx=0.1, dt=dt, M=M, T=1.0, theta=theta)
+    values, sens, excursion, _, _, marched, nodes = _fresh_runs(
+        env_trim, theta, epsilons, scheme)
+    res = homogenize_sweep(env_trim, G, BETA, theta, epsilons, scheme,
+                           reference=1.0)
+    assert 0.0 < res.trim_bound <= 1e-16
+    assert np.all(np.abs(res.values - values) <= res.trim_bound)
+    assert np.all(np.abs(res.domain_sensitivity - sens)
+                  <= 2.0 * res.trim_bound)
+    assert res.steps == marched
+    assert res.grad_excursion is excursion is False
+    assert res.node_steps < nodes
+    # a downwind margin exactly where the slopes have one sign (1.7 and
+    # -1.5; theta = 1 has p_lo = 0, and 0 and theta2/2 are on the flat
+    # piece)
+    p_lo, p_hi = cfl_gradient_range(G, BETA, theta)
+    assert (res.trim_margins[1] is not None) == (p_lo > 0.0 or p_hi < 0.0)
+
+
 def _symmetric_sweep(monkeypatch, *args, **kwargs):
     """``homogenize_sweep`` with every march on the symmetric plan: the
     upwind margin on both sides, as when the slopes can change sign."""
@@ -604,42 +643,30 @@ def _symmetric_sweep(monkeypatch, *args, **kwargs):
         return homogenize_sweep(*args, **kwargs)
 
 
-@pytest.mark.parametrize("case", TRIM_CASES)
-@pytest.mark.parametrize("theta", [1.0, -1.5, 1.7, 0.0, "theta2/2"])
-def test_trimmed_sweep_matches_fresh_runs(env_trim, case, theta,
-                                          monkeypatch):
-    if theta == "theta2/2":  # inside the flat piece, off its centre
-        theta = estimate_theta(env_trim, G, BETA, BETA, 2, 100.0,
-                               tol=1e-2).mean / 2.0
+# where the range reaches 0 (theta = 1) the patch changes nothing: m_dn is
+# None already
+@pytest.mark.parametrize("case, theta", [("starts-trimmed", 1.7),
+                                         ("shrinks", -1.5)])
+def test_downwind_window_against_the_symmetric_plan(env_trim, case, theta,
+                                                    monkeypatch):
     dt, M, epsilons = TRIM_CASES[case]
     scheme = SchemeConfig(dx=0.1, dt=dt, M=M, T=1.0, theta=theta)
-    values, sens, excursion, _, _, marched, nodes = _fresh_runs(
-        env_trim, theta, epsilons, scheme)
     res = homogenize_sweep(env_trim, G, BETA, theta, epsilons, scheme,
                            reference=1.0)
-    assert 0.0 < res.trim_bound <= 1e-16
-    assert np.all(np.abs(res.values - values) <= res.trim_bound)
-    assert np.all(np.abs(res.domain_sensitivity - sens)
-                  <= 2.0 * res.trim_bound)
-    assert res.steps == marched
-    assert res.grad_excursion is excursion is False
-    assert res.node_steps < nodes
     sym = _symmetric_sweep(monkeypatch, env_trim, G, BETA, theta, epsilons,
                            scheme, reference=1.0)
-    p_lo, p_hi = cfl_gradient_range(G, BETA, theta)
-    if (p_lo > 0.0 or p_hi < 0.0) and case == "starts-trimmed":
-        # slopes of one sign (1.7 and -1.5) on domains of 320 nodes and
-        # more: a constant downwind margin of about 200 nodes, on fewer
-        # nodes than the symmetric plan
-        assert res.trim_margins[1] is not None
-        assert res.trim_margins[0] == sym.trim_margins[0]
+    assert res.trim_margins[0] == sym.trim_margins[0]
+    if theta == 1.7:
+        # slopes of one sign on domains of 320 nodes and more: a downwind
+        # margin of about 200 nodes, on fewer nodes than the symmetric plan
+        assert res.trim_margins[1] < 320
         assert res.node_steps < sym.node_steps
+        assert np.all(np.abs(res.values - sym.values)
+                      <= res.trim_bound + sym.trim_bound)
     else:
-        # slopes of both signs (theta = 1 has p_lo = 0, and the flat
-        # piece), or domains of at most 160 nodes, narrower than the
-        # downwind margin: the symmetric plan, step for step
-        assert res.trim_margins[1] is None
-        assert res.trim_margins == sym.trim_margins
+        # a downwind margin wider than every window (domains of at most
+        # 160 nodes): the symmetric plan's windows, step for step
+        assert res.trim_margins[1] > 160
         assert res.node_steps == sym.node_steps
         assert res.values.tobytes() == sym.values.tobytes()
 
@@ -779,6 +806,30 @@ def test_downwind_trim_rate_against_exact_walk_tail(d_min, c, tight):
     if tight:
         rates = -np.diff(np.log(tails)) / np.diff(ms)
         assert np.allclose(rates, lam, rtol=1e-3)
+
+
+# the benchmark's rates (d, d_min, c) at theta 1.7, and two more; the far
+# end of the window right at x = 0, where the Neumann row reflects the
+# walk back at once, and 30 nodes out
+@pytest.mark.parametrize("d, d_min, c", [(0.9, 0.627, 4.56),
+                                         (0.6, 0.5, 1.0),
+                                         (0.95, 0.9, 0.2)])
+@pytest.mark.parametrize("w", [0, 30])
+def test_trim_weights_cover_the_exact_window_walk(d, d_min, c, w):
+    steps, m = 150, 10
+    (lam_up, f_up), (lam_dn, f_dn) = _trim_weights(c, d, d_min, steps, w)
+    # the row of x = 0 carried back through the window's own explicit and
+    # Neumann-ended implicit stages, reflection at the far end included:
+    # a downwind edge fixed m nodes out, the upwind end w nodes out ...
+    fixed, _ = window_walk(d_min, c, m, w, steps)
+    assert fixed <= steps * f_dn * math.exp(-lam_dn * m)
+    # ... an upwind edge closing in to m + 1 nodes, the explicit stage
+    # moving d toward it, the downwind end w out ...
+    _, up = window_walk(d, c, w, m + 1, steps, grow=(0, 1))
+    assert up <= steps * f_up * math.exp(-lam_up * m)
+    # ... and a downwind edge closing in at the upwind rate
+    closing, _ = window_walk(d_min, c, m + 1, w, steps, grow=(1, 0))
+    assert closing <= steps * f_up * math.exp(-lam_up * m)
 
 
 # ------------------------------------------------------------
