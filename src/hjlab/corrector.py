@@ -445,16 +445,24 @@ def choose_dx(env: EnvRealization, G, beta: float, levels) -> float:
     average at dx = 0.04 is off the one-cell average by 5e-7 to 1.6e-6
     (lam = 1 to 4), at or below its bar, against 5e-10 at dx = 0.01.
     """
-    A_max = 1.0 / float(env.a_vals.min())
     for dx in DX_CHOICES:
-        try:
-            for branch, lam in levels:
-                _check_monotone_steps(A_max, G, beta,
-                                      *slope_bracket(G, branch, lam, beta), dx)
-        except CertificateError:
-            continue
-        return dx
+        if _monotone_on_window(env, G, beta, levels, dx):
+            return dx
     return DX_CHOICES[-1]
+
+
+def _monotone_on_window(env: EnvRealization, G, beta: float, levels,
+                        dx: float) -> bool:
+    """Whether ``dx`` passes the monotone-step check at every
+    ``(branch, lam)`` of ``levels``, with max(1/a) over the whole window."""
+    A_max = 1.0 / float(env.a_vals.min())
+    try:
+        for branch, lam in levels:
+            _check_monotone_steps(A_max, G, beta,
+                                  *slope_bracket(G, branch, lam, beta), dx)
+    except CertificateError:
+        return False
+    return True
 
 
 def corrector_profile(env: EnvRealization, G, beta: float, lam: float,

@@ -37,9 +37,10 @@ from functools import partial
 
 import numpy as np
 
-from .corrector import ThetaEstimate, estimate_theta
+from .corrector import ThetaEstimate, _monotone_on_window, estimate_theta
 from .environment import EnvRealization, write_csv
-from .errors import CertificateError, ConfigError, FlatPieceError
+from .errors import (CertificateError, ConfigError, FlatPieceError,
+                     ScientificError)
 
 __all__ = [
     "LambdaInversion",
@@ -52,8 +53,14 @@ __all__ = [
     "save_theta_curve",
 ]
 
-# slope estimates one inversion may spend before it gives up
+# levels one inversion may measure before it gives up
 _MAX_EVALS = 200
+# multiples of the command step a row estimate is shot at, largest
+# first; the last is the command step itself, where no bar gate applies
+ROW_STEP_FACTORS = (4, 2, 1)
+# a row estimate at a coarser step stands when its step-doubling bar is
+# at most this fraction of the theta tolerance
+_ROW_BAR_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -66,9 +73,10 @@ class LambdaInversion:
     derivative of that estimate in lam and its half-width (None where
     no tangent was computed, as for a reused endpoint), and
     ``disc_bound`` its step-doubling bar (0 on constant media, where
-    the level is exact).  ``n_evals``
-    counts slope estimates spent and ``rk4_steps`` their RK4 steps.  A
-    reused endpoint estimate counts toward neither.
+    the level is exact).  ``dx`` is the step that estimate was shot at
+    (None on constant media).  ``n_evals`` counts slope estimates spent,
+    those rejected at a coarser step included, and ``rk4_steps`` their
+    RK4 steps.  A reused endpoint estimate counts toward neither.
     """
 
     branch: int
@@ -83,6 +91,7 @@ class LambdaInversion:
     dtheta_dlam: float | None = None
     dtheta_ci: float | None = None
     disc_bound: float | None = None
+    dx: float | None = None
 
 
 @dataclass(frozen=True)
@@ -191,6 +200,19 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     not.  If the bracket collapses to rounding first, the last estimate
     is accepted only when its mismatch is within tol plus its ci.
 
+    Each level is measured at the largest step of ``ROW_STEP_FACTORS``
+    times ``dx`` (4, 2 and 1 times) that keeps every RK4 step monotone
+    at that level, with max(1/a) over the whole window as in
+    ``choose_dx``.  An estimate at a coarser step than ``dx`` stands
+    when its step-doubling bar is at most ``0.05 tol`` and its ci at
+    most tol; otherwise, or when that attempt raises (its doubled run
+    leaving the bracket, say), the level is measured again at half the
+    step.  The row keeps the step it settles on for its later levels.
+    At ``dx`` itself the estimate is taken as it comes, and a ci above
+    tol raises.  A row estimate only decides acceptance and the Newton
+    step, so its bar at the coarser step is all it must answer for; the
+    endpoint, whose mean sets the first level, is shot at ``dx``.
+
     The slope must sit at or beyond the flat endpoint theta_branch(beta)
     (up to the endpoint's ci); strictly inside the flat piece there is
     no preimage and the caller should use the flat value instead.
@@ -237,18 +259,37 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                                ci=endpoint.ci_halfwidth, n_evals=0,
                                dtheta_dlam=endpoint.dtheta_dlam,
                                dtheta_ci=endpoint.dtheta_ci,
-                               disc_bound=endpoint.disc_bound)
+                               disc_bound=endpoint.disc_bound, dx=dx)
 
-    ests: list[ThetaEstimate] = []
+    ests: list[ThetaEstimate] = []  # every estimate, rejected ones included
+    levels: list[float] = []
+    # the steps still open to this row, largest first
+    steps = [k * dx for k in ROW_STEP_FACTORS]
+
+    def shoot(lam: float) -> ThetaEstimate:
+        est = estimate_theta(env, G, beta, lam, branch, X=X,
+                             n_batches=n_batches, tol=profile_tol,
+                             dx=steps[0], tangent=True)
+        ests.append(est)
+        return est
 
     def measure(lam: float) -> ThetaEstimate:
-        if len(ests) >= _MAX_EVALS:
+        if len(levels) >= _MAX_EVALS:
             raise CertificateError(
-                f"inversion exceeded {_MAX_EVALS} slope estimates")
-        est = estimate_theta(env, G, beta, lam, branch, X=X,
-                             n_batches=n_batches, tol=profile_tol, dx=dx,
-                             tangent=True)
-        ests.append(est)
+                f"inversion exceeded {_MAX_EVALS} levels")
+        levels.append(lam)
+        while len(steps) > 1:
+            try:
+                if _monotone_on_window(env, G, beta, [(branch, lam)],
+                                       steps[0]):
+                    est = shoot(lam)
+                    if (est.ci_halfwidth <= tol and est.disc_bound
+                            <= _ROW_BAR_FRACTION * tol):
+                        return est
+            except ScientificError:
+                pass
+            del steps[0]
+        est = shoot(lam)
         if est.ci_halfwidth > tol:
             raise CertificateError(
                 f"batch-means ci {est.ci_halfwidth:.3g} at lam={lam:.6g} "
@@ -263,7 +304,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                                rk4_steps=sum(e.rk4_steps for e in ests),
                                dtheta_dlam=est.dtheta_dlam,
                                dtheta_ci=est.dtheta_ci,
-                               disc_bound=est.disc_bound)
+                               disc_bound=est.disc_bound, dx=steps[0])
 
     # slopes at level lam lie in [G_b^-1(lam - beta), G_b^-1(lam)]
     g_theta = float(G(theta))

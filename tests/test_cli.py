@@ -11,6 +11,7 @@ import pytest
 
 import hjlab
 import hjlab.cli
+import hjlab.effective
 from hjlab.cli import main
 from hjlab.corrector import burn_in_length
 from hjlab.hamiltonian import PowerG
@@ -416,7 +417,7 @@ def test_effective_sidecar_rows(tmp_path):
     assert [r["branch"] for r in rows] == [1, 2]
     assert sum(r["n_evals"] for r in rows) == meta["stats"]["n_evals"]
     for r in rows:
-        assert {"theta_at_lam", "ci", "n_evals", "rk4_steps",
+        assert {"theta_at_lam", "ci", "n_evals", "rk4_steps", "dx",
                 "dtheta_dlam", "dtheta_ci", "dH_dtheta"} <= set(r)
         assert "flagged" not in r
         assert abs(r["theta_at_lam"] - r["theta"]) <= 1e-3
@@ -481,19 +482,35 @@ def test_explicit_dx_keeps_the_outputs(tmp_path):
 def test_effective_default_step_and_bars(tmp_path):
     # no dx in the config: a = 1 on iid-interp, so the largest step, 0.04,
     # keeps every RK4 step monotone up to G(1.8) + beta; every slope
-    # estimate carries a step-doubling bar far below its CI
+    # estimate carries a step-doubling bar far below its CI.  The row
+    # estimates coarsen to 4 dx = 0.16, where their bars pass the gate
     cfg = _write(tmp_path, IID_EFFECTIVE)
     assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / "effective.meta.json").read_text())
     assert meta["stats"]["dx"] == 0.04
     assert len(meta["rows"]) == 4
     for r in meta["rows"]:
+        assert r["dx"] == 0.16
         assert 0.0 < r["disc_bound"] <= r["ci"] / 100
     _, rows = _rows(tmp_path / "effective.csv")
     got = {float(r[0]): float(r[1]) for r in rows}
     for line in FROZEN_EFFECTIVE.splitlines()[1:]:
         theta, H = map(float, line.split(",")[:2])
         assert got[theta] == pytest.approx(H, abs=1e-5)
+
+
+def test_coarse_rows_keep_the_effective_table(tmp_path, monkeypatch):
+    # the row estimates only decide acceptance and the Newton step: with
+    # every row shot at the command step, the table is the same bytes
+    cfg = _write(tmp_path, IID_EFFECTIVE)
+    d1, d2 = tmp_path / "ladder", tmp_path / "one_step"
+    assert main(["effective", "--config", cfg, "--out", str(d1)]) == 0
+    monkeypatch.setattr(hjlab.effective, "ROW_STEP_FACTORS", (1,))
+    assert main(["effective", "--config", cfg, "--out", str(d2)]) == 0
+    rows = json.loads((d2 / "effective.meta.json").read_text())["rows"]
+    assert all(r["dx"] == 0.04 for r in rows)
+    assert (d1 / "effective.csv").read_bytes() == \
+        (d2 / "effective.csv").read_bytes()
 
 
 def test_effective_iid_parallel_matches_sequential(tmp_path):

@@ -223,18 +223,26 @@ def test_invert_rejects_mismatched_endpoint(env_periodic, G):
 # the safeguarded Newton loop, on scripted slope estimates
 # ------------------------------------------------------------
 
-def _scripted(monkeypatch, mean_of, slope_of, ci=0.0):
-    """Replace the slope estimates by a given map; return the lams asked."""
+def _scripted(monkeypatch, mean_of, slope_of, ci=0.0, bar_of=None,
+              steps=None):
+    """Replace the slope estimates by a given map; return the lams asked.
+
+    ``bar_of(dx)`` is the step-doubling bar of an estimate at step dx
+    (0 by default), and ``steps``, when given, collects those steps.
+    """
     lams = []
 
     def fake(env, G, beta, lam, branch, X, n_batches=10, tol=1e-6,
              dx=0.01, tangent=False):
         lams.append(lam)
+        if steps is not None:
+            steps.append(dx)
         return ThetaEstimate(branch=branch, lam=lam, beta=beta,
                              mean=mean_of(lam), ci_halfwidth=ci,
                              window_length=X, n_batches=n_batches,
                              cert_bound=0.0, dtheta_dlam=slope_of(lam),
-                             dtheta_ci=0.0)
+                             dtheta_ci=0.0,
+                             disc_bound=bar_of(dx) if bar_of else 0.0)
 
     monkeypatch.setattr(hjlab.effective, "estimate_theta", fake)
     return lams
@@ -326,6 +334,92 @@ def test_newton_collapse_rule(env_periodic, G, monkeypatch, ci, accepted):
         with pytest.raises(CertificateError, match="exhausted"):
             invert_theta(env_periodic, G, BETA, 1.5, 2, 1e-2,
                          endpoint=ENDPOINT_2)
+
+
+def _newton_run(monkeypatch, env, G, bar_of):
+    """The Newton run of ``test_newton_converges_from_the_endpoint_offset``
+    with a scripted bar: (inversion, lams asked, steps asked)."""
+    steps = []
+    lams = _scripted(monkeypatch, lambda lam: math.sqrt(lam - 0.3),
+                     lambda lam: 0.5 / math.sqrt(lam - 0.3), bar_of=bar_of,
+                     steps=steps)
+    inv = invert_theta(env, G, BETA, 1.5, 2, 1e-9, dx=0.01,
+                       endpoint=ENDPOINT_2)
+    return inv, lams, steps
+
+
+def test_row_step_settles_where_the_bar_first_passes(env_periodic, G,
+                                                     monkeypatch):
+    # the bar fails the gate 0.05 tol at 4 dx and passes at 2 dx: the
+    # first level is asked at both, every later level at 2 dx only
+    gate = 0.05 * 1e-9
+    inv, lams, steps = _newton_run(monkeypatch, env_periodic, G,
+                                   lambda dx: 2 * gate if dx > 0.03 else 0.0)
+    assert steps == [0.04, 0.02] + [0.02] * (len(steps) - 2)
+    assert len(steps) >= 3
+    assert lams[0] == lams[1] == 3.0
+    assert inv.dx == 0.02
+    assert inv.n_evals == len(lams)
+    assert abs(inv.lam - 2.55) <= 1e-8
+
+
+def test_row_step_that_never_passes_ends_at_the_command_step(env_periodic, G,
+                                                             monkeypatch):
+    # a bar above the gate at every step: the first level is asked at
+    # 4 dx, 2 dx and dx, and from there the run is the one-step run,
+    # level for level, with the two rejected estimates counted
+    inv, lams, steps = _newton_run(monkeypatch, env_periodic, G,
+                                   lambda dx: 1.0)
+    assert steps == [0.04, 0.02] + [0.01] * (len(steps) - 2)
+    monkeypatch.setattr(hjlab.effective, "ROW_STEP_FACTORS", (1,))
+    inv1, lams1, steps1 = _newton_run(monkeypatch, env_periodic, G,
+                                      lambda dx: 1.0)
+    assert set(steps1) == {0.01}
+    assert lams[2:] == lams1 and lams[:2] == [lams1[0]] * 2
+    assert inv == dataclasses.replace(inv1, n_evals=inv1.n_evals + 2)
+    assert inv.dx == 0.01
+
+
+def test_row_estimate_with_a_wide_ci_is_redone_at_half_the_step(G,
+                                                                 monkeypatch):
+    # at 4 dx = 0.08 the ten batches of a 10-unit window straddle the
+    # periods of the medium and the ci exceeds tol; at 0.04 every batch
+    # is one whole period and the ci vanishes
+    env = generate_env("periodic", 1, (-100.0, 20.0), 0.01)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["dx"], estimate_theta(*args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(hjlab.effective, "estimate_theta", spy)
+    inv = invert_theta(env, G, BETA, 1.5, 2, 1e-4, X=10.0, dx=0.02)
+    # the endpoint at the command step, then the first level twice
+    assert [dx for dx, _ in seen[:3]] == [0.02, 0.08, 0.04]
+    assert seen[1][1].lam == seen[2][1].lam
+    assert seen[1][1].ci_halfwidth > 1e-4
+    assert inv.dx == 0.04
+    # the one-cell oracle level, to the bound of
+    # test_invert_periodic_matches_dense_oracle
+    assert abs(inv.lam - 2.752578371962943) <= 1e-3
+    rows = [e for _, e in seen[1:]]
+    assert inv.n_evals == len(rows)
+    assert inv.rk4_steps == sum(e.rk4_steps for e in rows)
+    assert inv.rk4_steps > sum(e.rk4_steps for e in rows[1:])
+
+
+def test_coarse_row_estimate_is_covered_by_its_bar(env_periodic, G):
+    # against the dense one-cell average, which shares no code with the
+    # shooting: an estimate accepted at a step coarser than dx misses it
+    # by no more than its own step-doubling bar
+    cell = generate_env("periodic", 5, (-20.0, 1.0), 0.01,
+                        params={"phase": 0.25})
+    for theta in (1.0, 1.5, 2.0, 2.5):
+        inv = invert_theta(env_periodic, G, BETA, theta, 2, 1e-2, X=40.0,
+                           dx=0.04)
+        assert inv.dx > 0.04
+        miss = abs(inv.theta_at_lam - cell_average(cell, G, BETA, inv.lam))
+        assert miss <= inv.disc_bound + 1e-6
 
 
 def test_invert_ci_too_large_raises(env_iid, G):
