@@ -12,6 +12,7 @@ propagates.
 import argparse
 import configparser
 import json
+import math
 import platform
 import sys
 import time
@@ -29,10 +30,11 @@ from .corrector import (
     estimate_theta,
     save_profile,
 )
-from .effective import (_pmap, build_effective_H, save_effective,
+from .effective import (_reference, build_effective_H, save_effective,
                         save_theta_curve)
 from .environment import (
     KINDS,
+    _pmap,
     check_singular_hill,
     find_hill,
     generate_env,
@@ -43,8 +45,6 @@ from .errors import CertificateError, ConfigError, HillError, ScientificError
 from .hamiltonian import GrowthCertificate, make_G, validate_growth
 from .pde import (
     SchemeConfig,
-    cfl_gradient_range,
-    cfl_number,
     homogenize_sweep,
     residual_probe,
     save_probe,
@@ -86,14 +86,6 @@ def _floats(text: str) -> list[float]:
     if not vals:
         raise ConfigError(f"expected at least one number, got {text!r}")
     return vals
-
-
-def _maybe_number(text: str):
-    # every generator and G parameter is a float, so `1` and `1.0` agree
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 @dataclass
@@ -140,7 +132,7 @@ def _as_int(raw: str) -> int:
 
 def _get(section: configparser.SectionProxy, key: str, default=None,
          kind=float, positive: bool = False):
-    """Typed config value; with ``positive`` every value must be > 0."""
+    """Typed config value; every number finite, and > 0 with ``positive``."""
     if key not in section:
         if default is None:
             raise ConfigError(
@@ -159,7 +151,11 @@ def _get(section: configparser.SectionProxy, key: str, default=None,
     except ValueError:
         raise ConfigError(
             f"bad value for {key!r} in [{section.name}]: {raw!r}") from None
-    if positive and not all(v > 0 for v in (val if kind is list else [val])):
+    vals = val if kind is list else [val]
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(
+            f"{key!r} in [{section.name}] must be finite, got {raw!r}")
+    if positive and not all(v > 0 for v in vals):
         raise ConfigError(
             f"{key!r} in [{section.name}] must be positive, got {raw!r}")
     return val
@@ -168,7 +164,10 @@ def _get(section: configparser.SectionProxy, key: str, default=None,
 def load_config(path: str, command: str, out_flag: str | None,
                 workers: int, seed_override: int | None) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:  # a repeated key or section, say
+        raise ConfigError(f"malformed config {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     # a misspelled header would leave its keys unread and run at defaults
@@ -190,7 +189,8 @@ def load_config(path: str, command: str, out_flag: str | None,
     if len(window) != 2 or window[0] >= window[1]:
         raise ConfigError(f"window must be two increasing numbers, got {window}")
     dx_env = _get(env_sec, "dx_env", positive=True)
-    env_params = {k: _maybe_number(v) for k, v in env_sec.items()
+    # every generator and G parameter is a float, so `1` and `1.0` agree
+    env_params = {k: _get(env_sec, k) for k in env_sec
                   if k not in ("kind", "seed", "window", "dx_env")}
 
     g_params: dict = {}
@@ -201,8 +201,7 @@ def load_config(path: str, command: str, out_flag: str | None,
         family = _get(h, "family", "power", str)
         growth_kw = {k.removeprefix("growth_"): _get(h, k)
                      for k in h if k.startswith("growth_")}
-        g_params = {k: v if k == "path" else _maybe_number(v)
-                    for k, v in h.items()
+        g_params = {k: h[k] if k == "path" else _get(h, k) for k in h
                     if k != "family" and not k.startswith("growth_")}
     # both are built from their constructors' keyword arguments, so a
     # misspelled or missing key is a TypeError
@@ -266,6 +265,16 @@ def _n_batches(params) -> int:
     if n < 10:
         raise ConfigError(f"n_batches must be at least 10, got {n}")
     return n
+
+
+def _one_or_many(params, key: str, many: str, **kw) -> list[float]:
+    """The list under ``many``, or the one value under ``key``; not both."""
+    if many not in params:
+        return [_get(params, key, **kw)]
+    if key in params:
+        raise ConfigError(
+            f"[{params.name}] sets both {key!r} and {many!r}; set one")
+    return _get(params, many, kind=list, **kw)
 
 
 def _in_unit(vals: list[float], key: str) -> list[float]:
@@ -394,22 +403,22 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
     env = cfg.make_env()
     dt = dt or stable_dt(cfg.G, cfg.beta, theta, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=M, T=1.0, theta=theta)
-    result = homogenize_sweep(
-        env, cfg.G, cfg.beta, theta, epsilons, scheme, reference=reference,
-        ref_tol=ref_tol, ref_X=ref_X, ref_dx=ref_dx, workers=cfg.workers)
+    if reference is None:
+        # Hbar(theta) from correctors on the same medium, and the
+        # step-doubling bar of the slope estimate it rests on
+        reference, _, cfg.stats["ref_disc_bound"] = _reference(
+            env, cfg.G, cfg.beta, theta, ref_tol, X=ref_X, dx=ref_dx)
+    result = homogenize_sweep(env, cfg.G, cfg.beta, theta, epsilons, scheme,
+                              reference, workers=cfg.workers)
     out = cfg.out_dir / "sweep.csv"
     save_sweep(result, str(out))
-    kappa = cfg.G.lipschitz_on(cfl_gradient_range(cfg.G, cfg.beta, theta))
-    cfg.stats.update(dt=dt, cfl=cfl_number(scheme, kappa),
-                     cfl_seen=result.cfl_seen,
+    cfg.stats.update(dt=dt, cfl=result.cfl, cfl_seen=result.cfl_seen,
                      evolve_steps=result.steps,
                      node_steps=result.node_steps,
                      trim_bound=result.trim_bound,
                      trim_margins=list(result.trim_margins),
                      grad_excursion=result.grad_excursion,
                      grad_range_seen=list(result.grad_range_seen))
-    if result.ref_disc_bound is not None:
-        cfg.stats["ref_disc_bound"] = result.ref_disc_bound
     return [out]
 
 
@@ -418,8 +427,7 @@ def cmd_hill_check(cfg: RunConfig) -> list[Path]:
     mode = _get(p, "mode", "hill", str)
     out = cfg.out_dir / "hill_report.csv"
     if mode == "singular":
-        cs = _in_unit(_get(p, "cs", kind=list) if "cs" in p
-                      else [_get(p, "c")], "cs")
+        cs = _in_unit(_one_or_many(p, "c", "cs"), "cs")
         env = cfg.make_env()
         rows = []
         for c in cs:
@@ -430,10 +438,8 @@ def cmd_hill_check(cfg: RunConfig) -> list[Path]:
     if mode != "hill":
         raise ConfigError(f"mode must be 'hill' or 'singular', got {mode!r}")
 
-    hs = _in_unit(_get(p, "hs", kind=list) if "hs" in p else [_get(p, "h")],
-                  "hs")
-    Cs = (_get(p, "cs", kind=list, positive=True) if "cs" in p
-          else [_get(p, "c", positive=True)])
+    hs = _in_unit(_one_or_many(p, "h", "hs"), "hs")
+    Cs = _one_or_many(p, "c", "cs", positive=True)
     doublings = _get(p, "doublings", 0, int)
     if doublings < 0:
         raise ConfigError(f"doublings must be >= 0, got {doublings}")

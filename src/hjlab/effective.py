@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .corrector import ThetaEstimate, _monotone_on_window, estimate_theta
-from .environment import EnvRealization, write_csv
+from .environment import EnvRealization, _pmap, write_csv
 from .errors import (CertificateError, ConfigError, FlatPieceError,
                      ScientificError)
 
@@ -350,34 +349,6 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
 # ============================================================
 # Assembly
 # ============================================================
-
-_pool_env = None  # the medium of a pool worker, set once by its initializer
-
-
-def _set_pool_env(env: EnvRealization) -> None:
-    global _pool_env
-    _pool_env = env
-
-
-def _call_with_pool_env(fn, task):
-    return fn(_pool_env, task)
-
-
-def _pmap(fn, env: EnvRealization, tasks, workers: int) -> list:
-    """``fn(env, task)`` over ``tasks``, results in task order.
-
-    At ``workers > 1`` a process pool runs them, and ``env`` reaches
-    each worker once, through the pool initializer, not once per task.
-    """
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_set_pool_env,
-                                 initargs=(env,)) as pool:
-            return list(pool.map(partial(_call_with_pool_env, fn), tasks))
-    return [fn(env, t) for t in tasks]
-
 
 def _invert_task(env, args):
     (G, beta, theta, branch, tol, X, n_batches, dx, profile_tol,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -256,7 +257,10 @@ class EnvRealization:
         amin = float(self.a_vals.min())
         if amin <= 0.0 or float(self.a_vals.max()) > 1.0:
             raise ValueError("diffusion coefficient must take values in (0, 1]")
-        if float(self.v_vals.min()) < 0.0 or float(self.v_vals.max()) > 1.0:
+        # asks V to pass the comparisons, which a NaN fails (a NaN in a
+        # reaches the s-table, checked below)
+        if not (float(self.v_vals.min()) >= 0.0
+                and float(self.v_vals.max()) <= 1.0):
             raise ValueError("potential must take values in [0, 1]")
         if not np.all(np.isfinite(self.s_table)):
             raise ValueError("s-table must be finite")
@@ -436,6 +440,38 @@ def reflect(env: EnvRealization) -> EnvRealization:
     v = env.v_vals[::-1].copy()
     return _build(env.seed, env.kind, (-env.window[1], -env.window[0]),
                   env.dx_env, a, v, env.params, env.flags + ("reflected",))
+
+
+# ============================================================
+# One medium, many tasks
+# ============================================================
+
+_pool_env = None  # the medium of a pool worker, set once by its initializer
+
+
+def _set_pool_env(env: EnvRealization) -> None:
+    global _pool_env
+    _pool_env = env
+
+
+def _call_with_pool_env(fn, task):
+    return fn(_pool_env, task)
+
+
+def _pmap(fn, env: EnvRealization, tasks, workers: int) -> list:
+    """``fn(env, task)`` over ``tasks``, results in task order.
+
+    At ``workers > 1`` a process pool runs them, and ``env`` reaches
+    each worker once, through the pool initializer, not once per task.
+    """
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_set_pool_env,
+                                 initargs=(env,)) as pool:
+            return list(pool.map(partial(_call_with_pool_env, fn), tasks))
+    return [fn(env, t) for t in tasks]
 
 
 # ============================================================

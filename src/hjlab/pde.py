@@ -57,8 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrector import CorrectorProfile, GluedProfile
-from .effective import _pmap, _reference
-from .environment import EnvRealization, _locate, sample_many, write_csv
+from .environment import EnvRealization, _locate, _pmap, sample_many, write_csv
 from .errors import ConfigError, SignError, StabilityError, WindowError
 from .hamiltonian import bracket
 
@@ -171,6 +170,14 @@ def stable_dt(G, beta: float, theta: float, dx: float) -> float:
         raise ConfigError(f"G is flat on the slope range {p_range}: "
                           "no CFL step, set dt")
     return _CFL_MAX * dx / kappa
+
+
+def _steps_to(T: float, dt: float) -> tuple[int, float]:
+    """Whole steps of ``dt`` to T, ``floor(T/dt + 1e-9)``, and the tail
+    step to T, 0 where it is at or below ``1e-12 T``."""
+    whole = int(math.floor(T / dt + 1e-9))
+    tail = T - whole * dt
+    return whole, (tail if tail > 1e-12 * T else 0.0)
 
 
 # ============================================================
@@ -341,10 +348,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     if not np.all(np.isfinite(u)):
         raise StabilityError("initial data contains non-finite values")
 
-    n_steps = int(math.floor(scheme.T / dt + 1e-9))
-    dt_tail = scheme.T - n_steps * dt
-    if dt_tail <= 1e-12 * scheme.T:
-        dt_tail = 0.0
+    n_steps, dt_tail = _steps_to(scheme.T, dt)
 
     src = beta * v
     theta_dx = scheme.theta * dx
@@ -417,8 +421,9 @@ class SweepResult:
     ``domain_sensitivity[i]`` is its change when the domain half-width
     doubles -- the honest surrogate for boundary error.  ``steps`` is
     the number of evolve steps marched, one march per distinct domain.
-    ``ref_disc_bound`` is the step-doubling bar of the slope estimate
-    behind ``reference`` when the sweep computed it, else None.
+    ``reference`` is the prediction the sweep was given, stored as is.
+    ``cfl`` is the a-priori CFL number of the step, on
+    ``cfl_gradient_range``, as in ``EvolveResult``.
     ``grad_range_seen`` is the union of the marches' observed
     (min D-, max D+) on the windows they marched, the range
     ``grad_excursion`` tests, and ``cfl_seen`` the largest
@@ -438,10 +443,10 @@ class SweepResult:
     domain_sensitivity: np.ndarray
     grad_excursion: bool = False
     steps: int = 0
-    ref_disc_bound: float | None = None
     grad_range_seen: tuple[float, float] | None = None
     node_steps: int = 0
     trim_bound: float = 0.0
+    cfl: float = 0.0
     cfl_seen: float = 0.0
     trim_margins: tuple[float, float | None] | None = None
 
@@ -614,9 +619,9 @@ def _trim_margin(env, G, theta: float, p_range, dx: float, dt: float,
 def _march(env, args):
     """March u(0, x) = theta x on [-n dx, n dx] once, to increasing stops.
 
-    Whole steps to ``floor(T/dt + 1e-9)`` advance the shared state; the
-    tail ``T - floor(...) dt``, skipped at or below ``1e-12 T``, is
-    stepped on a copy.  These are the steps of ``evolve(T)``.  Only
+    The whole steps of ``_steps_to(T, dt)`` advance the shared state,
+    and its tail step, if any, is stepped on a copy: the steps of
+    ``evolve(T)``, which takes them from the same rule.  Only
     u(T, 0) is read, so the march drops the nodes that cannot reach
     x = 0, by the margins of ``_trim_margin``: step k needs
     ``min(n, k_last - k + m_up)`` nodes on the upwind side, ``k_last``
@@ -641,9 +646,7 @@ def _march(env, args):
     """
     G, beta, theta, scheme, n, stops = args
     dx, dt = scheme.dx, scheme.dt
-    whole = [int(math.floor(t / dt + 1e-9)) for t in stops]
-    tails = [t - k * dt if t - k * dt > 1e-12 * t else 0.0
-             for t, k in zip(stops, whole)]
+    whole, tails = zip(*(_steps_to(t, dt) for t in stops))
     k_last = whole[-1] + (tails[-1] > 0.0)
     p_lo, p_hi = cfl_gradient_range(G, beta, theta)
     (m_up, m_dn), terms = _trim_margin(env, G, theta, (p_lo, p_hi), dx, dt,
@@ -701,10 +704,8 @@ def _march(env, args):
 
 
 def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
-                     epsilons, scheme: SchemeConfig, *,
-                     reference: float | None = None,
-                     ref_tol: float = 2e-2, ref_X: float = 300.0,
-                     ref_dx: float = 0.01, workers: int = 1) -> SweepResult:
+                     epsilons, scheme: SchemeConfig, reference: float, *,
+                     workers: int = 1) -> SweepResult:
     """Record eps * u_theta(1/eps, 0) along an epsilon ladder.
 
     ``scheme.M`` is the half-width of the scaled domain: each epsilon
@@ -717,8 +718,9 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     the nodes that can reach x = 0 before its last stop (``_march``), so
     a value is a fresh run's to within ``trim_bound``.  ``workers > 1``
     runs the marches in a process pool; the result does not depend on
-    it.  ``reference`` defaults to the effective Hamiltonian at theta,
-    computed from correctors on the same medium.
+    it.  ``reference`` is the prediction Hbar(theta) the values are
+    compared with, computed elsewhere (``effective_reference``): the
+    sweep only stores it, so it shares no code with what it checks.
     """
     beta = float(beta)
     theta = float(theta)
@@ -740,11 +742,6 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
             f"environment window {env.window} cannot cover the doubled "
             f"domain [-{m_widest:g}, {m_widest:g}] at eps = {eps_min:g}")
 
-    ref_disc = None
-    if reference is None:
-        reference, _, ref_disc = _reference(env, G, beta, theta, ref_tol,
-                                            X=ref_X, dx=ref_dx)
-
     # half-width in nodes -> its stops, increasing since eps decreases
     stops = {}
     for eps, n in zip(eps_arr, halves):
@@ -764,10 +761,11 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
                        reference=float(reference),
                        domain_sensitivity=np.abs(doubled - values),
                        grad_excursion=any(excursions), steps=sum(steps),
-                       ref_disc_bound=ref_disc,
                        grad_range_seen=(min(lo for lo, _ in seen),
                                         max(hi for _, hi in seen)),
                        node_steps=sum(node_steps), trim_bound=max(bounds),
+                       cfl=cfl_number(scheme, G.lipschitz_on(
+                           cfl_gradient_range(G, beta, theta))),
                        cfl_seen=max(cfl_seen),
                        trim_margins=(max(m_up), max(
                            (m for m in m_dn if m is not None), default=None)))

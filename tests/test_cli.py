@@ -231,6 +231,27 @@ def test_unknown_key_is_config_error(tmp_path, text):
     assert not (tmp_path / "env.csv").exists()
 
 
+IID_V = CONST_V0.replace("kind = constant", "kind = iid-interp").replace(
+    "v0 = 0.0\n", "")
+
+
+@pytest.mark.parametrize("text", [
+    # non-finite numbers of the medium and of G
+    IID_V.replace("window = -40 40", "window = -inf 10"),
+    IID_V.replace("dx_env = 0.1", "dx_env = 0.1\nphase = nan"),
+    IID_V.replace("[model]", "[hamiltonian]\ngamma = inf\n\n[model]"),
+    # what the INI parser itself rejects
+    IID_V.replace("seed = 0", "seed = 0\nseed = 1"),
+    IID_V + "\n[model]\nbeta = 2.0\n",
+    "beta = 1.0\n" + IID_V,
+], ids=["window-inf", "phase-nan", "gamma-inf", "repeated-key",
+        "repeated-section", "line-before-header"])
+def test_malformed_or_non_finite_config_is_config_error(tmp_path, text):
+    cfg = _write(tmp_path, text)
+    assert main(["gen-env", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "env.csv").exists()
+
+
 @pytest.mark.parametrize("text", [
     # a misspelled section header would run at the default PowerG(2)
     CONST_V0.replace("[model]",
@@ -287,7 +308,7 @@ def test_lam_below_beta_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("line", ["branch = 3", "n_batches = 5", "tol = -1",
                                   "x = 0", "branch = 2.5",
-                                  "n_batches = 10.5"])
+                                  "n_batches = 10.5", "x = inf"])
 def test_bad_command_parameter_is_config_error(tmp_path, line):
     cfg = _write(tmp_path, CONST_V0.replace("branch = 2", line))
     assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -308,6 +329,7 @@ _BASES = {
     ("probe-corrector", "tol = -1"), ("homogenize", "dt = abc"),
     ("homogenize", "dt = -0.01"), ("homogenize", "epsilons = x"),
     ("homogenize", "epsilons = 0.5 2"), ("homogenize", "reference = abc"),
+    ("homogenize", "reference = inf"), ("homogenize", "theta = nan"),
     ("homogenize", "ref_tol = -1"), ("homogenize", "ref_x = 0"),
     ("homogenize", "ref_dx = -0.01")])
 def test_bad_parameter_exits_before_the_medium_is_built(tmp_path, monkeypatch,
@@ -633,7 +655,9 @@ def test_hill_check_periodic_reports_none(tmp_path):
     assert float(rows[0][2]) == 580.0  # doubled twice from 145
 
 
-@pytest.mark.parametrize("line", ["doublings = -1", "doublings = 1.5"])
+# a list key beside its one-value spelling would silently drop the latter
+@pytest.mark.parametrize("line", ["doublings = -1", "doublings = 1.5",
+                                  "hs = 0.5", "cs = 2.0"])
 def test_bad_doublings_is_config_error(tmp_path, line):
     # rejected before any medium is generated or any report written
     text = PERIODIC + f"\n[hill-check]\nh = 0.9\nc = 1.0\n{line}\n"

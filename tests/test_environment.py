@@ -307,6 +307,11 @@ def test_realization_rejects_bad_values():
         # s-increments smaller than dx contradict a <= 1
         EnvRealization(seed=0, kind="constant", window=(0.0, 1.0), dx_env=0.1,
                        a_vals=ones.copy(), v_vals=ones * 0.5, s_table=s * 0.5)
+    # a NaN potential fails every comparison, the range check's too (the
+    # generator's cast of the NaN lattice index warns on the way)
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        generate_env("iid-interp", 1, (-5.0, 5.0), 0.5,
+                     {"phase": float("nan")})
 
 
 def test_arrays_are_read_only():

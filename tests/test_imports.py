@@ -1,5 +1,6 @@
 """Static checks of the source: every module-level import of the package
-and of the tests is used, and only the two writers open files for writing.
+and of the tests is used, the PDE solver imports nothing of the inversion
+layer it checks, and only the two writers open files for writing.
 
 The package imports are its only dependencies on other modules, so an
 import that nothing references is dead weight at start-up and a stale
@@ -7,7 +8,10 @@ pointer for the reader; in a test module it is a stale pointer too.
 ``__init__.py`` is exempt: its imports are the package's public
 namespace.  Every output file is a table written by
 ``environment.write_csv`` or a sidecar written by ``cli._sidecar``, so
-one CSV convention holds as long as nothing else writes.
+one CSV convention holds as long as nothing else writes.  ``pde`` is the
+finite-difference oracle for the effective Hamiltonian that ``effective``
+computes, so it takes that prediction as an input and shares no code
+with it.
 """
 
 import ast
@@ -51,6 +55,37 @@ def test_module_imports_are_used():
         if found:
             unused[f"{path.parent.name}/{path.name}"] = found
     assert unused == {}
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules that ``tree`` imports from, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= ({node.module.partition(".")[0]} if node.module
+                      else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "hjlab":
+                found |= {alias.name for alias in node.names}
+            elif node.module.startswith("hjlab."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("hjlab.")}
+    return found
+
+
+def test_pde_imports_nothing_from_effective():
+    # the check itself sees each way of importing a package module
+    probe = ast.parse("from .corrector import a\nfrom . import errors\n"
+                      "import hjlab.hamiltonian\nimport numpy\n"
+                      "def f():\n    from hjlab.effective import b\n"
+                      "    from hjlab import environment\n")
+    assert _package_imports(probe) == {"corrector", "errors", "hamiltonian",
+                                       "effective", "environment"}
+    pde = SRC / "pde.py"
+    assert "effective" not in _package_imports(
+        ast.parse(pde.read_text(), filename=str(pde)))
 
 
 # the two functions that write files: every table goes through write_csv,

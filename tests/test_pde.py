@@ -479,7 +479,7 @@ def test_homogenize_constant_env_exact():
     # linear data is an exact fixed shape: eps u(1/eps, 0) = G(theta)
     assert np.max(np.abs(res.values - 1.0)) <= 1e-10
     assert np.max(res.domain_sensitivity) <= 1e-10
-    assert res.reference == 1.0 and res.ref_disc_bound is None
+    assert res.reference == 1.0
     assert res.epsilons.tolist() == [0.5, 0.25]
 
 
@@ -504,9 +504,12 @@ def test_homogenize_iid_flat_slope_runs():
     dx = 0.05
     dt = stable_dt(G, BETA, 0.0, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=1.0, T=1.0, theta=0.0)
-    res = homogenize_sweep(env, G, BETA, 0.0, [0.25, 0.125], scheme)
-    # theta = 0 sits in the flat piece, so the automatic reference is beta
-    assert res.reference == BETA and res.ref_disc_bound == 0.0
+    # theta = 0 sits in the flat piece, so the reference is beta, exact
+    ref, _, disc = hjlab.effective._reference(env, G, BETA, 0.0, 2e-2,
+                                              X=300.0)
+    assert ref == BETA and disc == 0.0
+    res = homogenize_sweep(env, G, BETA, 0.0, [0.25, 0.125], scheme, ref)
+    assert res.reference == BETA
     assert np.all(res.values > 0.0) and np.all(res.values < 2.0 * BETA)
     assert np.all(res.domain_sensitivity >= 0.0)
 
@@ -757,7 +760,9 @@ def test_linear_data_stays_in_the_a_priori_range(kind):
         lo, hi = res.grad_range_seen
         assert p_lo <= lo <= hi <= p_hi, (theta, res.grad_range_seen)
         assert not res.grad_excursion
-        assert 0.0 < res.cfl_seen <= 0.9 + 1e-12
+        # stable_dt steps at the a-priori bound, which no step exceeded
+        assert res.cfl == pytest.approx(0.9, abs=1e-12)
+        assert 0.0 < res.cfl_seen <= res.cfl
 
 
 def test_sweep_at_half_the_stable_step_agrees():
