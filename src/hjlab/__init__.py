@@ -10,14 +10,11 @@ and cross-checks the result against a monotone finite-difference solver.
 
 from .corrector import (
     CorrectorProfile,
-    GluedProfile,
     ThetaEstimate,
-    build_glued_profile,
     burn_in_length,
     choose_dx,
     corrector_profile,
     estimate_theta,
-    find_low_slope_points,
     residual_series,
     save_profile,
 )
@@ -71,18 +68,22 @@ from .hamiltonian import (
 from .pde import (
     EvolveResult,
     SchemeConfig,
-    SignReport,
     SweepResult,
     cfl_gradient_range,
-    cfl_number,
     diffusion_solver,
     evolve,
     godunov_flux,
     homogenize_sweep,
-    residual_probe,
-    save_probe,
     save_sweep,
     stable_dt,
+)
+from .probe import (
+    GluedProfile,
+    SignReport,
+    build_glued_profile,
+    find_low_slope_points,
+    residual_probe,
+    save_probe,
 )
 
 __version__ = "0.1.0"

@@ -23,13 +23,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .corrector import (
-    build_glued_profile,
-    choose_dx,
-    corrector_profile,
-    estimate_theta,
-    save_profile,
-)
+from .corrector import (choose_dx, corrector_profile, estimate_theta,
+                        save_profile)
 from .effective import (_reference, build_effective_H, save_effective,
                         save_theta_curve)
 from .environment import (
@@ -43,14 +38,9 @@ from .environment import (
 )
 from .errors import CertificateError, ConfigError, HillError, ScientificError
 from .hamiltonian import GrowthCertificate, make_G, validate_growth
-from .pde import (
-    SchemeConfig,
-    homogenize_sweep,
-    residual_probe,
-    save_probe,
-    save_sweep,
-    stable_dt,
-)
+from .pde import (SchemeConfig, homogenize_sweep, save_sweep, stable_dt,
+                  sweep_ladder)
+from .probe import build_glued_profile, residual_probe, save_probe
 
 COMMANDS = ("gen-env", "corrector", "theta-curve", "effective", "homogenize",
             "hill-check", "probe")
@@ -64,10 +54,9 @@ _KEYS = {
     "gen-env": (),
     "corrector": ("lam", "branch", "region", "tol", "dx"),
     "theta-curve": ("lams", "branch", "x", "n_batches", "tol", "dx"),
-    "effective": ("theta_grid", "tol", "x", "dx", "n_batches", "profile_tol",
-                  "endpoint_tol"),
-    "homogenize": ("theta", "dx", "m", "dt", "epsilons", "reference",
-                   "ref_tol", "ref_x", "ref_dx"),
+    "effective": ("theta_grid", "tol", "x", "dx", "n_batches"),
+    "homogenize": ("theta", "dx", "m", "epsilons", "reference", "ref_tol",
+                   "ref_x", "ref_dx"),
     "hill-check": ("mode", "hs", "h", "cs", "c", "doublings"),
     "probe": ("profile", "delta", "region", "dx", "kind", "lam", "branch",
               "tol", "hill_h", "hill_c", "order", "tol_probe"),
@@ -351,8 +340,6 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
     X = _get(p, "x", 300.0, positive=True)
     dx = _get(p, "dx", 0.0, positive=True)
     n_batches = _n_batches(p)
-    profile_tol = _get(p, "profile_tol", 1e-6, positive=True)
-    endpoint_tol = _get(p, "endpoint_tol", 1e-2, positive=True)
     env = cfg.make_env()
     # without a configured step, the largest monotone one at the levels
     # shot: beta for the endpoints and, as the highest, the a-priori top
@@ -362,9 +349,7 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
         (1, float(cfg.G(min(grid))) + cfg.beta),
         (2, float(cfg.G(max(grid))) + cfg.beta)])
     eff = build_effective_H(env, cfg.G, cfg.beta, grid, tol, X=X,
-                            n_batches=n_batches, dx=dx,
-                            profile_tol=profile_tol,
-                            endpoint_tol=endpoint_tol, workers=cfg.workers)
+                            n_batches=n_batches, dx=dx, workers=cfg.workers)
     out = cfg.out_dir / "effective.csv"
     save_effective(eff, str(out))
     cfg.stats.update(dx=dx, n_evals=eff.n_evals, rk4_steps=eff.rk4_steps,
@@ -387,7 +372,6 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
     theta = _get(p, "theta")
     dx = _get(p, "dx", 0.05, positive=True)
     M = _get(p, "m", 1.0, positive=True)
-    dt = _get(p, "dt", 0.0, positive=True)
     epsilons = _in_unit(_get(p, "epsilons", kind=list), "epsilons")
     reference = _get(p, "reference") if "reference" in p else None
     ref_tol = _get(p, "ref_tol", 2e-2, positive=True)
@@ -401,8 +385,10 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
             f"lipschitz={report.lipschitz_margin:.3g}")
 
     env = cfg.make_env()
-    dt = dt or stable_dt(cfg.G, cfg.beta, theta, dx)
+    dt = stable_dt(cfg.G, cfg.beta, theta, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=M, T=1.0, theta=theta)
+    # a sweep the window cannot hold fails before the reference is computed
+    sweep_ladder(env.window, epsilons, scheme)
     if reference is None:
         # Hbar(theta) from correctors on the same medium, and the
         # step-doubling bar of the slope estimate it rests on

@@ -54,6 +54,10 @@ __all__ = [
 
 # levels one inversion may measure before it gives up
 _MAX_EVALS = 200
+# enclosure tolerances of the row estimates and of the lam = beta ones,
+# which merge only across hills: loose, to keep the window modest
+_PROFILE_TOL = 1e-6
+_ENDPOINT_TOL = 1e-2
 # multiples of the command step a row estimate is shot at, largest
 # first; the last is the command step itself, where no bar gate applies
 ROW_STEP_FACTORS = (4, 2, 1)
@@ -176,9 +180,7 @@ def _invert_constant(env: EnvRealization, G, beta: float, theta: float,
 def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                  branch: int, tol: float, *, X: float = 500.0,
                  n_batches: int = 10, dx: float = 0.01,
-                 profile_tol: float = 1e-6,
-                 endpoint: ThetaEstimate | None = None,
-                 endpoint_tol: float = 1e-2) -> LambdaInversion:
+                 endpoint: ThetaEstimate | None = None) -> LambdaInversion:
     """Level lam on the requested branch with theta_branch(lam) = theta.
 
     Safeguarded Newton iteration on lam, with the stopping rule measured
@@ -217,10 +219,8 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     no preimage and the caller should use the flat value instead.
 
     ``endpoint`` lets callers reuse a lam=beta estimate across many
-    inversions; when omitted it is computed here with ``endpoint_tol``
-    as the enclosure tolerance (the lam = beta runs merge only across
-    the potential's hills, so a loose tolerance keeps the window
-    requirement modest).
+    inversions; when omitted it is computed here with ``_ENDPOINT_TOL``
+    as the enclosure tolerance.
     """
     beta = float(beta)
     theta = float(theta)
@@ -237,7 +237,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     s = 1.0 if branch == 2 else -1.0
     if endpoint is None:
         endpoint = estimate_theta(env, G, beta, beta, branch, X=X,
-                                  n_batches=n_batches, tol=endpoint_tol,
+                                  n_batches=n_batches, tol=_ENDPOINT_TOL,
                                   dx=dx)
     if endpoint.branch != branch or endpoint.lam != beta:
         raise ValueError("endpoint estimate must be this branch at lam = beta")
@@ -267,7 +267,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
 
     def shoot(lam: float) -> ThetaEstimate:
         est = estimate_theta(env, G, beta, lam, branch, X=X,
-                             n_batches=n_batches, tol=profile_tol,
+                             n_batches=n_batches, tol=_PROFILE_TOL,
                              dx=steps[0], tangent=True)
         ests.append(est)
         return est
@@ -343,7 +343,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     raise CertificateError(
         f"inversion exhausted level resolution with |theta_hat - theta| = "
         f"{abs(est.mean - theta):.3g} > tol = {tol:.3g}: the slope estimate "
-        f"is biased beyond its ci; tighten profile_tol or grow X")
+        f"is biased beyond its ci; grow X")
 
 
 # ============================================================
@@ -351,18 +351,14 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
 # ============================================================
 
 def _invert_task(env, args):
-    (G, beta, theta, branch, tol, X, n_batches, dx, profile_tol,
-     endpoint) = args
+    G, beta, theta, branch, tol, X, n_batches, dx, endpoint = args
     return invert_theta(env, G, beta, theta, branch, tol, X=X,
-                        n_batches=n_batches, dx=dx, profile_tol=profile_tol,
-                        endpoint=endpoint)
+                        n_batches=n_batches, dx=dx, endpoint=endpoint)
 
 
 def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
                       tol: float, *, X: float = 500.0, n_batches: int = 10,
-                      dx: float = 0.01, profile_tol: float = 1e-6,
-                      endpoint_tol: float = 1e-2,
-                      workers: int = 1) -> EffectiveH:
+                      dx: float = 0.01, workers: int = 1) -> EffectiveH:
     """Assemble Hbar on a slope grid: branch inversions plus the flat piece.
 
     Estimates the flat endpoints theta_i(beta) first (the lam = beta
@@ -401,9 +397,9 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
     else:
         flat_value = beta
         ep2 = estimate_theta(env, G, beta, beta, 2, X=X,
-                             n_batches=n_batches, tol=endpoint_tol, dx=dx)
+                             n_batches=n_batches, tol=_ENDPOINT_TOL, dx=dx)
         ep1 = estimate_theta(env, G, beta, beta, 1, X=X,
-                             n_batches=n_batches, tol=endpoint_tol, dx=dx)
+                             n_batches=n_batches, tol=_ENDPOINT_TOL, dx=dx)
         t1, ci1, disc1 = ep1.mean, ep1.ci_halfwidth, ep1.disc_bound
         t2, ci2, disc2 = ep2.mean, ep2.ci_halfwidth, ep2.disc_bound
         if not (t1 < 0.0 < t2):
@@ -419,9 +415,9 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
             f"theta grid must reach beyond both flat endpoints "
             f"({t1:.4g}, {t2:.4g})")
 
-    tasks = [(G, beta, float(th), 1, tol, X, n_batches, dx, profile_tol, ep1)
+    tasks = [(G, beta, float(th), 1, tol, X, n_batches, dx, ep1)
              for th in left]
-    tasks += [(G, beta, float(th), 2, tol, X, n_batches, dx, profile_tol, ep2)
+    tasks += [(G, beta, float(th), 2, tol, X, n_batches, dx, ep2)
               for th in right]
     invs = _pmap(_invert_task, env, tasks, workers)
 
@@ -453,9 +449,8 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
 
 def effective_reference(env: EnvRealization, G, beta: float, theta: float,
                         tol: float, *, X: float = 500.0,
-                        n_batches: int = 10, dx: float = 0.01,
-                        profile_tol: float = 1e-6,
-                        endpoint_tol: float = 1e-2) -> tuple[float, float]:
+                        n_batches: int = 10,
+                        dx: float = 0.01) -> tuple[float, float]:
     """Hbar(theta) with an honest half-width, for a single slope.
 
     Returns ``(value, half)``: on the flat piece the value is exact and
@@ -470,16 +465,13 @@ def effective_reference(env: EnvRealization, G, beta: float, theta: float,
     raises ``CertificateError``, as in ``build_effective_H``.
     """
     value, half, _ = _reference(env, G, beta, theta, tol, X=X,
-                                n_batches=n_batches, dx=dx,
-                                profile_tol=profile_tol,
-                                endpoint_tol=endpoint_tol)
+                                n_batches=n_batches, dx=dx)
     return value, half
 
 
 def _reference(env: EnvRealization, G, beta: float, theta: float,
                tol: float, *, X: float = 500.0, n_batches: int = 10,
-               dx: float = 0.01, profile_tol: float = 1e-6,
-               endpoint_tol: float = 1e-2) -> tuple[float, float, float]:
+               dx: float = 0.01) -> tuple[float, float, float]:
     """``effective_reference`` plus the step-doubling bar of the slope
     estimate the level was matched on (0 where the value is exact)."""
     beta = float(beta)
@@ -489,7 +481,7 @@ def _reference(env: EnvRealization, G, beta: float, theta: float,
     branch = 2 if theta >= 0.0 else 1
     s = 1.0 if branch == 2 else -1.0
     ep = estimate_theta(env, G, beta, beta, branch, X=X, n_batches=n_batches,
-                        tol=endpoint_tol, dx=dx)
+                        tol=_ENDPOINT_TOL, dx=dx)
     if not s * ep.mean > 0.0:
         raise CertificateError(
             f"flat endpoint theta{branch}(beta) = {ep.mean:.6g} is on the "
@@ -497,8 +489,7 @@ def _reference(env: EnvRealization, G, beta: float, theta: float,
     if s * theta < s * ep.mean:
         return beta, 0.0, 0.0
     inv = invert_theta(env, G, beta, theta, branch, tol, X=X,
-                       n_batches=n_batches, dx=dx, profile_tol=profile_tol,
-                       endpoint=ep)
+                       n_batches=n_batches, dx=dx, endpoint=ep)
     half = kappa_tilde(G, inv.lam, beta, branch=branch) * (tol + inv.ci)
     return inv.lam, half, inv.disc_bound
 

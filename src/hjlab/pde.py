@@ -29,8 +29,7 @@ what makes the scheme converge to the viscosity solution, so everything
 here favours plainness over order: first order in time, no limiters.
 
 Also holds the epsilon-sweep driver that empirically verifies the
-homogenized limit, and the perturbed-profile residual probes for the
-sub/supersolution constructions.  The sweep chains ``evolve`` calls to
+homogenized limit.  The sweep chains ``evolve`` calls to
 march each distinct domain once and reads u(T, 0) at every stop.  Since
 the scheme is monotone, what a node far from x = 0 does reaches x = 0
 only through tails the scheme's spread bounds, so each march drops the
@@ -56,26 +55,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import CorrectorProfile, GluedProfile
 from .environment import EnvRealization, _locate, _pmap, sample_many, write_csv
-from .errors import ConfigError, SignError, StabilityError, WindowError
-from .hamiltonian import bracket
+from .errors import ConfigError, StabilityError, WindowError
 
 __all__ = [
     "SchemeConfig",
     "EvolveResult",
     "SweepResult",
-    "SignReport",
     "godunov_flux",
     "cfl_gradient_range",
-    "cfl_number",
     "stable_dt",
     "diffusion_solver",
     "evolve",
+    "sweep_ladder",
     "homogenize_sweep",
-    "residual_probe",
     "save_sweep",
-    "save_probe",
 ]
 
 # hyperbolic CFL bound of the explicit stage; stable_dt steps right at it
@@ -144,17 +138,8 @@ def cfl_gradient_range(G, beta: float, theta: float) -> tuple[float, float]:
     return G.branch_inverse(1, top), G.branch_inverse(1, g - beta)
 
 
-def cfl_number(scheme: SchemeConfig, kappa_grad: float) -> float:
-    """Hyperbolic CFL number ``dt kappa / dx`` of the explicit flux stage.
-
-    ``kappa_grad`` is a Lipschitz constant of G on the slope range of
-    the run.  Diffusion is implicit and adds no term.
-    """
-    return scheme.dt * kappa_grad / scheme.dx
-
-
 def stable_dt(G, beta: float, theta: float, dx: float) -> float:
-    """Largest dt with ``cfl_number <= _CFL_MAX``: ``_CFL_MAX dx / kappa``.
+    """Largest dt with ``dt kappa / dx <= _CFL_MAX``: ``_CFL_MAX dx / kappa``.
 
     kappa is the Lipschitz constant of G on ``cfl_gradient_range``.  The
     bound reads nothing of the medium: a(x) enters only the implicit
@@ -332,7 +317,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     a, v = sample_many(env, xs)
     p_lo, p_hi = cfl_gradient_range(G, beta, scheme.theta)
     kappa = G.lipschitz_on((p_lo, p_hi))
-    cfl = cfl_number(scheme, kappa)
+    cfl = dt * kappa / dx  # of the explicit stage; diffusion adds no term
     if cfl > _CFL_MAX + 1e-12:
         raise StabilityError(
             f"CFL number {cfl:.3f} exceeds the hyperbolic bound "
@@ -703,6 +688,28 @@ def _march(env, args):
             bound, max(cfl_seen), (m_up, m_dn))
 
 
+def sweep_ladder(window, epsilons, scheme: SchemeConfig):
+    """The distinct epsilons of a sweep, decreasing, and the base domain
+    half-width in nodes, ``ceil(M / (eps dx))``, of each.  ``ConfigError``
+    on an empty ladder or an epsilon outside (0, 1); ``WindowError`` when
+    the medium's ``window`` cannot cover the doubled domain at the least
+    epsilon, so a caller can check a sweep before computing anything."""
+    eps_arr = np.asarray(sorted(set(float(e) for e in epsilons),
+                                reverse=True), dtype=np.float64)
+    if eps_arr.size == 0:
+        raise ConfigError("need at least one epsilon")
+    if np.any(eps_arr <= 0.0) or np.any(eps_arr >= 1.0):
+        raise ConfigError("epsilons must lie in (0, 1)")
+    halves = [math.ceil(scheme.M / (eps * scheme.dx) - 1e-9)
+              for eps in eps_arr]
+    m_widest = 2.0 * halves[-1] * scheme.dx
+    if window[0] > -m_widest - scheme.dx or window[1] < m_widest + scheme.dx:
+        raise WindowError(
+            f"environment window {window} cannot cover the doubled "
+            f"domain [-{m_widest:g}, {m_widest:g}] at eps = {eps_arr[-1]:g}")
+    return eps_arr, halves
+
+
 def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
                      epsilons, scheme: SchemeConfig, reference: float, *,
                      workers: int = 1) -> SweepResult:
@@ -724,23 +731,7 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     """
     beta = float(beta)
     theta = float(theta)
-    eps_arr = np.asarray(sorted(set(float(e) for e in epsilons),
-                                reverse=True), dtype=np.float64)
-    if eps_arr.size == 0:
-        raise ConfigError("need at least one epsilon")
-    if np.any(eps_arr <= 0.0) or np.any(eps_arr >= 1.0):
-        raise ConfigError("epsilons must lie in (0, 1)")
-
-    # base half-width in nodes per eps; the window must cover the widest
-    halves = [math.ceil(scheme.M / (eps * scheme.dx) - 1e-9)
-              for eps in eps_arr]
-    eps_min = float(eps_arr[-1])
-    m_widest = 2.0 * halves[-1] * scheme.dx
-    if env.window[0] > -m_widest - scheme.dx or \
-            env.window[1] < m_widest + scheme.dx:
-        raise WindowError(
-            f"environment window {env.window} cannot cover the doubled "
-            f"domain [-{m_widest:g}, {m_widest:g}] at eps = {eps_min:g}")
+    eps_arr, halves = sweep_ladder(env.window, epsilons, scheme)
 
     # half-width in nodes -> its stops, increasing since eps decreases
     stops = {}
@@ -764,96 +755,11 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
                        grad_range_seen=(min(lo for lo, _ in seen),
                                         max(hi for _, hi in seen)),
                        node_steps=sum(node_steps), trim_bound=max(bounds),
-                       cfl=cfl_number(scheme, G.lipschitz_on(
-                           cfl_gradient_range(G, beta, theta))),
+                       cfl=scheme.dt * G.lipschitz_on(cfl_gradient_range(
+                           G, beta, theta)) / scheme.dx,
                        cfl_seen=max(cfl_seen),
                        trim_margins=(max(m_up), max(
                            (m for m in m_dn if m is not None), default=None)))
-
-
-# ============================================================
-# Sub/supersolution residual probes
-# ============================================================
-
-def _psi_prime(x):
-    return (2.0 / math.pi) * np.arctan(x)
-
-
-def _psi_second(x):
-    return (2.0 / math.pi) / (1.0 + x * x)
-
-
-@dataclass(frozen=True)
-class SignReport:
-    """One-sided residual check of a drifted profile."""
-
-    kind: str
-    drift: float
-    min_residual: float
-    max_residual: float
-    tol: float
-    passed: bool
-    kappa: float | None = None
-
-
-def residual_probe(env: EnvRealization, G, beta: float, profile,
-                   delta: float, kind: str, tol: float | None = None,
-                   strict: bool = True) -> SignReport:
-    """Check the sign of the smooth residual of a drifted profile.
-
-    For a corrector profile F at level lam, the candidate is
-    ``t (lam -/+ (kappa+1) delta) + F(x) -/+ delta psi(x)`` with
-    psi'(x) = (2/pi) arctan(x) -- sub drifts down, super drifts up, and
-    kappa is a Lipschitz constant of G on the padded slope bracket.
-    For a glued flat-piece profile the candidate is undecorated:
-    ``t (beta - 3 delta) + F(x)`` (sub) or ``t (beta + 4 delta) + F(x)``
-    (super).  The residual a F'' + G(F') + beta V - drift is evaluated
-    with three-point differences for F'' on the actual node spacing (a
-    corrector profile may end in a short tail step) and analytic psi
-    derivatives; sub requires min >= -tol, super requires max <= tol.
-    The default tol is ten body steps.
-    """
-    if kind not in ("sub", "super"):
-        raise ValueError(f"kind must be 'sub' or 'super', got {kind!r}")
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    beta = float(beta)
-    if not isinstance(profile, (GluedProfile, CorrectorProfile)):
-        raise ValueError(
-            f"profile must be a corrector or glued profile, got "
-            f"{type(profile).__name__}")
-    grid = profile.grid
-    f = profile.f_vals
-    if tol is None:
-        tol = 10.0 * (profile.dx if isinstance(profile, CorrectorProfile)
-                      else float(grid[1] - grid[0]))
-    a, v = sample_many(env, grid)
-    fd = np.gradient(f, grid)[1:-1]
-    xi, ai, vi, fi = grid[1:-1], a[1:-1], v[1:-1], f[1:-1]
-
-    if isinstance(profile, GluedProfile):
-        kappa = None
-        drift = beta - 3.0 * delta if kind == "sub" else beta + 4.0 * delta
-        r = ai * fd + G(fi) + beta * vi - drift
-    else:
-        p_lo, p_hi = bracket(G, profile.branch, profile.lam, profile.beta)
-        kappa = float(G.lipschitz_on((p_lo - 1.0, p_hi + 1.0)))
-        c = -delta if kind == "sub" else delta
-        drift = profile.lam + (kappa + 1.0) * c
-        r = (ai * (fd + c * _psi_second(xi))
-             + G(fi + c * _psi_prime(xi)) + beta * vi - drift)
-
-    r_min, r_max = float(r.min()), float(r.max())
-    passed = r_min >= -tol if kind == "sub" else r_max <= tol
-    report = SignReport(kind=kind, drift=float(drift), min_residual=r_min,
-                        max_residual=r_max, tol=float(tol), passed=passed,
-                        kappa=kappa)
-    if strict and not passed:
-        raise SignError(
-            f"{kind} check failed: residual range [{r_min:.4g}, {r_max:.4g}] "
-            f"vs tolerance {tol:.3g} at drift {drift:.6g}")
-    return report
 
 
 # ============================================================
@@ -868,9 +774,3 @@ def save_sweep(result: SweepResult, path: str) -> None:
                for eps, val, ds in zip(result.epsilons, result.values,
                                        result.domain_sensitivity)))
 
-
-def save_probe(reports, path: str) -> None:
-    """Write `kind,min_residual,max_residual,pass`, one row per report."""
-    write_csv(path, ("kind", "min_residual", "max_residual", "pass"),
-              ((rep.kind, rep.min_residual, rep.max_residual, rep.passed)
-               for rep in reports))

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hjlab.corrector import (
-    build_glued_profile,
-    burn_in_length,
-    corrector_profile,
-    estimate_theta,
-)
+from hjlab.corrector import burn_in_length, corrector_profile, estimate_theta
 from hjlab.effective import effective_reference, kappa_tilde
 from hjlab.environment import (
     check_singular_hill,
@@ -35,9 +30,9 @@ from hjlab.pde import (
     SchemeConfig,
     evolve,
     homogenize_sweep,
-    residual_probe,
     stable_dt,
 )
+from hjlab.probe import build_glued_profile, residual_probe
 from oracles import (inverse_modulus, profile_antiderivative, scheme_update,
                      shoot)
 

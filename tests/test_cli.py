@@ -622,6 +622,21 @@ def test_non_monotone_step_exits_1(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_homogenize_window_too_small_exits_before_the_reference(
+        tmp_path, monkeypatch, capsys):
+    # the doubled domain at eps = 1/8 is [-16, 16]: a window of +-10 cannot
+    # hold it, and that is found before any corrector work
+    def no_reference(*args, **kwargs):
+        pytest.fail("the reference was computed for a sweep that cannot run")
+
+    monkeypatch.setattr(hjlab.cli, "_reference", no_reference)
+    cfg = _write(tmp_path, HOMOG_IID.replace("window = -960 960",
+                                             "window = -10 10"))
+    assert main(["homogenize", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "cannot cover the doubled domain" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_homogenize_requires_growth_certificate(tmp_path):
     text = "\n".join(ln for ln in HOMOG_IID.splitlines()
                      if not ln.startswith("growth_"))

@@ -13,12 +13,10 @@ from hjlab.corrector import (
     _rk4_tangent,
     _stages,
     _student_t975,
-    build_glued_profile,
     burn_in_length,
     choose_dx,
     corrector_profile,
     estimate_theta,
-    find_low_slope_points,
     residual_series,
     save_profile,
 )
@@ -27,6 +25,7 @@ from hjlab.errors import (BracketExitError, CertificateError, GlueError,
                           WindowError)
 from hjlab.hamiltonian import (AsymPowerG, PowerG, TabulatedG, bracket,
                                monotonicity_modulus)
+from hjlab.probe import build_glued_profile, find_low_slope_points
 from oracles import Reflected, cell_average, shoot
 
 G = PowerG(2.0)

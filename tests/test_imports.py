@@ -11,7 +11,10 @@ namespace.  Every output file is a table written by
 one CSV convention holds as long as nothing else writes.  ``pde`` is the
 finite-difference oracle for the effective Hamiltonian that ``effective``
 computes, so it takes that prediction as an input and shares no code
-with it.
+with it, nor with the shooting layer ``corrector`` that ``effective``
+rests on: it imports only ``environment`` and ``errors``.  ``corrector``
+is the shooting layer alone, and the sub/supersolution probes built on it
+live in ``probe``, which only the command line runs.
 """
 
 import ast
@@ -86,6 +89,26 @@ def test_pde_imports_nothing_from_effective():
     pde = SRC / "pde.py"
     assert "effective" not in _package_imports(
         ast.parse(pde.read_text(), filename=str(pde)))
+
+
+def _imports_of(module: str) -> set[str]:
+    path = SRC / f"{module}.py"
+    return _package_imports(ast.parse(path.read_text(), filename=str(path)))
+
+
+def test_pde_imports_only_environment_and_errors():
+    assert _imports_of("pde") == {"environment", "errors"}
+
+
+def test_corrector_imports_no_solver_inversion_or_probe():
+    assert _imports_of("corrector") & {"pde", "effective", "probe"} == set()
+
+
+def test_only_cli_imports_probe():
+    # __init__ re-exports the probe names as the package namespace
+    importers = [path.stem for path in sorted(SRC.glob("*.py"))
+                 if "probe" in _imports_of(path.stem)]
+    assert importers == ["__init__", "cli"]
 
 
 # the two functions that write files: every table goes through write_csv,

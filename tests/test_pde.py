@@ -20,8 +20,7 @@ import scipy.linalg.lapack
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 import hjlab
-from hjlab.corrector import (GluedProfile, build_glued_profile,
-                             corrector_profile, estimate_theta)
+from hjlab.corrector import corrector_profile, estimate_theta
 from hjlab.environment import HillWitness, generate_env, sample_many
 from hjlab.errors import ConfigError, SignError, StabilityError, WindowError
 from hjlab.hamiltonian import PowerG
@@ -35,11 +34,11 @@ from hjlab.pde import (
     evolve,
     godunov_flux,
     homogenize_sweep,
-    residual_probe,
-    save_probe,
     save_sweep,
     stable_dt,
 )
+from hjlab.probe import (GluedProfile, build_glued_profile, residual_probe,
+                         save_probe)
 from oracles import (profile_antiderivative, scheme_update, walk_tail,
                      window_walk)
 
