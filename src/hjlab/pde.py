@@ -8,6 +8,13 @@ of the diffusion is implicit.  Each step is
     w = u + h (godunov_flux(G, D-u, D+u) + beta V)
     (I - h diag(a) D2) u_new = w + boundary term
 
+with the flux ``max(G(min(D-u, 0)), G(max(D+u, 0)))``.  On a step whose
+slopes all have one sign (lo >= 0 or hi <= 0 below, the range the step
+certificate reads anyway) one of its terms is the constant G(0), so the
+step evaluates ``max(G(0), G(D+u))`` or ``max(G(D-u), G(0))``: one G
+call in place of two, bit for bit the same flux.  The G(0) floor stays,
+since a tabulated G may have its minimum off p = 0.
+
 The implicit stage is monotone at every step size, because
 ``I - h diag(a) D2`` is an M-matrix and its inverse is entrywise
 nonnegative, so diffusion puts no limit on dt.  The explicit stage is
@@ -169,17 +176,32 @@ def _steps_to(T: float, dt: float) -> tuple[int, float]:
 # Upwind flux
 # ============================================================
 
-def godunov_flux(G, p_minus, p_plus, out=None):
+def godunov_flux(G, p_minus, p_plus, out=None, *, p_range=None, g0=None):
     """Upwind flux for u_t = G(u_x), G quasiconvex with minimum at 0.
 
     max(G1(min(p-, 0)), G2(max(p+, 0))): each side contributes only the
     slope pointing into its characteristic direction, so the assembled
     scheme is nondecreasing in both neighbor values.  ``out`` is an
     optional array buffer for the result.
+
+    ``p_range = (lo, hi)``, bounds on every slope of both arguments, lets
+    a one-signed step evaluate G once: when ``lo >= 0`` each
+    ``min(p-, 0)`` is a zero (G(-0.0) is G(0.0) for every family) and the
+    flux is ``max(G(0), G(p+))``, and
+    when ``hi <= 0`` it is ``max(G(p-), G(0))``, the two-sided value bit
+    for bit (the max keeps its argument order).  The G(0) floor stays:
+    a tabulated G may have its minimum off p = 0, where G(p) < G(0) for
+    small p of one sign.  ``g0`` is G(0) when the caller holds it.
     """
-    down = G(np.minimum(p_minus, 0.0))
-    up = G(np.maximum(p_plus, 0.0))
-    out = np.maximum(down, up, out=out)
+    lo, hi = (math.nan, math.nan) if p_range is None else p_range
+    if lo >= 0.0 or hi <= 0.0:
+        g0 = G(0.0) if g0 is None else g0
+        out = (np.maximum(g0, G(p_plus), out=out) if lo >= 0.0
+               else np.maximum(G(p_minus), g0, out=out))
+    else:
+        down = G(np.minimum(p_minus, 0.0))
+        up = G(np.maximum(p_plus, 0.0))
+        out = np.maximum(down, up, out=out)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -325,7 +347,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
             f"below {stable_dt(G, beta, scheme.theta, dx):.3e}")
 
     u = np.asarray(initial_data(xs) if callable(initial_data)
-                   else initial_data, dtype=np.float64).copy()
+                   else initial_data, dtype=np.float64)
     if u.shape != xs.shape:
         raise ConfigError(
             f"initial data has {u.shape[0] if u.ndim else 0} values for "
@@ -337,26 +359,30 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
 
     src = beta * v
     theta_dx = scheme.theta * dx
+    g0 = G(0.0)
     # one factorization per distinct step size, with its boundary terms
     implicit = {h: (diffusion_solver(a, h, dx), h * a[0] * scheme.theta / dx,
                     h * a[-1] * scheme.theta / dx)
                 for h in {dt, dt_tail} if h > 0.0}
     seen_lo, seen_hi = np.inf, -np.inf
 
+    # u lives between the two ghosts of ue, so a step writes only those
     ue = np.empty(n + 3, dtype=np.float64)
+    ue[1:-1] = u
+    u = ue[1:-1]
     d = np.empty(n + 2, dtype=np.float64)
     flux = np.empty(n + 1, dtype=np.float64)
+    ue_hi, ue_lo, d_minus, d_plus = ue[1:], ue[:-1], d[:-1], d[1:]
     t, step = 0.0, 0
     total = n_steps + (1 if dt_tail > 0.0 else 0)
     while step < total:
         h = dt if step < n_steps else dt_tail
         solve, bc_lo, bc_hi = implicit[h]
-        ue[1:-1] = u
-        ue[0], ue[-1] = u[0] - theta_dx, u[-1] + theta_dx
+        ue[0], ue[-1] = ue[1] - theta_dx, ue[-2] + theta_dx
         # d[i] is D-u at node i and D+u at node i - 1
-        np.subtract(ue[1:], ue[:-1], out=d)
+        np.subtract(ue_hi, ue_lo, out=d)
         d /= dx
-        lo, hi = float(d.min()), float(d.max())
+        lo, hi = float(np.minimum.reduce(d)), float(np.maximum.reduce(d))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             break  # a NaN or inf in u reaches both reductions
         seen_lo, seen_hi = min(seen_lo, lo), max(seen_hi, hi)
@@ -370,8 +396,8 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
                     f"[{p_lo:.4g}, {p_hi:.4g}] and give dt Lip(G) / dx = "
                     f"{h * kappa_step / dx:.3f} > 1; dt <= "
                     f"{dx / kappa_step:.3e} would have been monotone")
-        # explicit stage, written into u (ue keeps the old values)
-        godunov_flux(G, d[:-1], d[1:], out=flux)
+        # explicit stage, written into u (the flux reads d only)
+        godunov_flux(G, d_minus, d_plus, out=flux, p_range=(lo, hi), g0=g0)
         flux += src
         flux *= h
         u += flux

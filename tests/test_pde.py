@@ -17,13 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 import hjlab
 from hjlab.corrector import corrector_profile, estimate_theta
 from hjlab.environment import HillWitness, generate_env, sample_many
 from hjlab.errors import ConfigError, SignError, StabilityError, WindowError
-from hjlab.hamiltonian import PowerG
+from hjlab.hamiltonian import AsymPowerG, LogQuasiconvexG, PowerG, TabulatedG
 from hjlab.pde import (
     SchemeConfig,
     _lapack_pt,
@@ -82,6 +84,50 @@ def test_godunov_upwinding():
     assert godunov_flux(G, -3.0, 2.0) == 9.0
     assert godunov_flux(G, np.array([-1.0, 1.0]),
                         np.array([2.0, -1.0])).tolist() == [4.0, 0.0]
+
+
+# minimum at p = 0.4, not 0: G(p) < G(0) for p in (0, 0.4)
+TAB_OFF_ZERO = TabulatedG(np.array([-3.0, -1.5, -0.5, 0.4, 1.5, 3.0]),
+                          np.array([4.0, 2.0, 0.6, 0.0, 1.2, 4.0]))
+FLUX_FAMILIES = (PowerG(2.0), PowerG(1.5), AsymPowerG(1.5, 3.0),
+                 LogQuasiconvexG(), TAB_OFF_ZERO)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_sided_flux_is_the_two_sided_flux(data):
+    # on slopes of one sign, zeros of both signs included, the flux evolve
+    # runs (one G evaluation, from p_range) is the two-sided flux bit for
+    # bit, on arrays and on scalars
+    G_ = data.draw(st.sampled_from(FLUX_FAMILIES), label="G")
+    sign = data.draw(st.sampled_from((1.0, -1.0)), label="sign")
+    slope = st.one_of(st.sampled_from((0.0, -0.0)),
+                      st.floats(0.0, 0.5), st.floats(0.0, 10.0)).map(
+                          lambda p: sign * p)
+    if data.draw(st.booleans(), label="scalar"):
+        p_minus, p_plus = data.draw(slope), data.draw(slope)
+    else:
+        size = data.draw(st.integers(1, 12), label="size")
+        p_minus, p_plus = (np.array(data.draw(st.lists(
+            slope, min_size=size, max_size=size))) for _ in range(2))
+    both = np.append(p_minus, p_plus)
+    p_range = (float(both.min()), float(both.max()))
+    g0 = data.draw(st.sampled_from((None, G_(0.0))), label="g0")
+    one = godunov_flux(G_, p_minus, p_plus, p_range=p_range, g0=g0)
+    two = godunov_flux(G_, p_minus, p_plus)
+    assert np.asarray(one).tobytes() == np.asarray(two).tobytes()
+    assert type(one) is type(two)
+
+
+def test_one_sided_flux_keeps_the_g0_floor():
+    # slopes in (0, 0.4), where the tabulated G lies below G(0): the
+    # two-sided flux is G(0) there, which a one-sided G(p+) would miss
+    p = np.array([0.05, 0.2, 0.35])
+    two = godunov_flux(TAB_OFF_ZERO, p, p)
+    assert np.all(TAB_OFF_ZERO(p) < two) and np.all(two == TAB_OFF_ZERO(0.0))
+    out = np.empty(3)
+    one = godunov_flux(TAB_OFF_ZERO, p, p, out=out, p_range=(0.05, 0.35))
+    assert one is out and one.tobytes() == two.tobytes()
 
 
 def test_scheme_monotone_exhaustive_lattice():
@@ -214,13 +260,18 @@ def test_evolve_one_step_jacobian_sign(env_periodic):
     # preserving: raising any input node lowers no output node, end nodes
     # included.  u0 = -x has upwind slopes at both ends, where a ghost
     # that copied the end slope into the flux once lowered an end value.
-    # dt is monotone on the data's slopes, [-1, 1.6] and the bump's 0.01
-    dx, theta = 0.1, 1.0
+    # The three cases take the flux's three paths: every slope >= 0, both
+    # signs (-x against theta = 1 ghosts) and every slope <= 0.
+    # dt is monotone on the data's slopes, [-1.6, 1.6] and the bump's 0.01
+    dx = 0.1
     dt = 0.9 * dx / G.lipschitz_on((-1.0, 1.61))
-    scheme = SchemeConfig(dx=dx, dt=dt, M=2.0, T=dt, theta=theta)
     xs = -2.0 + dx * np.arange(41)
-    for u0 in (theta * xs + 0.3 * np.sin(2.0 * xs), -xs):
+    for theta, u0 in ((1.0, xs + 0.3 * np.sin(2.0 * xs)), (1.0, -xs),
+                      (-1.0, -xs + 0.3 * np.sin(2.0 * xs))):
+        scheme = SchemeConfig(dx=dx, dt=dt, M=2.0, T=dt, theta=theta)
         base = evolve(env_periodic, G, BETA, u0, scheme)
+        if theta < 0.0:
+            assert base.grad_range_seen[1] < 0.0
         assert base.steps == 1
         for j in range(xs.size):
             bumped = u0.copy()
@@ -384,11 +435,9 @@ def test_evolve_origin_lays_a_slice_of_the_centred_grid(env_periodic):
             evolve(env_periodic, G, BETA, lambda x: x, window, origin=origin)
 
 
-@pytest.mark.parametrize("steps", [10, 3])
-def test_evolve_raises_on_midrun_nonfinite(env_periodic, steps):
-    # G runs on two grid arrays per step; a NaN in the third step's flux
-    # is caught by the fourth step's slope range (steps = 10) or, when the
-    # third step is the last, by the final check (steps = 3)
+def _nan_on_grid_call(k):
+    """G, which puts a NaN at node 5 of its k-th call on a grid array,
+    and the list of those calls."""
     grid_calls = []
 
     def G_nan(p):
@@ -397,15 +446,38 @@ def test_evolve_raises_on_midrun_nonfinite(env_periodic, steps):
             return out
         grid_calls.append(1)
         return np.where(np.arange(out.size) == 5, np.nan, out) \
-            if len(grid_calls) == 6 else out
+            if len(grid_calls) == k else out
 
     G_nan.lipschitz_on = G.lipschitz_on
     G_nan.branch_inverse = G.branch_inverse
+    return G_nan, grid_calls
+
+
+@pytest.mark.parametrize("steps", [10, 3])
+def test_evolve_raises_on_midrun_nonfinite(env_periodic, steps):
+    # G runs on two grid arrays per step where the slopes change sign (-x
+    # against the theta = 1 ghosts); a NaN in the third step's flux is
+    # caught by the fourth step's slope range (steps = 10) or, when the
+    # third step is the last, by the final check (steps = 3)
+    G_nan, grid_calls = _nan_on_grid_call(6)
+    dt = stable_dt(G, BETA, 1.0, 0.1)
+    scheme = SchemeConfig(dx=0.1, dt=dt, M=5.0, T=steps * dt, theta=1.0)
+    with pytest.raises(StabilityError, match="non-finite"):
+        evolve(env_periodic, G_nan, BETA, lambda x: -x, scheme)
+    assert len(grid_calls) == 6
+
+
+@pytest.mark.parametrize("steps", [10, 3])
+def test_evolve_raises_on_midrun_nonfinite_one_signed(env_periodic, steps):
+    # on slopes of one sign (u0 = x) G runs on one grid array per step: a
+    # NaN in the third step's single call is caught at step 4 or by the
+    # final check
+    G_nan, grid_calls = _nan_on_grid_call(3)
     dt = stable_dt(G, BETA, 1.0, 0.1)
     scheme = SchemeConfig(dx=0.1, dt=dt, M=5.0, T=steps * dt, theta=1.0)
     with pytest.raises(StabilityError, match="non-finite"):
         evolve(env_periodic, G_nan, BETA, lambda x: x, scheme)
-    assert len(grid_calls) == 6
+    assert len(grid_calls) == 3
 
 
 def test_non_monotone_step_raises(env_periodic):
@@ -685,6 +757,36 @@ def test_trimmed_sweep_same_at_two_workers(env_trim):
             one.grad_excursion) == (two.steps, two.node_steps,
                                     two.trim_bound, two.grad_range_seen,
                                     two.grad_excursion)
+
+
+@pytest.mark.parametrize("G_, theta", [(G, 1.7), (G, -1.7),
+                                       (AsymPowerG(1.5, 3.0), 1.4)],
+                         ids=["power-1.7", "power--1.7", "asym-1.4"])
+def test_one_sided_sweep_is_the_two_sided_sweep(monkeypatch, G_, theta):
+    # off the flat piece every step has slopes of one sign and evaluates G
+    # once; the same sweep with every step two-sided is the same bit for bit
+    env = generate_env("iid-interp", 4, (-140.0, 140.0), 0.01)
+    scheme = SchemeConfig(dx=0.1, dt=stable_dt(G_, BETA, theta, 0.1),
+                          M=16.0, T=1.0, theta=theta)
+    two_sided, one_signed = hjlab.pde.godunov_flux, []
+
+    def flux(G, p_minus, p_plus, out=None, *, p_range, g0):
+        one_signed.append(p_range[0] >= 0.0 or p_range[1] <= 0.0)
+        return two_sided(G, p_minus, p_plus, out=out)
+
+    res = homogenize_sweep(env, G_, BETA, theta, (0.5, 0.25), scheme,
+                           reference=1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr("hjlab.pde.godunov_flux", flux)
+        ref = homogenize_sweep(env, G_, BETA, theta, (0.5, 0.25), scheme,
+                               reference=1.0)
+    assert len(one_signed) == res.steps and all(one_signed)
+    assert res.values.tobytes() == ref.values.tobytes()
+    assert (res.domain_sensitivity.tobytes()
+            == ref.domain_sensitivity.tobytes())
+    assert (res.grad_range_seen, res.cfl_seen, res.trim_bound,
+            res.node_steps) == (ref.grad_range_seen, ref.cfl_seen,
+                                ref.trim_bound, ref.node_steps)
 
 
 def test_trim_bound_covers_a_march_that_leaves_the_range(monkeypatch):
