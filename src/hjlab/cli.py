@@ -20,7 +20,6 @@ from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .corrector import (choose_dx, corrector_profile, estimate_theta,
@@ -531,7 +530,9 @@ def _sidecar(cfg: RunConfig, args, outputs: list[Path], wall: float) -> Path:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            # None when the run never loaded scipy; the diffusion solve
+            # and the gauss-squash medium load it
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
             "hjlab": __version__,
         },
         "wall_time_s": wall,

@@ -119,9 +119,10 @@ def _gen_iid_interp(seed: int, xs: np.ndarray, dx: float, a0=1.0,
     t = xs - ph
     m = np.floor(t).astype(np.int64)
     w = t - m
-    v0 = _lattice_uniform(seed, m, _STREAM_V)
-    v1 = _lattice_uniform(seed, m + 1, _STREAM_V)
-    v = (1.0 - w) * v0 + w * v1
+    # each lattice mark hashed once (xs ascending), then read at m and m + 1
+    marks = _lattice_uniform(seed, np.arange(m[0], m[-1] + 2), _STREAM_V)
+    i = m - m[0]
+    v = (1.0 - w) * marks[i] + w * marks[i + 1]
     a = np.full_like(xs, a0)
     return a, v
 
@@ -150,14 +151,15 @@ def _gauss_field(seed: int, stream: int, phase_stream: int, ell: float,
     m_hi = int(math.ceil((xs[-1] - ph + ell) / h0))
     z = np.zeros_like(xs)
     x0, dx = xs[0], xs[1] - xs[0] if xs.size > 1 else 1.0
+    # every lattice normal in one draw
+    normals = _lattice_normal(seed, np.arange(m_lo, m_hi + 1), stream)
     for m in range(m_lo, m_hi + 1):
         center = m * h0 + ph
         i0 = max(0, int(math.ceil((center - ell - x0) / dx)))
         i1 = min(xs.size, int(math.floor((center + ell - x0) / dx)) + 1)
         if i0 >= i1:
             continue
-        xi = _lattice_normal(seed, np.array([m]), stream)[0]
-        z[i0:i1] += xi * _bump((xs[i0:i1] - center) / ell)
+        z[i0:i1] += normals[m - m_lo] * _bump((xs[i0:i1] - center) / ell)
     return z
 
 
@@ -195,7 +197,9 @@ def _gen_coupled_singular(seed: int, xs: np.ndarray, dx: float,
     ph = _phase(seed, _STREAM_CS_PHASE) if phase is None else float(phase)
     m = np.round(xs - ph).astype(np.int64)
     u = (xs - ph - m) / width
-    d = _lattice_uniform(seed, m, _STREAM_DEPTH) ** dpow
+    # each lattice mark hashed once (xs ascending), then read at m
+    marks = _lattice_uniform(seed, np.arange(m[0], m[-1] + 1), _STREAM_DEPTH)
+    d = marks[m - m[0]] ** dpow
     b = _bump(u)
     a = 1.0 - (1.0 - d) * b
     v = (1.0 - d) * b

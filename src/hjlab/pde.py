@@ -36,8 +36,15 @@ what makes the scheme converge to the viscosity solution, so everything
 here favours plainness over order: first order in time, no limiters.
 
 Also holds the epsilon-sweep driver that empirically verifies the
-homogenized limit.  The sweep chains ``evolve`` calls to
-march each distinct domain once and reads u(T, 0) at every stop.  Since
+homogenized limit.  The sweep marches each distinct domain once and
+reads u(T, 0) at every stop.  The domains march in lockstep: ``evolve``
+lays each domain's current window as one block of a stacked grid, each
+block closed by its own ghost slots, so one pass of the explicit stage
+and one block-diagonal ``dpttrs`` step all of them, and each block
+comes out bit for bit as a run on it alone.  The grid is laid again
+only where some domain changes its window or reaches a stop, so the
+sweep pays the fixed cost of a step (a dozen numpy and LAPACK calls)
+once per step rather than once per domain and step.  Since
 the scheme is monotone, what a node far from x = 0 does reaches x = 0
 only through tails the scheme's spread bounds, so each march drops the
 nodes beyond derived margins (``_trim_margin``).  Upwind, the margin
@@ -213,12 +220,16 @@ def godunov_flux(G, p_minus, p_plus, out=None, *, p_range=None, g0=None):
 class EvolveResult:
     """Final slice of one run plus bookkeeping.
 
-    ``cfl`` is the a-priori CFL number, on ``cfl_gradient_range``.
-    ``grad_range_seen`` is the observed (min D-, max D+) over all steps;
-    ``grad_excursion`` flags any escape from the a-priori range (the run
-    still completes: each such step was checked monotone on its own
-    slopes).  ``cfl_seen = dt Lip(G on grad_range_seen) / dx`` is the
-    largest CFL number any step really had, at most 1.
+    ``xs`` and ``u`` hold the grid nodes of every window, one after the
+    other, and no ghost; ``steps`` counts the steps of the run, each of
+    which steps every window.  ``cfl`` is the a-priori CFL number, on
+    ``cfl_gradient_range``.  ``grad_range_seen`` is the observed
+    (min D-, max D+) over all steps and windows, and ``block_ranges``
+    the same per window; ``grad_excursion`` flags any escape from the
+    a-priori range (the run still completes: each such step was checked
+    monotone on its own slopes).  ``cfl_seen = dt Lip(G on
+    grad_range_seen) / dx`` is the largest CFL number any step really
+    had, at most 1.
     """
 
     xs: np.ndarray
@@ -229,6 +240,7 @@ class EvolveResult:
     grad_range_seen: tuple[float, float]
     grad_excursion: bool
     cfl_seen: float
+    block_ranges: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         self.xs.setflags(write=False)
@@ -276,7 +288,7 @@ def _lapack_pt():
     return flapack.dpttrf, flapack.dpttrs
 
 
-def diffusion_solver(a, h: float, dx: float):
+def diffusion_solver(a, h: float, dx: float, ghosts=()):
     """Solver ``solve(w)`` for ``(I - h diag(a) D2) u = w`` on the run grid.
 
     D2 is the central second difference, closed by the linear ghosts
@@ -290,20 +302,35 @@ def diffusion_solver(a, h: float, dx: float):
     ``c = h / dx**2``: a symmetric positive definite matrix, factored
     once here by ``dpttrf``.  ``solve`` scales ``w`` by ``1/a`` and runs
     ``dpttrs``; it overwrites ``w`` with the solution and returns it.
+    Where every ``a`` is 1 the scaling is the identity, and is skipped.
+
+    The rows listed in ``ghosts`` (none at either end) are identity rows
+    coupled to nothing, and their neighbours are end rows: the system is
+    block diagonal, one block per stretch of grid between ghost rows, as
+    ``evolve`` lays several windows side by side.  With a zero coupling
+    ``dpttrf`` subtracts ``0 * 0`` and ``dpttrs`` a finite ``b * 0``, so
+    each block is solved to the bits of its own solver.
     """
     dpttrf, dpttrs = _lapack_pt()
     scale = 1.0 / np.asarray(a, dtype=np.float64)
     c = h / dx ** 2
     diag = scale + 2.0 * c
-    diag[[0, -1]] = scale[[0, -1]] + c
-    diag, off, info = dpttrf(diag, np.full(scale.size - 1, -c))
+    off = np.full(scale.size - 1, -c)
+    ghosts = np.asarray(ghosts, dtype=np.intp)
+    ends = np.concatenate(([0, scale.size - 1], ghosts - 1, ghosts + 1))
+    diag[ends] = scale[ends] + c
+    scale[ghosts] = diag[ghosts] = 1.0
+    off[ghosts - 1] = off[ghosts] = 0.0
+    unit = bool(np.all(scale == 1.0))
+    diag, off, info = dpttrf(diag, off)
     if info != 0:
         raise StabilityError(
             f"diffusion matrix is not positive definite (dpttrf info {info})")
 
     def solve(w):
-        # .T scales rows when w holds several right-hand sides as columns
-        np.multiply(w.T, scale, out=w.T)
+        if not unit:
+            # .T scales rows when w holds several right-hand sides as columns
+            np.multiply(w.T, scale, out=w.T)
         x, _ = dpttrs(diag, off, w, overwrite_b=1)
         if x is not w:  # dpttrs copied a right-hand side it could not reuse
             w[...] = x
@@ -313,29 +340,42 @@ def diffusion_solver(a, h: float, dx: float):
 
 
 def evolve(env: EnvRealization, G, beta: float, initial_data,
-           scheme: SchemeConfig, *, origin: int | None = None) -> EvolveResult:
+           scheme: SchemeConfig, *, windows=None) -> EvolveResult:
     """March the monotone scheme from t = 0 to t = scheme.T.
 
-    The grid is laid by node index, ``x_i = dx (i - origin)`` for
-    i = 0..n with n = 2M/dx, so x = 0 is node ``origin`` exactly; it
-    defaults to the centre n/2, and any other origin lays an exact slice
-    of a wider centred grid (a trimmed ``homogenize`` window).
-    ``initial_data`` is a callable evaluated on the grid or an array of
+    The grid is laid by node index from x = 0: a window ``(left,
+    right)`` holds the nodes ``x = dx j`` for ``j = -left..right``, so
+    x = 0 is a node exactly and any window is an exact slice of a wider
+    centred one (a trimmed ``homogenize`` window).  The default is the
+    one centred window of half-width ``scheme.M``.  ``windows``, a
+    sequence of such pairs, marches several in lockstep, each closed by
+    its own ghosts.  They sit side by side in one array, each between
+    its two ghost slots, so a step is one pass of the explicit stage over
+    all of them and one block-diagonal solve (``diffusion_solver``, the
+    ghost slots its identity rows); the difference between two
+    neighbouring ghost slots is overwritten by a real slope before the
+    flux reads it.  Every window's nodes come out bit for bit as from a
+    run on that window alone, and a single window is the one-block case
+    of the same loop.  ``initial_data`` is a callable evaluated on the
+    grid (the windows' nodes one after the other) or an array of
     matching length.
     Ghost values extend u linearly with slope ``scheme.theta``.  Raises
     ``StabilityError`` when dt breaks the CFL bound on the a-priori range
-    ``cfl_gradient_range``, when a step whose slopes leave that range is
-    not monotone (``dt Lip(G) / dx > 1`` on the union of its slopes and
-    the range), and on non-finite values (which, with every step
-    monotone, indicate a bug rather than instability).
+    ``cfl_gradient_range``, when a step whose slopes on a window leave
+    that range is not monotone there (``dt Lip(G) / dx > 1`` on the union
+    of those slopes and the range), and on non-finite values (which, with
+    every step monotone, indicate a bug rather than instability).
     """
     beta = float(beta)
     dx, dt = scheme.dx, scheme.dt
-    n = int(round(2.0 * scheme.M / dx))
-    origin = n // 2 if origin is None else origin
-    if not 0 <= origin <= n:
-        raise ConfigError(f"origin node {origin} is not on the grid 0..{n}")
-    xs = dx * (np.arange(n + 1) - origin)
+    if windows is None:
+        half = int(round(scheme.M / dx))
+        windows = ((half, half),)
+    elif not windows or any(min(w) < 0 or sum(w) < 1 for w in windows):
+        raise ConfigError(f"windows {windows} need (left, right) node "
+                          "counts of at least 0 and two nodes each")
+    xs = dx * np.concatenate([np.arange(-left, right + 1)
+                              for left, right in windows])
     a, v = sample_many(env, xs)
     p_lo, p_hi = cfl_gradient_range(G, beta, scheme.theta)
     kappa = G.lipschitz_on((p_lo, p_hi))
@@ -357,67 +397,95 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
 
     n_steps, dt_tail = _steps_to(scheme.T, dt)
 
-    src = beta * v
-    theta_dx = scheme.theta * dx
+    # window b lies in ue[g_lo[b] + 1:g_hi[b]], between its ghost slots;
+    # u = ue[1:-1] holds the slots between windows as identity rows
+    sizes = np.array([left + right + 1 for left, right in windows])
+    g_hi = np.cumsum(sizes + 2) - 1
+    g_lo = g_hi - sizes - 1
+    ue = np.empty(g_hi[-1] + 1, dtype=np.float64)
+    nodes = np.ones(ue.size, dtype=bool)
+    nodes[g_lo] = nodes[g_hi] = False
+    ue[nodes] = u
+    u, inner = ue[1:-1], nodes[1:-1]
+    a_u, src = np.ones(u.size), np.zeros(u.size)
+    a_u[inner] = a
+    src[inner] = beta * v
+    theta = scheme.theta
+    # each ghost slot from its end node: x - y is x + (-y) bit for bit
+    slots = np.concatenate((g_lo, g_hi))
+    slot_from = np.concatenate((g_lo + 1, g_hi - 1))
+    slot_off = np.repeat((-theta * dx, theta * dx), sizes.size)
+    # the slope between two windows' slots is replaced by the one before
+    # it, the first window's high ghost slope
+    joint = g_hi[:-1]
+    joint_from = joint - 1
+    ends = np.concatenate((g_lo, g_hi - 2))  # end nodes, indexed in u
     g0 = G(0.0)
     # one factorization per distinct step size, with its boundary terms
-    implicit = {h: (diffusion_solver(a, h, dx), h * a[0] * scheme.theta / dx,
-                    h * a[-1] * scheme.theta / dx)
+    implicit = {h: (diffusion_solver(a_u, h, dx, np.flatnonzero(~inner)),
+                    np.concatenate((-(h * a_u[g_lo] * theta / dx),
+                                    h * a_u[g_hi - 2] * theta / dx)))
                 for h in {dt, dt_tail} if h > 0.0}
-    seen_lo, seen_hi = np.inf, -np.inf
+    seen_lo, seen_hi = np.full(sizes.size, np.inf), np.full(sizes.size, -np.inf)
+    lows, highs = np.empty(sizes.size), np.empty(sizes.size)
 
-    # u lives between the two ghosts of ue, so a step writes only those
-    ue = np.empty(n + 3, dtype=np.float64)
-    ue[1:-1] = u
-    u = ue[1:-1]
-    d = np.empty(n + 2, dtype=np.float64)
-    flux = np.empty(n + 1, dtype=np.float64)
+    d = np.empty(ue.size - 1, dtype=np.float64)
+    flux = np.empty(u.size, dtype=np.float64)
     ue_hi, ue_lo, d_minus, d_plus = ue[1:], ue[:-1], d[:-1], d[1:]
     t, step = 0.0, 0
     total = n_steps + (1 if dt_tail > 0.0 else 0)
     while step < total:
         h = dt if step < n_steps else dt_tail
-        solve, bc_lo, bc_hi = implicit[h]
-        ue[0], ue[-1] = ue[1] - theta_dx, ue[-2] + theta_dx
+        solve, bc = implicit[h]
+        ue[slots] = ue[slot_from] + slot_off
         # d[i] is D-u at node i and D+u at node i - 1
         np.subtract(ue_hi, ue_lo, out=d)
         d /= dx
-        lo, hi = float(np.minimum.reduce(d)), float(np.maximum.reduce(d))
+        d[joint] = d[joint_from]
+        np.minimum.reduceat(d, g_lo, out=lows)
+        np.maximum.reduceat(d, g_lo, out=highs)
+        lo, hi = float(lows.min()), float(highs.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             break  # a NaN or inf in u reaches both reductions
-        seen_lo, seen_hi = min(seen_lo, lo), max(seen_hi, hi)
+        np.minimum(seen_lo, lows, out=seen_lo)
+        np.maximum(seen_hi, highs, out=seen_hi)
         if lo < p_lo or hi > p_hi:
-            # the a-priori CFL does not cover this step: certify it itself
-            kappa_step = G.lipschitz_on((min(lo, p_lo), max(hi, p_hi)))
-            if h * kappa_step / dx > 1.0:
-                raise StabilityError(
-                    f"step {step + 1} (t = {t:.6g}) is not monotone: its "
-                    f"slopes [{lo:.4g}, {hi:.4g}] leave the a-priori range "
-                    f"[{p_lo:.4g}, {p_hi:.4g}] and give dt Lip(G) / dx = "
-                    f"{h * kappa_step / dx:.3f} > 1; dt <= "
-                    f"{dx / kappa_step:.3e} would have been monotone")
+            # the a-priori CFL does not cover this step: certify it itself,
+            # on each window's own slopes
+            for w_lo, w_hi in zip(lows.tolist(), highs.tolist()):
+                if not (w_lo < p_lo or w_hi > p_hi):
+                    continue
+                kappa_step = G.lipschitz_on((min(w_lo, p_lo), max(w_hi, p_hi)))
+                if h * kappa_step / dx > 1.0:
+                    raise StabilityError(
+                        f"step {step + 1} (t = {t:.6g}) is not monotone: its "
+                        f"slopes [{w_lo:.4g}, {w_hi:.4g}] leave the a-priori "
+                        f"range [{p_lo:.4g}, {p_hi:.4g}] and give dt Lip(G) "
+                        f"/ dx = {h * kappa_step / dx:.3f} > 1; dt <= "
+                        f"{dx / kappa_step:.3e} would have been monotone")
         # explicit stage, written into u (the flux reads d only)
         godunov_flux(G, d_minus, d_plus, out=flux, p_range=(lo, hi), g0=g0)
         flux += src
         flux *= h
         u += flux
-        u[0] -= bc_lo
-        u[-1] += bc_hi
+        u[ends] += bc
         # implicit stage
         solve(u)
         t += h
         step += 1
+    u = ue[nodes]
     if step < total or not np.all(np.isfinite(u)):
         raise StabilityError(
             f"non-finite values at t = {t:.6g} despite CFL "
             f"{cfl:.3f}: this is a bug, not instability")
 
     h_max = dt if n_steps else dt_tail
+    lo, hi = float(seen_lo.min()), float(seen_hi.max())
     return EvolveResult(
-        xs=xs, u=u, t=t, steps=step, cfl=cfl,
-        grad_range_seen=(seen_lo, seen_hi),
-        grad_excursion=bool(seen_lo < p_lo or seen_hi > p_hi),
-        cfl_seen=h_max * G.lipschitz_on((seen_lo, seen_hi)) / dx)
+        xs=xs, u=u, t=t, steps=step, cfl=cfl, grad_range_seen=(lo, hi),
+        grad_excursion=bool(lo < p_lo or hi > p_hi),
+        cfl_seen=h_max * G.lipschitz_on((lo, hi)) / dx,
+        block_ranges=tuple(zip(seen_lo.tolist(), seen_hi.tolist())))
 
 
 # ============================================================
@@ -431,7 +499,9 @@ class SweepResult:
     ``values[i]`` is eps * u_theta(1/eps, 0) on the base domain;
     ``domain_sensitivity[i]`` is its change when the domain half-width
     doubles -- the honest surrogate for boundary error.  ``steps`` is
-    the number of evolve steps marched, one march per distinct domain.
+    the number of steps marched, one march per distinct domain, summed
+    over the domains: the domains march in lockstep, so ``evolve`` runs
+    fewer steps, each of which steps several domains.
     ``reference`` is the prediction the sweep was given, stored as is.
     ``cfl`` is the a-priori CFL number of the step, on
     ``cfl_gradient_range``, as in ``EvolveResult``.
@@ -439,7 +509,8 @@ class SweepResult:
     (min D-, max D+) on the windows they marched, the range
     ``grad_excursion`` tests, and ``cfl_seen`` the largest
     ``cfl_seen`` of their runs.  ``node_steps`` sums steps times window
-    nodes over the marches, and ``trim_bound`` is the largest certified
+    nodes over the marches, the sum of ``steps * xs.size`` over the
+    ``evolve`` calls, and ``trim_bound`` is the largest certified
     ``|u(T, 0) - u_fresh(T, 0)|`` of a march whose window shrank (0 when
     none did).  ``trim_margins`` is ``(m_up, m_dn)``, the largest margins
     in nodes of the upwind and downwind sides over the marches
@@ -627,91 +698,153 @@ def _trim_margin(env, G, theta: float, p_range, dx: float, dt: float,
                      * math.exp(-lam_dn * m_dn))
 
 
-def _march(env, args):
-    """March u(0, x) = theta x on [-n dx, n dx] once, to increasing stops.
+class _Lane:
+    """One domain of a lockstep march: its windows, its state, its tallies.
 
-    The whole steps of ``_steps_to(T, dt)`` advance the shared state,
-    and its tail step, if any, is stepped on a copy: the steps of
-    ``evolve(T)``, which takes them from the same rule.  Only
-    u(T, 0) is read, so the march drops the nodes that cannot reach
-    x = 0, by the margins of ``_trim_margin``: step k needs
+    The plan is ``_march``'s: ``whole`` and ``tails`` of each stop, the
+    margins and their terms, and ``windows``, the (first step, nodes left
+    of x = 0, nodes right of it) of each window.  ``u`` lives on the
+    current window, ``left`` and ``right`` nodes either side of x = 0.
+    """
+
+    def __init__(self, env, G, theta, p_range, dx, dt, n, stops):
+        self.n, self.stops = n, stops
+        self.whole, self.tails = zip(*(_steps_to(t, dt) for t in stops))
+        self.k_last = k_last = self.whole[-1] + (self.tails[-1] > 0.0)
+        self.margins, self.terms = _trim_margin(env, G, theta, p_range, dx,
+                                                dt, k_last, n)
+        m_up, m_dn = self.margins
+        # the upwind side is the right one when the slopes are all positive
+        self.up_right = up_right = p_range[0] > 0.0
+
+        def window(k):
+            up = min(n, k_last - k + m_up)
+            dn = up if m_dn is None else min(up, m_dn)
+            if (up + dn) % 2:
+                up, dn = (up + 1, dn) if up < n else (up, dn + 1)
+            return (k, dn, up) if up_right else (k, up, dn)
+
+        self.windows = [window(0)]
+        while True:
+            up = self.windows[-1][2 if up_right else 1]
+            k = k_last + m_up + 1 - math.ceil(_TRIM_SHRINK * up)
+            if k >= k_last:
+                break
+            self.windows.append(window(k))
+        self.events = {k for k, _, _ in self.windows} | set(self.whole)
+        # u(0, x) = theta x on the grid evolve lays over the whole domain
+        self.u = theta * (dx * (np.arange(2 * n + 1) - n))
+        self.left = self.right = n
+        self.at_zero, self.steps, self.node_steps = {}, 0, 0
+        self.seen, self.cfl_seen = (math.inf, -math.inf), 0.0
+        # slopes since the lane's own last event: one run of its own march
+        self.stretch = None
+
+    def record(self, steps, size, lo, hi):
+        self.steps += steps
+        self.node_steps += steps * size
+        self.seen = (min(self.seen[0], lo), max(self.seen[1], hi))
+
+
+def _march(env, args):
+    """March u(0, x) = theta x on each domain [-n dx, n dx] once, to its
+    increasing stops, every domain in lockstep.
+
+    ``args`` is ``(G, beta, theta, scheme, domains)``, each domain a pair
+    ``(n, stops)``.  The whole steps of ``_steps_to(T, dt)`` advance a
+    domain's shared state, and its tail step, if any, is stepped on a
+    copy: the steps of ``evolve(T)``, which takes them from the same
+    rule.  Only u(T, 0) is read, so the march drops the nodes that cannot
+    reach x = 0, by the margins of ``_trim_margin``: step k needs
     ``min(n, k_last - k + m_up)`` nodes on the upwind side, ``k_last``
-    counting every step to the last stop (its tail included), and the
-    least of that and ``m_dn`` on the downwind side (the upwind count
-    when the a-priori slopes can change sign, ``m_dn`` None).  The march
-    keeps one window until its upwind side needs less than
+    counting every step to the domain's last stop (its tail included),
+    and the least of that and ``m_dn`` on the downwind side (the upwind
+    count when the a-priori slopes can change sign, ``m_dn`` None).  A
+    domain keeps one window until its upwind side needs less than
     ``_TRIM_SHRINK`` of its nodes there, then goes on from the slice of
     u on the smaller window, with linear-theta ghosts at its edges; a
-    window of odd width grows one node on a side below n, so that its
-    half-width is a whole number of steps.  ``evolve`` lays its grid by
-    node index from x = 0, so each window's grid is an exact slice of
-    the domain's, and each stop is within ``bound`` of a fresh run to
-    T: the terms of the sides whose window shrank below n.  While no
-    window has shrunk, the march is the fresh run bit for bit.  When the
-    slopes leave the a-priori range, the terms are taken again at the
-    same margins over that range and the slopes seen.
-    Returns ({T: u(T, 0)}, any gradient excursion, steps marched, node
-    steps (steps times window nodes), the gradient range seen on the
-    windows, the bound, the largest ``cfl_seen`` of the runs, and the
-    margins ``(m_up, m_dn)``).
+    window of odd width grows one node on a side below n.  ``evolve``
+    lays its grids by node index from x = 0, so each window's grid is an
+    exact slice of the domain's, and each stop is within ``bound`` of a
+    fresh run to T: the terms of the sides whose window shrank below n.
+    While no window has shrunk, the march is the fresh run bit for bit.
+    When the slopes leave the a-priori range, the terms are taken again
+    at the same margins over that range and the slopes seen.
+
+    The domains step together.  Between two consecutive events of any
+    domain (a window change or a stop's last whole step) one ``evolve``
+    call steps every domain not yet past its last stop, each on its
+    current window (``windows=``); each tail step is its own call on
+    that domain's window.  ``evolve`` gives every window the bits of a
+    run on it alone, and its slopes, so each domain's values and tallies
+    are those of its own march, ``cfl_seen`` taken per run between the
+    domain's own events as that march takes it.  Returns, per domain,
+    ({T: u(T, 0)}, any gradient excursion, steps marched, node steps
+    (steps times window nodes), the gradient range seen on the windows,
+    the bound, the largest ``cfl_seen`` of the runs, and the margins
+    ``(m_up, m_dn)``).
     """
-    G, beta, theta, scheme, n, stops = args
+    G, beta, theta, scheme, domains = args
     dx, dt = scheme.dx, scheme.dt
-    whole, tails = zip(*(_steps_to(t, dt) for t in stops))
-    k_last = whole[-1] + (tails[-1] > 0.0)
     p_lo, p_hi = cfl_gradient_range(G, beta, theta)
-    (m_up, m_dn), terms = _trim_margin(env, G, theta, (p_lo, p_hi), dx, dt,
-                                       k_last, n)
-    # the upwind side is the right one when the slopes are all positive
-    up_right = p_lo > 0.0
+    lanes = [_Lane(env, G, theta, (p_lo, p_hi), dx, dt, n, stops)
+             for n, stops in domains]
 
-    def window(k):
-        """(first step k, nodes left of x = 0, nodes right of it)."""
-        up = min(n, k_last - k + m_up)
-        dn = up if m_dn is None else min(up, m_dn)
-        if (up + dn) % 2:
-            up, dn = (up + 1, dn) if up < n else (up, dn + 1)
-        return (k, dn, up) if up_right else (k, up, dn)
+    def run(lanes, steps, h):
+        """Step ``lanes`` together; ``evolve``'s result and each lane's u."""
+        r = evolve(env, G, beta, np.concatenate([ln.u for ln in lanes]),
+                   SchemeConfig(dx=dx, dt=h, M=scheme.M, T=steps * h,
+                                theta=theta),
+                   windows=[(ln.left, ln.right) for ln in lanes])
+        sizes = [ln.u.size for ln in lanes]
+        return r, np.split(r.u, np.cumsum(sizes[:-1]))
 
-    windows = [window(0)]
-    while True:
-        up = windows[-1][2 if up_right else 1]
-        k = k_last + m_up + 1 - math.ceil(_TRIM_SHRINK * up)
-        if k >= k_last:
-            break
-        windows.append(window(k))
-
-    def run(u, steps, h):
-        r = evolve(env, G, beta, u, SchemeConfig(
-            dx=dx, dt=h, M=(left + right) // 2 * dx, T=steps * h,
-            theta=theta), origin=left)
-        runs.append((r.grad_excursion, r.steps, r.steps * r.xs.size,
-                     *r.grad_range_seen, r.cfl_seen))
-        return r.u
-
-    # u(0, x) = theta x on the grid evolve lays over the whole domain
-    u, left, right = theta * (dx * (np.arange(2 * n + 1) - n)), n, n
-    runs, at_zero, k_prev = [], {}, 0
-    for k_end in sorted({k for k, _, _ in windows} | set(whole)):
+    k_prev = 0
+    for k_end in sorted(set().union(*(ln.events for ln in lanes))):
+        live = [ln for ln in lanes if k_end <= ln.whole[-1]]
         if k_end > k_prev:
-            u, k_prev = run(u, k_end - k_prev, dt), k_end
-        for k, new_left, new_right in windows:
-            if k == k_end:
-                u = u[left - new_left:left + new_right + 1]
-                left, right = new_left, new_right
-        for t_stop, k, tail in zip(stops, whole, tails):
-            if k == k_end:
-                at_zero[t_stop] = float((run(u, 1, tail) if tail else u)[left])
-    excursion, steps, node_steps, lo, hi, cfl_seen = zip(*runs)
-    lo, hi = min(lo), max(hi)
-    if any(excursion):
-        _, terms = _trim_margin(env, G, theta, (min(lo, p_lo), max(hi, p_hi)),
-                                dx, dt, k_last, n, (m_up, m_dn))
-    (term_up, term_dn), (w_up, w_dn) = terms, ((right, left) if up_right
-                                               else (left, right))
-    bound = (term_up if w_up < n else 0.0) + (term_dn if w_dn < n else 0.0)
-    return (at_zero, any(excursion), sum(steps), sum(node_steps), (lo, hi),
-            bound, max(cfl_seen), (m_up, m_dn))
+            r, us = run(live, k_end - k_prev, dt)
+            for ln, u, (lo, hi) in zip(live, us, r.block_ranges):
+                ln.u = u
+                ln.record(r.steps, u.size, lo, hi)
+                s_lo, s_hi = ln.stretch or (lo, hi)
+                ln.stretch = (min(s_lo, lo), max(s_hi, hi))
+        for ln in live:
+            if k_end not in ln.events:
+                continue
+            if ln.stretch is not None:
+                ln.cfl_seen = max(ln.cfl_seen,
+                                  dt * G.lipschitz_on(ln.stretch) / dx)
+                ln.stretch = None
+            for k, new_left, new_right in ln.windows:
+                if k == k_end:
+                    ln.u = ln.u[ln.left - new_left:ln.left + new_right + 1]
+                    ln.left, ln.right = new_left, new_right
+            for t_stop, k, tail in zip(ln.stops, ln.whole, ln.tails):
+                if k == k_end:
+                    u = ln.u
+                    if tail:
+                        r, (u,) = run([ln], 1, tail)
+                        ln.record(1, u.size, *r.grad_range_seen)
+                        ln.cfl_seen = max(ln.cfl_seen, r.cfl_seen)
+                    ln.at_zero[t_stop] = float(u[ln.left])
+        k_prev = k_end
+
+    out = []
+    for ln in lanes:
+        (lo, hi), terms, n = ln.seen, ln.terms, ln.n
+        excursion = lo < p_lo or hi > p_hi
+        if excursion:
+            _, terms = _trim_margin(env, G, theta,
+                                    (min(lo, p_lo), max(hi, p_hi)), dx, dt,
+                                    ln.k_last, n, ln.margins)
+        (term_up, term_dn), (w_up, w_dn) = terms, (
+            (ln.right, ln.left) if ln.up_right else (ln.left, ln.right))
+        bound = ((term_up if w_up < n else 0.0)
+                 + (term_dn if w_dn < n else 0.0))
+        out.append((ln.at_zero, excursion, ln.steps, ln.node_steps,
+                    (lo, hi), bound, ln.cfl_seen, ln.margins))
+    return out
 
 
 def sweep_ladder(window, epsilons, scheme: SchemeConfig):
@@ -749,9 +882,11 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     stopping at every T that reads it: on a halving ladder the doubled
     domain at eps is the base domain at eps/2.  Each march runs only on
     the nodes that can reach x = 0 before its last stop (``_march``), so
-    a value is a fresh run's to within ``trim_bound``.  ``workers > 1``
-    runs the marches in a process pool; the result does not depend on
-    it.  ``reference`` is the prediction Hbar(theta) the values are
+    a value is a fresh run's to within ``trim_bound``.  The marches step
+    in lockstep, one ``evolve`` step for all of them; ``workers > 1``
+    splits the domains into that many groups, each marched in lockstep
+    in a process pool.  The result does not depend on the grouping.
+    ``reference`` is the prediction Hbar(theta) the values are
     compared with, computed elsewhere (``effective_reference``): the
     sweep only stores it, so it shares no code with what it checks.
     """
@@ -764,11 +899,17 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     for eps, n in zip(eps_arr, halves):
         for width in (n, 2 * n):
             stops.setdefault(width, []).append(1.0 / eps)
-    marches = _pmap(_march, env, [(G, beta, theta, scheme, n, ts)
-                                  for n, ts in stops.items()], workers)
-    u0 = {(n, t): u for n, m in zip(stops, marches) for t, u in m[0].items()}
+    # one group of domains per worker, dealt round the workers in turn
+    domains = list(stops.items())
+    k = max(1, min(workers, len(domains)))
+    groups = [domains[i::k] for i in range(k)]
+    results = _pmap(_march, env, [(G, beta, theta, scheme, g)
+                                  for g in groups], k)
+    marches = {n: m for group, ms in zip(groups, results)
+               for (n, _), m in zip(group, ms)}
+    u0 = {(n, t): u for n, m in marches.items() for t, u in m[0].items()}
     (_, excursions, steps, node_steps, seen, bounds, cfl_seen,
-     margins) = zip(*marches)
+     margins) = zip(*marches.values())
     m_up, m_dn = zip(*margins)
     values = np.array([eps * u0[n, 1.0 / eps]
                        for eps, n in zip(eps_arr, halves)])

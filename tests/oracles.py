@@ -23,13 +23,18 @@ the package computes another way:
   rightward oracle for a branch-1 (leftward) run;
 * ``branch_table``, ``branch_of``, ``hbar`` and ``hbar_interval``: an
   ``EffectiveH`` read back at any slope, by linear interpolation of its
-  branch rows between the flat endpoints and the grid ends.
+  branch rows between the flat endpoints and the grid ends;
+* ``iid_interp_per_node``, ``coupled_singular_per_node`` and
+  ``gauss_field_per_mark``: the media with every lattice mark hashed
+  where it is read, once per node (per kernel for the Gaussian field),
+  against which the generators' single hash of each mark is checked.
 """
 
 import math
 
 import numpy as np
 
+from hjlab import environment
 from hjlab.corrector import CorrectorProfile, _rk4_forward
 from hjlab.hamiltonian import bracket
 from hjlab.pde import godunov_flux
@@ -277,3 +282,47 @@ def window_walk(p: float, c: float, left: int, right: int, steps: int,
         r[1:] += p * rn[:-1]
         r[-1] += p * rn[-1]
     return tuple(weights)
+
+
+def iid_interp_per_node(seed: int, xs, phase=None) -> np.ndarray:
+    """The ``iid-interp`` potential, each node hashing both its marks."""
+    ph = (environment._phase(seed, environment._STREAM_PHASE)
+          if phase is None else float(phase))
+    t = xs - ph
+    m = np.floor(t).astype(np.int64)
+    w = t - m
+    v0 = environment._lattice_uniform(seed, m, environment._STREAM_V)
+    v1 = environment._lattice_uniform(seed, m + 1, environment._STREAM_V)
+    return (1.0 - w) * v0 + w * v1
+
+
+def coupled_singular_per_node(seed: int, xs, width: float = 0.35,
+                              dpow: float = 2.0, phase=None):
+    """The ``coupled-singular`` (a, V), each node hashing its mark."""
+    ph = (environment._phase(seed, environment._STREAM_CS_PHASE)
+          if phase is None else float(phase))
+    m = np.round(xs - ph).astype(np.int64)
+    d = environment._lattice_uniform(seed, m,
+                                     environment._STREAM_DEPTH) ** dpow
+    b = environment._bump((xs - ph - m) / width)
+    return 1.0 - (1.0 - d) * b, (1.0 - d) * b
+
+
+def gauss_field_per_mark(seed: int, stream: int, phase_stream: int,
+                         ell: float, phase, xs) -> np.ndarray:
+    """The moving average of ``gauss-squash``, one normal drawn per kernel."""
+    h0 = ell / 4.0
+    ph = (environment._phase(seed, phase_stream)
+          if phase is None else float(phase)) * h0
+    m_lo = int(math.floor((xs[0] - ph - ell) / h0))
+    m_hi = int(math.ceil((xs[-1] - ph + ell) / h0))
+    z = np.zeros_like(xs)
+    x0, dx = xs[0], xs[1] - xs[0]
+    for m in range(m_lo, m_hi + 1):
+        center = m * h0 + ph
+        i0 = max(0, int(math.ceil((center - ell - x0) / dx)))
+        i1 = min(xs.size, int(math.floor((center + ell - x0) / dx)) + 1)
+        if i0 < i1:
+            xi = environment._lattice_normal(seed, np.array([m]), stream)[0]
+            z[i0:i1] += xi * environment._bump((xs[i0:i1] - center) / ell)
+    return z

@@ -173,6 +173,21 @@ def test_effective_run_skips_scipy_stats_and_integrate(tmp_path):
                           str(out_dir)]) == [0, []]
 
 
+def test_effective_run_loads_no_scipy(tmp_path):
+    # nothing an effective run on an iid medium does needs scipy, and the
+    # CLI no longer imports it for the sidecar: the sidecar's scipy
+    # version is null
+    text = ("[env]\nkind = iid-interp\nseed = 3\nwindow = -300 300\n"
+            "dx_env = 0.01\n\n[model]\nbeta = 1.0\n\n[effective]\n"
+            "theta_grid = -1.5 1.5\nx = 40\ntol = 0.05\n")
+    cfg = _write(tmp_path, text)
+    out_dir = tmp_path / "out"
+    assert _loaded_heavy(["effective", "--config", cfg, "--out",
+                          str(out_dir)], watch=("scipy",)) == [0, []]
+    meta = json.loads((out_dir / "effective.meta.json").read_text())
+    assert meta["versions"]["scipy"] is None
+
+
 def test_effective_run_skips_numpy_ma(tmp_path):
     # the theta grid is deduplicated without np.unique, whose import of
     # numpy.ma was the run's only lazy import
@@ -194,6 +209,9 @@ def test_homogenize_run_loads_linalg_only(tmp_path):
     assert _loaded_heavy(["homogenize", "--config", cfg, "--out",
                           str(tmp_path / "out")],
                          watch=_HEAVY + ("numpy.ma",)) == [0, []]
+    # the solve loaded scipy, whose version the sidecar records
+    meta = json.loads((tmp_path / "out" / "sweep.meta.json").read_text())
+    assert isinstance(meta["versions"]["scipy"], str)
 
 
 def test_seed_override_changes_data(tmp_path):

@@ -19,6 +19,8 @@ from hjlab.environment import (
     write_csv,
 )
 from hjlab.errors import ConfigError, WindowError
+from oracles import (coupled_singular_per_node, gauss_field_per_mark,
+                     iid_interp_per_node)
 
 
 # ------------------------------------------------------------
@@ -42,6 +44,32 @@ def test_lattice_uniform_statistics():
     v = _lattice_uniform(123, np.arange(-50000, 50000), 6)
     c = np.corrcoef(u, v)[0, 1]
     assert abs(c) < 0.02
+
+
+# windows on either side of 0, across it, and off the integers
+HASH_WINDOWS = [(-25.0, 25.0), (-40.0, -20.0), (15.0, 35.0), (-17.33, 32.71)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("phase", [None, 0.37])
+def test_each_lattice_mark_hashed_once(seed, phase):
+    # the generators hash each lattice mark once and index it: the media
+    # of the per-node hashes, bit for bit
+    from hjlab.environment import (_STREAM_GS_PHASE_V, _STREAM_GS_V,
+                                   _gauss_field, _gen_coupled_singular,
+                                   _gen_iid_interp)
+
+    dx = 0.01
+    for lo, hi in HASH_WINDOWS:
+        xs = np.arange(math.floor(lo / dx), math.ceil(hi / dx) + 1) * dx
+        _, v = _gen_iid_interp(seed, xs, dx, phase=phase)
+        assert v.tobytes() == iid_interp_per_node(seed, xs, phase).tobytes()
+        got = _gen_coupled_singular(seed, xs, dx, phase=phase)
+        want = coupled_singular_per_node(seed, xs, phase=phase)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        args = (seed, _STREAM_GS_V, _STREAM_GS_PHASE_V, 2.0, phase, xs)
+        assert _gauss_field(*args).tobytes() == \
+            gauss_field_per_mark(*args).tobytes()
 
 
 def test_same_seed_same_values_across_windows():

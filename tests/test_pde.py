@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,47 @@ def test_diffusion_solver_matches_general_tridiagonal_lu():
         assert info == 0
         got = diffusion_solver(a, h, dx)(w.copy())
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["constant", "gauss-squash"])
+def test_diffusion_solver_is_the_scaled_solve(kind):
+    # oracle: w scaled by 1/a, then LAPACK's dpttrs on the factors of the
+    # row-scaled matrix.  At a = 1 the solver skips the scaling, which
+    # multiplies by 1.0: the same bits either way
+    env = generate_env(kind, 3, (-30.0, 30.0), 0.01)
+    dx, h = 0.05, 0.02
+    xs = dx * np.arange(-300, 301)
+    a, _ = sample_many(env, xs)
+    assert np.all(a == 1.0) == (kind == "constant")
+    w = np.cos(xs) + 0.3 * xs
+    dpttrf, dpttrs = _lapack_pt()
+    scale, c = 1.0 / a, h / dx ** 2
+    diag = scale + 2.0 * c
+    diag[[0, -1]] = scale[[0, -1]] + c
+    d, e, info = dpttrf(diag, np.full(xs.size - 1, -c))
+    want, info_s = dpttrs(d, e, w * scale)
+    assert info == info_s == 0
+    assert diffusion_solver(a, h, dx)(w.copy()).tobytes() == want.tobytes()
+
+
+def test_diffusion_solver_ghost_rows_split_the_blocks():
+    # four blocks between ghost rows, in one solve: each block's rows are
+    # its own solver's bits, and each ghost row is an identity row
+    rng = np.random.default_rng(5)
+    sizes, h, dx = (7, 40, 2, 23), 0.3, 0.05
+    blocks = [(rng.uniform(0.2, 1.0, n), rng.normal(size=n)) for n in sizes]
+    a, w, ghosts = [], [], []
+    for b, (a_b, w_b) in enumerate(blocks):
+        if b:
+            ghosts += [len(w), len(w) + 1]
+            a += [1.0, 1.0]
+            w += [4.0, -3.0]
+        a += list(a_b)
+        w += list(w_b)
+    got = diffusion_solver(np.array(a), h, dx, ghosts)(np.array(w))
+    assert got[ghosts].tolist() == [4.0, -3.0] * (len(sizes) - 1)
+    want = [diffusion_solver(a_b, h, dx)(w_b.copy()) for a_b, w_b in blocks]
+    assert np.delete(got, ghosts).tobytes() == np.concatenate(want).tobytes()
 
 
 def test_lapack_pt_is_scipy_lapack():
@@ -423,16 +465,20 @@ def test_evolve_rejects_bad_inputs(env_periodic):
 
 def test_evolve_origin_lays_a_slice_of_the_centred_grid(env_periodic):
     # 70 steps wide with x = 0 at node 30: nodes 20..90 of the centred
-    # 100-step grid, bit for bit; an origin off the grid is refused
+    # 100-step grid, bit for bit; an origin off the grid (a side of
+    # fewer than 0 nodes), no window or a one-node window is refused
     dt = stable_dt(G, BETA, 1.0, 0.1)
     centred = evolve(env_periodic, G, BETA, lambda x: x, SchemeConfig(
         dx=0.1, dt=dt, M=5.0, T=dt, theta=1.0))
     window = SchemeConfig(dx=0.1, dt=dt, M=3.5, T=dt, theta=1.0)
-    off = evolve(env_periodic, G, BETA, lambda x: x, window, origin=30)
+    off = evolve(env_periodic, G, BETA, lambda x: x, window,
+                 windows=[(30, 40)])
     assert off.xs.tobytes() == centred.xs[20:91].tobytes()
-    for origin in (-1, 71):
+    for windows in ([(-1, 71)], [(71, -1)], [], [(0, 0)],
+                    [(3, 4), (-1, 5)]):
         with pytest.raises(ConfigError):
-            evolve(env_periodic, G, BETA, lambda x: x, window, origin=origin)
+            evolve(env_periodic, G, BETA, lambda x: x, window,
+                   windows=windows)
 
 
 def _nan_on_grid_call(k):
@@ -764,23 +810,32 @@ def test_trimmed_sweep_same_at_two_workers(env_trim):
                          ids=["power-1.7", "power--1.7", "asym-1.4"])
 def test_one_sided_sweep_is_the_two_sided_sweep(monkeypatch, G_, theta):
     # off the flat piece every step has slopes of one sign and evaluates G
-    # once; the same sweep with every step two-sided is the same bit for bit
+    # once; the same sweep with every step two-sided is the same bit for bit.
+    # The domains march in lockstep, so the flux runs once per evolve step
     env = generate_env("iid-interp", 4, (-140.0, 140.0), 0.01)
     scheme = SchemeConfig(dx=0.1, dt=stable_dt(G_, BETA, theta, 0.1),
                           M=16.0, T=1.0, theta=theta)
     two_sided, one_signed = hjlab.pde.godunov_flux, []
+    evolve_, kernel_steps = hjlab.pde.evolve, []
 
     def flux(G, p_minus, p_plus, out=None, *, p_range, g0):
         one_signed.append(p_range[0] >= 0.0 or p_range[1] <= 0.0)
         return two_sided(G, p_minus, p_plus, out=out)
 
+    def counted(*args, **kwargs):
+        r = evolve_(*args, **kwargs)
+        kernel_steps.append(r.steps)
+        return r
+
     res = homogenize_sweep(env, G_, BETA, theta, (0.5, 0.25), scheme,
                            reference=1.0)
     with monkeypatch.context() as patch:
         patch.setattr("hjlab.pde.godunov_flux", flux)
+        patch.setattr("hjlab.pde.evolve", counted)
         ref = homogenize_sweep(env, G_, BETA, theta, (0.5, 0.25), scheme,
                                reference=1.0)
-    assert len(one_signed) == res.steps and all(one_signed)
+    assert len(one_signed) == sum(kernel_steps) and all(one_signed)
+    assert sum(kernel_steps) < res.steps
     assert res.values.tobytes() == ref.values.tobytes()
     assert (res.domain_sensitivity.tobytes()
             == ref.domain_sensitivity.tobytes())
@@ -843,6 +898,162 @@ def test_trim_bound_covers_a_downwind_march_whose_slopes_reach_zero(
     assert 0.0 < np.max(np.abs(res.values - values)) <= res.trim_bound
     assert np.all(np.abs(res.domain_sensitivity - sens)
                   <= 2.0 * res.trim_bound)
+
+
+# ------------------------------------------------------------
+# lockstep marches
+# ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def env_iid40():
+    return generate_env("iid-interp", 4, (-40.0, 40.0), 0.01)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_stacked_evolve_is_each_window_alone(env_iid40, data):
+    # 1-4 windows of random widths either side of x = 0, from linear data
+    # with noise, stepped in one run: each window's nodes, slopes and
+    # steps are those of a run on that window alone, bit for bit
+    G_ = data.draw(st.sampled_from((G, AsymPowerG(1.5, 3.0))), label="G")
+    theta = data.draw(st.sampled_from((1.7, -1.2, 0.0)), label="theta")
+    dx = 0.1
+    dt = stable_dt(G_, BETA, theta, dx) / 2.0
+    side = st.integers(0, 60)
+    windows = data.draw(st.lists(st.tuples(side, side).filter(
+        lambda w: sum(w) >= 1), min_size=1, max_size=4), label="windows")
+    steps = data.draw(st.integers(1, 30), label="steps")
+    tail = data.draw(st.sampled_from((0.0, 0.37)), label="tail")
+    scheme = SchemeConfig(dx=dx, dt=dt, M=1.0, T=(steps + tail) * dt,
+                          theta=theta)
+    rng = np.random.default_rng(data.draw(st.integers(0, 99), label="seed"))
+    u0 = [theta * dx * np.arange(-left, right + 1)
+          + rng.uniform(-0.2 * dx, 0.2 * dx, left + right + 1)
+          for left, right in windows]
+    stacked = evolve(env_iid40, G_, BETA, np.concatenate(u0), scheme,
+                     windows=windows)
+    alone = [evolve(env_iid40, G_, BETA, u, scheme, windows=[w])
+             for u, w in zip(u0, windows)]
+    assert stacked.steps == alone[0].steps == steps + (tail > 0.0)
+    assert stacked.u.tobytes() == np.concatenate([r.u for r in alone]).tobytes()
+    assert (stacked.xs.tobytes()
+            == np.concatenate([r.xs for r in alone]).tobytes())
+    assert stacked.block_ranges == tuple(r.grad_range_seen for r in alone)
+    assert stacked.grad_excursion == any(r.grad_excursion for r in alone)
+    assert stacked.cfl_seen == max(r.cfl_seen for r in alone)
+    # a centred window is the grid that M lays
+    left, right = windows[0]
+    if left == right:
+        laid = evolve(env_iid40, G_, BETA, u0[0], SchemeConfig(
+            dx=dx, dt=dt, M=left * dx, T=scheme.T, theta=theta))
+        assert laid.u.tobytes() == alone[0].u.tobytes()
+
+
+def test_stacked_evolve_joint_slopes_never_reach_G(env_iid40):
+    # a fast-growing G, and two windows whose facing edges are 600 nodes
+    # apart: the difference across the two ghost slots between them is a
+    # slope of -301, where G is 301**150, past the largest double.  It is
+    # overwritten by a real slope before the flux, so G never overflows
+    # and no inf meets the zero coupling of the solve (0 * inf, a NaN in
+    # the next window)
+    G150 = PowerG(150.0)
+    dx, theta = 0.1, 0.5
+    dt = stable_dt(G150, BETA, theta, dx)
+    scheme = SchemeConfig(dx=dx, dt=dt, M=1.0, T=20.5 * dt, theta=theta)
+    windows = [(10, 300), (300, 10)]
+    u0 = [theta * dx * np.arange(-left, right + 1) for left, right in windows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = evolve(env_iid40, G150, BETA, np.concatenate(u0), scheme,
+                         windows=windows)
+    alone = [evolve(env_iid40, G150, BETA, u, scheme, windows=[w])
+             for u, w in zip(u0, windows)]
+    assert np.all(np.isfinite(stacked.u))
+    assert stacked.u.tobytes() == np.concatenate([r.u for r in alone]).tobytes()
+
+
+def _sweep_domains(epsilons, scheme):
+    """(half-width in nodes, its stops) of each domain a sweep marches."""
+    stops = {}
+    for eps in sorted(epsilons, reverse=True):
+        n = math.ceil(scheme.M / (eps * scheme.dx) - 1e-9)
+        for width in (n, 2 * n):
+            stops.setdefault(width, []).append(1.0 / eps)
+    return list(stops.items())
+
+
+def _lockstep_and_apart(env, G_, theta, epsilons, scheme):
+    domains = _sweep_domains(epsilons, scheme)
+    args = (G_, BETA, theta, scheme)
+    together = hjlab.pde._march(env, (*args, domains))
+    apart = [hjlab.pde._march(env, (*args, [d]))[0] for d in domains]
+    return together, apart
+
+
+# (kind, G, theta): both branches and the flat piece, a medium with a
+# varying a, an asymmetric G and a tabulated one
+LOCKSTEP_CASES = {
+    "theta-1.7": ("iid-interp", G, 1.7),
+    "theta--1.2": ("iid-interp", G, -1.2),
+    "theta-0": ("iid-interp", G, 0.0),
+    "gauss-squash": ("gauss-squash", G, 1.7),
+    "asym": ("iid-interp", AsymPowerG(1.5, 3.0), 1.4),
+    "tabulated": ("iid-interp", TabulatedG(
+        np.array([-4.0, -2.5, -1.0, 0.0, 1.5, 3.0]),
+        np.array([7.0, 4.0, 1.0, 0.0, 2.0, 5.0])), 1.6),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+def test_lockstep_march_is_each_domain_alone(case):
+    # all domains in one group against one domain per group: the values
+    # read at every stop and every tally (excursion, steps, node steps,
+    # slopes seen, bound, cfl_seen, margins), bit for bit.  dt = 0.0021
+    # leaves a tail step at every stop, and the windows shrink midway
+    kind, G_, theta = LOCKSTEP_CASES[case]
+    env = generate_env(kind, 4, (-140.0, 140.0), 0.01)
+    scheme = SchemeConfig(dx=0.1, dt=0.0021, M=1.0, T=1.0, theta=theta)
+    together, apart = _lockstep_and_apart(env, G_, theta, (0.5, 0.25, 0.125),
+                                          scheme)
+    assert repr(together) == repr(apart)
+    assert any(bound > 0.0 for *_, bound, _, _ in together)
+
+
+@pytest.mark.parametrize("theta, narrow", [(1.0, (0.98, 1.02)),
+                                           (0.0, (0.9, 1.0))])
+def test_lockstep_march_is_each_domain_alone_off_the_range(monkeypatch, theta,
+                                                           narrow):
+    # the setups of the two test_trim_bound_covers_* tests: the slopes
+    # leave the a-priori range, and each domain's bound is taken again
+    # over the slopes it saw, as when it marches alone
+    monkeypatch.setattr("hjlab.pde.cfl_gradient_range",
+                        lambda G, beta, theta: narrow)
+    monkeypatch.setattr("hjlab.pde._TRIM_TOL", 1e-8)
+    env = generate_env("iid-interp", 4, (-140.0, 140.0), 0.01)
+    scheme = SchemeConfig(dx=0.1, dt=0.01, M=16.0, T=1.0, theta=theta)
+    together, apart = _lockstep_and_apart(env, G, theta, (0.5, 0.25), scheme)
+    assert repr(together) == repr(apart)
+    assert all(excursion for _, excursion, *_ in together)
+
+
+def test_evolve_calls_sum_to_the_sweep_node_steps(monkeypatch):
+    # what a tracer of hjlab.pde.evolve counts, steps times nodes over
+    # the calls, is the sweep's node_steps, in fewer evolve steps than
+    # the domains march
+    env = generate_env("iid-interp", 4, (-140.0, 140.0), 0.01)
+    scheme = SchemeConfig(dx=0.1, dt=0.0021, M=1.0, T=1.0, theta=1.7)
+    evolve_, calls = hjlab.pde.evolve, []
+
+    def traced(*args, **kwargs):
+        r = evolve_(*args, **kwargs)
+        calls.append((r.steps, r.xs.size))
+        return r
+
+    monkeypatch.setattr("hjlab.pde.evolve", traced)
+    res = homogenize_sweep(env, G, BETA, 1.7, (0.5, 0.25, 0.125), scheme,
+                           reference=1.0)
+    assert sum(s * n for s, n in calls) == res.node_steps
+    assert sum(s for s, _ in calls) < res.steps
 
 
 @pytest.mark.parametrize("kind", ["iid-interp", "gauss-squash", "periodic"])
