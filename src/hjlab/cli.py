@@ -355,7 +355,8 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
                      theta1_beta=eff.theta1_beta, theta2_beta=eff.theta2_beta,
                      theta1_ci=eff.theta1_ci, theta2_ci=eff.theta2_ci,
                      theta1_disc_bound=eff.theta1_disc_bound,
-                     theta2_disc_bound=eff.theta2_disc_bound)
+                     theta2_disc_bound=eff.theta2_disc_bound,
+                     theta1_dx=eff.theta1_dx, theta2_dx=eff.theta2_dx)
     # one record per branch row, with Hbar' = 1 / theta'(lam)
     cfg.rows = [dict(asdict(inv), dH_dtheta=1.0 / inv.dtheta_dlam
                      if inv.dtheta_dlam else None) for inv in eff.inversions]

@@ -116,9 +116,10 @@ class CorrectorProfile:
 class ThetaEstimate:
     """Ergodic average of a corrector slope with a batch-means CI.
 
-    ``disc_bound`` is the step-doubling bar |mean - mean at 2 dx|.
-    ``dtheta_dlam`` and ``dtheta_ci`` are the same average and CI of the
-    tangent df/dlam, when it was asked for (else None).
+    ``disc_bound`` is the step-doubling bar |mean - mean at 2 dx|, and
+    ``dx`` the step the estimate was shot at.  ``dtheta_dlam`` and
+    ``dtheta_ci`` are the same average and CI of the tangent df/dlam,
+    when it was asked for (else None).
     """
 
     branch: int
@@ -133,6 +134,7 @@ class ThetaEstimate:
     dtheta_dlam: float | None = None
     dtheta_ci: float | None = None
     disc_bound: float | None = None
+    dx: float | None = None
 
 
 # ============================================================
@@ -659,7 +661,8 @@ def estimate_theta(env: EnvRealization, G, beta: float, lam: float,
                          ci_halfwidth=ci, window_length=X, n_batches=n_batches,
                          cert_bound=prof.cert_bound,
                          rk4_steps=prof.rk4_steps, dtheta_dlam=dmean,
-                         dtheta_ci=dci, disc_bound=prof.disc_bound)
+                         dtheta_ci=dci, disc_bound=prof.disc_bound,
+                         dx=float(dx))
 
 
 # ============================================================

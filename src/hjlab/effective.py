@@ -58,11 +58,12 @@ _MAX_EVALS = 200
 # which merge only across hills: loose, to keep the window modest
 _PROFILE_TOL = 1e-6
 _ENDPOINT_TOL = 1e-2
-# multiples of the command step a row estimate is shot at, largest
-# first; the last is the command step itself, where no bar gate applies
+# multiples of the command step a slope estimate (a row level or a
+# lam = beta endpoint) is shot at, largest first; the last is the
+# command step itself, where no bar gate applies
 ROW_STEP_FACTORS = (4, 2, 1)
-# a row estimate at a coarser step stands when its step-doubling bar is
-# at most this fraction of the theta tolerance
+# an estimate at a coarser step stands when its step-doubling bar is at
+# most this fraction of the theta tolerance
 _ROW_BAR_FRACTION = 0.05
 
 
@@ -110,9 +111,11 @@ class EffectiveH:
     ``theta1_ci``/``theta2_ci`` and step-doubling bars
     ``theta1_disc_bound``/``theta2_disc_bound`` (0 on constant media).
 
-    ``n_evals`` and ``rk4_steps`` sum up the work of the build: slope
-    estimates of the inversions, and RK4 steps of the endpoint
-    estimates and the inversions.
+    ``theta1_dx``/``theta2_dx`` are the steps the endpoints settled on
+    (None on constant media).  ``n_evals`` and ``rk4_steps`` sum up the
+    work of the build: slope estimates of the inversions, and RK4 steps
+    of the endpoint estimates (rejected attempts included) and the
+    inversions.
     """
 
     beta: float
@@ -127,6 +130,8 @@ class EffectiveH:
     inversions: tuple[LambdaInversion, ...] = ()
     theta1_disc_bound: float = 0.0
     theta2_disc_bound: float = 0.0
+    theta1_dx: float | None = None
+    theta2_dx: float | None = None
 
     def __post_init__(self):
         self.flat_thetas.setflags(write=False)
@@ -153,6 +158,62 @@ def kappa_tilde(G, lam: float, beta: float, branch: int = 2) -> float:
     else:
         raise ValueError(f"branch must be 1 or 2, got {branch}")
     return float(G.lipschitz_on(iv))
+
+
+# ============================================================
+# Step ladder
+# ============================================================
+
+def _on_ladder(env: EnvRealization, G, beta: float, lam: float, branch: int,
+               steps: list[float], ests: list[ThetaEstimate], fits, *,
+               X: float, n_batches: int, enclose: float,
+               tangent: bool = False) -> ThetaEstimate:
+    """Slope estimate at ``lam`` on the coarsest step of ``steps`` that
+    stands.
+
+    ``steps`` are the steps still open, largest first.  A step before
+    the last stands when it keeps every RK4 step monotone at ``lam``
+    (with max(1/a) over the whole window, as in ``choose_dx``) and its
+    estimate ``fits``; otherwise, or when that attempt raises (its
+    doubled run leaving the bracket, say), the step is dropped from
+    ``steps`` and the next one is tried.  The last step takes its
+    estimate as it comes.  Every estimate made, rejected ones included,
+    is appended to ``ests``.
+    """
+    def shoot() -> ThetaEstimate:
+        est = estimate_theta(env, G, beta, lam, branch, X=X,
+                             n_batches=n_batches, tol=enclose, dx=steps[0],
+                             tangent=tangent)
+        ests.append(est)
+        return est
+
+    while len(steps) > 1:
+        try:
+            if _monotone_on_window(env, G, beta, [(branch, lam)], steps[0]):
+                est = shoot()
+                if fits(est):
+                    return est
+        except ScientificError:
+            pass
+        del steps[0]
+    return shoot()
+
+
+def _endpoint(env: EnvRealization, G, beta: float, branch: int, tol: float,
+              *, X: float, n_batches: int,
+              dx: float) -> tuple[ThetaEstimate, int]:
+    """The flat endpoint theta_branch(beta) on the step ladder, and the
+    RK4 steps of every attempt it took.
+
+    It gates on the step-doubling bar alone (at most ``0.05 tol``): its
+    ci does not shrink with the step.
+    """
+    ests: list[ThetaEstimate] = []
+    est = _on_ladder(env, G, beta, beta, branch,
+                     [k * dx for k in ROW_STEP_FACTORS], ests,
+                     lambda e: e.disc_bound <= _ROW_BAR_FRACTION * tol,
+                     X=X, n_batches=n_batches, enclose=_ENDPOINT_TOL)
+    return est, sum(e.rk4_steps for e in ests)
 
 
 # ============================================================
@@ -201,26 +262,29 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     not.  If the bracket collapses to rounding first, the last estimate
     is accepted only when its mismatch is within tol plus its ci.
 
-    Each level is measured at the largest step of ``ROW_STEP_FACTORS``
-    times ``dx`` (4, 2 and 1 times) that keeps every RK4 step monotone
-    at that level, with max(1/a) over the whole window as in
-    ``choose_dx``.  An estimate at a coarser step than ``dx`` stands
-    when its step-doubling bar is at most ``0.05 tol`` and its ci at
-    most tol; otherwise, or when that attempt raises (its doubled run
-    leaving the bracket, say), the level is measured again at half the
-    step.  The row keeps the step it settles on for its later levels.
-    At ``dx`` itself the estimate is taken as it comes, and a ci above
-    tol raises.  A row estimate only decides acceptance and the Newton
-    step, so its bar at the coarser step is all it must answer for; the
-    endpoint, whose mean sets the first level, is shot at ``dx``.
+    Each level is measured on the step ladder: the largest step of
+    ``ROW_STEP_FACTORS`` times ``dx`` (4, 2 and 1 times) that keeps
+    every RK4 step monotone at that level, with max(1/a) over the whole
+    window as in ``choose_dx``.  An estimate at a coarser step than
+    ``dx`` stands when its step-doubling bar is at most ``0.05 tol``
+    and its ci at most tol; otherwise, or when that attempt raises (its
+    doubled run leaving the bracket, say), the level is measured again
+    at half the step.  The row keeps the step it settles on for its
+    later levels.  At ``dx`` itself the estimate is taken as it comes,
+    and a ci above tol raises.  A row estimate only decides acceptance
+    and the Newton step, so its bar at the coarser step is all it must
+    answer for.
 
     The slope must sit at or beyond the flat endpoint theta_branch(beta)
     (up to the endpoint's ci); strictly inside the flat piece there is
-    no preimage and the caller should use the flat value instead.
+    no preimage and the caller should use the flat value instead.  At
+    the endpoint the inversion is the endpoint estimate itself, with
+    its own step as ``dx``.
 
     ``endpoint`` lets callers reuse a lam=beta estimate across many
-    inversions; when omitted it is computed here with ``_ENDPOINT_TOL``
-    as the enclosure tolerance.
+    inversions; when omitted it is computed here on the same ladder,
+    with ``_ENDPOINT_TOL`` as the enclosure tolerance and the bar alone
+    as the gate (its ci does not shrink with the step).
     """
     beta = float(beta)
     theta = float(theta)
@@ -236,9 +300,8 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
 
     s = 1.0 if branch == 2 else -1.0
     if endpoint is None:
-        endpoint = estimate_theta(env, G, beta, beta, branch, X=X,
-                                  n_batches=n_batches, tol=_ENDPOINT_TOL,
-                                  dx=dx)
+        endpoint, _ = _endpoint(env, G, beta, branch, tol, X=X,
+                                n_batches=n_batches, dx=dx)
     if endpoint.branch != branch or endpoint.lam != beta:
         raise ValueError("endpoint estimate must be this branch at lam = beta")
     if s * theta < s * endpoint.mean - endpoint.ci_halfwidth:
@@ -258,37 +321,26 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                                ci=endpoint.ci_halfwidth, n_evals=0,
                                dtheta_dlam=endpoint.dtheta_dlam,
                                dtheta_ci=endpoint.dtheta_ci,
-                               disc_bound=endpoint.disc_bound, dx=dx)
+                               disc_bound=endpoint.disc_bound,
+                               dx=endpoint.dx)
 
     ests: list[ThetaEstimate] = []  # every estimate, rejected ones included
     levels: list[float] = []
     # the steps still open to this row, largest first
     steps = [k * dx for k in ROW_STEP_FACTORS]
 
-    def shoot(lam: float) -> ThetaEstimate:
-        est = estimate_theta(env, G, beta, lam, branch, X=X,
-                             n_batches=n_batches, tol=_PROFILE_TOL,
-                             dx=steps[0], tangent=True)
-        ests.append(est)
-        return est
+    def fits(est: ThetaEstimate) -> bool:
+        return (est.ci_halfwidth <= tol
+                and est.disc_bound <= _ROW_BAR_FRACTION * tol)
 
     def measure(lam: float) -> ThetaEstimate:
         if len(levels) >= _MAX_EVALS:
             raise CertificateError(
                 f"inversion exceeded {_MAX_EVALS} levels")
         levels.append(lam)
-        while len(steps) > 1:
-            try:
-                if _monotone_on_window(env, G, beta, [(branch, lam)],
-                                       steps[0]):
-                    est = shoot(lam)
-                    if (est.ci_halfwidth <= tol and est.disc_bound
-                            <= _ROW_BAR_FRACTION * tol):
-                        return est
-            except ScientificError:
-                pass
-            del steps[0]
-        est = shoot(lam)
+        est = _on_ladder(env, G, beta, lam, branch, steps, ests, fits, X=X,
+                         n_batches=n_batches, enclose=_PROFILE_TOL,
+                         tangent=True)
         if est.ci_halfwidth > tol:
             raise CertificateError(
                 f"batch-means ci {est.ci_halfwidth:.3g} at lam={lam:.6g} "
@@ -362,12 +414,13 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
     """Assemble Hbar on a slope grid: branch inversions plus the flat piece.
 
     Estimates the flat endpoints theta_i(beta) first (the lam = beta
-    estimates are reused by every inversion), then inverts each grid
-    slope strictly outside (theta1, theta2) on its branch.  Grid slopes
-    inside the estimated flat interval are carried as flat rows at the
-    exact flat value.  The grid must reach beyond both endpoints, which
-    straddle 0, so a grid without a negative and a positive slope fails
-    before any estimate.  The levels must certify the shape: strictly
+    estimates are reused by every inversion), each on the rows' step
+    ladder with its bar alone gated at ``0.05 tol`` (``invert_theta``),
+    then inverts each grid slope strictly outside (theta1, theta2) on
+    its branch.  Grid slopes inside the estimated flat interval are
+    carried as flat rows at the exact flat value.  The grid must reach
+    beyond both endpoints, which straddle 0, so a grid without a
+    negative and a positive slope fails before any estimate.  The levels must certify the shape: strictly
     monotone on each branch, never below the flat value, above it at
     both grid ends.
 
@@ -393,15 +446,19 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
         flat_value = beta * v0
         t1 = t2 = 0.0
         ci1 = ci2 = disc1 = disc2 = 0.0
-        ep1 = ep2 = None
+        dx1 = dx2 = ep1 = ep2 = None
+        ep_steps = 0
     else:
         flat_value = beta
-        ep2 = estimate_theta(env, G, beta, beta, 2, X=X,
-                             n_batches=n_batches, tol=_ENDPOINT_TOL, dx=dx)
-        ep1 = estimate_theta(env, G, beta, beta, 1, X=X,
-                             n_batches=n_batches, tol=_ENDPOINT_TOL, dx=dx)
-        t1, ci1, disc1 = ep1.mean, ep1.ci_halfwidth, ep1.disc_bound
-        t2, ci2, disc2 = ep2.mean, ep2.ci_halfwidth, ep2.disc_bound
+        ep2, steps2 = _endpoint(env, G, beta, 2, tol, X=X,
+                                n_batches=n_batches, dx=dx)
+        ep1, steps1 = _endpoint(env, G, beta, 1, tol, X=X,
+                                n_batches=n_batches, dx=dx)
+        ep_steps = steps1 + steps2
+        t1, ci1, disc1, dx1 = (ep1.mean, ep1.ci_halfwidth, ep1.disc_bound,
+                               ep1.dx)
+        t2, ci2, disc2, dx2 = (ep2.mean, ep2.ci_halfwidth, ep2.disc_bound,
+                               ep2.dx)
         if not (t1 < 0.0 < t2):
             raise CertificateError(
                 f"flat endpoints must straddle 0, got theta1 = {t1:.6g}, "
@@ -437,14 +494,13 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
             "branch tables do not rise above the flat value at the grid "
             "ends (coercivity check)")
 
-    endpoints = [ep for ep in (ep1, ep2) if ep is not None]
     return EffectiveH(beta=beta, theta1_beta=float(t1), theta1_ci=float(ci1),
                       theta2_beta=float(t2), theta2_ci=float(ci2),
                       flat_thetas=flat, flat_value=flat_value,
                       n_evals=sum(i.n_evals for i in invs),
-                      rk4_steps=sum(r.rk4_steps for r in endpoints + invs),
+                      rk4_steps=ep_steps + sum(i.rk4_steps for i in invs),
                       inversions=tuple(invs), theta1_disc_bound=disc1,
-                      theta2_disc_bound=disc2)
+                      theta2_disc_bound=disc2, theta1_dx=dx1, theta2_dx=dx2)
 
 
 def effective_reference(env: EnvRealization, G, beta: float, theta: float,
@@ -461,8 +517,10 @@ def effective_reference(env: EnvRealization, G, beta: float, theta: float,
 
     Only the flat endpoint on theta's side of 0 is estimated (branch 2
     for theta >= 0): the flat piece straddles 0, so the other endpoint
-    cannot decide where theta lies.  An endpoint on the wrong side of 0
-    raises ``CertificateError``, as in ``build_effective_H``.
+    cannot decide where theta lies.  It is shot on the step ladder of
+    ``invert_theta``, its bar alone gated at ``0.05 tol``, as in
+    ``build_effective_H``.  An endpoint on the wrong side of 0 raises
+    ``CertificateError``, as there.
     """
     value, half, _ = _reference(env, G, beta, theta, tol, X=X,
                                 n_batches=n_batches, dx=dx)
@@ -473,15 +531,18 @@ def _reference(env: EnvRealization, G, beta: float, theta: float,
                tol: float, *, X: float = 500.0, n_batches: int = 10,
                dx: float = 0.01) -> tuple[float, float, float]:
     """``effective_reference`` plus the step-doubling bar of the slope
-    estimate the level was matched on (0 where the value is exact)."""
+    estimate the level was matched on (0 where the value is exact).
+
+    The endpoint and the level's estimates are shot on the step ladder
+    of ``invert_theta`` from ``dx``, gated at ``0.05 tol``."""
     beta = float(beta)
     theta = float(theta)
     if env.kind == "constant":
         return float(G(theta)) + beta * float(env.v_vals[0]), 0.0, 0.0
     branch = 2 if theta >= 0.0 else 1
     s = 1.0 if branch == 2 else -1.0
-    ep = estimate_theta(env, G, beta, beta, branch, X=X, n_batches=n_batches,
-                        tol=_ENDPOINT_TOL, dx=dx)
+    ep, _ = _endpoint(env, G, beta, branch, tol, X=X, n_batches=n_batches,
+                      dx=dx)
     if not s * ep.mean > 0.0:
         raise CertificateError(
             f"flat endpoint theta{branch}(beta) = {ep.mean:.6g} is on the "

@@ -429,6 +429,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
     seen_lo, seen_hi = np.full(sizes.size, np.inf), np.full(sizes.size, -np.inf)
     lows, highs = np.empty(sizes.size), np.empty(sizes.size)
 
+    inv_dx = 1.0 / dx
     d = np.empty(ue.size - 1, dtype=np.float64)
     flux = np.empty(u.size, dtype=np.float64)
     ue_hi, ue_lo, d_minus, d_plus = ue[1:], ue[:-1], d[:-1], d[1:]
@@ -440,7 +441,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
         ue[slots] = ue[slot_from] + slot_off
         # d[i] is D-u at node i and D+u at node i - 1
         np.subtract(ue_hi, ue_lo, out=d)
-        d /= dx
+        d *= inv_dx
         d[joint] = d[joint_from]
         np.minimum.reduceat(d, g_lo, out=lows)
         np.maximum.reduceat(d, g_lo, out=highs)
@@ -720,8 +721,6 @@ class _Lane:
         def window(k):
             up = min(n, k_last - k + m_up)
             dn = up if m_dn is None else min(up, m_dn)
-            if (up + dn) % 2:
-                up, dn = (up + 1, dn) if up < n else (up, dn + 1)
             return (k, dn, up) if up_right else (k, up, dn)
 
         self.windows = [window(0)]
@@ -762,11 +761,11 @@ def _march(env, args):
     count when the a-priori slopes can change sign, ``m_dn`` None).  A
     domain keeps one window until its upwind side needs less than
     ``_TRIM_SHRINK`` of its nodes there, then goes on from the slice of
-    u on the smaller window, with linear-theta ghosts at its edges; a
-    window of odd width grows one node on a side below n.  ``evolve``
-    lays its grids by node index from x = 0, so each window's grid is an
-    exact slice of the domain's, and each stop is within ``bound`` of a
-    fresh run to T: the terms of the sides whose window shrank below n.
+    u on the smaller window, with linear-theta ghosts at its edges.
+    ``evolve`` lays its grids by node index from x = 0, so each window's
+    grid is an exact slice of the domain's, and each stop is within
+    ``bound`` of a fresh run to T: the terms of the sides whose window
+    shrank below n.
     While no window has shrunk, the march is the fresh run bit for bit.
     When the slopes leave the a-priori range, the terms are taken again
     at the same margins over that range and the slopes seen.

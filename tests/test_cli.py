@@ -426,16 +426,25 @@ def test_effective_records_run_counters(tmp_path):
         "tol = 1e-3\n"
     cfg = _write(tmp_path, text)
     assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
-    stats = json.loads((tmp_path / "effective.meta.json").read_text())["stats"]
+    meta = json.loads((tmp_path / "effective.meta.json").read_text())
+    stats = meta["stats"]
     assert set(stats) == {"n_evals", "rk4_steps", "theta1_beta", "theta2_beta",
                           "theta1_ci", "theta2_ci", "dx", "theta1_disc_bound",
-                          "theta2_disc_bound"}
+                          "theta2_disc_bound", "theta1_dx", "theta2_dx"}
     # each side inverts one slope: at least one slope estimate apiece,
-    # each with at least its 40-unit region, plus the two endpoints
+    # each row and each endpoint with at least its 40-unit region at the
+    # step it settled on
     assert stats["n_evals"] >= 2
-    assert stats["rk4_steps"] > (stats["n_evals"] + 2) * 40 / stats["dx"]
-    assert 0.0 <= stats["theta1_disc_bound"] <= 1e-5
-    assert 0.0 <= stats["theta2_disc_bound"] <= 1e-5
+    settled = [r["dx"] for r in meta["rows"]] + [stats["theta1_dx"],
+                                                 stats["theta2_dx"]]
+    assert stats["rk4_steps"] > sum(40 / dx for dx in settled)
+    # the endpoints sit on the ladder of the command step; a coarser step
+    # stands only with its bar within 0.05 tol
+    for i in (1, 2):
+        step = stats[f"theta{i}_dx"]
+        assert step in [k * stats["dx"] for k in (4, 2, 1)]
+        assert 0.0 <= stats[f"theta{i}_disc_bound"] <= (
+            0.05 * 1e-3 if step > stats["dx"] else 1e-5)
     assert 0.0 <= stats["theta1_ci"] <= 1e-3
     assert 0.0 <= stats["theta2_ci"] <= 1e-3
     # the flat endpoints theta_i(beta) bound the flat piece around 0
@@ -503,6 +512,25 @@ IID_EFFECTIVE = ("[env]\nkind = iid-interp\nseed = 3\nwindow = -300 300\n"
                  "theta_grid = -1.8 -1.5 0 1.5 1.8\nx = 40\ntol = 0.05\n")
 
 
+def _close_to_frozen(out, meta):
+    """``effective.csv`` in ``out`` is ``FROZEN_EFFECTIVE``, each branch
+    ``H`` within the shift its endpoint's bar allows: H = G(theta) + beta
+    - G(theta_i(beta)) moves by |G'(theta_i)| times the endpoint's move."""
+    G, stats = PowerG(2.0), meta["stats"]
+    allowed = {side: abs(float(G.deriv(stats[f"theta{i}_beta"])))
+               * stats[f"theta{i}_disc_bound"] + 1e-5
+               for i, side in ((1, "left"), (2, "right"))}
+    _, rows = _rows(out / "effective.csv")
+    frozen = [line.split(",") for line in FROZEN_EFFECTIVE.splitlines()[1:]]
+    assert len(rows) == len(frozen)
+    for got, want in zip(rows, frozen):
+        assert got[0] == want[0] and got[2:] == want[2:]
+        if got[4] == "flat":
+            assert got[1] == want[1]
+        else:
+            assert abs(float(got[1]) - float(want[1])) <= allowed[got[4]]
+
+
 def test_explicit_dx_keeps_the_outputs(tmp_path):
     cfg = _write(tmp_path, PERIODIC.replace("x = 60", "x = 60\ndx = 0.01"))
     assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -511,46 +539,86 @@ def test_explicit_dx_keeps_the_outputs(tmp_path):
     assert "".join(",".join(r) + "\n" for r in [header[:4]] +
                    [r[:4] for r in rows]) == FROZEN_THETA_CURVE
     assert all(0.0 < float(r[4]) < 1e-5 for r in rows)
+    # the endpoints coarsen from the given step as the rows do: the table
+    # keeps every column but H, and H moves by at most the endpoint's bar
     cfg = _write(tmp_path, IID_EFFECTIVE + "dx = 0.01\n")
     assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "effective.csv").read_text() == FROZEN_EFFECTIVE
     meta = json.loads((tmp_path / "effective.meta.json").read_text())
     assert meta["stats"]["dx"] == 0.01
     assert all(math.isfinite(r["disc_bound"]) for r in meta["rows"])
+    _close_to_frozen(tmp_path, meta)
 
 
 def test_effective_default_step_and_bars(tmp_path):
     # no dx in the config: a = 1 on iid-interp, so the largest step, 0.04,
     # keeps every RK4 step monotone up to G(1.8) + beta; every slope
     # estimate carries a step-doubling bar far below its CI.  The row
-    # estimates coarsen to 4 dx = 0.16, where their bars pass the gate
+    # and endpoint estimates coarsen to 4 dx = 0.16, where their bars
+    # pass the gate 0.05 tol, the endpoints' CIs (above tol) ungated
     cfg = _write(tmp_path, IID_EFFECTIVE)
     assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / "effective.meta.json").read_text())
-    assert meta["stats"]["dx"] == 0.04
+    stats = meta["stats"]
+    assert stats["dx"] == 0.04
     assert len(meta["rows"]) == 4
     for r in meta["rows"]:
         assert r["dx"] == 0.16
         assert 0.0 < r["disc_bound"] <= r["ci"] / 100
-    _, rows = _rows(tmp_path / "effective.csv")
-    got = {float(r[0]): float(r[1]) for r in rows}
-    for line in FROZEN_EFFECTIVE.splitlines()[1:]:
-        theta, H = map(float, line.split(",")[:2])
-        assert got[theta] == pytest.approx(H, abs=1e-5)
+    assert stats["theta1_dx"] == stats["theta2_dx"] == 0.16
+    assert max(stats["theta1_ci"], stats["theta2_ci"]) > 0.05
+    for i in (1, 2):
+        assert 0.0 < stats[f"theta{i}_disc_bound"] <= 0.05 * 0.05
+    # against the frozen table at dx 0.01, the fine-step oracle
+    _close_to_frozen(tmp_path, meta)
 
 
 def test_coarse_rows_keep_the_effective_table(tmp_path, monkeypatch):
     # the row estimates only decide acceptance and the Newton step: with
-    # every row shot at the command step, the table is the same bytes
+    # the endpoints held on the full ladder in both runs and every row
+    # shot at the command step in the second, the table is the same bytes
+    endpoint = hjlab.effective._endpoint
+
+    def full_ladder(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hjlab.effective, "ROW_STEP_FACTORS", (4, 2, 1))
+            return endpoint(*args, **kwargs)
+
+    monkeypatch.setattr(hjlab.effective, "_endpoint", full_ladder)
     cfg = _write(tmp_path, IID_EFFECTIVE)
     d1, d2 = tmp_path / "ladder", tmp_path / "one_step"
     assert main(["effective", "--config", cfg, "--out", str(d1)]) == 0
     monkeypatch.setattr(hjlab.effective, "ROW_STEP_FACTORS", (1,))
     assert main(["effective", "--config", cfg, "--out", str(d2)]) == 0
-    rows = json.loads((d2 / "effective.meta.json").read_text())["rows"]
-    assert all(r["dx"] == 0.04 for r in rows)
+    m1, m2 = (json.loads((d / "effective.meta.json").read_text())
+              for d in (d1, d2))
+    assert all(r["dx"] == 0.16 for r in m1["rows"])
+    assert all(r["dx"] == 0.04 for r in m2["rows"])
+    for key in ("theta1_dx", "theta2_dx", "theta1_beta", "theta2_beta"):
+        assert m1["stats"][key] == m2["stats"][key]
     assert (d1 / "effective.csv").read_bytes() == \
         (d2 / "effective.csv").read_bytes()
+
+
+# the benchmark's effective config (perfbench/workloads.py) on its seed
+BENCH_EFFECTIVE = ("[env]\nkind = iid-interp\nseed = 56254\n"
+                   "window = -960 960\ndx_env = 0.01\n\n[model]\nbeta = 1.0"
+                   "\n\n[effective]\ntheta_grid = -2.5 -2 -1.5 -1 0 1 1.5 2 "
+                   "2.5\nx = 600\ntol = 0.03\n")
+
+
+def test_effective_benchmark_work_counters(tmp_path):
+    # every estimate, the lam = beta endpoints included, settles at
+    # 4 dx = 0.16 and every row at its first level: 57,869 RK4 steps,
+    # against 93,646 with the endpoints at the command step 0.04
+    cfg = _write(tmp_path, BENCH_EFFECTIVE)
+    assert main(["effective", "--config", cfg, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "effective.meta.json").read_text())
+    stats = meta["stats"]
+    assert stats["dx"] == 0.04
+    assert stats["theta1_dx"] == stats["theta2_dx"] == 0.16
+    assert stats["n_evals"] == 8
+    assert all(r["dx"] == 0.16 for r in meta["rows"])
+    assert stats["rk4_steps"] <= 60000
 
 
 def test_effective_iid_parallel_matches_sequential(tmp_path):

@@ -26,7 +26,8 @@ from hjlab.effective import (
 )
 from hjlab.corrector import ThetaEstimate, estimate_theta
 from hjlab.environment import generate_env
-from hjlab.errors import CertificateError, ConfigError, FlatPieceError
+from hjlab.errors import (CertificateError, ConfigError, FlatPieceError,
+                          WindowError)
 from hjlab.hamiltonian import PowerG, bracket
 from oracles import (
     branch_of,
@@ -242,7 +243,8 @@ def _scripted(monkeypatch, mean_of, slope_of, ci=0.0, bar_of=None,
                              window_length=X, n_batches=n_batches,
                              cert_bound=0.0, dtheta_dlam=slope_of(lam),
                              dtheta_ci=0.0,
-                             disc_bound=bar_of(dx) if bar_of else 0.0)
+                             disc_bound=bar_of(dx) if bar_of else 0.0,
+                             dx=dx)
 
     monkeypatch.setattr(hjlab.effective, "estimate_theta", fake)
     return lams
@@ -394,9 +396,10 @@ def test_row_estimate_with_a_wide_ci_is_redone_at_half_the_step(G,
 
     monkeypatch.setattr(hjlab.effective, "estimate_theta", spy)
     inv = invert_theta(env, G, BETA, 1.5, 2, 1e-4, X=10.0, dx=0.02)
-    # the endpoint at the command step, then the first level twice
-    assert [dx for dx, _ in seen[:3]] == [0.02, 0.08, 0.04]
-    assert seen[1][1].lam == seen[2][1].lam
+    # the endpoint on its own ladder, at 4 dx: its ci is not gated, and
+    # its bar passes; then the first level twice
+    assert [dx for dx, _ in seen[:3]] == [0.08, 0.08, 0.04]
+    assert seen[0][1].lam == BETA and seen[1][1].lam == seen[2][1].lam
     assert seen[1][1].ci_halfwidth > 1e-4
     assert inv.dx == 0.04
     # the one-cell oracle level, to the bound of
@@ -420,6 +423,109 @@ def test_coarse_row_estimate_is_covered_by_its_bar(env_periodic, G):
         assert inv.dx > 0.04
         miss = abs(inv.theta_at_lam - cell_average(cell, G, BETA, inv.lam))
         assert miss <= inv.disc_bound + 1e-6
+
+
+def _endpoint_run(monkeypatch, env, G, bar_of, ci=0.0):
+    """The lam = beta endpoint of branch 2 on the ladder of dx = 0.01, tol
+    1e-3 (gate 5e-5), on scripted estimates: (endpoint, steps asked)."""
+    steps = []
+    _scripted(monkeypatch, lambda lam: 0.5, lambda lam: 1.0, ci=ci,
+              bar_of=bar_of, steps=steps)
+    ep, _ = hjlab.effective._endpoint(env, G, BETA, 2, 1e-3, X=40.0,
+                                      n_batches=10, dx=0.01)
+    return ep, steps
+
+
+def _raise_above(step):
+    def bar_of(dx):
+        if dx > step:
+            raise WindowError("the doubled run left the bracket")
+        return 0.0
+    return bar_of
+
+
+@pytest.mark.parametrize("bar_of, settled", [
+    (lambda dx: 0.0, [0.04]),                        # passes at 4 dx
+    (lambda dx: 1e-4 if dx > 0.03 else 0.0, [0.04, 0.02]),   # bar fails
+    (lambda dx: 1e-4, [0.04, 0.02, 0.01]),          # fails but at dx
+    (_raise_above(0.03), [0.04, 0.02]),              # the attempt raises
+    (_raise_above(0.015), [0.04, 0.02, 0.01]),
+])
+def test_endpoint_settles_on_the_step_ladder(env_periodic, G, monkeypatch,
+                                             bar_of, settled):
+    ep, steps = _endpoint_run(monkeypatch, env_periodic, G, bar_of)
+    assert steps == settled
+    assert ep.dx == settled[-1] and ep.lam == BETA
+
+
+def test_endpoint_with_a_wide_ci_still_coarsens(env_periodic, G,
+                                                monkeypatch):
+    # an endpoint's ci does not shrink with the step, so only its bar
+    # is gated: a ci ten times tol stands at 4 dx
+    ep, steps = _endpoint_run(monkeypatch, env_periodic, G,
+                              lambda dx: 0.0, ci=1e-2)
+    assert steps == [0.04] and ep.ci_halfwidth == 1e-2
+
+
+def test_inversion_at_the_endpoint_reports_its_step(env_periodic, G,
+                                                    monkeypatch):
+    # an inversion that computes its own endpoint and lands on it
+    # returns that estimate, with the step it settled on
+    steps = []
+    _scripted(monkeypatch, lambda lam: 0.5, lambda lam: 1.0,
+              bar_of=lambda dx: 1e-4 if dx > 0.03 else 0.0, steps=steps)
+    inv = invert_theta(env_periodic, G, BETA, 0.5, 2, 1e-3, dx=0.01)
+    assert (inv.lam, inv.n_evals, inv.dx) == (BETA, 0, 0.02)
+    assert steps == [0.04, 0.02]
+
+
+def test_effective_counts_every_endpoint_attempt(env_periodic, G,
+                                                 monkeypatch):
+    # at tol 1e-3 the endpoints' bars fail the gate at 4 dx = 0.16 and
+    # pass at 0.08: the rejected attempts count toward rk4_steps
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(estimate_theta(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(hjlab.effective, "estimate_theta", spy)
+    eff = build_effective_H(env_periodic, G, BETA, [-1.8, 1.8], tol=1e-3,
+                            X=40.0, dx=0.04)
+    eps = [e for e in seen if e.lam == BETA]
+    assert [(e.branch, e.dx) for e in eps] == [(2, 0.16), (2, 0.08),
+                                               (1, 0.16), (1, 0.08)]
+    assert eps[0].disc_bound > 0.05 * 1e-3
+    assert (eff.theta1_dx, eff.theta2_dx) == (0.08, 0.08)
+    assert (eff.theta1_beta, eff.theta2_beta) == (eps[3].mean, eps[1].mean)
+    assert eff.rk4_steps == sum(e.rk4_steps for e in seen)
+
+
+def test_coarse_endpoint_is_covered_by_its_bar(env_periodic, env_iid, G,
+                                               eff_iid, periodic_oracle):
+    # against the dense one-cell average, which shares no code with the
+    # shooting, and against the same estimate at dx = 0.01: an endpoint
+    # settled on a step coarser than the command step misses either by
+    # no more than its own step-doubling bar
+    _, theta2 = periodic_oracle
+    eff = build_effective_H(env_periodic, G, BETA, [-1.8, 1.8], tol=1e-3,
+                            X=40.0, dx=0.04)
+    for t, bar, step in ((eff.theta1_beta, eff.theta1_disc_bound,
+                          eff.theta1_dx),
+                         (eff.theta2_beta, eff.theta2_disc_bound,
+                          eff.theta2_dx)):
+        assert step > 0.04
+        # the medium is even about x = 0, so theta1(beta) = -theta2(beta)
+        assert abs(abs(t) - theta2) <= bar + 1e-6
+    for branch, t, bar, step in (
+            (1, eff_iid.theta1_beta, eff_iid.theta1_disc_bound,
+             eff_iid.theta1_dx),
+            (2, eff_iid.theta2_beta, eff_iid.theta2_disc_bound,
+             eff_iid.theta2_dx)):
+        assert step > 0.01
+        fine = estimate_theta(env_iid, G, BETA, BETA, branch, X=300.0,
+                              tol=1e-2, dx=0.01)
+        assert abs(t - fine.mean) <= bar
 
 
 def test_invert_ci_too_large_raises(env_iid, G):
