@@ -39,6 +39,7 @@ from .environment import (
     s_at,
     sample_many,
     save_env,
+    write_csv,
 )
 from .errors import (
     BracketExitError,
@@ -76,6 +77,7 @@ from .pde import (
     homogenize_sweep,
     save_sweep,
     stable_dt,
+    sweep_ladder,
 )
 from .probe import (
     GluedProfile,

@@ -351,12 +351,12 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
                             n_batches=n_batches, dx=dx, workers=cfg.workers)
     out = cfg.out_dir / "effective.csv"
     save_effective(eff, str(out))
-    cfg.stats.update(dx=dx, n_evals=eff.n_evals, rk4_steps=eff.rk4_steps,
-                     theta1_beta=eff.theta1_beta, theta2_beta=eff.theta2_beta,
-                     theta1_ci=eff.theta1_ci, theta2_ci=eff.theta2_ci,
-                     theta1_disc_bound=eff.theta1_disc_bound,
-                     theta2_disc_bound=eff.theta2_disc_bound,
-                     theta1_dx=eff.theta1_dx, theta2_dx=eff.theta2_dx)
+    cfg.stats.update(dx=dx, n_evals=eff.n_evals, rk4_steps=eff.rk4_steps)
+    for i, ep in enumerate(eff.endpoints, 1):
+        cfg.stats.update({f"theta{i}_beta": ep.mean,
+                          f"theta{i}_ci": ep.ci_halfwidth,
+                          f"theta{i}_disc_bound": ep.disc_bound,
+                          f"theta{i}_dx": ep.dx})
     # one record per branch row, with Hbar' = 1 / theta'(lam)
     cfg.rows = [dict(asdict(inv), dH_dtheta=1.0 / inv.dtheta_dlam
                      if inv.dtheta_dlam else None) for inv in eff.inversions]
@@ -391,7 +391,7 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
     sweep_ladder(env.window, epsilons, scheme)
     if reference is None:
         # Hbar(theta) from correctors on the same medium, and the
-        # step-doubling bar of the slope estimate it rests on
+        # step-doubling bar of that level
         reference, _, cfg.stats["ref_disc_bound"] = _reference(
             env, cfg.G, cfg.beta, theta, ref_tol, X=ref_X, dx=ref_dx)
     result = homogenize_sweep(env, cfg.G, cfg.beta, theta, epsilons, scheme,

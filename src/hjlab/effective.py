@@ -26,7 +26,7 @@ correctors are constants, so every inversion is the closed form
 single slope 0 at height ``beta*v0``.  The general path cannot stand
 in for them when v0 < 1: its level bracket and its flat level beta
 assume sup V = 1, and at v0 = 1 both endpoints are 0, which its
-straddle check rejects.
+side-of-0 check rejects.
 """
 
 from __future__ import annotations
@@ -102,36 +102,29 @@ class LambdaInversion:
 class EffectiveH:
     """Piecewise effective Hamiltonian: monotone branches + flat piece.
 
-    ``inversions`` holds each branch row once, as its ``LambdaInversion``
-    (branch 1, then branch 2, each in theta order).  ``flat_thetas``
-    are the grid slopes on the flat piece, at ``flat_value``: ``beta``
-    for random media (whose potential sup is 1), ``beta*v0`` for
-    constant media.  That value is exact; only the endpoints
-    ``theta1_beta``/``theta2_beta`` are statistical, with CIs
-    ``theta1_ci``/``theta2_ci`` and step-doubling bars
-    ``theta1_disc_bound``/``theta2_disc_bound`` (0 on constant media).
+    ``endpoints`` are the flat endpoints theta_1(beta) and theta_2(beta),
+    as the slope estimates at lam = beta they were read from, each with
+    its ci, step-doubling bar and the step it settled on.  On constant
+    media both are the exact slope 0 at ``flat_value`` (no window, ci and
+    bar 0, ``dx`` None).  ``inversions`` holds each branch row once, as
+    its ``LambdaInversion`` (branch 1, then branch 2, each in theta
+    order).  ``flat_thetas`` are the grid slopes on the flat piece, at
+    ``flat_value``: ``beta`` for random media (whose potential sup is 1),
+    ``beta*v0`` for constant media.  That value is exact; only the
+    endpoints are statistical.
 
-    ``theta1_dx``/``theta2_dx`` are the steps the endpoints settled on
-    (None on constant media).  ``n_evals`` and ``rk4_steps`` sum up the
-    work of the build: slope estimates of the inversions, and RK4 steps
-    of the endpoint estimates (rejected attempts included) and the
-    inversions.
+    ``n_evals`` and ``rk4_steps`` sum up the work of the build: slope
+    estimates of the inversions, and RK4 steps of the endpoint estimates
+    (rejected attempts included) and the inversions.
     """
 
     beta: float
-    theta1_beta: float
-    theta1_ci: float
-    theta2_beta: float
-    theta2_ci: float
+    endpoints: tuple[ThetaEstimate, ThetaEstimate]
     flat_thetas: np.ndarray
     flat_value: float
     n_evals: int = 0
     rk4_steps: int = 0
     inversions: tuple[LambdaInversion, ...] = ()
-    theta1_disc_bound: float = 0.0
-    theta2_disc_bound: float = 0.0
-    theta1_dx: float | None = None
-    theta2_dx: float | None = None
 
     def __post_init__(self):
         self.flat_thetas.setflags(write=False)
@@ -161,8 +154,33 @@ def kappa_tilde(G, lam: float, beta: float, branch: int = 2) -> float:
 
 
 # ============================================================
-# Step ladder
+# Slope estimates, the levels that rest on them, and the step ladder
 # ============================================================
+
+def _exact(G, beta: float, lam: float, theta: float,
+           branch: int) -> ThetaEstimate:
+    """The exact slope ``theta`` of a constant corrector at level ``lam``:
+    no window, ci or bar, and theta'(lam) = 1 / G'(theta)."""
+    dG = float(G.deriv(theta))
+    return ThetaEstimate(branch=branch, lam=lam, beta=beta, mean=float(theta),
+                         ci_halfwidth=0.0, window_length=0.0, n_batches=0,
+                         cert_bound=0.0,
+                         dtheta_dlam=1.0 / dG if dG != 0.0 else math.inf,
+                         dtheta_ci=0.0, disc_bound=0.0)
+
+
+def _inversion(theta: float, est: ThetaEstimate, lo: float, hi: float,
+               spent=()) -> LambdaInversion:
+    """The level ``est.lam``, with safeguard bracket ``[lo, hi]``, matched
+    to ``theta`` on the estimate ``est``; ``spent`` are those it cost."""
+    return LambdaInversion(branch=est.branch, theta=theta, lam=est.lam,
+                           lam_lo=lo, lam_hi=hi, theta_at_lam=est.mean,
+                           ci=est.ci_halfwidth, n_evals=len(spent),
+                           rk4_steps=sum(e.rk4_steps for e in spent),
+                           dtheta_dlam=est.dtheta_dlam,
+                           dtheta_ci=est.dtheta_ci,
+                           disc_bound=est.disc_bound, dx=est.dx)
+
 
 def _on_ladder(env: EnvRealization, G, beta: float, lam: float, branch: int,
                steps: list[float], ests: list[ThetaEstimate], fits, *,
@@ -206,13 +224,18 @@ def _endpoint(env: EnvRealization, G, beta: float, branch: int, tol: float,
     RK4 steps of every attempt it took.
 
     It gates on the step-doubling bar alone (at most ``0.05 tol``): its
-    ci does not shrink with the step.
+    ci does not shrink with the step.  The flat piece straddles 0, so an
+    endpoint on the wrong side of 0 raises ``CertificateError``.
     """
     ests: list[ThetaEstimate] = []
     est = _on_ladder(env, G, beta, beta, branch,
                      [k * dx for k in ROW_STEP_FACTORS], ests,
                      lambda e: e.disc_bound <= _ROW_BAR_FRACTION * tol,
                      X=X, n_batches=n_batches, enclose=_ENDPOINT_TOL)
+    if not (1.0 if branch == 2 else -1.0) * est.mean > 0.0:
+        raise CertificateError(
+            f"flat endpoint theta{branch}(beta) = {est.mean:.6g} is on the "
+            f"wrong side of 0: the flat piece straddles 0")
     return est, sum(e.rk4_steps for e in ests)
 
 
@@ -222,20 +245,13 @@ def _endpoint(env: EnvRealization, G, beta: float, branch: int, tol: float,
 
 def _invert_constant(env: EnvRealization, G, beta: float, theta: float,
                      branch: int) -> LambdaInversion:
-    v0 = float(env.v_vals[0])
-    s = 1.0 if branch == 2 else -1.0
-    if s * theta < 0.0:
+    if (1.0 if branch == 2 else -1.0) * theta < 0.0:
         raise FlatPieceError(
             f"theta={theta:g} is on the wrong side of the degenerate flat "
             f"point 0 for branch {branch}")
-    lam = float(G(theta)) + beta * v0
     # the corrector is the constant G_b^-1(lam - beta v0)
-    dG = float(G.deriv(theta))
-    return LambdaInversion(branch=branch, theta=float(theta), lam=lam,
-                           lam_lo=lam, lam_hi=lam, theta_at_lam=float(theta),
-                           ci=0.0, n_evals=0,
-                           dtheta_dlam=1.0 / dG if dG != 0.0 else math.inf,
-                           dtheta_ci=0.0, disc_bound=0.0)
+    lam = float(G(theta)) + beta * float(env.v_vals[0])
+    return _inversion(theta, _exact(G, beta, lam, theta, branch), lam, lam)
 
 
 def invert_theta(env: EnvRealization, G, beta: float, theta: float,
@@ -284,7 +300,8 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     ``endpoint`` lets callers reuse a lam=beta estimate across many
     inversions; when omitted it is computed here on the same ladder,
     with ``_ENDPOINT_TOL`` as the enclosure tolerance and the bar alone
-    as the gate (its ci does not shrink with the step).
+    as the gate (its ci does not shrink with the step); one on the
+    wrong side of 0 raises ``CertificateError``.
     """
     beta = float(beta)
     theta = float(theta)
@@ -315,14 +332,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
             raise CertificateError(
                 f"endpoint ci {endpoint.ci_halfwidth:.3g} exceeds the "
                 f"requested theta tolerance {tol:.3g}: grow X")
-        return LambdaInversion(branch=branch, theta=theta, lam=beta,
-                               lam_lo=beta, lam_hi=beta,
-                               theta_at_lam=endpoint.mean,
-                               ci=endpoint.ci_halfwidth, n_evals=0,
-                               dtheta_dlam=endpoint.dtheta_dlam,
-                               dtheta_ci=endpoint.dtheta_ci,
-                               disc_bound=endpoint.disc_bound,
-                               dx=endpoint.dx)
+        return _inversion(theta, endpoint, beta, beta)
 
     ests: list[ThetaEstimate] = []  # every estimate, rejected ones included
     levels: list[float] = []
@@ -347,16 +357,6 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                 f"exceeds the requested theta tolerance {tol:.3g}: grow X")
         return est
 
-    def accept(lam: float, lo: float, hi: float,
-               est: ThetaEstimate) -> LambdaInversion:
-        return LambdaInversion(branch=branch, theta=theta, lam=lam,
-                               lam_lo=lo, lam_hi=hi, theta_at_lam=est.mean,
-                               ci=est.ci_halfwidth, n_evals=len(ests),
-                               rk4_steps=sum(e.rk4_steps for e in ests),
-                               dtheta_dlam=est.dtheta_dlam,
-                               dtheta_ci=est.dtheta_ci,
-                               disc_bound=est.disc_bound, dx=steps[0])
-
     # slopes at level lam lie in [G_b^-1(lam - beta), G_b^-1(lam)]
     g_theta = float(G(theta))
     lo, hi = max(beta, g_theta), beta + max(g_theta, tol)
@@ -366,7 +366,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     hi_measured = False
     while True:
         if abs(est.mean - theta) <= tol:
-            return accept(lam, lo, hi, est)
+            return _inversion(theta, est, lo, hi, ests)
         if s * est.mean < s * theta:
             if lam == hi:
                 # the upper end itself falls short: move the bracket up
@@ -391,7 +391,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
     # bracket collapsed to rounding before the theta tolerance was met:
     # accept only if the residual mismatch is explained by the ci
     if abs(est.mean - theta) <= tol + est.ci_halfwidth:
-        return accept(lam, lo, hi, est)
+        return _inversion(theta, est, lo, hi, ests)
     raise CertificateError(
         f"inversion exhausted level resolution with |theta_hat - theta| = "
         f"{abs(est.mean - theta):.3g} > tol = {tol:.3g}: the slope estimate "
@@ -420,9 +420,9 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
     its branch.  Grid slopes inside the estimated flat interval are
     carried as flat rows at the exact flat value.  The grid must reach
     beyond both endpoints, which straddle 0, so a grid without a
-    negative and a positive slope fails before any estimate.  The levels must certify the shape: strictly
-    monotone on each branch, never below the flat value, above it at
-    both grid ends.
+    negative and a positive slope fails before any estimate.  The
+    levels must certify the shape: strictly monotone on each branch,
+    never below the flat value, above it at both grid ends.
 
     ``workers > 1`` farms the independent slope inversions out to a
     process pool; results are merged in grid order, so the output is
@@ -442,11 +442,9 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
     tol = float(tol)
 
     if env.kind == "constant":
-        v0 = float(env.v_vals[0])
-        flat_value = beta * v0
-        t1 = t2 = 0.0
-        ci1 = ci2 = disc1 = disc2 = 0.0
-        dx1 = dx2 = ep1 = ep2 = None
+        # the flat piece degenerates to the exact slope 0
+        flat_value = beta * float(env.v_vals[0])
+        endpoints = tuple(_exact(G, beta, flat_value, 0.0, b) for b in (1, 2))
         ep_steps = 0
     else:
         flat_value = beta
@@ -454,15 +452,8 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
                                 n_batches=n_batches, dx=dx)
         ep1, steps1 = _endpoint(env, G, beta, 1, tol, X=X,
                                 n_batches=n_batches, dx=dx)
-        ep_steps = steps1 + steps2
-        t1, ci1, disc1, dx1 = (ep1.mean, ep1.ci_halfwidth, ep1.disc_bound,
-                               ep1.dx)
-        t2, ci2, disc2, dx2 = (ep2.mean, ep2.ci_halfwidth, ep2.disc_bound,
-                               ep2.dx)
-        if not (t1 < 0.0 < t2):
-            raise CertificateError(
-                f"flat endpoints must straddle 0, got theta1 = {t1:.6g}, "
-                f"theta2 = {t2:.6g}")
+        endpoints, ep_steps = (ep1, ep2), steps1 + steps2
+    t1, t2 = (ep.mean for ep in endpoints)
 
     left = grid[grid < t1]
     right = grid[grid > t2]
@@ -472,10 +463,8 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
             f"theta grid must reach beyond both flat endpoints "
             f"({t1:.4g}, {t2:.4g})")
 
-    tasks = [(G, beta, float(th), 1, tol, X, n_batches, dx, ep1)
-             for th in left]
-    tasks += [(G, beta, float(th), 2, tol, X, n_batches, dx, ep2)
-              for th in right]
+    tasks = [(G, beta, float(th), b, tol, X, n_batches, dx, endpoints[b - 1])
+             for b, side in ((1, left), (2, right)) for th in side]
     invs = _pmap(_invert_task, env, tasks, workers)
 
     lams1, lams2 = ([i.lam for i in invs if i.branch == k] for k in (1, 2))
@@ -494,13 +483,11 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
             "branch tables do not rise above the flat value at the grid "
             "ends (coercivity check)")
 
-    return EffectiveH(beta=beta, theta1_beta=float(t1), theta1_ci=float(ci1),
-                      theta2_beta=float(t2), theta2_ci=float(ci2),
-                      flat_thetas=flat, flat_value=flat_value,
+    return EffectiveH(beta=beta, endpoints=endpoints, flat_thetas=flat,
+                      flat_value=flat_value,
                       n_evals=sum(i.n_evals for i in invs),
                       rk4_steps=ep_steps + sum(i.rk4_steps for i in invs),
-                      inversions=tuple(invs), theta1_disc_bound=disc1,
-                      theta2_disc_bound=disc2, theta1_dx=dx1, theta2_dx=dx2)
+                      inversions=tuple(invs))
 
 
 def effective_reference(env: EnvRealization, G, beta: float, theta: float,
@@ -530,29 +517,29 @@ def effective_reference(env: EnvRealization, G, beta: float, theta: float,
 def _reference(env: EnvRealization, G, beta: float, theta: float,
                tol: float, *, X: float = 500.0, n_batches: int = 10,
                dx: float = 0.01) -> tuple[float, float, float]:
-    """``effective_reference`` plus the step-doubling bar of the slope
-    estimate the level was matched on (0 where the value is exact).
+    """``effective_reference`` plus the step-doubling bar of the level
+    (0 where the value is exact).
 
     The endpoint and the level's estimates are shot on the step ladder
-    of ``invert_theta`` from ``dx``, gated at ``0.05 tol``."""
+    of ``invert_theta`` from ``dx``, gated at ``0.05 tol``.  The level
+    moves by ``|G'(theta_b(beta))|`` times a move of the endpoint, whose
+    mean sets the Newton start, and by a move of the row's slope over
+    ``|dtheta/dlam|``; the bar is those two moves at the two bars."""
     beta = float(beta)
     theta = float(theta)
-    if env.kind == "constant":
-        return float(G(theta)) + beta * float(env.v_vals[0]), 0.0, 0.0
     branch = 2 if theta >= 0.0 else 1
-    s = 1.0 if branch == 2 else -1.0
+    if env.kind == "constant":
+        return _invert_constant(env, G, beta, theta, branch).lam, 0.0, 0.0
     ep, _ = _endpoint(env, G, beta, branch, tol, X=X, n_batches=n_batches,
                       dx=dx)
-    if not s * ep.mean > 0.0:
-        raise CertificateError(
-            f"flat endpoint theta{branch}(beta) = {ep.mean:.6g} is on the "
-            f"wrong side of 0")
-    if s * theta < s * ep.mean:
+    if abs(theta) < abs(ep.mean):  # inside the flat piece
         return beta, 0.0, 0.0
     inv = invert_theta(env, G, beta, theta, branch, tol, X=X,
                        n_batches=n_batches, dx=dx, endpoint=ep)
     half = kappa_tilde(G, inv.lam, beta, branch=branch) * (tol + inv.ci)
-    return inv.lam, half, inv.disc_bound
+    # at the endpoint itself (no row measured) the level is beta
+    row = inv.disc_bound / abs(inv.dtheta_dlam) if inv.n_evals else 0.0
+    return inv.lam, half, abs(float(G.deriv(ep.mean))) * ep.disc_bound + row
 
 
 # ============================================================

@@ -6,6 +6,10 @@ failures (an invariant that the run was supposed to certify did not
 hold).  Everything else is a plain bug and propagates as-is.
 """
 
+__all__ = ["ConfigError", "ScientificError", "WindowError",
+           "BracketExitError", "CertificateError", "HillError", "GlueError",
+           "FlatPieceError", "StabilityError", "SignError"]
+
 
 class ConfigError(Exception):
     """Invalid or inconsistent run configuration (CLI exit code 2)."""

@@ -210,9 +210,9 @@ def branch_table(eff, branch: int) -> np.ndarray:
 
 
 def branch_of(eff, theta: float) -> str:
-    if theta > eff.theta2_beta:
+    if theta > eff.endpoints[1].mean:
         return "right"
-    if theta < eff.theta1_beta:
+    if theta < eff.endpoints[0].mean:
         return "left"
     return "flat"
 
@@ -223,7 +223,7 @@ def _interp(eff, theta: float, col: int) -> float:
         return eff.flat_value
     if side == "right":
         tab = branch_table(eff, 2)
-        xp = np.concatenate(([eff.theta2_beta], tab[:, 0]))
+        xp = np.concatenate(([eff.endpoints[1].mean], tab[:, 0]))
         fp = np.concatenate(([eff.flat_value], tab[:, col]))
         if theta > xp[-1]:
             raise ValueError(
@@ -231,7 +231,7 @@ def _interp(eff, theta: float, col: int) -> float:
                 f"(max {xp[-1]:g}); rebuild with a wider grid")
     else:
         tab = branch_table(eff, 1)
-        xp = np.concatenate((tab[:, 0], [eff.theta1_beta]))
+        xp = np.concatenate((tab[:, 0], [eff.endpoints[0].mean]))
         fp = np.concatenate((tab[:, col], [eff.flat_value]))
         if theta < xp[0]:
             raise ValueError(

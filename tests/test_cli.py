@@ -337,6 +337,8 @@ _BASES = {
     "probe-corrector": PROBE_GLUED.replace(
         "profile = glued", "profile = corrector\nlam = 2.0\nbranch = 2"),
     "homogenize": HOMOG_IID,
+    "hill-check": CONST_V0.split("[theta-curve]")[0]
+    + "[hill-check]\nh = 0.9\nc = 5.0\n",
 }
 
 
@@ -349,20 +351,71 @@ _BASES = {
     ("homogenize", "epsilons = 0.5 2"), ("homogenize", "reference = abc"),
     ("homogenize", "reference = inf"), ("homogenize", "theta = nan"),
     ("homogenize", "ref_tol = -1"), ("homogenize", "ref_x = 0"),
-    ("homogenize", "ref_dx = -0.01")])
+    ("homogenize", "ref_dx = -0.01"), ("probe", "kind = neither"),
+    ("probe", "profile = other"), ("probe-corrector", "region = 2 1"),
+    ("hill-check", "mode = valley")])
 def test_bad_parameter_exits_before_the_medium_is_built(tmp_path, monkeypatch,
                                                         base, line):
     def no_medium(self, window=None):
         pytest.fail("the medium was built before every parameter was read")
 
     monkeypatch.setattr(hjlab.cli.RunConfig, "make_env", no_medium)
-    # the command's section is last: drop the key's line, append the bad one
+    # the command's section is last: drop the key's line there (the same
+    # key may sit in [env]) and append the bad one
     key = line.split(" = ")[0]
-    text = "\n".join(ln for ln in _BASES[base].splitlines()
-                     if not ln.startswith(key + " ")) + f"\n{line}\n"
+    head, header, section = _BASES[base].rpartition("\n[")
+    text = head + header + "\n".join(
+        ln for ln in section.splitlines()
+        if not ln.startswith(key + " ")) + f"\n{line}\n"
     cfg = _write(tmp_path, text)
-    command = base.partition("-")[0]
+    command = base.removesuffix("-corrector")
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+# rejections of the config loader, the medium generators and make_G,
+# each recognised by its own message
+@pytest.mark.parametrize("command, text, flags, message", [
+    ("effective", CONST_V0 + "\n[effective]\ntheta_grid =\n", [],
+     "at least one number"),
+    ("gen-env", CONST_V0.replace("[env]", "[output]"), [], "[env] section"),
+    ("gen-env", CONST_V0.replace("window = -40 40", "window = 1 0"), [],
+     "window must be two increasing"),
+    ("gen-env", CONST_V0.replace("[model]\nbeta = 1.0\n", ""), [],
+     "[model] section"),
+    ("gen-env", CONST_V0, ["--workers", "0"], "--workers must be >= 1"),
+    ("gen-env", IID_V.replace("dx_env = 0.1", "dx_env = 0.1\na0 = 0"), [],
+     "a0 must lie in"),
+    ("gen-env", IID_V.replace("iid-interp", "gauss-squash").replace(
+        "dx_env = 0.1", "dx_env = 0.1\ncorr_len = 0"), [],
+     "corr_len must be positive"),
+    ("gen-env", IID_V.replace("iid-interp", "gauss-squash").replace(
+        "dx_env = 0.1", "dx_env = 0.1\nkappa = 1"), [], "kappa must lie in"),
+    ("gen-env", IID_V.replace("iid-interp", "coupled-singular").replace(
+        "dx_env = 0.1", "dx_env = 0.1\nbump_width = 0.6"), [],
+     "bump_width must lie in"),
+    ("gen-env", CONST_V0.replace(
+        "[model]", "[hamiltonian]\nfamily = power\ngamma = 1\n\n[model]"),
+     [], "needs gamma > 1"),
+], ids=["empty-list", "no-env", "window-decreasing", "no-model",
+        "workers-0", "iid-a0-0", "gauss-corr-len-0", "gauss-kappa-1",
+        "singular-bump-width", "power-gamma-1"])
+def test_config_rejection_exits_2_and_writes_no_table(tmp_path, capsys,
+                                                      command, text, flags,
+                                                      message):
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_glued_probe_without_a_hill_exits_1(tmp_path, capsys):
+    # V = 0.5 never reaches the hill level 0.9: no witness to glue on
+    cfg = _write(tmp_path, PROBE_GLUED.replace("v0 = 1.0", "v0 = 0.5"))
+    assert main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "no hill witness" in capsys.readouterr().err
+    assert not (tmp_path / "probe.csv").exists()
 
 
 def test_value_error_inside_command_is_a_crash(tmp_path, monkeypatch):

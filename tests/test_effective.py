@@ -128,7 +128,7 @@ def test_build_effective_constant_v0_zero(env_const0, G):
     eff = build_effective_H(env_const0, G, BETA,
                             [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], tol=1e-6)
     assert eff.flat_value == 0.0
-    assert eff.theta1_beta == 0.0 and eff.theta2_beta == 0.0
+    assert eff.endpoints[0].mean == 0.0 and eff.endpoints[1].mean == 0.0
     assert eff.flat_thetas.tolist() == [0.0]
     # Hbar(theta) = G(theta), exactly, at every table node
     for th, lam, lo, hi in np.vstack((branch_table(eff, 1),
@@ -496,8 +496,8 @@ def test_effective_counts_every_endpoint_attempt(env_periodic, G,
     assert [(e.branch, e.dx) for e in eps] == [(2, 0.16), (2, 0.08),
                                                (1, 0.16), (1, 0.08)]
     assert eps[0].disc_bound > 0.05 * 1e-3
-    assert (eff.theta1_dx, eff.theta2_dx) == (0.08, 0.08)
-    assert (eff.theta1_beta, eff.theta2_beta) == (eps[3].mean, eps[1].mean)
+    assert [ep.dx for ep in eff.endpoints] == [0.08, 0.08]
+    assert [ep.mean for ep in eff.endpoints] == [eps[3].mean, eps[1].mean]
     assert eff.rk4_steps == sum(e.rk4_steps for e in seen)
 
 
@@ -510,22 +510,15 @@ def test_coarse_endpoint_is_covered_by_its_bar(env_periodic, env_iid, G,
     _, theta2 = periodic_oracle
     eff = build_effective_H(env_periodic, G, BETA, [-1.8, 1.8], tol=1e-3,
                             X=40.0, dx=0.04)
-    for t, bar, step in ((eff.theta1_beta, eff.theta1_disc_bound,
-                          eff.theta1_dx),
-                         (eff.theta2_beta, eff.theta2_disc_bound,
-                          eff.theta2_dx)):
-        assert step > 0.04
+    for ep in eff.endpoints:
+        assert ep.dx > 0.04
         # the medium is even about x = 0, so theta1(beta) = -theta2(beta)
-        assert abs(abs(t) - theta2) <= bar + 1e-6
-    for branch, t, bar, step in (
-            (1, eff_iid.theta1_beta, eff_iid.theta1_disc_bound,
-             eff_iid.theta1_dx),
-            (2, eff_iid.theta2_beta, eff_iid.theta2_disc_bound,
-             eff_iid.theta2_dx)):
-        assert step > 0.01
+        assert abs(abs(ep.mean) - theta2) <= ep.disc_bound + 1e-6
+    for branch, ep in enumerate(eff_iid.endpoints, 1):
+        assert ep.dx > 0.01
         fine = estimate_theta(env_iid, G, BETA, BETA, branch, X=300.0,
                               tol=1e-2, dx=0.01)
-        assert abs(t - fine.mean) <= bar
+        assert abs(ep.mean - fine.mean) <= ep.disc_bound
 
 
 def test_invert_ci_too_large_raises(env_iid, G):
@@ -538,9 +531,10 @@ def test_invert_ci_too_large_raises(env_iid, G):
 # ------------------------------------------------------------
 
 def test_iid_flat_endpoints_strictly_inside(eff_iid):
-    assert 0.0 < eff_iid.theta2_beta < 1.0
-    assert -1.0 < eff_iid.theta1_beta < 0.0
-    assert eff_iid.theta2_ci < 0.05 and eff_iid.theta1_ci < 0.05
+    ep1, ep2 = eff_iid.endpoints
+    assert 0.0 < ep2.mean < 1.0
+    assert -1.0 < ep1.mean < 0.0
+    assert ep2.ci_halfwidth < 0.05 and ep1.ci_halfwidth < 0.05
     assert eff_iid.flat_value == BETA
 
 
@@ -597,7 +591,7 @@ def test_iid_lipschitz_inverse_quotient(eff_iid, G):
 def test_iid_branch_continuity_at_flat_endpoint(env_iid, G, eff_iid):
     # levels just above beta contract weakly, so their slope averages
     # carry the widest ci; 4e-2 is what X = 300 certifies there
-    theta = eff_iid.theta2_beta + 0.05
+    theta = eff_iid.endpoints[1].mean + 0.05
     inv = invert_theta(env_iid, G, BETA, theta, 2, 4e-2, X=300.0)
     kap = kappa_tilde(G, BETA, BETA, branch=2)
     assert BETA <= inv.lam <= BETA + kap * (0.05 + 0.08) + 0.05
@@ -672,14 +666,30 @@ def test_effective_reference_flat_and_branch(env_iid, env_const1, G):
                                       1e-6) == (5.0, 0.0, 0.0)
 
 
+def test_reference_bar_covers_the_coarse_endpoint(env_periodic, G,
+                                                  monkeypatch):
+    # the reference is a level: its bar carries the endpoint's bar over
+    # through G'(theta_2(beta)), and the row's through dtheta/dlam.  With
+    # the endpoint settled above the command step, the level moves by no
+    # more than that bar when every estimate is held at the command step
+    ep, _ = hjlab.effective._endpoint(env_periodic, G, BETA, 2, 1e-3,
+                                      X=40.0, n_batches=10, dx=0.04)
+    assert ep.dx > 0.04
+    ref, _, bar = hjlab.effective._reference(env_periodic, G, BETA, 1.5,
+                                             1e-3, X=40.0, dx=0.04)
+    monkeypatch.setattr(hjlab.effective, "ROW_STEP_FACTORS", (1,))
+    held, _, _ = hjlab.effective._reference(env_periodic, G, BETA, 1.5,
+                                            1e-3, X=40.0, dx=0.04)
+    assert 0.0 < abs(ref - held) <= bar
+
+
 def test_every_slope_estimate_carries_its_bar(eff_iid):
     # step doubling at dx = 0.01 moves each average by about 1e-6, two
     # orders below the batch-means CI
     for inv in eff_iid.inversions:
         assert 0.0 < inv.disc_bound <= inv.ci / 100
-    for disc, ci in ((eff_iid.theta1_disc_bound, eff_iid.theta1_ci),
-                     (eff_iid.theta2_disc_bound, eff_iid.theta2_ci)):
-        assert 0.0 < disc <= ci / 100
+    for ep in eff_iid.endpoints:
+        assert 0.0 < ep.disc_bound <= ep.ci_halfwidth / 100
 
 
 def test_effective_reference_estimates_one_endpoint(env_periodic, G,

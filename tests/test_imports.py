@@ -1,10 +1,14 @@
-"""Static checks of the source: every module-level import of the package
-and of the tests is used, the PDE solver imports nothing of the inversion
-layer it checks, and only the two writers open files for writing.
+"""Checks of the source: every module-level import of the package and of
+the tests is used, the package exports what its modules export, the PDE
+solver imports nothing of the inversion layer it checks, and only the
+two writers open files for writing.
 
-The package imports are its only dependencies on other modules, so an
-import that nothing references is dead weight at start-up and a stale
-pointer for the reader; in a test module it is a stale pointer too.
+The package namespace is the union of its modules' ``__all__`` lists
+(``cli`` is the entry point, not a library module), so a public name is
+declared in one place.  The package imports are its only dependencies
+on other modules, so an import that nothing references is dead weight
+at start-up and a stale pointer for the reader; in a test module it is
+a stale pointer too.
 ``__init__.py`` is exempt: its imports are the package's public
 namespace.  Every output file is a table written by
 ``environment.write_csv`` or a sidecar written by ``cli._sidecar``, so
@@ -18,7 +22,11 @@ live in ``probe``, which only the command line runs.
 """
 
 import ast
+import importlib
 from pathlib import Path
+from types import ModuleType
+
+import hjlab
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hjlab"
@@ -58,6 +66,22 @@ def test_module_imports_are_used():
         if found:
             unused[f"{path.parent.name}/{path.name}"] = found
     assert unused == {}
+
+
+def test_package_namespace_is_the_union_of_the_module_exports():
+    # every module lists its public names in __all__, and the package
+    # re-exports exactly those
+    exports = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("__init__", "cli"):
+            continue
+        module = importlib.import_module(f"hjlab.{path.stem}")
+        assert hasattr(module, "__all__"), path.name
+        exports |= set(module.__all__)
+    namespace = {name for name, value in vars(hjlab).items()
+                 if not name.startswith("_")
+                 and not isinstance(value, ModuleType)}
+    assert namespace == exports
 
 
 def _package_imports(tree: ast.Module) -> set[str]:
