@@ -109,37 +109,44 @@ def _bump(u: np.ndarray) -> np.ndarray:
 # ============================================================
 # Generators
 # ============================================================
+# A generator checks its parameters, and any rule about the whole
+# (snapped) window, once; it returns the sampler of one block of nodes,
+# ``sample(xs) -> (a, v)`` on ascending node coordinates.  A sampler is a
+# function of (seed, absolute coordinate) alone, so the medium has the
+# same bits however the window is cut into blocks.
 
-def _gen_iid_interp(seed: int, xs: np.ndarray, dx: float, a0=1.0,
-                    phase=None):
+def _gen_iid_interp(seed: int, window, dx: float, a0=1.0, phase=None):
     a0 = float(a0)
     if not (0.0 < a0 <= 1.0):
         raise ConfigError(f"iid-interp a0 must lie in (0, 1], got {a0}")
     ph = _phase(seed, _STREAM_PHASE) if phase is None else float(phase)
-    t = xs - ph
-    m = np.floor(t).astype(np.int64)
-    w = t - m
-    # each lattice mark hashed once (xs ascending), then read at m and m + 1
-    marks = _lattice_uniform(seed, np.arange(m[0], m[-1] + 2), _STREAM_V)
-    i = m - m[0]
-    v = (1.0 - w) * marks[i] + w * marks[i + 1]
-    a = np.full_like(xs, a0)
-    return a, v
+
+    def sample(xs):
+        t = xs - ph
+        m = np.floor(t).astype(np.int64)
+        w = t - m
+        # each lattice mark hashed once (xs ascending), then read at m and m + 1
+        marks = _lattice_uniform(seed, np.arange(m[0], m[-1] + 2), _STREAM_V)
+        i = m - m[0]
+        v = (1.0 - w) * marks[i] + w * marks[i + 1]
+        return np.full_like(xs, a0), v
+    return sample
 
 
-def _gen_periodic(seed: int, xs: np.ndarray, dx: float, period=1.0,
-                  phase=None):
+def _gen_periodic(seed: int, window, dx: float, period=1.0, phase=None):
     ph = _phase(seed, _STREAM_PHASE) if phase is None else float(phase)
     period = float(period)
     m = int(round(period / dx))
-    if m >= 1 and m * dx == period:
-        # reduce on the lattice so translation by a whole period is the
-        # identity bit-for-bit, not merely up to sin() roundoff
-        j = np.rint(xs / dx).astype(np.int64) % m
-        xs = j * dx
-    v = np.sin(np.pi / period * (xs + ph)) ** 2
-    a = np.ones_like(v, dtype=np.float64)
-    return a, v
+    # reduce on the lattice so translation by a whole period is the
+    # identity bit-for-bit, not merely up to sin() roundoff
+    on_lattice = m >= 1 and m * dx == period
+
+    def sample(xs):
+        if on_lattice:
+            xs = (np.rint(xs / dx).astype(np.int64) % m) * dx
+        v = np.sin(np.pi / period * (xs + ph)) ** 2
+        return np.ones_like(v, dtype=np.float64), v
+    return sample
 
 
 def _gauss_field(seed: int, stream: int, phase_stream: int, ell: float,
@@ -168,25 +175,29 @@ _SIGMA0 = math.sqrt(sum(
     float(_bump(np.array([j / 4.0]))[0]) ** 2 for j in range(-4, 5)))
 
 
-def _gen_gauss_squash(seed: int, xs: np.ndarray, dx: float, corr_len=2.0,
+def _gen_gauss_squash(seed: int, window, dx: float, corr_len=2.0,
                       kappa=0.2, gain=2.5, phase=None):
     ell, kappa, gain = float(corr_len), float(kappa), float(gain)
     if ell <= 0:
         raise ConfigError(f"gauss-squash corr_len must be positive, got {ell}")
     if not (0.0 < kappa < 1.0):
         raise ConfigError(f"gauss-squash kappa must lie in (0, 1), got {kappa}")
-    if xs[-1] - xs[0] < 2.0 * ell:
+    length = window[1] - window[0]
+    if length < 2.0 * ell:
         raise WindowError(
-            f"window of length {xs[-1] - xs[0]:g} too small for correlation length {ell:g}")
-    zv = _gauss_field(seed, _STREAM_GS_V, _STREAM_GS_PHASE_V, ell, phase, xs)
-    za = _gauss_field(seed, _STREAM_GS_A, _STREAM_GS_PHASE_A, ell, phase, xs)
-    v = 1.0 / (1.0 + np.exp(-gain * zv / _SIGMA0))
-    a = kappa + (1.0 - kappa) / (1.0 + np.exp(-gain * za / _SIGMA0))
-    return a, v
+            f"window of length {length:g} too small for correlation length {ell:g}")
+
+    def sample(xs):
+        zv = _gauss_field(seed, _STREAM_GS_V, _STREAM_GS_PHASE_V, ell, phase, xs)
+        za = _gauss_field(seed, _STREAM_GS_A, _STREAM_GS_PHASE_A, ell, phase, xs)
+        v = 1.0 / (1.0 + np.exp(-gain * zv / _SIGMA0))
+        a = kappa + (1.0 - kappa) / (1.0 + np.exp(-gain * za / _SIGMA0))
+        return a, v
+    return sample
 
 
-def _gen_coupled_singular(seed: int, xs: np.ndarray, dx: float,
-                          bump_width=0.35, depth_power=2.0, phase=None):
+def _gen_coupled_singular(seed: int, window, dx: float, bump_width=0.35,
+                          depth_power=2.0, phase=None):
     # Bumps on the unit lattice: at the k-th center the diffusion dips to a
     # random depth d_k while the potential rises to 1 - d_k, so sites with
     # a <= c and V >= 1 - c occur for every level c down to the smallest
@@ -195,24 +206,25 @@ def _gen_coupled_singular(seed: int, xs: np.ndarray, dx: float,
     if not (0.0 < width <= 0.49):
         raise ConfigError(f"coupled-singular bump_width must lie in (0, 0.49], got {width}")
     ph = _phase(seed, _STREAM_CS_PHASE) if phase is None else float(phase)
-    m = np.round(xs - ph).astype(np.int64)
-    u = (xs - ph - m) / width
-    # each lattice mark hashed once (xs ascending), then read at m
-    marks = _lattice_uniform(seed, np.arange(m[0], m[-1] + 1), _STREAM_DEPTH)
-    d = marks[m - m[0]] ** dpow
-    b = _bump(u)
-    a = 1.0 - (1.0 - d) * b
-    v = (1.0 - d) * b
-    return a, v
+
+    def sample(xs):
+        m = np.round(xs - ph).astype(np.int64)
+        u = (xs - ph - m) / width
+        # each lattice mark hashed once (xs ascending), then read at m
+        marks = _lattice_uniform(seed, np.arange(m[0], m[-1] + 1), _STREAM_DEPTH)
+        d = marks[m - m[0]] ** dpow
+        b = _bump(u)
+        return 1.0 - (1.0 - d) * b, (1.0 - d) * b
+    return sample
 
 
-def _gen_constant(seed: int, xs: np.ndarray, dx: float, a0=1.0, v0=0.0):
+def _gen_constant(seed: int, window, dx: float, a0=1.0, v0=0.0):
     a0, v0 = float(a0), float(v0)
     if not (0.0 < a0 <= 1.0):
         raise ConfigError(f"constant a0 must lie in (0, 1], got {a0}")
     if not (0.0 <= v0 <= 1.0):
         raise ConfigError(f"constant v0 must lie in [0, 1], got {v0}")
-    return np.full_like(xs, a0), np.full_like(xs, v0)
+    return lambda xs: (np.full_like(xs, a0), np.full_like(xs, v0))
 
 
 _GENERATORS: dict[str, Callable] = {
@@ -224,6 +236,24 @@ _GENERATORS: dict[str, Callable] = {
 }
 
 KINDS = tuple(_GENERATORS)
+
+# The medium is built, checked and written this many nodes at a time, so
+# that a window costs its three kept arrays (a, V, s) plus a few blocks.
+_BLOCK = 1 << 15
+
+# A window holds at most this many nodes: 10^8 nodes keep 2.4 GB of
+# arrays, beyond what a run of this laboratory needs or a host may have.
+_MAX_NODES = 10 ** 8
+
+
+def _blocks(count: int):
+    """``(b0, b1)`` for each block of ``range(count)``, in order."""
+    return ((b0, min(b0 + _BLOCK, count)) for b0 in range(0, count, _BLOCK))
+
+
+def _nodes(j0: int, dx: float, b0: int, b1: int) -> np.ndarray:
+    """Coordinates of nodes b0 .. b1 - 1 of a grid whose first node is j0 dx."""
+    return (j0 + np.arange(b0, b1)) * dx
 
 
 # ============================================================
@@ -266,16 +296,18 @@ class EnvRealization:
         if not (float(self.v_vals.min()) >= 0.0
                 and float(self.v_vals.max()) <= 1.0):
             raise ValueError("potential must take values in [0, 1]")
-        if not np.all(np.isfinite(self.s_table)):
-            raise ValueError("s-table must be finite")
-        ds = np.diff(self.s_table)
-        # slack scales with |s|: increments are recovered by subtraction,
-        # so cancellation grows once the table spans large magnitudes
         eps = np.finfo(np.float64).eps
-        slack = self.dx_env * 1e-9 + 64.0 * eps * np.maximum(
-            np.abs(self.s_table[:-1]), np.abs(self.s_table[1:]))
-        if np.any(ds < self.dx_env - slack):
-            raise ValueError("s-table increments must dominate dx (a <= 1)")
+        for c0, c1 in _blocks(n - 1):
+            s = self.s_table[c0:c1 + 1]
+            if not np.all(np.isfinite(s)):
+                raise ValueError("s-table must be finite")
+            # slack scales with |s|: increments are recovered by
+            # subtraction, so cancellation grows once the table spans
+            # large magnitudes
+            slack = self.dx_env * 1e-9 + 64.0 * eps * np.maximum(
+                np.abs(s[:-1]), np.abs(s[1:]))
+            if np.any(np.diff(s) < self.dx_env - slack):
+                raise ValueError("s-table increments must dominate dx (a <= 1)")
 
     @property
     def n(self) -> int:
@@ -290,7 +322,7 @@ class EnvRealization:
     def xs(self) -> np.ndarray:
         # nodes live on the global lattice so that windows over the same
         # seed agree bitwise wherever they overlap
-        return (self.lattice_origin + np.arange(self.n)) * self.dx_env
+        return _nodes(self.lattice_origin, self.dx_env, 0, self.n)
 
 
 @dataclass(frozen=True)
@@ -304,9 +336,14 @@ class HillWitness:
 
 
 def _build(seed, kind, window, dx_env, a, v, params, flags) -> EnvRealization:
-    inv = 1.0 / a
-    ds = 0.5 * dx_env * (inv[:-1] + inv[1:])
-    s = np.concatenate(([0.0], np.cumsum(ds)))
+    # the trapezoid increments of each block of cells are summed on from
+    # the last s of the block before: the additions of one cumsum
+    s = np.zeros(a.size)
+    for c0, c1 in _blocks(a.size - 1):
+        inv = 1.0 / a[c0:c1 + 1]
+        ds = 0.5 * dx_env * (inv[:-1] + inv[1:])
+        ds[0] += s[c0]
+        np.cumsum(ds, out=s[c0 + 1:c1 + 1])
     return EnvRealization(seed=seed, kind=kind, window=window, dx_env=dx_env,
                           a_vals=a, v_vals=v, s_table=s,
                           params=dict(params), flags=flags)
@@ -320,25 +357,43 @@ def generate_env(kind: str, seed: int, window: tuple[float, float],
     the window (endpoints snapped outward by less than one step).  This
     keeps node coordinates, and therefore sampled values, bit-identical
     between any two windows over the same seed wherever they overlap.
+    The window is sampled ``_BLOCK`` nodes at a time into the kept
+    arrays, and may hold at most ``_MAX_NODES`` nodes.
     """
     if kind not in _GENERATORS:
         raise ConfigError(f"unknown environment kind {kind!r}; known: {', '.join(KINDS)}")
     x_min, x_max = float(window[0]), float(window[1])
     if not (x_max > x_min):
         raise ConfigError(f"empty window {window}")
-    if dx_env <= 0:
+    if not dx_env > 0:
         raise ConfigError(f"dx_env must be positive, got {dx_env}")
+    if dx_env > x_max - x_min:
+        raise ConfigError(
+            f"dx_env {dx_env:g} is longer than the window {window}")
     params = dict(params or {})
-    j0 = int(math.floor(x_min / dx_env + 1e-9))
-    j1 = int(math.ceil(x_max / dx_env - 1e-9))
-    if j1 <= j0:
-        j1 = j0 + 1
-    xs = (j0 + np.arange(j1 - j0 + 1)) * dx_env
+    # lattice indices of the first and last node, counted as floats: a
+    # step too short for floating point gives inf nodes, not an overflow
+    j0 = np.floor(x_min / dx_env + 1e-9)
+    j1 = max(np.ceil(x_max / dx_env - 1e-9), j0 + 1)
+    if not j1 - j0 + 1 <= _MAX_NODES:
+        raise ConfigError(
+            f"window {window} at dx_env {dx_env:g} holds {j1 - j0 + 1:.4g} "
+            f"nodes; at most {_MAX_NODES} are allowed")
+    if max(-j0, j1) >= 2.0 ** 53:
+        raise ConfigError(
+            f"window {window} lies over 2^53 steps of dx_env from 0, where "
+            f"node indices are no longer exact")
+    j0, j1 = int(j0), int(j1)
+    n = j1 - j0 + 1
+    snapped = tuple((np.array([j0, j1]) * dx_env).tolist())
     # the generator's keyword arguments are its parameters: an unknown
     # key is a TypeError
-    a, v = _GENERATORS[kind](int(seed), xs, dx_env, **params)
+    sample = _GENERATORS[kind](int(seed), snapped, dx_env, **params)
+    a, v = np.empty(n), np.empty(n)
+    for b0, b1 in _blocks(n):
+        a[b0:b1], v[b0:b1] = sample(_nodes(j0, dx_env, b0, b1))
     flags = ("degenerate-potential",) if kind == "constant" else ()
-    return _build(int(seed), kind, (float(xs[0]), float(xs[-1])), dx_env, a, v, params, flags)
+    return _build(int(seed), kind, snapped, dx_env, a, v, params, flags)
 
 
 # ============================================================
@@ -500,11 +555,11 @@ def write_csv(path, header, rows, meta=()) -> None:
     double exactly; ``None`` is an empty field and anything else is
     ``str(v)``.  Nothing is quoted and every line ends in ``\n``.
     """
-    lines = [f"# {key} {_field(val)}" for key, val in meta]
-    lines.append(",".join(header))
-    lines.extend(",".join(map(_field, row)) for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {key} {_field(val)}\n" for key, val in meta)
+        fh.write(",".join(header) + "\n")
+        # line by line: a long table is never held as one string
+        fh.writelines(",".join(map(_field, row)) + "\n" for row in rows)
 
 
 def save_env(env: EnvRealization, path: str) -> None:
@@ -514,6 +569,9 @@ def save_env(env: EnvRealization, path: str) -> None:
         meta.append(("params", json.dumps(env.params, sort_keys=True)))
     if env.flags:
         meta.append(("flags", json.dumps(list(env.flags))))
-    write_csv(path, ("x", "a", "V", "s"),
-              zip(env.xs.tolist(), env.a_vals.tolist(), env.v_vals.tolist(),
-                  env.s_table.tolist()), meta)
+    # the rows of one block of nodes at a time
+    rows = (row for b0, b1 in _blocks(env.n) for row in zip(
+        _nodes(env.lattice_origin, env.dx_env, b0, b1).tolist(),
+        env.a_vals[b0:b1].tolist(), env.v_vals[b0:b1].tolist(),
+        env.s_table[b0:b1].tolist()))
+    write_csv(path, ("x", "a", "V", "s"), rows, meta)

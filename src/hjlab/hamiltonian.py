@@ -396,6 +396,11 @@ class GrowthCertificate:
     c1: float
     c2: float
 
+    def __post_init__(self):
+        if not (self.gamma > 1 and self.c1 > 0 and self.c2 > 0):
+            raise ValueError(
+                "growth certificate needs gamma > 1 and positive constants")
+
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -432,8 +437,6 @@ class GrowthReport:
 
 def validate_growth(G, cert: GrowthCertificate) -> GrowthReport:
     gamma, c1, c2 = cert.gamma, cert.c1, cert.c2
-    if gamma <= 1 or c1 <= 0 or c2 <= 0:
-        raise ValueError("growth certificate needs gamma > 1 and positive constants")
     ps = np.linspace(-_GROWTH_P, _GROWTH_P, _GROWTH_N)
     gv = G(ps)
     ap = np.abs(ps)

@@ -397,9 +397,20 @@ def test_bad_parameter_exits_before_the_medium_is_built(tmp_path, monkeypatch,
     ("gen-env", CONST_V0.replace(
         "[model]", "[hamiltonian]\nfamily = power\ngamma = 1\n\n[model]"),
      [], "needs gamma > 1"),
+    # each of these three crashed: numpy's out-of-memory error, an
+    # IndexError in the coupled-singular generator, and a ValueError of
+    # the growth check inside the command
+    ("gen-env", IID_V.replace("window = -40 40", "window = -1e12 1e12"), [],
+     "at most 100000000 are allowed"),
+    ("gen-env", IID_V.replace("iid-interp", "coupled-singular").replace(
+        "dx_env = 0.1", "dx_env = 1e20"), [], "longer than the window"),
+    ("homogenize", HOMOG_IID.replace("growth_gamma = 2.0",
+                                     "growth_gamma = 1"), [],
+     "growth certificate needs gamma > 1"),
 ], ids=["empty-list", "no-env", "window-decreasing", "no-model",
         "workers-0", "iid-a0-0", "gauss-corr-len-0", "gauss-kappa-1",
-        "singular-bump-width", "power-gamma-1"])
+        "singular-bump-width", "power-gamma-1", "node-cap",
+        "dx-env-over-window", "growth-gamma-1"])
 def test_config_rejection_exits_2_and_writes_no_table(tmp_path, capsys,
                                                       command, text, flags,
                                                       message):

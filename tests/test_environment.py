@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from hjlab import environment
 from hjlab.environment import (
     KINDS,
     EnvRealization,
@@ -62,9 +64,9 @@ def test_each_lattice_mark_hashed_once(seed, phase):
     dx = 0.01
     for lo, hi in HASH_WINDOWS:
         xs = np.arange(math.floor(lo / dx), math.ceil(hi / dx) + 1) * dx
-        _, v = _gen_iid_interp(seed, xs, dx, phase=phase)
+        _, v = _gen_iid_interp(seed, (lo, hi), dx, phase=phase)(xs)
         assert v.tobytes() == iid_interp_per_node(seed, xs, phase).tobytes()
-        got = _gen_coupled_singular(seed, xs, dx, phase=phase)
+        got = _gen_coupled_singular(seed, (lo, hi), dx, phase=phase)(xs)
         want = coupled_singular_per_node(seed, xs, phase=phase)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         args = (seed, _STREAM_GS_V, _STREAM_GS_PHASE_V, 2.0, phase, xs)
@@ -125,6 +127,89 @@ def test_generate_env_config_errors():
 def test_gauss_squash_rejects_short_window():
     with pytest.raises(WindowError):
         generate_env("gauss-squash", 0, (0.0, 3.0), 0.1, {"corr_len": 2.0})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dx_env_longer_than_the_window_is_config_error(kind):
+    # coupled-singular used to die with an IndexError on its two nodes
+    with pytest.raises(ConfigError, match="longer than the window"):
+        generate_env(kind, 0, (-40.0, 40.0), 1e20)
+    # a step as long as the window still gives a grid
+    assert generate_env(kind, 0, (-40.0, 40.0), 80.0).n >= 2
+
+
+def test_window_beyond_the_size_caps_is_config_error(monkeypatch):
+    # rejected before any array is allocated: 2e14 nodes would need
+    # 4.8 PB, and numpy failed on it with a traceback
+    with pytest.raises(ConfigError, match="at most 100000000"):
+        generate_env("iid-interp", 0, (-1e12, 1e12), 0.01)
+    # a step so short that the count overflows to inf was an OverflowError
+    with pytest.raises(ConfigError, match="holds inf nodes"):
+        generate_env("iid-interp", 0, (-40.0, 40.0), 5e-324)
+    # 4,097 nodes whose indices overflowed int64 with an OverflowError
+    with pytest.raises(ConfigError, match="2\\^53 steps"):
+        generate_env("constant", 0, (1e19, 1e19 + 4096.0), 1.0)
+    monkeypatch.setattr(environment, "_MAX_NODES", 801)
+    assert generate_env("iid-interp", 0, (-40.0, 40.0), 0.1).n == 801
+    with pytest.raises(ConfigError):
+        generate_env("iid-interp", 0, (-40.0, 40.1), 0.1)
+
+
+# ------------------------------------------------------------
+# block-by-block construction
+# ------------------------------------------------------------
+
+# 1,003 nodes (three blocks of 257 and one of 232) and 515 nodes (a last
+# block of one node, so the s-table's last block holds one cell)
+BLOCK_WINDOWS = [((-17.33, 32.71), 0.05), ((0.0, 25.7), 0.05)]
+
+
+def _medium(kind, seed, window, dx):
+    e = generate_env(kind, seed, window, dx)
+    return [e.a_vals.tobytes(), e.v_vals.tobytes(), e.s_table.tobytes(),
+            e.window]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocks_build_the_one_block_medium(kind, monkeypatch, tmp_path):
+    for window, dx in BLOCK_WINDOWS:
+        for seed in (0, 7):
+            monkeypatch.setattr(environment, "_BLOCK", 10 ** 9)
+            whole = _medium(kind, seed, window, dx)
+            save_env(generate_env(kind, seed, window, dx), tmp_path / "1.csv")
+            monkeypatch.setattr(environment, "_BLOCK", 257)
+            assert _medium(kind, seed, window, dx) == whole
+            save_env(generate_env(kind, seed, window, dx), tmp_path / "b.csv")
+            assert (tmp_path / "b.csv").read_bytes() == \
+                (tmp_path / "1.csv").read_bytes()
+
+
+def test_gauss_squash_window_rule_sees_the_whole_window(monkeypatch):
+    # each block of 257 nodes spans 2.56 < 2 corr_len; the window decides
+    monkeypatch.setattr(environment, "_BLOCK", 257)
+    e = generate_env("gauss-squash", 0, (0.0, 4.0), 0.01, {"corr_len": 2.0})
+    assert e.n == 401
+    with pytest.raises(WindowError):
+        generate_env("gauss-squash", 0, (0.0, 3.99), 0.01, {"corr_len": 2.0})
+
+
+# numpy reports its buffers to tracemalloc; blocks of temporaries the
+# build may hold at once beside the three kept arrays (5.75 seen on every
+# kind; building whole-window temporaries took 10.0 x 8n in all)
+BUILD_BLOCKS = 8
+
+
+def test_generate_env_peak_is_the_kept_arrays_plus_a_few_blocks():
+    generate_env("iid-interp", 1, (-10.0, 10.0), 0.01)  # first-call costs
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        e = generate_env("iid-interp", 56254, (-960.0, 960.0), 0.01)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert e.n == 192001
+    assert peak <= 3 * 8 * e.n + BUILD_BLOCKS * 8 * environment._BLOCK
 
 
 def test_ranges_all_kinds():
