@@ -124,9 +124,15 @@ def test_generate_env_config_errors():
         generate_env("constant", 0, (0.0, 1.0), 0.1, {"v0": 1.5})
 
 
-def test_gauss_squash_rejects_short_window():
+def test_gauss_squash_rejects_short_window(monkeypatch):
     with pytest.raises(WindowError):
         generate_env("gauss-squash", 0, (0.0, 3.0), 0.1, {"corr_len": 2.0})
+    # each block of 257 nodes spans 2.56 < 2 corr_len; the window decides
+    monkeypatch.setattr(environment, "_BLOCK", 257)
+    e = generate_env("gauss-squash", 0, (0.0, 4.0), 0.01, {"corr_len": 2.0})
+    assert e.n == 401
+    with pytest.raises(WindowError):
+        generate_env("gauss-squash", 0, (0.0, 3.99), 0.01, {"corr_len": 2.0})
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -182,15 +188,6 @@ def test_blocks_build_the_one_block_medium(kind, monkeypatch, tmp_path):
             save_env(generate_env(kind, seed, window, dx), tmp_path / "b.csv")
             assert (tmp_path / "b.csv").read_bytes() == \
                 (tmp_path / "1.csv").read_bytes()
-
-
-def test_gauss_squash_window_rule_sees_the_whole_window(monkeypatch):
-    # each block of 257 nodes spans 2.56 < 2 corr_len; the window decides
-    monkeypatch.setattr(environment, "_BLOCK", 257)
-    e = generate_env("gauss-squash", 0, (0.0, 4.0), 0.01, {"corr_len": 2.0})
-    assert e.n == 401
-    with pytest.raises(WindowError):
-        generate_env("gauss-squash", 0, (0.0, 3.99), 0.01, {"corr_len": 2.0})
 
 
 # numpy reports its buffers to tracemalloc; blocks of temporaries the
