@@ -52,8 +52,8 @@ _SECTIONS = ("env", "hamiltonian", "model", "output") + COMMANDS
 _KEYS = {
     "gen-env": (),
     "corrector": ("lam", "branch", "region", "tol", "dx"),
-    "theta-curve": ("lams", "branch", "x", "n_batches", "tol", "dx"),
-    "effective": ("theta_grid", "tol", "x", "dx", "n_batches"),
+    "theta-curve": ("lams", "branch", "x", "tol", "dx"),
+    "effective": ("theta_grid", "tol", "x", "dx"),
     "homogenize": ("theta", "dx", "m", "epsilons", "reference", "ref_tol",
                    "ref_x", "ref_dx"),
     "hill-check": ("mode", "hs", "h", "cs", "c", "doublings"),
@@ -248,13 +248,6 @@ def _region(params) -> tuple[float, float]:
     return region[0], region[1]
 
 
-def _n_batches(params) -> int:
-    n = _get(params, "n_batches", 10, int)
-    if n < 10:
-        raise ConfigError(f"n_batches must be at least 10, got {n}")
-    return n
-
-
 def _one_or_many(params, key: str, many: str, **kw) -> list[float]:
     """The list under ``many``, or the one value under ``key``; not both."""
     if many not in params:
@@ -299,14 +292,13 @@ def cmd_corrector(cfg: RunConfig) -> list[Path]:
 
 
 def _theta_task(env, args):
-    (G, beta, lam, branch, X, n_batches, tol, dx) = args
+    (G, beta, lam, branch, X, tol, dx) = args
     if env.kind == "constant":
         # disorder-free corrector slopes are exactly constant
         v0 = float(env.v_vals[0])
         theta = G.branch_inverse(branch, max(lam - beta * v0, 0.0))
         return (lam, theta, 0.0, 0.0, 0.0, 0)
-    est = estimate_theta(env, G, beta, lam, branch, X,
-                         n_batches=n_batches, tol=tol, dx=dx)
+    est = estimate_theta(env, G, beta, lam, branch, X, tol=tol, dx=dx)
     return (lam, est.mean, est.ci_halfwidth, est.cert_bound, est.disc_bound,
             est.rk4_steps)
 
@@ -316,15 +308,13 @@ def cmd_theta_curve(cfg: RunConfig) -> list[Path]:
     lams = sorted(set(_get(p, "lams", kind=list)))
     branch = _branch(p)
     X = _get(p, "x", 300.0, positive=True)
-    n_batches = _n_batches(p)
     tol = _get(p, "tol", 1e-6, positive=True)
     dx = _get(p, "dx", 0.0, positive=True)
     env = cfg.make_env()
     # without a configured step, the largest monotone one at every level
     dx = dx or choose_dx(env, cfg.G, cfg.beta,
                          [(branch, lam) for lam in lams])
-    tasks = [(cfg.G, cfg.beta, lam, branch, X, n_batches, tol, dx)
-             for lam in lams]
+    tasks = [(cfg.G, cfg.beta, lam, branch, X, tol, dx) for lam in lams]
     rows = _pmap(_theta_task, env, tasks, cfg.workers)
     out = cfg.out_dir / "theta_curve.csv"
     save_theta_curve([r[:5] for r in rows], str(out))
@@ -338,7 +328,6 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
     tol = _get(p, "tol", 2e-2, positive=True)
     X = _get(p, "x", 300.0, positive=True)
     dx = _get(p, "dx", 0.0, positive=True)
-    n_batches = _n_batches(p)
     env = cfg.make_env()
     # without a configured step, the largest monotone one at the levels
     # shot: beta for the endpoints and, as the highest, the a-priori top
@@ -347,8 +336,8 @@ def cmd_effective(cfg: RunConfig) -> list[Path]:
         (1, cfg.beta), (2, cfg.beta),
         (1, float(cfg.G(min(grid))) + cfg.beta),
         (2, float(cfg.G(max(grid))) + cfg.beta)])
-    eff = build_effective_H(env, cfg.G, cfg.beta, grid, tol, X=X,
-                            n_batches=n_batches, dx=dx, workers=cfg.workers)
+    eff = build_effective_H(env, cfg.G, cfg.beta, grid, tol, X=X, dx=dx,
+                            workers=cfg.workers)
     out = cfg.out_dir / "effective.csv"
     save_effective(eff, str(out))
     cfg.stats.update(dx=dx, n_evals=eff.n_evals, rk4_steps=eff.rk4_steps)

@@ -26,8 +26,7 @@ tolerance:
 * ``estimate_theta`` averages the corrector slope over a long window
   with a discretization bar from step doubling (the same run at twice
   the step, on the same stage coefficients) and a batch-means
-  confidence interval (its Student t quantile is
-  computed in-house from a cancellation-free tail series), and on
+  confidence interval over ten batches, and on
   request the derivative of that average in lam: the tangent
   g = df/dlam of the discrete RK4 run (start and lattice held fixed),
   rebuilt after the run from its node values (each step is affine in
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -131,7 +129,6 @@ class ThetaEstimate:
     mean: float
     ci_halfwidth: float
     window_length: float
-    n_batches: int
     cert_bound: float
     rk4_steps: int = 0
     dtheta_dlam: float | None = None
@@ -544,124 +541,49 @@ def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
 # Theta estimation
 # ============================================================
 
-# standard normal quantile at 0.975, the nu -> infinity limit of t
-_Z975 = 1.959963984540054
-# above this many degrees of freedom the Cornish-Fisher series is exact
-# to within 5e-16 relative; at or below it the tail series is summed
-_T_SERIES_MAX_NU = 1000
+# the CI's batch count and t_0.975(N - 1), P(|T| > t) = 0.05 for
+# Student's t with 9 degrees of freedom: one ulp above the correctly
+# rounded root 2.2621571627982053
+_N_BATCHES = 10
+_T975 = 2.262157162798206
 
 
-def _t975_expansion(nu: int) -> float:
-    """Cornish-Fisher expansion of t_0.975(nu) to 1/nu^4 (A&S 26.7.5)."""
-    z = _Z975
-    z2 = z * z
-    g1 = z * (z2 + 1.0) / 4.0
-    g2 = z * ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0
-    g3 = z * (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0
-    g4 = z * ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2
-              - 945.0) / 92160.0
-    return z + (g1 + (g2 + (g3 + g4 / nu) / nu) / nu) / nu
-
-
-def _t_tail(t: float, nu: int, lead: float) -> float:
-    """P(|T| > t) for Student's t with nu degrees of freedom, t > 0.
-
-    With cos^2 theta = 1 / (1 + u), u = t^2 / nu, A&S 26.7.3 (odd nu)
-    and 26.7.4 (even nu) write P(|T| < t) as the first terms of a series
-    whose full sum is 1.  The tail is the rest of that series, one sum
-    for both parities:
-
-        P(|T| > t) = c sin(theta) sum_{i >= 0} l_i (1 + u)^-(nu/2 + i),
-
-    c = 2/pi for odd nu and 1 for even nu, l_0 = ``lead`` and
-    l_{i+1} = l_i (nu + 2i + 1) / (nu + 2i + 2).  Every term is
-    positive, so the sum has no cancellation; each power is taken as
-    exp(-(nu/2 + i) log1p(u)) so the rounding of cos^2 theta is not
-    raised to a large power.
-    """
-    u = t * t / nu
-    log_c2 = math.log1p(u)
-    coef, i, total = lead, 0, 0.0
-    while True:
-        term = coef * math.exp(-(0.5 * nu + i) * log_c2)
-        total += term
-        if term <= 1e-17 * total:
-            break
-        coef *= (nu + 2 * i + 1) / (nu + 2 * i + 2)
-        i += 1
-    pref = 2.0 / math.pi if nu % 2 else 1.0
-    return pref * math.sqrt(u / (1.0 + u)) * total
-
-
-@lru_cache(maxsize=None)
-def _student_t975(nu: int) -> float:
-    """Two-sided 95% quantile of Student's t: P(|T| > t) = 0.05.
-
-    For nu <= ``_T_SERIES_MAX_NU`` Newton's method on the tail series of
-    ``_t_tail`` from the Cornish-Fisher start; the tail is convex and
-    decreasing in t, so a few steps converge to within 1e-14 relative.
-    Above it the expansion itself.  The cost is bounded in nu: at most
-    about 10^4 series terms per tail.
-    """
-    if nu > _T_SERIES_MAX_NU:
-        return _t975_expansion(nu)
-    # l_0 = prod (m - 1) / m over 2 <= m <= nu with m of nu's parity
-    lead = 1.0
-    for m in range(2 + nu % 2, nu + 1, 2):
-        lead *= (m - 1) / m
-    # log of the density's constant Gamma((nu+1)/2) / (sqrt(nu pi) Gamma(nu/2))
-    log_norm = (math.lgamma(0.5 * (nu + 1)) - math.lgamma(0.5 * nu)
-                - 0.5 * math.log(nu * math.pi))
-    t = _t975_expansion(nu)
-    for _ in range(20):
-        density = math.exp(log_norm - 0.5 * (nu + 1) * math.log1p(t * t / nu))
-        step = (_t_tail(t, nu, lead) - 0.05) / (2.0 * density)
-        t += step
-        if abs(step) <= 1e-15 * t:
-            break
-    return t
-
-
-def _window_mean(vals: np.ndarray, grid: np.ndarray, X: float,
-                 n_batches: int) -> tuple[float, float]:
+def _window_mean(vals: np.ndarray, grid: np.ndarray,
+                 X: float) -> tuple[float, float]:
     """Trapezoid average over the window and its batch-means half-width."""
     mean = float(np.trapezoid(vals, grid) / X)
-    edges = np.linspace(0, vals.size - 1, n_batches + 1).astype(int)
+    edges = np.linspace(0, vals.size - 1, _N_BATCHES + 1).astype(int)
     bm = np.array([vals[edges[k]:edges[k + 1] + 1].mean()
-                   for k in range(n_batches)])
-    tcrit = _student_t975(n_batches - 1)
-    return mean, tcrit * float(bm.std(ddof=1)) / math.sqrt(n_batches)
+                   for k in range(_N_BATCHES)])
+    return mean, _T975 * float(bm.std(ddof=1)) / math.sqrt(_N_BATCHES)
 
 
 def estimate_theta(env: EnvRealization, G, beta: float, lam: float,
-                   branch: int, X: float, n_batches: int = 10,
-                   tol: float = 1e-6, dx: float = 0.01,
-                   tangent: bool = False) -> ThetaEstimate:
+                   branch: int, X: float, *, tol: float = 1e-6,
+                   dx: float = 0.01, tangent: bool = False) -> ThetaEstimate:
     """Ergodic average of the corrector slope over [0, X].
 
     The mean is the trapezoid average of a certified profile, with its
     step-doubling bar ``disc_bound`` (``corrector_profile(...,
     doubled=True)``, half a run more; an estimate, not a bound); the
-    confidence interval comes from ``n_batches`` contiguous batch means
-    (Student t, 95%).  Branch 1 averages over [-X, 0].  With
+    confidence interval comes from ten contiguous batch means (Student
+    t, 95%); a narrower one needs a longer X.  Branch 1 averages over [-X, 0].  With
     ``tangent``, the same average and CI of df/dlam give
     ``dtheta_dlam`` and ``dtheta_ci``: the derivative of the discrete
     mean in lam, exact up to the start value and burn-in length, whose
     own dependence on lam the burn-in has forgotten.
     """
-    if n_batches < 10:
-        raise ValueError(f"need at least 10 batches for the CI, got {n_batches}")
     if X <= 0:
         raise ValueError(f"window length must be positive, got {X}")
     region = (0.0, X) if branch == 2 else (-X, 0.0)
     prof = corrector_profile(env, G, beta, lam, branch, region, tol, dx,
                              tangent=tangent, doubled=True)
-    mean, ci = _window_mean(prof.f_vals, prof.grid, X, n_batches)
+    mean, ci = _window_mean(prof.f_vals, prof.grid, X)
     dmean = dci = None
     if tangent:
-        dmean, dci = _window_mean(prof.g_vals, prof.grid, X, n_batches)
+        dmean, dci = _window_mean(prof.g_vals, prof.grid, X)
     return ThetaEstimate(branch=branch, lam=lam, beta=beta, mean=mean,
-                         ci_halfwidth=ci, window_length=X, n_batches=n_batches,
+                         ci_halfwidth=ci, window_length=X,
                          cert_bound=prof.cert_bound,
                          rk4_steps=prof.rk4_steps, dtheta_dlam=dmean,
                          dtheta_ci=dci, disc_bound=prof.disc_bound,

@@ -163,8 +163,7 @@ def _exact(G, beta: float, lam: float, theta: float,
     no window, ci or bar, and theta'(lam) = 1 / G'(theta)."""
     dG = float(G.deriv(theta))
     return ThetaEstimate(branch=branch, lam=lam, beta=beta, mean=float(theta),
-                         ci_halfwidth=0.0, window_length=0.0, n_batches=0,
-                         cert_bound=0.0,
+                         ci_halfwidth=0.0, window_length=0.0, cert_bound=0.0,
                          dtheta_dlam=1.0 / dG if dG != 0.0 else math.inf,
                          dtheta_ci=0.0, disc_bound=0.0)
 
@@ -184,7 +183,7 @@ def _inversion(theta: float, est: ThetaEstimate, lo: float, hi: float,
 
 def _on_ladder(env: EnvRealization, G, beta: float, lam: float, branch: int,
                steps: list[float], ests: list[ThetaEstimate], fits, *,
-               X: float, n_batches: int, enclose: float,
+               X: float, enclose: float,
                tangent: bool = False) -> ThetaEstimate:
     """Slope estimate at ``lam`` on the coarsest step of ``steps`` that
     stands.
@@ -199,9 +198,8 @@ def _on_ladder(env: EnvRealization, G, beta: float, lam: float, branch: int,
     is appended to ``ests``.
     """
     def shoot() -> ThetaEstimate:
-        est = estimate_theta(env, G, beta, lam, branch, X=X,
-                             n_batches=n_batches, tol=enclose, dx=steps[0],
-                             tangent=tangent)
+        est = estimate_theta(env, G, beta, lam, branch, X=X, tol=enclose,
+                             dx=steps[0], tangent=tangent)
         ests.append(est)
         return est
 
@@ -218,8 +216,7 @@ def _on_ladder(env: EnvRealization, G, beta: float, lam: float, branch: int,
 
 
 def _endpoint(env: EnvRealization, G, beta: float, branch: int, tol: float,
-              *, X: float, n_batches: int,
-              dx: float) -> tuple[ThetaEstimate, int]:
+              *, X: float, dx: float) -> tuple[ThetaEstimate, int]:
     """The flat endpoint theta_branch(beta) on the step ladder, and the
     RK4 steps of every attempt it took.
 
@@ -231,7 +228,7 @@ def _endpoint(env: EnvRealization, G, beta: float, branch: int, tol: float,
     est = _on_ladder(env, G, beta, beta, branch,
                      [k * dx for k in ROW_STEP_FACTORS], ests,
                      lambda e: e.disc_bound <= _ROW_BAR_FRACTION * tol,
-                     X=X, n_batches=n_batches, enclose=_ENDPOINT_TOL)
+                     X=X, enclose=_ENDPOINT_TOL)
     if not (1.0 if branch == 2 else -1.0) * est.mean > 0.0:
         raise CertificateError(
             f"flat endpoint theta{branch}(beta) = {est.mean:.6g} is on the "
@@ -256,7 +253,7 @@ def _invert_constant(env: EnvRealization, G, beta: float, theta: float,
 
 def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                  branch: int, tol: float, *, X: float = 500.0,
-                 n_batches: int = 10, dx: float = 0.01,
+                 dx: float = 0.01,
                  endpoint: ThetaEstimate | None = None) -> LambdaInversion:
     """Level lam on the requested branch with theta_branch(lam) = theta.
 
@@ -317,8 +314,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
 
     s = 1.0 if branch == 2 else -1.0
     if endpoint is None:
-        endpoint, _ = _endpoint(env, G, beta, branch, tol, X=X,
-                                n_batches=n_batches, dx=dx)
+        endpoint, _ = _endpoint(env, G, beta, branch, tol, X=X, dx=dx)
     if endpoint.branch != branch or endpoint.lam != beta:
         raise ValueError("endpoint estimate must be this branch at lam = beta")
     if s * theta < s * endpoint.mean - endpoint.ci_halfwidth:
@@ -349,8 +345,7 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
                 f"inversion exceeded {_MAX_EVALS} levels")
         levels.append(lam)
         est = _on_ladder(env, G, beta, lam, branch, steps, ests, fits, X=X,
-                         n_batches=n_batches, enclose=_PROFILE_TOL,
-                         tangent=True)
+                         enclose=_PROFILE_TOL, tangent=True)
         if est.ci_halfwidth > tol:
             raise CertificateError(
                 f"batch-means ci {est.ci_halfwidth:.3g} at lam={lam:.6g} "
@@ -403,14 +398,14 @@ def invert_theta(env: EnvRealization, G, beta: float, theta: float,
 # ============================================================
 
 def _invert_task(env, args):
-    G, beta, theta, branch, tol, X, n_batches, dx, endpoint = args
-    return invert_theta(env, G, beta, theta, branch, tol, X=X,
-                        n_batches=n_batches, dx=dx, endpoint=endpoint)
+    G, beta, theta, branch, tol, X, dx, endpoint = args
+    return invert_theta(env, G, beta, theta, branch, tol, X=X, dx=dx,
+                        endpoint=endpoint)
 
 
 def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
-                      tol: float, *, X: float = 500.0, n_batches: int = 10,
-                      dx: float = 0.01, workers: int = 1) -> EffectiveH:
+                      tol: float, *, X: float = 500.0, dx: float = 0.01,
+                      workers: int = 1) -> EffectiveH:
     """Assemble Hbar on a slope grid: branch inversions plus the flat piece.
 
     Estimates the flat endpoints theta_i(beta) first (the lam = beta
@@ -448,10 +443,8 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
         ep_steps = 0
     else:
         flat_value = beta
-        ep2, steps2 = _endpoint(env, G, beta, 2, tol, X=X,
-                                n_batches=n_batches, dx=dx)
-        ep1, steps1 = _endpoint(env, G, beta, 1, tol, X=X,
-                                n_batches=n_batches, dx=dx)
+        ep2, steps2 = _endpoint(env, G, beta, 2, tol, X=X, dx=dx)
+        ep1, steps1 = _endpoint(env, G, beta, 1, tol, X=X, dx=dx)
         endpoints, ep_steps = (ep1, ep2), steps1 + steps2
     t1, t2 = (ep.mean for ep in endpoints)
 
@@ -463,7 +456,7 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
             f"theta grid must reach beyond both flat endpoints "
             f"({t1:.4g}, {t2:.4g})")
 
-    tasks = [(G, beta, float(th), b, tol, X, n_batches, dx, endpoints[b - 1])
+    tasks = [(G, beta, float(th), b, tol, X, dx, endpoints[b - 1])
              for b, side in ((1, left), (2, right)) for th in side]
     invs = _pmap(_invert_task, env, tasks, workers)
 
@@ -492,7 +485,6 @@ def build_effective_H(env: EnvRealization, G, beta: float, theta_grid,
 
 def effective_reference(env: EnvRealization, G, beta: float, theta: float,
                         tol: float, *, X: float = 500.0,
-                        n_batches: int = 10,
                         dx: float = 0.01) -> tuple[float, float]:
     """Hbar(theta) with an honest half-width, for a single slope.
 
@@ -509,13 +501,12 @@ def effective_reference(env: EnvRealization, G, beta: float, theta: float,
     ``build_effective_H``.  An endpoint on the wrong side of 0 raises
     ``CertificateError``, as there.
     """
-    value, half, _ = _reference(env, G, beta, theta, tol, X=X,
-                                n_batches=n_batches, dx=dx)
+    value, half, _ = _reference(env, G, beta, theta, tol, X=X, dx=dx)
     return value, half
 
 
 def _reference(env: EnvRealization, G, beta: float, theta: float,
-               tol: float, *, X: float = 500.0, n_batches: int = 10,
+               tol: float, *, X: float = 500.0,
                dx: float = 0.01) -> tuple[float, float, float]:
     """``effective_reference`` plus the step-doubling bar of the level
     (0 where the value is exact).
@@ -530,12 +521,11 @@ def _reference(env: EnvRealization, G, beta: float, theta: float,
     branch = 2 if theta >= 0.0 else 1
     if env.kind == "constant":
         return _invert_constant(env, G, beta, theta, branch).lam, 0.0, 0.0
-    ep, _ = _endpoint(env, G, beta, branch, tol, X=X, n_batches=n_batches,
-                      dx=dx)
+    ep, _ = _endpoint(env, G, beta, branch, tol, X=X, dx=dx)
     if abs(theta) < abs(ep.mean):  # inside the flat piece
         return beta, 0.0, 0.0
-    inv = invert_theta(env, G, beta, theta, branch, tol, X=X,
-                       n_batches=n_batches, dx=dx, endpoint=ep)
+    inv = invert_theta(env, G, beta, theta, branch, tol, X=X, dx=dx,
+                       endpoint=ep)
     half = kappa_tilde(G, inv.lam, beta, branch=branch) * (tol + inv.ci)
     # at the endpoint itself (no row measured) the level is beta
     row = inv.disc_bound / abs(inv.dtheta_dlam) if inv.n_evals else 0.0

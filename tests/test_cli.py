@@ -326,7 +326,8 @@ def test_lam_below_beta_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("line", ["branch = 3", "n_batches = 5", "tol = -1",
                                   "x = 0", "branch = 2.5",
-                                  "n_batches = 10.5", "x = inf"])
+                                  "n_batches = 10.5", "x = inf",
+                                  "n_batches = 10"])
 def test_bad_command_parameter_is_config_error(tmp_path, line):
     cfg = _write(tmp_path, CONST_V0.replace("branch = 2", line))
     assert main(["theta-curve", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -378,6 +379,9 @@ def test_bad_parameter_exits_before_the_medium_is_built(tmp_path, monkeypatch,
 @pytest.mark.parametrize("command, text, flags, message", [
     ("effective", CONST_V0 + "\n[effective]\ntheta_grid =\n", [],
      "at least one number"),
+    # the CI always takes ten batches: there is no key to set them
+    ("effective", CONST_V0 + "\n[effective]\ntheta_grid = -1 1\n"
+     "n_batches = 10\n", [], "unknown key(s) n_batches in [effective]"),
     ("gen-env", CONST_V0.replace("[env]", "[output]"), [], "[env] section"),
     ("gen-env", CONST_V0.replace("window = -40 40", "window = 1 0"), [],
      "window must be two increasing"),
@@ -407,7 +411,7 @@ def test_bad_parameter_exits_before_the_medium_is_built(tmp_path, monkeypatch,
     ("homogenize", HOMOG_IID.replace("growth_gamma = 2.0",
                                      "growth_gamma = 1"), [],
      "growth certificate needs gamma > 1"),
-], ids=["empty-list", "no-env", "window-decreasing", "no-model",
+], ids=["empty-list", "effective-n-batches", "no-env", "window-decreasing", "no-model",
         "workers-0", "iid-a0-0", "gauss-corr-len-0", "gauss-kappa-1",
         "singular-bump-width", "power-gamma-1", "node-cap",
         "dx-env-over-window", "growth-gamma-1"])

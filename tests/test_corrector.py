@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from hjlab.corrector import (
     _DEGENERATE_BURN_IN,
+    _N_BATCHES,
+    _T975,
     _check_monotone_steps,
     _rk4_forward,
     _rk4_run,
     _rk4_tangent,
     _stages,
-    _student_t975,
     burn_in_length,
     choose_dx,
     corrector_profile,
@@ -440,15 +441,14 @@ def test_branch1_leftward_run_matches_reflected_branch2(env_iid3, Gf):
 
 def test_theta_constant_env_exact():
     env = generate_env("constant", 0, (-10.0, 120.0), 0.5, {"v0": 0.0})
-    th = estimate_theta(env, G, 1.0, 2.0, 2, 100.0, n_batches=10, tol=1e-6, dx=0.01)
+    th = estimate_theta(env, G, 1.0, 2.0, 2, 100.0, tol=1e-6, dx=0.01)
     assert th.mean == pytest.approx(SQRT2, abs=1e-9)
     assert th.ci_halfwidth <= 1e-9
     assert th.cert_bound <= 1e-6
 
 
 def test_theta_periodic_equals_period_average(env_periodic):
-    th = estimate_theta(env_periodic, G, 1.0, 2.0, 2, 10.0, n_batches=10,
-                        tol=1e-6, dx=0.01)
+    th = estimate_theta(env_periodic, G, 1.0, 2.0, 2, 10.0, tol=1e-6, dx=0.01)
     # dense one-period oracle from an independent run
     dense = shoot(env_periodic, G, 1.0, 2.0, 2, -20.0, 1.2, 0.0005)
     m = (dense.grid >= 0.0) & (dense.grid <= 1.0 + 1e-12)
@@ -458,16 +458,15 @@ def test_theta_periodic_equals_period_average(env_periodic):
 
 def test_theta_iid_strictly_inside_bracket():
     env = generate_env("iid-interp", 23, (-10.0, 2100.0), 0.5)
-    th = estimate_theta(env, G, 1.0, 2.0, 2, 2000.0, n_batches=10, tol=1e-6, dx=0.01)
+    th = estimate_theta(env, G, 1.0, 2.0, 2, 2000.0, tol=1e-6, dx=0.01)
     assert 1.0 + th.ci_halfwidth < th.mean < SQRT2 - th.ci_halfwidth
     assert th.window_length == 2000.0
 
 
 def test_theta_branch1_is_reflected_branch2():
     env = generate_env("iid-interp", 23, (-2100.0, 10.0), 0.5)
-    th1 = estimate_theta(env, G, 1.0, 2.0, 1, 500.0, n_batches=10, tol=1e-6, dx=0.01)
-    th2 = estimate_theta(reflect(env), G, 1.0, 2.0, 2, 500.0, n_batches=10,
-                         tol=1e-6, dx=0.01)
+    th1 = estimate_theta(env, G, 1.0, 2.0, 1, 500.0, tol=1e-6, dx=0.01)
+    th2 = estimate_theta(reflect(env), G, 1.0, 2.0, 2, 500.0, tol=1e-6, dx=0.01)
     assert th1.mean == pytest.approx(-th2.mean, abs=1e-12)
     assert -SQRT2 < th1.mean < -1.0
 
@@ -483,50 +482,38 @@ def test_theta_reports_profile_work(env_iid3):
 
 
 def test_theta_ci_uses_student_t_quantile(env_periodic):
-    # the CI is tcrit sd / sqrt(n) bit for bit, recomputed here from the
-    # profile's batch means with the library's own t quantile (checked
-    # against oracles in test_student_t_quantile_matches_oracles)
+    # the CI is t_0.975(9) sd / sqrt(10) over ten contiguous batch means
+    # bit for bit, recomputed here from the profile (the quantile is
+    # checked against oracles in test_student_t_quantile_matches_oracles)
     prof = corrector_profile(env_periodic, G, 1.0, 2.0, 2, (0.0, 10.0),
                              1e-6, 0.01)
     f = prof.f_vals
-    for n in range(10, 41):
-        th = estimate_theta(env_periodic, G, 1.0, 2.0, 2, 10.0, n_batches=n)
-        edges = np.linspace(0, f.size - 1, n + 1).astype(int)
-        bm = np.array([f[edges[k]:edges[k + 1] + 1].mean() for k in range(n)])
-        ci = _student_t975(n - 1) * float(bm.std(ddof=1)) / math.sqrt(n)
-        assert th.ci_halfwidth == ci
+    th = estimate_theta(env_periodic, G, 1.0, 2.0, 2, 10.0)
+    edges = np.linspace(0, f.size - 1, 11).astype(int)
+    bm = np.array([f[edges[k]:edges[k + 1] + 1].mean() for k in range(10)])
+    assert _N_BATCHES == 10
+    assert th.ci_halfwidth == _T975 * float(bm.std(ddof=1)) / math.sqrt(10)
 
 
 def test_student_t_quantile_matches_oracles():
-    # t_0.975(nu): the tail series up to nu = 1000, the Cornish-Fisher
-    # expansion above; scipy itself is up to 3 ulp off the exact root
+    # scipy itself is up to 3 ulp off the exact root
     from scipy.special import stdtrit  # test-only oracle
 
-    nus = [*range(9, 201), 500, 1000, 10 ** 5]
-    for nu in nus:
-        assert _student_t975(nu) == pytest.approx(float(stdtrit(nu, 0.975)),
-                                                  rel=1e-14, abs=0.0)
-    try:
-        import mpmath
-    except ImportError:
-        return
+    assert _T975 == pytest.approx(float(stdtrit(9, 0.975)), rel=1e-14, abs=0.0)
+
+
+def test_student_t_quantile_matches_mpmath_root():
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         half = mpmath.mpf(1) / 2
-        for nu in nus:
-            # P(|T| > t) = I_{nu / (nu + t^2)}(nu / 2, 1 / 2) = 0.05
-            root = mpmath.findroot(
-                lambda t: mpmath.betainc(nu * half, half, 0, nu / (nu + t * t),
-                                         regularized=True) - mpmath.mpf("0.05"),
-                mpmath.mpf(_student_t975(nu)))
-            assert _student_t975(nu) == pytest.approx(float(root), rel=1e-14,
-                                                      abs=0.0)
-            if nu == 9:
-                assert float(root) == 2.2621571627982053  # correctly rounded
-
-
-def test_theta_validates_batches(env_periodic):
-    with pytest.raises(ValueError):
-        estimate_theta(env_periodic, G, 1.0, 2.0, 2, 10.0, n_batches=5)
+        # P(|T| > t) = I_{9 / (9 + t^2)}(9 / 2, 1 / 2) = 0.05
+        root = float(mpmath.findroot(
+            lambda t: mpmath.betainc(9 * half, half, 0, 9 / (9 + t * t),
+                                     regularized=True) - mpmath.mpf("0.05"),
+            mpmath.mpf(_T975)))
+    assert root == 2.2621571627982053  # correctly rounded
+    # the constant the batch-means CI has always used: one ulp above it
+    assert _T975 == math.nextafter(root, math.inf)
 
 
 def test_theta_at_degenerate_level():
@@ -534,7 +521,7 @@ def test_theta_at_degenerate_level():
     # from 1 stays at 1, so the enclosure closes within the first
     # burn-in of 16 units
     env = generate_env("constant", 0, (-120.0, 120.0), 0.5, {"v0": 0.0})
-    th = estimate_theta(env, G, 1.0, 1.0, 2, 100.0, n_batches=10, tol=1e-2, dx=0.01)
+    th = estimate_theta(env, G, 1.0, 1.0, 2, 100.0, tol=1e-2, dx=0.01)
     assert th.cert_bound <= 1e-2
     assert th.mean == pytest.approx(1.0, abs=2e-2)
 

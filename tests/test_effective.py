@@ -233,15 +233,15 @@ def _scripted(monkeypatch, mean_of, slope_of, ci=0.0, bar_of=None,
     """
     lams = []
 
-    def fake(env, G, beta, lam, branch, X, n_batches=10, tol=1e-6,
-             dx=0.01, tangent=False):
+    def fake(env, G, beta, lam, branch, X, *, tol=1e-6, dx=0.01,
+             tangent=False):
         lams.append(lam)
         if steps is not None:
             steps.append(dx)
         return ThetaEstimate(branch=branch, lam=lam, beta=beta,
                              mean=mean_of(lam), ci_halfwidth=ci,
-                             window_length=X, n_batches=n_batches,
-                             cert_bound=0.0, dtheta_dlam=slope_of(lam),
+                             window_length=X, cert_bound=0.0,
+                             dtheta_dlam=slope_of(lam),
                              dtheta_ci=0.0,
                              disc_bound=bar_of(dx) if bar_of else 0.0,
                              dx=dx)
@@ -251,7 +251,7 @@ def _scripted(monkeypatch, mean_of, slope_of, ci=0.0, bar_of=None,
 
 
 ENDPOINT_2 = ThetaEstimate(branch=2, lam=BETA, beta=BETA, mean=0.5,
-                           ci_halfwidth=0.0, window_length=40.0, n_batches=10,
+                           ci_halfwidth=0.0, window_length=40.0,
                            cert_bound=0.0)
 
 
@@ -311,7 +311,7 @@ def test_first_level_lies_in_the_a_priori_bracket(env_periodic, gamma, beta,
     theta = mean + beyond if branch == 2 else mean - beyond
     endpoint = ThetaEstimate(branch=branch, lam=beta, beta=beta, mean=mean,
                              ci_halfwidth=0.0, window_length=40.0,
-                             n_batches=10, cert_bound=0.0)
+                             cert_bound=0.0)
     with pytest.MonkeyPatch.context() as mp:
         lams = _scripted(mp, lambda lam: theta, lambda lam: 1.0)
         invert_theta(env_periodic, G, beta, theta, branch, 1e-3,
@@ -432,7 +432,7 @@ def _endpoint_run(monkeypatch, env, G, bar_of, ci=0.0):
     _scripted(monkeypatch, lambda lam: 0.5, lambda lam: 1.0, ci=ci,
               bar_of=bar_of, steps=steps)
     ep, _ = hjlab.effective._endpoint(env, G, BETA, 2, 1e-3, X=40.0,
-                                      n_batches=10, dx=0.01)
+                                      dx=0.01)
     return ep, steps
 
 
@@ -673,7 +673,7 @@ def test_reference_bar_covers_the_coarse_endpoint(env_periodic, G,
     # the endpoint settled above the command step, the level moves by no
     # more than that bar when every estimate is held at the command step
     ep, _ = hjlab.effective._endpoint(env_periodic, G, BETA, 2, 1e-3,
-                                      X=40.0, n_batches=10, dx=0.04)
+                                      X=40.0, dx=0.04)
     assert ep.dx > 0.04
     ref, _, bar = hjlab.effective._reference(env_periodic, G, BETA, 1.5,
                                              1e-3, X=40.0, dx=0.04)
