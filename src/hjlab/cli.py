@@ -383,7 +383,7 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
         # step-doubling bar of that level
         reference, _, cfg.stats["ref_disc_bound"] = _reference(
             env, cfg.G, cfg.beta, theta, ref_tol, X=ref_X, dx=ref_dx)
-    result = homogenize_sweep(env, cfg.G, cfg.beta, theta, epsilons, scheme,
+    result = homogenize_sweep(env, cfg.G, cfg.beta, epsilons, scheme,
                               reference, workers=cfg.workers)
     out = cfg.out_dir / "sweep.csv"
     save_sweep(result, str(out))

@@ -47,8 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import EnvRealization, sample_many, write_csv
-from .errors import BracketExitError, CertificateError, WindowError
+from .environment import _MAX_NODES, EnvRealization, sample_many, write_csv
+from .errors import (BracketExitError, CertificateError, ConfigError,
+                     WindowError)
 from .hamiltonian import bracket, monotonicity_modulus
 
 __all__ = [
@@ -171,11 +172,24 @@ def _stages(env: EnvRealization, lam: float, beta: float, L: float,
             x_end: float, dx: float) -> _Stages:
     """Sample the coefficients at every RK4 stage point in one pass.
 
-    The lattice runs from L towards x_end, on either side of L.
+    The lattice runs from L towards x_end, on either side of L.  Before
+    anything is allocated, a lattice that reaches past the window is a
+    ``WindowError`` and one of more than ``_MAX_NODES`` steps a
+    ``ConfigError``.
     """
     span = abs(x_end - L)
     if span == 0:
         raise ValueError(f"integration span must be nonzero, got [{L}, {x_end}]")
+    x0, x1 = env.window
+    # the tolerance of the sampler's own window check
+    pad = 1e-9 * max(1.0, abs(x0), abs(x1))
+    if not x0 - pad <= min(L, x_end) <= max(L, x_end) <= x1 + pad:
+        raise WindowError(f"lattice from {L:g} to {x_end:g} reaches past "
+                          f"the window [{x0:g}, {x1:g}]")
+    if not span / dx <= _MAX_NODES:
+        raise ConfigError(f"step {dx:g} is too short: the lattice from "
+                          f"{L:g} to {x_end:g} would take more than "
+                          f"{_MAX_NODES} steps")
     # steps of exactly dx plus one short tail step: a rescaled step would
     # lose commensurability with periodic media and stop integrator
     # error from cancelling between periods
@@ -472,15 +486,17 @@ def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
     if x_hi <= x_lo:
         raise ValueError(f"empty region {region}")
     p_lo, p_hi = bracket(G, branch, lam, beta)
-    # the longest burn-in the window holds, in whole steps
+    # the longest burn-in the window holds, in whole steps; counts past
+    # _MAX_NODES, which ``_stages`` refuses, are clipped before they can
+    # overflow an int
     room = x_lo - env.window[0] if branch == 2 else env.window[1] - x_hi
-    n_max = math.floor((room + 1e-9) / dx)
+    n_max = math.floor(min((room + 1e-9) / dx, _MAX_NODES + 1))
     if n_max < 0:
         raise WindowError(f"region {region} is outside the window {env.window}")
     # round the burn-in up to whole steps so region nodes sit exactly on
     # the integration lattice, the first of them at node n_burn
-    n_burn = min(math.ceil(burn_in_length(G, beta, lam, tol, branch=branch)
-                           / dx - 1e-9), n_max)
+    n_burn = math.ceil(min(burn_in_length(G, beta, lam, tol, branch=branch)
+                           / dx, n_max) - 1e-9)
     # branch 2 runs rightward through the region, branch 1 leftward
     starts = (p_lo, p_hi) if branch == 2 else (p_hi, p_lo)
     steps = 0

@@ -115,19 +115,43 @@ def _bump(u: np.ndarray) -> np.ndarray:
 # function of (seed, absolute coordinate) alone, so the medium has the
 # same bits however the window is cut into blocks.
 
+def _check_unit_marks(kind: str, window) -> None:
+    """Media with marks on the unit lattice need whole units to resolve:
+    past 2^53 from 0 adjacent doubles are more than a unit apart."""
+    if max(abs(window[0]), abs(window[1])) > 2.0 ** 53:
+        raise ConfigError(
+            f"{kind} window {window} lies over 2^53 units from 0, where "
+            f"its unit lattice marks are no longer resolved")
+
+
+def _marks_read(seed: int, m: np.ndarray, reach: int,
+                stream: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(marks, i)``, the mark at lattice site ``m + k`` being
+    ``marks[i + k]`` for k = 0 .. reach, on ascending sites ``m``.  Each
+    site of the block's span is hashed once, or, where the span holds
+    more sites than the block has nodes, only the sites the nodes read.
+    """
+    if m[-1] - m[0] < m.size:
+        marks = _lattice_uniform(seed, np.arange(m[0], m[-1] + reach + 1),
+                                 stream)
+        return marks, m - m[0]
+    sites = m[:, None] + np.arange(reach + 1)
+    return (_lattice_uniform(seed, sites, stream).ravel(),
+            (reach + 1) * np.arange(m.size))
+
+
 def _gen_iid_interp(seed: int, window, dx: float, a0=1.0, phase=None):
     a0 = float(a0)
     if not (0.0 < a0 <= 1.0):
         raise ConfigError(f"iid-interp a0 must lie in (0, 1], got {a0}")
+    _check_unit_marks("iid-interp", window)
     ph = _phase(seed, _STREAM_PHASE) if phase is None else float(phase)
 
     def sample(xs):
         t = xs - ph
         m = np.floor(t).astype(np.int64)
         w = t - m
-        # each lattice mark hashed once (xs ascending), then read at m and m + 1
-        marks = _lattice_uniform(seed, np.arange(m[0], m[-1] + 2), _STREAM_V)
-        i = m - m[0]
+        marks, i = _marks_read(seed, m, 1, _STREAM_V)
         v = (1.0 - w) * marks[i] + w * marks[i + 1]
         return np.full_like(xs, a0), v
     return sample
@@ -205,14 +229,14 @@ def _gen_coupled_singular(seed: int, window, dx: float, bump_width=0.35,
     width, dpow = float(bump_width), float(depth_power)
     if not (0.0 < width <= 0.49):
         raise ConfigError(f"coupled-singular bump_width must lie in (0, 0.49], got {width}")
+    _check_unit_marks("coupled-singular", window)
     ph = _phase(seed, _STREAM_CS_PHASE) if phase is None else float(phase)
 
     def sample(xs):
         m = np.round(xs - ph).astype(np.int64)
         u = (xs - ph - m) / width
-        # each lattice mark hashed once (xs ascending), then read at m
-        marks = _lattice_uniform(seed, np.arange(m[0], m[-1] + 1), _STREAM_DEPTH)
-        d = marks[m - m[0]] ** dpow
+        marks, i = _marks_read(seed, m, 0, _STREAM_DEPTH)
+        d = marks[i] ** dpow
         b = _bump(u)
         return 1.0 - (1.0 - d) * b, (1.0 - d) * b
     return sample

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CertificateError
+from .errors import CertificateError, ConfigError
 
 __all__ = [
     "PowerG",
@@ -89,7 +89,7 @@ class PowerG:
 
     def lipschitz_on(self, interval) -> float:
         lo, hi = interval
-        return self.gamma * max(abs(lo), abs(hi)) ** (self.gamma - 1.0)
+        return self.gamma * _power(max(abs(lo), abs(hi)), self.gamma - 1.0)
 
     def abs_derivative_inf(self, p_lo: float, p_hi: float) -> float:
         return self.gamma * min(abs(p_lo), abs(p_hi)) ** (self.gamma - 1.0)
@@ -136,9 +136,9 @@ class AsymPowerG:
         lo, hi = interval
         out = 0.0
         if lo < 0:
-            out = self.gamma1 * abs(lo) ** (self.gamma1 - 1.0)
+            out = self.gamma1 * _power(abs(lo), self.gamma1 - 1.0)
         if hi > 0:
-            out = max(out, self.gamma2 * hi ** (self.gamma2 - 1.0))
+            out = max(out, self.gamma2 * _power(hi, self.gamma2 - 1.0))
         return out
 
     def abs_derivative_inf(self, p_lo: float, p_hi: float) -> float:
@@ -169,7 +169,12 @@ class LogQuasiconvexG:
 
     def branch_inverse(self, branch: int, y: float) -> float:
         y = _checked_level(y)
-        r = math.sqrt(math.expm1(y))
+        try:
+            r = math.sqrt(math.expm1(y))
+        except OverflowError:
+            raise ConfigError(
+                f"log-quasiconvex level {y:g} has no finite slope: "
+                f"exp(level) overflows") from None
         return r if branch == 2 else -r
 
     def _absderiv(self, p: float) -> float:
@@ -290,6 +295,14 @@ class TabulatedG:
 
     def abs_derivative_inf(self, p_lo: float, p_hi: float) -> float:
         return float(self._abs_slopes_on(p_lo, p_hi).min())
+
+
+def _power(base: float, exp: float) -> float:
+    """base ** exp for base >= 0; inf where it overflows."""
+    try:
+        return base ** exp
+    except OverflowError:
+        return math.inf
 
 
 def _checked_level(y: float) -> float:

@@ -868,15 +868,17 @@ def sweep_ladder(window, epsilons, scheme: SchemeConfig):
     return eps_arr, halves
 
 
-def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
-                     epsilons, scheme: SchemeConfig, reference: float, *,
+def homogenize_sweep(env: EnvRealization, G, beta: float, epsilons,
+                     scheme: SchemeConfig, reference: float, *,
                      workers: int = 1) -> SweepResult:
     """Record eps * u_theta(1/eps, 0) along an epsilon ladder.
 
-    ``scheme.M`` is the half-width of the scaled domain: each epsilon
-    reads [-M/eps, M/eps] at unit scale (and [-2M/eps, 2M/eps] for the
-    sensitivity), evolving u(0, x) = theta x to T = 1/eps under
-    ``evolve``'s linear-theta ghosts; ``scheme.T`` is not used.  Domains
+    theta is ``scheme.theta``, the slope ``evolve`` reads for its
+    ghosts.  ``scheme.M`` is the half-width of the scaled domain: each
+    epsilon reads [-M/eps, M/eps] at unit scale (and [-2M/eps, 2M/eps]
+    for the sensitivity), evolving u(0, x) = theta x to T = 1/eps under
+    ``evolve``'s linear-theta ghosts.  ``scheme.T`` belongs to
+    ``evolve``, and the sweep does not read it.  Domains
     are keyed by their half-width in nodes and each is marched once,
     stopping at every T that reads it: on a halving ladder the doubled
     domain at eps is the base domain at eps/2.  Each march runs only on
@@ -890,7 +892,7 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, theta: float,
     sweep only stores it, so it shares no code with what it checks.
     """
     beta = float(beta)
-    theta = float(theta)
+    theta = float(scheme.theta)
     eps_arr, halves = sweep_ladder(env.window, epsilons, scheme)
 
     # half-width in nodes -> its stops, increasing since eps decreases

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrector import CorrectorProfile, _rk4_forward, residual_series
-from .environment import (EnvRealization, HillWitness, s_at, sample_many,
-                          write_csv)
+from .environment import (_MAX_NODES, EnvRealization, HillWitness, s_at,
+                          sample_many, write_csv)
 from .errors import GlueError, SignError, WindowError
 from .hamiltonian import bracket
 
@@ -178,7 +178,9 @@ def build_glued_profile(env: EnvRealization, G, beta: float, delta: float,
 
     # snap the region span to a whole number of steps so the two
     # opposite-direction integrations share one node lattice
-    n_span = int(math.ceil((R_hi - R_lo) / dx - 1e-9))
+    # (clipped past _MAX_NODES, which ``_stages`` refuses, so the count
+    # cannot overflow an int)
+    n_span = math.ceil(min((R_hi - R_lo) / dx, _MAX_NODES + 1) - 1e-9)
     R_hi = R_lo + n_span * dx
     if R_hi > env.window[1] + 1e-9:
         raise WindowError("glue region falls outside the environment window")

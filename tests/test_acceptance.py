@@ -59,7 +59,7 @@ def _sweep(env, theta, ref, epsilons=(1 / 8, 1 / 16, 1 / 32, 1 / 64)):
     dx = 0.05
     dt = stable_dt(G2, BETA, theta, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=4.0, T=1.0, theta=theta)
-    return homogenize_sweep(env, G2, BETA, theta, list(epsilons), scheme,
+    return homogenize_sweep(env, G2, BETA, list(epsilons), scheme,
                             reference=ref)
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import hjlab
 import hjlab.cli
+import hjlab.corrector
 import hjlab.effective
 from hjlab.cli import main
 from hjlab.corrector import burn_in_length
@@ -408,13 +409,21 @@ def test_bad_parameter_exits_before_the_medium_is_built(tmp_path, monkeypatch,
      "at most 100000000 are allowed"),
     ("gen-env", IID_V.replace("iid-interp", "coupled-singular").replace(
         "dx_env = 0.1", "dx_env = 1e20"), [], "longer than the window"),
+    # 2^53 units from 0 the unit lattice is not resolved: this exited 2
+    # on a value check, after an int64 cast warning
+    ("gen-env", IID_V.replace("window = -40 40", "window = 1e19 1.00000001e19")
+     .replace("dx_env = 0.1", "dx_env = 1e10"), [], "over 2^53 units"),
+    ("gen-env", IID_V.replace("iid-interp", "coupled-singular").replace(
+        "window = -40 40", "window = -1.00000001e19 -1e19").replace(
+        "dx_env = 0.1", "dx_env = 1e10"), [], "over 2^53 units"),
     ("homogenize", HOMOG_IID.replace("growth_gamma = 2.0",
                                      "growth_gamma = 1"), [],
      "growth certificate needs gamma > 1"),
 ], ids=["empty-list", "effective-n-batches", "no-env", "window-decreasing", "no-model",
         "workers-0", "iid-a0-0", "gauss-corr-len-0", "gauss-kappa-1",
         "singular-bump-width", "power-gamma-1", "node-cap",
-        "dx-env-over-window", "growth-gamma-1"])
+        "dx-env-over-window", "iid-far-window", "singular-far-window",
+        "growth-gamma-1"])
 def test_config_rejection_exits_2_and_writes_no_table(tmp_path, capsys,
                                                       command, text, flags,
                                                       message):
@@ -796,6 +805,69 @@ def test_homogenize_requires_growth_certificate(tmp_path):
                      if not ln.startswith("growth_"))
     cfg = _write(tmp_path, text)
     assert main(["homogenize", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+IID80 = """
+[env]
+kind = iid-interp
+seed = 1
+window = -80 80
+dx_env = 0.01
+
+[hamiltonian]
+family = power
+gamma = 2.0
+
+[model]
+beta = 1.0
+
+[theta-curve]
+lams = 2
+x = 40
+tol = 0.01
+"""
+
+
+# a lattice past the window, or over the node cap, is refused before its
+# coefficients are sampled (x = 1e20 and dx = 1e-300 crashed in np.arange,
+# dx = 1e-320 in int(inf)); x = 200 sampled the whole lattice first
+@pytest.mark.parametrize("line, code", [
+    ("x = 1e20", 1), ("x = 200", 1), ("x = 40\ndx = 1e-300", 2),
+    ("x = 40\ndx = 1e-320", 2), ("x = 40\nbranch = 1\ndx = 1e-300", 2)],
+    ids=["x-1e20", "x-200", "dx-1e-300", "dx-1e-320", "branch-1-dx-1e-300"])
+def test_lattice_is_checked_before_it_is_sampled(tmp_path, monkeypatch,
+                                                 line, code):
+    def no_sampling(*args):
+        pytest.fail("the lattice was sampled")
+
+    monkeypatch.setattr(hjlab.corrector, "_coefficients", no_sampling)
+    cfg = _write(tmp_path, IID80.replace("x = 40", line))
+    out = tmp_path / "out"
+    assert main(["theta-curve", "--config", cfg, "--out", str(out)]) == code
+    assert not list(out.glob("*.csv"))
+
+
+def test_lipschitz_overflow_exits_1(tmp_path, capsys):
+    # gamma2 = 1e5: the Lipschitz power on the padded bracket overflowed
+    # in choose_dx; now it is inf, and the step is refused as not monotone
+    cfg = _write(tmp_path, IID80.replace(
+        "family = power\ngamma = 2.0",
+        "family = asym-power\ngamma1 = 2.0\ngamma2 = 1e5"))
+    out = tmp_path / "out"
+    assert main(["theta-curve", "--config", cfg, "--out", str(out)]) == 1
+    assert "not monotone" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_level_without_a_finite_bracket_exits_2(tmp_path, capsys):
+    # exp(1e20) overflowed in the log-quasiconvex branch inverse
+    cfg = _write(tmp_path, IID80.replace(
+        "family = power\ngamma = 2.0", "family = log-quasiconvex").replace(
+        "lams = 2", "lams = 1e20"))
+    out = tmp_path / "out"
+    assert main(["theta-curve", "--config", cfg, "--out", str(out)]) == 2
+    assert "no finite slope" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_homogenize_bad_growth_certificate_fails_scientifically(tmp_path):

@@ -74,6 +74,40 @@ def test_each_lattice_mark_hashed_once(seed, phase):
             gauss_field_per_mark(*args).tobytes()
 
 
+# a 101-node window 10^10 unit marks long: each block hashes only the
+# marks its nodes read, where hashing its whole span of marks took 74.5 GiB;
+# the command peaks near 0.1 MB
+FAR_WINDOW_PEAK = 1 << 20
+
+
+@pytest.mark.parametrize("kind", ["iid-interp", "coupled-singular"])
+def test_far_sparse_window_reads_only_its_marks(tmp_path, kind):
+    from hjlab.cli import main
+
+    window, dx = (1e15, 1.00001e15), 1e8
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(f"[env]\nkind = {kind}\nseed = 5\n"
+                   f"window = {window[0]!r} {window[1]!r}\ndx_env = {dx!r}\n"
+                   "\n[model]\nbeta = 1.0\n")
+    argv = ["gen-env", "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(argv) == 0  # first-call costs
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= FAR_WINDOW_PEAK
+    e = generate_env(kind, 5, window, dx)
+    assert e.n == 101
+    if kind == "iid-interp":
+        assert e.v_vals.tobytes() == iid_interp_per_node(5, e.xs).tobytes()
+    else:
+        want = coupled_singular_per_node(5, e.xs)
+        assert [e.a_vals.tobytes(), e.v_vals.tobytes()] == \
+            [w.tobytes() for w in want]
+
+
 def test_same_seed_same_values_across_windows():
     e1 = generate_env("iid-interp", 9, (0.0, 50.0), 0.25)
     e2 = generate_env("iid-interp", 9, (-30.0, 50.0), 0.25)

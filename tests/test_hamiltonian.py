@@ -16,6 +16,7 @@ from hjlab.hamiltonian import (
     monotonicity_modulus,
     validate_growth,
 )
+from hjlab.errors import ConfigError
 from oracles import Reflected
 
 SQRT2 = math.sqrt(2.0)
@@ -91,6 +92,17 @@ def test_lipschitz_closed_forms():
     assert LogQuasiconvexG().lipschitz_on((0.0, 10.0)) == 1.0
     assert LogQuasiconvexG().lipschitz_on((-10.0, -0.5)) == 1.0
     assert LogQuasiconvexG().lipschitz_on((2.0, 10.0)) == pytest.approx(0.8, abs=1e-15)
+
+
+def test_overflowing_powers_and_levels():
+    # a Lipschitz power past the float range is inf, so the monotone-step
+    # check refuses the step; a log-quasiconvex level whose slope is past
+    # the float range has no bracket (both raised OverflowError)
+    assert AsymPowerG(2.0, 1e5).lipschitz_on((0.9, 1.1)) == math.inf
+    assert AsymPowerG(1e5, 2.0).lipschitz_on((-1.1, 0.0)) == math.inf
+    assert PowerG(1e5).lipschitz_on((0.9, 1.1)) == math.inf
+    with pytest.raises(ConfigError, match="no finite slope"):
+        bracket(LogQuasiconvexG(), 2, 1e20, 1.0)
 
 
 def test_lipschitz_is_a_bound_on_samples():

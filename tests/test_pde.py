@@ -591,7 +591,7 @@ def test_homogenize_constant_env_exact():
     dx = 0.05
     dt = stable_dt(G, BETA, 1.0, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=2.0, T=1.0, theta=1.0)
-    res = homogenize_sweep(env, G, BETA, 1.0, [0.5, 0.25], scheme,
+    res = homogenize_sweep(env, G, BETA, [0.5, 0.25], scheme,
                            reference=1.0)
     # linear data is an exact fixed shape: eps u(1/eps, 0) = G(theta)
     assert np.max(np.abs(res.values - 1.0)) <= 1e-10
@@ -604,16 +604,16 @@ def test_homogenize_window_too_small():
     env = generate_env("constant", 0, (-5.0, 5.0), 0.1, params={"v0": 0.0})
     scheme = SchemeConfig(dx=0.05, dt=1e-3, M=2.0, T=1.0, theta=1.0)
     with pytest.raises(WindowError):
-        homogenize_sweep(env, G, BETA, 1.0, [0.25], scheme, reference=1.0)
+        homogenize_sweep(env, G, BETA, [0.25], scheme, reference=1.0)
 
 
 def test_homogenize_validates_epsilons():
     env = generate_env("constant", 0, (-40.0, 40.0), 0.1, params={"v0": 0.0})
     scheme = SchemeConfig(dx=0.05, dt=1e-3, M=2.0, T=1.0, theta=1.0)
     with pytest.raises(ConfigError):
-        homogenize_sweep(env, G, BETA, 1.0, [], scheme, reference=1.0)
+        homogenize_sweep(env, G, BETA, [], scheme, reference=1.0)
     with pytest.raises(ConfigError):
-        homogenize_sweep(env, G, BETA, 1.0, [2.0, 0.5], scheme, reference=1.0)
+        homogenize_sweep(env, G, BETA, [2.0, 0.5], scheme, reference=1.0)
 
 
 def test_homogenize_iid_flat_slope_runs():
@@ -625,7 +625,7 @@ def test_homogenize_iid_flat_slope_runs():
     ref, _, disc = hjlab.effective._reference(env, G, BETA, 0.0, 2e-2,
                                               X=300.0)
     assert ref == BETA and disc == 0.0
-    res = homogenize_sweep(env, G, BETA, 0.0, [0.25, 0.125], scheme, ref)
+    res = homogenize_sweep(env, G, BETA, [0.25, 0.125], scheme, ref)
     assert res.reference == BETA
     assert np.all(res.values > 0.0) and np.all(res.values < 2.0 * BETA)
     assert np.all(res.domain_sensitivity >= 0.0)
@@ -675,7 +675,7 @@ def test_homogenize_marches_each_domain_once(epsilons, dt, workers):
     scheme = SchemeConfig(dx=dx, dt=dt, M=1.0, T=1.0, theta=1.0)
     values, sens, excursion, seen, fresh, marched, nodes = _fresh_runs(
         env, 1.0, epsilons, scheme)
-    res = homogenize_sweep(env, G, BETA, 1.0, epsilons, scheme,
+    res = homogenize_sweep(env, G, BETA, epsilons, scheme,
                            reference=1.0, workers=workers)
     # bit for bit where no window shrinks (trim_bound 0)
     assert np.all(np.abs(res.values - values) <= res.trim_bound)
@@ -733,7 +733,7 @@ def test_trimmed_sweep_matches_fresh_runs(env_trim, theta_half, case, theta):
     scheme = SchemeConfig(dx=0.1, dt=dt, M=M, T=1.0, theta=theta)
     values, sens, excursion, _, _, marched, nodes = _fresh_runs(
         env_trim, theta, epsilons, scheme)
-    res = homogenize_sweep(env_trim, G, BETA, theta, epsilons, scheme,
+    res = homogenize_sweep(env_trim, G, BETA, epsilons, scheme,
                            reference=1.0)
     assert 0.0 < res.trim_bound <= 1e-16
     assert np.all(np.abs(res.values - values) <= res.trim_bound)
@@ -771,9 +771,9 @@ def test_downwind_window_against_the_symmetric_plan(env_trim, case, theta,
                                                     monkeypatch):
     dt, M, epsilons = TRIM_CASES[case]
     scheme = SchemeConfig(dx=0.1, dt=dt, M=M, T=1.0, theta=theta)
-    res = homogenize_sweep(env_trim, G, BETA, theta, epsilons, scheme,
+    res = homogenize_sweep(env_trim, G, BETA, epsilons, scheme,
                            reference=1.0)
-    sym = _symmetric_sweep(monkeypatch, env_trim, G, BETA, theta, epsilons,
+    sym = _symmetric_sweep(monkeypatch, env_trim, G, BETA, epsilons,
                            scheme, reference=1.0)
     assert res.trim_margins[0] == sym.trim_margins[0]
     if theta == 1.7:
@@ -794,7 +794,7 @@ def test_downwind_window_against_the_symmetric_plan(env_trim, case, theta,
 def test_trimmed_sweep_same_at_two_workers(env_trim):
     dt, M, epsilons = TRIM_CASES["shrinks"]
     scheme = SchemeConfig(dx=0.1, dt=dt, M=M, T=1.0, theta=-1.5)
-    one, two = (homogenize_sweep(env_trim, G, BETA, -1.5, epsilons, scheme,
+    one, two = (homogenize_sweep(env_trim, G, BETA, epsilons, scheme,
                                  reference=1.0, workers=w) for w in (1, 2))
     assert one.values.tobytes() == two.values.tobytes()
     assert (one.domain_sensitivity.tobytes()
@@ -827,12 +827,12 @@ def test_one_sided_sweep_is_the_two_sided_sweep(monkeypatch, G_, theta):
         kernel_steps.append(r.steps)
         return r
 
-    res = homogenize_sweep(env, G_, BETA, theta, (0.5, 0.25), scheme,
+    res = homogenize_sweep(env, G_, BETA, (0.5, 0.25), scheme,
                            reference=1.0)
     with monkeypatch.context() as patch:
         patch.setattr("hjlab.pde.godunov_flux", flux)
         patch.setattr("hjlab.pde.evolve", counted)
-        ref = homogenize_sweep(env, G_, BETA, theta, (0.5, 0.25), scheme,
+        ref = homogenize_sweep(env, G_, BETA, (0.5, 0.25), scheme,
                                reference=1.0)
     assert len(one_signed) == sum(kernel_steps) and all(one_signed)
     assert sum(kernel_steps) < res.steps
@@ -860,7 +860,7 @@ def test_trim_bound_covers_a_march_that_leaves_the_range(monkeypatch):
     scheme = SchemeConfig(dx=0.1, dt=0.01, M=16.0, T=1.0, theta=1.0)
     values, sens, excursion, seen, _, marched, nodes = _fresh_runs(
         env, 1.0, epsilons, scheme)
-    res = homogenize_sweep(env, G, BETA, 1.0, epsilons, scheme,
+    res = homogenize_sweep(env, G, BETA, epsilons, scheme,
                            reference=1.0)
     assert res.grad_excursion and excursion
     assert seen[0] < narrow[0] and seen[1] > narrow[1]
@@ -887,7 +887,7 @@ def test_trim_bound_covers_a_downwind_march_whose_slopes_reach_zero(
     scheme = SchemeConfig(dx=0.1, dt=0.01, M=16.0, T=1.0, theta=0.0)
     values, sens, excursion, seen, _, marched, nodes = _fresh_runs(
         env, 0.0, epsilons, scheme)
-    res = homogenize_sweep(env, G, BETA, 0.0, epsilons, scheme,
+    res = homogenize_sweep(env, G, BETA, epsilons, scheme,
                            reference=1.0)
     assert res.grad_excursion and excursion
     lo, hi = res.grad_range_seen
@@ -1050,7 +1050,7 @@ def test_evolve_calls_sum_to_the_sweep_node_steps(monkeypatch):
         return r
 
     monkeypatch.setattr("hjlab.pde.evolve", traced)
-    res = homogenize_sweep(env, G, BETA, 1.7, (0.5, 0.25, 0.125), scheme,
+    res = homogenize_sweep(env, G, BETA, (0.5, 0.25, 0.125), scheme,
                            reference=1.0)
     assert sum(s * n for s, n in calls) == res.node_steps
     assert sum(s for s, _ in calls) < res.steps
@@ -1066,7 +1066,7 @@ def test_linear_data_stays_in_the_a_priori_range(kind):
     for theta in (1.7, -1.7, 0.0, theta2 / 2.0):
         scheme = SchemeConfig(dx=0.05, dt=stable_dt(G, BETA, theta, 0.05),
                               M=1.0, T=1.0, theta=theta)
-        res = homogenize_sweep(env, G, BETA, theta, [1 / 8, 1 / 16, 1 / 32],
+        res = homogenize_sweep(env, G, BETA, [1 / 8, 1 / 16, 1 / 32],
                                scheme, reference=1.0)
         p_lo, p_hi = cfl_gradient_range(G, BETA, theta)
         lo, hi = res.grad_range_seen
@@ -1086,7 +1086,7 @@ def test_sweep_at_half_the_stable_step_agrees():
     for theta in (1.7, -1.7, 0.0, 0.4):
         dt = stable_dt(G, BETA, theta, 0.05)
         full, half = (homogenize_sweep(
-            env, G, BETA, theta, [0.25, 0.125],
+            env, G, BETA, [0.25, 0.125],
             SchemeConfig(dx=0.05, dt=h, M=1.0, T=1.0, theta=theta),
             reference=1.0) for h in (dt, dt / 2.0))
         assert np.max(np.abs(full.values - half.values)) <= 1e-3, theta
@@ -1272,7 +1272,7 @@ def test_save_sweep_and_probe_csv(tmp_path, env_const_v1):
     dx = 0.05
     dt = stable_dt(G, BETA, 1.0, dx)
     scheme = SchemeConfig(dx=dx, dt=dt, M=2.0, T=1.0, theta=1.0)
-    res = homogenize_sweep(env, G, BETA, 1.0, [0.5], scheme, reference=1.0)
+    res = homogenize_sweep(env, G, BETA, [0.5], scheme, reference=1.0)
     sweep_path = tmp_path / "sweep.csv"
     save_sweep(res, str(sweep_path))
     lines = sweep_path.read_text().strip().split("\n")
