@@ -583,8 +583,8 @@ def estimate_theta(env: EnvRealization, G, beta: float, lam: float,
     step-doubling bar ``disc_bound`` (``corrector_profile(...,
     doubled=True)``, half a run more; an estimate, not a bound); the
     confidence interval comes from ten contiguous batch means (Student
-    t, 95%); a narrower one needs a longer X.  Branch 1 averages over [-X, 0].  With
-    ``tangent``, the same average and CI of df/dlam give
+    t, 95%); a narrower one needs a longer X.  Branch 1 averages over
+    [-X, 0].  With ``tangent``, the same average and CI of df/dlam give
     ``dtheta_dlam`` and ``dtheta_ci``: the derivative of the discrete
     mean in lam, exact up to the start value and burn-in length, whose
     own dependence on lam the burn-in has forgotten.

@@ -253,6 +253,26 @@ def test_unknown_key_is_config_error(tmp_path, text):
 IID_V = CONST_V0.replace("kind = constant", "kind = iid-interp").replace(
     "v0 = 0.0\n", "")
 
+IID80 = """
+[env]
+kind = iid-interp
+seed = 1
+window = -80 80
+dx_env = 0.01
+
+[hamiltonian]
+family = power
+gamma = 2.0
+
+[model]
+beta = 1.0
+
+[theta-curve]
+lams = 2
+x = 40
+tol = 0.01
+"""
+
 
 @pytest.mark.parametrize("text", [
     # non-finite numbers of the medium and of G
@@ -419,11 +439,17 @@ def test_bad_parameter_exits_before_the_medium_is_built(tmp_path, monkeypatch,
     ("homogenize", HOMOG_IID.replace("growth_gamma = 2.0",
                                      "growth_gamma = 1"), [],
      "growth certificate needs gamma > 1"),
-], ids=["empty-list", "effective-n-batches", "no-env", "window-decreasing", "no-model",
-        "workers-0", "iid-a0-0", "gauss-corr-len-0", "gauss-kappa-1",
+    # these two overflowed: exp(1e20) in the log-quasiconvex branch
+    # inverse, and the count of glue steps at dx = 1e-320
+    ("theta-curve", IID80.replace("family = power\ngamma = 2.0",
+                                  "family = log-quasiconvex").replace(
+        "lams = 2", "lams = 1e20"), [], "no finite slope"),
+    ("probe", PROBE_GLUED + "dx = 1e-320\n", [], "would take more than"),
+], ids=["empty-list", "effective-n-batches", "no-env", "window-decreasing",
+        "no-model", "workers-0", "iid-a0-0", "gauss-corr-len-0", "gauss-kappa-1",
         "singular-bump-width", "power-gamma-1", "node-cap",
         "dx-env-over-window", "iid-far-window", "singular-far-window",
-        "growth-gamma-1"])
+        "growth-gamma-1", "log-level-overflow", "glue-dx-1e-320"])
 def test_config_rejection_exits_2_and_writes_no_table(tmp_path, capsys,
                                                       command, text, flags,
                                                       message):
@@ -807,27 +833,6 @@ def test_homogenize_requires_growth_certificate(tmp_path):
     assert main(["homogenize", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-IID80 = """
-[env]
-kind = iid-interp
-seed = 1
-window = -80 80
-dx_env = 0.01
-
-[hamiltonian]
-family = power
-gamma = 2.0
-
-[model]
-beta = 1.0
-
-[theta-curve]
-lams = 2
-x = 40
-tol = 0.01
-"""
-
-
 # a lattice past the window, or over the node cap, is refused before its
 # coefficients are sampled (x = 1e20 and dx = 1e-300 crashed in np.arange,
 # dx = 1e-320 in int(inf)); x = 200 sampled the whole lattice first
@@ -856,17 +861,6 @@ def test_lipschitz_overflow_exits_1(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["theta-curve", "--config", cfg, "--out", str(out)]) == 1
     assert "not monotone" in capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
-
-
-def test_level_without_a_finite_bracket_exits_2(tmp_path, capsys):
-    # exp(1e20) overflowed in the log-quasiconvex branch inverse
-    cfg = _write(tmp_path, IID80.replace(
-        "family = power\ngamma = 2.0", "family = log-quasiconvex").replace(
-        "lams = 2", "lams = 1e20"))
-    out = tmp_path / "out"
-    assert main(["theta-curve", "--config", cfg, "--out", str(out)]) == 2
-    assert "no finite slope" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
 
