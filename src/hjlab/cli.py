@@ -392,6 +392,7 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
                      node_steps=result.node_steps,
                      trim_bound=result.trim_bound,
                      trim_margins=list(result.trim_margins),
+                     trim_plan=[list(row) for row in result.trim_plan],
                      grad_excursion=result.grad_excursion,
                      grad_range_seen=list(result.grad_range_seen))
     return [out]

@@ -407,7 +407,13 @@ def _check_monotone_steps(A_max: float, G, beta: float, p_lo: float,
     over the stage points the steps use.
     """
     pad = 2.0 * abs(dx) * A_max * beta
-    prod = abs(dx) * A_max * G.lipschitz_on((p_lo - pad, p_hi + pad))
+    lip = G.lipschitz_on((p_lo - pad, p_hi + pad))
+    if not math.isfinite(lip):
+        raise CertificateError(
+            f"RK4 step is not monotone in f: G has no finite Lipschitz "
+            f"constant on the padded bracket [{p_lo - pad:g}, {p_hi + pad:g}]"
+            f", so no dx makes the step monotone")
+    prod = abs(dx) * A_max * lip
     if prod > 1.0:
         raise CertificateError(
             f"RK4 step is not monotone in f: |dx| max(1/a) Lip(G) = "

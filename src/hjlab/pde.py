@@ -47,9 +47,18 @@ sweep pays the fixed cost of a step (a dozen numpy and LAPACK calls)
 once per step rather than once per domain and step.  Since
 the scheme is monotone, what a node far from x = 0 does reaches x = 0
 only through tails the scheme's spread bounds, so each march drops the
-nodes beyond derived margins (``_trim_margin``).  Upwind, the margin
-counts the remaining steps, since advection carries an edge's error
-toward x = 0 up to one node a step.  Off the flat piece every slope a
+nodes beyond derived margins (``_trim_margin``).  Upwind, the window
+recedes at a closing rate of s >= 1 nodes a step going back in time,
+``ceil(s (K - k)) + m_up`` nodes at step k of K, against an advection
+of at most one node a step (``dt kappa / dx <= 0.9``): the faster it
+closes in, the faster an edge's error decays toward x = 0, so the
+larger s, the smaller ``m_up``, on windows that are wider early on.
+Each march takes the s of ``_TRIM_RATES`` whose windows cost least
+(``_Lane``), s = 1 among them, so no march plans more work than at one
+node a step.  On the benchmark sweep (theta 1.7, dx 0.05) the domains
+of 640, 1,280, 2,560 and 5,120 nodes take s = 1, 1.375, 1.375 and 1.25,
+with ``m_up`` 1,942, 426, 433 and 581 nodes where s = 1 needs about
+2,000.  Off the flat piece every slope a
 run can hold has one sign, so the upwind flux reads one neighbour only
 and an error from the downwind edge reaches x = 0 only by diffusion,
 against a drift of at least ``dt inf|G'| / dx`` nodes a step: that side
@@ -63,13 +72,15 @@ whole domain, and the same run bit for bit while no window shrinks.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import EnvRealization, _locate, _pmap, sample_many, write_csv
+from .environment import (_MAX_NODES, EnvRealization, _locate, _pmap,
+                          sample_many, write_csv)
 from .errors import ConfigError, StabilityError, WindowError
 
 __all__ = [
@@ -92,6 +103,14 @@ _CFL_MAX = 0.9
 _TRIM_TOL = 1e-16
 # a march moves to a smaller window once it needs less than this share
 _TRIM_SHRINK = 0.85
+# closing rates, in nodes a step, of the upwind side that a march plans
+# with (``_Lane``), 1 among them; eighths, so ``s * steps`` is exact
+_TRIM_RATES = (1.0, 1.125, 1.25, 1.375, 1.5, 1.75, 2.0)
+# the plan charges each new window, which starts an evolve call, this
+# many steps on it.  A call's set-up took 0.3-0.75 ms (5-7 steps) on a
+# 2-vCPU Xeon; on the benchmark sweep any charge from 0 to 60 timed the
+# same, and 30 keeps the calls at 36 (45 at 0)
+_WINDOW_STEPS = 30
 
 
 # ============================================================
@@ -161,13 +180,18 @@ def stable_dt(G, beta: float, theta: float, dx: float) -> float:
     step is monotone as long as the slopes stay in it; ``evolve``
     certifies each step that leaves it, and raises if that step is not
     monotone.  A range on which G is flat (one point, as at beta = 0 and
-    theta = 0) gives no step: ``ConfigError``, so the caller sets dt.
+    theta = 0) gives no step: ``ConfigError``, so the caller sets dt.  So
+    does a range on which G has no finite Lipschitz constant, where the
+    step would be 0.
     """
     p_range = cfl_gradient_range(G, beta, theta)
     kappa = G.lipschitz_on(p_range)
     if not kappa > 0.0:
         raise ConfigError(f"G is flat on the slope range {p_range}: "
                           "no CFL step, set dt")
+    if not math.isfinite(kappa):
+        raise ConfigError(f"G has no finite Lipschitz constant on the slope "
+                          f"range {p_range}: no CFL step")
     return _CFL_MAX * dx / kappa
 
 
@@ -517,6 +541,9 @@ class SweepResult:
     in nodes of the upwind and downwind sides over the marches
     (``_march``), with ``m_dn`` None when the a-priori slopes can change
     sign, so that every march takes ``m_up`` on both sides.
+    ``trim_plan`` holds one ``(n, s, m_up, m_dn)`` per march, in the
+    order of the ladder: its half-width in nodes, the closing rate of
+    its upwind side and its margins at that rate (``_Lane``).
     """
 
     theta: float
@@ -532,6 +559,7 @@ class SweepResult:
     cfl: float = 0.0
     cfl_seen: float = 0.0
     trim_margins: tuple[float, float | None] | None = None
+    trim_plan: tuple[tuple[int, float, float, float | None], ...] = ()
 
     def __post_init__(self):
         if self.epsilons.size != self.values.size or \
@@ -543,25 +571,35 @@ class SweepResult:
             arr.setflags(write=False)
 
 
-def _trim_rate(q: float, c: float) -> float:
+@functools.lru_cache(maxsize=256)
+def _trim_rate(q: float, c: float, s: float = 1.0) -> float:
     """Largest lam with ``f(lam) <= 1``, by bisection (see ``_trim_margin``).
 
-    ``f(lam) = (1 - q + q e^-lam) / (1 - 2 c (cosh lam - 1))``: q is the
-    least share of the walk that each step's explicit stage carries one
-    node away from the edge.  ``log f`` is convex (a sum of log-MGFs), 0
-    at 0 with slope ``-q`` there, and infinite where
-    ``2 c (cosh lam - 1) = 1``, so for q > 0 it is <= 0 exactly on
-    [0, lam*]; for q = 0 only lam = 0 qualifies.
+    ``f(lam) = e^(-(s - 1) lam) (1 - q + q e^-lam) / (1 - 2 c (cosh lam
+    - 1))``: q is the least share of the walk that each step's explicit
+    stage carries one node away from the edge, counting the edge's own
+    first node a step where it closes in (upwind, ``q = 1 - d``), and
+    s - 1 the further nodes a step by which it closes in (s = 1 for a
+    fixed edge).  ``log f`` is convex (a sum of log-MGFs and a
+    linear term), 0 at 0 with slope ``-q - (s - 1)`` there, and infinite
+    where ``2 c (cosh lam - 1) = 1``, so for ``q + s > 1`` it is <= 0
+    exactly on [0, lam*]; for q = 0 and s = 1 only lam = 0 qualifies.
+    The bisection stops where its midpoint meets an end, since no later
+    step can move either.  A march plans with a few values of s and
+    domains that share ``c``, so the rates are cached.
     """
     def log_f(lam):
         den = 1.0 - 4.0 * c * math.sinh(0.5 * lam) ** 2
         if den <= 0.0:
             return math.inf
-        return math.log1p(q * math.expm1(-lam)) - math.log(den)
+        return (math.log1p(q * math.expm1(-lam)) - math.log(den)
+                - (s - 1.0) * lam)
 
     lo, hi = 0.0, math.acosh(1.0 + 0.5 / c)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if log_f(mid) <= 0.0:
             lo = mid
         else:
@@ -569,30 +607,59 @@ def _trim_rate(q: float, c: float) -> float:
     return lo
 
 
-def _trim_weights(c: float, d: float, d_min: float, k_last: int, w):
+def _trim_weights(c: float, d: float, d_min: float, k_last: int, s: float):
     """Rates and factors of the edge weights of a trimmed march.
 
-    ``((lam_up, f_up), (lam_dn, f_dn))``: an edge that closes in by one
-    node a step, m nodes out at the last step, holds at most
-    ``f_up exp(-lam_up m)`` of the weight of x = 0 at each step, and one
-    that stays m nodes out downwind at most ``f_dn exp(-lam_dn m)``, the
-    window's far end at least w nodes from x = 0 (``_trim_margin``).
+    Returns ``weights(w) = ((lam_up, f_up), (lam_dn, f_dn))``: an edge
+    that closes in by s nodes a step, m nodes out at the last step,
+    holds at most ``f_up exp(-lam_up m)`` of the weight of x = 0 at each
+    step, and one that stays m nodes out downwind at most ``f_dn
+    exp(-lam_dn m)``, the window's far end at least w nodes from x = 0
+    (``_trim_margin``).  The two rates do not depend on w and are taken
+    once here; ``weights`` computes only the factors.
     """
-    lam_up, lam_dn = _trim_rate(1.0 - d, c), _trim_rate(d_min, c)
+    lam_up, lam_dn = _trim_rate(1.0 - d, c, s), _trim_rate(d_min, c)
+    # the far end's losses summed over the steps, in ratio to s = 1
+    ratio = (1.0 if s == 1.0
+             else math.expm1(-lam_up) / math.expm1(-s * lam_up))
 
     def mgf(lam):
         return 1.0 / (1.0 - 4.0 * c * math.sinh(0.5 * lam) ** 2)
 
-    return ((lam_up, mgf(lam_up) * (1.0 + c * math.exp(-lam_up * w)
-                                     * -math.expm1(-lam_up * k_last))),
-            (lam_dn, mgf(lam_dn) * (1.0 + k_last * (c + d_min)
-                                     * math.exp(-lam_dn * w)
-                                     * -math.expm1(-lam_dn))))
+    mgf_up, mgf_dn = mgf(lam_up), mgf(lam_dn)
+
+    def weights(w):
+        return ((lam_up, mgf_up * (1.0 + c * math.exp(-lam_up * w) * ratio
+                                   * -math.expm1(-s * lam_up * k_last))),
+                (lam_dn, mgf_dn * (1.0 + k_last * (c + d_min)
+                                   * math.exp(-lam_dn * w)
+                                   * -math.expm1(-lam_dn))))
+
+    return weights
 
 
-def _trim_margin(env, G, theta: float, p_range, dx: float, dt: float,
-                 k_last: int, n: int, margins=None):
+def _trim_scales(env, G, theta: float, p_range, dx: float, dt: float,
+                 n: int) -> tuple[float, float, float, float]:
+    """``(c, d, d_min, half)`` of a march on [-n dx, n dx] over the slopes
+    ``p_range``, as ``_trim_margin`` defines them: its diffusion number
+    at max(a) over the domain, its CFL number, the least share moved
+    away from the downwind edge (0 where ``p_range`` reaches 0), and
+    ``inj / 2``."""
+    p_lo, p_hi = p_range
+    ends, _ = _locate(env, (-n * dx, n * dx))
+    a_max = float(np.max(env.a_vals[ends[0]:ends[1] + 2]))
+    kappa = G.lipschitz_on(p_range)
+    d_min = (dt * G.abs_derivative_inf(p_lo, p_hi) / dx
+             if p_lo > 0.0 or p_hi < 0.0 else 0.0)
+    return (dt * a_max / dx ** 2, dt * kappa / dx, d_min,
+            dt * (kappa + a_max / dx) * max(theta - p_lo, p_hi - theta))
+
+
+def _trim_margin(scales, k_last: int, n: int, margins=None, *, s: float):
     """Margins in nodes of a trimmed march, and the bound of each side.
+
+    ``scales`` is ``(c, d, d_min, half)`` of the march, from
+    ``_trim_scales``; ``s`` is the closing rate of its upwind side.
 
     A march of ``k_last`` steps (``dt`` or shorter) on [-n dx, n dx]
     reads u at x = 0 only, so it may run on a window of fewer nodes, with
@@ -618,15 +685,22 @@ def _trim_margin(env, G, theta: float, p_range, dx: float, dt: float,
       nonnegative with unit row sums,
       ``N U <= M U + M c (1 - e^-lam) U_far``.
     * Upwind, or on both sides when the slopes can change sign, step k
-      runs on the ``k_last - k + m_up`` nodes on that side of x = 0: the
-      edge closes in by one node a step, and the explicit stage moves at
-      most ``d = dt kappa / dx`` of the weight toward it.  With
-      ``U_j = e^(lam (l - j))`` after j steps back, each step grows
-      ``r U_j`` by at most ``f(lam) = e^-lam (1 - d + d e^lam) M(lam)``,
-      a ``_trim_rate`` with ``q = 1 - d``, plus the far end's loss, and
-      at ``f <= 1`` these losses sum to at most ``c e^(-lam w)``, w the
-      nodes from x = 0 to the far end.  So, with the N of step k, the
-      edge's weight is at most ``M (1 + c e^(-lam w)) e^(-lam m_up)``.
+      runs on the ``ceil(s (k_last - k)) + m_up`` nodes on that side of
+      x = 0: the edge closes in by s >= 1 nodes a step, and the explicit
+      stage moves at most ``d = dt kappa / dx`` of the weight toward it.
+      With ``U_j = e^(lam (l - s j))`` after j steps back, which is at
+      least ``e^(lam m_up)`` at the edge, each step grows ``r U_j`` by at
+      most ``f(lam) = e^(-s lam) (1 - d + d e^lam) M(lam) = e^(-(s - 1)
+      lam) (1 - q + q e^-lam) M(lam)``, a ``_trim_rate`` with ``q = 1 -
+      d`` and this s, plus the far end's loss.  The far end is at least w
+      nodes from x = 0, so j steps back it loses at most ``c (1 - e^-lam)
+      e^(-lam (w + s j))``, and at ``f <= 1`` these losses sum over the
+      ``k_last`` steps to at most ``c e^(-lam w) (1 - e^-lam) (1 -
+      e^(-s lam k_last)) / (1 - e^(-s lam))``, which is ``c e^(-lam w)
+      (1 - e^(-lam k_last))`` at s = 1.  So, with the N of step k, the
+      edge's weight is at most ``M (1 + that sum) e^(-lam m_up)``.  A
+      larger s closes in faster, so lam is larger and m_up smaller, on
+      wider windows early in the march (``_Lane`` weighs the two).
     * Downwind, when ``p_range`` lies on one side of 0: G' has one sign
       there, so each node takes its explicit share, at least ``d_min =
       dt inf|G'| / dx``, from its upwind neighbour only, and the
@@ -639,42 +713,35 @@ def _trim_margin(env, G, theta: float, p_range, dx: float, dt: float,
       weight is at most ``M (1 + k_last (c + d_min) (1 - e^-lam)
       e^(-lam w)) e^(-lam m_dn)``.  The explicit stage never moves the
       weight toward this edge, so an edge that closes in at the upwind
-      rate is bounded as the upwind one is: the downwind side runs on
-      ``min(m_dn, k_last - k + m_up)`` nodes, and its term is the sum.
+      schedule is bounded as the upwind one is: the downwind side runs
+      on ``min(m_dn, ceil(s (k_last - k)) + m_up)`` nodes, and its term
+      is the sum.
 
     A shorter tail step keeps both ``f`` at most 1.  Each term is
     ``k_last (inj / 2)`` times its weight bound, with w taken as
-    ``min(n, m_up, m_dn)``, at most the far side of any window.
+    ``min(n, m_up, m_dn)``, at most the far side of any window.  The two
+    rates are taken once a call (``_trim_weights``), and only the
+    factors for each w.
     Without ``margins``, each margin is the least that puts its term
     below ``_TRIM_TOL`` over the number of terms (three one-sided, two
     otherwise), with ``p_range`` the a-priori ``cfl_gradient_range``;
     ``m_dn`` is None when that range reaches 0.  The terms hold while
     the slopes of both runs stay in ``p_range``, so a march that leaves
-    it (``grad_excursion``) takes them again at the ``margins`` it used
-    (``m_dn`` None for the symmetric plan), over the slopes it saw too;
-    where those reach 0, ``d_min`` is 0 and the fixed downwind term is
-    its ``lam = 0`` value ``k_last inj / 2``.  Returns
+    it (``grad_excursion``) takes them again at the ``margins`` and the
+    s it used (``m_dn`` None for the symmetric plan), over the slopes it
+    saw too; where those reach 0, ``d_min`` is 0 and the fixed downwind
+    term is its ``lam = 0`` value ``k_last inj / 2``.  Returns
     ``((m_up, m_dn), (term_up, term_dn))``, with ``term_dn = term_up``
     when ``m_dn`` is None, or ``((inf, None), (0.0, 0.0))`` when no
     ``margins`` are given and ``d >= 1``: then no margin is certified
     and the march keeps its whole domain.  A term is inf when ``d > 1``.
     """
-    p_lo, p_hi = p_range
-    ends, _ = _locate(env, (-n * dx, n * dx))
-    a_max = float(np.max(env.a_vals[ends[0]:ends[1] + 2]))
-    c = dt * a_max / dx ** 2
-    kappa = G.lipschitz_on(p_range)
-    d = dt * kappa / dx
-    half = dt * (kappa + a_max / dx) * max(theta - p_lo, p_hi - theta)
-    d_min = (dt * G.abs_derivative_inf(p_lo, p_hi) / dx
-             if p_lo > 0.0 or p_hi < 0.0 else 0.0)
+    c, d, d_min, half = scales
     if margins is None and d >= 1.0:
         return (math.inf, None), (0.0, 0.0)
     if d > 1.0:
         return margins, (math.inf, math.inf)
-
-    def weights(w):
-        return _trim_weights(c, d, d_min, k_last, w)
+    weights = _trim_weights(c, d, d_min, k_last, s)
 
     if margins is None:
         sides = 2 if d_min > 0.0 else 1
@@ -699,37 +766,71 @@ def _trim_margin(env, G, theta: float, p_range, dx: float, dt: float,
                      * math.exp(-lam_dn * m_dn))
 
 
+def _trim_windows(n: int, k_last: int, margins, s: float, up_right: bool):
+    """The windows of a trimmed march: (first step, nodes left of x = 0,
+    nodes right of it) of each.
+
+    Step k needs ``up = min(n, ceil(s (k_last - k)) + m_up)`` nodes on
+    the upwind side (the right one when ``up_right``), and the least of
+    that and ``m_dn`` on the other (``up`` when ``m_dn`` is None).  A
+    window lasts until the upwind side needs less than ``_TRIM_SHRINK``
+    of its ``up`` nodes: from the first k with ``ceil(s (k_last - k)) <=
+    room = ceil(_TRIM_SHRINK up) - 1 - m_up``, where ``k_last - k =
+    floor(room / s)``.
+    """
+    m_up, m_dn = margins
+
+    def window(k):
+        up = min(n, math.ceil(s * (k_last - k)) + m_up)
+        dn = up if m_dn is None else min(up, m_dn)
+        return (k, dn, up) if up_right else (k, up, dn)
+
+    windows = [window(0)]
+    while True:
+        up = windows[-1][2 if up_right else 1]
+        room = math.ceil(_TRIM_SHRINK * up) - 1 - m_up
+        if room < s:  # no step before k_last needs fewer nodes
+            return windows
+        windows.append(window(k_last - math.floor(room / s)))
+
+
+def _plan_cost(windows, k_last: int) -> int:
+    """What a march on ``windows`` (``_trim_windows``) costs, in node
+    steps: its steps times their window's nodes, plus ``_WINDOW_STEPS``
+    steps on each window after the first, the set-up of the ``evolve``
+    call that the window starts."""
+    ends = [k for k, _, _ in windows[1:]] + [k_last]
+    return sum((end - k + (_WINDOW_STEPS if k else 0)) * (left + right + 1)
+               for (k, left, right), end in zip(windows, ends))
+
+
 class _Lane:
-    """One domain of a lockstep march: its windows, its state, its tallies.
+    """One domain of a lockstep march: its plan, its state, its tallies.
 
     The plan is ``_march``'s: ``whole`` and ``tails`` of each stop, the
-    margins and their terms, and ``windows``, the (first step, nodes left
-    of x = 0, nodes right of it) of each window.  ``u`` lives on the
-    current window, ``left`` and ``right`` nodes either side of x = 0.
+    closing rate ``s`` of the upwind side, the margins and their terms
+    at that rate, and ``windows`` (``_trim_windows``).  Of
+    ``_TRIM_RATES`` the lane takes the rate whose windows cost least
+    (``_plan_cost``), the first on a tie, so it never plans more than at
+    s = 1; ``cost`` is that plan's.  ``u`` lives on the current window,
+    ``left`` and ``right`` nodes either side of x = 0.
     """
 
     def __init__(self, env, G, theta, p_range, dx, dt, n, stops):
         self.n, self.stops = n, stops
         self.whole, self.tails = zip(*(_steps_to(t, dt) for t in stops))
         self.k_last = k_last = self.whole[-1] + (self.tails[-1] > 0.0)
-        self.margins, self.terms = _trim_margin(env, G, theta, p_range, dx,
-                                                dt, k_last, n)
-        m_up, m_dn = self.margins
         # the upwind side is the right one when the slopes are all positive
         self.up_right = up_right = p_range[0] > 0.0
-
-        def window(k):
-            up = min(n, k_last - k + m_up)
-            dn = up if m_dn is None else min(up, m_dn)
-            return (k, dn, up) if up_right else (k, up, dn)
-
-        self.windows = [window(0)]
-        while True:
-            up = self.windows[-1][2 if up_right else 1]
-            k = k_last + m_up + 1 - math.ceil(_TRIM_SHRINK * up)
-            if k >= k_last:
-                break
-            self.windows.append(window(k))
+        scales = _trim_scales(env, G, theta, p_range, dx, dt, n)
+        plans = []
+        for s in _TRIM_RATES:
+            margins, terms = _trim_margin(scales, k_last, n, s=s)
+            windows = _trim_windows(n, k_last, margins, s, up_right)
+            plans.append((_plan_cost(windows, k_last), s, margins, terms,
+                          windows))
+        (self.cost, self.s, self.margins, self.terms,
+         self.windows) = min(plans, key=lambda plan: plan[0])
         self.events = {k for k, _, _ in self.windows} | set(self.whole)
         # u(0, x) = theta x on the grid evolve lays over the whole domain
         self.u = theta * (dx * (np.arange(2 * n + 1) - n))
@@ -754,21 +855,22 @@ def _march(env, args):
     domain's shared state, and its tail step, if any, is stepped on a
     copy: the steps of ``evolve(T)``, which takes them from the same
     rule.  Only u(T, 0) is read, so the march drops the nodes that cannot
-    reach x = 0, by the margins of ``_trim_margin``: step k needs
-    ``min(n, k_last - k + m_up)`` nodes on the upwind side, ``k_last``
-    counting every step to the domain's last stop (its tail included),
-    and the least of that and ``m_dn`` on the downwind side (the upwind
-    count when the a-priori slopes can change sign, ``m_dn`` None).  A
-    domain keeps one window until its upwind side needs less than
-    ``_TRIM_SHRINK`` of its nodes there, then goes on from the slice of
-    u on the smaller window, with linear-theta ghosts at its edges.
+    reach x = 0, by the margins of ``_trim_margin`` at the closing rate s
+    its ``_Lane`` plans: step k needs ``min(n, ceil(s (k_last - k)) +
+    m_up)`` nodes on the upwind side, ``k_last`` counting every step to
+    the domain's last stop (its tail included), and the least of that
+    and ``m_dn`` on the downwind side (the upwind count when the a-priori
+    slopes can change sign, ``m_dn`` None).  A domain keeps one window
+    until its upwind side needs less than ``_TRIM_SHRINK`` of its nodes
+    there, then goes on from the slice of u on the smaller window, with
+    linear-theta ghosts at its edges.
     ``evolve`` lays its grids by node index from x = 0, so each window's
     grid is an exact slice of the domain's, and each stop is within
     ``bound`` of a fresh run to T: the terms of the sides whose window
     shrank below n.
     While no window has shrunk, the march is the fresh run bit for bit.
     When the slopes leave the a-priori range, the terms are taken again
-    at the same margins over that range and the slopes seen.
+    at the same margins and s over that range and the slopes seen.
 
     The domains step together.  Between two consecutive events of any
     domain (a window change or a stop's last whole step) one ``evolve``
@@ -780,8 +882,8 @@ def _march(env, args):
     domain's own events as that march takes it.  Returns, per domain,
     ({T: u(T, 0)}, any gradient excursion, steps marched, node steps
     (steps times window nodes), the gradient range seen on the windows,
-    the bound, the largest ``cfl_seen`` of the runs, and the margins
-    ``(m_up, m_dn)``).
+    the bound, the largest ``cfl_seen`` of the runs, and the plan
+    ``(s, m_up, m_dn)``).
     """
     G, beta, theta, scheme, domains = args
     dx, dt = scheme.dx, scheme.dt
@@ -834,30 +936,37 @@ def _march(env, args):
         (lo, hi), terms, n = ln.seen, ln.terms, ln.n
         excursion = lo < p_lo or hi > p_hi
         if excursion:
-            _, terms = _trim_margin(env, G, theta,
-                                    (min(lo, p_lo), max(hi, p_hi)), dx, dt,
-                                    ln.k_last, n, ln.margins)
+            scales = _trim_scales(env, G, theta,
+                                  (min(lo, p_lo), max(hi, p_hi)), dx, dt, n)
+            _, terms = _trim_margin(scales, ln.k_last, n, ln.margins, s=ln.s)
         (term_up, term_dn), (w_up, w_dn) = terms, (
             (ln.right, ln.left) if ln.up_right else (ln.left, ln.right))
         bound = ((term_up if w_up < n else 0.0)
                  + (term_dn if w_dn < n else 0.0))
         out.append((ln.at_zero, excursion, ln.steps, ln.node_steps,
-                    (lo, hi), bound, ln.cfl_seen, ln.margins))
+                    (lo, hi), bound, ln.cfl_seen, (ln.s, *ln.margins)))
     return out
 
 
 def sweep_ladder(window, epsilons, scheme: SchemeConfig):
     """The distinct epsilons of a sweep, decreasing, and the base domain
     half-width in nodes, ``ceil(M / (eps dx))``, of each.  ``ConfigError``
-    on an empty ladder or an epsilon outside (0, 1); ``WindowError`` when
-    the medium's ``window`` cannot cover the doubled domain at the least
-    epsilon, so a caller can check a sweep before computing anything."""
+    on an empty ladder, an epsilon outside (0, 1) or a last stop ``T =
+    1/eps`` that needs more than ``_MAX_NODES`` steps of ``scheme.dt``;
+    ``WindowError`` when the medium's ``window`` cannot cover the doubled
+    domain at the least epsilon, so a caller can check a sweep before
+    computing anything."""
     eps_arr = np.asarray(sorted(set(float(e) for e in epsilons),
                                 reverse=True), dtype=np.float64)
     if eps_arr.size == 0:
         raise ConfigError("need at least one epsilon")
     if np.any(eps_arr <= 0.0) or np.any(eps_arr >= 1.0):
         raise ConfigError("epsilons must lie in (0, 1)")
+    steps = 1.0 / eps_arr[-1] / scheme.dt
+    if not steps <= _MAX_NODES:
+        raise ConfigError(
+            f"the stop T = {1.0 / eps_arr[-1]:g} needs {steps:.3g} steps of "
+            f"dt = {scheme.dt:.3g}; at most {_MAX_NODES} are allowed")
     halves = [math.ceil(scheme.M / (eps * scheme.dx) - 1e-9)
               for eps in eps_arr]
     m_widest = 2.0 * halves[-1] * scheme.dx
@@ -910,8 +1019,8 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, epsilons,
                for (n, _), m in zip(group, ms)}
     u0 = {(n, t): u for n, m in marches.items() for t, u in m[0].items()}
     (_, excursions, steps, node_steps, seen, bounds, cfl_seen,
-     margins) = zip(*marches.values())
-    m_up, m_dn = zip(*margins)
+     plans) = zip(*marches.values())
+    _, m_up, m_dn = zip(*plans)
     values = np.array([eps * u0[n, 1.0 / eps]
                        for eps, n in zip(eps_arr, halves)])
     doubled = np.array([eps * u0[2 * n, 1.0 / eps]
@@ -927,7 +1036,8 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, epsilons,
                            G, beta, theta)) / scheme.dx,
                        cfl_seen=max(cfl_seen),
                        trim_margins=(max(m_up), max(
-                           (m for m in m_dn if m is not None), default=None)))
+                           (m for m in m_dn if m is not None), default=None)),
+                       trim_plan=tuple((n, *marches[n][-1]) for n in stops))
 
 
 # ============================================================

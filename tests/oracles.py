@@ -256,8 +256,9 @@ def window_walk(p: float, c: float, left: int, right: int, steps: int,
     """Weight of x = 0 on each end of a trimmed march's window, exactly.
 
     The window runs from ``left`` nodes left of x = 0 to ``right`` right
-    of it at the last step, each side ``grow`` nodes wider a step
-    further back (an edge that closes in).  Its explicit stage moves
+    of it at the last step, each side ``ceil(grow j)`` nodes wider j
+    steps further back (an edge that closes in ``grow`` nodes a step,
+    which may be fractional).  Its explicit stage moves
     share p of each node's weight one node right, toward the upwind side,
     but for the right end node, whose upwind neighbour is a ghost; its
     implicit stage is the inverse N of ``I - h diag(a) D2`` with Neumann
@@ -268,10 +269,11 @@ def window_walk(p: float, c: float, left: int, right: int, steps: int,
     """
     r, weights = np.zeros(left + right + 1), np.zeros(2)
     r[left] = 1.0
+    lo, hi = left, right
     for j in range(steps):
-        lo, hi = left + j * grow[0], right + j * grow[1]
-        if j:
-            r = np.pad(r, grow)
+        wider = left + math.ceil(j * grow[0]), right + math.ceil(j * grow[1])
+        r = np.pad(r, (wider[0] - lo, wider[1] - hi))
+        lo, hi = wider
         cj = c * (0.75 + 0.25 * np.cos(np.arange(-lo, hi + 1)))
         a = (np.diag(1.0 + 2.0 * cj) - np.diag(cj[1:], -1)
              - np.diag(cj[:-1], 1))

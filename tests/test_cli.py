@@ -767,7 +767,7 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     assert stats == json.loads((d2 / "sweep.meta.json").read_text())["stats"]
     assert set(stats) == {"dt", "cfl", "cfl_seen", "evolve_steps",
                           "node_steps", "trim_bound", "trim_margins",
-                          "grad_excursion", "grad_range_seen",
+                          "trim_plan", "grad_excursion", "grad_range_seen",
                           "ref_disc_bound"}
     assert stats["ref_disc_bound"] == 0.0  # a flat reference is exact
     assert 0.0 < stats["cfl"] <= 0.9 + 1e-12
@@ -792,6 +792,13 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     # sides keep the upwind margin and the downwind one is null
     m_up, m_dn = stats["trim_margins"]
     assert m_up > 320 and m_dn is None
+    # one [n, s, m_up, m_dn] a march, in the order of the ladder; no
+    # faster closing rate gains anything on domains no margin trims
+    plan = stats["trim_plan"]
+    assert [(n, s, m) for n, s, _, m in plan] == [(80, 1.0, None),
+                                                  (160, 1.0, None),
+                                                  (320, 1.0, None)]
+    assert max(m for _, _, m, _ in plan) == m_up
     assert stats["grad_excursion"] is False
     # no excursion: the slopes seen lie inside the CFL gradient range
     p_lo, p_hi = cfl_gradient_range(PowerG(2.0), 1.0, 0.0)
@@ -824,6 +831,27 @@ def test_homogenize_window_too_small_exits_before_the_reference(
     assert main(["homogenize", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "cannot cover the doubled domain" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_homogenize_tiny_cfl_step_exits_2_at_once(tmp_path):
+    # gamma = 40 at theta = 1.7: the growth check passes and stable_dt
+    # gives dt = 1.16e-12, 6.9e12 steps to T = 8.  The sweep ran on with
+    # no output until killed; it is refused before the reference, in a
+    # fresh process given a few seconds
+    cfg = _write(tmp_path, HOMOG_IID.replace(
+        "gamma = 2.0\ngrowth_gamma = 2.0", "gamma = 40\ngrowth_gamma = 40")
+        .replace("theta = 0.0", "theta = 1.7"))
+    out = tmp_path / "out"
+    src = str(Path(hjlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-m", "hjlab.cli", "homogenize",
+                          "--config", cfg, "--out", str(out)], env=env,
+                         capture_output=True, text=True, timeout=20)
+    assert run.returncode == 2
+    assert "steps of dt = 1.16e-12" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not list(out.glob("*.csv"))
 
 
 def test_homogenize_requires_growth_certificate(tmp_path):
@@ -860,7 +888,12 @@ def test_lipschitz_overflow_exits_1(tmp_path, capsys):
         "family = asym-power\ngamma1 = 2.0\ngamma2 = 1e5"))
     out = tmp_path / "out"
     assert main(["theta-curve", "--config", cfg, "--out", str(out)]) == 1
-    assert "not monotone" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not monotone" in err
+    # no dx can mend an infinite Lipschitz constant, and the message
+    # does not ask for one
+    assert "no finite Lipschitz constant on the padded bracket" in err
+    assert "reduce dx" not in err
     assert not list(out.glob("*.csv"))
 
 

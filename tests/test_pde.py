@@ -367,6 +367,16 @@ def test_stable_dt_needs_a_slope_range_where_g_moves():
         stable_dt(G, 0.0, 0.0, 0.05)
 
 
+def test_stable_dt_needs_a_finite_lipschitz_constant():
+    # G(1.7) = 1.7^1e5 overflows, so the slope range is (inf, inf), where
+    # G has no finite Lipschitz constant: the step was 0.0
+    G_ = AsymPowerG(2.0, 1e5)
+    with np.errstate(over="ignore"):
+        assert cfl_gradient_range(G_, BETA, 1.7) == (math.inf, math.inf)
+        with pytest.raises(ConfigError, match="no finite Lipschitz"):
+            stable_dt(G_, BETA, 1.7, 0.05)
+
+
 def test_comparison_preserved_on_ordered_pairs(env_periodic):
     # dt is monotone on the data's slopes, 1 +- 0.6
     dx = 0.1
@@ -742,6 +752,10 @@ def test_trimmed_sweep_matches_fresh_runs(env_trim, theta_half, case, theta):
     assert res.steps == marched
     assert res.grad_excursion is excursion is False
     assert res.node_steps < nodes
+    # on "shrinks" some march closes its upwind side in faster than a
+    # node a step, and still reads the fresh runs within trim_bound
+    assert (max(s for _, s, _, _ in res.trim_plan) > 1.0) == (
+        case == "shrinks")
     # a downwind margin exactly where the slopes have one sign (1.7 and
     # -1.5; theta = 1 has p_lo = 0, and 0 and theta2/2 are on the flat
     # piece)
@@ -803,6 +817,59 @@ def test_trimmed_sweep_same_at_two_workers(env_trim):
             one.grad_excursion) == (two.steps, two.node_steps,
                                     two.trim_bound, two.grad_range_seen,
                                     two.grad_excursion)
+
+
+def _rate_one_windows(n, k_last, margins, up_right):
+    """The windows of a march whose upwind edge closes in one node a step:
+    a new window each time that side needs less than 0.85 of its nodes."""
+    m_up, m_dn = margins
+
+    def window(k):
+        up = min(n, k_last - k + m_up)
+        dn = up if m_dn is None else min(up, m_dn)
+        return (k, dn, up) if up_right else (k, up, dn)
+
+    windows = [window(0)]
+    while True:
+        up = windows[-1][2 if up_right else 1]
+        k = k_last + m_up + 1 - math.ceil(0.85 * up)
+        if k >= k_last:
+            return windows
+        windows.append(window(k))
+
+
+@pytest.mark.parametrize("theta", [1.7, -1.2, 0.0])
+def test_lane_plans_no_more_than_at_rate_one(theta):
+    # the benchmark's ladder, M and dx at the CFL step: at s = 1 the
+    # windows are those of an edge closing in one node a step, and each
+    # lane's plan, the cheapest over the rates, costs no more; the widest
+    # closes in faster than that, for under 0.8 of its cost at s = 1
+    pde = hjlab.pde
+    env = generate_env("iid-interp", 4, (-300.0, 300.0), 0.01)
+    dx = 0.05
+    dt = stable_dt(G, BETA, theta, dx)
+    scheme = SchemeConfig(dx=dx, dt=dt, M=4.0, T=1.0, theta=theta)
+    p_range = cfl_gradient_range(G, BETA, theta)
+    lanes = [pde._Lane(env, G, theta, p_range, dx, dt, n, stops)
+             for n, stops in _sweep_domains((1 / 8, 1 / 16, 1 / 32), scheme)]
+    at_one = []
+    for ln in lanes:
+        scales = pde._trim_scales(env, G, theta, p_range, dx, dt, ln.n)
+        costs = {}
+        for s in pde._TRIM_RATES:
+            margins, terms = pde._trim_margin(scales, ln.k_last, ln.n, s=s)
+            windows = pde._trim_windows(ln.n, ln.k_last, margins, s,
+                                        ln.up_right)
+            costs[s] = pde._plan_cost(windows, ln.k_last)
+            if s == 1.0:
+                assert windows == _rate_one_windows(ln.n, ln.k_last, margins,
+                                                    ln.up_right)
+            if s == ln.s:
+                assert (margins, terms, windows) == (ln.margins, ln.terms,
+                                                     ln.windows)
+        assert ln.cost == costs[ln.s] == min(costs.values()) <= costs[1.0]
+        at_one.append(costs[1.0])
+    assert lanes[-1].s > 1.0 and lanes[-1].cost < 0.8 * at_one[-1]
 
 
 @pytest.mark.parametrize("G_, theta", [(G, 1.7), (G, -1.7),
@@ -1134,7 +1201,7 @@ def test_downwind_trim_rate_against_exact_walk_tail(d_min, c, tight):
 @pytest.mark.parametrize("w", [0, 30])
 def test_trim_weights_cover_the_exact_window_walk(d, d_min, c, w):
     steps, m = 150, 10
-    (lam_up, f_up), (lam_dn, f_dn) = _trim_weights(c, d, d_min, steps, w)
+    (lam_up, f_up), (lam_dn, f_dn) = _trim_weights(c, d, d_min, steps, 1.0)(w)
     # the row of x = 0 carried back through the window's own explicit and
     # Neumann-ended implicit stages, reflection at the far end included:
     # a downwind edge fixed m nodes out, the upwind end w nodes out ...
@@ -1147,6 +1214,28 @@ def test_trim_weights_cover_the_exact_window_walk(d, d_min, c, w):
     # ... and a downwind edge closing in at the upwind rate
     closing, _ = window_walk(d_min, c, m + 1, w, steps, grow=(1, 0))
     assert closing <= steps * f_up * math.exp(-lam_up * m)
+
+
+@given(s=st.floats(1.0, 2.0), d=st.floats(0.05, 0.95),
+       share=st.floats(0.0, 1.0), c=st.floats(0.2, 5.0),
+       w=st.integers(0, 30))
+@settings(max_examples=25, deadline=None)
+def test_trim_weights_at_a_closing_rate_cover_the_exact_window_walk(
+        s, d, share, c, w):
+    # an upwind edge, and a downwind one, that close in s nodes a step
+    # going back, m + 1 nodes out at the last step: the weights at rate s
+    # bound the row of x = 0 carried back exactly, the far end's
+    # reflection included; d_min <= d, as dt inf|G'| / dx is
+    steps, m = 60, 6
+    d_min = share * d
+    (lam_up, f_up), _ = _trim_weights(c, d, d_min, steps, s)(w)
+    bound = steps * f_up * math.exp(-lam_up * m)
+    _, up = window_walk(d, c, w, m + 1, steps, grow=(0, s))
+    assert up <= bound
+    closing, _ = window_walk(d_min, c, m + 1, w, steps, grow=(s, 0))
+    assert closing <= bound
+    # a faster closing rate gives a faster decay
+    assert lam_up >= _trim_rate(1.0 - d, c)
 
 
 # ------------------------------------------------------------
