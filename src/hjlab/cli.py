@@ -152,9 +152,9 @@ def _get(section: configparser.SectionProxy, key: str, default=None,
 def load_config(path: str, command: str, out_flag: str | None,
                 workers: int, seed_override: int | None) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None)
-    try:
-        read = cp.read(path)
-    except configparser.Error as exc:  # a repeated key or section, say
+    try:  # a repeated key or section, say, or bytes that are not UTF-8
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
@@ -550,10 +550,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command, args.out, args.workers,
                           args.seed_override)
-    except (ConfigError, ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         outputs = _DISPATCH[args.command](cfg)
     except ConfigError as exc:

@@ -49,56 +49,12 @@ __all__ = [
 # Families
 # ============================================================
 
-class PowerG:
-    """G(p) = |p|^gamma with gamma > 1."""
-
-    family = "power"
-
-    def __init__(self, gamma: float = 2.0):
-        gamma = float(gamma)
-        if gamma <= 1.0:
-            raise ValueError(f"power family needs gamma > 1, got {gamma}")
-        self.gamma = gamma
-
-    def __repr__(self):
-        return f"PowerG(gamma={self.gamma:g})"
-
-    def __call__(self, p):
-        if self.gamma == 2.0:
-            p = np.asarray(p, dtype=np.float64)
-            return p * p
-        return np.abs(p) ** self.gamma
-
-    @property
-    def scalar(self) -> Callable[[float], float]:
-        g = self.gamma
-        if g == 2.0:
-            return lambda p: p * p
-        return lambda p: abs(p) ** g
-
-    def deriv(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        if self.gamma == 2.0:
-            return 2.0 * p
-        return self.gamma * np.sign(p) * np.abs(p) ** (self.gamma - 1.0)
-
-    def branch_inverse(self, branch: int, y: float) -> float:
-        y = _checked_level(y)
-        r = y ** (1.0 / self.gamma)
-        return r if branch == 2 else -r
-
-    def lipschitz_on(self, interval) -> float:
-        lo, hi = interval
-        return self.gamma * _power(max(abs(lo), abs(hi)), self.gamma - 1.0)
-
-    def abs_derivative_inf(self, p_lo: float, p_hi: float) -> float:
-        return self.gamma * min(abs(p_lo), abs(p_hi)) ** (self.gamma - 1.0)
-
-
 class AsymPowerG:
-    """G(p) = |p|^gamma1 for p < 0 and p^gamma2 for p >= 0."""
+    """G(p) = |p|^gamma1 for p < 0 and p^gamma2 for p >= 0.
 
-    family = "asym-power"
+    Equal exponents take one power of |p| (``PowerG``), and both equal
+    to 2 the product ``p * p``, which ``x ** 2.0`` can miss by an ulp.
+    """
 
     def __init__(self, gamma1: float = 2.0, gamma2: float = 2.0):
         gamma1, gamma2 = float(gamma1), float(gamma2)
@@ -112,19 +68,32 @@ class AsymPowerG:
 
     def __call__(self, p):
         p = np.asarray(p, dtype=np.float64)
+        g1, g2 = self.gamma1, self.gamma2
+        if g1 == g2 == 2.0:
+            return p * p
         ap = np.abs(p)
-        return np.where(p < 0, ap ** self.gamma1, ap ** self.gamma2)
+        if g1 == g2:
+            return ap ** g1
+        return np.where(p < 0, ap ** g1, ap ** g2)
 
     @property
     def scalar(self) -> Callable[[float], float]:
         g1, g2 = self.gamma1, self.gamma2
+        if g1 == g2 == 2.0:
+            return lambda p: p * p
+        if g1 == g2:
+            return lambda p: abs(p) ** g1
         return lambda p: (-p) ** g1 if p < 0 else p ** g2
 
     def deriv(self, p):
         p = np.asarray(p, dtype=np.float64)
+        g1, g2 = self.gamma1, self.gamma2
+        if g1 == g2 == 2.0:
+            return 2.0 * p
         ap = np.abs(p)
-        return np.where(p < 0, -self.gamma1 * ap ** (self.gamma1 - 1.0),
-                        self.gamma2 * ap ** (self.gamma2 - 1.0))
+        if g1 == g2:
+            return g1 * np.sign(p) * ap ** (g1 - 1.0)
+        return np.where(p < 0, -g1 * ap ** (g1 - 1.0), g2 * ap ** (g2 - 1.0))
 
     def branch_inverse(self, branch: int, y: float) -> float:
         y = _checked_level(y)
@@ -147,10 +116,21 @@ class AsymPowerG:
         return self.gamma2 * p_lo ** (self.gamma2 - 1.0)
 
 
+class PowerG(AsymPowerG):
+    """G(p) = |p|^gamma with gamma > 1: ``AsymPowerG(gamma, gamma)``."""
+
+    def __init__(self, gamma: float = 2.0):
+        self.gamma = float(gamma)
+        if self.gamma <= 1.0:
+            raise ValueError(f"power family needs gamma > 1, got {self.gamma}")
+        super().__init__(self.gamma, self.gamma)
+
+    def __repr__(self):
+        return f"PowerG(gamma={self.gamma:g})"
+
+
 class LogQuasiconvexG:
     """G(p) = log(1 + p^2): strictly quasiconvex but nowhere convex at scale."""
-
-    family = "log-quasiconvex"
 
     def __repr__(self):
         return "LogQuasiconvexG()"
@@ -204,8 +184,6 @@ class TabulatedG:
     branch inverse is exact, the linear interpolant of that branch's
     (G, p) nodes, continued with the edge slope beyond the table.
     """
-
-    family = "tabulated"
 
     def __init__(self, ps: np.ndarray, gs: np.ndarray):
         ps = np.asarray(ps, dtype=np.float64)

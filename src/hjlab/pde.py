@@ -111,6 +111,10 @@ _TRIM_RATES = (1.0, 1.125, 1.25, 1.375, 1.5, 1.75, 2.0)
 # 2-vCPU Xeon; on the benchmark sweep any charge from 0 to 60 timed the
 # same, and 30 keeps the calls at 36 (45 at 0)
 _WINDOW_STEPS = 30
+# a sweep is refused past this untrimmed work, ceil(T / dt) steps on its
+# last doubled domain: about 100 s of evolve at 10 ns a node step, where
+# the benchmark sweep takes 2.9e7 node steps and the largest tested 1.1e8
+_MAX_NODE_STEPS = 1e10
 
 
 # ============================================================
@@ -162,7 +166,8 @@ def cfl_gradient_range(G, beta: float, theta: float) -> tuple[float, float]:
     and ``evolve`` checks every step whose slopes leave it.
     """
     beta = float(beta)
-    g = float(G(theta))
+    with np.errstate(over="ignore"):  # an overflowing G(theta) is inf
+        g = float(G(theta))
     top = g + beta
     if g < beta:
         return G.branch_inverse(1, top), G.branch_inverse(2, top)
@@ -952,7 +957,8 @@ def sweep_ladder(window, epsilons, scheme: SchemeConfig):
     """The distinct epsilons of a sweep, decreasing, and the base domain
     half-width in nodes, ``ceil(M / (eps dx))``, of each.  ``ConfigError``
     on an empty ladder, an epsilon outside (0, 1) or a last stop ``T =
-    1/eps`` that needs more than ``_MAX_NODES`` steps of ``scheme.dt``;
+    1/eps`` that needs more than ``_MAX_NODES`` steps of ``scheme.dt``
+    or, on its doubled domain, more than ``_MAX_NODE_STEPS`` node steps;
     ``WindowError`` when the medium's ``window`` cannot cover the doubled
     domain at the least epsilon, so a caller can check a sweep before
     computing anything."""
@@ -969,6 +975,11 @@ def sweep_ladder(window, epsilons, scheme: SchemeConfig):
             f"dt = {scheme.dt:.3g}; at most {_MAX_NODES} are allowed")
     halves = [math.ceil(scheme.M / (eps * scheme.dx) - 1e-9)
               for eps in eps_arr]
+    work = math.ceil(steps) * (4 * halves[-1] + 1)
+    if not work <= _MAX_NODE_STEPS:
+        raise ConfigError(
+            f"the stop T = {1.0 / eps_arr[-1]:g} takes {work:.3g} node steps "
+            f"on its doubled domain; at most {_MAX_NODE_STEPS:.0e} are allowed")
     m_widest = 2.0 * halves[-1] * scheme.dx
     if window[0] > -m_widest - scheme.dx or window[1] < m_widest + scheme.dx:
         raise WindowError(

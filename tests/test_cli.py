@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config parsing, exit codes, file outputs."""
 
+import configparser
 import json
 import math
 import os
@@ -8,13 +9,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hjlab
 import hjlab.cli
 import hjlab.corrector
 import hjlab.effective
-from hjlab.cli import main
+from hjlab.cli import RunConfig, load_config, main
 from hjlab.corrector import burn_in_length
+from hjlab.errors import ConfigError
 from hjlab.hamiltonian import PowerG
 from hjlab.pde import cfl_gradient_range
 
@@ -99,7 +103,7 @@ kind = both
 
 def _write(tmp_path, text, name="run.ini"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return str(path)
 
 
@@ -445,11 +449,15 @@ def test_bad_parameter_exits_before_the_medium_is_built(tmp_path, monkeypatch,
                                   "family = log-quasiconvex").replace(
         "lams = 2", "lams = 1e20"), [], "no finite slope"),
     ("probe", PROBE_GLUED + "dx = 1e-320\n", [], "would take more than"),
+    # this exited 2 only because main mapped any ValueError to 2
+    ("gen-env", CONST_V0.encode().replace(b"v0 = 0.0", b"v0 = 0.0\xff"), [],
+     "can't decode byte 0xff"),
 ], ids=["empty-list", "effective-n-batches", "no-env", "window-decreasing",
         "no-model", "workers-0", "iid-a0-0", "gauss-corr-len-0", "gauss-kappa-1",
         "singular-bump-width", "power-gamma-1", "node-cap",
         "dx-env-over-window", "iid-far-window", "singular-far-window",
-        "growth-gamma-1", "log-level-overflow", "glue-dx-1e-320"])
+        "growth-gamma-1", "log-level-overflow", "glue-dx-1e-320",
+        "undecodable"])
 def test_config_rejection_exits_2_and_writes_no_table(tmp_path, capsys,
                                                       command, text, flags,
                                                       message):
@@ -458,6 +466,39 @@ def test_config_rejection_exits_2_and_writes_no_table(tmp_path, capsys,
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+# a config every command loads, and values to put in it: numbers at and
+# past every range, lists, words, 30 digits, an interpolation, NUL, not UTF-8
+_POOL = [b"", b"0", b"-1", b"-2.5", b"1e308", b"1e-300", b"nan", b"inf",
+         b"-inf", b"1 2 3", b"-1, 1", b"word", b"asym-power", b"tabulated",
+         b"cubic-spline", b"1" * 30, b"%(x)s", b"\x00", b"\xff\xfe"]
+_LOADABLE = configparser.ConfigParser(interpolation=None)
+_LOADABLE.read_string(HOMOG_IID.split("[homogenize]")[0])
+
+
+@given(command=st.sampled_from(sorted(hjlab.cli._KEYS)), data=st.data())
+@settings(max_examples=300, deadline=500)
+def test_load_config_returns_a_run_config_or_raises_config_error(
+        tmp_path_factory, command, data):
+    # one to three values of a loadable config, or of a key no section
+    # takes, replaced from the pool: nothing but ConfigError escapes
+    sections = {name: {k: v.encode() for k, v in _LOADABLE[name].items()}
+                for name in _LOADABLE.sections()}
+    sections[command] = dict.fromkeys(hjlab.cli._KEYS[command], b"2")
+    slots = [(name, key) for name, keys in sections.items()
+             for key in [*keys, "extra"]]
+    for name, key in data.draw(st.lists(st.sampled_from(slots), min_size=1,
+                                        max_size=3)):
+        sections[name][key] = data.draw(st.sampled_from(_POOL))
+    cfg = _write(tmp_path_factory.getbasetemp(), b"".join(
+        f"[{name}]\n".encode()
+        + b"".join(k.encode() + b" = " + v + b"\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    try:
+        assert isinstance(load_config(cfg, command, None, 1, None), RunConfig)
+    except ConfigError:
+        pass
 
 
 def test_glued_probe_without_a_hill_exits_1(tmp_path, capsys):
@@ -833,14 +874,22 @@ def test_homogenize_window_too_small_exits_before_the_reference(
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_homogenize_tiny_cfl_step_exits_2_at_once(tmp_path):
-    # gamma = 40 at theta = 1.7: the growth check passes and stable_dt
-    # gives dt = 1.16e-12, 6.9e12 steps to T = 8.  The sweep ran on with
-    # no output until killed; it is refused before the reference, in a
-    # fresh process given a few seconds
+# at theta = 1.7 the growth check passes and each sweep ran on with no
+# output until killed.  gamma = 40 gives dt = 1.16e-12, 6.9e12 steps to
+# T = 8; gamma = 12 on the benchmark ladder (eps 1/8-1/32, m = 4) gives
+# dt = 1.09e-5, 2.9e6 steps to T = 32 on 10,241 nodes, 3.0e10 node steps
+@pytest.mark.parametrize("gamma, epsilons, m, message", [
+    (40, "0.25 0.125", 1, "steps of dt = 1.16e-12"),
+    (12, "0.125 0.0625 0.03125", 4, "takes 3e+10 node steps")],
+    ids=["gamma-40", "gamma-12"])
+def test_homogenize_tiny_cfl_step_exits_2_at_once(tmp_path, gamma, epsilons,
+                                                  m, message):
+    # refused before the reference, in a fresh process given a few seconds
     cfg = _write(tmp_path, HOMOG_IID.replace(
-        "gamma = 2.0\ngrowth_gamma = 2.0", "gamma = 40\ngrowth_gamma = 40")
-        .replace("theta = 0.0", "theta = 1.7"))
+        "gamma = 2.0\ngrowth_gamma = 2.0",
+        f"gamma = {gamma}\ngrowth_gamma = {gamma}").replace(
+        "theta = 0.0\nepsilons = 0.25 0.125\ndx = 0.05\nm = 1.0",
+        f"theta = 1.7\nepsilons = {epsilons}\ndx = 0.05\nm = {m}"))
     out = tmp_path / "out"
     src = str(Path(hjlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -849,7 +898,7 @@ def test_homogenize_tiny_cfl_step_exits_2_at_once(tmp_path):
                           "--config", cfg, "--out", str(out)], env=env,
                          capture_output=True, text=True, timeout=20)
     assert run.returncode == 2
-    assert "steps of dt = 1.16e-12" in run.stderr
+    assert message in run.stderr
     assert "Traceback" not in run.stderr
     assert not list(out.glob("*.csv"))
 

@@ -327,6 +327,37 @@ def test_reflect_swaps_asym_exponents():
             assert R.abs_derivative_inf(lo, hi) == C.abs_derivative_inf(lo, hi)
 
 
+def _outcome(f, x):
+    """f(x), or OverflowError where Python's float power raises it."""
+    try:
+        return f(x)
+    except OverflowError:
+        return OverflowError
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+def test_equal_exponents_take_the_two_sided_values(gamma):
+    # AsymPowerG(gamma, gamma)'s fast paths give the general forms' values,
+    # bit for bit up to a zero's sign, at zeros of both signs, subnormals,
+    # 1e150 (whose cube overflows), negative values and two points where a
+    # libm's pow(x, 2.0) can miss x * x
+    ps = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.3, -0.7, 1.0, -2.5,
+          1e150, -1e150, 2.817595433862767, -0.8843031552730771]
+    G, p = AsymPowerG(gamma, gamma), np.array(ps)
+    ap = np.abs(p)
+    with np.errstate(over="ignore"):
+        assert G(p).tolist() == np.where(p < 0, ap ** gamma,
+                                         ap ** gamma).tolist()
+        assert G.deriv(p).tolist() == np.where(
+            p < 0, -gamma * ap ** (gamma - 1.0),
+            gamma * ap ** (gamma - 1.0)).tolist()
+    # the (2, 2) scalar is the product, which x ** 2.0 can miss by an ulp
+    two_sided = ((lambda x: x * x) if gamma == 2.0 else
+                 (lambda x: (-x) ** gamma if x < 0 else x ** gamma))
+    assert [_outcome(G.scalar, x) for x in ps] == \
+        [_outcome(two_sided, x) for x in ps]
+
+
 def test_branch1_modulus_via_reflection():
     # branch 1 of asym-power (3, 2) is cubic: its modulus must use
     # exponent 3, not 2.

@@ -367,11 +367,14 @@ def test_stable_dt_needs_a_slope_range_where_g_moves():
         stable_dt(G, 0.0, 0.0, 0.05)
 
 
-def test_stable_dt_needs_a_finite_lipschitz_constant():
+@pytest.mark.parametrize("G_", [AsymPowerG(2.0, 1e5), PowerG(1e5)],
+                         ids=["asym-power", "power"])
+def test_stable_dt_needs_a_finite_lipschitz_constant(G_):
     # G(1.7) = 1.7^1e5 overflows, so the slope range is (inf, inf), where
-    # G has no finite Lipschitz constant: the step was 0.0
-    G_ = AsymPowerG(2.0, 1e5)
-    with np.errstate(over="ignore"):
+    # G has no finite Lipschitz constant: the step was 0.0.  The overflow
+    # is the intended value, and no warning comes before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert cfl_gradient_range(G_, BETA, 1.7) == (math.inf, math.inf)
         with pytest.raises(ConfigError, match="no finite Lipschitz"):
             stable_dt(G_, BETA, 1.7, 0.05)
