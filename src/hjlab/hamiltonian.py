@@ -58,8 +58,10 @@ class AsymPowerG:
 
     def __init__(self, gamma1: float = 2.0, gamma2: float = 2.0):
         gamma1, gamma2 = float(gamma1), float(gamma2)
-        if gamma1 <= 1.0 or gamma2 <= 1.0:
-            raise ValueError(f"asym-power needs both exponents > 1, got ({gamma1}, {gamma2})")
+        # written so that a NaN fails too
+        if not (1.0 < gamma1 < math.inf and 1.0 < gamma2 < math.inf):
+            raise ValueError("asym-power needs both exponents finite and > 1, "
+                             f"got ({gamma1}, {gamma2})")
         self.gamma1 = gamma1
         self.gamma2 = gamma2
 
@@ -121,8 +123,10 @@ class PowerG(AsymPowerG):
 
     def __init__(self, gamma: float = 2.0):
         self.gamma = float(gamma)
-        if self.gamma <= 1.0:
-            raise ValueError(f"power family needs gamma > 1, got {self.gamma}")
+        # written so that a NaN fails too
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError("power family needs gamma > 1 and finite, "
+                             f"got {self.gamma}")
         super().__init__(self.gamma, self.gamma)
 
     def __repr__(self):
@@ -190,6 +194,8 @@ class TabulatedG:
         gs = np.asarray(gs, dtype=np.float64)
         if ps.ndim != 1 or ps.size < 3 or gs.shape != ps.shape:
             raise ValueError("tabulated family needs two equal columns with >= 3 rows")
+        if not (np.all(np.isfinite(ps)) and np.all(np.isfinite(gs))):
+            raise ValueError("tabulated table holds a non-finite entry")
         if np.any(np.diff(ps) <= 0):
             raise ValueError("tabulated p column must be strictly increasing")
         imin = int(np.argmin(gs))

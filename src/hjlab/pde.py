@@ -253,12 +253,11 @@ class EvolveResult:
     other, and no ghost; ``steps`` counts the steps of the run, each of
     which steps every window.  ``cfl`` is the a-priori CFL number, on
     ``cfl_gradient_range``.  ``grad_range_seen`` is the observed
-    (min D-, max D+) over all steps and windows, and ``block_ranges``
-    the same per window; ``grad_excursion`` flags any escape from the
-    a-priori range (the run still completes: each such step was checked
-    monotone on its own slopes).  ``cfl_seen = dt Lip(G on
-    grad_range_seen) / dx`` is the largest CFL number any step really
-    had, at most 1.
+    (min D-, max D+) over all steps and windows; ``grad_excursion`` flags
+    any escape from the a-priori range (the run still completes: each
+    such step was checked monotone on its own slopes).  ``cfl_seen = dt
+    Lip(G on grad_range_seen) / dx`` is the largest CFL number any step
+    really had, at most 1.
     """
 
     xs: np.ndarray
@@ -269,7 +268,6 @@ class EvolveResult:
     grad_range_seen: tuple[float, float]
     grad_excursion: bool
     cfl_seen: float
-    block_ranges: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         self.xs.setflags(write=False)
@@ -455,7 +453,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
                     np.concatenate((-(h * a_u[g_lo] * theta / dx),
                                     h * a_u[g_hi - 2] * theta / dx)))
                 for h in {dt, dt_tail} if h > 0.0}
-    seen_lo, seen_hi = np.full(sizes.size, np.inf), np.full(sizes.size, -np.inf)
+    seen_lo, seen_hi = math.inf, -math.inf
     lows, highs = np.empty(sizes.size), np.empty(sizes.size)
 
     inv_dx = 1.0 / dx
@@ -477,8 +475,7 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
         lo, hi = float(lows.min()), float(highs.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             break  # a NaN or inf in u reaches both reductions
-        np.minimum(seen_lo, lows, out=seen_lo)
-        np.maximum(seen_hi, highs, out=seen_hi)
+        seen_lo, seen_hi = min(seen_lo, lo), max(seen_hi, hi)
         if lo < p_lo or hi > p_hi:
             # the a-priori CFL does not cover this step: certify it itself,
             # on each window's own slopes
@@ -510,12 +507,11 @@ def evolve(env: EnvRealization, G, beta: float, initial_data,
             f"{cfl:.3f}: this is a bug, not instability")
 
     h_max = dt if n_steps else dt_tail
-    lo, hi = float(seen_lo.min()), float(seen_hi.max())
     return EvolveResult(
-        xs=xs, u=u, t=t, steps=step, cfl=cfl, grad_range_seen=(lo, hi),
-        grad_excursion=bool(lo < p_lo or hi > p_hi),
-        cfl_seen=h_max * G.lipschitz_on((lo, hi)) / dx,
-        block_ranges=tuple(zip(seen_lo.tolist(), seen_hi.tolist())))
+        xs=xs, u=u, t=t, steps=step, cfl=cfl,
+        grad_range_seen=(seen_lo, seen_hi),
+        grad_excursion=bool(seen_lo < p_lo or seen_hi > p_hi),
+        cfl_seen=h_max * G.lipschitz_on((seen_lo, seen_hi)) / dx)
 
 
 # ============================================================
@@ -535,12 +531,11 @@ class SweepResult:
     ``reference`` is the prediction the sweep was given, stored as is.
     ``cfl`` is the a-priori CFL number of the step, on
     ``cfl_gradient_range``, as in ``EvolveResult``.
-    ``grad_range_seen`` is the union of the marches' observed
-    (min D-, max D+) on the windows they marched, the range
-    ``grad_excursion`` tests, and ``cfl_seen`` the largest
-    ``cfl_seen`` of their runs.  ``node_steps`` sums steps times window
-    nodes over the marches, the sum of ``steps * xs.size`` over the
-    ``evolve`` calls, and ``trim_bound`` is the largest certified
+    ``grad_range_seen``, ``cfl_seen`` and ``node_steps`` are taken over
+    the sweep's ``evolve`` calls: the hull of their ``grad_range_seen``
+    (the range ``grad_excursion`` tests), the largest of their
+    ``cfl_seen`` and the sum of their ``steps * xs.size``.
+    ``trim_bound`` is the largest certified
     ``|u(T, 0) - u_fresh(T, 0)|`` of a march whose window shrank (0 when
     none did).  ``trim_margins`` is ``(m_up, m_dn)``, the largest margins
     in nodes of the upwind and downwind sides over the marches
@@ -731,10 +726,11 @@ def _trim_margin(scales, k_last: int, n: int, margins=None, *, s: float):
     below ``_TRIM_TOL`` over the number of terms (three one-sided, two
     otherwise), with ``p_range`` the a-priori ``cfl_gradient_range``;
     ``m_dn`` is None when that range reaches 0.  The terms hold while
-    the slopes of both runs stay in ``p_range``, so a march that leaves
-    it (``grad_excursion``) takes them again at the ``margins`` and the
-    s it used (``m_dn`` None for the symmetric plan), over the slopes it
-    saw too; where those reach 0, ``d_min`` is 0 and the fixed downwind
+    the slopes of both runs stay in ``p_range``, so a sweep whose slopes
+    leave it (``grad_excursion``) takes them again at each march's
+    ``margins`` and s (``m_dn`` None for the symmetric plan), over the
+    slopes of all its ``evolve`` calls too: the terms grow with the
+    range; where those reach 0, ``d_min`` is 0 and the fixed downwind
     term is its ``lam = 0`` value ``k_last inj / 2``.  Returns
     ``((m_up, m_dn), (term_up, term_dn))``, with ``term_dn = term_up``
     when ``m_dn`` is None, or ``((inf, None), (0.0, 0.0))`` when no
@@ -810,7 +806,7 @@ def _plan_cost(windows, k_last: int) -> int:
 
 
 class _Lane:
-    """One domain of a lockstep march: its plan, its state, its tallies.
+    """One domain of a lockstep march: its plan and its state.
 
     The plan is ``_march``'s: ``whole`` and ``tails`` of each stop, the
     closing rate ``s`` of the upwind side, the margins and their terms
@@ -818,7 +814,8 @@ class _Lane:
     ``_TRIM_RATES`` the lane takes the rate whose windows cost least
     (``_plan_cost``), the first on a tie, so it never plans more than at
     s = 1; ``cost`` is that plan's.  ``u`` lives on the current window,
-    ``left`` and ``right`` nodes either side of x = 0.
+    ``left`` and ``right`` nodes either side of x = 0, and ``at_zero``
+    maps each stop T marched to u(T, 0).
     """
 
     def __init__(self, env, G, theta, p_range, dx, dt, n, stops):
@@ -840,15 +837,14 @@ class _Lane:
         # u(0, x) = theta x on the grid evolve lays over the whole domain
         self.u = theta * (dx * (np.arange(2 * n + 1) - n))
         self.left = self.right = n
-        self.at_zero, self.steps, self.node_steps = {}, 0, 0
-        self.seen, self.cfl_seen = (math.inf, -math.inf), 0.0
-        # slopes since the lane's own last event: one run of its own march
-        self.stretch = None
+        self.at_zero = {}
 
-    def record(self, steps, size, lo, hi):
-        self.steps += steps
-        self.node_steps += steps * size
-        self.seen = (min(self.seen[0], lo), max(self.seen[1], hi))
+
+def _tally(parts):
+    """``(steps, node steps, least slope, largest slope, cfl_seen)`` over
+    ``parts`` of that shape: the sums, the hull and the largest."""
+    steps, node_steps, lo, hi, cfl_seen = zip(*parts)
+    return sum(steps), sum(node_steps), min(lo), max(hi), max(cfl_seen)
 
 
 def _march(env, args):
@@ -870,87 +866,54 @@ def _march(env, args):
     there, then goes on from the slice of u on the smaller window, with
     linear-theta ghosts at its edges.
     ``evolve`` lays its grids by node index from x = 0, so each window's
-    grid is an exact slice of the domain's, and each stop is within
-    ``bound`` of a fresh run to T: the terms of the sides whose window
-    shrank below n.
-    While no window has shrunk, the march is the fresh run bit for bit.
-    When the slopes leave the a-priori range, the terms are taken again
-    at the same margins and s over that range and the slopes seen.
+    grid is an exact slice of the domain's, and while no window has
+    shrunk, the march is the fresh run bit for bit.
 
     The domains step together.  Between two consecutive events of any
     domain (a window change or a stop's last whole step) one ``evolve``
     call steps every domain not yet past its last stop, each on its
     current window (``windows=``); each tail step is its own call on
     that domain's window.  ``evolve`` gives every window the bits of a
-    run on it alone, and its slopes, so each domain's values and tallies
-    are those of its own march, ``cfl_seen`` taken per run between the
-    domain's own events as that march takes it.  Returns, per domain,
-    ({T: u(T, 0)}, any gradient excursion, steps marched, node steps
-    (steps times window nodes), the gradient range seen on the windows,
-    the bound, the largest ``cfl_seen`` of the runs, and the plan
-    ``(s, m_up, m_dn)``).
+    run on it alone, so each domain's values are those of its own march.
+    Returns the lanes, each with u(T, 0) at its stops (``at_zero``), and
+    the ``_tally`` of the calls: steps times windows, steps times nodes,
+    and the slopes and ``cfl_seen`` of each.
     """
     G, beta, theta, scheme, domains = args
     dx, dt = scheme.dx, scheme.dt
-    p_lo, p_hi = cfl_gradient_range(G, beta, theta)
-    lanes = [_Lane(env, G, theta, (p_lo, p_hi), dx, dt, n, stops)
+    p_range = cfl_gradient_range(G, beta, theta)
+    lanes = [_Lane(env, G, theta, p_range, dx, dt, n, stops)
              for n, stops in domains]
+    calls = []
 
     def run(lanes, steps, h):
-        """Step ``lanes`` together; ``evolve``'s result and each lane's u."""
+        """Step ``lanes`` together; each lane's u after the steps."""
         r = evolve(env, G, beta, np.concatenate([ln.u for ln in lanes]),
                    SchemeConfig(dx=dx, dt=h, M=scheme.M, T=steps * h,
                                 theta=theta),
                    windows=[(ln.left, ln.right) for ln in lanes])
+        calls.append((r.steps * len(lanes), r.steps * r.xs.size,
+                      *r.grad_range_seen, r.cfl_seen))
         sizes = [ln.u.size for ln in lanes]
-        return r, np.split(r.u, np.cumsum(sizes[:-1]))
+        return np.split(r.u, np.cumsum(sizes[:-1]))
 
     k_prev = 0
     for k_end in sorted(set().union(*(ln.events for ln in lanes))):
         live = [ln for ln in lanes if k_end <= ln.whole[-1]]
         if k_end > k_prev:
-            r, us = run(live, k_end - k_prev, dt)
-            for ln, u, (lo, hi) in zip(live, us, r.block_ranges):
+            for ln, u in zip(live, run(live, k_end - k_prev, dt)):
                 ln.u = u
-                ln.record(r.steps, u.size, lo, hi)
-                s_lo, s_hi = ln.stretch or (lo, hi)
-                ln.stretch = (min(s_lo, lo), max(s_hi, hi))
         for ln in live:
-            if k_end not in ln.events:
-                continue
-            if ln.stretch is not None:
-                ln.cfl_seen = max(ln.cfl_seen,
-                                  dt * G.lipschitz_on(ln.stretch) / dx)
-                ln.stretch = None
             for k, new_left, new_right in ln.windows:
                 if k == k_end:
                     ln.u = ln.u[ln.left - new_left:ln.left + new_right + 1]
                     ln.left, ln.right = new_left, new_right
             for t_stop, k, tail in zip(ln.stops, ln.whole, ln.tails):
                 if k == k_end:
-                    u = ln.u
-                    if tail:
-                        r, (u,) = run([ln], 1, tail)
-                        ln.record(1, u.size, *r.grad_range_seen)
-                        ln.cfl_seen = max(ln.cfl_seen, r.cfl_seen)
+                    u = run([ln], 1, tail)[0] if tail else ln.u
                     ln.at_zero[t_stop] = float(u[ln.left])
         k_prev = k_end
-
-    out = []
-    for ln in lanes:
-        (lo, hi), terms, n = ln.seen, ln.terms, ln.n
-        excursion = lo < p_lo or hi > p_hi
-        if excursion:
-            scales = _trim_scales(env, G, theta,
-                                  (min(lo, p_lo), max(hi, p_hi)), dx, dt, n)
-            _, terms = _trim_margin(scales, ln.k_last, n, ln.margins, s=ln.s)
-        (term_up, term_dn), (w_up, w_dn) = terms, (
-            (ln.right, ln.left) if ln.up_right else (ln.left, ln.right))
-        bound = ((term_up if w_up < n else 0.0)
-                 + (term_dn if w_dn < n else 0.0))
-        out.append((ln.at_zero, excursion, ln.steps, ln.node_steps,
-                    (lo, hi), bound, ln.cfl_seen, (ln.s, *ln.margins)))
-    return out
+    return lanes, _tally(calls)
 
 
 def sweep_ladder(window, epsilons, scheme: SchemeConfig):
@@ -1003,10 +966,13 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, epsilons,
     stopping at every T that reads it: on a halving ladder the doubled
     domain at eps is the base domain at eps/2.  Each march runs only on
     the nodes that can reach x = 0 before its last stop (``_march``), so
-    a value is a fresh run's to within ``trim_bound``.  The marches step
-    in lockstep, one ``evolve`` step for all of them; ``workers > 1``
-    splits the domains into that many groups, each marched in lockstep
-    in a process pool.  The result does not depend on the grouping.
+    a value is a fresh run's to within ``trim_bound``; when the slopes of
+    the sweep's ``evolve`` calls leave the a-priori range, every march's
+    terms are taken again over their hull (``_trim_margin``).  The
+    marches step in lockstep, one ``evolve`` step for all of them;
+    ``workers > 1`` splits the domains into that many groups, each
+    marched in lockstep in a process pool.  The result does not depend
+    on the grouping.
     ``reference`` is the prediction Hbar(theta) the values are
     compared with, computed elsewhere (``effective_reference``): the
     sweep only stores it, so it shares no code with what it checks.
@@ -1026,29 +992,43 @@ def homogenize_sweep(env: EnvRealization, G, beta: float, epsilons,
     groups = [domains[i::k] for i in range(k)]
     results = _pmap(_march, env, [(G, beta, theta, scheme, g)
                                   for g in groups], k)
-    marches = {n: m for group, ms in zip(groups, results)
-               for (n, _), m in zip(group, ms)}
-    u0 = {(n, t): u for n, m in marches.items() for t, u in m[0].items()}
-    (_, excursions, steps, node_steps, seen, bounds, cfl_seen,
-     plans) = zip(*marches.values())
-    _, m_up, m_dn = zip(*plans)
-    values = np.array([eps * u0[n, 1.0 / eps]
+    steps, node_steps, lo, hi, cfl_seen = _tally(t for _, t in results)
+    lanes = {ln.n: ln for group, _ in results for ln in group}
+    p_lo, p_hi = cfl_gradient_range(G, beta, theta)
+    excursion = lo < p_lo or hi > p_hi
+    bounds = []
+    for ln in lanes.values():
+        terms = ln.terms
+        if excursion:
+            # the terms hold on the a-priori range only; over the slopes
+            # seen they are larger, and cover every march
+            scales = _trim_scales(env, G, theta, (min(lo, p_lo),
+                                                  max(hi, p_hi)),
+                                  scheme.dx, scheme.dt, ln.n)
+            _, terms = _trim_margin(scales, ln.k_last, ln.n, ln.margins,
+                                    s=ln.s)
+        # the terms of the sides whose window shrank below n
+        sides = (ln.right, ln.left) if ln.up_right else (ln.left, ln.right)
+        bounds.append(sum((term for term, w in zip(terms, sides)
+                           if w < ln.n), 0.0))
+    values = np.array([eps * lanes[n].at_zero[1.0 / eps]
                        for eps, n in zip(eps_arr, halves)])
-    doubled = np.array([eps * u0[2 * n, 1.0 / eps]
+    doubled = np.array([eps * lanes[2 * n].at_zero[1.0 / eps]
                         for eps, n in zip(eps_arr, halves)])
+    m_up, m_dn = zip(*(ln.margins for ln in lanes.values()))
     return SweepResult(theta=theta, epsilons=eps_arr, values=values,
                        reference=float(reference),
                        domain_sensitivity=np.abs(doubled - values),
-                       grad_excursion=any(excursions), steps=sum(steps),
-                       grad_range_seen=(min(lo for lo, _ in seen),
-                                        max(hi for _, hi in seen)),
-                       node_steps=sum(node_steps), trim_bound=max(bounds),
-                       cfl=scheme.dt * G.lipschitz_on(cfl_gradient_range(
-                           G, beta, theta)) / scheme.dx,
-                       cfl_seen=max(cfl_seen),
+                       grad_excursion=excursion, steps=steps,
+                       grad_range_seen=(lo, hi), node_steps=node_steps,
+                       trim_bound=max(bounds),
+                       cfl=scheme.dt * G.lipschitz_on((p_lo, p_hi))
+                       / scheme.dx,
+                       cfl_seen=cfl_seen,
                        trim_margins=(max(m_up), max(
                            (m for m in m_dn if m is not None), default=None)),
-                       trim_plan=tuple((n, *marches[n][-1]) for n in stops))
+                       trim_plan=tuple((n, lanes[n].s, *lanes[n].margins)
+                                       for n in stops))
 
 
 # ============================================================

@@ -468,6 +468,25 @@ def test_config_rejection_exits_2_and_writes_no_table(tmp_path, capsys,
     assert not list(out.glob("*.csv"))
 
 
+# a path table with a non-finite p: a nan at the minimum crashed with a
+# traceback (a reduction over an empty array), a nan in the first row
+# went unseen, and an inf in the last row built a G whose edge slope is 0
+@pytest.mark.parametrize("row, bad", [(3, "nan"), (0, "nan"), (5, "inf")],
+                         ids=["nan-at-minimum", "nan-first", "inf-last"])
+def test_tabulated_non_finite_entry_exits_2(tmp_path, capsys, row, bad):
+    ps = ["-4.0", "-2.5", "-1.0", "0.0", "1.5", "3.0"]
+    ps[row] = bad
+    table = tmp_path / "table.txt"
+    table.write_text("".join(f"{p} {g}\n" for p, g in zip(
+        ps, ["7.0", "4.0", "1.0", "0.0", "2.0", "5.0"])))
+    cfg = _write(tmp_path, IID80.replace(
+        "family = power\ngamma = 2.0", f"family = tabulated\npath = {table}"))
+    out = tmp_path / "out"
+    assert main(["theta-curve", "--config", cfg, "--out", str(out)]) == 2
+    assert "non-finite entry" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 # a config every command loads, and values to put in it: numbers at and
 # past every range, lists, words, 30 digits, an interpolation, NUL, not UTF-8
 _POOL = [b"", b"0", b"-1", b"-2.5", b"1e308", b"1e-300", b"nan", b"inf",

@@ -52,6 +52,17 @@ def test_branch_inverse_rejects_negative_level():
         PowerG(2.0).branch_inverse(2, -0.5)
 
 
+@pytest.mark.parametrize("gamma", [1.0, 0.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [PowerG, lambda g: AsymPowerG(g, 2.0),
+                                  lambda g: AsymPowerG(2.0, g)],
+                         ids=["power", "asym-left", "asym-right"])
+def test_power_families_reject_bad_exponents(make, gamma):
+    # a NaN exponent used to build: PowerG(nan)(2.0) was nan and its
+    # lipschitz_on((0.5, 1)) 0.0
+    with pytest.raises(ValueError, match="> 1"):
+        make(gamma)
+
+
 @given(gamma=st.floats(1.1, 4.0), y=st.floats(0.0, 100.0))
 @settings(max_examples=60, deadline=None)
 def test_power_inverse_round_trip(gamma, y):
@@ -468,6 +479,16 @@ def test_tabulated_rejects_non_quasiconvex():
         TabulatedG(ps, gs)
     with pytest.raises(ValueError):
         TabulatedG(ps, ps * ps + 0.5)  # minimum not 0
+    # a non-finite entry: a nan p passed the increasing check (and at the
+    # minimum crashed later on an empty reduction), and an inf last p
+    # built a G whose edge slope is 0
+    table = ([-4.0, -2.5, -1.0, 0.0, 1.5, 3.0], [7.0, 4.0, 1.0, 0.0, 2.0, 5.0])
+    for col, row, bad in [(0, 3, math.nan), (0, 0, math.nan), (0, 5, math.inf),
+                          (1, 4, math.nan)]:
+        cols = [np.array(c) for c in table]
+        cols[col][row] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            TabulatedG(*cols)
 
 
 def test_tabulated_file_round_trip(tmp_path):

@@ -9,6 +9,7 @@ analytic psi derivatives and hand Lipschitz constants.
 import importlib.machinery
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -808,11 +809,27 @@ def test_downwind_window_against_the_symmetric_plan(env_trim, case, theta,
         assert res.values.tobytes() == sym.values.tobytes()
 
 
-def test_trimmed_sweep_same_at_two_workers(env_trim):
-    dt, M, epsilons = TRIM_CASES["shrinks"]
-    scheme = SchemeConfig(dx=0.1, dt=dt, M=M, T=1.0, theta=-1.5)
+@pytest.mark.parametrize("setup", ["shrinks", "off-range"])
+def test_trimmed_sweep_same_at_two_workers(env_trim, setup, monkeypatch):
+    # "off-range" is the setup of test_trim_bound_covers_a_march_that_
+    # leaves_the_range: the slopes leave a narrow a-priori range, and the
+    # bound taken again over the slopes of every group's evolve calls is
+    # the same at both worker counts
+    if setup == "shrinks":
+        dt, M, epsilons = TRIM_CASES["shrinks"]
+        theta = -1.5
+    else:
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patches reach the pool's workers only by fork")
+        monkeypatch.setattr("hjlab.pde.cfl_gradient_range",
+                            lambda G, beta, theta: (0.98, 1.02))
+        monkeypatch.setattr("hjlab.pde._TRIM_TOL", 1e-8)
+        dt, M, epsilons, theta = 0.01, 16.0, (0.5, 0.25), 1.0
+    scheme = SchemeConfig(dx=0.1, dt=dt, M=M, T=1.0, theta=theta)
     one, two = (homogenize_sweep(env_trim, G, BETA, epsilons, scheme,
                                  reference=1.0, workers=w) for w in (1, 2))
+    assert one.grad_excursion == (setup == "off-range")
+    assert one.trim_bound > (1e-8 if setup == "off-range" else 0.0)
     assert one.values.tobytes() == two.values.tobytes()
     assert (one.domain_sensitivity.tobytes()
             == two.domain_sensitivity.tobytes())
@@ -1008,7 +1025,9 @@ def test_stacked_evolve_is_each_window_alone(env_iid40, data):
     assert stacked.u.tobytes() == np.concatenate([r.u for r in alone]).tobytes()
     assert (stacked.xs.tobytes()
             == np.concatenate([r.xs for r in alone]).tobytes())
-    assert stacked.block_ranges == tuple(r.grad_range_seen for r in alone)
+    assert stacked.grad_range_seen == (
+        min(r.grad_range_seen[0] for r in alone),
+        max(r.grad_range_seen[1] for r in alone))
     assert stacked.grad_excursion == any(r.grad_excursion for r in alone)
     assert stacked.cfl_seen == max(r.cfl_seen for r in alone)
     # a centred window is the grid that M lays
@@ -1053,11 +1072,26 @@ def _sweep_domains(epsilons, scheme):
 
 
 def _lockstep_and_apart(env, G_, theta, epsilons, scheme):
+    """``_march`` on all of a sweep's domains at once and on each alone.
+    Asserts that each lane's state is the same bit for bit (the values
+    read at every stop, the plan, the last window and its u), and that
+    the together tallies are the apart ones summed, hulled and maxed;
+    returns the together lanes and tallies."""
     domains = _sweep_domains(epsilons, scheme)
     args = (G_, BETA, theta, scheme)
-    together = hjlab.pde._march(env, (*args, domains))
-    apart = [hjlab.pde._march(env, (*args, [d]))[0] for d in domains]
-    return together, apart
+    lanes, tally = hjlab.pde._march(env, (*args, domains))
+    apart = [hjlab.pde._march(env, (*args, [d])) for d in domains]
+
+    def state(ln):
+        return repr((ln.n, ln.at_zero, ln.s, ln.margins, ln.terms,
+                     ln.windows, ln.cost, ln.left, ln.right,
+                     ln.u.tobytes()))
+
+    assert [state(ln) for ln in lanes] == [state(ln) for (ln,), _ in apart]
+    steps, node_steps, lo, hi, cfl_seen = zip(*(t for _, t in apart))
+    assert repr(tally) == repr((sum(steps), sum(node_steps), min(lo),
+                                max(hi), max(cfl_seen)))
+    return lanes, tally
 
 
 # (kind, G, theta): both branches and the flat piece, a medium with a
@@ -1077,16 +1111,15 @@ LOCKSTEP_CASES = {
 @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
 def test_lockstep_march_is_each_domain_alone(case):
     # all domains in one group against one domain per group: the values
-    # read at every stop and every tally (excursion, steps, node steps,
-    # slopes seen, bound, cfl_seen, margins), bit for bit.  dt = 0.0021
-    # leaves a tail step at every stop, and the windows shrink midway
+    # read at every stop and each plan bit for bit, and the tallies
+    # merged.  dt = 0.0021 leaves a tail step at every stop, and the
+    # windows shrink midway
     kind, G_, theta = LOCKSTEP_CASES[case]
     env = generate_env(kind, 4, (-140.0, 140.0), 0.01)
     scheme = SchemeConfig(dx=0.1, dt=0.0021, M=1.0, T=1.0, theta=theta)
-    together, apart = _lockstep_and_apart(env, G_, theta, (0.5, 0.25, 0.125),
-                                          scheme)
-    assert repr(together) == repr(apart)
-    assert any(bound > 0.0 for *_, bound, _, _ in together)
+    lanes, _ = _lockstep_and_apart(env, G_, theta, (0.5, 0.25, 0.125),
+                                   scheme)
+    assert any(min(ln.left, ln.right) < ln.n for ln in lanes)
 
 
 @pytest.mark.parametrize("theta, narrow", [(1.0, (0.98, 1.02)),
@@ -1094,16 +1127,15 @@ def test_lockstep_march_is_each_domain_alone(case):
 def test_lockstep_march_is_each_domain_alone_off_the_range(monkeypatch, theta,
                                                            narrow):
     # the setups of the two test_trim_bound_covers_* tests: the slopes
-    # leave the a-priori range, and each domain's bound is taken again
-    # over the slopes it saw, as when it marches alone
+    # leave the a-priori range, and the merged tallies still show it
     monkeypatch.setattr("hjlab.pde.cfl_gradient_range",
                         lambda G, beta, theta: narrow)
     monkeypatch.setattr("hjlab.pde._TRIM_TOL", 1e-8)
     env = generate_env("iid-interp", 4, (-140.0, 140.0), 0.01)
     scheme = SchemeConfig(dx=0.1, dt=0.01, M=16.0, T=1.0, theta=theta)
-    together, apart = _lockstep_and_apart(env, G, theta, (0.5, 0.25), scheme)
-    assert repr(together) == repr(apart)
-    assert all(excursion for _, excursion, *_ in together)
+    _, (_, _, lo, hi, _) = _lockstep_and_apart(env, G, theta, (0.5, 0.25),
+                                               scheme)
+    assert lo < narrow[0] or hi > narrow[1]
 
 
 def test_evolve_calls_sum_to_the_sweep_node_steps(monkeypatch):
