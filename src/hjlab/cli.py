@@ -419,13 +419,14 @@ def cmd_hill_check(cfg: RunConfig) -> list[Path]:
     doublings = _get(p, "doublings", 0, int)
     if doublings < 0:
         raise ConfigError(f"doublings must be >= 0, got {doublings}")
-    rows = []
+    rows, envs = [], {}  # each window's medium is built once
     for h in hs:
         for C in Cs:
             used = cfg.window
             for attempt in range(doublings + 1):
-                env = cfg.make_env(window=used)
-                witness = find_hill(env, h, C)
+                if used not in envs:
+                    envs[used] = cfg.make_env(window=used)
+                witness = find_hill(envs[used], h, C)
                 if witness is not None or attempt == doublings:
                     break
                 used = (2.0 * used[0], 2.0 * used[1])

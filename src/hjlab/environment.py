@@ -3,14 +3,13 @@
 A medium is a pair (a, V): a diffusion coefficient a with values in
 (0, 1] and a potential V with values in [0, 1], sampled on a regular
 grid over a window [x_min, x_max] and interpolated linearly in between.
-Alongside the samples each realization carries the scaled coordinate
+Each realization derives from a, on first read, the scaled coordinate
 
     s(x) = integral from x_min to x of dy / a(y)
 
 computed with the trapezoid rule on the same grid.  Because a <= 1,
-s-increments dominate x-increments; several certified lengths in the
-corrector machinery are stated in s-units and converted back through
-this table.
+s-increments dominate x-increments.  Hills, whose condition involves
+the diffusion coefficient, are measured by their length in s.
 
 Every generator is a deterministic function of (seed, absolute
 coordinate): regenerating the same seed on a translated window
@@ -24,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -261,12 +260,12 @@ _GENERATORS: dict[str, Callable] = {
 
 KINDS = tuple(_GENERATORS)
 
-# The medium is built, checked and written this many nodes at a time, so
-# that a window costs its three kept arrays (a, V, s) plus a few blocks.
+# The medium is built, written and its s-table integrated this many nodes
+# at a time, so that a window costs its kept arrays plus a few blocks.
 _BLOCK = 1 << 15
 
-# A window holds at most this many nodes: 10^8 nodes keep 2.4 GB of
-# arrays, beyond what a run of this laboratory needs or a host may have.
+# A window holds at most this many nodes: 10^8 nodes keep 1.6 GB of
+# arrays (2.4 with s), beyond what a run needs or a host may have.
 _MAX_NODES = 10 ** 8
 
 
@@ -286,9 +285,10 @@ def _nodes(j0: int, dx: float, b0: int, b1: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnvRealization:
-    """One sampled medium: (a, V) on a regular grid plus its s-table.
+    """One sampled medium: (a, V) on a regular grid.
 
-    Arrays are read-only; treat instances as immutable values.  ``flags``
+    Arrays are read-only; treat instances as immutable values.  The
+    s-table is derived from ``a_vals`` on first read and kept.  ``flags``
     marks degenerate constructions (a constant potential never attains
     the full range [0, 1]; a reflected realization is a space-reversed
     view, not a draw of its generator).
@@ -300,38 +300,42 @@ class EnvRealization:
     dx_env: float
     a_vals: np.ndarray
     v_vals: np.ndarray
-    s_table: np.ndarray
     params: dict = field(default_factory=dict)
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for arr in (self.a_vals, self.v_vals, self.s_table):
+        for arr in (self.a_vals, self.v_vals):
             arr.setflags(write=False)
         n = self.a_vals.size
-        if self.v_vals.size != n or self.s_table.size != n:
-            raise ValueError("a_vals, v_vals, s_table must have equal length")
+        if self.v_vals.size != n:
+            raise ValueError("a_vals and v_vals must have equal length")
         if n < 2:
             raise ValueError("a realization needs at least two grid points")
+        # asks a and V to pass the comparisons, which a NaN fails
         amin = float(self.a_vals.min())
-        if amin <= 0.0 or float(self.a_vals.max()) > 1.0:
+        if not (amin > 0.0 and float(self.a_vals.max()) <= 1.0):
             raise ValueError("diffusion coefficient must take values in (0, 1]")
-        # asks V to pass the comparisons, which a NaN fails (a NaN in a
-        # reaches the s-table, checked below)
         if not (float(self.v_vals.min()) >= 0.0
                 and float(self.v_vals.max()) <= 1.0):
             raise ValueError("potential must take values in [0, 1]")
-        eps = np.finfo(np.float64).eps
-        for c0, c1 in _blocks(n - 1):
-            s = self.s_table[c0:c1 + 1]
-            if not np.all(np.isfinite(s)):
-                raise ValueError("s-table must be finite")
-            # slack scales with |s|: increments are recovered by
-            # subtraction, so cancellation grows once the table spans
-            # large magnitudes
-            slack = self.dx_env * 1e-9 + 64.0 * eps * np.maximum(
-                np.abs(s[:-1]), np.abs(s[1:]))
-            if np.any(np.diff(s) < self.dx_env - slack):
-                raise ValueError("s-table increments must dominate dx (a <= 1)")
+        # twice a bound on the s-table, and on each sum of two
+        # reciprocals of a in it: the table it derives is finite
+        if not math.isfinite(2.0 * max(1.0, n * self.dx_env) / amin):
+            raise ValueError(f"s-table overflows: min a = {amin:g} over "
+                             f"a length of {n * self.dx_env:g}")
+
+    @cached_property
+    def s_table(self) -> np.ndarray:
+        """s at each node by the trapezoid rule, each block's increments
+        summed on from the last s before it: the additions of one cumsum."""
+        s = np.zeros(self.n)
+        for c0, c1 in _blocks(self.n - 1):
+            inv = 1.0 / self.a_vals[c0:c1 + 1]
+            ds = 0.5 * self.dx_env * (inv[:-1] + inv[1:])
+            ds[0] += s[c0]
+            np.cumsum(ds, out=s[c0 + 1:c1 + 1])
+        s.setflags(write=False)
+        return s
 
     @property
     def n(self) -> int:
@@ -359,20 +363,6 @@ class HillWitness:
     v_min_on_interval: float
 
 
-def _build(seed, kind, window, dx_env, a, v, params, flags) -> EnvRealization:
-    # the trapezoid increments of each block of cells are summed on from
-    # the last s of the block before: the additions of one cumsum
-    s = np.zeros(a.size)
-    for c0, c1 in _blocks(a.size - 1):
-        inv = 1.0 / a[c0:c1 + 1]
-        ds = 0.5 * dx_env * (inv[:-1] + inv[1:])
-        ds[0] += s[c0]
-        np.cumsum(ds, out=s[c0 + 1:c1 + 1])
-    return EnvRealization(seed=seed, kind=kind, window=window, dx_env=dx_env,
-                          a_vals=a, v_vals=v, s_table=s,
-                          params=dict(params), flags=flags)
-
-
 def generate_env(kind: str, seed: int, window: tuple[float, float],
                  dx_env: float, params: dict | None = None) -> EnvRealization:
     """Sample the medium ``kind`` on ``window`` with grid step ``dx_env``.
@@ -382,7 +372,8 @@ def generate_env(kind: str, seed: int, window: tuple[float, float],
     keeps node coordinates, and therefore sampled values, bit-identical
     between any two windows over the same seed wherever they overlap.
     The window is sampled ``_BLOCK`` nodes at a time into the kept
-    arrays, and may hold at most ``_MAX_NODES`` nodes.
+    arrays a and V, and may hold at most ``_MAX_NODES`` nodes; the
+    s-table is left to its first read.
     """
     if kind not in _GENERATORS:
         raise ConfigError(f"unknown environment kind {kind!r}; known: {', '.join(KINDS)}")
@@ -417,7 +408,9 @@ def generate_env(kind: str, seed: int, window: tuple[float, float],
     for b0, b1 in _blocks(n):
         a[b0:b1], v[b0:b1] = sample(_nodes(j0, dx_env, b0, b1))
     flags = ("degenerate-potential",) if kind == "constant" else ()
-    return _build(int(seed), kind, snapped, dx_env, a, v, params, flags)
+    return EnvRealization(seed=int(seed), kind=kind, window=snapped,
+                          dx_env=dx_env, a_vals=a, v_vals=v, params=params,
+                          flags=flags)
 
 
 # ============================================================
@@ -452,7 +445,7 @@ def sample_many(env: EnvRealization, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def s_at(env: EnvRealization, x) -> np.ndarray:
-    """Scaled coordinate s(x), consistent with the stored table at nodes.
+    """Scaled coordinate s(x), equal to the s-table at nodes.
 
     Off-node points get the partial trapezoid contribution of the cell,
     so s_at is a single fixed function of x and between-point
@@ -519,10 +512,11 @@ def check_singular_hill(env: EnvRealization, c: float) -> float | None:
 
 def reflect(env: EnvRealization) -> EnvRealization:
     """Space-reversed view x -> -x, used for branch-1 symmetry checks."""
-    a = env.a_vals[::-1].copy()
-    v = env.v_vals[::-1].copy()
-    return _build(env.seed, env.kind, (-env.window[1], -env.window[0]),
-                  env.dx_env, a, v, env.params, env.flags + ("reflected",))
+    return EnvRealization(seed=env.seed, kind=env.kind,
+                          window=(-env.window[1], -env.window[0]),
+                          dx_env=env.dx_env, a_vals=env.a_vals[::-1],
+                          v_vals=env.v_vals[::-1], params=dict(env.params),
+                          flags=env.flags + ("reflected",))
 
 
 # ============================================================
@@ -587,7 +581,7 @@ def write_csv(path, header, rows, meta=()) -> None:
 
 
 def save_env(env: EnvRealization, path: str) -> None:
-    """Write `x,a,V,s`, one row per grid node."""
+    """Write `x,a,V,s`, one row per grid node; reads the s-table."""
     meta = [("kind", env.kind), ("seed", env.seed), ("dx_env", env.dx_env)]
     if env.params:
         meta.append(("params", json.dumps(env.params, sort_keys=True)))

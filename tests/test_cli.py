@@ -1,6 +1,7 @@
 """End-to-end CLI tests: config parsing, exit codes, file outputs."""
 
 import configparser
+import functools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import hjlab.corrector
 import hjlab.effective
 from hjlab.cli import RunConfig, load_config, main
 from hjlab.corrector import burn_in_length
+from hjlab.environment import EnvRealization
 from hjlab.errors import ConfigError
 from hjlab.hamiltonian import PowerG
 from hjlab.pde import cfl_gradient_range
@@ -338,6 +340,52 @@ def test_gen_env_integer_and_float_params_agree(tmp_path):
     assert (d1 / "env.csv").read_bytes() == (d2 / "env.csv").read_bytes()
 
 
+# the commands that never read the s-table, which serves only the hill
+# condition
+_WITHOUT_S = {
+    "corrector": IID80.split("[theta-curve]")[0]
+    + "[corrector]\nlam = 2.0\nbranch = 2\nregion = -10 10\ntol = 0.01\n",
+    "theta-curve": IID80,
+    "effective": IID80.split("[theta-curve]")[0]
+    + "[effective]\ntheta_grid = -1.5 0 1.5\nx = 40\ntol = 0.05\n",
+    "homogenize": HOMOG_IID + "reference = 1.0\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WITHOUT_S))
+def test_commands_off_the_hill_condition_never_build_s(tmp_path, monkeypatch,
+                                                       command):
+    def unbuilt(env):
+        pytest.fail(f"{command} read the s-table")
+
+    monkeypatch.setattr(EnvRealization, "s_table", property(unbuilt))
+    cfg = _write(tmp_path, _WITHOUT_S[command])
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command, text", [
+    ("gen-env", IID80),
+    # four (h, C) pairs on one window
+    ("hill-check", PROBE_GLUED.split("[probe]")[0]
+     + "[hill-check]\nhs = 0.5 0.9\ncs = 1.0 5.0\n"),
+    ("probe", PROBE_GLUED)], ids=["gen-env", "hill-check", "probe-glued"])
+def test_commands_on_the_hill_condition_build_s_once(tmp_path, monkeypatch,
+                                                     command, text):
+    builds = []
+    derive = EnvRealization.s_table.func
+
+    def counted(env):
+        builds.append(env)
+        return derive(env)
+
+    table = functools.cached_property(counted)
+    table.__set_name__(EnvRealization, "s_table")
+    monkeypatch.setattr(EnvRealization, "s_table", table)
+    cfg = _write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(builds) == 1
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["gen-env", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path)]) == 2
@@ -399,6 +447,9 @@ def test_bad_parameter_exits_before_the_medium_is_built(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("*.csv"))
 
 
+CONST_TINY_A = CONST_V0.replace("v0 = 0.0", "v0 = 0.0\na0 = 1e-320")
+
+
 # rejections of the config loader, the medium generators and make_G,
 # each recognised by its own message
 @pytest.mark.parametrize("command, text, flags, message", [
@@ -452,12 +503,16 @@ def test_bad_parameter_exits_before_the_medium_is_built(tmp_path, monkeypatch,
     # this exited 2 only because main mapped any ValueError to 2
     ("gen-env", CONST_V0.encode().replace(b"v0 = 0.0", b"v0 = 0.0\xff"), [],
      "can't decode byte 0xff"),
+    # 1 / a0 overflows: refused at build, before the s-table is read
+    ("gen-env", CONST_TINY_A, [], "s-table overflows"),
+    ("effective", CONST_TINY_A + "\n[effective]\ntheta_grid = -1 0 1\n", [],
+     "s-table overflows"),
 ], ids=["empty-list", "effective-n-batches", "no-env", "window-decreasing",
         "no-model", "workers-0", "iid-a0-0", "gauss-corr-len-0", "gauss-kappa-1",
         "singular-bump-width", "power-gamma-1", "node-cap",
         "dx-env-over-window", "iid-far-window", "singular-far-window",
         "growth-gamma-1", "log-level-overflow", "glue-dx-1e-320",
-        "undecodable"])
+        "undecodable", "gen-env-a0-1e-320", "effective-a0-1e-320"])
 def test_config_rejection_exits_2_and_writes_no_table(tmp_path, capsys,
                                                       command, text, flags,
                                                       message):

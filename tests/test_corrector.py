@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from hjlab.corrector import (
     residual_series,
     save_profile,
 )
-from hjlab.environment import HillWitness, _build, generate_env, reflect
+from hjlab.environment import HillWitness, generate_env, reflect
 from hjlab.errors import (BracketExitError, CertificateError, GlueError,
                           WindowError)
 from hjlab.hamiltonian import (AsymPowerG, PowerG, TabulatedG, bracket,
@@ -298,8 +299,7 @@ def test_low_a_stretch_outside_the_span_is_not_refused(env_iid3):
     # reaches it (the window-wide bound refused both)
     a = np.where((env_iid3.xs >= 100.0) & (env_iid3.xs <= 110.0), 0.01,
                  env_iid3.a_vals)
-    env = _build(3, "iid-interp", env_iid3.window, env_iid3.dx_env, a,
-                 env_iid3.v_vals.copy(), {}, ())
+    env = dataclasses.replace(env_iid3, a_vals=a)
     p = corrector_profile(env, G, 1.0, 2.0, 2, (0.0, 10.0), 1e-6, 0.01)
     q = corrector_profile(env_iid3, G, 1.0, 2.0, 2, (0.0, 10.0), 1e-6, 0.01)
     assert p.f_vals.tobytes() == q.f_vals.tobytes()

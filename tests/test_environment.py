@@ -225,22 +225,33 @@ def test_blocks_build_the_one_block_medium(kind, monkeypatch, tmp_path):
 
 
 # numpy reports its buffers to tracemalloc; blocks of temporaries the
-# build may hold at once beside the three kept arrays (5.75 seen on every
-# kind; building whole-window temporaries took 10.0 x 8n in all)
-BUILD_BLOCKS = 8
+# build may hold at once beside the two kept arrays a and V (8.0 seen on
+# iid-interp and 8.3 on coupled-singular, the sampler's own; building
+# whole-window temporaries took 10.0 x 8n in all), and that the first
+# read of s may hold beside its table (3.6 seen)
+BUILD_BLOCKS = 9
+S_BLOCKS = 4
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def test_generate_env_peak_is_the_kept_arrays_plus_a_few_blocks():
     generate_env("iid-interp", 1, (-10.0, 10.0), 0.01)  # first-call costs
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        e = generate_env("iid-interp", 56254, (-960.0, 960.0), 0.01)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    e, peak = _traced_peak(
+        lambda: generate_env("iid-interp", 56254, (-960.0, 960.0), 0.01))
     assert e.n == 192001
-    assert peak <= 3 * 8 * e.n + BUILD_BLOCKS * 8 * environment._BLOCK
+    block = 8 * environment._BLOCK
+    assert peak <= 2 * 8 * e.n + BUILD_BLOCKS * block
+    _, peak = _traced_peak(lambda: e.s_table)
+    assert peak <= 8 * e.n + S_BLOCKS * block
 
 
 def test_ranges_all_kinds():
@@ -390,6 +401,14 @@ def test_reflect_reverses_arrays():
     assert np.array_equal(rr.v_vals, e.v_vals)
 
 
+def test_s_table_is_built_on_its_first_read_and_kept():
+    e = generate_env("coupled-singular", 2, (0.0, 20.0), 0.05)
+    assert "s_table" not in vars(e)
+    s = e.s_table
+    assert vars(e)["s_table"] is s and e.s_table is s
+    assert not s.flags.writeable
+
+
 def test_reflect_preserves_s_total():
     e = generate_env("gauss-squash", 4, (0.0, 50.0), 0.1)
     r = reflect(e)
@@ -415,12 +434,12 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(a, e.a_vals)
     assert np.array_equal(v, e.v_vals)
     assert np.array_equal(s, e.s_table)
-    # the columns and header determine the file byte for byte
+    # the a and V columns and the header determine the file byte for
+    # byte, its s column too
     f = EnvRealization(seed=int(meta["seed"]), kind=meta["kind"],
                        window=(float(xs[0]), float(xs[-1])),
                        dx_env=float(meta["dx_env"]), a_vals=a.copy(),
-                       v_vals=v.copy(), s_table=s.copy(),
-                       params=json.loads(meta["params"]))
+                       v_vals=v.copy(), params=json.loads(meta["params"]))
     p2 = tmp_path / "env2.csv"
     save_env(f, str(p2))
     assert p.read_bytes() == p2.read_bytes()
@@ -440,17 +459,17 @@ def test_write_csv_exact_bytes(tmp_path):
 def test_realization_rejects_bad_values():
     xs = np.linspace(0.0, 1.0, 11)
     ones = np.ones(11)
-    s = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        EnvRealization(seed=0, kind="constant", window=(0.0, 1.0), dx_env=0.1,
-                       a_vals=ones * 1.5, v_vals=ones * 0.5, s_table=s.copy())
-    with pytest.raises(ValueError):
-        EnvRealization(seed=0, kind="constant", window=(0.0, 1.0), dx_env=0.1,
-                       a_vals=ones.copy(), v_vals=ones * 2.0, s_table=s.copy())
-    with pytest.raises(ValueError):
-        # s-increments smaller than dx contradict a <= 1
-        EnvRealization(seed=0, kind="constant", window=(0.0, 1.0), dx_env=0.1,
-                       a_vals=ones.copy(), v_vals=ones * 0.5, s_table=s * 0.5)
+    for a, v, message in [
+            (ones * 1.5, ones * 0.5, "diffusion coefficient"),
+            (ones.copy(), ones * 2.0, "potential"),
+            # a NaN in a fails the range check, before any s is built
+            (np.where(xs > 0.5, np.nan, 1.0), ones * 0.5,
+             "diffusion coefficient"),
+            # 1 / a overflows: the s-table it would derive is not finite
+            (ones * 1e-320, ones * 0.5, "s-table overflows")]:
+        with pytest.raises(ValueError, match=message):
+            EnvRealization(seed=0, kind="constant", window=(0.0, 1.0),
+                           dx_env=0.1, a_vals=a, v_vals=v)
     # a NaN potential fails every comparison, the range check's too (the
     # generator's cast of the NaN lattice index warns on the way)
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):

@@ -19,17 +19,26 @@ with it, nor with the shooting layer ``corrector`` that ``effective``
 rests on: it imports only ``environment`` and ``errors``.  ``corrector``
 is the shooting layer alone, and the sub/supersolution probes built on it
 live in ``probe``, which only the command line runs.
+
+The benchmark harness in ``perfbench/`` reaches into the package by
+name: its tracer wraps the functions it lists, and its workloads import
+from the package and write configs the command line loads.  A rename in
+the package breaks the traced runs without failing any of its own
+tests, so the names the harness uses are checked here.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 from types import ModuleType
 
 import hjlab
+from hjlab.cli import load_config
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hjlab"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -194,3 +203,67 @@ def test_only_the_writers_open_files_for_writing():
         writers += _file_writers(ast.parse(path.read_text(),
                                            filename=str(path)), path.stem)
     assert writers == WRITERS
+
+
+# ------------------------------------------------------------
+# the names the benchmark harness uses
+# ------------------------------------------------------------
+
+def _perfbench_constant(name: str):
+    """A literal module-level constant of ``perfbench/tracing.py``."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"tracing.py no longer assigns {name}")
+
+
+def test_every_traced_function_exists():
+    missing = [f"{module}.{name}"
+               for module, names in _perfbench_constant("TARGETS").items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"hjlab.{module}"), name, None))]
+    assert missing == []
+
+
+def test_traced_modulus_methods_are_defined_on_the_class():
+    # the tracer patches them in the class's own namespace
+    cls = importlib.import_module("hjlab.hamiltonian").ContractionModulus
+    methods = _perfbench_constant("MODULUS_METHODS")
+    assert set(methods) == {"phi", "phi_inv"}
+    assert all(callable(vars(cls).get(m)) for m in methods)
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_workload_imports_resolve():
+    path = PERFBENCH / "workloads.py"
+    imports = [(node.module, alias.name)
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.partition(".")[0] == "hjlab"
+               for alias in node.names]
+    assert imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_perfbench_workload_configs_load(tmp_path):
+    workloads = _workloads()
+    runs = [run for workload in ("theta-curve", "effective", "homogenize")
+            for run in workloads.configs(workload, 56254, tmp_path,
+                                         reference=1.0)]
+    assert [command for command, _, _ in runs] == [
+        "theta-curve", "theta-curve", "effective", "homogenize"]
+    for command, path, out in runs:
+        cfg = load_config(str(path), command, str(out), 1, None)
+        assert cfg.command == command
