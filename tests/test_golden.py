@@ -7,7 +7,9 @@ keeps these bytes; a change that moves a number shows which column
 moved and by how much.  The tables were recorded under the numpy
 version and on the machine named in ``tests/golden/platform.json``;
 elsewhere a match passes with a warning and a mismatch says where the
-tables were recorded.  The cases take well under a second together.
+tables were recorded.  One case reads its tabulated G from
+``tests/golden/tabulated_G.txt``.  The cases take well under a second
+together.
 
 To record the corpus again, after a change that moves numbers on
 purpose:
@@ -110,6 +112,75 @@ v0 = 0.3
 [effective]
 theta_grid = -1 0 1
 """, "effective.csv"),
+    # the residual of a decorated corrector candidate, on both sides
+    "probe_corrector": ("probe", """[env]
+kind = periodic
+seed = 5
+window = -30 30
+dx_env = 0.01
+""" + _POWER_MODEL + """
+[probe]
+profile = corrector
+lam = 2.0
+branch = 2
+region = -10 10
+delta = 0.1
+kind = both
+""", "probe.csv"),
+    # branch 1 is shot leftward and written left to right
+    "corrector_iid": ("corrector", """[env]
+kind = iid-interp
+seed = 7
+window = -100 100
+dx_env = 0.01
+""" + _POWER_MODEL + """
+[corrector]
+lam = 2.0
+branch = 1
+region = -5 0
+tol = 1e-6
+""", "corrector.csv"),
+    **{f"effective_{name}": ("effective", f"""[env]
+kind = {kind}
+seed = {seed}
+window = -{half} {half}
+dx_env = 0.01
+""" + _POWER_MODEL + f"""
+[effective]
+theta_grid = -2 0 1.5
+tol = {tol}
+x = 100
+""", "effective.csv") for name, kind, seed, half, tol in (
+        ("periodic", "periodic", 5, 300, 0.05),
+        # a varies on this medium too
+        ("gauss", "gauss-squash", 3, 150, 0.1))},
+    **{f"homogenize_{name}": ("homogenize", """[env]
+kind = iid-interp
+seed = 11
+window = -200 200
+dx_env = 0.01
+
+[hamiltonian]
+""" + hamiltonian + _POWER_MODEL + f"""
+[homogenize]
+theta = 1.2
+epsilons = 0.25 0.125
+dx = 0.05
+m = 3.0
+reference = {reference}
+""", "sweep.csv") for name, hamiltonian, reference in (
+        ("log", """family = log-quasiconvex
+growth_gamma = 1.1
+growth_c1 = 0.5
+growth_c2 = 1.0
+""", 1.35),
+        # a piecewise-linear G read from a table beside the corpus
+        ("tabulated", f"""family = tabulated
+path = {GOLDEN / "tabulated_G.txt"}
+growth_gamma = 1.5
+growth_c1 = 0.5
+growth_c2 = 3.0
+""", 2.06))},
     # the glued profile reads s off the hill it is glued on
     "probe_glued": ("probe", """[env]
 kind = constant
