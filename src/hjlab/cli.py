@@ -366,12 +366,12 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
     ref_tol = _get(p, "ref_tol", 2e-2, positive=True)
     ref_X = _get(p, "ref_x", 300.0, positive=True)
     ref_dx = _get(p, "ref_dx", 0.01, positive=True)
-    report = validate_growth(cfg.G, cfg.growth)
-    if not report.passed:
+    lower, upper, lipschitz = validate_growth(cfg.G, cfg.growth)
+    # written so that a NaN margin (an overflowing envelope) fails too
+    if not (lower >= -1e-12 and upper >= -1e-12 and lipschitz >= -1e-12):
         raise CertificateError(
-            "growth certificate failed: margins "
-            f"lower={report.lower_margin:.3g}, upper={report.upper_margin:.3g}, "
-            f"lipschitz={report.lipschitz_margin:.3g}")
+            f"growth certificate failed: margins lower={lower:.3g}, "
+            f"upper={upper:.3g}, lipschitz={lipschitz:.3g}")
 
     env = cfg.make_env()
     dt = stable_dt(cfg.G, cfg.beta, theta, dx)
@@ -381,8 +381,9 @@ def cmd_homogenize(cfg: RunConfig) -> list[Path]:
     if reference is None:
         # Hbar(theta) from correctors on the same medium, and the
         # step-doubling bar of that level
-        reference, _, cfg.stats["ref_disc_bound"] = _reference(
-            env, cfg.G, cfg.beta, theta, ref_tol, X=ref_X, dx=ref_dx)
+        reference, cfg.stats["ref_half"], cfg.stats["ref_disc_bound"] = \
+            _reference(env, cfg.G, cfg.beta, theta, ref_tol, X=ref_X,
+                       dx=ref_dx)
     result = homogenize_sweep(env, cfg.G, cfg.beta, epsilons, scheme,
                               reference, workers=cfg.workers)
     out = cfg.out_dir / "sweep.csv"
@@ -476,6 +477,13 @@ def cmd_probe(cfg: RunConfig) -> list[Path]:
                               tol=tol_probe) for k in kinds]
     out = cfg.out_dir / "probe.csv"
     save_probe(reports, str(out))
+    for rep in reports:
+        cfg.stats.update({f"{rep.kind}_drift": rep.drift,
+                          f"{rep.kind}_tol": rep.tol,
+                          f"{rep.kind}_kappa": rep.kappa})
+    if source == "glued":
+        cfg.stats.update(z1=prof.z1, z2=prof.z2,
+                         residual_band=list(prof.residual_band))
     return [out]
 
 

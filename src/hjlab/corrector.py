@@ -32,12 +32,11 @@ tolerance:
   rebuilt after the run from its node values (each step is affine in
   g, and a log-depth affine scan composes the steps);
 * ``choose_dx`` picks the largest shooting step that keeps every RK4
-  step increasing in f at the levels a command shoots;
-* ``residual_series`` evaluates a f' + G(f) + beta V on a profile's
-  interior nodes.
+  step increasing in f at the levels a command shoots.
 
 This is the shooting layer only: the glued sub/supersolution profiles
-built from its runs, and their residual probes, live in ``probe``.
+built from its runs, their residuals and the residual probes live in
+``probe``.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ __all__ = [
     "choose_dx",
     "corrector_profile",
     "estimate_theta",
-    "residual_series",
     "save_profile",
 ]
 
@@ -78,12 +76,10 @@ class CorrectorProfile:
     the discrete flow on the region: the measured width of the two-run
     enclosure, or the full bracket width for a single run.
     ``rk4_steps`` counts the RK4 steps integrated to build the profile
-    (0 when not recorded, as for the one-sided runs that
-    ``probe.build_glued_profile`` joins).  ``g_vals``
-    holds the tangent df/dlam at the grid nodes when it was asked for,
-    else None.  ``disc_bound`` is the step-doubling bar of the region
-    average, |mean at dx - mean at 2 dx|, when it was asked for, else
-    None.
+    (0 when not recorded).  ``g_vals`` holds the tangent df/dlam at the
+    grid nodes when it was asked for, else None.  ``disc_bound`` is the
+    step-doubling bar of the region average, |mean at dx - mean at
+    2 dx|, when it was asked for, else None.
     """
 
     branch: int
@@ -545,18 +541,6 @@ def corrector_profile(env: EnvRealization, G, beta: float, lam: float,
                             grid=xs, f_vals=fs, burn_in=x_burn,
                             cert_bound=width, rk4_steps=steps, g_vals=gs,
                             disc_bound=disc)
-
-
-def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
-                    G, beta: float) -> np.ndarray:
-    """Centered-difference residual a f' + G(f) + beta V at interior nodes.
-
-    f' is the three-point formula on the actual node spacing, so a short
-    tail step of the RK4 lattice is differenced correctly.
-    """
-    a, v = sample_many(env, grid[1:-1])
-    df = np.gradient(f_vals, grid)[1:-1]
-    return a * df + np.asarray(G(f_vals[1:-1])) + beta * v
 
 
 # ============================================================

@@ -17,7 +17,8 @@ families and guarded numerics for tabulated data:
   burn-in guess (the certificate itself is the measured two-run
   enclosure; the rate is 0 where the branch derivative vanishes, as at
   lam = beta);
-* a growth report against power-type upper/lower envelopes.
+* growth margins against power-type upper/lower envelopes
+  (``validate_growth``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "ContractionModulus",
     "monotonicity_modulus",
     "GrowthCertificate",
-    "GrowthReport",
     "validate_growth",
 ]
 
@@ -379,7 +379,7 @@ def monotonicity_modulus(G, lam: float, beta: float, branch: int = 2) -> Contrac
 
 
 # ============================================================
-# Growth report
+# Growth envelopes
 # ============================================================
 
 # growth envelopes are checked at _GROWTH_N points on [-_GROWTH_P, _GROWTH_P]
@@ -399,40 +399,15 @@ class GrowthCertificate:
                 "growth certificate needs gamma > 1 and positive constants")
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Report-only check of power-type growth envelopes on [-P, P].
+def validate_growth(G, cert: GrowthCertificate) -> tuple[float, float, float]:
+    """Margins ``(lower, upper, lipschitz)`` of power-type envelopes on [-P, P].
 
     lower:      c1 |p|^gamma - 1/c1 <= G(p)
     upper:      G(p) <= c2 (|p|^gamma + 1)
     lipschitz:  |G(p) - G(q)| <= c2 (|p| + |q| + 1)^(gamma-1) |p - q|
 
-    Margins are the worst slack observed (negative means violated).
+    Each margin is the worst slack observed (negative means violated).
     """
-
-    certificate: GrowthCertificate
-    lower_margin: float
-    upper_margin: float
-    lipschitz_margin: float
-
-    @property
-    def lower_ok(self) -> bool:
-        return self.lower_margin >= -1e-12
-
-    @property
-    def upper_ok(self) -> bool:
-        return self.upper_margin >= -1e-12
-
-    @property
-    def lipschitz_ok(self) -> bool:
-        return self.lipschitz_margin >= -1e-12
-
-    @property
-    def passed(self) -> bool:
-        return self.lower_ok and self.upper_ok and self.lipschitz_ok
-
-
-def validate_growth(G, cert: GrowthCertificate) -> GrowthReport:
     gamma, c1, c2 = cert.gamma, cert.c1, cert.c2
     ps = np.linspace(-_GROWTH_P, _GROWTH_P, _GROWTH_N)
     gv = G(ps)
@@ -446,7 +421,4 @@ def validate_growth(G, cert: GrowthCertificate) -> GrowthReport:
     gi, gj = np.meshgrid(gs, gs, indexing="ij")
     rhs = c2 * (np.abs(pi) + np.abs(pj) + 1.0) ** (gamma - 1.0) * np.abs(pi - pj)
     lip = rhs - np.abs(gi - gj)
-    return GrowthReport(certificate=cert,
-                        lower_margin=float(lower.min()),
-                        upper_margin=float(upper.min()),
-                        lipschitz_margin=float(lip.min()))
+    return float(lower.min()), float(upper.min()), float(lip.min())

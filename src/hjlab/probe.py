@@ -3,9 +3,10 @@
 The flat piece of Hbar rests on glued test functions: at lam = beta,
 ``build_glued_profile`` joins the two one-sided correctors across a
 potential hill by a bridge whose residual stays within a few delta of
-beta.  ``residual_probe`` checks the sign of the residual of a drifted
-glued or corrector profile.  Neither the inversion nor the
-finite-difference solver uses this module.
+beta.  ``residual_series`` evaluates a profile's residual, with or
+without the decoration of a corrector candidate, and ``residual_probe``
+checks its sign for a drifted glued or corrector profile.  Neither the
+inversion nor the finite-difference solver uses this module.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import CorrectorProfile, _rk4_forward, residual_series
+from .corrector import CorrectorProfile, _rk4_forward
 from .environment import (_MAX_NODES, EnvRealization, HillWitness, s_at,
                           sample_many, write_csv)
 from .errors import GlueError, SignError, WindowError
@@ -26,6 +27,7 @@ __all__ = [
     "SignReport",
     "find_low_slope_points",
     "build_glued_profile",
+    "residual_series",
     "residual_probe",
     "save_probe",
 ]
@@ -79,24 +81,21 @@ def _hill_levels(G, beta: float, delta: float) -> tuple[float, float]:
     return h_req, s_req
 
 
-def find_low_slope_points(profile_pair, G, delta: float, hill: HillWitness,
+def find_low_slope_points(grid: np.ndarray, f1: np.ndarray, f2: np.ndarray,
+                          G, beta: float, delta: float, hill: HillWitness,
                           order: str = "21") -> tuple[float, float]:
     """Junction points (z1, z2) inside the hill where both one-sided
     corrector slopes have G-value at most 2 delta.
 
-    ``profile_pair`` is (branch-1 profile, branch-2 profile) at the
-    degenerate level lam = beta.  Points are positioned for the
+    ``f1`` and ``f2`` are the branch-1 and branch-2 slopes on ``grid``
+    at the degenerate level lam = beta.  Points are positioned for the
     requested gluing order: z2 < z1 for "21", z1 < z2 for "12".  Every
-    returned point is verified directly on the stored grid values.
+    returned point is verified directly on the grid values.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if order not in ("21", "12"):
         raise ValueError(f"order must be '21' or '12', got {order!r}")
-    p1, p2 = profile_pair
-    if p1.branch != 1 or p2.branch != 2:
-        raise ValueError("profile_pair must be (branch 1, branch 2)")
-    beta = p2.beta
     _, s_req = _hill_levels(G, beta, delta)
     s_hill = hill.scaled_length
     if s_hill <= s_req:
@@ -104,21 +103,20 @@ def find_low_slope_points(profile_pair, G, delta: float, hill: HillWitness,
             f"hill s-length {s_hill:g} does not exceed the required "
             f"{s_req:g} = (G2^-1(beta) - G1^-1(beta)) / delta")
     lvl = 2.0 * delta
+    m = (grid >= hill.L1 - 1e-12) & (grid <= hill.L2 + 1e-12)
+    if not m.any():
+        raise GlueError("profile does not cover the hill")
 
-    def low_points(prof):
-        m = (prof.grid >= hill.L1 - 1e-12) & (prof.grid <= hill.L2 + 1e-12)
-        if not m.any():
-            raise GlueError("profile does not cover the hill")
-        xs = prof.grid[m]
-        ok = np.asarray(G(prof.f_vals[m])) <= lvl
+    def low_points(f, branch):
+        ok = np.asarray(G(f[m])) <= lvl
         if not ok.any():
             raise GlueError(
-                f"no low-slope point of branch {prof.branch} inside the hill "
+                f"no low-slope point of branch {branch} inside the hill "
                 f"(need G(f) <= {lvl:g}); hill too short for delta = {delta:g}")
-        return xs[ok]
+        return grid[m][ok]
 
-    low1 = low_points(p1)
-    low2 = low_points(p2)
+    low1 = low_points(f1, 1)
+    low2 = low_points(f2, 2)
     if order == "21":
         z2 = float(low2[0])          # earliest along branch 2's travel
         z1 = float(low1[-1])         # earliest along branch 1's (leftward) travel
@@ -197,12 +195,9 @@ def build_glued_profile(env: EnvRealization, G, beta: float, delta: float,
     if xs1.size != xs2.size or float(np.max(np.abs(xs1 - xs2))) > 1e-9:
         raise RuntimeError("one-sided grids failed to align")
     grid = xs2
-    prof1 = CorrectorProfile(branch=1, lam=beta, beta=beta, grid=xs1.copy(),
-                             f_vals=fs1, burn_in=0.0, cert_bound=p_hi1 - p_lo1)
-    prof2 = CorrectorProfile(branch=2, lam=beta, beta=beta, grid=xs2.copy(),
-                             f_vals=fs2, burn_in=0.0, cert_bound=p_hi2 - p_lo2)
 
-    z1, z2 = find_low_slope_points((prof1, prof2), G, delta, hill, order)
+    z1, z2 = find_low_slope_points(grid, fs1, fs2, G, beta, delta, hill,
+                                   order)
     z_from, z_to = (z2, z1) if order == "21" else (z1, z2)
     # junctions live on grid nodes: work with indices so the pieces, the
     # bridge endpoints, and the s-coordinates all refer to the same node
@@ -280,6 +275,22 @@ def _psi_second(x):
     return (2.0 / math.pi) / (1.0 + x * x)
 
 
+def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
+                    G, beta: float, c: float = 0.0) -> np.ndarray:
+    """Residual a (f' + c psi'') + G(f + c psi') + beta V at interior nodes.
+
+    ``c`` decorates the profile with c psi, psi'(x) = (2/pi) arctan(x);
+    c = 0 gives a f' + G(f) + beta V.  f' is the three-point formula on
+    the actual node spacing, so a short tail step of the RK4 lattice is
+    differenced correctly.
+    """
+    x = grid[1:-1]
+    a, v = sample_many(env, x)
+    df = np.gradient(f_vals, grid)[1:-1]
+    return (a * (df + c * _psi_second(x))
+            + np.asarray(G(f_vals[1:-1] + c * _psi_prime(x))) + beta * v)
+
+
 def residual_probe(env: EnvRealization, G, beta: float, profile,
                    delta: float, kind: str, tol: float | None = None,
                    strict: bool = True) -> SignReport:
@@ -291,12 +302,10 @@ def residual_probe(env: EnvRealization, G, beta: float, profile,
     kappa is a Lipschitz constant of G on the padded slope bracket.
     For a glued flat-piece profile the candidate is undecorated:
     ``t (beta - 3 delta) + F(x)`` (sub) or ``t (beta + 4 delta) + F(x)``
-    (super), and the residual is ``residual_series`` less the drift.
-    The residual a F'' + G(F') + beta V - drift is evaluated at the
-    interior nodes with three-point differences for F'' on the actual
-    node spacing (a corrector profile may end in a short tail step) and
-    analytic psi derivatives; sub requires min >= -tol, super requires
-    max <= tol.  The default tol is ten body steps.
+    (super).  Either residual is ``residual_series`` at the candidate's
+    decoration c (0, or -/+ delta) less the drift; sub requires
+    min >= -tol, super requires max <= tol.  The default tol is ten
+    body steps.
     """
     if kind not in ("sub", "super"):
         raise ValueError(f"kind must be 'sub' or 'super', got {kind!r}")
@@ -315,19 +324,14 @@ def residual_probe(env: EnvRealization, G, beta: float, profile,
                       else float(grid[1] - grid[0]))
 
     if isinstance(profile, GluedProfile):
-        kappa = None
+        kappa, c = None, 0.0
         drift = beta - 3.0 * delta if kind == "sub" else beta + 4.0 * delta
-        r = residual_series(env, grid, f, G, beta) - drift
     else:
         p_lo, p_hi = bracket(G, profile.branch, profile.lam, profile.beta)
         kappa = float(G.lipschitz_on((p_lo - 1.0, p_hi + 1.0)))
         c = -delta if kind == "sub" else delta
         drift = profile.lam + (kappa + 1.0) * c
-        xi = grid[1:-1]
-        a, v = sample_many(env, xi)
-        fd = np.gradient(f, grid)[1:-1]
-        r = (a * (fd + c * _psi_second(xi))
-             + G(f[1:-1] + c * _psi_prime(xi)) + beta * v - drift)
+    r = residual_series(env, grid, f, G, beta, c) - drift
 
     r_min, r_max = float(r.min()), float(r.max())
     passed = r_min >= -tol if kind == "sub" else r_max <= tol

@@ -18,11 +18,12 @@ import hjlab.cli
 import hjlab.corrector
 import hjlab.effective
 from hjlab.cli import RunConfig, load_config, main
-from hjlab.corrector import burn_in_length
-from hjlab.environment import EnvRealization
+from hjlab.corrector import burn_in_length, corrector_profile
+from hjlab.environment import EnvRealization, find_hill
 from hjlab.errors import ConfigError
 from hjlab.hamiltonian import PowerG
 from hjlab.pde import cfl_gradient_range
+from hjlab.probe import build_glued_profile, residual_probe
 
 CONST_V0 = """
 [env]
@@ -494,6 +495,9 @@ CONST_TINY_A = CONST_V0.replace("v0 = 0.0", "v0 = 0.0\na0 = 1e-320")
     ("homogenize", HOMOG_IID.replace("growth_gamma = 2.0",
                                      "growth_gamma = 1"), [],
      "growth certificate needs gamma > 1"),
+    ("homogenize", HOMOG_IID.replace("growth_gamma = 2.0\ngrowth_c1 = 0.9\n"
+                                     "growth_c2 = 1.1\n", ""), [],
+     "homogenize requires a growth certificate"),
     # these two overflowed: exp(1e20) in the log-quasiconvex branch
     # inverse, and the count of glue steps at dx = 1e-320
     ("theta-curve", IID80.replace("family = power\ngamma = 2.0",
@@ -511,7 +515,7 @@ CONST_TINY_A = CONST_V0.replace("v0 = 0.0", "v0 = 0.0\na0 = 1e-320")
         "no-model", "workers-0", "iid-a0-0", "gauss-corr-len-0", "gauss-kappa-1",
         "singular-bump-width", "power-gamma-1", "node-cap",
         "dx-env-over-window", "iid-far-window", "singular-far-window",
-        "growth-gamma-1", "log-level-overflow", "glue-dx-1e-320",
+        "growth-gamma-1", "no-growth-keys", "log-level-overflow", "glue-dx-1e-320",
         "undecodable", "gen-env-a0-1e-320", "effective-a0-1e-320"])
 def test_config_rejection_exits_2_and_writes_no_table(tmp_path, capsys,
                                                       command, text, flags,
@@ -883,8 +887,9 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     assert set(stats) == {"dt", "cfl", "cfl_seen", "evolve_steps",
                           "node_steps", "trim_bound", "trim_margins",
                           "trim_plan", "grad_excursion", "grad_range_seen",
-                          "ref_disc_bound"}
-    assert stats["ref_disc_bound"] == 0.0  # a flat reference is exact
+                          "ref_half", "ref_disc_bound"}
+    # a flat reference is exact
+    assert stats["ref_half"] == stats["ref_disc_bound"] == 0.0
     assert 0.0 < stats["cfl"] <= 0.9 + 1e-12
     # every step the sweep took was monotone on the slopes it had
     assert 0.0 < stats["cfl_seen"] <= stats["cfl"]
@@ -919,6 +924,32 @@ def test_homogenize_worker_merge_and_run_stats(tmp_path):
     p_lo, p_hi = cfl_gradient_range(PowerG(2.0), 1.0, 0.0)
     lo, hi = stats["grad_range_seen"]
     assert p_lo <= lo <= hi <= p_hi
+
+
+def test_homogenize_failing_growth_envelope_exits_1(tmp_path, capsys):
+    # log(1 + p^2) stays below the power-2 lower envelope at |p| = 10
+    cfg = _write(tmp_path, HOMOG_IID.replace(
+        "family = power\ngamma = 2.0", "family = log-quasiconvex"))
+    out = tmp_path / "out"
+    assert main(["homogenize", "--config", cfg, "--out", str(out)]) == 1
+    assert ("growth certificate failed: margins lower=-84.3, upper=1.1, "
+            "lipschitz=") in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_homogenize_records_the_reference_half_width(tmp_path):
+    # theta = 1.2 lies on branch 2, where the reference has a half-width
+    text = HOMOG_IID.replace("window = -960 960", "window = -200 200") \
+        .replace("theta = 0.0", "theta = 1.2") + "ref_x = 100\nref_tol = 0.05\n"
+    cfg = _write(tmp_path, text)
+    assert main(["homogenize", "--config", cfg, "--out", str(tmp_path)]) == 0
+    stats = json.loads((tmp_path / "sweep.meta.json").read_text())["stats"]
+    run = load_config(cfg, "homogenize", None, 1, None)
+    value, half = hjlab.effective.effective_reference(
+        run.make_env(), run.G, run.beta, 1.2, 0.05, X=100.0, dx=0.01)
+    assert stats["ref_half"] == half > 0.0
+    _, rows = _rows(tmp_path / "sweep.csv")
+    assert {float(r[3]) for r in rows} == {value}
 
 
 def test_non_monotone_step_exits_1(tmp_path, monkeypatch, capsys):
@@ -1141,6 +1172,55 @@ kind = sub
     assert main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 0
     _, rows = _rows(tmp_path / "probe.csv")
     assert len(rows) == 1 and rows[0][0] == "sub" and rows[0][3] == "True"
+
+
+PROBE_CORRECTOR = """
+[env]
+kind = periodic
+seed = 5
+window = -30 30
+dx_env = 0.01
+
+[model]
+beta = 1.0
+
+[probe]
+profile = corrector
+lam = 2.0
+branch = 2
+region = -10 10
+delta = 0.1
+kind = both
+"""
+
+
+@pytest.mark.parametrize("source", ["glued", "corrector"])
+def test_probe_sidecar_records_each_report(tmp_path, source):
+    glued = source == "glued"
+    cfg = _write(tmp_path, PROBE_GLUED if glued else PROBE_CORRECTOR)
+    assert main(["probe", "--config", cfg, "--out", str(tmp_path)]) == 0
+    stats = json.loads((tmp_path / "probe.meta.json").read_text())["stats"]
+    run = load_config(cfg, "probe", None, 1, None)
+    env = run.make_env()
+    if glued:
+        delta = 0.25
+        prof = build_glued_profile(env, run.G, run.beta, delta,
+                                   find_hill(env, 0.9, 5.0), order="21",
+                                   region=(0.0, 30.0), dx=0.01)
+        assert (stats["z1"], stats["z2"]) == (prof.z1, prof.z2)
+        assert stats["residual_band"] == list(prof.residual_band)
+    else:
+        delta = 0.1
+        prof = corrector_profile(env, run.G, run.beta, 2.0, 2, (-10.0, 10.0),
+                                 1e-6, 0.01)
+        assert not {"z1", "z2", "residual_band"} & set(stats)
+    for kind in ("sub", "super"):
+        rep = residual_probe(env, run.G, run.beta, prof, delta, kind)
+        assert stats[f"{kind}_drift"] == rep.drift
+        assert stats[f"{kind}_tol"] == rep.tol
+        assert stats[f"{kind}_kappa"] == rep.kappa
+    # a glued candidate is undecorated, so it has no kappa
+    assert (stats["sub_kappa"] is None) == glued
 
 
 def test_usage_error_exit_code():

@@ -19,7 +19,6 @@ from hjlab.corrector import (
     choose_dx,
     corrector_profile,
     estimate_theta,
-    residual_series,
     save_profile,
 )
 from hjlab.environment import HillWitness, generate_env, reflect
@@ -27,7 +26,8 @@ from hjlab.errors import (BracketExitError, CertificateError, GlueError,
                           WindowError)
 from hjlab.hamiltonian import (AsymPowerG, PowerG, TabulatedG, bracket,
                                monotonicity_modulus)
-from hjlab.probe import build_glued_profile, find_low_slope_points
+from hjlab.probe import (build_glued_profile, find_low_slope_points,
+                         residual_series)
 from oracles import Reflected, cell_average, shoot
 
 G = PowerG(2.0)
@@ -576,14 +576,9 @@ def test_glued_profile_keeps_one_sided_pieces(env_const_v1):
 
 
 def test_find_low_slope_points_trivial():
-    p_lo, p_hi = 0.0, 1.0
-    xs2, fs2 = np.linspace(0.0, 30.0, 301), np.zeros(301)
-    from hjlab.corrector import CorrectorProfile
-    prof2 = CorrectorProfile(branch=2, lam=1.0, beta=1.0, grid=xs2,
-                             f_vals=fs2, burn_in=0.0, cert_bound=1.0)
-    prof1 = CorrectorProfile(branch=1, lam=1.0, beta=1.0, grid=xs2.copy(),
-                             f_vals=np.zeros(301), burn_in=0.0, cert_bound=1.0)
-    z1, z2 = find_low_slope_points((prof1, prof2), G, 0.25, HILL)
+    grid = np.linspace(0.0, 30.0, 301)
+    z1, z2 = find_low_slope_points(grid, np.zeros(301), np.zeros(301), G,
+                                   1.0, 0.25, HILL)
     assert HILL.L1 <= z2 < z1 <= HILL.L2
     assert float(G(np.array([0.0]))[0]) <= 0.5
 

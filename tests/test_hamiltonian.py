@@ -514,19 +514,19 @@ def test_make_G_dispatch():
 
 
 def test_growth_power_passes_unit_certificate():
-    rep = validate_growth(PowerG(2.0), GrowthCertificate(gamma=2.0, c1=1.0, c2=1.0))
-    assert rep.passed
-    assert rep.lower_margin == pytest.approx(1.0, abs=1e-12)
-    assert rep.upper_margin == pytest.approx(1.0, abs=1e-12)
-    assert rep.lipschitz_margin >= -1e-12
+    lower, upper, lipschitz = validate_growth(
+        PowerG(2.0), GrowthCertificate(gamma=2.0, c1=1.0, c2=1.0))
+    assert lower == pytest.approx(1.0, abs=1e-12)
+    assert upper == pytest.approx(1.0, abs=1e-12)
+    assert lipschitz >= -1e-12
 
 
 def test_growth_log_fails_power_lower_bound():
-    rep = validate_growth(LogQuasiconvexG(), GrowthCertificate(gamma=2.0, c1=1.0, c2=1.0))
-    assert not rep.lower_ok
+    lower, _, _ = validate_growth(
+        LogQuasiconvexG(), GrowthCertificate(gamma=2.0, c1=1.0, c2=1.0))
     # frozen: log(101) - 99 at the edge of [-10, 10]
-    assert rep.lower_margin == pytest.approx(-94.38487948315874, abs=1e-9)
-    assert not rep.passed
+    assert lower == pytest.approx(-94.38487948315874, abs=1e-9)
+    assert lower < -1e-12
 
 
 def test_growth_rejects_bad_certificate():
