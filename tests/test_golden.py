@@ -181,6 +181,53 @@ growth_gamma = 1.5
 growth_c1 = 0.5
 growth_c2 = 3.0
 """, 2.06))},
+    # at theta = 0 the flux takes its two-sided branch and the trim plan
+    # is symmetric
+    "homogenize_theta0": ("homogenize", """[env]
+kind = iid-interp
+seed = 11
+window = -200 200
+dx_env = 0.01
+
+[hamiltonian]
+family = power
+gamma = 2.0
+growth_gamma = 2.0
+growth_c1 = 0.9
+growth_c2 = 1.1
+""" + _POWER_MODEL + """
+[homogenize]
+theta = 0.0
+epsilons = 0.25 0.125
+dx = 0.05
+m = 3.0
+reference = 1.0
+""", "sweep.csv"),
+    # a tight tol walks the inversion past its first level
+    "effective_periodic_tight": ("effective", """[env]
+kind = periodic
+seed = 5
+window = -300 300
+dx_env = 0.01
+""" + _POWER_MODEL + """
+[effective]
+theta_grid = -2 0 1.5
+tol = 1e-4
+x = 100
+""", "effective.csv"),
+    # at the flat level lam = beta v0 the burn-in doubles (to 128 steps)
+    "corrector_flat": ("corrector", """[env]
+kind = constant
+seed = 0
+window = -150 10
+dx_env = 0.1
+v0 = 1.0
+""" + _POWER_MODEL + """
+[corrector]
+lam = 1.0
+region = 0 5
+tol = 0.01
+""", "corrector.csv"),
     # the glued profile reads s off the hill it is glued on
     "probe_glued": ("probe", """[env]
 kind = constant
