@@ -35,7 +35,8 @@ from .environment import (
     save_env,
     write_csv,
 )
-from .errors import CertificateError, ConfigError, HillError, ScientificError
+from .errors import (CertificateError, ConfigError, HillError,
+                     ScientificError, SignError)
 from .hamiltonian import GrowthCertificate, make_G, validate_growth
 from .pde import (SchemeConfig, homogenize_sweep, save_sweep, stable_dt,
                   sweep_ladder)
@@ -484,6 +485,12 @@ def cmd_probe(cfg: RunConfig) -> list[Path]:
     if source == "glued":
         cfg.stats.update(z1=prof.z1, z2=prof.z2,
                          residual_band=list(prof.residual_band))
+    failed = "; ".join(
+        f"{r.kind} check failed: residual range [{r.min_residual:.4g}, "
+        f"{r.max_residual:.4g}] vs tolerance {r.tol:.3g} at drift {r.drift:.6g}"
+        for r in reports if not r.passed)
+    if failed:  # probe.csv keeps every check; a failed one exits 1
+        raise SignError(failed)
     return [out]
 
 

@@ -5,8 +5,9 @@ The flat piece of Hbar rests on glued test functions: at lam = beta,
 potential hill by a bridge whose residual stays within a few delta of
 beta.  ``residual_series`` evaluates a profile's residual, with or
 without the decoration of a corrector candidate, and ``residual_probe``
-checks its sign for a drifted glued or corrector profile.  Neither the
-inversion nor the finite-difference solver uses this module.
+reports its sign for a drifted glued or corrector profile; the command
+line decides what a failed check means.  Neither the inversion nor the
+finite-difference solver uses this module.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .corrector import CorrectorProfile, _rk4_forward
 from .environment import (_MAX_NODES, EnvRealization, HillWitness, s_at,
                           sample_many, write_csv)
-from .errors import GlueError, SignError, WindowError
+from .errors import GlueError, WindowError
 from .hamiltonian import bracket
 
 __all__ = [
@@ -146,9 +147,8 @@ def _hermite(t: np.ndarray, p0: float, m0: float, p1: float, m1: float):
 
 
 def build_glued_profile(env: EnvRealization, G, beta: float, delta: float,
-                        hill: HillWitness, order: str = "21",
-                        region: tuple[float, float] | None = None,
-                        dx: float = 0.01) -> GluedProfile:
+                        hill: HillWitness, region: tuple[float, float],
+                        order: str = "21", dx: float = 0.01) -> GluedProfile:
     """Glue the two one-sided correctors at lam = beta across a hill.
 
     The profile keeps each corrector slope on its own side of the
@@ -166,8 +166,6 @@ def build_glued_profile(env: EnvRealization, G, beta: float, delta: float,
         raise GlueError(
             f"hill level {hill.v_min_on_interval:g} below the required "
             f"1 - delta/beta = {h_req:g}")
-    if region is None:
-        region = (hill.L1 - 2.0, hill.L2 + 2.0)
     R_lo, R_hi = float(region[0]), float(region[1])
     if R_lo > hill.L1 or R_hi < hill.L2:
         raise ValueError("region must contain the hill")
@@ -267,14 +265,6 @@ def build_glued_profile(env: EnvRealization, G, beta: float, delta: float,
 # Sub/supersolution residual probes
 # ============================================================
 
-def _psi_prime(x):
-    return (2.0 / math.pi) * np.arctan(x)
-
-
-def _psi_second(x):
-    return (2.0 / math.pi) / (1.0 + x * x)
-
-
 def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
                     G, beta: float, c: float = 0.0) -> np.ndarray:
     """Residual a (f' + c psi'') + G(f + c psi') + beta V at interior nodes.
@@ -287,14 +277,16 @@ def residual_series(env: EnvRealization, grid: np.ndarray, f_vals: np.ndarray,
     x = grid[1:-1]
     a, v = sample_many(env, x)
     df = np.gradient(f_vals, grid)[1:-1]
-    return (a * (df + c * _psi_second(x))
-            + np.asarray(G(f_vals[1:-1] + c * _psi_prime(x))) + beta * v)
+    psi1 = (2.0 / math.pi) * np.arctan(x)
+    psi2 = (2.0 / math.pi) / (1.0 + x * x)
+    return (a * (df + c * psi2) + np.asarray(G(f_vals[1:-1] + c * psi1))
+            + beta * v)
 
 
 def residual_probe(env: EnvRealization, G, beta: float, profile,
-                   delta: float, kind: str, tol: float | None = None,
-                   strict: bool = True) -> SignReport:
-    """Check the sign of the smooth residual of a drifted profile.
+                   delta: float, kind: str,
+                   tol: float | None = None) -> SignReport:
+    """Report the sign of the smooth residual of a drifted profile.
 
     For a corrector profile F at level lam, the candidate is
     ``t (lam -/+ (kappa+1) delta) + F(x) -/+ delta psi(x)`` with
@@ -304,8 +296,9 @@ def residual_probe(env: EnvRealization, G, beta: float, profile,
     ``t (beta - 3 delta) + F(x)`` (sub) or ``t (beta + 4 delta) + F(x)``
     (super).  Either residual is ``residual_series`` at the candidate's
     decoration c (0, or -/+ delta) less the drift; sub requires
-    min >= -tol, super requires max <= tol.  The default tol is ten
-    body steps.
+    min >= -tol, super requires max <= tol, and ``passed`` says whether
+    it holds; a failed check is reported, not raised.  The default tol
+    is ten body steps.
     """
     if kind not in ("sub", "super"):
         raise ValueError(f"kind must be 'sub' or 'super', got {kind!r}")
@@ -335,14 +328,9 @@ def residual_probe(env: EnvRealization, G, beta: float, profile,
 
     r_min, r_max = float(r.min()), float(r.max())
     passed = r_min >= -tol if kind == "sub" else r_max <= tol
-    report = SignReport(kind=kind, drift=float(drift), min_residual=r_min,
-                        max_residual=r_max, tol=float(tol), passed=passed,
-                        kappa=kappa)
-    if strict and not passed:
-        raise SignError(
-            f"{kind} check failed: residual range [{r_min:.4g}, {r_max:.4g}] "
-            f"vs tolerance {tol:.3g} at drift {drift:.6g}")
-    return report
+    return SignReport(kind=kind, drift=float(drift), min_residual=r_min,
+                      max_residual=r_max, tol=float(tol), passed=passed,
+                      kappa=kappa)
 
 
 def save_probe(reports, path: str) -> None:

@@ -247,12 +247,15 @@ def test_criterion_09_glued_residual_band():
     env = generate_env("iid-interp", 283258, (-600.0, 600.0), 0.01)
     hill = find_hill(env, 1.0 - delta / BETA, 13.0)
     assert hill is not None
-    g21 = build_glued_profile(env, G2, BETA, delta, hill, order="21")
+    region = (hill.L1 - 2.0, hill.L2 + 2.0)
+    g21 = build_glued_profile(env, G2, BETA, delta, hill, region,
+                              order="21")
     lo, hi = g21.residual_band
     assert lo >= BETA - 3.0 * delta - tol
     assert hi <= BETA + 4.0 * delta + tol
     assert residual_probe(env, G2, BETA, g21, delta, "sub").passed
-    g12 = build_glued_profile(env, G2, BETA, delta, hill, order="12")
+    g12 = build_glued_profile(env, G2, BETA, delta, hill, region,
+                              order="12")
     assert residual_probe(env, G2, BETA, g12, delta, "super").passed
 
 

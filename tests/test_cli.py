@@ -17,10 +17,10 @@ import hjlab
 import hjlab.cli
 import hjlab.corrector
 import hjlab.effective
-from hjlab.cli import RunConfig, load_config, main
+from hjlab.cli import RunConfig, cmd_probe, load_config, main
 from hjlab.corrector import burn_in_length, corrector_profile
 from hjlab.environment import EnvRealization, find_hill
-from hjlab.errors import ConfigError
+from hjlab.errors import ConfigError, SignError
 from hjlab.hamiltonian import PowerG
 from hjlab.pde import cfl_gradient_range
 from hjlab.probe import build_glued_profile, residual_probe
@@ -1221,6 +1221,32 @@ def test_probe_sidecar_records_each_report(tmp_path, source):
         assert stats[f"{kind}_kappa"] == rep.kappa
     # a glued candidate is undecorated, so it has no kappa
     assert (stats["sub_kappa"] is None) == glued
+
+
+def test_failed_probe_exits_1_and_writes_its_table(tmp_path, capsys):
+    # a drift of 1e-9 leaves the RK4 profile's own residual uncovered
+    cfg = _write(tmp_path, PROBE_CORRECTOR.replace("delta = 0.1",
+                                                   "delta = 1e-9")
+                 + "tol_probe = 1e-12\n")
+    out = tmp_path / "out"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    _, rows = _rows(out / "probe.csv")
+    assert [r[0] for r in rows] == ["sub", "super"]
+    assert not (out / "probe.meta.json").exists()
+    run = load_config(cfg, "probe", str(tmp_path), 1, None)
+    env = run.make_env()
+    prof = corrector_profile(env, run.G, run.beta, 2.0, 2, (-10.0, 10.0),
+                             1e-6, 0.01)
+    for kind, lo, hi, passed in rows:
+        rep = residual_probe(env, run.G, run.beta, prof, 1e-9, kind,
+                             tol=1e-12)
+        assert not rep.passed and passed == "False"
+        assert f"{kind} check failed" in err
+        assert (float(lo), float(hi)) == (rep.min_residual, rep.max_residual)
+    # the command, not the probe, turns the verdict into the error
+    with pytest.raises(SignError, match="sub check failed.*; super check"):
+        cmd_probe(run)
 
 
 def test_usage_error_exit_code():

@@ -1,7 +1,8 @@
 """Checks of the source: every module-level import of the package and of
 the tests is used, the package exports what its modules export, the PDE
-solver imports nothing of the inversion layer it checks, and only the
-two writers open files for writing.
+solver imports nothing of the inversion layer it checks, only the two
+writers open files for writing, and only the command line raises a
+failed probe.
 
 The package namespace is the union of its modules' ``__all__`` lists
 (``cli`` is the entry point, not a library module), so a public name is
@@ -12,7 +13,10 @@ a stale pointer too.
 ``__init__.py`` is exempt: its imports are the package's public
 namespace.  Every output file is a table written by
 ``environment.write_csv`` or a sidecar written by ``cli._sidecar``, so
-one CSV convention holds as long as nothing else writes.  ``pde`` is the
+one CSV convention holds as long as nothing else writes.  A failed
+residual probe is raised as ``SignError`` by ``cli`` alone: the probe
+reports its verdict and the command line maps it to an exit code, after
+the table is written.  ``pde`` is the
 finite-difference oracle for the effective Hamiltonian that ``effective``
 computes, so it takes that prediction as an input and shares no code
 with it, nor with the shooting layer ``corrector`` that ``effective``
@@ -203,6 +207,28 @@ def test_only_the_writers_open_files_for_writing():
         writers += _file_writers(ast.parse(path.read_text(),
                                            filename=str(path)), path.stem)
     assert writers == WRITERS
+
+
+def _raised(tree: ast.Module) -> set[str]:
+    """The names of the exceptions ``tree`` raises, called or bare."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return found
+
+
+def test_only_cli_raises_sign_error():
+    # the check itself sees a qualified, a called and a bare raise
+    probe = ast.parse("def f():\n    raise errors.SignError('x')\n"
+                      "def g():\n    raise KeyError\n"
+                      "def h(e):\n    raise ValueError('SignError') from e\n")
+    assert _raised(probe) == {"SignError", "KeyError", "ValueError"}
+    raisers = [path.stem for path in sorted(SRC.glob("*.py"))
+               if "SignError" in _raised(ast.parse(path.read_text(),
+                                                   filename=str(path)))]
+    assert raisers == ["cli"]
 
 
 # ------------------------------------------------------------
