@@ -8,7 +8,7 @@ moved and by how much.  The tables were recorded under the numpy
 version and on the machine named in ``tests/golden/platform.json``;
 elsewhere a match passes with a warning and a mismatch says where the
 tables were recorded.  One case reads its tabulated G from
-``tests/golden/tabulated_G.txt``.  The cases take well under a second
+``tests/golden/tabulated_G.txt``.  The cases take about two seconds
 together.
 
 To record the corpus again, after a change that moves numbers on
@@ -215,7 +215,7 @@ theta_grid = -2 0 1.5
 tol = 1e-4
 x = 100
 """, "effective.csv"),
-    # at the flat level lam = beta v0 the burn-in doubles (to 128 steps)
+    # at the flat level lam = beta v0 the burn-in doubles, to length 128
     "corrector_flat": ("corrector", """[env]
 kind = constant
 seed = 0
